@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test verify bench perf compile-smoke epoch-smoke checkpoint-smoke
+.PHONY: all build test verify bench benchmark-smoke perf compile-smoke epoch-smoke checkpoint-smoke
 
 all: verify
 
@@ -14,8 +14,14 @@ build:
 test:
 	$(GO) test ./...
 
-verify:
+verify: benchmark-smoke
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./...
+
+# The repo benchmark (benchmark/, BENCHMARK.json) is a module of its
+# own, so the root ./... patterns do not reach it: vet it and run its
+# test (every workload and layer drive at smoke scale, ~3 s).
+benchmark-smoke:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run xxx .

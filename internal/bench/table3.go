@@ -117,6 +117,11 @@ type RunStats struct {
 	// window: multi-node lockstep execution through the compiled tier
 	// (sim's epoch.go). Purely observational, like Shard.
 	Epoch *EpochOverhead `json:"epoch,omitempty"`
+
+	// Park appears when the run loop parked an idle node: how many idle
+	// polls it executed and how many it charged in closed form (sim's
+	// wake.go). Purely observational, like Shard.
+	Park *sim.ParkStats `json:"park,omitempty"`
 }
 
 // ShardOverhead is the sharded run loop's host-side telemetry for one
@@ -297,6 +302,9 @@ func runOnce(src string, mode mult.Mode, prof rts.Profile, lazy bool, nodes int,
 	rs.CrossShardMessages = m.CrossShardMessages()
 	rs.Shard = shardOverhead(m)
 	rs.Epoch = epochOverhead(m)
+	if t := m.ParkTelemetry(); t.Parks > 0 {
+		rs.Park = &t
+	}
 	return runOut{
 		cycles: res.Cycles,
 		result: res.Formatted,

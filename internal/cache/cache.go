@@ -63,10 +63,20 @@ type line struct {
 	lru   uint64
 }
 
-// Cache is a set-associative cache indexed by block number.
+// Cache is a set-associative cache indexed by block number. The lines
+// live in one flat slice, set-major (set s occupies
+// lines[s*ways:(s+1)*ways]): one allocation per cache rather than one
+// per set, and a lookup is one pointer chase.
 type Cache struct {
 	cfg   Config
-	sets  [][]line
+	lines []line
+	nsets uint32
+	ways  int
+	// mask is nsets-1 when the set count is a power of two (every
+	// default geometry), sparing the lookup a hardware divide; pow2
+	// false keeps the modulo.
+	mask  uint32
+	pow2  bool
 	clock uint64
 
 	// Stats.
@@ -78,12 +88,16 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	nsets := int(cfg.SizeBytes/cfg.BlockBytes) / cfg.Assoc
-	sets := make([][]line, nsets)
-	for i := range sets {
-		sets[i] = make([]line, cfg.Assoc)
-	}
-	return &Cache{cfg: cfg, sets: sets}, nil
+	blocks := cfg.SizeBytes / cfg.BlockBytes
+	nsets := blocks / uint32(cfg.Assoc)
+	return &Cache{
+		cfg:   cfg,
+		lines: make([]line, blocks),
+		nsets: nsets,
+		ways:  cfg.Assoc,
+		mask:  nsets - 1,
+		pow2:  nsets&(nsets-1) == 0,
+	}, nil
 }
 
 // Config returns the cache geometry.
@@ -93,7 +107,12 @@ func (c *Cache) Config() Config { return c.cfg }
 func (c *Cache) Block(addr uint32) uint32 { return addr / c.cfg.BlockBytes }
 
 func (c *Cache) set(block uint32) []line {
-	return c.sets[block%uint32(len(c.sets))]
+	si := block & c.mask
+	if !c.pow2 {
+		si = block % c.nsets
+	}
+	base := int(si) * c.ways
+	return c.lines[base : base+c.ways]
 }
 
 func (c *Cache) find(block uint32) *line {
@@ -214,11 +233,9 @@ func (c *Cache) Invalidate(block uint32) (wasDirty, wasPresent bool) {
 // Occupancy counts valid lines (for interference studies).
 func (c *Cache) Occupancy() int {
 	n := 0
-	for _, set := range c.sets {
-		for _, l := range set {
-			if l.state != Invalid {
-				n++
-			}
+	for i := range c.lines {
+		if c.lines[i].state != Invalid {
+			n++
 		}
 	}
 	return n
@@ -227,11 +244,9 @@ func (c *Cache) Occupancy() int {
 // ForEach calls fn for every valid line, in set order. Cold path: the
 // fault checker's coherence audits iterate whole caches with it.
 func (c *Cache) ForEach(fn func(block uint32, st State, dirty bool)) {
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].state != Invalid {
-				fn(set[i].block, set[i].state, set[i].dirty)
-			}
+	for i := range c.lines {
+		if l := &c.lines[i]; l.state != Invalid {
+			fn(l.block, l.state, l.dirty)
 		}
 	}
 }

@@ -152,3 +152,51 @@ func TestBlockMapping(t *testing.T) {
 		t.Error("block mapping wrong")
 	}
 }
+
+// TestSlotContractAcrossGeometries pins the (set, way) contract of
+// DumpSlots/SetSlot over the flat line store, for a power-of-two set
+// count (mask indexing) and one that is not (modulo indexing): a block
+// lands in set block%sets, slots dump in (set, way) order, and a dump
+// replayed through SetSlot rebuilds an identical cache.
+func TestSlotContractAcrossGeometries(t *testing.T) {
+	for _, g := range []struct {
+		size  uint32
+		assoc int
+		sets  int
+	}{{256, 2, 8}, {192, 2, 6}} {
+		c := newCache(t, g.size, 16, g.assoc)
+		if sets, ways := c.Geometry(); sets != g.sets || ways != g.assoc {
+			t.Fatalf("geometry (%d,%d), want (%d,%d)", sets, ways, g.sets, g.assoc)
+		}
+		for b := uint32(0); b < 40; b += 3 {
+			c.Insert(b, Shared)
+		}
+		r := newCache(t, g.size, 16, g.assoc)
+		next := 0
+		c.DumpSlots(func(set, way int, block uint32, st State, dirty bool, lru uint64) {
+			if set*g.assoc+way != next {
+				t.Fatalf("%d sets: slot (%d,%d) out of (set, way) order", g.sets, set, way)
+			}
+			next++
+			if st != Invalid && int(block)%g.sets != set {
+				t.Errorf("%d sets: block %d in set %d", g.sets, block, set)
+			}
+			if err := r.SetSlot(set, way, block, st, dirty, lru); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if next != g.sets*g.assoc {
+			t.Fatalf("%d sets: dumped %d slots", g.sets, next)
+		}
+		for b := uint32(0); b < 40; b++ {
+			cs, chit := c.Probe(b)
+			rs, rhit := r.Probe(b)
+			if cs != rs || chit != rhit {
+				t.Errorf("%d sets: block %d: original (%v,%v), rebuilt (%v,%v)", g.sets, b, cs, chit, rs, rhit)
+			}
+		}
+		if err := r.SetSlot(g.sets, 0, 0, Shared, false, 0); err == nil {
+			t.Errorf("%d sets: SetSlot accepted set %d", g.sets, g.sets)
+		}
+	}
+}

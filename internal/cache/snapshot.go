@@ -9,7 +9,7 @@ import "fmt"
 // slots in (set, way) order so encodings are deterministic.
 
 // Geometry returns the number of sets and ways.
-func (c *Cache) Geometry() (sets, ways int) { return len(c.sets), c.cfg.Assoc }
+func (c *Cache) Geometry() (sets, ways int) { return int(c.nsets), c.ways }
 
 // Clock returns the LRU clock.
 func (c *Cache) Clock() uint64 { return c.clock }
@@ -20,24 +20,22 @@ func (c *Cache) SetClock(v uint64) { c.clock = v }
 // DumpSlots calls fn for every slot (valid or not) in (set, way)
 // order.
 func (c *Cache) DumpSlots(fn func(set, way int, block uint32, st State, dirty bool, lru uint64)) {
-	for si, set := range c.sets {
-		for wi := range set {
-			l := &set[wi]
-			fn(si, wi, l.block, l.state, l.dirty, l.lru)
-		}
+	for i := range c.lines {
+		l := &c.lines[i]
+		fn(i/c.ways, i%c.ways, l.block, l.state, l.dirty, l.lru)
 	}
 }
 
 // SetSlot restores one slot. It is the restore-side counterpart of
 // DumpSlots and performs no stats or LRU bookkeeping.
 func (c *Cache) SetSlot(set, way int, block uint32, st State, dirty bool, lru uint64) error {
-	if set < 0 || set >= len(c.sets) || way < 0 || way >= len(c.sets[set]) {
+	if set < 0 || set >= int(c.nsets) || way < 0 || way >= c.ways {
 		return fmt.Errorf("cache: slot (%d,%d) out of range (%d sets × %d ways)",
-			set, way, len(c.sets), c.cfg.Assoc)
+			set, way, c.nsets, c.ways)
 	}
 	if st > Exclusive {
 		return fmt.Errorf("cache: slot (%d,%d) has invalid state %d", set, way, st)
 	}
-	c.sets[set][way] = line{block: block, state: st, dirty: dirty, lru: lru}
+	c.lines[set*c.ways+way] = line{block: block, state: st, dirty: dirty, lru: lru}
 	return nil
 }

@@ -122,6 +122,12 @@ type Processor struct {
 	InlineSteps uint64
 	EpochOps    uint64
 
+	// IdlePolls counts executed Handler.Idle calls: host-side telemetry
+	// (the "park" counter group), since the work-proportional run loop
+	// elides the polls of parked nodes and charges their cycles in closed
+	// form, so the count differs between run loops by design.
+	IdlePolls uint64
+
 	// Compile-tier state (see compile.go), installed by SetCompile:
 	// the machine's block translation set, the run-termination flag the
 	// fused loop must observe after every op, and — when the memory
@@ -166,6 +172,13 @@ func (p *Processor) PostIPI(payload isa.Word) {
 
 // PendingIPIs reports queued, undelivered IPIs.
 func (p *Processor) PendingIPIs() int { return len(p.pendingIPI) - p.ipiHead }
+
+// NextStepIdles reports whether the next Step will hand control to
+// Handler.Idle: the processor runs, no asynchronous trap is pending,
+// and the active frame holds no thread (stepSlow's last case).
+func (p *Processor) NextStepIdles() bool {
+	return !p.Halted && p.ipiHead == len(p.pendingIPI) && p.Engine.Active().ThreadID < 0
+}
 
 // ipiQueueLen reports the backing-queue length including delivered
 // slots (tests use it to observe compaction).
@@ -265,6 +278,7 @@ func (p *Processor) stepSlow() (int, error) {
 	if p.Handler == nil {
 		return 0, fmt.Errorf("%w: idle with no handler", ErrNoHandler)
 	}
+	p.IdlePolls++
 	cycles, err := p.Handler.Idle(p)
 	p.Stats.IdleCycles += uint64(cycles)
 	return cycles, err

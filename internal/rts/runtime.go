@@ -421,6 +421,18 @@ func (n *NodeRT) Idle(p *proc.Processor) (int, error) {
 	return n.Prof.Idle, nil
 }
 
+// PurePoll reports whether p's next Step is a pure poll of the ready
+// queues: an Idle call whose outcome Scheduler.ReadyQueues alone
+// decides. With every queue empty it touches nothing and costs
+// Prof.Idle; with any queue non-empty it loads a thread. Lazy mode
+// never qualifies (its poll also runs FindMarker over simulated
+// memory), nor does a processor with threads in other frames (Idle
+// rotates to them). This is the one place the run loop's parking
+// eligibility is decided; keep it in step with Idle above.
+func (n *NodeRT) PurePoll(p *proc.Processor) bool {
+	return p.NextStepIdles() && !n.Sched.Lazy && p.Engine.LoadedThreads() == 0
+}
+
 // stealMarker implements the thief side of lazy task creation: claim
 // the oldest marker of some thread, create the future the victim will
 // resolve, copy the parent frames onto a fresh stack, and run the

@@ -194,6 +194,13 @@ func (s *Scheduler) StealReady(node int) *Thread {
 	return nil
 }
 
+// ReadyQueues reports how many nodes' ready queues are non-empty. Zero
+// means every idle poll anywhere in the machine comes back empty-handed
+// (outside lazy mode, where a poll also hunts for continuation
+// markers), which is what lets the run loop elide the polls of parked
+// idle nodes (sim/wake.go).
+func (s *Scheduler) ReadyQueues() int { return s.readyQueues }
+
 // ReadyCount reports queued threads across all nodes.
 func (s *Scheduler) ReadyCount() int {
 	n := 0

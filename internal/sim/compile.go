@@ -39,6 +39,12 @@ func (m *Machine) fusedStep(id int, limit uint64, keep *[]int) (used bool, err e
 	if w := m.wakeq.next(); w < b {
 		b = w
 	}
+	// The window runs trap handlers, which can fill a ready queue: it
+	// ends before the next cycle a parked node polls (and does not open
+	// in such a cycle — b == m.now below).
+	if pn := m.park.nextPoll(m.now); pn < b {
+		b = pn
+	}
 	if dl := m.lastProgress + m.deadlockWin + 1; dl < b {
 		b = dl
 	}
@@ -64,6 +70,7 @@ func (m *Machine) fusedStep(id int, limit uint64, keep *[]int) (used bool, err e
 		// The erroring op starts c cycles into the window; report the
 		// cycle the per-op loop would.
 		m.now = start + c
+		m.settleParked(m.now, id)
 		return true, fmt.Errorf("cycle %d node %d: %w", m.now, p.ID, ferr)
 	}
 	if !ran {
@@ -75,9 +82,10 @@ func (m *Machine) fusedStep(id int, limit uint64, keep *[]int) (used bool, err e
 		// MainDone exit) lands exactly where the per-op loop stops.
 		m.now = start + uint64(doneAt)
 		c -= uint64(doneAt)
+		m.unparkAll(id)
 	}
 	if c > 1 {
-		m.wakeq.push(id, m.now+c)
+		m.sleep(n, id, c)
 	} else {
 		*keep = append(*keep, id)
 	}

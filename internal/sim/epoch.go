@@ -51,10 +51,7 @@
 
 package sim
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // epochWindow tries to run the cycle's steppers in lockstep through
 // the compiled tier across the group's safe horizon. It returns
@@ -67,6 +64,12 @@ import (
 // already stepped in it, and the caller finishes the cycle per-op from
 // steps[si:] — the refused op executes at its exact reference cycle.
 func (m *Machine) epochWindow(steps []int, limit uint64) (si int, full bool) {
+	// Epoch-safe ops fill no ready queue and post no IPI, so parked
+	// polls stay fruitless across a window — unless they already find
+	// work, in which case they are steppers the group does not contain.
+	if m.parkedWork() {
+		return 0, false
+	}
 	// The window bound: every external-event source the horizon proof
 	// enumerates. Identical structure to fusedStep's single-node bound.
 	b := limit
@@ -162,42 +165,6 @@ loop:
 	}
 	t.LenHist[h]++
 	return si, !stopped
-}
-
-// epochFinishCycle completes a cycle the epoch engine stopped inside:
-// steps[:si] already stepped (epoch-safe, cost 1, still running), the
-// rest step per-op in ascending order — byte-for-byte the sequential
-// cycle body, so the refused op (and anything after it) executes with
-// exact reference semantics. Shared by the sharded loop; the fast loop
-// inlines the same flow.
-func (m *Machine) epochFinishCycle(steps []int, si int) error {
-	keep := append(m.running[:0], steps[:si]...)
-	for _, id := range steps[si:] {
-		n := m.Nodes[id]
-		retired := n.Proc.Stats.Instructions
-		c, err := n.Proc.Step()
-		if err != nil {
-			return fmt.Errorf("cycle %d node %d: %w", m.now, n.Proc.ID, err)
-		}
-		if c > 1 {
-			m.wakeq.push(id, m.now+uint64(c))
-		} else {
-			keep = append(keep, id)
-		}
-		if n.Proc.Stats.Instructions != retired {
-			m.lastProgress = m.now
-			n.lastRetired = m.now
-		}
-		if m.Sched.MainDone {
-			break
-		}
-	}
-	m.running = keep
-	if m.net != nil {
-		m.net.tick()
-	}
-	m.now++
-	return m.watchdogs()
 }
 
 // EpochTelemetry returns the epoch engine's counters (all-zero when

@@ -72,6 +72,7 @@ func (io *ioCtl) StoreIO(addr uint32, w isa.Word) (int, error) {
 		io.ipiTarget = t
 		return 1, nil
 	case IOIPISend:
+		io.m.noteIPI(io.ipiTarget)
 		io.m.Nodes[io.ipiTarget].Proc.PostIPI(w)
 		return 1, nil
 	case IOBTSrc:

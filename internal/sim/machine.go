@@ -192,13 +192,16 @@ type Machine struct {
 	// The work-proportional run loop's node scheduler (see wake.go):
 	// nodes executing 1-cycle instructions live on the sorted running
 	// list and step every cycle; nodes inside a multi-cycle operation
-	// sleep in the wake queue keyed by absolute wake cycle. Unused by
-	// the reference loop, which keeps the per-node relative busy
-	// counters instead.
+	// sleep in the wake queue keyed by absolute wake cycle; idle nodes
+	// sit in the park set until a poll can find work. Unused by the
+	// reference loop, which keeps the per-node relative busy counters
+	// instead.
 	running  []int // ascending node ids
 	wakeq    wakeQueue
+	park     parkSet
 	dueBuf   []int // popDue scratch, reused across cycles
 	mergeBuf []int // running+due merge scratch, reused across cycles
+	keepBuf  []int // the next cycle's running list under construction
 
 	// Observability (nil unless enabled; see observe.go).
 	tracer     *trace.Tracer
@@ -359,6 +362,12 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m.dueBuf = make([]int, 0, cfg.Nodes)
 	m.mergeBuf = make([]int, 0, cfg.Nodes)
+	m.keepBuf = make([]int, 0, cfg.Nodes)
+	period := prof.Idle
+	if cfg.Lazy {
+		period = 0 // a lazy poll probes simulated memory: never park
+	}
+	m.park.init(cfg.Nodes, period)
 	return m, nil
 }
 
@@ -507,6 +516,7 @@ func (m *Machine) RunWindow(n uint64) (bool, error) {
 // stack traces.
 func (m *Machine) runGuarded(limit uint64) (hit bool, err error) {
 	defer func() {
+		m.settleNow()
 		r := recover()
 		if r == nil {
 			return
@@ -736,125 +746,309 @@ func (m *Machine) runReferenceUntil(limit uint64) (hitLimit bool, err error) {
 	return false, nil
 }
 
-// runFastUntil is the work-proportional loop: nodes executing 1-cycle
-// instructions step every cycle off the sorted running list, nodes
-// inside a multi-cycle operation sleep in a min-queue keyed by
-// absolute wake cycle, and whole stretches where nothing can happen
-// are crossed in one fastForwardUntil jump. Each iteration visits only
-// the nodes that actually step. Step order within a cycle is ascending
-// node id, exactly as in runReferenceUntil (the running list and the
-// due set are disjoint ascending sequences; their merge preserves
-// order). It returns hitLimit=true when m.now reaches limit before the
-// main thread exits.
+// runFastUntil is the work-proportional loop: each iteration visits only
+// the nodes that actually step (see wake.go for where the others wait),
+// and whole stretches where nothing can happen are crossed in one
+// fastForwardUntil jump. Step order within a cycle is ascending node id,
+// exactly as in runReferenceUntil. It returns hitLimit=true when m.now
+// reaches limit before the main thread exits.
 func (m *Machine) runFastUntil(limit uint64) (hitLimit bool, err error) {
 	for !m.Sched.MainDone {
-		if m.sampler != nil && m.now >= m.sampler.NextBoundary() {
-			m.sample()
-			m.sampler.Advance(m.now)
-		}
-		if m.now >= limit {
+		if m.advance(limit) {
 			return true, nil
 		}
-		jumpLimit := limit
-		// Never jump past a sampling boundary: capping a skip shorter
-		// cannot change simulated state (skips compose), it only makes
-		// the sampler observe it.
-		if m.sampler != nil && m.sampler.NextBoundary() < jumpLimit {
-			jumpLimit = m.sampler.NextBoundary()
-		}
-		m.fastForwardUntil(jumpLimit)
-		// A capped jump can land exactly on the boundary; the reference
-		// loop samples before executing that cycle, so match it here
-		// rather than waiting for the next iteration's top-of-loop check.
-		if m.sampler != nil && m.now >= m.sampler.NextBoundary() {
-			m.sample()
-			m.sampler.Advance(m.now)
-		}
-		// Likewise a jump can land exactly on the limit; the reference
-		// loop stops before executing that cycle, so match it.
-		if m.now >= limit {
-			return true, nil
-		}
-		due := m.dueBuf[:0]
-		if m.wakeq.next() <= m.now {
-			due = m.wakeq.popDue(m.now, due)
-		}
-		m.dueBuf = due
-		steps := m.running
-		switch {
-		case len(due) == 0:
-		case len(m.running) == 0:
-			steps = due
-		default:
-			m.mergeBuf = mergeSorted(m.mergeBuf[:0], m.running, due)
-			steps = m.mergeBuf
-		}
-		// Rebuild the running list as we go: 1-cycle nodes stay on it,
-		// multi-cycle ones move to the wake queue. In-place compaction is
-		// safe when steps aliases m.running (writes never pass reads).
-		keep := m.running[:0]
-		if m.compileOn && len(steps) == 1 {
-			// Exactly one stepper: try to run its compiled tier across
-			// the whole isolated window (see compile.go).
-			used, err := m.fusedStep(steps[0], limit, &keep)
-			if err != nil {
-				return false, err
-			}
-			if used {
-				steps = nil
-			}
-		} else if m.epochOn && len(steps) > 1 {
+		steps := m.dueSteps()
+		if m.epochOn && len(steps) > 1 {
 			// Two or more steppers: try a lockstep epoch window across
 			// the group's safe horizon (see epoch.go).
 			si, epochFull := m.epochWindow(steps, limit)
 			if epochFull {
 				// Whole window committed: every stepper ran 1-cycle ops,
-				// so the running list's content is unchanged and the
-				// fabric already replayed its no-op ticks.
-				m.running = append(keep, steps...)
+				// so they are the running list, and the fabric already
+				// replayed its no-op ticks.
+				m.setRunning(append(m.keepBuf[:0], steps...))
 				if err := m.watchdogs(); err != nil {
 					return false, err
 				}
 				continue
 			}
-			// Mid-epoch fallback (or no window): steps[:si] already
-			// stepped in the current cycle; finish it per-op below.
-			keep = append(keep, steps[:si]...)
-			steps = steps[si:]
-		}
-		for _, id := range steps {
-			n := m.Nodes[id]
-			retired := n.Proc.Stats.Instructions
-			c, err := n.Proc.Step()
-			if err != nil {
-				return false, fmt.Errorf("cycle %d node %d: %w", m.now, n.Proc.ID, err)
-			}
-			if c > 1 {
-				// busy = c-1 in the reference loop means the node next
-				// Steps c cycles from now.
-				m.wakeq.push(id, m.now+uint64(c))
-			} else {
-				keep = append(keep, id)
-			}
-			if n.Proc.Stats.Instructions != retired {
-				m.lastProgress = m.now
-				n.lastRetired = m.now
-			}
-			if m.Sched.MainDone {
-				break
+			if si > 0 {
+				// Mid-epoch fallback: steps[:si] already stepped in the
+				// current cycle (epoch-safe, cost 1, still running);
+				// finish it per-op.
+				if err := m.finishCycle(steps[si:], append(m.keepBuf[:0], steps[:si]...)); err != nil {
+					return false, err
+				}
+				continue
 			}
 		}
-		m.running = keep
-		if m.net != nil {
-			m.net.tick()
-		}
-		m.now++
-
-		if err := m.watchdogs(); err != nil {
+		if err := m.sequentialCycle(steps, limit); err != nil {
 			return false, err
 		}
 	}
 	return false, nil
+}
+
+// sequentialCycle executes cycle m.now for steps on the calling
+// goroutine. With exactly one stepper it first tries to run that node's
+// compiled tier across a whole isolated window (see compile.go).
+func (m *Machine) sequentialCycle(steps []int, limit uint64) error {
+	keep := m.keepBuf[:0]
+	if m.compileOn && len(steps) == 1 {
+		used, err := m.fusedStep(steps[0], limit, &keep)
+		if err != nil {
+			return err
+		}
+		if used {
+			steps = nil
+		}
+	}
+	return m.finishCycle(steps, keep)
+}
+
+// advance moves simulated time to the next cycle in which anything can
+// happen, closing sampler windows on the way, and reports whether that
+// is the limit (which is then not executed, as in the reference loop).
+func (m *Machine) advance(limit uint64) (hitLimit bool) {
+	// Close the sampling window before executing its boundary cycle, so
+	// rows land at identical cycles with or without fast-forward.
+	if m.sampler != nil && m.now >= m.sampler.NextBoundary() {
+		m.sample()
+		m.sampler.Advance(m.now)
+	}
+	if m.now >= limit {
+		return true
+	}
+	jumpLimit := limit
+	// Never jump past a sampling boundary: capping a skip shorter
+	// cannot change simulated state (skips compose), it only makes
+	// the sampler observe it.
+	if m.sampler != nil && m.sampler.NextBoundary() < jumpLimit {
+		jumpLimit = m.sampler.NextBoundary()
+	}
+	// With nodes parked, nothing lands the loop every few cycles any
+	// more, so a jump must stop at the cycle whose end-of-cycle
+	// watchdogs() would fire — deadlock deadline, livelock scan,
+	// scheduler-conservation watermark — or every later report and scan
+	// shifts away from the reference loop's cycle.
+	if m.park.n > 0 {
+		if wd := m.lastWatchedCycle(); wd < jumpLimit {
+			jumpLimit = max(wd, m.now)
+		}
+	}
+	m.fastForwardUntil(jumpLimit)
+	// A capped jump can land exactly on the boundary; the reference
+	// loop samples before executing that cycle, so match it here
+	// rather than waiting for the next iteration's top-of-loop check.
+	if m.sampler != nil && m.now >= m.sampler.NextBoundary() {
+		m.sample()
+		m.sampler.Advance(m.now)
+	}
+	// Likewise a jump can land exactly on the limit; the reference
+	// loop stops before executing that cycle, so match it.
+	return m.now >= limit
+}
+
+// lastWatchedCycle returns the earliest cycle after whose execution
+// watchdogs() acts: it runs with m.now already incremented, so each
+// watermark w fires at the end of cycle w-1.
+func (m *Machine) lastWatchedCycle() uint64 {
+	c := m.lastProgress + m.deadlockWin
+	if m.net != nil && m.nextWedgeCheck-1 < c {
+		c = m.nextWedgeCheck - 1
+	}
+	if m.checker != nil && m.nextSchedCheck-1 < c {
+		c = m.nextSchedCheck - 1
+	}
+	return c
+}
+
+// dueSteps pops the nodes waking at m.now and merges them with the
+// running list: the cycle's scheduled steppers, ascending. (Parked
+// polls that find work join them inside stepNodes.)
+func (m *Machine) dueSteps() []int {
+	due := m.dueBuf[:0]
+	if m.wakeq.next() <= m.now {
+		due = m.wakeq.popDue(m.now, due)
+	}
+	m.dueBuf = due
+	switch {
+	case len(due) == 0:
+		return m.running
+	case len(m.running) == 0:
+		return due
+	}
+	m.mergeBuf = mergeSorted(m.mergeBuf[:0], m.running, due)
+	return m.mergeBuf
+}
+
+// stepNodes executes cycle m.now for the scheduled steppers ids
+// (ascending) and for every parked node whose poll finds work, merged
+// in ascending id — the reference loop's order. Nodes that step again
+// next cycle are appended to keep (which must not alias ids: unparked
+// nodes add entries ids never had); the others sleep or park. With
+// watch set (Run, RunWindow) retirements feed the deadlock watchdog and
+// the cycle stops at the node that ends the run; RunFor watches
+// neither.
+func (m *Machine) stepNodes(ids, keep []int, watch bool) ([]int, error) {
+	end := len(m.Nodes)
+	for i, lo := 0, 0; ; {
+		id := end
+		if i < len(ids) {
+			id = ids[i]
+		}
+		if m.parkedWork() {
+			// A parked poll in the gap [lo, id) that finds work steps
+			// first.
+			if k := m.parkedPoll(lo, id); k >= 0 {
+				id = k
+			}
+		}
+		if id == end {
+			return keep, nil
+		}
+		if i < len(ids) && id == ids[i] {
+			i++
+		}
+		lo = id + 1
+		n := m.Nodes[id]
+		retired := n.Proc.Stats.Instructions
+		c, err := n.Proc.Step()
+		if err != nil {
+			m.settleParked(m.now, id)
+			return keep, fmt.Errorf("cycle %d node %d: %w", m.now, id, err)
+		}
+		if c > 1 {
+			// busy = c-1 in the reference loop means the node next
+			// Steps c cycles from now.
+			m.sleep(n, id, uint64(c))
+		} else {
+			keep = append(keep, id)
+		}
+		if !watch {
+			continue
+		}
+		if n.Proc.Stats.Instructions != retired {
+			m.lastProgress = m.now
+			n.lastRetired = m.now
+		}
+		if m.Sched.MainDone {
+			m.unparkAll(id)
+			return keep, nil
+		}
+	}
+}
+
+// sleep schedules node id's next Step c > 1 cycles from now: in the
+// park set when that Step is a pure poll within one period, in the wake
+// queue otherwise.
+func (m *Machine) sleep(n *Node, id int, c uint64) {
+	if c <= m.park.period && n.RT.PurePoll(n.Proc) {
+		m.park.add(id, m.now+c)
+		return
+	}
+	m.wakeq.push(id, m.now+c)
+}
+
+// parkedPoll unparks and returns the lowest parked node in [lo, hi)
+// whose poll at cycle m.now finds work — any of them while a ready
+// queue is non-empty, otherwise only one holding an IPI — or -1.
+func (m *Machine) parkedPoll(lo, hi int) int {
+	pk := &m.park
+	phase := int(m.now % pk.period)
+	queued := m.Sched.ReadyQueues() > 0
+	for id := pk.scan(phase, lo, hi); id >= 0; id = pk.scan(phase, id+1, hi) {
+		if pk.next[id] > m.now {
+			continue // parked earlier this cycle; first poll a period away
+		}
+		ipi := m.Nodes[id].Proc.PendingIPIs() > 0
+		if !queued && !ipi {
+			continue
+		}
+		m.settle(id, m.now, 0)
+		pk.remove(id)
+		if ipi {
+			pk.ipis--
+		}
+		pk.unparks++
+		return id
+	}
+	return -1
+}
+
+// settle charges node id's elided polls at step positions before
+// (cycle, before): every poll of an earlier cycle, plus the one at
+// cycle itself when id < before.
+func (m *Machine) settle(id int, cycle uint64, before int) {
+	if id < before {
+		cycle++
+	}
+	k := m.park.elide(id, cycle)
+	m.Nodes[id].Proc.Stats.IdleCycles += k * m.park.period
+}
+
+// settleParked settles every parked node up to the given position.
+func (m *Machine) settleParked(cycle uint64, before int) {
+	pk := &m.park
+	if pk.n == 0 {
+		return
+	}
+	for phase := range pk.count {
+		for id := pk.scan(phase, 0, len(m.Nodes)); id >= 0; id = pk.scan(phase, id+1, len(m.Nodes)) {
+			m.settle(id, cycle, before)
+		}
+	}
+}
+
+// settleNow settles the parked nodes for an observer between cycles:
+// every poll before m.now is charged.
+func (m *Machine) settleNow() { m.settleParked(m.now, 0) }
+
+// unparkAll ends parking when node `before` ends the run at cycle
+// m.now: the reference loop breaks out of the cycle there, so polls at
+// earlier positions are charged and the rest never happen. The nodes go
+// back to the wake queue at their next poll, which is where a finished
+// machine's image has always shown its idle nodes.
+func (m *Machine) unparkAll(before int) {
+	m.settleParked(m.now, before)
+	pk := &m.park
+	for id, at := range pk.next {
+		if at != noWake {
+			pk.remove(id)
+			m.wakeq.push(id, at)
+		}
+	}
+	pk.ipis = 0
+}
+
+// noteIPI records that an IPI is about to be posted to node id: a parked
+// node must leave the park set at its next poll to take the trap.
+func (m *Machine) noteIPI(id int) {
+	if m.park.has(id) && m.Nodes[id].Proc.PendingIPIs() == 0 {
+		m.park.ipis++
+	}
+}
+
+// setRunning installs keep (built on keepBuf) as the running list and
+// recycles the old list as the next cycle's keepBuf.
+func (m *Machine) setRunning(keep []int) {
+	m.running, m.keepBuf = keep, m.running[:0]
+}
+
+// finishCycle steps ids at cycle m.now (keep already holds the nodes of
+// this cycle that stepped and stay running) and closes the cycle:
+// running list, fabric tick, clock, watchdogs.
+func (m *Machine) finishCycle(ids, keep []int) error {
+	keep, err := m.stepNodes(ids, keep, true)
+	if err != nil {
+		return err
+	}
+	m.setRunning(keep)
+	if m.net != nil {
+		m.net.tick()
+	}
+	m.now++
+	return m.watchdogs()
 }
 
 // finish closes the final sampling window and packages the result.
@@ -887,8 +1081,14 @@ func (m *Machine) fastForwardUntil(limit uint64) {
 		return // a running node Steps on the current cycle
 	}
 	next := m.wakeq.next()
+	if m.parkedWork() {
+		// Parked polls find work: the next one is a Step like any other.
+		if pn := m.park.nextPoll(m.now); pn < next {
+			next = pn
+		}
+	}
 	if next <= m.now {
-		return // a sleeping node wakes on the current cycle
+		return // a sleeping node wakes, or a parked one polls, this cycle
 	}
 	skip := next - m.now
 	if m.net != nil {
@@ -914,6 +1114,12 @@ func (m *Machine) fastForwardUntil(limit uint64) {
 		m.net.advance(skip)
 	}
 	m.now += skip
+}
+
+// parkedWork reports whether the polls of parked nodes can find
+// anything: a thread in some ready queue, or an IPI to take.
+func (m *Machine) parkedWork() bool {
+	return m.park.n > 0 && (m.park.ipis > 0 || m.Sched.ReadyQueues() > 0)
 }
 
 // Now returns the current simulated cycle.

@@ -55,6 +55,7 @@ func (m *Machine) Sampler() *trace.Sampler { return m.sampler }
 // sample closes the current window: one row per node with the cycle
 // category deltas since the previous sample plus instantaneous gauges.
 func (m *Machine) sample() {
+	m.settleNow()
 	for i, n := range m.Nodes {
 		cur := n.Proc.Stats
 		last := &m.lastSample[i]
@@ -152,6 +153,20 @@ func (m *Machine) CounterRegistry() *trace.Registry {
 				out[fmt.Sprintf("len_p2_%d", b)] = c
 			}
 			return out
+		})
+	}
+	if m.park.period > 0 && !m.Cfg.DisableFastForward {
+		// Idle-node parking (wake.go): host-side like the groups above,
+		// registered only where nodes can park so oracle-path snapshots
+		// stay byte-stable.
+		r.Register("park", func() map[string]uint64 {
+			t := m.ParkTelemetry()
+			return map[string]uint64{
+				"parks":          t.Parks,
+				"unparks":        t.Unparks,
+				"polls_elided":   t.PollsElided,
+				"polls_executed": t.PollsExecuted,
+			}
 		})
 	}
 	for i, n := range m.Nodes {

@@ -74,39 +74,17 @@ func (m *Machine) RunFor(cycles uint64) error {
 		}
 		return nil
 	}
+	defer m.settleNow()
 	for m.now < end {
 		m.fastForwardUntil(end)
 		if m.now >= end {
 			break
 		}
-		due := m.dueBuf[:0]
-		if m.wakeq.next() <= m.now {
-			due = m.wakeq.popDue(m.now, due)
+		keep, err := m.stepNodes(m.dueSteps(), m.keepBuf[:0], false)
+		if err != nil {
+			return err
 		}
-		m.dueBuf = due
-		steps := m.running
-		switch {
-		case len(due) == 0:
-		case len(m.running) == 0:
-			steps = due
-		default:
-			m.mergeBuf = mergeSorted(m.mergeBuf[:0], m.running, due)
-			steps = m.mergeBuf
-		}
-		keep := m.running[:0]
-		for _, id := range steps {
-			n := m.Nodes[id]
-			c, err := n.Proc.Step()
-			if err != nil {
-				return fmt.Errorf("cycle %d node %d: %w", m.now, n.Proc.ID, err)
-			}
-			if c > 1 {
-				m.wakeq.push(id, m.now+uint64(c))
-			} else {
-				keep = append(keep, id)
-			}
-		}
-		m.running = keep
+		m.setRunning(keep)
 		if m.net != nil {
 			m.net.tick()
 		}

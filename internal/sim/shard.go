@@ -45,8 +45,8 @@
 // in a LOCAL step), and stores that would materialize a page (a write
 // to the shared page table) are GLOBAL too. GLOBAL steps run in
 // reference relative order on one goroutine. Any step the proof does
-// not cover is STOP, and a STOP anywhere sends the whole cycle down a
-// byte-for-byte copy of the sequential body. Wake-queue pushes land in
+// not cover is STOP, and a STOP anywhere sends the whole cycle down
+// the sequential body (Machine.finishCycle). Wake-queue pushes land in
 // a different order than the reference, but the queue pops in total
 // (cycle, node) order, so its behavior depends only on the content
 // multiset, which is identical. The one residual divergence is
@@ -387,39 +387,10 @@ func (m *Machine) runShardedUntil(limit uint64) (hitLimit bool, err error) {
 	loopStart := time.Now()
 	defer func() { m.pdes.LoopWallNS += uint64(time.Since(loopStart)) }()
 	for !m.Sched.MainDone {
-		if m.sampler != nil && m.now >= m.sampler.NextBoundary() {
-			m.sample()
-			m.sampler.Advance(m.now)
-		}
-		if m.now >= limit {
+		if m.advance(limit) {
 			return true, nil
 		}
-		jumpLimit := limit
-		if m.sampler != nil && m.sampler.NextBoundary() < jumpLimit {
-			jumpLimit = m.sampler.NextBoundary()
-		}
-		m.fastForwardUntil(jumpLimit)
-		if m.sampler != nil && m.now >= m.sampler.NextBoundary() {
-			m.sample()
-			m.sampler.Advance(m.now)
-		}
-		if m.now >= limit {
-			return true, nil
-		}
-		due := m.dueBuf[:0]
-		if m.wakeq.next() <= m.now {
-			due = m.wakeq.popDue(m.now, due)
-		}
-		m.dueBuf = due
-		steps := m.running
-		switch {
-		case len(due) == 0:
-		case len(m.running) == 0:
-			steps = due
-		default:
-			m.mergeBuf = mergeSorted(m.mergeBuf[:0], m.running, due)
-			steps = m.mergeBuf
-		}
+		steps := m.dueSteps()
 
 		// Multi-cycle epoch batch: when the whole group's safe horizon
 		// spans several cycles, run the steppers in lockstep through the
@@ -432,7 +403,7 @@ func (m *Machine) runShardedUntil(limit uint64) (hitLimit bool, err error) {
 		if m.epochOn && len(steps) > 1 {
 			si, epochFull := m.epochWindow(steps, limit)
 			if epochFull {
-				m.running = append(m.running[:0], steps...)
+				m.setRunning(append(m.keepBuf[:0], steps...))
 				if err := m.watchdogs(); err != nil {
 					return false, err
 				}
@@ -440,11 +411,12 @@ func (m *Machine) runShardedUntil(limit uint64) (hitLimit bool, err error) {
 			}
 			if si > 0 {
 				// Mid-epoch fallback: the cycle at m.now holds an
-				// epoch-unsafe op. steps[:si] already stepped; finish the
-				// cycle per-op in reference order (the sequential body).
+				// epoch-unsafe op. steps[:si] already stepped (epoch-safe,
+				// cost 1, still running); finish the cycle per-op in
+				// reference order.
 				m.pdes.SequentialCycles++
 				m.pdes.FallbackEpoch++
-				if err := m.epochFinishCycle(steps, si); err != nil {
+				if err := m.finishCycle(steps[si:], append(m.keepBuf[:0], steps[:si]...)); err != nil {
 					return false, err
 				}
 				continue
@@ -486,46 +458,11 @@ func (m *Machine) runShardedUntil(limit uint64) (hitLimit bool, err error) {
 			} else {
 				m.pdes.FallbackSmall++
 			}
-			// Sequential cycle: byte-for-byte the runFastUntil body,
-			// including the compiled tier's isolated-window fast path
-			// (fusion only ever runs on the coordinating goroutine —
-			// the parallel phases below step per-op).
-			keep := m.running[:0]
-			if m.compileOn && len(steps) == 1 {
-				used, err := m.fusedStep(steps[0], limit, &keep)
-				if err != nil {
-					return false, err
-				}
-				if used {
-					steps = nil
-				}
-			}
-			for _, id := range steps {
-				n := m.Nodes[id]
-				retired := n.Proc.Stats.Instructions
-				c, err := n.Proc.Step()
-				if err != nil {
-					return false, fmt.Errorf("cycle %d node %d: %w", m.now, n.Proc.ID, err)
-				}
-				if c > 1 {
-					m.wakeq.push(id, m.now+uint64(c))
-				} else {
-					keep = append(keep, id)
-				}
-				if n.Proc.Stats.Instructions != retired {
-					m.lastProgress = m.now
-					n.lastRetired = m.now
-				}
-				if m.Sched.MainDone {
-					break
-				}
-			}
-			m.running = keep
-			if m.net != nil {
-				m.net.tick()
-			}
-			m.now++
-			if err := m.watchdogs(); err != nil {
+			// Sequential cycle: the runFastUntil body, including the
+			// compiled tier's isolated-window fast path (fusion only
+			// ever runs on the coordinating goroutine — the parallel
+			// phases below step per-op).
+			if err := m.sequentialCycle(steps, limit); err != nil {
 				return false, err
 			}
 			continue
@@ -548,37 +485,19 @@ func (m *Machine) runShardedUntil(limit uint64) (hitLimit bool, err error) {
 		}
 
 		// Phase 2: the coordinator steps the GLOBAL nodes, ascending —
-		// their reference relative order.
-		gkeep := r.gkeep[:0]
-		for _, id := range r.globals {
-			n := m.Nodes[id]
-			retired := n.Proc.Stats.Instructions
-			c, err := n.Proc.Step()
-			if err != nil {
-				return false, fmt.Errorf("cycle %d node %d: %w", m.now, n.Proc.ID, err)
-			}
-			if c > 1 {
-				m.wakeq.push(id, m.now+uint64(c))
-			} else {
-				gkeep = append(gkeep, id)
-			}
-			if n.Proc.Stats.Instructions != retired {
-				m.lastProgress = m.now
-				n.lastRetired = m.now
-			}
-			if m.Sched.MainDone {
-				// Unreachable while the classifier routes every
-				// run-ending service to the sequential path; mirror the
-				// reference's early exit anyway.
-				break
-			}
+		// their reference relative order — and with them the parked
+		// polls that find work (a poll hunts the shared scheduler, and
+		// LOCAL steps, being node-confined, fill no ready queue).
+		gkeep, err := m.stepNodes(r.globals, r.gkeep[:0], true)
+		if err != nil {
+			return false, err
 		}
 		r.gkeep = gkeep
 
 		// Rebuild the running list: the concatenated shard keeps are
 		// ascending (shard blocks are contiguous id ranges), merged with
 		// the ascending phase-2 keeps.
-		keep := m.running[:0]
+		keep := m.keepBuf[:0]
 		gi := 0
 		for s := range r.shards {
 			for _, id := range r.shards[s].keep {
@@ -589,8 +508,7 @@ func (m *Machine) runShardedUntil(limit uint64) (hitLimit bool, err error) {
 				keep = append(keep, id)
 			}
 		}
-		keep = append(keep, gkeep[gi:]...)
-		m.running = keep
+		m.setRunning(append(keep, gkeep[gi:]...))
 
 		if m.net != nil {
 			m.net.tickSharded(r)

@@ -422,6 +422,13 @@ func (m *Machine) busyRemaining() []uint64 {
 			rem[e.node] = e.wake - m.now
 		}
 	}
+	// A parked node is settled whenever a run loop returns, so its next
+	// uncharged poll is the next Step the reference loop would take.
+	for i, at := range m.park.next {
+		if at != noWake && at > m.now {
+			rem[i] = at - m.now
+		}
+	}
 	return rem
 }
 
@@ -435,6 +442,7 @@ func (m *Machine) rebuildRunLists(rem []uint64) {
 		return
 	}
 	m.wakeq.init(len(m.Nodes))
+	m.park.init(len(m.Nodes), int(m.park.period))
 	m.running = m.running[:0]
 	for i := range m.Nodes {
 		if rem[i] == 0 {

@@ -83,6 +83,29 @@ type EpochStats struct {
 	LenHist [17]uint64
 }
 
+// ParkStats is the park set's telemetry (wake.go): how the
+// work-proportional loops handled idle nodes. Host-side like PDESStats —
+// it differs between run loops by design (the reference loop executes
+// every poll), so it stays out of snapshot images and result digests.
+// For one program on one machine, PollsExecuted + PollsElided equals
+// the reference loop's PollsExecuted.
+type ParkStats struct {
+	Parks         uint64 `json:"parks"`          // nodes moved into the park set
+	Unparks       uint64 `json:"unparks"`        // parked nodes stepped because a poll could find work
+	PollsElided   uint64 `json:"polls_elided"`   // idle polls charged in closed form, never executed
+	PollsExecuted uint64 `json:"polls_executed"` // idle polls executed (Handler.Idle calls), parked or not
+}
+
+// ParkTelemetry returns the park set's counters. Read while the
+// machine is quiescent.
+func (m *Machine) ParkTelemetry() ParkStats {
+	t := ParkStats{Parks: m.park.parks, Unparks: m.park.unparks, PollsElided: m.park.elided}
+	for _, n := range m.Nodes {
+		t.PollsExecuted += n.Proc.IdlePolls
+	}
+	return t
+}
+
 // PDES returns the run loop's aggregate PDES telemetry. Zero-valued
 // for unsharded machines. Read while the machine is quiescent (between
 // RunWindow calls or after Run).
