@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test verify bench benchmark-smoke perf compile-smoke epoch-smoke checkpoint-smoke
+.PHONY: all build test verify fmt-check fuzz-smoke bench benchmark-smoke perf compile-smoke epoch-smoke checkpoint-smoke
 
 all: verify
 
@@ -14,8 +14,20 @@ build:
 test:
 	$(GO) test ./...
 
-verify: benchmark-smoke
+verify: fmt-check benchmark-smoke
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./...
+
+fmt-check:
+	test -z "$$(gofmt -l .)"
+
+# Ten seconds each of native fuzzing over the machine-image container
+# (arbitrary bytes) and sim.Restore (mutated payloads, re-sealed so the
+# checksum passes): an error or a runnable machine, never a panic. New
+# coverage is minimized for at most a second, or a slow input eats the
+# budget.
+fuzz-smoke:
+	$(GO) test -run xxx -fuzz FuzzOpen -fuzztime 10s -fuzzminimizetime 1s ./internal/snapshot/
+	$(GO) test -run xxx -fuzz FuzzRestore -fuzztime 10s -fuzzminimizetime 1s ./internal/sim/
 
 # The repo benchmark (benchmark/, BENCHMARK.json) is a module of its
 # own, so the root ./... patterns do not reach it: vet it and run its

@@ -345,7 +345,7 @@ func (c *checkpointer) maybeWrite(m *sim.Machine) error {
 		os.Remove(c.files[0])
 		c.files = c.files[1:]
 	}
-	m.SetCheckpointInfo(m.Now(), "april -restore "+path)
+	m.SetCheckpointInfo(m.Now(), len(img), "april -restore "+path)
 	c.next = m.Now() + c.every
 	return nil
 }

@@ -19,11 +19,11 @@ import (
 // PerfReport is the simulator-throughput measurement that
 // cmd/april-bench -perf serializes to BENCH_simperf.json: the full
 // Table 3 grid run three times on the same host — at the pre-overhaul
-// cost profile (reference per-cycle loop, eagerly materialized memory,
-// a single worker), with fast-forward, predecoded dispatch, demand
-// paging and the parallel harness but the compiled tier off, and
-// finally with profile-guided basic-block superinstructions on — with
-// a bit-identity cross-check across the three sets of rows.
+// cost profile (reference per-cycle loop, a single worker), with
+// fast-forward, predecoded dispatch and the parallel harness but the
+// compiled tier off, and finally with profile-guided basic-block
+// superinstructions on — with a bit-identity cross-check across the
+// three sets of rows.
 type PerfReport struct {
 	GeneratedAt string `json:"generated_at"`
 	GoVersion   string `json:"go_version"`
@@ -121,10 +121,10 @@ type ShardRow struct {
 	Shards    int    `json:"shards"`
 	// Horizon is the epoch-window cap the row ran with (0 = unbounded,
 	// the default; 1 degenerates to per-cycle stepping).
-	Horizon   uint64    `json:"horizon,omitempty"`
-	Cycles    uint64    `json:"cycles"`
-	Result    string    `json:"result"`
-	Perf      proc.Perf `json:"perf"`
+	Horizon uint64    `json:"horizon,omitempty"`
+	Cycles  uint64    `json:"cycles"`
+	Result  string    `json:"result"`
+	Perf    proc.Perf `json:"perf"`
 	// CrossMessages counts coherence messages that crossed a shard
 	// boundary — the traffic the horizon barriers staged.
 	CrossMessages uint64 `json:"cross_shard_messages"`
@@ -151,6 +151,9 @@ type CheckpointRow struct {
 	Nodes      int    `json:"nodes"`
 	Cycle      uint64 `json:"cycle"` // cycle the image captures
 	ImageBytes int    `json:"image_bytes"`
+	// ImageBytesPerNode is the unit the image grows in: pages, cache
+	// lines and threads the nodes have touched, not configured sizes.
+	ImageBytesPerNode int `json:"image_bytes_per_node"`
 	// SnapshotMS is the mean serialize latency over several snapshots of
 	// the same quiescent machine; RestoreMS is one full image-to-machine
 	// reconstruction (parse, rebuild, reinstall resident pages).
@@ -159,6 +162,9 @@ type CheckpointRow struct {
 	// Identical asserts the donor and the restored machine agreed on
 	// final cycles, result, and every node's full statistics.
 	Identical bool `json:"identical"`
+	// NumCPU is the host the latencies were taken on (the rows can be
+	// regenerated apart from the rest of the report).
+	NumCPU int `json:"num_cpu"`
 }
 
 // CheckpointSweep measures CheckpointRows for one benchmark across
@@ -215,11 +221,13 @@ func checkpointOnce(src, benchName string, nodes int) (CheckpointRow, error) {
 	}
 	snapMS := time.Since(start).Seconds() * 1e3 / iters
 	row := CheckpointRow{
-		Benchmark:  benchName,
-		Nodes:      nodes,
-		Cycle:      m.Now(),
-		ImageBytes: len(img),
-		SnapshotMS: snapMS,
+		Benchmark:         benchName,
+		Nodes:             nodes,
+		Cycle:             m.Now(),
+		ImageBytes:        len(img),
+		SnapshotMS:        snapMS,
+		ImageBytesPerNode: len(img) / nodes,
+		NumCPU:            runtime.NumCPU(),
 	}
 	start = time.Now()
 	twin, err := sim.Restore(img, sim.RestoreOverrides{})
@@ -339,8 +347,7 @@ func HorizonSweep(benchName string, sizes Sizes, nodes, shards int, horizons []u
 // alewifeOpts selects the machine variant alewifeOnce measures.
 type alewifeOpts struct {
 	// reference selects the pre-overhaul cost profile: reference
-	// stepping loop, opcode-switch interpreter, eagerly materialized
-	// memory.
+	// stepping loop, opcode-switch interpreter.
 	reference bool
 	// shards > 1 runs the sharded loop (mutually exclusive with
 	// reference, which forces one shard).
@@ -359,8 +366,7 @@ type alewifeOpts struct {
 // alewifeOnce runs one benchmark on a fresh full-memory-system machine.
 func alewifeOnce(src string, nodes int, o alewifeOpts) (runOut, error) {
 	// The GC bracket matches the wall-clock bracket: it covers machine
-	// construction too, so the baseline pays for eager materialization
-	// where the optimized side demand-pages only the touched footprint.
+	// construction too.
 	gcBefore := proc.TakeGCSnapshot()
 	start := time.Now()
 	m, err := sim.New(sim.Config{
@@ -376,9 +382,6 @@ func alewifeOnce(src string, nodes int, o alewifeOpts) (runOut, error) {
 	})
 	if err != nil {
 		return runOut{}, err
-	}
-	if o.reference {
-		m.Mem.Materialize()
 	}
 	prog, err := mult.Compile(src, mult.Mode{HardwareFutures: true}, m.StaticHeap())
 	if err != nil {
@@ -636,9 +639,9 @@ func (r PerfReport) Summary() string {
 		if !row.Identical {
 			cident = "MISMATCH"
 		}
-		s += fmt.Sprintf("\n  checkpoint %s %4dp @%d: %5.1f MB image, snapshot %6.2f ms, restore %6.2f ms, results %s",
+		s += fmt.Sprintf("\n  checkpoint %s %4dp @%d: %5.1f MB image (%.1f KB/node), snapshot %6.2f ms, restore %6.2f ms, results %s",
 			row.Benchmark, row.Nodes, row.Cycle, float64(row.ImageBytes)/(1<<20),
-			row.SnapshotMS, row.RestoreMS, cident)
+			float64(row.ImageBytesPerNode)/(1<<10), row.SnapshotMS, row.RestoreMS, cident)
 	}
 	if o := r.WorkerOccupancy; o != nil {
 		s += fmt.Sprintf("\n  harness: %d workers, %.0f%% busy over %.2fs",

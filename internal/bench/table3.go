@@ -122,6 +122,10 @@ type RunStats struct {
 	// polls it executed and how many it charged in closed form (sim's
 	// wake.go). Purely observational, like Shard.
 	Park *sim.ParkStats `json:"park,omitempty"`
+
+	// Memory is the simulated memory's host footprint at the end of the
+	// run: 4 KiB demand pages resident. Observational.
+	Memory sim.MemoryStats `json:"memory"`
 }
 
 // ShardOverhead is the sharded run loop's host-side telemetry for one
@@ -256,23 +260,18 @@ type runOut struct {
 	cross  uint64 // cross-shard messages, when the run was sharded
 }
 
-// runOnce compiles and runs src on a fresh machine. naive selects the
-// pre-overhaul cost profile — the reference per-cycle loop, the
-// opcode-switch interpreter, and eagerly materialized memory — so
-// Table3Perf's baseline measures what the simulator cost before the
-// throughput work; simulated results are identical either way.
+// runOnce compiles and runs src on a fresh machine. cfg.Naive selects the
+// pre-overhaul cost profile — the reference per-cycle loop and the
+// opcode-switch interpreter — so Table3Perf's baseline measures the
+// reference loops; simulated results are identical either way.
 func runOnce(src string, mode mult.Mode, prof rts.Profile, lazy bool, nodes int, cfg *Table3Config) (runOut, error) {
 	start := time.Now()
 	m, err := sim.New(sim.Config{Nodes: nodes, Profile: prof, Lazy: lazy,
 		DisableFastForward: cfg.Naive, DisablePredecode: cfg.Naive, Shards: cfg.Shards,
 		DisableCompile: cfg.NoCompile, CompileThreshold: cfg.CompileThreshold,
 		DisableEpoch: cfg.NoEpoch, Horizon: cfg.Horizon})
-	naive := cfg.Naive
 	if err != nil {
 		return runOut{}, err
-	}
-	if naive {
-		m.Mem.Materialize()
 	}
 	prog, err := mult.Compile(src, mode, m.StaticHeap())
 	if err != nil {
@@ -305,6 +304,7 @@ func runOnce(src string, mode mult.Mode, prof rts.Profile, lazy bool, nodes int,
 	if t := m.ParkTelemetry(); t.Parks > 0 {
 		rs.Park = &t
 	}
+	rs.Memory = m.MemoryTelemetry()
 	return runOut{
 		cycles: res.Cycles,
 		result: res.Formatted,

@@ -43,13 +43,16 @@ func DefaultConfig() Config {
 
 // Validate checks the geometry.
 func (c Config) Validate() error {
-	if c.BlockBytes == 0 || c.SizeBytes%c.BlockBytes != 0 {
-		return fmt.Errorf("cache: size %d not a multiple of block %d", c.SizeBytes, c.BlockBytes)
+	if c.BlockBytes < 4 || c.BlockBytes&(c.BlockBytes-1) != 0 {
+		return fmt.Errorf("cache: block of %d bytes, want a power of two of at least one word", c.BlockBytes)
 	}
-	if c.Assoc < 1 {
-		return fmt.Errorf("cache: associativity %d", c.Assoc)
+	if c.SizeBytes == 0 || c.SizeBytes%c.BlockBytes != 0 {
+		return fmt.Errorf("cache: size %d not a positive multiple of block %d", c.SizeBytes, c.BlockBytes)
 	}
 	blocks := c.SizeBytes / c.BlockBytes
+	if c.Assoc < 1 || c.Assoc > int(blocks) {
+		return fmt.Errorf("cache: associativity %d with %d blocks", c.Assoc, blocks)
+	}
 	if blocks%uint32(c.Assoc) != 0 {
 		return fmt.Errorf("cache: %d blocks not divisible by associativity %d", blocks, c.Assoc)
 	}

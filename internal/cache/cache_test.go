@@ -20,6 +20,10 @@ func TestConfigValidation(t *testing.T) {
 		{SizeBytes: 64, BlockBytes: 16, Assoc: 3},  // blocks not divisible
 		{SizeBytes: 64, BlockBytes: 16, Assoc: 0},
 		{SizeBytes: 64, BlockBytes: 0, Assoc: 1},
+		{SizeBytes: 0, BlockBytes: 16, Assoc: 1},  // no sets
+		{SizeBytes: 96, BlockBytes: 24, Assoc: 1}, // block not a power of two
+		{SizeBytes: 64, BlockBytes: 2, Assoc: 1},  // block below one word
+		{SizeBytes: 64, BlockBytes: 16, Assoc: 1 << 32},
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

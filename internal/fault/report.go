@@ -7,10 +7,10 @@ import (
 
 // Report reasons.
 const (
-	ReasonDeadlock  = "deadlock"  // no instruction retired for the watchdog window
-	ReasonLivelock  = "livelock"  // retiring, but remote operations stuck beyond any protocol bound
+	ReasonDeadlock  = "deadlock"     // no instruction retired for the watchdog window
+	ReasonLivelock  = "livelock"     // retiring, but remote operations stuck beyond any protocol bound
 	ReasonBudget    = "cycle-budget" // MaxCycles exhausted before main returned
-	ReasonInvariant = "invariant" // a Checker recorded a violation
+	ReasonInvariant = "invariant"    // a Checker recorded a violation
 	ReasonMemFault  = "memory-fault" // runtime access outside the simulated arena
 )
 
@@ -41,6 +41,7 @@ type Report struct {
 	// from "crashed at cycle 0 before the first image".
 	HasCheckpoint   bool
 	CheckpointCycle uint64
+	CheckpointBytes int // image size; 0 when the driver took no snapshot
 	RestoreCmd      string
 }
 
@@ -118,8 +119,12 @@ func (r *Report) Render() string {
 		fmt.Fprintf(&b, "cause: %s\n", r.Message)
 	}
 	if r.HasCheckpoint {
-		fmt.Fprintf(&b, "last checkpoint: cycle %d (%d cycles before the crash)\n",
+		fmt.Fprintf(&b, "last checkpoint: cycle %d (%d cycles before the crash)",
 			r.CheckpointCycle, r.Cycle-r.CheckpointCycle)
+		if r.CheckpointBytes > 0 && len(r.Nodes) > 0 {
+			fmt.Fprintf(&b, ", image %d bytes (%d per node)", r.CheckpointBytes, r.CheckpointBytes/len(r.Nodes))
+		}
+		b.WriteByte('\n')
 		if r.RestoreCmd != "" {
 			fmt.Fprintf(&b, "resume with: %s\n", r.RestoreCmd)
 		}

@@ -1,6 +1,7 @@
 // Package mem implements APRIL's word-addressed memory. Every 32-bit
 // data word carries an additional synchronization bit — the full/empty
-// bit of Section 3.3 of the paper — stored here as a parallel bitmap.
+// bit of Section 3.3 of the paper — stored here as a bitmap beside each
+// page's words.
 // Full/empty bits are the substrate for fine-grain word-level
 // synchronization: loads may trap on empty locations, stores on full
 // ones, and the bits double as cheap locks for the run-time system
@@ -37,77 +38,92 @@ const WordBytes = 4
 // synchronizing) data lives in full locations and only I-structure
 // style slots start out empty.
 //
-// The store is demand-paged: a run typically touches a small fraction
-// of the (default 256 MB) simulated memory, and materializing only the
-// touched pages keeps machine construction O(pages touched) instead of
-// O(memory size) — zeroing the flat array dominated whole-experiment
-// profiles before this. A nil data page reads as zero; a nil
-// full/empty page reads as all-full. Observable behavior is identical
-// to the flat layout.
+// The store is demand-paged at the granularity the run-time system
+// touches it: a thread uses a few hundred words of its 64 KiB stack
+// chunk, a node a few of its 256 KiB heap chunk, so the resident unit
+// is a 4 KiB page carrying its words and their full/empty bits
+// together. The table has two levels — one group slot per 256 KiB
+// stretch, 64 page slots per group — so New stays O(size / 256 KiB)
+// while residency follows touches. A page that is not resident reads
+// as zero and full; only a store or SetFE(empty) materializes one.
+// Observable behavior is identical to a flat array.
 type Memory struct {
-	pages []dataPage // indexed by word index >> pageShift; nil = untouched
-	fe    []fePage   // same geometry; nil = all full
-	size  uint32     // in bytes
+	groups   []*group // indexed by word index >> groupShift; nil = nothing touched
+	size     uint32   // in bytes
+	resident int      // pages materialized
 }
 
-type (
-	dataPage = []isa.Word
-	fePage   = []uint64 // 1 bit per word; 1 = full
-)
+type group [groupPages]*page
+
+type page struct {
+	words [pageWords]isa.Word
+	fe    [pageWords / 64]uint64 // 1 bit per word; 1 = full
+}
 
 const (
-	// pageShift sizes a page at 1<<pageShift words (256 KB of simulated
-	// memory): small enough that sparse runs stay sparse, large enough
-	// that page-table indirection is negligible.
-	pageShift = 16
-	pageWords = 1 << pageShift
-	pageMask  = pageWords - 1
+	pageShift  = 10 // 1<<10 words: a 4 KiB page
+	pageWords  = 1 << pageShift
+	pageMask   = pageWords - 1
+	groupShift = pageShift + 6 // 64 pages: a 256 KiB group
+	groupWords = 1 << groupShift
+	groupPages = groupWords / pageWords
 )
 
 // New creates a memory of the given size in bytes (rounded up to a
 // multiple of 64 words). All words are zero and full.
 func New(size uint32) *Memory {
 	nw := (int(size/WordBytes) + 63) &^ 63
-	np := (nw + pageWords - 1) / pageWords
 	return &Memory{
-		pages: make([]dataPage, np),
-		fe:    make([]fePage, np),
-		size:  uint32(nw * WordBytes),
+		groups: make([]*group, (nw+groupWords-1)/groupWords),
+		size:   uint32(nw * WordBytes),
 	}
 }
 
-// page materializes the data page holding word index idx.
-func (m *Memory) page(idx uint32) dataPage {
-	p := m.pages[idx>>pageShift]
-	if p == nil {
-		p = make(dataPage, pageWords)
-		m.pages[idx>>pageShift] = p
-	}
-	return p
+// full reports the full/empty bit of word index idx, which p holds.
+func (p *page) full(idx uint32) bool {
+	return p.fe[(idx&pageMask)/64]&(1<<(idx%64)) != 0
 }
 
-// fepage materializes the full/empty page holding word index idx.
-func (m *Memory) fepage(idx uint32) fePage {
-	p := m.fe[idx>>pageShift]
+// find returns the page holding word index idx, or nil when it is not
+// resident.
+func (m *Memory) find(idx uint32) *page {
+	if g := m.groups[idx>>groupShift]; g != nil {
+		return g[idx>>pageShift%groupPages]
+	}
+	return nil
+}
+
+// page materializes the page holding word index idx: zero words, every
+// full/empty bit full. It runs once per page, so it stays out of line
+// and out of the accessors' hot paths.
+//
+//go:noinline
+func (m *Memory) page(idx uint32) *page {
+	g := m.groups[idx>>groupShift]
+	if g == nil {
+		g = new(group)
+		m.groups[idx>>groupShift] = g
+	}
+	p := g[idx>>pageShift%groupPages]
 	if p == nil {
-		p = make(fePage, pageWords/64)
-		for i := range p {
-			p[i] = ^uint64(0) // all full
+		p = new(page)
+		for i := range p.fe {
+			p.fe[i] = ^uint64(0)
 		}
-		m.fe[idx>>pageShift] = p
+		g[idx>>pageShift%groupPages] = p
+		m.resident++
 	}
 	return p
 }
 
-// Materialize allocates every page up front, restoring the flat-array
-// layout (and its O(memory size) construction cost) that demand paging
-// replaced. Observable behavior is unchanged; it exists so throughput
-// baselines can reproduce the pre-paging simulator's cost profile.
-func (m *Memory) Materialize() {
-	for i := range m.pages {
-		m.page(uint32(i) << pageShift)
-		m.fepage(uint32(i) << pageShift)
+// access returns word idx and its full/empty bit as they were, and
+// stores value when store is set.
+func (p *page) access(idx uint32, store bool, value isa.Word) (prev isa.Word, full bool) {
+	prev, full = p.words[idx&pageMask], p.full(idx)
+	if store {
+		p.words[idx&pageMask] = value
 	}
+	return prev, full
 }
 
 // Size returns the memory size in bytes.
@@ -121,7 +137,7 @@ func (m *Memory) InRange(addr uint32) bool {
 	return addr/WordBytes < m.size/WordBytes
 }
 
-// PageResident reports whether the data page holding addr is already
+// PageResident reports whether the page holding addr is already
 // materialized (false for out-of-range addresses). A store to a
 // non-resident page allocates the page as a side effect; the sharded
 // run loop only executes stores in its parallel phase when the page is
@@ -129,10 +145,7 @@ func (m *Memory) InRange(addr uint32) bool {
 // — always happens on the coordinating goroutine.
 func (m *Memory) PageResident(addr uint32) bool {
 	idx := addr / WordBytes
-	if idx >= m.size/WordBytes {
-		return false
-	}
-	return m.pages[idx>>pageShift] != nil
+	return idx < m.size/WordBytes && m.find(idx) != nil
 }
 
 func (m *Memory) check(addr uint32) (uint32, error) {
@@ -152,8 +165,8 @@ func (m *Memory) LoadWord(addr uint32) (isa.Word, error) {
 	if err != nil {
 		return 0, err
 	}
-	if p := m.pages[idx>>pageShift]; p != nil {
-		return p[idx&pageMask], nil
+	if p := m.find(idx); p != nil {
+		return p.words[idx&pageMask], nil
 	}
 	return 0, nil
 }
@@ -164,7 +177,7 @@ func (m *Memory) StoreWord(addr uint32, w isa.Word) error {
 	if err != nil {
 		return err
 	}
-	m.page(idx)[idx&pageMask] = w
+	m.page(idx).words[idx&pageMask] = w
 	return nil
 }
 
@@ -174,8 +187,8 @@ func (m *Memory) FE(addr uint32) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	if p := m.fe[idx>>pageShift]; p != nil {
-		return p[(idx&pageMask)/64]&(1<<(idx%64)) != 0, nil
+	if p := m.find(idx); p != nil {
+		return p.full(idx), nil
 	}
 	return true, nil
 }
@@ -189,11 +202,11 @@ func (m *Memory) SetFE(addr uint32, full bool) error {
 	bit := uint64(1) << (idx % 64)
 	if full {
 		// Avoid materializing a page to set a bit that is already set.
-		if p := m.fe[idx>>pageShift]; p != nil {
-			p[(idx&pageMask)/64] |= bit
+		if p := m.find(idx); p != nil {
+			p.fe[(idx&pageMask)/64] |= bit
 		}
 	} else {
-		m.fepage(idx)[(idx&pageMask)/64] &^= bit
+		m.page(idx).fe[(idx&pageMask)/64] &^= bit
 	}
 	return nil
 }
@@ -210,18 +223,14 @@ func (m *Memory) Access(addr uint32, store bool, value isa.Word) (prev isa.Word,
 	if err != nil {
 		return 0, false, err
 	}
-	full = true
-	if p := m.fe[idx>>pageShift]; p != nil {
-		full = p[(idx&pageMask)/64]&(1<<(idx%64)) != 0
-	}
-	if p := m.pages[idx>>pageShift]; p != nil {
-		prev = p[idx&pageMask]
-		if store {
-			p[idx&pageMask] = value
+	p := m.find(idx)
+	if p == nil {
+		if !store {
+			return 0, true, nil
 		}
-	} else if store {
-		m.page(idx)[idx&pageMask] = value
+		p = m.page(idx)
 	}
+	prev, full = p.access(idx, store, value)
 	return prev, full, nil
 }
 
@@ -230,23 +239,17 @@ func (m *Memory) Access(addr uint32, store bool, value isa.Word) (prev isa.Word,
 // the fused execution tier's fast path for plain-flavored loads and
 // stores on the perfect-memory port. idx is the word index
 // (addr / WordBytes). Behavior matches FE followed by Access exactly:
-// a nil data page reads zero, a nil full/empty page reads full, and a
-// store materializes its page.
+// a page that is not resident reads zero and full, and a store
+// materializes it.
 func (m *Memory) AccessPlain(idx uint32, store bool, value isa.Word) (prev isa.Word, full bool) {
-	pg := idx >> pageShift
-	full = true
-	if p := m.fe[pg]; p != nil {
-		full = p[(idx&pageMask)/64]&(1<<(idx%64)) != 0
-	}
-	if p := m.pages[pg]; p != nil {
-		prev = p[idx&pageMask]
-		if store {
-			p[idx&pageMask] = value
+	p := m.find(idx)
+	if p == nil {
+		if !store {
+			return 0, true
 		}
-	} else if store {
-		m.page(idx)[idx&pageMask] = value
+		p = m.page(idx)
 	}
-	return prev, full
+	return p.access(idx, store, value)
 }
 
 // Fault is the panic value raised by the Must* accessors: a runtime

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -207,5 +208,153 @@ func TestInvariantMustAccessorsRaiseTypedFault(t *testing.T) {
 			}()
 			tc.run()
 		}()
+	}
+}
+
+// The two-level page table: 4 KiB pages in 256 KiB groups. Words on
+// either side of a page boundary and of a group boundary are
+// independent, and each first touch makes exactly one page resident.
+func TestPageAndGroupBoundaries(t *testing.T) {
+	const pageBytes, groupBytes = PageWords * WordBytes, 256 << 10
+	m := New(1 << 20)
+	resident := 0
+	for _, edge := range []uint32{pageBytes, 3 * pageBytes, groupBytes, 3 * groupBytes} {
+		lo, hi := edge-WordBytes, edge
+		m.MustStore(lo, 0x11)
+		resident++
+		if m.Resident() != resident || !m.PageResident(lo) || m.PageResident(hi) {
+			t.Fatalf("edge %#x: store below it: resident %d (want %d), below %v, above %v",
+				edge, m.Resident(), resident, m.PageResident(lo), m.PageResident(hi))
+		}
+		if w, full := m.MustLoad(hi), m.MustFE(hi); w != 0 || !full {
+			t.Errorf("edge %#x: untouched side reads (%#x, %v)", edge, w, full)
+		}
+		m.MustSetFE(hi, false)
+		resident++
+		if m.Resident() != resident || !m.PageResident(hi) {
+			t.Fatalf("edge %#x: SetFE(empty) above it: resident %d, want %d", edge, m.Resident(), resident)
+		}
+		m.MustStore(hi, 0x22)
+		if prev, full, err := m.Access(lo, true, 0x33); err != nil || prev != 0x11 || !full {
+			t.Errorf("edge %#x: Access below = (%#x, %v, %v)", edge, prev, full, err)
+		}
+		if prev, full := m.AccessPlain(hi/WordBytes, false, 0); prev != 0x22 || full {
+			t.Errorf("edge %#x: AccessPlain above = (%#x, %v)", edge, prev, full)
+		}
+		if m.MustLoad(lo) != 0x33 || !m.MustFE(lo) {
+			t.Errorf("edge %#x: word below disturbed", edge)
+		}
+	}
+	if m.Resident() != resident {
+		t.Errorf("resident %d, want %d", m.Resident(), resident)
+	}
+}
+
+// A memory whose size is not a multiple of 256 KiB: the last group —
+// and here the last page — is only partly inside it.
+func TestPartialLastGroup(t *testing.T) {
+	const size = 256<<10 + 2*PageWords*WordBytes + 256
+	m := New(size)
+	if m.Size() != size {
+		t.Fatalf("size %d, want %d", m.Size(), size)
+	}
+	last := uint32(size - WordBytes)
+	m.MustStore(last, 7)
+	m.MustSetFE(last, false)
+	if m.MustLoad(last) != 7 || m.MustFE(last) || !m.PageResident(last) {
+		t.Error("last word of a partly covered group does not hold its value")
+	}
+	if err := m.StoreWord(size, 1); !errors.Is(err, ErrOutOfRange) {
+		t.Errorf("store one word past the end: %v, want ErrOutOfRange", err)
+	}
+	if m.InRange(size) || m.PageResident(size) {
+		t.Error("address past the end reported in range or resident")
+	}
+	lastPage := last / WordBytes / PageWords
+	fresh := New(size)
+	if _, _, err := fresh.InstallPage(lastPage); err != nil {
+		t.Errorf("InstallPage(%d), the partly covered last page: %v", lastPage, err)
+	}
+	if _, _, err := fresh.InstallPage(lastPage); err == nil {
+		t.Error("InstallPage of a resident page succeeded")
+	}
+	// The table has slots up to the end of the group; the memory does not.
+	if _, _, err := fresh.InstallPage(lastPage + 1); err == nil {
+		t.Error("InstallPage past the end of memory (inside the last group) succeeded")
+	}
+	if fresh.Resident() != 1 {
+		t.Errorf("resident %d after one install, want 1", fresh.Resident())
+	}
+}
+
+// Reads and SetFE(full) answer (0, full) from untouched memory without
+// materializing anything.
+func TestUntouchedStaysUntouched(t *testing.T) {
+	m := New(1 << 20)
+	for addr := uint32(0); addr < 1<<20; addr += 1000 * WordBytes {
+		if w, err := m.LoadWord(addr); err != nil || w != 0 {
+			t.Fatalf("LoadWord(%#x) = %#x, %v", addr, w, err)
+		}
+		if full, err := m.FE(addr); err != nil || !full {
+			t.Fatalf("FE(%#x) = %v, %v", addr, full, err)
+		}
+		if err := m.SetFE(addr, true); err != nil {
+			t.Fatal(err)
+		}
+		if prev, full, err := m.Access(addr, false, 99); err != nil || prev != 0 || !full {
+			t.Fatalf("Access load (%#x) = %#x, %v, %v", addr, prev, full, err)
+		}
+		if prev, full := m.AccessPlain(addr/WordBytes, false, 99); prev != 0 || !full {
+			t.Fatalf("AccessPlain load (%#x) = %#x, %v", addr, prev, full)
+		}
+		if m.PageResident(addr) {
+			t.Fatalf("page of %#x resident after reads only", addr)
+		}
+	}
+	if m.Resident() != 0 {
+		t.Errorf("%d pages resident after reads only", m.Resident())
+	}
+	m.DumpResident(func(id uint32, _ *[PageWords]isa.Word, _ *[PageFEWords]uint64) {
+		t.Errorf("DumpResident visited page %d of an untouched memory", id)
+	})
+}
+
+// DumpResident -> Reset -> InstallPage reproduces contents and
+// residency exactly, including a page that SetFE(empty) alone made
+// resident (zero words, one empty bit).
+func TestDumpInstallRoundTrip(t *testing.T) {
+	m := New(2 << 20)
+	m.MustStore(0x1004, 0xabc)
+	m.MustSetFE(0x1004, false)
+	m.MustStore(0x7fffc, 5)
+	const feOnly = 0x123450
+	m.MustSetFE(feOnly, false)
+
+	r := New(2 << 20)
+	r.MustStore(0x100000, 1) // residue the restore must evict
+	r.Reset()
+	var ids []uint32
+	m.DumpResident(func(id uint32, words *[PageWords]isa.Word, fe *[PageFEWords]uint64) {
+		ids = append(ids, id)
+		w, f, err := r.InstallPage(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		*w, *f = *words, *fe
+	})
+	if want := []uint32{0x1004 >> 12, 0x7fffc >> 12, feOnly >> 12}; !slices.Equal(ids, want) {
+		t.Fatalf("dumped pages %v, want %v (ascending)", ids, want)
+	}
+	if r.Resident() != 3 || r.PageResident(0x100000) {
+		t.Errorf("restored residency: %d pages, residue resident %v", r.Resident(), r.PageResident(0x100000))
+	}
+	for addr := uint32(0); addr < 2<<20; addr += WordBytes {
+		if m.MustLoad(addr) != r.MustLoad(addr) || m.MustFE(addr) != r.MustFE(addr) ||
+			m.PageResident(addr) != r.PageResident(addr) {
+			t.Fatalf("restored memory differs at %#x", addr)
+		}
+	}
+	if r.MustLoad(feOnly) != 0 || r.MustFE(feOnly) || !r.MustFE(feOnly+WordBytes) {
+		t.Error("F/E-only page did not keep zero data and its one empty bit")
 	}
 }

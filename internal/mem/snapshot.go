@@ -1,21 +1,30 @@
 package mem
 
-import "fmt"
+import (
+	"fmt"
 
-// Snapshot support. The store is demand-paged, so a machine image only
-// needs the resident pages: a nil data page reads as zero and a nil
-// full/empty page reads as all-full, and — because page residency is
-// observable to the sharded run loop's access classifier via
-// PageResident — restore must reproduce the exact residency map, not
-// just the exact contents. The accessors below expose residency in
-// page-index order so encodings are deterministic.
+	"april/internal/isa"
+)
 
-// PageWords is the number of words per demand page (exported for
-// snapshot encoders that size page payloads).
-const PageWords = pageWords
+// Snapshot support. A machine image needs only the resident pages — a
+// page that is not resident reads as zero and full — and, because
+// residency is observable to the sharded run loop's access classifier
+// via PageResident, restore must reproduce the exact residency map, not
+// just the exact contents. There is one notion of residency: a page is
+// resident with its words and its full/empty bits, or not at all.
 
-// NumPages returns the number of page slots (resident or not).
-func (m *Memory) NumPages() int { return len(m.pages) }
+const (
+	// PageWords is the number of words per demand page and PageFEWords
+	// the number of 64-bit full/empty bitmap words beside them (exported
+	// for snapshot encoders that size page payloads); PageBytes is what
+	// one resident page costs the host, and an image.
+	PageWords   = pageWords
+	PageFEWords = pageWords / 64
+	PageBytes   = PageWords*WordBytes + PageFEWords*8
+)
+
+// Resident returns the number of resident pages.
+func (m *Memory) Resident() int { return m.resident }
 
 // Reset evicts every resident page, returning the store to its
 // untouched state. Restore calls it before installing an image's pages
@@ -23,53 +32,38 @@ func (m *Memory) NumPages() int { return len(m.pages) }
 // original run never touched but this process did (e.g. during program
 // loading) must not stay resident.
 func (m *Memory) Reset() {
-	for i := range m.pages {
-		m.pages[i] = nil
-	}
-	for i := range m.fe {
-		m.fe[i] = nil
-	}
+	clear(m.groups)
+	m.resident = 0
 }
 
-// DumpResident calls data for every resident data page and fe for
-// every resident full/empty page, both in ascending page order. The
-// slices are the live backing store — callers must copy, not retain.
-func (m *Memory) DumpResident(data func(page uint32, words dataPage), fe func(page uint32, bits fePage)) {
-	for i, p := range m.pages {
-		if p != nil {
-			data(uint32(i), p)
+// DumpResident calls fn for every resident page in ascending page
+// order (page id = word index >> 10). The arrays are the live backing
+// store — callers must copy, not retain.
+func (m *Memory) DumpResident(fn func(id uint32, words *[PageWords]isa.Word, fe *[PageFEWords]uint64)) {
+	for gi, g := range m.groups {
+		if g == nil {
+			continue
 		}
-	}
-	for i, p := range m.fe {
-		if p != nil {
-			fe(uint32(i), p)
+		for pi, p := range g {
+			if p != nil {
+				fn(uint32(gi*groupPages+pi), &p.words, &p.fe)
+			}
 		}
 	}
 }
 
-// InstallDataPage makes the given page resident with the given
-// contents, taking ownership of the slice. It is the restore-side
-// counterpart of DumpResident.
-func (m *Memory) InstallDataPage(page uint32, words dataPage) error {
-	if int(page) >= len(m.pages) {
-		return fmt.Errorf("mem: data page %d out of range (%d pages)", page, len(m.pages))
+// InstallPage makes page id resident and returns its words and
+// full/empty bitmap for the caller to fill: the restore-side
+// counterpart of DumpResident. The id is bounded by the memory's size,
+// not the table's length — the last group may be only partly inside the
+// memory — and a page can be installed once.
+func (m *Memory) InstallPage(id uint32) (*[PageWords]isa.Word, *[PageFEWords]uint64, error) {
+	if npages := (m.size/WordBytes + pageMask) >> pageShift; id >= npages {
+		return nil, nil, fmt.Errorf("mem: page %d out of range (%d pages)", id, npages)
 	}
-	if len(words) != pageWords {
-		return fmt.Errorf("mem: data page %d has %d words, want %d", page, len(words), pageWords)
+	if m.find(id<<pageShift) != nil {
+		return nil, nil, fmt.Errorf("mem: page %d installed twice", id)
 	}
-	m.pages[page] = words
-	return nil
-}
-
-// InstallFEPage makes the given full/empty page resident, taking
-// ownership of the slice.
-func (m *Memory) InstallFEPage(page uint32, bits []uint64) error {
-	if int(page) >= len(m.fe) {
-		return fmt.Errorf("mem: full/empty page %d out of range (%d pages)", page, len(m.fe))
-	}
-	if len(bits) != pageWords/64 {
-		return fmt.Errorf("mem: full/empty page %d has %d bitmap words, want %d", page, len(bits), pageWords/64)
-	}
-	m.fe[page] = bits
-	return nil
+	p := m.page(id << pageShift)
+	return &p.words, &p.fe, nil
 }

@@ -57,6 +57,34 @@ func (p *msgPool) fromImage(img MessageImage) *Message {
 	return m
 }
 
+// check refuses a packet no network of this shape could hold: restore
+// runs on images that passed a checksum but may say anything.
+func (img *MessageImage) check(nodes, channels int) error {
+	if img.Src < 0 || img.Src >= nodes || img.Dst < 0 || img.Dst >= nodes {
+		return fmt.Errorf("network: image packet %d->%d on %d nodes", img.Src, img.Dst, nodes)
+	}
+	if img.Size < 1 || img.Hop < 0 || img.Hop > len(img.Route) {
+		return fmt.Errorf("network: image packet of %d flits at hop %d of %d", img.Size, img.Hop, len(img.Route))
+	}
+	for _, ch := range img.Route {
+		if ch < 0 || ch >= channels {
+			return fmt.Errorf("network: image packet routed over channel %d of %d", ch, channels)
+		}
+	}
+	return nil
+}
+
+func checkImages(nodes, channels int, lists ...[]MessageImage) error {
+	for _, ms := range lists {
+		for i := range ms {
+			if err := ms[i].check(nodes, channels); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 func imagesOf(ms []*Message) []MessageImage {
 	if len(ms) == 0 {
 		return nil
@@ -95,6 +123,9 @@ func (n *Ideal) RestoreImage(img Image) error {
 	}
 	if img.LastArr != nil && len(img.LastArr) != n.nodes*n.nodes {
 		return fmt.Errorf("network: image lastArr length %d, want %d", len(img.LastArr), n.nodes*n.nodes)
+	}
+	if err := checkImages(n.nodes, 0, append(img.Inbox, img.Pending)...); err != nil {
+		return err
 	}
 	n.now = img.Now
 	n.stats = img.Stats
@@ -159,6 +190,14 @@ func (t *Torus) RestoreImage(img Image) error {
 	}
 	if img.TxSeq != nil && len(img.TxSeq) != nch {
 		return fmt.Errorf("network: image txSeq length %d, want %d", len(img.TxSeq), nch)
+	}
+	if err := checkImages(t.geo.Nodes(), nch, append(img.Inbox, img.Queues...)...); err != nil {
+		return err
+	}
+	for i, busy := range img.Busy {
+		if busy < 0 || busy > 0 && len(img.Queues[i]) == 0 {
+			return fmt.Errorf("network: image channel %d busy for %d cycles with %d packets queued", i, busy, len(img.Queues[i]))
+		}
 	}
 	t.now = img.Now
 	t.stats = img.Stats

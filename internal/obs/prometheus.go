@@ -29,6 +29,8 @@ var gaugeKeys = map[string]bool{
 	"threads":             true, // scheduler: live thread count
 	"max_latency":         true, // network: high-water mark, not a sum
 	"nodes":               true, // shard size (static)
+	"pages_resident":      true, // memory: 4 KiB demand pages resident
+	"resident_bytes":      true, // memory: what those pages cost the host
 }
 
 // promRow is one exposition line: an optional single label pair plus

@@ -79,6 +79,12 @@ func (s *Scheduler) RestoreState(img SchedImage) error {
 		if t.State > ThreadDead {
 			return fmt.Errorf("rts: image thread %d has invalid state %d", i, t.State)
 		}
+		if t.Home < 0 || t.Home >= len(s.ready) {
+			return fmt.Errorf("rts: image thread %d has home %d of %d nodes", i, t.Home, len(s.ready))
+		}
+	}
+	if img.StealRR < 0 {
+		return fmt.Errorf("rts: image steal cursor %d", img.StealRR)
 	}
 	checkIDs := func(where string, ids []int) error {
 		for _, id := range ids {

@@ -37,11 +37,24 @@ func (a *AlewifeConfig) fill(nodes int) error {
 	if err := a.Cache.Validate(); err != nil {
 		return err
 	}
+	if a.Cache.SizeBytes > maxCacheBytes {
+		return fmt.Errorf("sim: %d-byte cache, at most %d", a.Cache.SizeBytes, maxCacheBytes)
+	}
 	if a.MemLatency <= 0 {
 		a.MemLatency = 10
 	}
 	if a.Geometry == (network.Geometry{}) {
 		a.Geometry = network.FitGeometry(nodes)
+	}
+	g := a.Geometry
+	if g.Dim < 1 || g.Dim > maxTorusDim || g.Radix < 1 || g.Radix > maxNodes {
+		return fmt.Errorf("sim: geometry %+v out of range", g)
+	}
+	for covered, d := 1, 0; d < g.Dim; d++ {
+		// At most maxNodes squared: the running product cannot wrap.
+		if covered *= g.Radix; covered > maxNodes {
+			return fmt.Errorf("sim: geometry %+v has more than %d nodes", g, maxNodes)
+		}
 	}
 	if a.Geometry.Nodes() < nodes {
 		return fmt.Errorf("sim: geometry %+v covers %d nodes, need %d", a.Geometry, a.Geometry.Nodes(), nodes)
@@ -140,10 +153,7 @@ func (f *netFabric) gatherDirty() []int {
 }
 
 func (m *Machine) initAlewife() error {
-	cfg := m.Cfg.Alewife
-	if err := cfg.fill(m.Cfg.Nodes); err != nil {
-		return err
-	}
+	cfg := m.Cfg.Alewife // filled by Config.fill
 	var net network.Network
 	if cfg.IdealNet {
 		n := network.NewIdeal(cfg.Geometry.Nodes(), cfg.IdealLat)
@@ -186,7 +196,7 @@ func (m *Machine) newCachePort(node int) proc.MemPort {
 	f := m.net
 	c, err := cache.New(f.cfg.Cache)
 	if err != nil {
-		panic(err) // config validated in initAlewife
+		panic(err) // config validated by Config.fill
 	}
 	prof := m.Cfg.Profile
 	ctl := &cacheCtl{

@@ -45,6 +45,7 @@ func (m *Machine) buildReport(reason string, cause error) *fault.Report {
 		r.HasCheckpoint = true
 		r.CheckpointCycle = m.ckptCycle
 		r.RestoreCmd = m.ckptCmd
+		r.CheckpointBytes = m.ckptBytes
 	}
 
 	blocked := make([]int, len(m.Nodes))

@@ -245,16 +245,31 @@ type Machine struct {
 
 	// Checkpoint provenance for crash reports (see autopsy.go and
 	// SetCheckpointInfo): the cycle of the most recent image written by
-	// the checkpointing driver and the command line that resumes from
-	// it.
+	// the checkpointing driver, its size, and the command line that
+	// resumes from it.
 	ckptValid bool
 	ckptCycle uint64
+	ckptBytes int
 	ckptCmd   string
 }
 
-// New builds a machine. Compile programs against StaticHeap(), then
-// Load and Run.
-func New(cfg Config) (*Machine, error) {
+// Closed ranges for the machine-defining configuration. Nothing a
+// feasible machine needs lies outside them (each node takes a 256 KiB
+// heap chunk of a memory below 4 GiB); what does is a typo or a hostile
+// image, and would otherwise reach an allocation sized by it.
+const (
+	maxNodes      = 1 << 14
+	maxTorusDim   = 14 // 2^14 = maxNodes: a radix >= 2 cannot use more
+	maxFrames     = 1 << 8
+	maxCostCycles = 1 << 16
+	maxCacheBytes = 16 << 20
+	maxMemory     = 1<<32 - 256 // mem.New rounds up to 64 words: must not wrap
+)
+
+// fill applies the defaults and validates the machine-defining
+// configuration. New runs it before allocating anything, Restore through
+// New on the identity section of an image.
+func (cfg *Config) fill() error {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 1
 	}
@@ -264,15 +279,42 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = 4_000_000_000
 	}
-	if cfg.Profile.Frames <= 0 {
-		return nil, fmt.Errorf("sim: profile %q has no task frames", cfg.Profile.Name)
+	if cfg.Nodes > maxNodes {
+		return fmt.Errorf("sim: %d nodes, at most %d", cfg.Nodes, maxNodes)
+	}
+	p := &cfg.Profile
+	if p.Frames <= 0 {
+		return fmt.Errorf("sim: profile %q has no task frames", p.Name)
+	}
+	if p.Frames > maxFrames {
+		return fmt.Errorf("sim: profile %q has %d task frames, at most %d", p.Name, p.Frames, maxFrames)
+	}
+	for _, c := range profileCosts(p) {
+		if *c < 0 || *c > maxCostCycles {
+			return fmt.Errorf("sim: profile %q has a cost of %d cycles, want 0..%d", p.Name, *c, maxCostCycles)
+		}
+	}
+	if cfg.MemoryBytes > maxMemory {
+		return fmt.Errorf("sim: %d bytes of memory, at most %d", cfg.MemoryBytes, maxMemory)
+	}
+	if err := mem.DefaultLayout(cfg.MemoryBytes).Validate(); err != nil {
+		return err
+	}
+	if cfg.Alewife != nil {
+		return cfg.Alewife.fill(cfg.Nodes)
+	}
+	return nil
+}
+
+// New builds a machine. Compile programs against StaticHeap(), then
+// Load and Run.
+func New(cfg Config) (*Machine, error) {
+	if err := cfg.fill(); err != nil {
+		return nil, err
 	}
 	m := &Machine{Cfg: cfg}
 	m.Mem = mem.New(cfg.MemoryBytes)
 	m.Layout = mem.DefaultLayout(cfg.MemoryBytes)
-	if err := m.Layout.Validate(); err != nil {
-		return nil, err
-	}
 	m.staticHeap = heap.New(m.Mem, mem.NewArena(m.Layout.StaticBase, m.Layout.StaticEnd))
 
 	stackArena := mem.NewArena(m.Layout.StackBase, m.Layout.StackEnd)

@@ -169,6 +169,13 @@ func (m *Machine) CounterRegistry() *trace.Registry {
 			}
 		})
 	}
+	r.Register("memory", func() map[string]uint64 {
+		t := m.MemoryTelemetry()
+		return map[string]uint64{
+			"pages_resident": t.PagesResident,
+			"resident_bytes": t.ResidentBytes,
+		}
+	})
 	for i, n := range m.Nodes {
 		p, eng, ctl := n.Proc, n.Proc.Engine, n.cache
 		r.Register(fmt.Sprintf("node%d.proc", i), func() map[string]uint64 {

@@ -58,12 +58,33 @@ func (m *Machine) Snapshot() ([]byte, error) {
 	if !m.loaded {
 		return nil, errors.New("sim: cannot snapshot before Load")
 	}
-	w := snapshot.NewWriter(1 << 16)
+	w := snapshot.NewWriter(m.imageCapacity())
 	m.encodeIdentity(w)
-	idLen := w.Len()
+	id := snapshot.Hash(w.Bytes())
 	m.encodeState(w)
-	payload := w.Bytes()
-	return snapshot.Seal(payload, snapshot.Hash(payload[:idLen]), m.now), nil
+	return w.Seal(id, m.now), nil
+}
+
+// Encoded sizes of the image's repeated records.
+const (
+	pageImageBytes = 4 + mem.PageBytes
+	lineImageBytes = 4 + 4 + 1 + 1 + 8
+)
+
+// imageCapacity over-estimates the payload so the Writer never regrows:
+// exact for the parts that scale with the run (pages, cache lines), a
+// rounded-up record size for the rest (instructions, threads, nodes and
+// their frames, directory entries with a couple of sharers).
+func (m *Machine) imageCapacity() int {
+	n0 := m.Nodes[0].Proc
+	n := 1<<15 + 8*len(n0.Prog.Code) + 192*m.Sched.NumThreads() +
+		(1024+160*len(n0.Engine.Frames))*len(m.Nodes) + pageImageBytes*m.Mem.Resident()
+	if m.net != nil {
+		for _, c := range m.net.ctls {
+			n += 256 + lineImageBytes*c.cache.Occupancy() + 40*c.dir.Entries()
+		}
+	}
+	return n
 }
 
 // ConfigHash returns the machine's run identity: the hash a Snapshot
@@ -125,12 +146,14 @@ func Restore(img []byte, ov RestoreOverrides) (*Machine, error) {
 	cfg.Shards = ov.Shards
 	cfg.ShardBatch = ov.ShardBatch
 	cfg.Check = ov.Check
+	// The checksum passed, so whatever New or Load refuses is what the
+	// image says: an identity section no machine could have written.
 	m, err := New(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("sim: restore: %w", err)
+	if err == nil {
+		err = m.Load(prog)
 	}
-	if err := m.Load(prog); err != nil {
-		return nil, fmt.Errorf("sim: restore: %w", err)
+	if err != nil {
+		return nil, fmt.Errorf("sim: restore: %w: %v", snapshot.ErrCorrupt, err)
 	}
 	if ov.Trace {
 		m.EnableTracing(0)
@@ -165,13 +188,14 @@ func (m *Machine) AuditNow() error {
 	return nil
 }
 
-// SetCheckpointInfo records the most recent checkpoint's cycle and the
-// command line that resumes from it, for crash reports (autopsy.go):
-// a run that dies after this call tells the user exactly how far back
-// recovery starts and how to invoke it.
-func (m *Machine) SetCheckpointInfo(cycle uint64, restoreCmd string) {
+// SetCheckpointInfo records the most recent checkpoint's cycle, its
+// image size and the command line that resumes from it, for crash
+// reports (autopsy.go): a run that dies after this call tells the user
+// exactly how far back recovery starts and how to invoke it.
+func (m *Machine) SetCheckpointInfo(cycle uint64, imageBytes int, restoreCmd string) {
 	m.ckptValid = true
 	m.ckptCycle = cycle
+	m.ckptBytes = imageBytes
 	m.ckptCmd = restoreCmd
 }
 
@@ -266,7 +290,7 @@ func decodeIdentity(r *snapshot.Reader) (Config, *isa.Program) {
 		f.WedgeNode = r.Int()
 		cfg.Faults = f
 	}
-	if cfg.Nodes <= 0 || cfg.Nodes > 1<<20 {
+	if cfg.Nodes <= 0 {
 		r.Corrupt("node count %d out of range", cfg.Nodes)
 		return cfg, nil
 	}
@@ -460,7 +484,7 @@ func (m *Machine) rebuildRunLists(rem []uint64) {
 func encodeSched(w *snapshot.Writer, img rts.SchedImage) {
 	w.Bool(img.MainDone)
 	w.U32(uint32(img.MainResult))
-	encodeRTSStats(w, &img.Stats)
+	putU64s(w, rtsStatFields(&img.Stats))
 	w.Count(len(img.Threads))
 	for i := range img.Threads {
 		encodeThread(w, &img.Threads[i])
@@ -487,7 +511,7 @@ func decodeSched(r *snapshot.Reader) rts.SchedImage {
 	var img rts.SchedImage
 	img.MainDone = r.Bool()
 	img.MainResult = isa.Word(r.U32())
-	decodeRTSStats(r, &img.Stats)
+	getU64s(r, rtsStatFields(&img.Stats))
 	img.Threads = make([]rts.Thread, r.Count("threads"))
 	for i := range img.Threads {
 		decodeThread(r, &img.Threads[i])
@@ -543,28 +567,43 @@ func decodeThread(r *snapshot.Reader, t *rts.Thread) {
 	t.Home = r.Int()
 }
 
-func encodeRTSStats(w *snapshot.Writer, s *rts.Stats) {
-	w.U64(s.TasksCreated)
-	w.U64(s.Steals)
-	w.U64(s.StealWords)
-	w.U64(s.Blocks)
-	w.U64(s.Requeues)
-	w.U64(s.Wakes)
-	w.U64(s.ThreadSteals)
-	w.U64(s.TouchesResolved)
-	w.U64(s.TouchesUnresolved)
+// Counter blocks round-trip as their fields in one fixed order, listed
+// once per struct so encode and decode cannot drift apart.
+func putU64s(w *snapshot.Writer, fields []*uint64) {
+	for _, f := range fields {
+		w.U64(*f)
+	}
 }
 
-func decodeRTSStats(r *snapshot.Reader, s *rts.Stats) {
-	s.TasksCreated = r.U64()
-	s.Steals = r.U64()
-	s.StealWords = r.U64()
-	s.Blocks = r.U64()
-	s.Requeues = r.U64()
-	s.Wakes = r.U64()
-	s.ThreadSteals = r.U64()
-	s.TouchesResolved = r.U64()
-	s.TouchesUnresolved = r.U64()
+func getU64s(r *snapshot.Reader, fields []*uint64) {
+	for _, f := range fields {
+		*f = r.U64()
+	}
+}
+
+func rtsStatFields(s *rts.Stats) []*uint64 {
+	return []*uint64{&s.TasksCreated, &s.Steals, &s.StealWords, &s.Blocks, &s.Requeues,
+		&s.Wakes, &s.ThreadSteals, &s.TouchesResolved, &s.TouchesUnresolved}
+}
+
+func procStatFields(s *proc.Stats) []*uint64 {
+	fs := []*uint64{&s.Instructions, &s.UsefulCycles, &s.WaitCycles, &s.TrapCycles, &s.IdleCycles}
+	for i := range s.Traps {
+		fs = append(fs, &s.Traps[i])
+	}
+	return append(fs, &s.LoadCount, &s.StoreCount)
+}
+
+func netStatFields(s *network.Stats) []*uint64 {
+	return []*uint64{&s.Messages, &s.FlitsSent, &s.TotalLatency, &s.Delivered, &s.MaxLatency, &s.Hops}
+}
+
+// ctlCounterFields lists a controller's cache, directory and miss counters.
+func ctlCounterFields(c *cacheCtl) (cacheFs, dirFs, ctlFs []*uint64) {
+	ca, d, st := c.cache, c.dir, &c.Stats
+	return []*uint64{&ca.Hits, &ca.Misses, &ca.Evictions, &ca.Writebacks, &ca.Invalidations},
+		[]*uint64{&d.ReadMisses, &d.WriteMisses, &d.InvalsSent, &d.Fetches, &d.Writebacks},
+		[]*uint64{&st.LocalMisses, &st.RemoteMisses, &st.RemoteLatency, &st.Upgrades}
 }
 
 // ---------------------------------------------------------------------------
@@ -595,7 +634,7 @@ func (m *Machine) encodeNode(w *snapshot.Writer, n *Node, rem uint64) {
 
 	p := n.Proc
 	w.Bool(p.Halted)
-	encodeProcStats(w, &p.Stats)
+	putU64s(w, procStatFields(&p.Stats))
 	for _, k := range p.Kinds {
 		w.U64(k)
 	}
@@ -658,7 +697,9 @@ func (m *Machine) decodeNode(r *snapshot.Reader, n *Node) uint64 {
 		f.PC = r.U32()
 		f.NPC = r.U32()
 		f.PSR = core.PSR(r.U32())
-		f.ThreadID = r.Int()
+		if f.ThreadID = r.Int(); f.ThreadID >= m.Sched.NumThreads() {
+			r.Corrupt("frame %d holds thread %d of %d", i, f.ThreadID, m.Sched.NumThreads())
+		}
 	}
 	for i := range e.Globals {
 		e.Globals[i] = isa.Word(r.U32())
@@ -666,7 +707,7 @@ func (m *Machine) decodeNode(r *snapshot.Reader, n *Node) uint64 {
 
 	p := n.Proc
 	p.Halted = r.Bool()
-	decodeProcStats(r, &p.Stats)
+	getU64s(r, procStatFields(&p.Stats))
 	for i := range p.Kinds {
 		p.Kinds[i] = r.U64()
 	}
@@ -681,7 +722,7 @@ func (m *Machine) decodeNode(r *snapshot.Reader, n *Node) uint64 {
 	p.RestoreIPIs(ipis)
 
 	ioc := p.IO.(*ioCtl)
-	ioc.ipiTarget = r.Int()
+	ioc.ipiTarget = decodeNodeID(r, len(m.Nodes))
 	ioc.btSrc = r.U32()
 	ioc.btDst = r.U32()
 	ioc.btLen = r.U32()
@@ -703,108 +744,39 @@ func (m *Machine) decodeNode(r *snapshot.Reader, n *Node) uint64 {
 	return rem
 }
 
-func encodeProcStats(w *snapshot.Writer, s *proc.Stats) {
-	w.U64(s.Instructions)
-	w.U64(s.UsefulCycles)
-	w.U64(s.WaitCycles)
-	w.U64(s.TrapCycles)
-	w.U64(s.IdleCycles)
-	for _, t := range s.Traps {
-		w.U64(t)
-	}
-	w.U64(s.LoadCount)
-	w.U64(s.StoreCount)
-}
-
-func decodeProcStats(r *snapshot.Reader, s *proc.Stats) {
-	s.Instructions = r.U64()
-	s.UsefulCycles = r.U64()
-	s.WaitCycles = r.U64()
-	s.TrapCycles = r.U64()
-	s.IdleCycles = r.U64()
-	for i := range s.Traps {
-		s.Traps[i] = r.U64()
-	}
-	s.LoadCount = r.U64()
-	s.StoreCount = r.U64()
-}
-
 // ---------------------------------------------------------------------------
 // Memory: resident pages only, exact residency
 // ---------------------------------------------------------------------------
 
 func (m *Machine) encodeMemory(w *snapshot.Writer) {
-	w.Int(m.Mem.NumPages())
-	nd, nf := 0, 0
-	m.Mem.DumpResident(
-		func(uint32, []isa.Word) { nd++ },
-		func(uint32, []uint64) { nf++ })
-	w.Count(nd)
-	m.Mem.DumpResident(
-		func(page uint32, words []isa.Word) {
-			w.U32(page)
-			for _, x := range words {
-				w.U32(uint32(x))
-			}
-		},
-		func(uint32, []uint64) {})
-	w.Count(nf)
-	m.Mem.DumpResident(
-		func(uint32, []isa.Word) {},
-		func(page uint32, bits []uint64) {
-			w.U32(page)
-			for _, b := range bits {
-				w.U64(b)
-			}
-		})
+	w.U32(m.Mem.Size())
+	w.Count(m.Mem.Resident())
+	m.Mem.DumpResident(func(id uint32, words *[mem.PageWords]isa.Word, fe *[mem.PageFEWords]uint64) {
+		w.U32(id)
+		snapshot.PutWords(w, words[:])
+		for _, b := range fe {
+			w.U64(b)
+		}
+	})
 }
 
 func (m *Machine) decodeMemory(r *snapshot.Reader) {
-	np := r.Int()
-	if r.Err() != nil {
-		return
-	}
-	if np != m.Mem.NumPages() {
-		r.Corrupt("image has %d memory pages, machine has %d", np, m.Mem.NumPages())
-		return
+	size := r.U32()
+	if r.Err() == nil && size != m.Mem.Size() {
+		r.Corrupt("image has %d bytes of memory, machine has %d", size, m.Mem.Size())
 	}
 	// Exact residency: evict everything construction and loading made
 	// resident, then install only the image's pages.
 	m.Mem.Reset()
-	nd := r.Count("data pages")
-	for i := 0; i < nd; i++ {
-		if r.Err() != nil {
-			return
-		}
-		page := r.U32()
-		words := make([]isa.Word, mem.PageWords)
-		for j := range words {
-			words[j] = isa.Word(r.U32())
-		}
-		if r.Err() != nil {
-			return
-		}
-		if err := m.Mem.InstallDataPage(page, words); err != nil {
+	for n := r.Count("memory pages"); n > 0 && r.Err() == nil; n-- {
+		words, fe, err := m.Mem.InstallPage(r.U32())
+		if err != nil {
 			r.Corrupt("%v", err)
 			return
 		}
-	}
-	nf := r.Count("full/empty pages")
-	for i := 0; i < nf; i++ {
-		if r.Err() != nil {
-			return
-		}
-		page := r.U32()
-		bits := make([]uint64, mem.PageWords/64)
-		for j := range bits {
-			bits[j] = r.U64()
-		}
-		if r.Err() != nil {
-			return
-		}
-		if err := m.Mem.InstallFEPage(page, bits); err != nil {
-			r.Corrupt("%v", err)
-			return
+		snapshot.GetWords(r, words[:])
+		for i := range fe {
+			fe[i] = r.U64()
 		}
 	}
 }
@@ -813,24 +785,25 @@ func (m *Machine) decodeMemory(r *snapshot.Reader) {
 // Fabric: network backend + per-node cache/directory controllers
 // ---------------------------------------------------------------------------
 
-const (
-	netKindIdeal uint8 = 0
-	netKindTorus uint8 = 1
-)
+// netBackend is what both network backends offer the codec; the kind
+// byte says which one wrote the image.
+type netBackend interface {
+	DumpImage() network.Image
+	RestoreImage(network.Image) error
+}
+
+func netKind(n network.Network) uint8 {
+	if _, torus := n.(*network.Torus); torus {
+		return 1
+	}
+	return 0 // *network.Ideal
+}
 
 func (m *Machine) encodeFabric(w *snapshot.Writer) {
 	f := m.net
 	w.U64(f.now)
-	switch n := f.net.(type) {
-	case *network.Ideal:
-		w.U8(netKindIdeal)
-		encodeNetImage(w, n.DumpImage())
-	case *network.Torus:
-		w.U8(netKindTorus)
-		encodeNetImage(w, n.DumpImage())
-	default:
-		panic(fmt.Sprintf("sim: snapshot: unknown network backend %T", f.net))
-	}
+	w.U8(netKind(f.net))
+	encodeNetImage(w, f.net.(netBackend).DumpImage())
 	w.Count(len(f.ctls))
 	for _, ctl := range f.ctls {
 		encodeCtl(w, ctl)
@@ -841,29 +814,21 @@ func (m *Machine) decodeFabric(r *snapshot.Reader) {
 	f := m.net
 	f.now = r.U64()
 	kind := r.U8()
-	img := decodeNetImage(r)
+	img := decodeNetImage(r, len(f.ctls))
 	if r.Err() != nil {
 		return
 	}
-	switch n := f.net.(type) {
-	case *network.Ideal:
-		if kind != netKindIdeal {
-			r.Corrupt("image network kind %d, machine has ideal network", kind)
-			return
-		}
-		if err := n.RestoreImage(img); err != nil {
-			r.Corrupt("%v", err)
-			return
-		}
-	case *network.Torus:
-		if kind != netKindTorus {
-			r.Corrupt("image network kind %d, machine has torus network", kind)
-			return
-		}
-		if err := n.RestoreImage(img); err != nil {
-			r.Corrupt("%v", err)
-			return
-		}
+	if kind != netKind(f.net) {
+		r.Corrupt("image network kind %d, machine has kind %d", kind, netKind(f.net))
+		return
+	}
+	if f.now != m.now || img.Now != m.now {
+		r.Corrupt("fabric at cycle %d and network at %d on a machine at %d", f.now, img.Now, m.now)
+		return
+	}
+	if err := f.net.(netBackend).RestoreImage(img); err != nil {
+		r.Corrupt("%v", err)
+		return
 	}
 	nctl := r.Count("controllers")
 	if r.Err() != nil {
@@ -889,12 +854,7 @@ func (m *Machine) decodeFabric(r *snapshot.Reader) {
 
 func encodeNetImage(w *snapshot.Writer, img network.Image) {
 	w.U64(img.Now)
-	w.U64(img.Stats.Messages)
-	w.U64(img.Stats.FlitsSent)
-	w.U64(img.Stats.TotalLatency)
-	w.U64(img.Stats.Delivered)
-	w.U64(img.Stats.MaxLatency)
-	w.U64(img.Stats.Hops)
+	putU64s(w, netStatFields(&img.Stats))
 	w.U64(img.SendSeq)
 	w.U64s(img.LastArr)
 	encodeMsgs(w, img.Pending)
@@ -910,31 +870,26 @@ func encodeNetImage(w *snapshot.Writer, img network.Image) {
 	}
 }
 
-func decodeNetImage(r *snapshot.Reader) network.Image {
+func decodeNetImage(r *snapshot.Reader, nodes int) network.Image {
 	var img network.Image
 	img.Now = r.U64()
-	img.Stats.Messages = r.U64()
-	img.Stats.FlitsSent = r.U64()
-	img.Stats.TotalLatency = r.U64()
-	img.Stats.Delivered = r.U64()
-	img.Stats.MaxLatency = r.U64()
-	img.Stats.Hops = r.U64()
+	getU64s(r, netStatFields(&img.Stats))
 	img.SendSeq = r.U64()
 	img.LastArr = r.U64s("lastArr")
-	img.Pending = decodeMsgs(r, "pending")
+	img.Pending = decodeMsgs(r, "pending", nodes)
 	img.TxSeq = r.U64s("txSeq")
 	img.Busy = r.Ints("channel busy")
 	nq := r.Count("channel queues")
 	if nq > 0 {
 		img.Queues = make([][]network.MessageImage, nq)
 		for i := range img.Queues {
-			img.Queues[i] = decodeMsgs(r, "channel queue")
+			img.Queues[i] = decodeMsgs(r, "channel queue", nodes)
 		}
 	}
 	nb := r.Count("inboxes")
 	img.Inbox = make([][]network.MessageImage, nb)
 	for i := range img.Inbox {
-		img.Inbox[i] = decodeMsgs(r, "inbox")
+		img.Inbox[i] = decodeMsgs(r, "inbox", nodes)
 	}
 	return img
 }
@@ -956,7 +911,7 @@ func encodeMsgs(w *snapshot.Writer, ms []network.MessageImage) {
 	}
 }
 
-func decodeMsgs(r *snapshot.Reader, what string) []network.MessageImage {
+func decodeMsgs(r *snapshot.Reader, what string, nodes int) []network.MessageImage {
 	n := r.Count(what)
 	if n == 0 {
 		return nil
@@ -968,7 +923,7 @@ func decodeMsgs(r *snapshot.Reader, what string) []network.MessageImage {
 		m.Dst = r.Int()
 		m.Size = r.Int()
 		m.Payload.Kind = network.PayloadKind(r.U8())
-		m.Payload.Coh = decodeCohMsg(r)
+		m.Payload.Coh = decodeCohMsg(r, nodes)
 		m.Payload.Word = r.U64()
 		m.SentAt = r.U64()
 		m.ArriveAt = r.U64()
@@ -986,40 +941,54 @@ func encodeCohMsg(w *snapshot.Writer, m directory.Msg) {
 	w.Bool(m.Write)
 }
 
-func decodeCohMsg(r *snapshot.Reader) directory.Msg {
+// decodeCohMsg reads a protocol message between two of nodes nodes.
+func decodeCohMsg(r *snapshot.Reader, nodes int) directory.Msg {
 	var m directory.Msg
 	m.Kind = directory.MsgKind(r.U8())
 	m.Block = r.U32()
-	m.From = r.Int()
-	m.Requester = r.Int()
+	m.From = decodeNodeID(r, nodes)
+	m.Requester = decodeNodeID(r, nodes)
 	m.Write = r.Bool()
+	if m.Kind > directory.FlushAck {
+		r.Corrupt("coherence message of kind %d", m.Kind)
+	}
 	return m
 }
 
+// decodeNodeID reads a node id and range-checks it: ids index per-node
+// tables on the first cycle after restore.
+func decodeNodeID(r *snapshot.Reader, nodes int) int {
+	id := r.Int()
+	if id < 0 || id >= nodes {
+		r.Corrupt("node id %d of %d nodes", id, nodes)
+		return 0
+	}
+	return id
+}
+
 func encodeCtl(w *snapshot.Writer, c *cacheCtl) {
-	// Cache arrays: every slot, plus the LRU clock and counters.
+	cacheFs, dirFs, ctlFs := ctlCounterFields(c)
+	// Cache arrays: the valid lines with their slots, plus the LRU clock
+	// and counters. An Invalid slot's stale block and lru are never read
+	// (find skips it, Insert takes it before comparing any lru).
 	sets, ways := c.cache.Geometry()
 	w.Int(sets)
 	w.Int(ways)
 	w.U64(c.cache.Clock())
-	w.U64(c.cache.Hits)
-	w.U64(c.cache.Misses)
-	w.U64(c.cache.Evictions)
-	w.U64(c.cache.Writebacks)
-	w.U64(c.cache.Invalidations)
-	c.cache.DumpSlots(func(_, _ int, block uint32, st cache.State, dirty bool, lru uint64) {
-		w.U32(block)
-		w.U8(uint8(st))
-		w.Bool(dirty)
-		w.U64(lru)
+	putU64s(w, cacheFs)
+	w.Count(c.cache.Occupancy())
+	c.cache.DumpSlots(func(set, way int, block uint32, st cache.State, dirty bool, lru uint64) {
+		if st != cache.Invalid {
+			w.U32(uint32(set*ways + way))
+			w.U32(block)
+			w.U8(uint8(st))
+			w.Bool(dirty)
+			w.U64(lru)
+		}
 	})
 
 	// Directory entries, ascending block.
-	w.U64(c.dir.ReadMisses)
-	w.U64(c.dir.WriteMisses)
-	w.U64(c.dir.InvalsSent)
-	w.U64(c.dir.Fetches)
-	w.U64(c.dir.Writebacks)
+	putU64s(w, dirFs)
 	w.Count(c.dir.Entries())
 	c.dir.DumpEntries(func(block uint32, e *directory.Entry) {
 		w.U32(block)
@@ -1072,13 +1041,11 @@ func encodeCtl(w *snapshot.Writer, c *cacheCtl) {
 		w.U64(c.locked[block])
 	}
 	w.U64(c.replySeq)
-	w.U64(c.Stats.LocalMisses)
-	w.U64(c.Stats.RemoteMisses)
-	w.U64(c.Stats.RemoteLatency)
-	w.U64(c.Stats.Upgrades)
+	putU64s(w, ctlFs)
 }
 
 func decodeCtl(r *snapshot.Reader, c *cacheCtl) {
+	cacheFs, dirFs, ctlFs := ctlCounterFields(c)
 	sets, ways := c.cache.Geometry()
 	isets := r.Int()
 	iways := r.Int()
@@ -1090,32 +1057,28 @@ func decodeCtl(r *snapshot.Reader, c *cacheCtl) {
 		return
 	}
 	c.cache.SetClock(r.U64())
-	c.cache.Hits = r.U64()
-	c.cache.Misses = r.U64()
-	c.cache.Evictions = r.U64()
-	c.cache.Writebacks = r.U64()
-	c.cache.Invalidations = r.U64()
-	for set := 0; set < sets; set++ {
-		for way := 0; way < ways; way++ {
-			block := r.U32()
-			st := cache.State(r.U8())
-			dirty := r.Bool()
-			lru := r.U64()
-			if r.Err() != nil {
-				return
-			}
-			if err := c.cache.SetSlot(set, way, block, st, dirty, lru); err != nil {
-				r.Corrupt("%v", err)
-				return
-			}
+	getU64s(r, cacheFs)
+	for n := r.CountAtMost("cache lines", sets*ways); n > 0; n-- {
+		slot := int(r.U32())
+		block := r.U32()
+		st := cache.State(r.U8())
+		dirty := r.Bool()
+		lru := r.U64()
+		if r.Err() != nil {
+			return
+		}
+		if st == cache.Invalid {
+			r.Corrupt("cache slot %d encoded as invalid", slot)
+			return
+		}
+		// SetSlot bounds the slot: a set index past the geometry fails.
+		if err := c.cache.SetSlot(slot/ways, slot%ways, block, st, dirty, lru); err != nil {
+			r.Corrupt("%v", err)
+			return
 		}
 	}
 
-	c.dir.ReadMisses = r.U64()
-	c.dir.WriteMisses = r.U64()
-	c.dir.InvalsSent = r.U64()
-	c.dir.Fetches = r.U64()
-	c.dir.Writebacks = r.U64()
+	getU64s(r, dirFs)
 	nodes := len(c.fabric.ctls)
 	nent := r.Count("directory entries")
 	for i := 0; i < nent; i++ {
@@ -1163,11 +1126,11 @@ func decodeCtl(r *snapshot.Reader, c *cacheCtl) {
 		block := r.U32()
 		tx := &homeTx{}
 		tx.write = r.Bool()
-		tx.requester = r.Int()
+		tx.requester = decodeNodeID(r, nodes)
 		tx.acksLeft = r.Int()
 		nq := r.Count("queued requests")
 		for j := 0; j < nq; j++ {
-			tx.queued = append(tx.queued, decodeCohMsg(r))
+			tx.queued = append(tx.queued, decodeCohMsg(r, nodes))
 		}
 		if r.Err() != nil {
 			return
@@ -1179,8 +1142,8 @@ func decodeCtl(r *snapshot.Reader, c *cacheCtl) {
 	c.outbox = c.outbox[:0]
 	for i := 0; i < nout; i++ {
 		var om outMsg
-		om.msg = decodeCohMsg(r)
-		om.dst = r.Int()
+		om.msg = decodeCohMsg(r, nodes)
+		om.dst = decodeNodeID(r, nodes)
 		om.readyAt = r.U64()
 		c.outbox = append(c.outbox, om)
 	}
@@ -1188,7 +1151,7 @@ func decodeCtl(r *snapshot.Reader, c *cacheCtl) {
 	c.recallQ = c.recallQ[:0]
 	for i := 0; i < nrec; i++ {
 		var pr pendingRecall
-		pr.msg = decodeCohMsg(r)
+		pr.msg = decodeCohMsg(r, nodes)
 		pr.deadline = r.U64()
 		c.recallQ = append(c.recallQ, pr)
 	}
@@ -1201,10 +1164,7 @@ func decodeCtl(r *snapshot.Reader, c *cacheCtl) {
 		c.locked[block] = r.U64()
 	}
 	c.replySeq = r.U64()
-	c.Stats.LocalMisses = r.U64()
-	c.Stats.RemoteMisses = r.U64()
-	c.Stats.RemoteLatency = r.U64()
-	c.Stats.Upgrades = r.U64()
+	getU64s(r, ctlFs)
 }
 
 // sortedKeys returns a map's uint32 keys ascending (deterministic
@@ -1235,7 +1195,7 @@ func (m *Machine) encodeCursors(w *snapshot.Writer) {
 		w.U64(m.sampler.NextBoundary())
 		w.Count(len(m.lastSample))
 		for i := range m.lastSample {
-			encodeProcStats(w, &m.lastSample[i])
+			putU64s(w, procStatFields(&m.lastSample[i]))
 		}
 	}
 }
@@ -1255,7 +1215,7 @@ func (m *Machine) decodeCursors(r *snapshot.Reader) {
 		n := r.Count("sample baselines")
 		for i := 0; i < n; i++ {
 			var s proc.Stats
-			decodeProcStats(r, &s)
+			getU64s(r, procStatFields(&s))
 			if m.sampler != nil && i < len(m.lastSample) {
 				m.lastSample[i] = s
 			}

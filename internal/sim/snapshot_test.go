@@ -11,14 +11,21 @@ package sim_test
 // here match `go test -run Snapshot`, which CI also runs under -race.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"april/internal/bench"
+	"april/internal/cache"
 	"april/internal/fault"
+	"april/internal/isa"
+	"april/internal/mem"
 	"april/internal/mult"
+	"april/internal/network"
 	"april/internal/rts"
 	"april/internal/sim"
 	"april/internal/snapshot"
@@ -177,12 +184,12 @@ func TestSnapshotCrossTierRestore(t *testing.T) {
 	want := finishOutcome(t, m)
 
 	tiers := map[string]sim.RestoreOverrides{
-		"compiled":   {},
-		"reference":  {Reference: true},
-		"predecode":  {DisableCompile: true},
-		"no-epoch":   {DisableEpoch: true},
-		"sharded":    {Shards: 4, ShardBatch: 1},
-		"checked":    {Check: true},
+		"compiled":  {},
+		"reference": {Reference: true},
+		"predecode": {DisableCompile: true},
+		"no-epoch":  {DisableEpoch: true},
+		"sharded":   {Shards: 4, ShardBatch: 1},
+		"checked":   {Check: true},
 	}
 	for name, ov := range tiers {
 		t.Run(name, func(t *testing.T) {
@@ -336,7 +343,7 @@ func TestSnapshotCrashReportIncludesCheckpoint(t *testing.T) {
 	cfg := snapConfig{nodes: 4, shards: 1, aw: true}.simConfig()
 	cfg.MaxCycles = 4096 // far below completion: force a budget crash
 	m := snapMachine(t, bench.QueensSource(5), cfg)
-	m.SetCheckpointInfo(1024, "april -restore ckpt/000001024.img")
+	m.SetCheckpointInfo(1024, 400_000, "april -restore ckpt/000001024.img")
 	_, err := m.Run()
 	if err == nil {
 		t.Fatal("expected cycle-budget crash")
@@ -349,7 +356,7 @@ func TestSnapshotCrashReportIncludesCheckpoint(t *testing.T) {
 		t.Fatalf("report checkpoint: valid=%v cycle=%d", ce.Report.HasCheckpoint, ce.Report.CheckpointCycle)
 	}
 	text := ce.Report.Render()
-	for _, want := range []string{"last checkpoint: cycle 1024", "resume with: april -restore ckpt/000001024.img"} {
+	for _, want := range []string{"last checkpoint: cycle 1024", "image 400000 bytes (100000 per node)", "resume with: april -restore ckpt/000001024.img"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("report missing %q:\n%s", want, text)
 		}
@@ -396,4 +403,238 @@ func TestSnapshotSabotageDeterminism(t *testing.T) {
 	if err := m3.AuditNow(); err != nil {
 		t.Fatalf("audit one cycle before sabotage: %v", err)
 	}
+}
+
+// residentPage is one resident page's contents, copied out.
+type residentPage struct {
+	words [mem.PageWords]isa.Word
+	fe    [mem.PageFEWords]uint64
+}
+
+// memoryPages copies a memory's resident pages for comparison.
+func memoryPages(m *sim.Machine) map[uint32]residentPage {
+	pages := map[uint32]residentPage{}
+	m.Mem.DumpResident(func(id uint32, words *[mem.PageWords]isa.Word, fe *[mem.PageFEWords]uint64) {
+		pages[id] = residentPage{*words, *fe}
+	})
+	return pages
+}
+
+// TestSnapshotMemoryResidency: the image's one memory section carries
+// each resident 4 KiB page with its full/empty bits, and restore
+// reproduces residency exactly — a page that SetFE(empty) alone made
+// resident comes back with zero data and its empty bit, pages this
+// process touched while rebuilding the machine do not stay, and a page
+// beyond a memory that ends inside its last 256 KiB group is refused.
+func TestSnapshotMemoryResidency(t *testing.T) {
+	cfg := snapConfig{nodes: 2, shards: 1, aw: true}.simConfig()
+	cfg.MemoryBytes = 16<<20 + 3*4096 // not a multiple of 256 KiB
+	m := snapMachine(t, bench.FibSource(8), cfg)
+	if _, err := m.RunWindow(1024); err != nil {
+		t.Fatal(err)
+	}
+	feOnly := cfg.MemoryBytes - 4096 // the last page, in the partly covered group
+	if m.Mem.PageResident(feOnly) {
+		t.Fatalf("page of %#x already resident", feOnly)
+	}
+	m.Mem.MustSetFE(feOnly+8, false)
+	for _, addr := range []uint32{0, feOnly - 4096} {
+		before := m.Mem.Resident()
+		if w, full := m.Mem.MustLoad(addr), m.Mem.MustFE(addr); w != 0 || !full || m.Mem.Resident() != before {
+			t.Fatalf("read of untouched %#x = (%#x, %v), resident %d -> %d", addr, w, full, before, m.Mem.Resident())
+		}
+	}
+	img, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, err := sim.Restore(img, sim.RestoreOverrides{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := memoryPages(m), memoryPages(m2)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored memory differs: %d pages, want %d", len(got), len(want))
+	}
+	if m2.Mem.Resident() != m.Mem.Resident() || !m2.Mem.PageResident(feOnly) {
+		t.Errorf("restored residency %d, want %d; F/E-only page resident %v",
+			m2.Mem.Resident(), m.Mem.Resident(), m2.Mem.PageResident(feOnly))
+	}
+	if m2.Mem.MustLoad(feOnly+8) != 0 || m2.Mem.MustFE(feOnly+8) || !m2.Mem.MustFE(feOnly+12) {
+		t.Error("F/E-only page did not restore as zero data with one empty bit")
+	}
+	img2, err := m2.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(img2, img) {
+		t.Error("image of the restored machine differs from the image it was restored from")
+	}
+	compareOutcomes(t, finishOutcome(t, m2), finishOutcome(t, m))
+}
+
+// TestSnapshotImageLoopInvariant: an image taken mid-run is the same
+// bytes whether the fast or the reference loop ran the machine there,
+// and restores to the same finish under the fast, reference and
+// 2-shard loops.
+func TestSnapshotImageLoopInvariant(t *testing.T) {
+	src := bench.QueensSource(5)
+	fast := snapMachine(t, src, snapConfig{nodes: 8, shards: 1, aw: true}.simConfig())
+	refCfg := snapConfig{nodes: 8, shards: 1, aw: true}.simConfig()
+	refCfg.DisableFastForward, refCfg.DisablePredecode = true, true
+	ref := snapMachine(t, src, refCfg)
+	var imgs [2][]byte
+	for i, m := range []*sim.Machine{fast, ref} {
+		if _, err := m.RunWindow(3000); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if imgs[i], err = m.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(imgs[0], imgs[1]) {
+		t.Fatalf("fast-loop image (%d bytes) differs from reference-loop image (%d bytes)", len(imgs[0]), len(imgs[1]))
+	}
+	want := finishOutcome(t, ref)
+	for name, ov := range map[string]sim.RestoreOverrides{
+		"fast":      {},
+		"reference": {Reference: true},
+		"2-shard":   {Shards: 2, ShardBatch: 1},
+	} {
+		m, err := sim.Restore(imgs[0], ov)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		t.Run(name, func(t *testing.T) { compareOutcomes(t, finishOutcome(t, m), want) })
+	}
+}
+
+// queens64 is the benchmark's ckpt64 donor: queens 8 on 64 ALEWIFE
+// nodes, run to cycle 20000.
+func queens64(t *testing.T) *sim.Machine {
+	t.Helper()
+	m := snapMachine(t, bench.QueensSource(8), snapConfig{nodes: 64, shards: 1, aw: true}.simConfig())
+	if done, err := m.RunWindow(20000); err != nil || done {
+		t.Fatalf("RunWindow(20000) = %v, %v", done, err)
+	}
+	return m
+}
+
+// TestSnapshotTouchGranular pins what the image and the host pay for,
+// by count: the 64-node machine's memory is resident in 4 KiB pages
+// (under 4 MiB where 256 KiB pages held 68 MiB), the registry reports
+// it, and Snapshot allocates the image and little else — sealed in
+// place, grown in bulk.
+func TestSnapshotTouchGranular(t *testing.T) {
+	m := queens64(t)
+	mt := m.MemoryTelemetry()
+	if mt.PagesResident == 0 || mt.ResidentBytes > 4<<20 || mt.ResidentBytes != mt.PagesResident*mem.PageBytes {
+		t.Errorf("memory telemetry %+v, want 0 < resident_bytes <= 4 MiB", mt)
+	}
+	if g := m.CounterRegistry().Snapshot()["memory"]; g["pages_resident"] != mt.PagesResident || g["resident_bytes"] != mt.ResidentBytes {
+		t.Errorf("registry memory group %v, telemetry %+v", g, mt)
+	}
+	if _, err := m.Snapshot(); err != nil { // warm: first-use allocations are not the image's
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	img, err := m.Snapshot()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(img))*5/4
+	t.Logf("%d pages resident; Snapshot allocated %d bytes for a %d-byte image", mt.PagesResident, alloc, len(img))
+	if alloc > limit {
+		t.Errorf("Snapshot allocated %d bytes for a %d-byte image, want at most %d", alloc, len(img), limit)
+	}
+	if len(img) > 5<<20 {
+		t.Errorf("image is %d bytes, want under 5 MiB", len(img))
+	}
+}
+
+// TestSnapshotHostileIdentity: an identity section asking for an
+// absurd machine is refused as a corrupt image before anything is
+// allocated for it — each of these, with a valid checksum, used to die
+// in the allocator — and sim.New refuses the same configurations.
+func TestSnapshotHostileIdentity(t *testing.T) {
+	cases := map[string]func(*sim.Config){
+		"torus of 2^40 nodes":     func(c *sim.Config) { c.Alewife.Geometry = network.Geometry{Dim: 4, Radix: 1 << 10} },
+		"torus product overflows": func(c *sim.Config) { c.Alewife.Geometry = network.Geometry{Dim: 8, Radix: 1 << 8} },
+		"torus of 2^40 dims":      func(c *sim.Config) { c.Alewife.Geometry = network.Geometry{Dim: 1 << 40, Radix: 1} },
+		"idle period 2^40":        func(c *sim.Config) { c.Profile.Idle = 1 << 40 },
+		"negative cost":           func(c *sim.Config) { c.Profile.Steal = -1 },
+		"2^40 frames":             func(c *sim.Config) { c.Profile.Frames = 1 << 40 },
+		"2^30 nodes":              func(c *sim.Config) { c.Nodes = 1 << 30 },
+		"cache of no sets":        func(c *sim.Config) { c.Alewife.Cache.SizeBytes = 0 },
+		"4 GiB cache":             func(c *sim.Config) { c.Alewife.Cache.SizeBytes = 1<<32 - 16 },
+		"3-byte cache blocks":     func(c *sim.Config) { c.Alewife.Cache.BlockBytes = 3; c.Alewife.Cache.SizeBytes = 3 << 10 },
+		"memory below the layout": func(c *sim.Config) { c.MemoryBytes = 1 << 20 },
+		"memory size wraps":       func(c *sim.Config) { c.MemoryBytes = 1<<32 - 4 },
+	}
+	for name, mutate := range cases {
+		t.Run(name, func(t *testing.T) {
+			m := snapMachine(t, bench.FibSource(8), snapConfig{nodes: 4, shards: 1, aw: true}.simConfig())
+			mutate(&m.Cfg) // Snapshot encodes m.Cfg: a sealed image of the hostile identity
+			img, err := m.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sim.Restore(img, sim.RestoreOverrides{}); !errors.Is(err, snapshot.ErrCorrupt) {
+				t.Errorf("Restore: %v, want ErrCorrupt", err)
+			}
+			cfg := snapConfig{nodes: 4, shards: 1, aw: true}.simConfig()
+			sim.New(cfg) // fills cfg.Alewife's defaults in place
+			mutate(&cfg)
+			if _, err := sim.New(cfg); err == nil {
+				t.Error("sim.New accepted the configuration")
+			}
+		})
+	}
+}
+
+// FuzzRestore: whatever the payload says, once it is sealed (so the
+// checksum passes) Restore returns an error or a machine that can run
+// — never a panic, never an allocation sized by a hostile field.
+func FuzzRestore(f *testing.F) {
+	for _, aw := range []bool{false, true} {
+		cfg := snapConfig{nodes: 2, shards: 1, aw: aw}.simConfig()
+		cfg.MemoryBytes = 16 << 20
+		if aw {
+			cfg.Alewife.Cache = cache.Config{SizeBytes: 1 << 10, BlockBytes: 16, Assoc: 2}
+		}
+		m, err := sim.New(cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		prog, err := mult.Compile(bench.FibSource(6), mult.Mode{HardwareFutures: true}, m.StaticHeap())
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := m.Load(prog); err != nil {
+			f.Fatal(err)
+		}
+		if _, err := m.RunWindow(1500); err != nil {
+			f.Fatal(err)
+		}
+		img, err := m.Snapshot()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(img[44:], m.Now())
+	}
+	f.Fuzz(func(t *testing.T, payload []byte, cycle uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := sim.Restore(snapshot.Seal(payload, 0, cycle), sim.RestoreOverrides{})
+		if err == nil {
+			_, err = m.RunWindow(2000)
+		}
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<30 {
+			t.Errorf("restoring a %d-byte payload allocated %d bytes (error: %v)", len(payload), alloc, err)
+		}
+	})
 }

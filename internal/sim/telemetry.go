@@ -12,6 +12,8 @@
 // these only while the machine is quiescent.
 package sim
 
+import "april/internal/mem"
+
 // PDESStats aggregates the sharded run loop's behavior over a run.
 // All-zero on unsharded machines.
 type PDESStats struct {
@@ -104,6 +106,21 @@ func (m *Machine) ParkTelemetry() ParkStats {
 		t.PollsExecuted += n.Proc.IdlePolls
 	}
 	return t
+}
+
+// MemoryStats is what the simulated memory costs the host: internal/mem
+// keeps 4 KiB demand pages, resident once stored to. Host-side, but the
+// same under every run loop — residency follows the program's stores.
+type MemoryStats struct {
+	PagesResident uint64 `json:"pages_resident"`
+	ResidentBytes uint64 `json:"resident_bytes"`
+}
+
+// MemoryTelemetry returns the memory's residency. Read while the
+// machine is quiescent.
+func (m *Machine) MemoryTelemetry() MemoryStats {
+	pages := uint64(m.Mem.Resident())
+	return MemoryStats{PagesResident: pages, ResidentBytes: pages * mem.PageBytes}
 }
 
 // PDES returns the run loop's aggregate PDES telemetry. Zero-valued

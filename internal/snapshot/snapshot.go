@@ -29,11 +29,13 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 )
 
 // Version is the current image format version. Bump on any payload
-// layout change; Open rejects other versions with ErrVersion.
-const Version = 1
+// layout change; Open rejects other versions with ErrVersion. (v2: one
+// memory section of 4 KiB pages, valid cache lines only.)
+const Version = 2
 
 var magic = [8]byte{'A', 'P', 'R', 'I', 'L', 'I', 'M', 'G'}
 
@@ -65,51 +67,31 @@ func Hash(data []byte) uint64 {
 	return h.Sum64()
 }
 
-// Seal wraps an encoded payload in a header. configHash identifies the
-// run (images from the same run must carry the same hash) and cycle is
-// the simulated cycle of the snapshot.
+// putHeader fills img[:headerLen] for the payload that follows it.
+func putHeader(img []byte, configHash, cycle uint64) {
+	payload := img[headerLen:]
+	copy(img, magic[:])
+	binary.LittleEndian.PutUint32(img[8:], Version)
+	binary.LittleEndian.PutUint64(img[12:], configHash)
+	binary.LittleEndian.PutUint64(img[20:], cycle)
+	binary.LittleEndian.PutUint64(img[28:], uint64(len(payload)))
+	binary.LittleEndian.PutUint64(img[36:], Hash(payload))
+}
+
+// Seal wraps a copy of an encoded payload in a header. configHash
+// identifies the run (images from the same run must carry the same
+// hash) and cycle is the simulated cycle of the snapshot. Encoders
+// holding a Writer seal in place with Writer.Seal instead.
 func Seal(payload []byte, configHash, cycle uint64) []byte {
 	out := make([]byte, headerLen+len(payload))
-	copy(out, magic[:])
-	binary.LittleEndian.PutUint32(out[8:], Version)
-	binary.LittleEndian.PutUint64(out[12:], configHash)
-	binary.LittleEndian.PutUint64(out[20:], cycle)
-	binary.LittleEndian.PutUint64(out[28:], uint64(len(payload)))
-	binary.LittleEndian.PutUint64(out[36:], Hash(payload))
 	copy(out[headerLen:], payload)
+	putHeader(out, configHash, cycle)
 	return out
 }
 
-// Open validates an image's header and checksum and returns the header
-// plus a Reader positioned at the start of the payload.
-func Open(img []byte) (Header, *Reader, error) {
-	var h Header
-	if len(img) < headerLen {
-		return h, nil, fmt.Errorf("%w: %d bytes, header is %d", ErrTruncated, len(img), headerLen)
-	}
-	if [8]byte(img[:8]) != magic {
-		return h, nil, ErrMagic
-	}
-	h.Version = binary.LittleEndian.Uint32(img[8:])
-	if h.Version != Version {
-		return h, nil, fmt.Errorf("%w: image is v%d, this build reads v%d", ErrVersion, h.Version, Version)
-	}
-	h.ConfigHash = binary.LittleEndian.Uint64(img[12:])
-	h.Cycle = binary.LittleEndian.Uint64(img[20:])
-	plen := binary.LittleEndian.Uint64(img[28:])
-	sum := binary.LittleEndian.Uint64(img[36:])
-	payload := img[headerLen:]
-	if uint64(len(payload)) != plen {
-		return h, nil, fmt.Errorf("%w: header says %d payload bytes, file has %d", ErrTruncated, plen, len(payload))
-	}
-	if Hash(payload) != sum {
-		return h, nil, fmt.Errorf("%w (cycle %d)", ErrChecksum, h.Cycle)
-	}
-	return h, &Reader{buf: payload}, nil
-}
-
 // PeekHeader validates and returns just the header, skipping the
-// payload checksum — for listing checkpoint directories cheaply.
+// payload length and checksum — for listing checkpoint directories
+// cheaply.
 func PeekHeader(img []byte) (Header, error) {
 	var h Header
 	if len(img) < headerLen {
@@ -127,22 +109,59 @@ func PeekHeader(img []byte) (Header, error) {
 	return h, nil
 }
 
-// Writer encodes primitives into a growing buffer. Writes cannot fail,
-// so there is no error state; the encoders stay straight-line code.
-type Writer struct {
-	buf []byte
+// Open validates an image's header and checksum and returns the header
+// plus a Reader positioned at the start of the payload.
+func Open(img []byte) (Header, *Reader, error) {
+	h, err := PeekHeader(img)
+	if err != nil {
+		return h, nil, err
+	}
+	plen := binary.LittleEndian.Uint64(img[28:])
+	sum := binary.LittleEndian.Uint64(img[36:])
+	payload := img[headerLen:]
+	if uint64(len(payload)) != plen {
+		return h, nil, fmt.Errorf("%w: header says %d payload bytes, file has %d", ErrTruncated, plen, len(payload))
+	}
+	if Hash(payload) != sum {
+		return h, nil, fmt.Errorf("%w (cycle %d)", ErrChecksum, h.Cycle)
+	}
+	return h, &Reader{buf: payload}, nil
 }
 
-// NewWriter returns a Writer with the given initial capacity.
+// Writer encodes primitives into a growing buffer whose first
+// headerLen bytes are reserved, so Seal finishes the image where it
+// was encoded. Writes cannot fail, so there is no error state; the
+// encoders stay straight-line code.
+type Writer struct {
+	buf []byte // header space, then the payload
+}
+
+// NewWriter returns a Writer with room for a payload of the given size
+// before it has to grow.
 func NewWriter(capacity int) *Writer {
-	return &Writer{buf: make([]byte, 0, capacity)}
+	return &Writer{buf: make([]byte, headerLen, headerLen+capacity)}
 }
 
 // Bytes returns the encoded payload.
-func (w *Writer) Bytes() []byte { return w.buf }
+func (w *Writer) Bytes() []byte { return w.buf[headerLen:] }
 
-// Len returns the number of bytes encoded so far.
-func (w *Writer) Len() int { return len(w.buf) }
+// Len returns the number of payload bytes encoded so far.
+func (w *Writer) Len() int { return len(w.buf) - headerLen }
+
+// Seal writes the header in front of the payload and returns the
+// finished image, which aliases the Writer's buffer: the Writer must
+// not be written to afterwards.
+func (w *Writer) Seal(configHash, cycle uint64) []byte {
+	putHeader(w.buf, configHash, cycle)
+	return w.buf
+}
+
+// extend appends n bytes and returns them for the caller to fill.
+func (w *Writer) extend(n int) []byte {
+	w.buf = slices.Grow(w.buf, n)
+	w.buf = w.buf[:len(w.buf)+n]
+	return w.buf[len(w.buf)-n:]
+}
 
 func (w *Writer) U8(v uint8)   { w.buf = append(w.buf, v) }
 func (w *Writer) U32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
@@ -178,9 +197,7 @@ func (w *Writer) Ints(vs []int) {
 // U32s encodes a length-prefixed []uint32.
 func (w *Writer) U32s(vs []uint32) {
 	w.Count(len(vs))
-	for _, v := range vs {
-		w.U32(v)
-	}
+	PutWords(w, vs)
 }
 
 // U64s encodes a length-prefixed []uint64.
@@ -188,6 +205,16 @@ func (w *Writer) U64s(vs []uint64) {
 	w.Count(len(vs))
 	for _, v := range vs {
 		w.U64(v)
+	}
+}
+
+// PutWords encodes a run of 32-bit words with no length prefix (the
+// decoder knows the length: a memory page, a register file), growing
+// the buffer once for the run. GetWords is its counterpart.
+func PutWords[T ~uint32](w *Writer, vs []T) {
+	b := w.extend(4 * len(vs))
+	for i, v := range vs {
+		binary.LittleEndian.PutUint32(b[4*i:], uint32(v))
 	}
 }
 
@@ -319,10 +346,20 @@ func (r *Reader) U32s(what string) []uint32 {
 		return nil
 	}
 	vs := make([]uint32, n)
-	for i := range vs {
-		vs[i] = r.U32()
-	}
+	GetWords(r, vs)
 	return vs
+}
+
+// GetWords fills dst with the next len(dst) 32-bit words: one bounds
+// check for the run. On failure dst is left untouched.
+func GetWords[T ~uint32](r *Reader, dst []T) {
+	b := r.take(4*len(dst), "words")
+	if b == nil {
+		return
+	}
+	for i := range dst {
+		dst[i] = T(binary.LittleEndian.Uint32(b[4*i:]))
+	}
 }
 
 // U64s decodes a length-prefixed []uint64 (nil when empty).
