@@ -109,6 +109,9 @@ type AlewifeRow struct {
 	// Identical asserts the three runs agreed on cycles, result, and
 	// every node's full statistics.
 	Identical bool `json:"identical"`
+	// NumCPU is the host the wall times were taken on (like the
+	// checkpoint rows, this one can be regenerated apart from the rest).
+	NumCPU int `json:"num_cpu"`
 }
 
 // ShardRow is one cell of the shard-scaling sweep: a benchmark on an
@@ -442,6 +445,7 @@ func AlewifePerf(benchName string, sizes Sizes, nodes int) (AlewifeRow, error) {
 		Optimized: opt.perf,
 		Epoch:     opt.stats.Epoch,
 		Identical: same(base, opt) && same(comp, opt),
+		NumCPU:    runtime.NumCPU(),
 	}
 	if row.Optimized.WallSeconds > 0 {
 		row.Speedup = row.Baseline.WallSeconds / row.Optimized.WallSeconds

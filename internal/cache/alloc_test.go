@@ -14,11 +14,13 @@ func TestHitPathAllocFree(t *testing.T) {
 		t.Fatal("unexpected eviction in empty cache")
 	}
 	hit := func() {
-		if _, ok := c.Lookup(7); !ok {
-			t.Fatal("lookup missed a resident block")
+		ln, ok := c.Find(7)
+		if !ok {
+			t.Fatal("find missed a resident block")
 		}
-		c.MarkDirty(7)
-		if !c.Dirty(7) {
+		ln.Touch()
+		ln.MarkDirty()
+		if !ln.Dirty() {
 			t.Fatal("block not dirty after MarkDirty")
 		}
 	}

@@ -60,10 +60,11 @@ func (c Config) Validate() error {
 }
 
 type line struct {
-	block uint32 // block number (addr / BlockBytes)
-	state State
-	dirty bool
-	lru   uint64
+	block  uint32 // block number (addr / BlockBytes)
+	state  State
+	dirty  bool
+	locked bool // the controller's first-use interlock flag (see Line)
+	lru    uint64
 }
 
 // Cache is a set-associative cache indexed by block number. The lines
@@ -128,12 +129,44 @@ func (c *Cache) find(block uint32) *line {
 	return nil
 }
 
-// Lookup returns the block's state, touching LRU on a hit.
+// Line is a handle on a resident line: the hit primitive. Find probes
+// the set once and touches nothing; the caller decides on permission
+// from State and Locked, then commits the hit through Touch (LRU and
+// Hits) and MarkDirty — or walks away, leaving no trace of the probe. A
+// handle is valid until the next Insert, Invalidate or SetState.
+type Line struct {
+	c *Cache
+	l *line
+}
+
+// Find returns a handle on block's line, or false when the block is
+// not resident. A miss is not counted: that is the caller's decision.
+func (c *Cache) Find(block uint32) (Line, bool) {
+	l := c.find(block)
+	return Line{c, l}, l != nil
+}
+
+// Touch commits a hit: most recently used in its set, and counted.
+func (h Line) Touch() {
+	h.c.clock++
+	h.l.lru = h.c.clock
+	h.c.Hits++
+}
+
+// State, Dirty and Locked read the line; MarkDirty notes that the
+// (exclusive) line was written. The interlock flag is only stored
+// here: the controller sets it on a line it protects from recalls
+// until first use, and it falls when the line leaves the cache.
+func (h Line) State() State      { return h.l.state }
+func (h Line) Dirty() bool       { return h.l.dirty }
+func (h Line) Locked() bool      { return h.l.locked }
+func (h Line) MarkDirty()        { h.l.dirty = true }
+func (h Line) SetLocked(on bool) { h.l.locked = on }
+
+// Lookup is Find committed at once: a touched hit, or a counted miss.
 func (c *Cache) Lookup(block uint32) (State, bool) {
 	if l := c.find(block); l != nil {
-		c.clock++
-		l.lru = c.clock
-		c.Hits++
+		Line{c, l}.Touch()
 		return l.state, true
 	}
 	c.Misses++
@@ -146,19 +179,6 @@ func (c *Cache) Probe(block uint32) (State, bool) {
 		return l.state, true
 	}
 	return Invalid, false
-}
-
-// MarkDirty notes that the (exclusive) block was written.
-func (c *Cache) MarkDirty(block uint32) {
-	if l := c.find(block); l != nil {
-		l.dirty = true
-	}
-}
-
-// Dirty reports whether a cached block is dirty.
-func (c *Cache) Dirty(block uint32) bool {
-	l := c.find(block)
-	return l != nil && l.dirty
 }
 
 // Victim describes an evicted block.
@@ -214,6 +234,7 @@ func (c *Cache) SetState(block uint32, st State) bool {
 		l.dirty = false
 	}
 	if st == Invalid {
+		l.locked = false
 		c.Invalidations++
 	}
 	return true
@@ -228,7 +249,7 @@ func (c *Cache) Invalidate(block uint32) (wasDirty, wasPresent bool) {
 	}
 	wasDirty = l.dirty
 	l.state = Invalid
-	l.dirty = false
+	l.dirty, l.locked = false, false
 	c.Invalidations++
 	return wasDirty, true
 }

@@ -79,7 +79,7 @@ func TestLRUEviction(t *testing.T) {
 func TestDirtyVictims(t *testing.T) {
 	c := newCache(t, 256, 16, 2)
 	c.Insert(0, Exclusive)
-	c.MarkDirty(0)
+	markDirty(c, 0)
 	c.Insert(8, Shared)
 	v, evicted := c.Insert(16, Shared) // 0 is LRU
 	if !evicted || v.Block != 0 || !v.Dirty || v.State != Exclusive {
@@ -93,12 +93,12 @@ func TestDirtyVictims(t *testing.T) {
 func TestInvalidateAndDowngrade(t *testing.T) {
 	c := newCache(t, 256, 16, 2)
 	c.Insert(3, Exclusive)
-	c.MarkDirty(3)
-	if !c.Dirty(3) {
+	markDirty(c, 3)
+	if !dirty(c, 3) {
 		t.Error("dirty bit lost")
 	}
 	c.SetState(3, Shared) // downgrade clears dirty
-	if c.Dirty(3) {
+	if dirty(c, 3) {
 		t.Error("downgrade kept dirty bit")
 	}
 	wasDirty, present := c.Invalidate(3)

@@ -211,27 +211,45 @@ func (m *Memory) SetFE(addr uint32, full bool) error {
 	return nil
 }
 
-// Access performs a combined load-or-store with full/empty semantics in
-// one step, returning the prior value and prior full/empty state. It is
-// the primitive the cache controller and the perfect-memory port build
-// the Table 2 operations from: the caller decides whether the prior
-// state constitutes a synchronization fault before committing.
+// Access performs a load or a store whatever the word's full/empty bit,
+// returning the prior value and the prior bit: AccessSync with no
+// synchronization precondition.
 //
 // For a load (store == false) the value argument is ignored.
 func (m *Memory) Access(addr uint32, store bool, value isa.Word) (prev isa.Word, full bool, err error) {
+	prev, full, _, err = m.AccessSync(addr, store, false, value)
+	return prev, full, err
+}
+
+// AccessSync is the primitive every memory port builds the Table 2
+// operations from: one bounds check and one page lookup read the word's
+// full/empty bit, decide whether the access happens, and perform it.
+// With trapOnSync a load of an empty word or a store to a full one is a
+// synchronization fault — ok is false, full is the bit that refused it,
+// and nothing is stored (a store that faults on a page that is not
+// resident materializes nothing: such a page reads full). Otherwise the
+// load or store happens and prev and full are the word and the bit as
+// they were.
+func (m *Memory) AccessSync(addr uint32, store, trapOnSync bool, value isa.Word) (prev isa.Word, full, ok bool, err error) {
 	idx, err := m.check(addr)
 	if err != nil {
-		return 0, false, err
+		return 0, false, false, err
 	}
 	p := m.find(idx)
 	if p == nil {
-		if !store {
-			return 0, true, nil
+		if !store || trapOnSync {
+			return 0, true, !store, nil
 		}
 		p = m.page(idx)
 	}
-	prev, full = p.access(idx, store, value)
-	return prev, full, nil
+	if full = p.full(idx); trapOnSync && store == full {
+		return 0, full, false, nil
+	}
+	prev = p.words[idx&pageMask]
+	if store {
+		p.words[idx&pageMask] = value
+	}
+	return prev, full, true, nil
 }
 
 // AccessPlain is Access for a pre-validated address (aligned and in

@@ -260,7 +260,7 @@ func microMem(p *Processor, f *core.Frame, u *isa.Micro) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("proc %d pc=%d: %w", p.ID, f.PC, err)
 	}
-	if res.Retry {
+	if res.Outcome == Retry {
 		stall := res.Stall
 		if stall < 1 {
 			stall = 1

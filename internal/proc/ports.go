@@ -25,37 +25,34 @@ const (
 	// controller has begun the fetch and traps the processor so the
 	// handler can context switch; the instruction retries later.
 	RemoteMiss
+	// Retry: the MHOLD path for wait-on-miss flavors whose data has not
+	// arrived yet — hold the processor for Stall cycles and re-execute
+	// the instruction without trapping.
+	Retry
 )
 
-// MemResult is the controller's reply to a data access.
+// MemResult is the controller's reply to a data access. Keep it at four
+// fields: a struct that small lives in registers, not on the stack.
 type MemResult struct {
 	Outcome Outcome
 	Value   isa.Word // loaded value (valid for completed loads)
 	Full    bool     // full/empty state observed before the access
 	Stall   int      // extra cycles the processor is held (MHOLD)
-
-	// Retry (with OK outcome) holds the processor for Stall cycles and
-	// re-executes the instruction without trapping — the MHOLD path for
-	// wait-on-miss flavors whose data has not arrived yet.
-	Retry bool
 }
 
 // FEAccess performs a flavored load/store with full/empty semantics
 // against m, the shared functional core of every memory port: check
-// the synchronization precondition, perform the access, and apply the
-// reset/set side effect.
+// the synchronization precondition and perform the access (one step in
+// mem: a sync fault stores nothing), then apply the reset/set side
+// effect.
 func FEAccess(m *mem.Memory, addr uint32, f isa.MemFlavor, store bool, value isa.Word) (MemResult, error) {
-	full, err := m.FE(addr)
+	prev, full, ok, err := m.AccessSync(addr, store, f.TrapOnSync, value)
 	if err != nil {
 		return MemResult{}, err
 	}
-	if f.TrapOnSync && (store == full) {
+	if !ok {
 		// Load of empty (store==false, full==false) or store to full.
 		return MemResult{Outcome: SyncFault, Full: full}, nil
-	}
-	prev, _, err := m.Access(addr, store, value)
-	if err != nil {
-		return MemResult{}, err
 	}
 	switch {
 	case !store && f.ResetFE:

@@ -514,7 +514,7 @@ func (p *Processor) execMemory(f *core.Frame, inst isa.Inst) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("proc %d pc=%d: %w", p.ID, f.PC, err)
 	}
-	if res.Retry {
+	if res.Outcome == Retry {
 		// Wait-on-miss flavor with the data still in flight: hold the
 		// processor (MHOLD) and re-execute.
 		stall := res.Stall

@@ -633,7 +633,7 @@ type retryPort struct {
 func (r *retryPort) Access(addr uint32, f isa.MemFlavor, store bool, v isa.Word) (MemResult, error) {
 	if r.retries > 0 {
 		r.retries--
-		return MemResult{Outcome: OK, Retry: true, Stall: 4}, nil
+		return MemResult{Outcome: Retry, Stall: 4}, nil
 	}
 	return r.inner.Access(addr, f, store, v)
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"april/internal/cache"
@@ -202,6 +203,8 @@ func (m *Machine) newCachePort(node int) proc.MemPort {
 	ctl := &cacheCtl{
 		node:       node,
 		fabric:     f,
+		mem:        m.Mem,
+		blockShift: uint(bits.TrailingZeros32(f.cfg.Cache.BlockBytes)),
 		cache:      c,
 		dir:        directory.New(),
 		pending:    map[uint32]missState{},
@@ -276,8 +279,8 @@ func (f *netFabric) drainInto(node int, ctl *cacheCtl) {
 func (f *netFabric) nextEvent() uint64 {
 	next := f.net.NextEvent()
 	if f.reference {
-		for _, id := range allCtlIDs(len(f.ctls), &f.idScratch) {
-			next = f.ctlNextEvent(f.ctls[id], next)
+		for _, ctl := range f.ctls {
+			next = f.ctlNextEvent(ctl, next)
 		}
 		return next
 	}
@@ -290,42 +293,20 @@ func (f *netFabric) nextEvent() uint64 {
 }
 
 // ctlNextEvent folds one controller's queued-work deadlines into next.
+// Work that is already due happens on the very next tick.
 func (f *netFabric) ctlNextEvent(ctl *cacheCtl, next uint64) uint64 {
 	for i := range ctl.outbox {
-		// A matured entry flushes on the very next tick.
-		at := ctl.outbox[i].readyAt
-		if at <= f.now {
-			at = f.now + 1
-		}
-		if at < next {
-			next = at
-		}
+		next = min(next, max(ctl.outbox[i].readyAt, f.now+1))
 	}
 	for i := range ctl.recallQ {
 		pr := &ctl.recallQ[i]
 		at := pr.deadline
-		if exp, held := ctl.locked[pr.msg.Block]; held && exp < at {
-			at = exp
+		if exp, held := ctl.locked[pr.msg.Block]; held {
+			at = min(at, exp)
 		}
-		if at <= f.now {
-			at = f.now + 1
-		}
-		if at < next {
-			next = at
-		}
+		next = min(next, max(at, f.now+1))
 	}
 	return next
-}
-
-// allCtlIDs fills *scratch with 0..n-1 (reference-mode nextEvent scans
-// every controller).
-func allCtlIDs(n int, scratch *[]int) []int {
-	ids := (*scratch)[:0]
-	for i := 0; i < n; i++ {
-		ids = append(ids, i)
-	}
-	*scratch = ids
-	return ids
 }
 
 // advance replays k guaranteed-no-op ticks in one step: the fabric and
@@ -388,10 +369,12 @@ type CtlStats struct {
 // cacheCtl is the per-node cache and directory controller; it
 // implements proc.MemPort.
 type cacheCtl struct {
-	node   int
-	fabric *netFabric
-	cache  *cache.Cache
-	dir    *directory.Directory
+	node       int
+	fabric     *netFabric
+	mem        *mem.Memory
+	blockShift uint // log2 of the block size (validated a power of two)
+	cache      *cache.Cache
+	dir        *directory.Directory
 
 	pending  map[uint32]missState // by value: missState is two words, no box
 	homeTx   map[uint32]*homeTx
@@ -505,122 +488,122 @@ func (c *cacheCtl) flushOutbox() {
 	}
 }
 
-func (c *cacheCtl) mem() *mem.Memory { return c.fabric.m.Mem }
+func (c *cacheCtl) blockOf(addr uint32) uint32 { return addr >> c.blockShift }
 
-func (c *cacheCtl) blockOf(addr uint32) uint32 { return addr / c.fabric.cfg.Cache.BlockBytes }
-
-// Access implements proc.MemPort.
+// Access implements proc.MemPort: hit per-op, else the miss path.
 func (c *cacheCtl) Access(addr uint32, f isa.MemFlavor, store bool, value isa.Word) (proc.MemResult, error) {
-	res, err := c.access(addr, f, store, value)
+	res, done, err := c.hit(addr, f, store, value, false)
+	if !done {
+		res, err = c.miss(addr, f, store, value)
+	}
 	if c.fabric.check != nil {
 		c.fabric.checkBlock(c.blockOf(addr))
 	}
 	return res, err
 }
 
-// EpochHit implements proc.EpochPort: the clock-free slice of access's
-// hit path, driven by the epoch engine and the superinstruction
-// handlers without a fabric tick. It completes a plain access iff the
-// block is cached with the required permission — a store needs the
-// exclusive copy; a load is satisfied by any copy — and mirrors the
-// full hit path byte for byte: the same cache Lookup (hit counter and
-// LRU touch), the same FEAccess against the flat store, the same dirty
-// marking, and the same interlock release. Everything else (miss,
-// upgrade, out-of-range address) refuses with no state touched, so the
-// caller's fallback through Access observes exactly the state the
-// reference path would. The callers exclude full/empty-flavored
-// accesses, so needWrite reduces to store and FEAccess cannot
-// sync-fault. Note Probe, not Lookup, makes the refusal decision: a
-// refused access must not pre-count the miss the full path is about to
-// count. (The invariant checkers force the compiled tier off, so the
-// checkBlock audit in Access has no counterpart here.)
+// EpochHit implements proc.EpochPort: hit without a fabric clock. The
+// callers exclude full/empty flavors and misaligned addresses. (The
+// checkers force the compiled tier off: Access's audit is not needed.)
 func (c *cacheCtl) EpochHit(addr uint32, store bool, value isa.Word) (isa.Word, bool, bool) {
-	block := c.blockOf(addr)
-	st, hit := c.cache.Probe(block)
-	if !hit || (store && st != cache.Exclusive) || !c.mem().InRange(addr) {
-		return 0, false, false
-	}
-	if _, held := c.locked[block]; held {
-		// A hit releases the first-use interlock, and a recall deferred
-		// on that lock would then fire on the very next tick — earlier
-		// than the nextEvent() horizon the epoch window was proved
-		// against (which prices deferred recalls at lock expiry). Only
-		// the per-op path, which ticks the fabric every cycle, may
-		// perform that release.
-		for i := range c.recallQ {
-			if c.recallQ[i].msg.Block == block {
-				return 0, false, false
-			}
-		}
-	}
-	c.cache.Lookup(block)
-	res, err := proc.FEAccess(c.mem(), addr, isa.MemFlavor{}, store, value)
-	if err != nil {
-		// Unreachable: InRange held above and a plain flavored access
-		// has no other failure mode. Refusing would desynchronize the
-		// Lookup already counted, so fail loudly instead.
-		panic(err)
-	}
-	if store {
-		c.cache.MarkDirty(block)
-	}
-	delete(c.locked, block)
-	return res.Value, res.Full, true
+	res, done, _ := c.hit(addr, isa.MemFlavor{}, store, value, true)
+	return res.Value, res.Full, done
 }
 
-func (c *cacheCtl) access(addr uint32, f isa.MemFlavor, store bool, value isa.Word) (proc.MemResult, error) {
+// hit is the one place a cache hit happens: probe the set once, decide,
+// commit through the line handle. done reports that the access
+// completed (or failed with err) on a resident line with the needed
+// permission: a write (a store, or a flavor that sets or resets the
+// full/empty bit) needs the exclusive copy, a load any copy.
+//
+// What an access that is not done leaves behind depends on the caller.
+// Per-op, the cache has been looked up: a non-resident block counts a
+// miss; an upgrade (a write without Exclusive) counts a hit and touches
+// LRU before the miss path runs. Clock-free, a refusal touches nothing,
+// so the fallback through Access sees the reference path's state; it
+// also refuses an out-of-range address (Access reports the error) and
+// a hit that would release the interlock under a deferred recall, which
+// would then fire on the next tick — earlier than the nextEvent()
+// horizon the epoch window was proved against, which prices deferred
+// recalls at lock expiry. Only the per-op path ticks every cycle.
+func (c *cacheCtl) hit(addr uint32, f isa.MemFlavor, store bool, value isa.Word, clockFree bool) (res proc.MemResult, done bool, err error) {
+	needWrite := store || f.ResetFE || f.SetFE
+	block := c.blockOf(addr)
+	ln, resident := c.cache.Find(block)
+	if !resident {
+		if !clockFree {
+			c.cache.Misses++
+		}
+		return res, false, nil
+	}
+	upgrade := needWrite && ln.State() != cache.Exclusive
+	if clockFree && (upgrade || !c.mem.InRange(addr) || ln.Locked() && c.recallDeferred(block)) {
+		return res, false, nil
+	}
+	ln.Touch()
+	if upgrade {
+		c.Stats.Upgrades++
+		return res, false, nil
+	}
+	if clockFree {
+		res.Value, res.Full = c.mem.AccessPlain(addr/mem.WordBytes, store, value)
+	} else if res, err = proc.FEAccess(c.mem, addr, f, store, value); err != nil {
+		return res, true, err
+	}
+	if needWrite && res.Outcome == proc.OK {
+		ln.MarkDirty()
+	}
+	if ln.Locked() { // one access completed: release the interlock
+		ln.SetLocked(false)
+		delete(c.locked, block)
+	}
+	return res, true, nil
+}
+
+// recallDeferred reports whether a recall for block waits in recallQ.
+func (c *cacheCtl) recallDeferred(block uint32) bool {
+	return slices.ContainsFunc(c.recallQ, func(pr pendingRecall) bool { return pr.msg.Block == block })
+}
+
+// miss is Access after hit declined: the block is not resident, or
+// resident without the permission a write needs.
+func (c *cacheCtl) miss(addr uint32, f isa.MemFlavor, store bool, value isa.Word) (proc.MemResult, error) {
 	needWrite := store || f.ResetFE || f.SetFE
 	block := c.blockOf(addr)
 
-	if st, hit := c.cache.Lookup(block); hit && (st == cache.Exclusive || !needWrite) {
-		res, err := proc.FEAccess(c.mem(), addr, f, store, value)
-		if err == nil && res.Outcome == proc.OK && needWrite {
-			c.cache.MarkDirty(block)
-		}
-		if err == nil {
-			// One access completed: release the interlock.
-			delete(c.locked, block)
-		}
-		return res, err
-	}
-
-	// Miss (or upgrade). An outstanding transaction for this block?
+	// An outstanding transaction for this block?
 	if _, busy := c.pending[block]; busy {
 		return c.missResult(f), nil
 	}
 
 	home := c.fabric.dist.Home(addr)
 	if home == c.node {
-		if stall, ok := c.tryLocal(block, needWrite); ok {
-			res, err := proc.FEAccess(c.mem(), addr, f, store, value)
+		if ln, ok := c.tryLocal(block, needWrite); ok {
+			stall := c.fabric.cfg.MemLatency
+			res, err := proc.FEAccess(c.mem, addr, f, store, value)
 			res.Stall += stall
 			if err == nil && res.Outcome == proc.OK && needWrite {
-				c.cache.MarkDirty(block)
+				ln.MarkDirty()
 			}
 			c.Stats.LocalMisses++
 			c.fabric.trace.Emit(c.node, trace.KLocalMiss, int32(block), int32(stall), b2i(needWrite), 0)
 			return res, err
 		}
-		// Home here, but third parties hold the block: run the home
-		// transaction against ourselves as requester.
-		c.pending[block] = missState{write: needWrite, start: c.fabric.now}
-		c.fabric.trace.Emit(c.node, trace.KMissStart, int32(block), b2i(needWrite), int32(home), 0)
-		kind := directory.ReadReq
-		if needWrite {
-			kind = directory.WriteReq
-		}
-		c.homeRequest(directory.Msg{Kind: kind, Block: block, From: c.node})
-		return c.missResult(f), nil
 	}
 
-	// Remote home: issue the request.
+	// A transaction: at the remote home, or — home here, but third
+	// parties hold the block — against ourselves as requester.
 	c.pending[block] = missState{write: needWrite, start: c.fabric.now}
 	c.fabric.trace.Emit(c.node, trace.KMissStart, int32(block), b2i(needWrite), int32(home), 0)
-	kind := directory.ReadReq
+	req := directory.Msg{Kind: directory.ReadReq, Block: block, From: c.node}
 	if needWrite {
-		kind = directory.WriteReq
+		req.Kind = directory.WriteReq
 	}
-	c.send(home, directory.Msg{Kind: kind, Block: block}, 0)
+	if home == c.node {
+		c.homeRequest(req)
+	} else {
+		c.send(home, req, 0)
+	}
 	return c.missResult(f), nil
 }
 
@@ -635,16 +618,17 @@ func b2i(b bool) int32 {
 // flavors force a context switch; wait flavors hold the processor.
 func (c *cacheCtl) missResult(f isa.MemFlavor) proc.MemResult {
 	if f.WaitOnMiss {
-		return proc.MemResult{Outcome: proc.OK, Retry: true, Stall: c.fabric.cfg.PollCycles}
+		return proc.MemResult{Outcome: proc.Retry, Stall: c.fabric.cfg.PollCycles}
 	}
 	return proc.MemResult{Outcome: proc.RemoteMiss}
 }
 
-// tryLocal satisfies a home-node miss without the network when the
-// directory permits: nobody else holds the block (or only we do).
-func (c *cacheCtl) tryLocal(block uint32, write bool) (stall int, ok bool) {
+// tryLocal satisfies a home-node miss without the network (at the cost
+// of one memory access) when the directory permits: nobody else holds
+// the block, or only we do. It returns the installed line.
+func (c *cacheCtl) tryLocal(block uint32, write bool) (ln cache.Line, ok bool) {
 	if _, busy := c.homeTx[block]; busy {
-		return 0, false
+		return ln, false
 	}
 	e := c.dir.Entry(block)
 	self := c.node
@@ -653,11 +637,11 @@ func (c *cacheCtl) tryLocal(block uint32, write bool) (stall int, ok bool) {
 	case directory.Uncached:
 	case directory.Shared:
 		if write && e.Sharers.CountExcept(self) > 0 {
-			return 0, false
+			return ln, false
 		}
 	case directory.Exclusive:
 		if e.Owner != self {
-			return 0, false
+			return ln, false
 		}
 	}
 	if write {
@@ -672,28 +656,31 @@ func (c *cacheCtl) tryLocal(block uint32, write bool) (stall int, ok bool) {
 		e.Sharers.Add(self)
 	}
 	c.dirTrans(block, old, e.State, self)
-	c.install(block, write)
-	return c.fabric.cfg.MemLatency, true
+	return c.install(block, write), true
 }
 
 // install puts the block in the cache, handling the victim's protocol
-// obligations.
-func (c *cacheCtl) install(block uint32, write bool) {
+// obligations, and returns its line with the interlock flag re-derived
+// from locked, keeping flag == (block resident && block in locked): a
+// hit reads the flag and skips the map; the recall paths read the map,
+// whose entries outlive eviction (only a completed hit deletes one).
+func (c *cacheCtl) install(block uint32, write bool) cache.Line {
 	st := cache.Shared
 	if write {
 		st = cache.Exclusive
 	}
 	victim, evicted := c.cache.Insert(block, st)
-	if !evicted {
-		return
-	}
-	if victim.State == cache.Exclusive {
+	if evicted && victim.State == cache.Exclusive {
 		// Notify the victim's home so the directory drops ownership.
-		vhome := c.fabric.dist.Home(victim.Block * c.fabric.cfg.Cache.BlockBytes)
+		vhome := c.fabric.dist.Home(victim.Block << c.blockShift)
 		c.send(vhome, directory.Msg{Kind: directory.WBNotify, Block: victim.Block}, 0)
 	}
 	// Shared victims are dropped silently; a later Inv to a non-holder
 	// is acknowledged harmlessly.
+	ln, _ := c.cache.Find(block)
+	_, held := c.locked[block]
+	ln.SetLocked(held)
+	return ln
 }
 
 // handle processes one protocol message at this controller.
@@ -710,9 +697,8 @@ func (c *cacheCtl) handleMsg(msg directory.Msg) {
 		c.homeRequest(msg)
 
 	case directory.WBNotify, directory.FlushWB:
-		if tx, busy := c.homeTx[msg.Block]; busy {
-			_ = tx // a Fetch is in flight; the FetchAck path completes the tx
-		} else {
+		// With a Fetch in flight the FetchAck path completes the tx.
+		if _, busy := c.homeTx[msg.Block]; !busy {
 			e := c.dir.Entry(msg.Block)
 			if e.State == directory.Exclusive && e.Owner == msg.From {
 				e.State = directory.Uncached
@@ -752,10 +738,10 @@ func (c *cacheCtl) handleMsg(msg directory.Msg) {
 			// when retried — the "cache tag" interaction of Section 3.1.
 			return
 		}
-		c.install(msg.Block, msg.Kind == directory.DataEx)
-		c.locked[msg.Block] = c.fabric.now + c.lockWindow
 		// Recalls that were waiting for this grant now queue behind the
 		// first-use interlock (processRecalls applies them).
+		c.locked[msg.Block] = c.fabric.now + c.lockWindow
+		c.install(msg.Block, msg.Kind == directory.DataEx)
 	}
 }
 
@@ -963,25 +949,20 @@ func (c *cacheCtl) Flush(addr uint32) int {
 
 func (c *cacheCtl) flush(addr uint32) int {
 	block := c.blockOf(addr)
-	dirty, present := c.cache.Invalidate(block)
-	if !present {
+	if dirty, _ := c.cache.Invalidate(block); !dirty {
 		return 1
 	}
 	home := c.fabric.dist.Home(addr)
-	if dirty {
+	if home != c.node {
 		c.fence++
-		if home == c.node {
-			e := c.dir.Entry(block)
-			if e.State == directory.Exclusive && e.Owner == c.node {
-				e.State = directory.Uncached
-				e.Owner = -1
-			}
-			c.fence--
-			return c.fabric.cfg.MemLatency
-		}
 		c.send(home, directory.Msg{Kind: directory.FlushWB, Block: block}, 0)
+		return 1
 	}
-	return 1
+	if e := c.dir.Entry(block); e.State == directory.Exclusive && e.Owner == c.node {
+		e.State = directory.Uncached
+		e.Owner = -1
+	}
+	return c.fabric.cfg.MemLatency
 }
 
 // Fence reports the outstanding flush count (read through LDIO).

@@ -24,6 +24,10 @@ package sim
 //     sharer set may be a superset of actual holders (Shared victims
 //     drop silently); it must not be missing one.
 //
+// The interlock audit is exact: a resident line's interlock flag is
+// set iff its controller's locked map holds the block (the flag is
+// what a hit reads, the map what the recall paths read).
+//
 // Scheduler conservation and pool ownership are exact (not transient)
 // at their check points: thread-state transitions are atomic within
 // one trap handler, and the message pool balances at tick boundaries.
@@ -52,12 +56,15 @@ func (f *netFabric) checkBlock(block uint32) {
 	}
 	excl := -1
 	for id, ctl := range f.ctls {
-		st, hit := ctl.cache.Probe(block)
+		ln, hit := ctl.cache.Find(block)
 		if !hit {
 			continue
 		}
-		dirty := ctl.cache.Dirty(block)
-		switch st {
+		if _, held := ctl.locked[block]; ln.Locked() != held {
+			ck.Violate("interlock/line-flag", id, block,
+				"resident line's interlock flag is %v but locked has the block: %v", ln.Locked(), held)
+		}
+		switch ln.State() {
 		case cache.Exclusive:
 			if excl >= 0 {
 				ck.Violate("coherence/single-writer", id, block,
@@ -69,7 +76,7 @@ func (f *netFabric) checkBlock(block uint32) {
 					"node holds exclusive but home %d directory is %v with owner %d", home, dirState, owner)
 			}
 		case cache.Shared:
-			if dirty {
+			if ln.Dirty() {
 				ck.Violate("coherence/dirty-not-exclusive", id, block,
 					"shared line is dirty")
 			}

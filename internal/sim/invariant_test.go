@@ -90,7 +90,8 @@ func TestInvariantCheckerDetectsDirtyShared(t *testing.T) {
 	}
 	const block = 3
 	m.net.ctls[1].cache.Insert(block, cache.Shared)
-	m.net.ctls[1].cache.MarkDirty(block)
+	ln, _ := m.net.ctls[1].cache.Find(block)
+	ln.MarkDirty()
 	m.net.checkBlock(block)
 	found := false
 	for _, v := range m.checker.Violations() {

@@ -1162,6 +1162,11 @@ func decodeCtl(r *snapshot.Reader, c *cacheCtl) {
 	for i := 0; i < nlock; i++ {
 		block := r.U32()
 		c.locked[block] = r.U64()
+		// The line's interlock flag is derived state (see install): not
+		// in the image, rebuilt here.
+		if ln, ok := c.cache.Find(block); ok {
+			ln.SetLocked(true)
+		}
 	}
 	c.replySeq = r.U64()
 	getU64s(r, ctlFs)

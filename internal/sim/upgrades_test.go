@@ -1,0 +1,64 @@
+package sim_test
+
+import (
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"april/internal/bench"
+	"april/internal/sim"
+)
+
+// memoryCounters returns every node's memory-system counter group as
+// the registry exports it (-stats-json, /metrics).
+func memoryCounters(m *sim.Machine) map[string]map[string]uint64 {
+	out := map[string]map[string]uint64{}
+	for g, kv := range m.CounterRegistry().Snapshot() {
+		if strings.HasPrefix(g, "node") && strings.HasSuffix(g, ".memory") {
+			out[g] = kv
+		}
+	}
+	return out
+}
+
+// TestUpgradesCountedAcrossTiers: `upgrades` — write accesses that
+// found the block resident without the exclusive copy — was exported
+// but never incremented. The one hit routine counts it, so it must be
+// non-zero on a 64-node queens run (stores into shared list cells) and,
+// like every other memory counter, the same on every tier: the
+// clock-free caller refuses an upgrade untouched and the per-op caller
+// counts it once.
+func TestUpgradesCountedAcrossTiers(t *testing.T) {
+	src := bench.QueensSource(6)
+	mk := func(mut func(*sim.Config)) sim.Config {
+		cfg := sim.Config{Nodes: 64, Alewife: &sim.AlewifeConfig{}}
+		mut(&cfg)
+		return cfg
+	}
+	ref := runCompileSide(t, src, mk(func(c *sim.Config) {
+		c.DisableFastForward, c.DisablePredecode = true, true
+	}))
+	want := memoryCounters(ref.m)
+	var upgrades uint64
+	for i := range ref.m.Nodes {
+		upgrades += want[fmt.Sprintf("node%d.memory", i)]["upgrades"]
+	}
+	if upgrades == 0 {
+		t.Fatal("no upgrades counted on 64-node queens")
+	}
+	for name, cfg := range map[string]sim.Config{
+		"predecode": mk(func(c *sim.Config) { c.DisableCompile = true }),
+		"compiled":  mk(func(c *sim.Config) {}),
+	} {
+		out := runCompileSide(t, src, cfg)
+		compareCompiled(t, out, ref)
+		if got := memoryCounters(out.m); !reflect.DeepEqual(got, want) {
+			for g, kv := range got {
+				if !reflect.DeepEqual(kv, want[g]) {
+					t.Errorf("%s: %s = %v, reference %v", name, g, kv, want[g])
+				}
+			}
+		}
+	}
+}
