@@ -2,7 +2,7 @@
 // direct network (k-ary n-cube) with packet-switched, dimension-order
 // routing (Section 2.1). Two backends share one interface:
 //
-//   - Torus: a cycle-driven packet-level model with per-channel FIFO
+//   - Torus: a cycle-accurate packet-level model with per-channel FIFO
 //     queues (store-and-forward, one flit per cycle per channel), used
 //     for machine simulation and the latency-versus-load experiments.
 //   - Ideal: constant-latency delivery, for configurations where only
@@ -12,6 +12,7 @@ package network
 import (
 	"fmt"
 
+	"april/internal/calendar"
 	"april/internal/fault"
 	"april/internal/trace"
 )
@@ -92,8 +93,9 @@ type Network interface {
 	Advance(k uint64)
 }
 
-// NoEvent is NextEvent's "quiescent" sentinel.
-const NoEvent = ^uint64(0)
+// NoEvent is NextEvent's "quiescent" sentinel (the torus hands its
+// calendar's answer straight through).
+const NoEvent = calendar.None
 
 // Stats aggregates network behavior.
 type Stats struct {
@@ -219,12 +221,6 @@ type Ideal struct {
 	inPend    []bool
 	pool      msgPool
 
-	// refScan selects the pre-overhaul cost profile: Tick compacts the
-	// whole pending slice and NextEvent/InFlight scan every inbox and
-	// message, instead of the head-index queue. Same simulated
-	// behavior; the differential oracle and throughput baseline.
-	refScan bool
-
 	// Fault injection. A plan adds per-message flight jitter, which
 	// breaks the FIFO-prefix property the head-index queue depends on;
 	// jittered mode therefore delivers via a dense arriveAt scan (head
@@ -252,10 +248,6 @@ func (n *Ideal) SetFaultPlan(p *fault.Plan) {
 
 // LiveMessages implements Network.
 func (n *Ideal) LiveMessages() int { return n.pool.liveCount() }
-
-// SetReferenceScan switches between the head-index queue and the dense
-// scanning implementation. Call before any traffic is injected.
-func (n *Ideal) SetReferenceScan(on bool) { n.refScan = on }
 
 // NewIdeal creates an ideal network with the given one-way latency.
 func NewIdeal(nodes int, latency int) *Ideal {
@@ -303,28 +295,8 @@ func (n *Ideal) Send(m *Message) {
 // send order, so maturity is no longer a prefix property).
 func (n *Ideal) Tick() {
 	n.now++
-	if n.refScan {
-		// Dense scan: test and compact every pending message (head
-		// stays 0 in this mode).
-		rest := n.pending[:0]
-		for _, m := range n.pending {
-			if n.now >= m.arriveAt {
-				n.inbox[m.Dst] = append(n.inbox[m.Dst], m)
-				n.account(m)
-			} else {
-				rest = append(rest, m)
-			}
-		}
-		for i := len(rest); i < len(n.pending); i++ {
-			n.pending[i] = nil
-		}
-		n.pending = rest
-		return
-	}
 	if n.jittered {
-		// Dense scan in send order (matching the refScan branch, so
-		// both run loops deliver same-tick messages identically), with
-		// the fast mode's pendNodes bookkeeping maintained.
+		// Dense scan in send order (head stays 0 in this mode).
 		rest := n.pending[:0]
 		for _, m := range n.pending {
 			if n.now >= m.arriveAt {
@@ -397,36 +369,12 @@ func (n *Ideal) Deliveries(node int, buf []*Message) []*Message {
 }
 
 // PendingNodes implements Network.
-func (n *Ideal) PendingNodes(buf []int) []int {
-	if n.refScan {
-		for node, box := range n.inbox {
-			if len(box) > 0 {
-				buf = append(buf, node)
-			}
-		}
-		return buf
-	}
-	return append(buf, n.pendNodes...)
-}
+func (n *Ideal) PendingNodes(buf []int) []int { return append(buf, n.pendNodes...) }
 
 // NextEvent implements Network: the earliest delivery time among
 // in-flight messages — the head of the FIFO pending queue — with
 // undrained inboxes counting as immediate.
 func (n *Ideal) NextEvent() uint64 {
-	if n.refScan {
-		for _, box := range n.inbox {
-			if len(box) > 0 {
-				return n.now
-			}
-		}
-		next := uint64(NoEvent)
-		for _, m := range n.pending {
-			if m.arriveAt < next {
-				next = m.arriveAt
-			}
-		}
-		return next
-	}
 	if len(n.pendNodes) > 0 {
 		return n.now
 	}
@@ -461,13 +409,6 @@ func (n *Ideal) Stats() Stats { return n.stats }
 
 // InFlight implements Network.
 func (n *Ideal) InFlight() int {
-	if n.refScan {
-		c := len(n.pending)
-		for _, box := range n.inbox {
-			c += len(box)
-		}
-		return c
-	}
 	c := len(n.pending) - n.head
 	for _, node := range n.pendNodes {
 		c += len(n.inbox[node])

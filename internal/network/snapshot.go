@@ -5,7 +5,7 @@ import "fmt"
 // Snapshot support. Message timing (sentAt/arriveAt/route/hop) is
 // unexported, so the dump/restore of in-flight traffic lives here. An
 // Image is the backend-neutral simulated state of a network: restore
-// reconstructs host-side bookkeeping (active lists, pending-node
+// reconstructs host-side bookkeeping (the channel calendar, pending-node
 // lists, pool freelists, head indices) from it — those are not part of
 // the simulated state, only the live messages and counters are.
 
@@ -116,7 +116,7 @@ func (n *Ideal) DumpImage() Image {
 
 // RestoreImage installs a previously dumped state. The network must be
 // freshly constructed (with the same node count and latency) and have
-// its fault plan and scan mode already configured.
+// its fault plan already configured.
 func (n *Ideal) RestoreImage(img Image) error {
 	if len(img.Inbox) != n.nodes {
 		return fmt.Errorf("network: image has %d inboxes, ideal network has %d nodes", len(img.Inbox), n.nodes)
@@ -145,7 +145,7 @@ func (n *Ideal) RestoreImage(img Image) error {
 		for _, mi := range box {
 			n.inbox[node] = append(n.inbox[node], n.pool.fromImage(mi))
 		}
-		if len(box) > 0 && !n.refScan {
+		if len(box) > 0 {
 			n.inPend[node] = true
 			n.pendNodes = append(n.pendNodes, node)
 		}
@@ -168,7 +168,7 @@ func (t *Torus) DumpImage() Image {
 	}
 	for i := range t.channels {
 		c := &t.channels[i]
-		img.Busy[i] = c.busy
+		img.Busy[i] = c.busy(t.now)
 		img.Queues[i] = imagesOf(c.queue[c.head:])
 	}
 	for node, box := range t.inbox {
@@ -179,7 +179,7 @@ func (t *Torus) DumpImage() Image {
 
 // RestoreImage installs a previously dumped state. The torus must be
 // freshly constructed with the same geometry and have its fault plan
-// and scan mode already configured.
+// already configured.
 func (t *Torus) RestoreImage(img Image) error {
 	nch := len(t.channels)
 	if len(img.Busy) != nch || len(img.Queues) != nch {
@@ -195,7 +195,9 @@ func (t *Torus) RestoreImage(img Image) error {
 		return err
 	}
 	for i, busy := range img.Busy {
-		if busy < 0 || busy > 0 && len(img.Queues[i]) == 0 {
+		// A transmission in progress has a packet, started at some tick
+		// >= 1, and ends at a cycle that exists.
+		if busy < 0 || busy > 0 && (len(img.Queues[i]) == 0 || img.Now == 0 || img.Now+uint64(busy) < img.Now) {
 			return fmt.Errorf("network: image channel %d busy for %d cycles with %d packets queued", i, busy, len(img.Queues[i]))
 		}
 	}
@@ -209,22 +211,29 @@ func (t *Torus) RestoreImage(img Image) error {
 	}
 	for i := range t.channels {
 		c := &t.channels[i]
-		c.busy = img.Busy[i]
 		c.queue = c.queue[:0]
 		c.head = 0
 		for _, mi := range img.Queues[i] {
 			c.queue = append(c.queue, t.pool.fromImage(mi))
 		}
-		if !t.refScan && (c.busy > 0 || c.qlen() > 0) {
-			t.inAct[i] = true
-			t.active = append(t.active, i)
+		t.inFlight += c.qlen()
+		// The calendar is host bookkeeping: a transmission in progress is
+		// filed at its completion, a head packet not yet started by the
+		// rule Send and Tick use.
+		switch busy := img.Busy[i]; {
+		case busy > 0:
+			c.startAt, c.doneAt = t.now, t.now+uint64(busy)
+			t.cal.Add(t.now, c.doneAt, i)
+		case c.qlen() > 0:
+			t.file(i, c)
 		}
 	}
 	for node, box := range img.Inbox {
 		for _, mi := range box {
 			t.inbox[node] = append(t.inbox[node], t.pool.fromImage(mi))
 		}
-		if len(box) > 0 && !t.refScan {
+		t.inFlight += len(box)
+		if len(box) > 0 {
 			t.inPend[node] = true
 			t.pendNodes = append(t.pendNodes, node)
 		}

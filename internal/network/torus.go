@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"april/internal/calendar"
 	"april/internal/fault"
 	"april/internal/trace"
 )
@@ -15,14 +16,16 @@ import (
 // queue FIFO at busy channels — queueing is where contention latency
 // comes from, as in the open network model of Section 8.
 //
-// The router is work-proportional on the host: Tick, NextEvent, and
-// Advance visit only the channels that currently carry packets (the
-// sorted active list below), so an idle or lightly loaded torus costs
-// O(active) per cycle rather than O(nodes·2n). Iterating the active
-// list in ascending channel id preserves the exact completion order of
-// the dense all-channels scan — idle channels contribute nothing to
-// that order — which keeps queue and inbox append order, and hence
-// simulated behavior, bit-identical.
+// The router is event-driven on the host. A channel with a head packet
+// is filed in a calendar at the cycle that packet finishes crossing it,
+// so Tick visits exactly the channels that complete this cycle,
+// NextEvent is a bit-scan and Advance moves the clock. The start rule
+// is the per-cycle scan's: a packet that becomes a channel's head at
+// tick T (queued on an idle channel, or uncovered by a completion)
+// starts at T+1 and completes at T+Size+penalty. The calendar hands a
+// cycle's channels back in ascending id, the order the scan completes
+// them in, which keeps queue and inbox append order — and hence
+// simulated behavior — bit-identical to it.
 type Torus struct {
 	geo      Geometry
 	channels []channel
@@ -31,12 +34,14 @@ type Torus struct {
 	stats    Stats
 	trace    *trace.Tracer
 
-	// Work-proportional iteration state. Invariants: active holds
-	// exactly the ids of channels with busy > 0 or a nonempty queue,
-	// sorted ascending, flagged in inAct; pendNodes holds exactly the
-	// nodes with undrained inboxes, sorted ascending, flagged in inPend.
-	active    []int
-	inAct     []bool
+	// Host bookkeeping, rebuilt by RestoreImage: cal holds every channel
+	// with a head packet exactly once, at its doneAt (or, under a fault
+	// plan, at its startAt until the penalty is drawn); inFlight counts
+	// packets sent and not yet handed out by Deliveries; pendNodes holds
+	// exactly the nodes with undrained inboxes, ascending, flagged in
+	// inPend.
+	cal       calendar.Calendar
+	inFlight  int
 	pendNodes []int
 	inPend    []bool
 
@@ -46,17 +51,13 @@ type Torus struct {
 	curBuf    []int // routeInto coordinate scratch, length Dim
 	dstBuf    []int
 
-	// refScan selects the pre-overhaul cost profile: Tick, NextEvent,
-	// Advance and InFlight scan every channel and inbox instead of the
-	// active lists. Same simulated behavior, O(nodes·2n) host cost —
-	// the differential oracle and throughput baseline.
-	refScan bool
-
 	// Fault injection. Transmission penalties are drawn per channel
 	// from (plan, channel id, txSeq[channel]); the counter advances
-	// once per transmission start, in simulated-time order, whether the
-	// start happens in Tick or in Advance's normalization — so the fast
-	// and reference run loops draw identical penalty streams.
+	// once per transmission, at its start tick. The draw is not a pure
+	// function of those: fault.Plan.Stalled reads state that arming a
+	// wedge changes between ticks, so with a plan installed a head packet
+	// is filed at its start tick, drawn there, and filed again at its
+	// completion. Plan-free channels file the completion directly.
 	plan  *fault.Plan
 	txSeq []uint64
 }
@@ -72,32 +73,20 @@ func (t *Torus) SetFaultPlan(p *fault.Plan) {
 // LiveMessages implements Network.
 func (t *Torus) LiveMessages() int { return t.pool.liveCount() }
 
-// startTx begins transmitting the head packet of channel id: the base
-// cost is the packet's flit count, plus any plan-drawn penalty (hop
-// jitter, a transient stall, or fault.PermanentStall for wedged
-// links). Callers invoke it exactly once per transmission, so the
-// per-channel draw sequence is a pure function of traffic order.
-func (t *Torus) startTx(id int, c *channel) {
-	c.busy = c.qhead().Size
-	if t.plan != nil {
-		c.busy += t.plan.TxPenalty(id, t.txSeq[id])
-		t.txSeq[id]++
-	}
-}
-
-// SetReferenceScan switches between the work-proportional and dense
-// scanning implementations. Call before any traffic is injected.
-func (t *Torus) SetReferenceScan(on bool) { t.refScan = on }
-
-// channel is one output link: a FIFO of queued packets plus the busy
-// countdown of the one being transmitted. The queue pops from a head
-// index with amortized-O(1) compaction so the steady state neither
+// channel is one output link: a FIFO of queued packets plus the
+// timestamps of the head packet's transmission. The queue pops from a
+// head index with amortized-O(1) compaction so the steady state neither
 // reallocates (as append after a `queue[1:]` reslice eventually would)
 // nor copies more than it pops.
 type channel struct {
 	queue []*Message // live entries are queue[head:]
 	head  int
-	busy  int // cycles left transmitting the head packet
+
+	// startAt is the tick at which the head packet starts transmitting
+	// (0: no head packet, nothing filed); doneAt the tick at which it
+	// completes (0: not drawn yet — a plan is installed and startAt has
+	// not come).
+	startAt, doneAt uint64
 }
 
 func (c *channel) qlen() int       { return len(c.queue) - c.head }
@@ -124,6 +113,28 @@ func (c *channel) pop() *Message {
 	return m
 }
 
+// busy is the image's countdown: cycles left transmitting the head
+// packet, 0 before its start tick.
+func (c *channel) busy(now uint64) int {
+	if c.doneAt == 0 || now < c.startAt {
+		return 0
+	}
+	return int(c.doneAt - now)
+}
+
+// file schedules the packet that became channel id's head during tick
+// t.now: it starts next tick.
+func (t *Torus) file(id int, c *channel) {
+	c.startAt = t.now + 1
+	if t.plan != nil {
+		c.doneAt = 0
+		t.cal.Add(t.now, c.startAt, id)
+		return
+	}
+	c.doneAt = t.now + uint64(c.qhead().Size)
+	t.cal.Add(t.now, c.doneAt, id)
+}
+
 // channel ids: node*2n + dim*2 + dir (dir 0 = +, 1 = -).
 func (t *Torus) channelID(node, dim, dir int) int {
 	return node*2*t.geo.Dim + dim*2 + dir
@@ -139,7 +150,6 @@ func NewTorus(g Geometry) (*Torus, error) {
 		geo:      g,
 		channels: make([]channel, n*2*g.Dim),
 		inbox:    make([][]*Message, n),
-		inAct:    make([]bool, n*2*g.Dim),
 		inPend:   make([]bool, n),
 		curBuf:   make([]int, g.Dim),
 		dstBuf:   make([]int, g.Dim),
@@ -166,19 +176,10 @@ func removeSorted(s []int, v int) []int {
 	return append(s[:i], s[i+1:]...)
 }
 
-// activate puts a channel on the active list when work first arrives.
-func (t *Torus) activate(ch int) {
-	if t.inAct[ch] {
-		return
-	}
-	t.inAct[ch] = true
-	t.active = insertSorted(t.active, ch)
-}
-
 // deliver places a message in its destination inbox and marks the node
 // pending.
 func (t *Torus) deliver(m *Message) {
-	if !t.refScan && !t.inPend[m.Dst] {
+	if !t.inPend[m.Dst] {
 		t.inPend[m.Dst] = true
 		t.pendNodes = insertSorted(t.pendNodes, m.Dst)
 	}
@@ -237,6 +238,7 @@ func (t *Torus) Send(m *Message) {
 		m.Size = 1
 	}
 	m.sentAt = t.now
+	t.inFlight++
 	t.stats.Messages++
 	t.stats.FlitsSent += uint64(m.Size)
 	t.trace.Emit(m.Src, trace.KNetInject, int32(m.Dst), int32(m.Size), 0, 0)
@@ -250,62 +252,51 @@ func (t *Torus) Send(m *Message) {
 	m.route = t.routeInto(m.route[:0], m.Src, m.Dst)
 	first := m.route[0]
 	m.hop = 1
-	t.channels[first].push(m)
-	if !t.refScan {
-		t.activate(first)
+	t.enqueue(first, m)
+}
+
+// enqueue appends m to channel id's queue; on an idle channel it is the
+// new head.
+func (t *Torus) enqueue(id int, m *Message) {
+	c := &t.channels[id]
+	c.push(m)
+	if c.startAt == 0 {
+		t.file(id, c)
 	}
 }
 
-// Tick implements Network: every active channel pushes its current
-// packet one flit-time forward; completed packets hop to the next
-// channel's queue or are delivered. Moves apply after all channels have
-// been processed so that a hop always costs exactly Size cycles
-// regardless of channel numbering.
+// Tick implements Network: the channels filed at this cycle complete
+// their head packets, in ascending channel id; completed packets hop to
+// the next channel's queue or are delivered. Moves apply after all
+// channels have been processed so that a hop always costs exactly Size
+// cycles regardless of channel numbering.
 func (t *Torus) Tick() {
 	t.now++
 	moved := t.moved[:0]
 	movedFrom := t.movedFrom[:0]
-	if t.refScan {
-		// Dense scan: every channel, every cycle.
-		for i := range t.channels {
-			c := &t.channels[i]
-			if c.busy == 0 && c.qlen() > 0 {
-				t.startTx(i, c)
-			}
-			if c.busy > 0 {
-				c.busy--
-				if c.busy == 0 {
-					moved = append(moved, c.pop())
-					movedFrom = append(movedFrom, i)
-				}
-			}
-		}
-	} else {
-		// Phase 1: advance active channels in ascending id order,
-		// compacting drained ones off the list in place (safe: keep
-		// never outruns the read index).
-		keep := t.active[:0]
-		for _, id := range t.active {
-			c := &t.channels[id]
-			if c.busy == 0 && c.qlen() > 0 {
-				t.startTx(id, c)
-			}
-			if c.busy > 0 {
-				c.busy--
-				if c.busy == 0 {
-					moved = append(moved, c.pop())
-					movedFrom = append(movedFrom, id)
-				}
-			}
-			if c.busy > 0 || c.qlen() > 0 {
-				keep = append(keep, id)
-			} else {
-				t.inAct[id] = false
+	// Phase 1: completions (and, under a plan, starts).
+	for _, id32 := range t.cal.Due(t.now) {
+		id := int(id32)
+		c := &t.channels[id]
+		if c.doneAt == 0 {
+			// The start tick under a plan: draw the penalty now. A
+			// one-flit packet with no penalty completes in this same tick.
+			c.doneAt = t.now - 1 + uint64(c.qhead().Size+t.plan.TxPenalty(id, t.txSeq[id]))
+			t.txSeq[id]++
+			if c.doneAt > t.now {
+				t.cal.Add(t.now, c.doneAt, id)
+				continue
 			}
 		}
-		t.active = keep
+		moved = append(moved, c.pop())
+		movedFrom = append(movedFrom, id)
+		if c.qlen() > 0 {
+			t.file(id, c)
+		} else {
+			c.startAt, c.doneAt = 0, 0
+		}
 	}
-	// Phase 2: apply the moves, re-activating next-hop channels.
+	// Phase 2: apply the moves, in the same order.
 	for i, m := range moved {
 		t.stats.Hops++
 		if m.hop >= len(m.route) {
@@ -316,10 +307,7 @@ func (t *Torus) Tick() {
 			t.trace.Emit(movedFrom[i]/(2*t.geo.Dim), trace.KNetHop, int32(m.Dst), int32(m.Size), 0, 0)
 			next := m.route[m.hop]
 			m.hop++
-			t.channels[next].push(m)
-			if !t.refScan {
-				t.activate(next)
-			}
+			t.enqueue(next, m)
 		}
 	}
 	t.moved = moved
@@ -344,6 +332,7 @@ func (t *Torus) account(m *Message) {
 // steady state drains without allocating.
 func (t *Torus) Deliveries(node int, buf []*Message) []*Message {
 	box := t.inbox[node]
+	t.inFlight -= len(box)
 	buf = append(buf, box...)
 	for i := range box {
 		box[i] = nil
@@ -357,17 +346,7 @@ func (t *Torus) Deliveries(node int, buf []*Message) []*Message {
 }
 
 // PendingNodes implements Network.
-func (t *Torus) PendingNodes(buf []int) []int {
-	if t.refScan {
-		for node, box := range t.inbox {
-			if len(box) > 0 {
-				buf = append(buf, node)
-			}
-		}
-		return buf
-	}
-	return append(buf, t.pendNodes...)
-}
+func (t *Torus) PendingNodes(buf []int) []int { return append(buf, t.pendNodes...) }
 
 // Nodes implements Network.
 func (t *Torus) Nodes() int { return t.geo.Nodes() }
@@ -376,120 +355,28 @@ func (t *Torus) Nodes() int { return t.geo.Nodes() }
 func (t *Torus) Stats() Stats { return t.stats }
 
 // InFlight counts undelivered packets, including undrained inboxes.
-func (t *Torus) InFlight() int {
-	n := 0
-	if t.refScan {
-		for i := range t.channels {
-			n += t.channels[i].qlen()
-		}
-		for _, box := range t.inbox {
-			n += len(box)
-		}
-		return n
-	}
-	for _, id := range t.active {
-		n += t.channels[id].qlen()
-	}
-	for _, node := range t.pendNodes {
-		n += len(t.inbox[node])
-	}
-	return n
-}
+func (t *Torus) InFlight() int { return t.inFlight }
 
 // SetTracer implements Network.
 func (t *Torus) SetTracer(tr *trace.Tracer) { t.trace = tr }
 
-// NextEvent implements Network. A channel mid-transmission completes
-// its head packet after `busy` more Ticks; an idle channel with a
-// queued packet starts on the next Tick and completes Size Ticks
-// later. The minimum over active channels is the first Tick that can
-// move a packet (every earlier Tick only decrements busy counters,
-// which Advance replays in closed form). Undrained inboxes count as
-// immediate.
+// NextEvent implements Network: the earliest filed completion (under a
+// plan, start), every Tick before which moves no packet and draws no
+// penalty. Undrained inboxes count as immediate.
 func (t *Torus) NextEvent() uint64 {
-	if t.refScan {
-		return t.nextEventRef()
-	}
 	if len(t.pendNodes) > 0 {
 		return t.now
 	}
-	next := uint64(NoEvent)
-	for _, id := range t.active {
-		c := &t.channels[id]
-		var left int
-		switch {
-		case c.busy > 0:
-			left = c.busy
-		case c.qlen() > 0:
-			left = c.qhead().Size
-		default:
-			continue
-		}
-		if at := t.now + uint64(left); at < next {
-			next = at
-		}
-	}
-	return next
+	return t.cal.Next(t.now)
 }
 
-// Advance implements Network: replay k no-op Ticks at once. Each
-// skipped Tick would have started any idle channel's queued packet and
-// decremented every active channel's busy counter without completing a
-// transmission, so the closed form is busy -= k after normalizing
-// idle-with-work channels to their head packet's flit count.
+// Advance implements Network: k no-op Ticks are k cycles on the clock,
+// because nothing in the torus counts down.
 func (t *Torus) Advance(k uint64) {
 	if next := t.NextEvent(); t.now+k >= next {
 		panic(fmt.Sprintf("network: Advance(%d) from %d crosses event at %d", k, t.now, next))
 	}
 	t.now += k
-	if t.refScan {
-		for i := range t.channels {
-			c := &t.channels[i]
-			if c.busy == 0 && c.qlen() > 0 {
-				t.startTx(i, c)
-			}
-			if c.busy > 0 {
-				c.busy -= int(k)
-			}
-		}
-		return
-	}
-	for _, id := range t.active {
-		c := &t.channels[id]
-		if c.busy == 0 && c.qlen() > 0 {
-			t.startTx(id, c)
-		}
-		if c.busy > 0 {
-			c.busy -= int(k)
-		}
-	}
-}
-
-// nextEventRef is NextEvent's dense-scan variant (reference cost
-// profile): every inbox, then every channel.
-func (t *Torus) nextEventRef() uint64 {
-	for _, box := range t.inbox {
-		if len(box) > 0 {
-			return t.now
-		}
-	}
-	next := uint64(NoEvent)
-	for i := range t.channels {
-		c := &t.channels[i]
-		var left int
-		switch {
-		case c.busy > 0:
-			left = c.busy
-		case c.qlen() > 0:
-			left = c.qhead().Size
-		default:
-			continue
-		}
-		if at := t.now + uint64(left); at < next {
-			next = at
-		}
-	}
-	return next
 }
 
 // Links appends the state of every non-idle channel (busy or queued)
@@ -499,7 +386,7 @@ func (t *Torus) nextEventRef() uint64 {
 func (t *Torus) Links(buf []fault.LinkState) []fault.LinkState {
 	for i := range t.channels {
 		c := &t.channels[i]
-		if c.busy == 0 && c.qlen() == 0 {
+		if c.qlen() == 0 {
 			continue
 		}
 		buf = append(buf, fault.LinkState{
@@ -507,7 +394,7 @@ func (t *Torus) Links(buf []fault.LinkState) []fault.LinkState {
 			Node:    i / (2 * t.geo.Dim),
 			Dim:     (i / 2) % t.geo.Dim,
 			Dir:     i % 2,
-			Busy:    c.busy,
+			Busy:    c.busy(t.now),
 			Queued:  c.qlen(),
 			Stalled: t.plan != nil && t.plan.Stalled(i),
 		})

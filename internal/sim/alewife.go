@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"april/internal/cache"
+	"april/internal/calendar"
 	"april/internal/directory"
 	"april/internal/fault"
 	"april/internal/isa"
@@ -71,13 +72,15 @@ func (a *AlewifeConfig) fill(nodes int) error {
 
 // netFabric owns the interconnect and the per-node cache controllers.
 //
-// The fabric is work-proportional on the host: controllers with a
-// nonempty outbox or recall queue are tracked in a dirty set, and tick
-// and nextEvent visit only those (plus the nodes the network reports
-// deliveries for) instead of scanning every controller each cycle.
-// Processing the dirty set in ascending node id makes the skip
-// invisible to simulated behavior — the dense scan's per-controller
-// work is a no-op exactly when both queues are empty.
+// The fabric is work-proportional on the host: tick visits the
+// controllers in the dirty set (plus the nodes the network reports
+// deliveries for) instead of scanning every controller each cycle. A
+// controller is dirty while it has a due outbox entry or a deferred
+// recall; an entry waiting out a delay files its controller in a
+// calendar at the cycle it matures. Processing the dirty set in
+// ascending node id makes the skip invisible to simulated behavior —
+// the dense scan's per-controller work is a no-op at every cycle the
+// controller is not visited.
 type netFabric struct {
 	m     *Machine
 	cfg   *AlewifeConfig
@@ -87,15 +90,16 @@ type netFabric struct {
 	now   uint64
 	trace *trace.Tracer
 
-	// Dirty-controller set. Invariant: every ctl whose outbox or
-	// recallQ is nonempty has dirtyCtl[node] set and appears in exactly
-	// one bucket of dirty (unsorted; tick sorts its snapshot). The set
-	// is bucketed by shard so the sharded run loop's parallel phases can
-	// mark controllers dirty without synchronization: a worker only ever
-	// appends to its own shard's bucket. Unsharded machines use a single
-	// bucket, which is the old flat list.
+	// Dirty-controller set and outbox calendar. Invariant: every ctl
+	// with a nonempty recallQ or an outbox entry whose readyAt has come
+	// has dirtyCtl[node] set and appears in exactly one bucket of dirty
+	// (unsorted; tick sorts its snapshot); every later readyAt has its
+	// node filed in cal at that cycle. Both are bucketed by shard so the
+	// sharded run loop's parallel phases need no synchronization: a
+	// worker only touches its own shard's bucket (unsharded: one bucket).
 	dirtyCtl  []bool
 	dirty     [][]int
+	cal       []calendar.Calendar
 	shardOf   []int32            // node -> dirty bucket; nil = single bucket
 	idScratch []int              // tick's sorted snapshot, reused
 	pendBuf   []int              // PendingNodes scratch, reused
@@ -122,8 +126,8 @@ type netFabric struct {
 	check *fault.Checker
 }
 
-// markDirty records that a controller has queued work (outbox or
-// recallQ). Idempotent; called from every site that appends to either.
+// markDirty records that a controller has work for the next tick (a due
+// outbox entry or a deferred recall). Idempotent.
 func (f *netFabric) markDirty(node int) {
 	if f.reference {
 		return // the reference tick scans every controller anyway
@@ -132,6 +136,28 @@ func (f *netFabric) markDirty(node int) {
 		f.dirtyCtl[node] = true
 		s := f.shardOf[node]
 		f.dirty[s] = append(f.dirty[s], node)
+	}
+}
+
+// wakeAt records an outbox entry maturing at cycle at: its controller is
+// dirty now if that has come, else filed for then.
+func (f *netFabric) wakeAt(node int, at uint64) {
+	switch {
+	case f.reference:
+	case at <= f.now:
+		f.markDirty(node)
+	default:
+		f.cal[f.shardOf[node]].Add(f.now, at, node)
+	}
+}
+
+// matureOutboxes moves the controllers whose delayed outbox entries
+// mature this cycle into the dirty set: top of every tick, coordinator.
+func (f *netFabric) matureOutboxes() {
+	for s := range f.cal {
+		for _, id := range f.cal[s].Due(f.now) {
+			f.markDirty(int(id))
+		}
 	}
 }
 
@@ -157,15 +183,12 @@ func (m *Machine) initAlewife() error {
 	cfg := m.Cfg.Alewife // filled by Config.fill
 	var net network.Network
 	if cfg.IdealNet {
-		n := network.NewIdeal(cfg.Geometry.Nodes(), cfg.IdealLat)
-		n.SetReferenceScan(m.Cfg.DisableFastForward)
-		net = n
+		net = network.NewIdeal(cfg.Geometry.Nodes(), cfg.IdealLat)
 	} else {
 		t, err := network.NewTorus(cfg.Geometry)
 		if err != nil {
 			return err
 		}
-		t.SetReferenceScan(m.Cfg.DisableFastForward)
 		net = t
 	}
 	net.SetFaultPlan(m.plan)
@@ -177,6 +200,7 @@ func (m *Machine) initAlewife() error {
 		dirtyCtl:  make([]bool, m.Cfg.Nodes),
 		shardOf:   m.shardOf,
 		dirty:     make([][]int, m.part.Shards()),
+		cal:       make([]calendar.Calendar, m.part.Shards()),
 		reference: m.Cfg.DisableFastForward,
 		plan:      m.plan,
 		check:     m.checker,
@@ -239,6 +263,7 @@ func (f *netFabric) tickInner() {
 		}
 		return
 	}
+	f.matureOutboxes()
 	f.pendBuf = f.net.PendingNodes(f.pendBuf[:0])
 	for _, node := range f.pendBuf {
 		f.drainInto(node, f.ctls[node])
@@ -284,10 +309,11 @@ func (f *netFabric) nextEvent() uint64 {
 		}
 		return next
 	}
-	for _, bucket := range f.dirty {
+	for s, bucket := range f.dirty {
 		for _, id := range bucket {
 			next = f.ctlNextEvent(f.ctls[id], next)
 		}
+		next = min(next, f.cal[s].Next(f.now))
 	}
 	return next
 }
@@ -429,8 +455,9 @@ func (c *cacheCtl) send(dst int, msg directory.Msg, delay int) {
 		delay += p.ReplyDelay(c.node, c.replySeq)
 		c.replySeq++
 	}
-	c.outbox = append(c.outbox, outMsg{msg: msg, dst: dst, readyAt: c.fabric.now + uint64(delay)})
-	c.fabric.markDirty(c.node)
+	readyAt := c.fabric.now + uint64(delay)
+	c.outbox = append(c.outbox, outMsg{msg: msg, dst: dst, readyAt: readyAt})
+	c.fabric.wakeAt(c.node, readyAt)
 	c.fabric.trace.Emit(c.node, trace.KProtoSend,
 		int32(msg.Kind), int32(msg.Block), int32(dst), int32(msg.Size(c.fabric.cfg.Cache.BlockBytes)))
 }
@@ -480,12 +507,11 @@ func (c *cacheCtl) flushOutbox() {
 		nm.Payload = network.CoherencePayload(om.msg)
 		f.net.Send(nm)
 	}
+	// The kept entries are filed in the calendar; any entry handle just
+	// appended marked the controller dirty itself.
 	c.outbox = append(c.outbox, keep...)
 	c.keepQ = keep[:0]
 	c.outSpare = box[:0]
-	if len(c.outbox) > 0 {
-		c.fabric.markDirty(c.node)
-	}
 }
 
 func (c *cacheCtl) blockOf(addr uint32) uint32 { return addr >> c.blockShift }

@@ -553,6 +553,7 @@ type stagedSend struct {
 func (f *netFabric) tickSharded(r *shardRunner) {
 	f.now++
 	f.net.Tick()
+	f.matureOutboxes()
 	f.pendBuf = f.net.PendingNodes(f.pendBuf[:0])
 	work := len(f.pendBuf)
 	for _, b := range f.dirty {
