@@ -39,11 +39,12 @@ benchmark-smoke:
 # per-layer microbenchmarks beside their packages (cache hit / write hit
 # / refused probe, the full/empty-aware memory access, the controller
 # hit through both of its callers and a delayed reply through its
-# outbox, a torus hop / NextEvent / Advance, a calendar add+drain). One
+# outbox, a torus hop / NextEvent / Advance, a calendar add+drain, a
+# 64-node image's Snapshot and Restore, a 4 MiB payload's Seal+Open). One
 # iteration each keeps them from rotting; use -benchtime and -count by
 # hand to measure.
 bench:
-	$(GO) test -bench . -benchtime 1x -run xxx . ./internal/sim/ ./internal/cache/ ./internal/mem/ ./internal/network/ ./internal/calendar/
+	$(GO) test -bench . -benchtime 1x -run xxx . ./internal/sim/ ./internal/cache/ ./internal/mem/ ./internal/network/ ./internal/calendar/ ./internal/snapshot/
 
 # Measure simulator throughput (reference loop vs fast-forward +
 # parallel harness, compiled tier off and on) on the full Table 3 grid;

@@ -333,11 +333,7 @@ func (c *checkpointer) maybeWrite(m *sim.Machine) error {
 		return fmt.Errorf("april: checkpoint: %w", err)
 	}
 	path := filepath.Join(c.dir, fmt.Sprintf("ckpt-%012d.img", m.Now()))
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, img, 0o644); err != nil {
-		return fmt.Errorf("april: checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := writeDurable(path, img); err != nil {
 		return fmt.Errorf("april: checkpoint: %w", err)
 	}
 	c.files = append(c.files, path)
@@ -348,6 +344,45 @@ func (c *checkpointer) maybeWrite(m *sim.Machine) error {
 	m.SetCheckpointInfo(m.Now(), len(img), "april -restore "+path)
 	c.next = m.Now() + c.every
 	return nil
+}
+
+// writeDurable puts data at path so that a crash at any point leaves
+// either the previous file or the whole new one: write a temporary
+// file, sync it, rename it into place, then sync the directory so the
+// rename itself survives. On failure the temporary file is removed.
+func writeDurable(path string, data []byte) (err error) {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			os.Remove(tmp)
+		}
+	}()
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	err = dir.Sync()
+	if cerr := dir.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // runCheckpointed drives the machine in CheckpointEvery-cycle windows,

@@ -82,6 +82,7 @@ type Cache struct {
 	mask  uint32
 	pow2  bool
 	clock uint64
+	valid int // lines not Invalid: Occupancy without a walk
 
 	// Stats.
 	Hits, Misses, Evictions, Writebacks, Invalidations uint64
@@ -188,8 +189,9 @@ type Victim struct {
 	Dirty bool
 }
 
-// Insert installs block with the given state, returning the evicted
-// victim if the set was full.
+// Insert installs block with the given state (Shared or Exclusive;
+// Invalidate is how a line leaves), returning the evicted victim if the
+// set was full.
 func (c *Cache) Insert(block uint32, st State) (Victim, bool) {
 	if l := c.find(block); l != nil {
 		// Upgrade/downgrade in place.
@@ -217,6 +219,8 @@ func (c *Cache) Insert(block uint32, st State) (Victim, bool) {
 		if victim.Dirty {
 			c.Writebacks++
 		}
+	} else {
+		c.valid++
 	}
 	c.clock++
 	set[vi] = line{block: block, state: st, lru: c.clock}
@@ -236,6 +240,7 @@ func (c *Cache) SetState(block uint32, st State) bool {
 	if st == Invalid {
 		l.locked = false
 		c.Invalidations++
+		c.valid--
 	}
 	return true
 }
@@ -251,26 +256,23 @@ func (c *Cache) Invalidate(block uint32) (wasDirty, wasPresent bool) {
 	l.state = Invalid
 	l.dirty, l.locked = false, false
 	c.Invalidations++
+	c.valid--
 	return wasDirty, true
 }
 
-// Occupancy counts valid lines (for interference studies).
-func (c *Cache) Occupancy() int {
-	n := 0
-	for i := range c.lines {
-		if c.lines[i].state != Invalid {
-			n++
-		}
-	}
-	return n
-}
+// Occupancy is the number of valid lines: kept as lines come and go,
+// so sizing a snapshot does not walk the cache.
+func (c *Cache) Occupancy() int { return c.valid }
 
-// ForEach calls fn for every valid line, in set order. Cold path: the
-// fault checker's coherence audits iterate whole caches with it.
-func (c *Cache) ForEach(fn func(block uint32, st State, dirty bool)) {
+// ForEach calls fn for every valid line in slot order, with its slot
+// index (set*ways + way) and lru stamp: what a snapshot needs to put the
+// line back where it was (see SetSlot). Invalid slots cost a state test
+// and no call. Cold path: snapshots and the fault checker's coherence
+// audits walk whole caches with it.
+func (c *Cache) ForEach(fn func(slot int, block uint32, st State, dirty bool, lru uint64)) {
 	for i := range c.lines {
 		if l := &c.lines[i]; l.state != Invalid {
-			fn(l.block, l.state, l.dirty)
+			fn(i, l.block, l.state, l.dirty, l.lru)
 		}
 	}
 }

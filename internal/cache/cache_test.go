@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -126,6 +127,44 @@ func TestOccupancyBounded(t *testing.T) {
 	}
 }
 
+// TestOccupancyCountsValidLines: the kept count equals a walk's count
+// of valid lines under any mix of the operations that move lines in and
+// out — inserts with evictions, invalidations, downgrades to Invalid
+// and Shared, and slot restores over valid and invalid slots.
+func TestOccupancyCountsValidLines(t *testing.T) {
+	f := func(ops []uint16) bool {
+		c := newCache(t, 512, 16, 2) // 16 sets: blocks below 64 collide
+		for _, op := range ops {
+			b := uint32(op>>3) % 64
+			switch op & 7 {
+			case 0, 1, 2:
+				c.Insert(b, State(1+op&1))
+			case 3:
+				c.Invalidate(b)
+			case 4:
+				c.SetState(b, Invalid)
+			case 5:
+				c.SetState(b, Shared)
+			case 6:
+				c.SetSlot(int(b)%32, b, State(op>>9%3), false, uint64(op))
+			case 7:
+				if h, ok := c.Find(b); ok {
+					h.Touch()
+				}
+			}
+			walked := 0
+			c.ForEach(func(int, uint32, State, bool, uint64) { walked++ })
+			if c.Occupancy() != walked {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestInsertedAlwaysFindable(t *testing.T) {
 	c := newCache(t, 4096, 16, 4)
 	f := func(b uint32) bool {
@@ -157,12 +196,28 @@ func TestBlockMapping(t *testing.T) {
 	}
 }
 
-// TestSlotContractAcrossGeometries pins the (set, way) contract of
-// DumpSlots/SetSlot over the flat line store, for a power-of-two set
-// count (mask indexing) and one that is not (modulo indexing): a block
-// lands in set block%sets, slots dump in (set, way) order, and a dump
-// replayed through SetSlot rebuilds an identical cache.
+// TestSlotContractAcrossGeometries pins the slot contract of
+// ForEach/SetSlot over the flat line store, for a power-of-two set
+// count (mask indexing) and one that is not (modulo indexing): ForEach
+// visits exactly the valid lines, in ascending slot order, a block sits
+// in set block%sets (slot/ways), and the walk replayed through SetSlot
+// into an empty cache rebuilds one that probes, replaces and walks the
+// same.
 func TestSlotContractAcrossGeometries(t *testing.T) {
+	type slotLine struct {
+		slot  int
+		block uint32
+		st    State
+		dirty bool
+		lru   uint64
+	}
+	walk := func(c *Cache) []slotLine {
+		var ls []slotLine
+		c.ForEach(func(slot int, block uint32, st State, dirty bool, lru uint64) {
+			ls = append(ls, slotLine{slot, block, st, dirty, lru})
+		})
+		return ls
+	}
 	for _, g := range []struct {
 		size  uint32
 		assoc int
@@ -175,22 +230,30 @@ func TestSlotContractAcrossGeometries(t *testing.T) {
 		for b := uint32(0); b < 40; b += 3 {
 			c.Insert(b, Shared)
 		}
+		c.Insert(9, Exclusive)
+		if h, ok := c.Find(9); ok {
+			h.MarkDirty()
+		}
+		c.Invalidate(0) // an invalid slot between valid ones
+		lines := walk(c)
+		if len(lines) != c.Occupancy() {
+			t.Fatalf("%d sets: walked %d lines, %d valid", g.sets, len(lines), c.Occupancy())
+		}
 		r := newCache(t, g.size, 16, g.assoc)
-		next := 0
-		c.DumpSlots(func(set, way int, block uint32, st State, dirty bool, lru uint64) {
-			if set*g.assoc+way != next {
-				t.Fatalf("%d sets: slot (%d,%d) out of (set, way) order", g.sets, set, way)
+		r.SetClock(c.Clock())
+		for i, l := range lines {
+			if i > 0 && l.slot <= lines[i-1].slot {
+				t.Fatalf("%d sets: slot %d after slot %d", g.sets, l.slot, lines[i-1].slot)
 			}
-			next++
-			if st != Invalid && int(block)%g.sets != set {
-				t.Errorf("%d sets: block %d in set %d", g.sets, block, set)
+			if l.st == Invalid || int(l.block)%g.sets != l.slot/g.assoc {
+				t.Errorf("%d sets: block %d (state %v) in slot %d", g.sets, l.block, l.st, l.slot)
 			}
-			if err := r.SetSlot(set, way, block, st, dirty, lru); err != nil {
+			if err := r.SetSlot(l.slot, l.block, l.st, l.dirty, l.lru); err != nil {
 				t.Fatal(err)
 			}
-		})
-		if next != g.sets*g.assoc {
-			t.Fatalf("%d sets: dumped %d slots", g.sets, next)
+		}
+		if got := walk(r); !slices.Equal(got, lines) {
+			t.Errorf("%d sets: rebuilt cache walks %v, want %v", g.sets, got, lines)
 		}
 		for b := uint32(0); b < 40; b++ {
 			cs, chit := c.Probe(b)
@@ -199,8 +262,18 @@ func TestSlotContractAcrossGeometries(t *testing.T) {
 				t.Errorf("%d sets: block %d: original (%v,%v), rebuilt (%v,%v)", g.sets, b, cs, chit, rs, rhit)
 			}
 		}
-		if err := r.SetSlot(g.sets, 0, 0, Shared, false, 0); err == nil {
-			t.Errorf("%d sets: SetSlot accepted set %d", g.sets, g.sets)
+		// Replacement depends on slots and lru stamps: the same insert
+		// evicts the same victim from both.
+		cv, cev := c.Insert(100, Shared)
+		rv, rev := r.Insert(100, Shared)
+		if cv != rv || cev != rev {
+			t.Errorf("%d sets: insert evicted (%v,%v) from original, (%v,%v) from rebuilt", g.sets, cv, cev, rv, rev)
+		}
+		if err := r.SetSlot(g.sets*g.assoc, 0, Shared, false, 0); err == nil {
+			t.Errorf("%d sets: SetSlot accepted slot %d", g.sets, g.sets*g.assoc)
+		}
+		if err := r.SetSlot(0, 0, Exclusive+1, false, 0); err == nil {
+			t.Errorf("%d sets: SetSlot accepted state %d", g.sets, Exclusive+1)
 		}
 	}
 }

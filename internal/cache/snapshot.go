@@ -5,8 +5,9 @@ import "fmt"
 // Snapshot support. Replacement is observable: Insert picks the first
 // Invalid slot, else the lowest-lru way, so a bit-identical restore
 // must reproduce slot positions, per-line lru stamps, and the lru
-// clock — not just the set of valid blocks. The accessors below walk
-// slots in (set, way) order so encodings are deterministic.
+// clock — not just the set of valid blocks. ForEach walks the valid
+// lines in slot order, so encodings are deterministic, and SetSlot puts
+// one back.
 
 // Geometry returns the number of sets and ways.
 func (c *Cache) Geometry() (sets, ways int) { return int(c.nsets), c.ways }
@@ -17,25 +18,21 @@ func (c *Cache) Clock() uint64 { return c.clock }
 // SetClock restores the LRU clock.
 func (c *Cache) SetClock(v uint64) { c.clock = v }
 
-// DumpSlots calls fn for every slot (valid or not) in (set, way)
-// order.
-func (c *Cache) DumpSlots(fn func(set, way int, block uint32, st State, dirty bool, lru uint64)) {
-	for i := range c.lines {
-		l := &c.lines[i]
-		fn(i/c.ways, i%c.ways, l.block, l.state, l.dirty, l.lru)
-	}
-}
-
-// SetSlot restores one slot. It is the restore-side counterpart of
-// DumpSlots and performs no stats or LRU bookkeeping.
-func (c *Cache) SetSlot(set, way int, block uint32, st State, dirty bool, lru uint64) error {
-	if set < 0 || set >= int(c.nsets) || way < 0 || way >= c.ways {
-		return fmt.Errorf("cache: slot (%d,%d) out of range (%d sets × %d ways)",
-			set, way, c.nsets, c.ways)
+// SetSlot restores one slot, by the set*ways + way index ForEach
+// reports. It performs no stats or LRU bookkeeping.
+func (c *Cache) SetSlot(slot int, block uint32, st State, dirty bool, lru uint64) error {
+	if slot < 0 || slot >= len(c.lines) {
+		return fmt.Errorf("cache: slot %d out of range (%d sets × %d ways)", slot, c.nsets, c.ways)
 	}
 	if st > Exclusive {
-		return fmt.Errorf("cache: slot (%d,%d) has invalid state %d", set, way, st)
+		return fmt.Errorf("cache: slot %d has invalid state %d", slot, st)
 	}
-	c.lines[set*c.ways+way] = line{block: block, state: st, dirty: dirty, lru: lru}
+	if c.lines[slot].state != Invalid {
+		c.valid--
+	}
+	if st != Invalid {
+		c.valid++
+	}
+	c.lines[slot] = line{block: block, state: st, dirty: dirty, lru: lru}
 	return nil
 }

@@ -204,9 +204,10 @@ func (d *Directory) slotFor(block uint32) int {
 	}
 }
 
-func (d *Directory) grow() {
+// resize rehashes the live entries into a table of n slots.
+func (d *Directory) resize(n int) {
 	old := d.slots
-	d.initTable(len(old) * 2)
+	d.initTable(n)
 	for i := range old {
 		if old[i].live {
 			d.slots[d.slotFor(old[i].block)] = old[i]
@@ -222,7 +223,7 @@ func (d *Directory) Entry(block uint32) *Entry {
 	i := d.slotFor(block)
 	if !d.slots[i].live {
 		if (d.used+1)*4 > len(d.slots)*3 { // keep load below 3/4
-			d.grow()
+			d.resize(2 * len(d.slots))
 			i = d.slotFor(block)
 		}
 		s := &d.slots[i]

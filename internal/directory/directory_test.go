@@ -145,6 +145,73 @@ func TestBlocksSortedAscending(t *testing.T) {
 	}
 }
 
+// TestReserveMatchesGrowth: a table sized for n entries takes n inserts
+// without growing, and ends the length growth from an empty table
+// reaches — including at the 3/4 load boundaries, where one entry more
+// means one doubling more.
+func TestReserveMatchesGrowth(t *testing.T) {
+	for _, n := range []int{0, 1, 48, 49, 96, 97, 1000, 9241} {
+		grown := New()
+		for b := uint32(0); b < uint32(n); b++ {
+			grown.Entry(b * 7919)
+		}
+		d := New()
+		d.Reserve(n)
+		table := &d.slots[0]
+		for b := uint32(0); b < uint32(n); b++ {
+			d.Entry(b * 7919)
+		}
+		if &d.slots[0] != table {
+			t.Errorf("n=%d: an insert grew the reserved table", n)
+		}
+		if len(d.slots) != len(grown.slots) {
+			t.Errorf("n=%d: reserved table of %d slots, growth reaches %d", n, len(d.slots), len(grown.slots))
+		}
+		if d.Entries() != n {
+			t.Errorf("n=%d: %d entries", n, d.Entries())
+		}
+	}
+	// Reserving on a populated table keeps its entries and never shrinks it.
+	d := New()
+	for b := uint32(0); b < 100; b++ {
+		d.Entry(b).Owner = int(b)
+	}
+	size := len(d.slots)
+	d.Reserve(10)
+	if len(d.slots) != size {
+		t.Errorf("Reserve(10) resized a %d-slot table to %d", size, len(d.slots))
+	}
+	d.Reserve(1000)
+	for b := uint32(0); b < 100; b++ {
+		if e, ok := d.Probe(b); !ok || e.Owner != int(b) {
+			t.Fatalf("block %d lost across Reserve", b)
+		}
+	}
+}
+
+// TestDumpEntriesAscending: entries come out in ascending block order
+// whatever the probe layout, each with its own entry.
+func TestDumpEntriesAscending(t *testing.T) {
+	d := New()
+	var want []uint32
+	for i := uint32(0); i < 300; i++ {
+		b := i * 2654435761 // distinct, scrambled relative to insertion
+		d.Entry(b).Owner = int(i)
+		want = append(want, b)
+	}
+	slices.Sort(want)
+	var got []uint32
+	d.DumpEntries(func(block uint32, e *Entry) {
+		if p, _ := d.Probe(block); p != e {
+			t.Fatalf("block %#x: dumped entry is not the table's", block)
+		}
+		got = append(got, block)
+	})
+	if !slices.Equal(got, want) {
+		t.Errorf("DumpEntries order %v, want %v", got, want)
+	}
+}
+
 // Steady-state directory traffic — entry lookups on resident blocks and
 // sharer-set updates within the inline 64-node word — must not allocate.
 func TestSteadyStateOpsAllocFree(t *testing.T) {

@@ -59,8 +59,12 @@ func (s *Scheduler) DumpState() SchedImage {
 	for node, q := range s.ready {
 		img.Ready[node] = append([]int(nil), q...)
 	}
+	// The waiter lists are copied into one growing array, not one each.
+	var ids []int
 	s.ForEachWaiter(func(addr uint32, threads []int) {
-		img.Waiters = append(img.Waiters, WaiterImage{Addr: addr, Threads: append([]int(nil), threads...)})
+		start := len(ids)
+		ids = append(ids, threads...)
+		img.Waiters = append(img.Waiters, WaiterImage{Addr: addr, Threads: ids[start:len(ids):len(ids)]})
 	})
 	return img
 }

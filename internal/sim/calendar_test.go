@@ -106,7 +106,7 @@ func waitingCalendars(m *Machine) bool {
 	return false
 }
 
-// TestSnapshotRebuildsCalendars: image format v2 stores no calendar.
+// TestSnapshotRebuildsCalendars: the image format stores no calendar.
 // Taken at a cycle where a fault-delayed reply matures more than a wheel
 // away and a channel holds a packet it has not started, the image must
 // be the same bytes from both run loops, and every (donor loop, restored

@@ -137,7 +137,7 @@ func (m *Machine) auditFinal() {
 				seen[block] = struct{}{}
 				m.net.checkBlock(block)
 			}
-			ctl.cache.ForEach(func(block uint32, _ cache.State, _ bool) {
+			ctl.cache.ForEach(func(_ int, block uint32, _ cache.State, _ bool, _ uint64) {
 				if _, dup := seen[block]; dup {
 					return
 				}

@@ -87,7 +87,7 @@ func (r *interlockRig) image() []byte {
 	w := snapshot.NewWriter(1 << 16)
 	w.U64(r.m.net.now)
 	for _, c := range r.m.net.ctls {
-		encodeCtl(w, c)
+		encodeCtl(w, c, nil)
 	}
 	return append([]byte(nil), w.Bytes()...)
 }

@@ -2,8 +2,9 @@ package sim
 
 // Deterministic checkpoint/restore: Snapshot serializes the complete
 // simulated state of a machine at a cycle boundary into a versioned,
-// checksummed image (container format: internal/snapshot); Restore
-// rebuilds a machine from one that provably continues bit-identically.
+// CRC-32C-checksummed image (container format: internal/snapshot);
+// Restore rebuilds a machine from one that provably continues
+// bit-identically.
 //
 // The dividing line the encoders follow everywhere: *simulated* state
 // — anything a program, a checker, or a later cycle can observe —
@@ -18,9 +19,10 @@ package sim
 // isa.Encode, symbols, entry) and the machine-defining configuration —
 // node count, cost profile, memory size, ALEWIFE parameters, fault
 // plan, sabotage cycle — and the FNV-64a hash of that identity section
-// is the header's config hash: two images restore into the same run
-// iff their hashes match, which is how the divergence bisector pairs
-// checkpoints without decoding them. Host knobs (tier selection,
+// (snapshot.Hash; the payload checksum is a separate CRC-32C) is the
+// header's config hash: two images restore into the same run iff their
+// hashes match, which is how the divergence bisector pairs checkpoints
+// without decoding them. Host knobs (tier selection,
 // shards, Check, output writer) are deliberately NOT part of identity:
 // restoring under a different tier than the one that wrote the image
 // is the point.
@@ -37,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"april/internal/cache"
@@ -587,7 +590,10 @@ func rtsStatFields(s *rts.Stats) []*uint64 {
 }
 
 func procStatFields(s *proc.Stats) []*uint64 {
-	fs := []*uint64{&s.Instructions, &s.UsefulCycles, &s.WaitCycles, &s.TrapCycles, &s.IdleCycles}
+	// Sized up front (a constant, so an inlined call keeps the list on
+	// the caller's stack).
+	fs := make([]*uint64, 0, 7+len(s.Traps))
+	fs = append(fs, &s.Instructions, &s.UsefulCycles, &s.WaitCycles, &s.TrapCycles, &s.IdleCycles)
 	for i := range s.Traps {
 		fs = append(fs, &s.Traps[i])
 	}
@@ -805,8 +811,9 @@ func (m *Machine) encodeFabric(w *snapshot.Writer) {
 	w.U8(netKind(f.net))
 	encodeNetImage(w, f.net.(netBackend).DumpImage())
 	w.Count(len(f.ctls))
+	var members []int // one sharer-list buffer for every directory entry
 	for _, ctl := range f.ctls {
-		encodeCtl(w, ctl)
+		members = encodeCtl(w, ctl, members)
 	}
 }
 
@@ -969,7 +976,9 @@ func decodeNodeID(r *snapshot.Reader, nodes int) int {
 	return id
 }
 
-func encodeCtl(w *snapshot.Writer, c *cacheCtl) {
+// encodeCtl writes one controller, listing sharers through members (a
+// scratch buffer it returns for the next controller).
+func encodeCtl(w *snapshot.Writer, c *cacheCtl, members []int) []int {
 	cacheFs, dirFs, ctlFs := ctlCounterFields(c)
 	// Cache arrays: the valid lines with their slots, plus the LRU clock
 	// and counters. An Invalid slot's stale block and lru are never read
@@ -980,14 +989,12 @@ func encodeCtl(w *snapshot.Writer, c *cacheCtl) {
 	w.U64(c.cache.Clock())
 	putU64s(w, cacheFs)
 	w.Count(c.cache.Occupancy())
-	c.cache.DumpSlots(func(set, way int, block uint32, st cache.State, dirty bool, lru uint64) {
-		if st != cache.Invalid {
-			w.U32(uint32(set*ways + way))
-			w.U32(block)
-			w.U8(uint8(st))
-			w.Bool(dirty)
-			w.U64(lru)
-		}
+	c.cache.ForEach(func(slot int, block uint32, st cache.State, dirty bool, lru uint64) {
+		w.U32(uint32(slot))
+		w.U32(block)
+		w.U8(uint8(st))
+		w.Bool(dirty)
+		w.U64(lru)
 	})
 
 	// Directory entries, ascending block.
@@ -997,7 +1004,8 @@ func encodeCtl(w *snapshot.Writer, c *cacheCtl) {
 		w.U32(block)
 		w.U8(uint8(e.State))
 		w.Int(e.Owner)
-		w.Ints(e.Sharers.Members())
+		members = e.Sharers.AppendMembers(members[:0], -1)
+		w.Ints(members)
 	})
 
 	// Outstanding misses, sorted by block.
@@ -1045,7 +1053,12 @@ func encodeCtl(w *snapshot.Writer, c *cacheCtl) {
 	}
 	w.U64(c.replySeq)
 	putU64s(w, ctlFs)
+	return members
 }
+
+// dirEntryMinBytes is an encoded directory entry with no sharers:
+// block, state, owner and the sharer count.
+const dirEntryMinBytes = 4 + 1 + 8 + 4
 
 func decodeCtl(r *snapshot.Reader, c *cacheCtl) {
 	cacheFs, dirFs, ctlFs := ctlCounterFields(c)
@@ -1074,8 +1087,8 @@ func decodeCtl(r *snapshot.Reader, c *cacheCtl) {
 			r.Corrupt("cache slot %d encoded as invalid", slot)
 			return
 		}
-		// SetSlot bounds the slot: a set index past the geometry fails.
-		if err := c.cache.SetSlot(slot/ways, slot%ways, block, st, dirty, lru); err != nil {
+		// SetSlot bounds the slot: one past the geometry fails.
+		if err := c.cache.SetSlot(slot, block, st, dirty, lru); err != nil {
 			r.Corrupt("%v", err)
 			return
 		}
@@ -1083,12 +1096,15 @@ func decodeCtl(r *snapshot.Reader, c *cacheCtl) {
 
 	getU64s(r, dirFs)
 	nodes := len(c.fabric.ctls)
-	nent := r.Count("directory entries")
+	// The table is sized once for the image's entries; the bound keeps a
+	// hostile count from sizing it past what the payload can hold.
+	nent := r.CountAtMost("directory entries", r.Remaining()/dirEntryMinBytes)
+	c.dir.Reserve(nent)
 	for i := 0; i < nent; i++ {
 		block := r.U32()
 		st := directory.State(r.U8())
 		owner := r.Int()
-		members := r.Ints("sharers")
+		nsh := r.CountAtMost("sharers", nodes)
 		if r.Err() != nil {
 			return
 		}
@@ -1103,7 +1119,11 @@ func decodeCtl(r *snapshot.Reader, c *cacheCtl) {
 		e := c.dir.Entry(block)
 		e.State = st
 		e.Owner = owner
-		for _, id := range members {
+		for ; nsh > 0; nsh-- {
+			id := r.Int()
+			if r.Err() != nil {
+				return
+			}
 			if id < 0 || id >= nodes {
 				r.Corrupt("directory entry %#x has sharer %d of %d nodes", block, id, nodes)
 				return
@@ -1182,7 +1202,7 @@ func sortedKeys[V any](m map[uint32]V) []uint32 {
 	for k := range m {
 		ks = append(ks, k)
 	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
+	slices.Sort(ks)
 	return ks
 }
 

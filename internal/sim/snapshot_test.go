@@ -510,24 +510,13 @@ func TestSnapshotImageLoopInvariant(t *testing.T) {
 	}
 }
 
-// queens64 is the benchmark's ckpt64 donor: queens 8 on 64 ALEWIFE
-// nodes, run to cycle 20000.
-func queens64(t *testing.T) *sim.Machine {
-	t.Helper()
-	m := snapMachine(t, bench.QueensSource(8), snapConfig{nodes: 64, shards: 1, aw: true}.simConfig())
-	if done, err := m.RunWindow(20000); err != nil || done {
-		t.Fatalf("RunWindow(20000) = %v, %v", done, err)
-	}
-	return m
-}
-
 // TestSnapshotTouchGranular pins what the image and the host pay for,
 // by count: the 64-node machine's memory is resident in 4 KiB pages
 // (under 4 MiB where 256 KiB pages held 68 MiB), the registry reports
 // it, and Snapshot allocates the image and little else — sealed in
 // place, grown in bulk.
 func TestSnapshotTouchGranular(t *testing.T) {
-	m := queens64(t)
+	m := queensDonor(t, 64)
 	mt := m.MemoryTelemetry()
 	if mt.PagesResident == 0 || mt.ResidentBytes > 4<<20 || mt.ResidentBytes != mt.PagesResident*mem.PageBytes {
 		t.Errorf("memory telemetry %+v, want 0 < resident_bytes <= 4 MiB", mt)

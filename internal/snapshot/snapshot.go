@@ -20,7 +20,7 @@
 //	            of the payload; images of the same run share it)
 //	20     8    simulated cycle at which the image was taken
 //	28     8    payload length in bytes
-//	36     8    FNV-64a checksum of the payload
+//	36     8    CRC-32C (Castagnoli) of the payload, zero-extended
 //	44     -    payload
 package snapshot
 
@@ -28,14 +28,17 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"hash/fnv"
 	"slices"
+	"unsafe"
 )
 
 // Version is the current image format version. Bump on any payload
 // layout change; Open rejects other versions with ErrVersion. (v2: one
-// memory section of 4 KiB pages, valid cache lines only.)
-const Version = 2
+// memory section of 4 KiB pages, valid cache lines only. v3: CRC-32C
+// payload checksum.)
+const Version = 3
 
 var magic = [8]byte{'A', 'P', 'R', 'I', 'L', 'I', 'M', 'G'}
 
@@ -60,11 +63,22 @@ type Header struct {
 	Cycle      uint64 // simulated cycle of the snapshot
 }
 
-// Hash is the checksum used throughout: FNV-64a.
+// Hash is the run-identity hash, FNV-64a: callers hash the few-KB
+// identity section with it to get the header's config hash. Payloads
+// are checksummed with CRC-32C instead.
 func Hash(data []byte) uint64 {
 	h := fnv.New64a()
 	h.Write(data)
 	return h.Sum64()
+}
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// checksum is the payload checksum the header carries: CRC-32C, which
+// the standard library computes with the host's CRC instructions on
+// amd64 and arm64, zero-extended into the 8-byte field.
+func checksum(payload []byte) uint64 {
+	return uint64(crc32.Checksum(payload, castagnoli))
 }
 
 // putHeader fills img[:headerLen] for the payload that follows it.
@@ -75,7 +89,7 @@ func putHeader(img []byte, configHash, cycle uint64) {
 	binary.LittleEndian.PutUint64(img[12:], configHash)
 	binary.LittleEndian.PutUint64(img[20:], cycle)
 	binary.LittleEndian.PutUint64(img[28:], uint64(len(payload)))
-	binary.LittleEndian.PutUint64(img[36:], Hash(payload))
+	binary.LittleEndian.PutUint64(img[36:], checksum(payload))
 }
 
 // Seal wraps a copy of an encoded payload in a header. configHash
@@ -122,7 +136,7 @@ func Open(img []byte) (Header, *Reader, error) {
 	if uint64(len(payload)) != plen {
 		return h, nil, fmt.Errorf("%w: header says %d payload bytes, file has %d", ErrTruncated, plen, len(payload))
 	}
-	if Hash(payload) != sum {
+	if checksum(payload) != sum {
 		return h, nil, fmt.Errorf("%w (cycle %d)", ErrChecksum, h.Cycle)
 	}
 	return h, &Reader{buf: payload}, nil
@@ -208,11 +222,29 @@ func (w *Writer) U64s(vs []uint64) {
 	}
 }
 
+// hostLittleEndian reports whether the host lays words out as the image
+// does, so a run of them moves with one copy.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// wordBytes is the host's in-memory bytes of vs.
+func wordBytes[T ~uint32](vs []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vs))), 4*len(vs))
+}
+
 // PutWords encodes a run of 32-bit words with no length prefix (the
 // decoder knows the length: a memory page, a register file), growing
 // the buffer once for the run. GetWords is its counterpart.
 func PutWords[T ~uint32](w *Writer, vs []T) {
 	b := w.extend(4 * len(vs))
+	if hostLittleEndian {
+		copy(b, wordBytes(vs))
+	} else {
+		putWordsLoop(b, vs)
+	}
+}
+
+// putWordsLoop is PutWords one word at a time, for big-endian hosts.
+func putWordsLoop[T ~uint32](b []byte, vs []T) {
 	for i, v := range vs {
 		binary.LittleEndian.PutUint32(b[4*i:], uint32(v))
 	}
@@ -357,6 +389,15 @@ func GetWords[T ~uint32](r *Reader, dst []T) {
 	if b == nil {
 		return
 	}
+	if hostLittleEndian {
+		copy(wordBytes(dst), b)
+	} else {
+		getWordsLoop(dst, b)
+	}
+}
+
+// getWordsLoop is GetWords one word at a time, for big-endian hosts.
+func getWordsLoop[T ~uint32](dst []T, b []byte) {
 	for i := range dst {
 		dst[i] = T(binary.LittleEndian.Uint32(b[4*i:]))
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -104,6 +106,7 @@ func TestOpenTaxonomy(t *testing.T) {
 	}{
 		{"magic", func(b []byte) []byte { b[3] ^= 1; return b }, ErrMagic},
 		{"v1 header", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[8:], 1); return b }, ErrVersion},
+		{"v2 header", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[8:], 2); return b }, ErrVersion},
 		{"future version", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[8:], Version+1); return b }, ErrVersion},
 		{"empty", func(b []byte) []byte { return nil }, ErrTruncated},
 		{"short header", func(b []byte) []byte { return b[:headerLen-1] }, ErrTruncated},
@@ -111,6 +114,7 @@ func TestOpenTaxonomy(t *testing.T) {
 		{"trailing bytes", func(b []byte) []byte { return append(b, 0) }, ErrTruncated},
 		{"flipped payload bit", func(b []byte) []byte { b[headerLen+4] ^= 0x10; return b }, ErrChecksum},
 		{"flipped checksum bit", func(b []byte) []byte { b[36] ^= 1; return b }, ErrChecksum},
+		{"checksum high half set", func(b []byte) []byte { b[40] = 1; return b }, ErrChecksum},
 	}
 	for _, tc := range cases {
 		_, r, err := Open(tc.mutate(bytes.Clone(img)))
@@ -121,8 +125,90 @@ func TestOpenTaxonomy(t *testing.T) {
 	if _, _, err := Open(img); err != nil {
 		t.Errorf("pristine image: %v", err)
 	}
-	if Version != 2 {
-		t.Errorf("format version %d, want 2", Version)
+	if Version != 3 {
+		t.Errorf("format version %d, want 3", Version)
+	}
+}
+
+// TestChecksumIsCRC32C pins the v3 header's checksum field: the
+// payload's CRC-32C (Castagnoli) in the low half, zero in the high half.
+func TestChecksumIsCRC32C(t *testing.T) {
+	payload := make([]byte, 1<<12+3)
+	rand.New(rand.NewSource(1)).Read(payload)
+	img := Seal(payload, 5, 6)
+	want := crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli))
+	if lo, hi := binary.LittleEndian.Uint32(img[36:]), binary.LittleEndian.Uint32(img[40:]); lo != want || hi != 0 {
+		t.Errorf("checksum field (low %#x, high %#x), want (%#x, 0)", lo, hi, want)
+	}
+}
+
+// TestWordsByteLayout pins the bytes of a run of words: little-endian
+// whatever the host, and the same from the bulk copy path and the
+// per-word loop (the big-endian hosts' path) in both directions.
+func TestWordsByteLayout(t *testing.T) {
+	w := NewWriter(0)
+	PutWords(w, []word{0x04030201, 0xddccbbaa, 0, 0xffffffff})
+	want := []byte{1, 2, 3, 4, 0xaa, 0xbb, 0xcc, 0xdd, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}
+	if !bytes.Equal(w.Bytes(), want) {
+		t.Fatalf("PutWords wrote % x, want % x", w.Bytes(), want)
+	}
+	_, r, err := Open(w.Seal(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]word, 4)
+	GetWords(r, got)
+	if !slices.Equal(got, []word{0x04030201, 0xddccbbaa, 0, 0xffffffff}) || r.Err() != nil {
+		t.Fatalf("GetWords = %#x, %v", got, r.Err())
+	}
+
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{0, 1, 3, 1024} { // 1024: one memory page
+		page := make([]word, n)
+		for i := range page {
+			page[i] = word(rng.Uint32())
+		}
+		loop := make([]byte, 4*n)
+		putWordsLoop(loop, page)
+		for i, v := range page {
+			if binary.LittleEndian.Uint32(loop[4*i:]) != uint32(v) {
+				t.Fatalf("%d words: loop path wrote word %d big-endian", n, i)
+			}
+		}
+		back := make([]word, n)
+		getWordsLoop(back, loop)
+		if !slices.Equal(back, page) {
+			t.Fatalf("%d words: loop path does not round-trip", n)
+		}
+		if !hostLittleEndian {
+			continue // the copy path is the host's layout, not the image's
+		}
+		if !bytes.Equal(wordBytes(page), loop) {
+			t.Errorf("%d words: copy path encodes differently from the loop", n)
+		}
+		viaCopy := make([]word, n)
+		copy(wordBytes(viaCopy), loop)
+		if !slices.Equal(viaCopy, page) {
+			t.Errorf("%d words: copy path decodes differently from the loop", n)
+		}
+	}
+}
+
+// BenchmarkSealOpen prices the checksum: seal a 4 MiB payload (about a
+// 64-node image) and open it again, so every byte is checksummed twice.
+func BenchmarkSealOpen(b *testing.B) {
+	payload := make([]byte, 4<<20)
+	rand.New(rand.NewSource(1)).Read(payload)
+	w := NewWriter(len(payload))
+	w.extend(len(payload))
+	copy(w.Bytes(), payload)
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Open(w.Seal(1, 2)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
