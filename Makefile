@@ -60,13 +60,13 @@ compile-smoke:
 	$(GO) run ./cmd/april-bench -sizes test -compile -compile-threshold 1
 	$(GO) test -run CompiledSteadyStateAllocRate -v ./internal/sim/
 
-# Quick gate for the epoch engine: the sharded grid at a multi-cycle
-# horizon cap and with epochs off (results must stay bit-identical),
+# Quick gate for the epoch engine: the grid at a multi-cycle horizon
+# cap and with epochs off (results must stay bit-identical),
 # the full differential matrix under the race detector, and the
 # steady-state allocation pin with windows armed.
 epoch-smoke:
-	$(GO) run ./cmd/april-bench -sizes test -shards 2 -horizon 4
-	$(GO) run ./cmd/april-bench -sizes test -shards 2 -epoch=false
+	$(GO) run ./cmd/april-bench -sizes test -horizon 4
+	$(GO) run ./cmd/april-bench -sizes test -epoch=false
 	$(GO) test -race -run Epoch -v ./internal/sim/
 	$(GO) test -run EpochSteadyStateAllocRate -v ./internal/sim/
 

@@ -168,11 +168,6 @@ type Options struct {
 	// DeadlockWindow overrides the watchdog's no-retirement window in
 	// cycles (0 = the 3M default).
 	DeadlockWindow uint64
-	// Shards splits the simulated machine's nodes across that many host
-	// goroutines (conservative parallel discrete-event simulation).
-	// Results are bit-identical at any shard count; <= 1 keeps the
-	// sequential loop. Forced to 1 under Reference or Check.
-	Shards int
 	// Serve, when non-empty, starts the live introspection server
 	// (internal/obs) on that host:port (":0" picks a free port) for the
 	// duration of the run: /progress, /counters, /metrics (Prometheus),
@@ -444,7 +439,6 @@ func runServed(m *sim.Machine, o Options) (sim.Result, error) {
 				Instructions: stats.Instructions,
 				Utilization:  stats.Utilization(),
 				Nodes:        len(m.Nodes),
-				Shards:       m.Partition().Shards(),
 			}
 		},
 		Counters: reg.Snapshot,
@@ -530,7 +524,6 @@ func (o Options) build() (*sim.Machine, *isa.Program, error) {
 		Faults:             o.Faults,
 		Check:              o.Check,
 		DeadlockWindow:     o.DeadlockWindow,
-		Shards:             o.Shards,
 		SabotageCycle:      o.SabotageCycle,
 	})
 	if err != nil {
@@ -620,7 +613,7 @@ func packageResult(m *sim.Machine, res sim.Result, start time.Time) Result {
 // (Processors, Machine, Alewife, Faults, memory and cycle budgets) are
 // ignored; host-side fields still apply: Output, tier selection
 // (Reference, DisableCompile, DisableEpoch, CompileThreshold,
-// Horizon), Shards, Check, Trace, Serve, and the Checkpoint* fields
+// Horizon), Check, Trace, Serve, and the Checkpoint* fields
 // (resuming a checkpointed run keeps checkpointing). The resumed run
 // reaches a final state bit-identical to the uninterrupted original.
 func Restore(image []byte, o Options) (Result, error) {
@@ -632,7 +625,6 @@ func Restore(image []byte, o Options) (Result, error) {
 		DisableEpoch:     o.DisableEpoch,
 		CompileThreshold: o.CompileThreshold,
 		Horizon:          o.Horizon,
-		Shards:           o.Shards,
 		Check:            o.Check,
 	}
 	if t := o.Trace; t != nil {

@@ -3,14 +3,12 @@
 // Multimax baseline and on APRIL with normal and lazy task creation,
 // at 1-16 processors.
 //
-// The grid's independent runs are fanned across host cores (-workers),
-// and each machine can itself be sharded across goroutines (-shards;
-// workers*shards is budgeted against GOMAXPROCS). -perf runs the whole
-// grid three times — reference per-cycle loop on one worker, then
-// fast-forward with and without the compiled tier on all workers —
-// plus a 64-node ALEWIFE comparison and a shard-count sweep over
-// 256/512/1024-node tori, and writes the throughput report to
-// BENCH_simperf.json.
+// The grid's independent runs are fanned across host cores (-workers).
+// -perf runs the whole grid three times — reference per-cycle loop on
+// one worker, then fast-forward with and without the compiled tier on
+// all workers — plus a 64-node ALEWIFE comparison and a checkpoint
+// sweep over 16/64/256-node machines, and writes the throughput report
+// to BENCH_simperf.json.
 //
 // -model-check cross-validates the Section 8 analytical model: it runs
 // fib/queens on the full ALEWIFE memory system across the Figure 5
@@ -53,7 +51,6 @@ func run() int {
 		verbose          = flag.Bool("v", false, "log each measurement as it completes")
 		frames           = flag.Bool("frames", false, "run the task-frame ablation (E9) instead of Table 3")
 		workers          = flag.Int("workers", 0, "parallel host workers (0 = one per core)")
-		shards           = flag.Int("shards", 1, "simulation shards per machine (sim.Config.Shards); results are bit-identical at any count; workers*shards is capped at GOMAXPROCS")
 		naive            = flag.Bool("naive", false, "use the reference per-cycle loop and switch interpreter (no fast-forward, no predecode)")
 		compile          = flag.Bool("compile", true, "enable the compiled execution tier (profile-guided basic-block superinstructions); results are bit-identical on or off")
 		compileThreshold = flag.Int("compile-threshold", 0, "block executions before the compiled tier translates (0 = default 8)")
@@ -74,7 +71,7 @@ func run() int {
 		traceBench  = flag.String("trace-bench", "fib", "benchmark for the traced run: fib | factor | queens | speech")
 		traceProcs  = flag.Int("trace-procs", 8, "processor count for the traced run")
 		sample      = flag.Uint64("sample", 0, "timeline sampling interval in cycles (0 = default 4096)")
-		serve       = flag.String("serve", "", "run one representative benchmark (see -trace-bench/-trace-procs/-shards) with the live introspection server on this host:port: /progress, /counters, /metrics, /timeline, /trace")
+		serve       = flag.String("serve", "", "run one representative benchmark (see -trace-bench/-trace-procs) with the live introspection server on this host:port: /progress, /counters, /metrics, /timeline, /trace")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile (taken at exit) to this path")
@@ -190,7 +187,6 @@ func run() int {
 	}
 	cfg.Verbose = log
 	cfg.Workers = *workers
-	cfg.Shards = *shards
 	cfg.Naive = *naive
 	cfg.NoCompile = !*compile
 	cfg.CompileThreshold = *compileThreshold
@@ -201,7 +197,7 @@ func run() int {
 		// Tracing (or serving) the whole grid would interleave hundreds
 		// of machines; observe one representative run on the full ALEWIFE
 		// memory system instead.
-		if err := runTraced(cfg.Sizes, *traceBench, *traceProcs, *shards, *traceOut, *timelineOut, *serve, *sample); err != nil {
+		if err := runTraced(cfg.Sizes, *traceBench, *traceProcs, *traceOut, *timelineOut, *serve, *sample); err != nil {
 			return fail(err)
 		}
 		return 0
@@ -218,7 +214,7 @@ func run() int {
 		fmt.Printf("Simulator throughput on the full Table 3 grid (-sizes %s):\n  %s\n", *sizes, rep.Summary())
 		fmt.Printf("  baseline : %s\n  predecode: %s\n  compiled : %s\n", rep.Baseline, rep.Predecode, rep.Optimized)
 		fmt.Println("written to", *perfOut)
-		if !rep.RowsIdentical || (rep.Alewife != nil && !rep.Alewife.Identical) || !rep.ShardsIdentical() {
+		if !rep.RowsIdentical || (rep.Alewife != nil && !rep.Alewife.Identical) {
 			return fail(fmt.Errorf("simulated results differ between loops"))
 		}
 		return 0
@@ -259,7 +255,7 @@ func run() int {
 // enabled: file outputs for -trace/-timeline and, when serve is
 // non-empty, the live introspection server for the duration of the
 // run.
-func runTraced(sizes april.Table3Sizes, benchName string, procs, shards int, traceOut, timelineOut, serve string, sample uint64) error {
+func runTraced(sizes april.Table3Sizes, benchName string, procs int, traceOut, timelineOut, serve string, sample uint64) error {
 	switch benchName {
 	case "fib", "factor", "queens", "speech":
 	default:
@@ -294,7 +290,6 @@ func runTraced(sizes april.Table3Sizes, benchName string, procs, shards int, tra
 		Alewife:    &april.AlewifeOptions{},
 		Output:     io.Discard,
 		Trace:      topts,
-		Shards:     shards,
 	}
 	if serve != "" {
 		opts.Serve = serve

@@ -8,9 +8,8 @@
 //	april -n 8 examples/progs/fib.mt
 //	april -n 16 -lazy -machine april-custom prog.mt
 //	april -n 8 -alewife -stats prog.mt
-//	april -n 256 -alewife -shards 4 prog.mt
 //	april -n 8 -alewife -trace trace.json -timeline util.csv prog.mt
-//	april -n 64 -alewife -shards 2 -serve :8080 prog.mt
+//	april -n 64 -alewife -serve :8080 prog.mt
 //	april -n 8 -alewife -faults -fault-seed 3 -check prog.mt
 //	april -n 8 -alewife -check -autopsy prog.mt
 //	april -interp prog.mt           # reference interpreter
@@ -51,7 +50,6 @@ func main() {
 		compileThreshold = flag.Int("compile-threshold", 0, "block executions before translation (0 = default 8)")
 		epoch            = flag.Bool("epoch", true, "enable epoch execution (multi-node lockstep windows across provably safe horizons); results are bit-identical on or off, only host speed changes")
 		horizon          = flag.Uint64("horizon", 0, "cap epoch windows at this many simulated cycles (0 = unbounded, 1 = per-cycle stepping); results are bit-identical at any cap")
-		shards           = flag.Int("shards", 1, "split the simulated machine across this many host goroutines; results are bit-identical at any shard count (<= 1 keeps the sequential loop)")
 		serve            = flag.String("serve", "", "serve live run introspection on this host:port (e.g. :8080; /progress, /counters, /metrics, /timeline, /trace); observation-only")
 
 		faults    = flag.Bool("faults", false, "arm seeded timing perturbations (requires -alewife): hop jitter, transient link stalls, delayed directory replies; answers are unaffected, cycle counts shift")
@@ -71,7 +69,7 @@ func main() {
 		restore   = flag.String("restore", "", "resume from a checkpoint image instead of compiling a program; machine-defining flags are ignored (the image is self-contained), host-side flags still apply")
 		bisect    = flag.String("bisect", "", "bisect the checkpoint directory for the first invariant-violating cycle and print its autopsy")
 		sabotage  = flag.Uint64("sabotage", 0, "deliberately corrupt scheduler state at this cycle (deterministic invariant violation; checkpoint/bisect test hook)")
-		statsJSON = flag.Bool("stats-json", false, "print the simulated run statistics as one JSON object (host-side perf excluded; stable across tiers, shards, and restores)")
+		statsJSON = flag.Bool("stats-json", false, "print the simulated run statistics as one JSON object (host-side perf excluded; stable across tiers and restores)")
 	)
 	flag.Parse()
 
@@ -128,7 +126,6 @@ func main() {
 		MaxCycles:   *cycles,
 		MemoryBytes: uint32(*memMB) << 20,
 		Reference:   *ref,
-		Shards:      *shards,
 
 		DisableCompile:   !*compile,
 		CompileThreshold: *compileThreshold,

@@ -10,7 +10,6 @@ import (
 	"april/internal/harness"
 	"april/internal/isa"
 	"april/internal/mult"
-	"april/internal/network"
 	"april/internal/proc"
 	"april/internal/rts"
 	"april/internal/sim"
@@ -60,20 +59,6 @@ type PerfReport struct {
 	// predecoded dispatch, and idle-router skip matter most.
 	Alewife *AlewifeRow `json:"alewife,omitempty"`
 
-	// ShardScaling sweeps the sharded run loop (sim.Config.Shards) over
-	// large ALEWIFE machines: one benchmark at several machine sizes,
-	// each size run at 1/2/4/8 shards with a bit-identity cross-check
-	// against the sequential run. Shard speedups only materialize when
-	// GOMAXPROCS grants the shards real cores; on a single-core host the
-	// sweep still proves determinism and records the barrier overhead.
-	ShardScaling []ShardRow `json:"shard_scaling,omitempty"`
-
-	// HorizonSweep holds the epoch-window-cap sweep (sim.Config.Horizon
-	// = k) on a sharded machine: the same run at k in {1, 2, 4,
-	// slab-width}, bit-identical across the board, with barriers per
-	// 1000 cycles falling as the cap rises.
-	HorizonSweep []ShardRow `json:"horizon_sweep,omitempty"`
-
 	// CheckpointOverhead measures the snapshot/restore path across
 	// machine sizes: serialize latency, image size, restore latency, and
 	// a bit-identity cross-check of the restored run against the donor.
@@ -112,38 +97,6 @@ type AlewifeRow struct {
 	// NumCPU is the host the wall times were taken on (like the
 	// checkpoint rows, this one can be regenerated apart from the rest).
 	NumCPU int `json:"num_cpu"`
-}
-
-// ShardRow is one cell of the shard-scaling sweep: a benchmark on an
-// ALEWIFE machine of Nodes nodes run with Shards host goroutines.
-// Speedup and Identical compare against the Shards=1 row at the same
-// machine size.
-type ShardRow struct {
-	Benchmark string `json:"benchmark"`
-	Nodes     int    `json:"nodes"`
-	Shards    int    `json:"shards"`
-	// Horizon is the epoch-window cap the row ran with (0 = unbounded,
-	// the default; 1 degenerates to per-cycle stepping).
-	Horizon uint64    `json:"horizon,omitempty"`
-	Cycles  uint64    `json:"cycles"`
-	Result  string    `json:"result"`
-	Perf    proc.Perf `json:"perf"`
-	// CrossMessages counts coherence messages that crossed a shard
-	// boundary — the traffic the horizon barriers staged.
-	CrossMessages uint64 `json:"cross_shard_messages"`
-	// BarrierWaitFraction is the coordinator's barrier wait over the
-	// sharded loop's wall time; FallbackPct is the percentage of cycles
-	// executed on the sequential fallback path. Both are zero for the
-	// 1-shard rows (the sequential loop has no barriers or fallbacks).
-	BarrierWaitFraction float64 `json:"barrier_wait_fraction"`
-	FallbackPct         float64 `json:"fallback_pct"`
-	// BarriersPer1k is worker-pool joins per 1000 simulated cycles;
-	// EpochCyclesPct is the share of cycles committed inside epoch
-	// windows (the cycles that paid no barrier at all).
-	BarriersPer1k  float64 `json:"barriers_per_1k_cycles"`
-	EpochCyclesPct float64 `json:"epoch_cycles_pct"`
-	Speedup        float64 `json:"speedup_vs_1shard"`
-	Identical      bool    `json:"identical"`
 }
 
 // CheckpointRow is one checkpoint-overhead measurement: the benchmark
@@ -256,114 +209,14 @@ func checkpointOnce(src, benchName string, nodes int) (CheckpointRow, error) {
 	return row, nil
 }
 
-// ShardSweep measures ShardRows for one benchmark across machine sizes
-// and shard counts. Every row is cross-checked bit-identical (cycles,
-// result, per-node statistics) against the sequential run of the same
-// machine size.
-func ShardSweep(benchName string, sizes Sizes, nodeSizes, shardCounts []int) ([]ShardRow, error) {
-	src := sizes.Source(benchName)
-	var rows []ShardRow
-	for _, nodes := range nodeSizes {
-		var base runOut
-		for _, shards := range shardCounts {
-			// A quarter of simulated memory is the stack arena; eager
-			// task trees on hundreds of nodes need thousands of 64 KB
-			// stacks, so give large machines a 2 GB address space.
-			out, err := alewifeOnce(src, nodes, alewifeOpts{shards: shards, memBytes: 2 << 30})
-			if err != nil {
-				return nil, fmt.Errorf("shard sweep %dp/%dshards: %w", nodes, shards, err)
-			}
-			row := shardRow(benchName, nodes, shards, 0, out)
-			if shards <= 1 {
-				base = out
-				row.Speedup, row.Identical = 1, true
-			} else {
-				row.Speedup, row.Identical = compareShardRuns(out, base)
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
-}
-
-// shardRow packages one sweep cell from a finished run.
-func shardRow(benchName string, nodes, shards int, horizon uint64, out runOut) ShardRow {
-	row := ShardRow{
-		Benchmark:     benchName,
-		Nodes:         nodes,
-		Shards:        shards,
-		Horizon:       horizon,
-		Cycles:        out.cycles,
-		Result:        out.result,
-		Perf:          out.perf,
-		CrossMessages: out.cross,
-	}
-	if so := out.stats.Shard; so != nil {
-		row.BarrierWaitFraction = so.BarrierWaitFraction
-		row.FallbackPct = so.FallbackPct
-		row.BarriersPer1k = so.BarriersPer1k
-	}
-	if eo := out.stats.Epoch; eo != nil {
-		row.EpochCyclesPct = eo.EpochCyclesPct
-	}
-	return row
-}
-
-// compareShardRuns cross-checks a sweep cell against its baseline run.
-func compareShardRuns(out, base runOut) (speedup float64, identical bool) {
-	identical = out.cycles == base.cycles && out.result == base.result &&
-		reflect.DeepEqual(out.stats.PerNode, base.stats.PerNode)
-	if out.perf.WallSeconds > 0 {
-		speedup = base.perf.WallSeconds / out.perf.WallSeconds
-	}
-	return speedup, identical
-}
-
-// HorizonSweep measures the epoch-window cap's effect on a sharded
-// machine: the same benchmark and shard count at several -horizon
-// values (1 degenerates to per-cycle barriers, 0 is unbounded), each
-// cross-checked bit-identical against the k=1 row. The interesting
-// columns are BarriersPer1k and EpochCyclesPct: raising the cap must
-// monotonically shift cycles from the phased path into windows without
-// moving a single simulated result.
-func HorizonSweep(benchName string, sizes Sizes, nodes, shards int, horizons []uint64) ([]ShardRow, error) {
-	src := sizes.Source(benchName)
-	var rows []ShardRow
-	var base runOut
-	for i, k := range horizons {
-		out, err := alewifeOnce(src, nodes, alewifeOpts{shards: shards, memBytes: 2 << 30, horizon: k})
-		if err != nil {
-			return nil, fmt.Errorf("horizon sweep %dp/%dshards/k=%d: %w", nodes, shards, k, err)
-		}
-		row := shardRow(benchName, nodes, shards, k, out)
-		if i == 0 {
-			base = out
-			row.Speedup, row.Identical = 1, true
-		} else {
-			row.Speedup, row.Identical = compareShardRuns(out, base)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
 // alewifeOpts selects the machine variant alewifeOnce measures.
 type alewifeOpts struct {
 	// reference selects the pre-overhaul cost profile: reference
 	// stepping loop, opcode-switch interpreter.
 	reference bool
-	// shards > 1 runs the sharded loop (mutually exclusive with
-	// reference, which forces one shard).
-	shards int
-	// memBytes sizes simulated memory (0 = the 256 MB default); memory
-	// is demand-paged, so a large address space costs only what the run
-	// touches.
-	memBytes uint32
 	// disableEpoch keeps the compiled tier but turns multi-node epoch
 	// windows off (sim.Config.DisableEpoch) — the PR 8 configuration.
 	disableEpoch bool
-	// horizon caps epoch windows at this many cycles (0 = unbounded).
-	horizon uint64
 }
 
 // alewifeOnce runs one benchmark on a fresh full-memory-system machine.
@@ -378,10 +231,7 @@ func alewifeOnce(src string, nodes int, o alewifeOpts) (runOut, error) {
 		Alewife:            &sim.AlewifeConfig{},
 		DisableFastForward: o.reference,
 		DisablePredecode:   o.reference,
-		Shards:             o.shards,
-		MemoryBytes:        o.memBytes,
 		DisableEpoch:       o.disableEpoch,
-		Horizon:            o.horizon,
 	})
 	if err != nil {
 		return runOut{}, err
@@ -402,14 +252,11 @@ func alewifeOnce(src string, nodes int, o alewifeOpts) (runOut, error) {
 		cycles: res.Cycles,
 		result: res.Formatted,
 		perf:   proc.NewPerf(res.Cycles, m.TotalStats().Instructions, time.Since(start)),
-		cross:  m.CrossShardMessages(),
 	}
 	out.perf.SetGC(gcBefore, gcAfter)
 	for _, n := range m.Nodes {
 		out.stats.PerNode = append(out.stats.PerNode, n.Proc.Stats)
 	}
-	out.stats.CrossShardMessages = out.cross
-	out.stats.Shard = shardOverhead(m)
 	out.stats.Epoch = epochOverhead(m)
 	return out, nil
 }
@@ -524,23 +371,6 @@ func Table3Perf(cfg Table3Config, sizesName string) (PerfReport, error) {
 	}
 	rep.Alewife = &alw
 
-	// Shard-scaling sweep: large tori (the sizes Section 8's model
-	// targets and the Table 3 grid never reaches), each run at several
-	// shard counts with a bit-identity cross-check.
-	rep.ShardScaling, err = ShardSweep("queens", cfg.Sizes, []int{256, 512, 1024}, []int{1, 2, 4, 8})
-	if err != nil {
-		return PerfReport{}, err
-	}
-
-	// Horizon sweep: the epoch-window cap on the 64-node 2-shard
-	// machine, from the degenerate per-cycle k=1 up to the slab width
-	// (rows of the torus per shard — the depth of the contiguous slab
-	// each shard owns).
-	rep.HorizonSweep, err = HorizonSweep("queens", cfg.Sizes, 64, 2, horizonCaps(64, 2))
-	if err != nil {
-		return PerfReport{}, err
-	}
-
 	// Checkpoint overhead: what -checkpoint-every costs per image at
 	// several machine sizes, and proof the image restores losslessly.
 	rep.CheckpointOverhead, err = CheckpointSweep("queens", cfg.Sizes, []int{16, 64, 256})
@@ -548,37 +378,6 @@ func Table3Perf(cfg Table3Config, sizesName string) (PerfReport, error) {
 		return PerfReport{}, err
 	}
 	return rep, nil
-}
-
-// horizonCaps is the sweep schedule {1, 2, 4, slab-width}: slab width
-// is the number of torus rows per shard — the depth of the contiguous
-// slab a shard owns, and the natural upper bound a decoupled-fabric
-// lookahead could justify (network.PartitionLookahead).
-func horizonCaps(nodes, shards int) []uint64 {
-	geo := network.FitGeometry(nodes)
-	rows := geo.Nodes() / geo.Radix
-	slab := uint64(rows / shards)
-	caps := []uint64{1, 2, 4}
-	if slab > 4 {
-		caps = append(caps, slab)
-	}
-	return caps
-}
-
-// ShardsIdentical reports whether every shard-scaling row reproduced
-// its sequential baseline bit-identically.
-func (r PerfReport) ShardsIdentical() bool {
-	for _, row := range r.ShardScaling {
-		if !row.Identical {
-			return false
-		}
-	}
-	for _, row := range r.HorizonSweep {
-		if !row.Identical {
-			return false
-		}
-	}
-	return true
 }
 
 // JSON renders the report for BENCH_simperf.json.
@@ -618,25 +417,6 @@ func (r PerfReport) Summary() string {
 		s += fmt.Sprintf("\n  alewife gc: %.0f -> %.0f allocs/Mcycle, %.0f -> %.0f KB/Mcycle",
 			a.Baseline.AllocsPerMcycle, a.Optimized.AllocsPerMcycle,
 			a.Baseline.BytesPerMcycle/1024, a.Optimized.BytesPerMcycle/1024)
-	}
-	for _, row := range r.ShardScaling {
-		sident := "IDENTICAL"
-		if !row.Identical {
-			sident = "MISMATCH"
-		}
-		s += fmt.Sprintf("\n  shards %s %4dp x%d: %6.2fs (%.2fx vs 1 shard, %d cross msgs, barrier %4.1f%%, fallback %4.1f%%, %.0f barriers/1k, epoch %4.1f%%, results %s)",
-			row.Benchmark, row.Nodes, row.Shards, row.Perf.WallSeconds, row.Speedup,
-			row.CrossMessages, 100*row.BarrierWaitFraction, row.FallbackPct,
-			row.BarriersPer1k, row.EpochCyclesPct, sident)
-	}
-	for _, row := range r.HorizonSweep {
-		sident := "IDENTICAL"
-		if !row.Identical {
-			sident = "MISMATCH"
-		}
-		s += fmt.Sprintf("\n  horizon %s %4dp x%d k=%-3d %6.2fs (%.0f barriers/1k, epoch %4.1f%%, results %s)",
-			row.Benchmark, row.Nodes, row.Shards, row.Horizon, row.Perf.WallSeconds,
-			row.BarriersPer1k, row.EpochCyclesPct, sident)
 	}
 	for _, row := range r.CheckpointOverhead {
 		cident := "IDENTICAL"

@@ -67,9 +67,9 @@ const MaxBlockLen = 96
 // only writes them.
 //
 // Mutability contract: Enter (the only mutating method) may be called
-// from exactly one goroutine at a time. The machine guarantees this by
-// fusing only on the coordinating goroutine (the sharded loop's
-// parallel phases never fuse).
+// from exactly one goroutine at a time. A machine's nodes share one
+// BlockSet and its run loop steps them on a single goroutine, so this
+// holds per machine; separate machines build separate sets.
 type BlockSet struct {
 	// Micro is the shared predecoded image the blocks alias.
 	Micro []Micro

@@ -130,19 +130,16 @@ func (p *page) access(idx uint32, store bool, value isa.Word) (prev isa.Word, fu
 func (m *Memory) Size() uint32 { return m.size }
 
 // InRange reports whether a word access at addr would pass the bounds
-// check (alignment aside). The sharded run loop's classifier uses it to
-// route out-of-range accesses — which must abort the run with the exact
-// reference error — to the sequential path.
+// check (alignment aside). The clock-free access paths use it to hand
+// out-of-range accesses — which must abort the run with the exact
+// reference error — back to the per-op path.
 func (m *Memory) InRange(addr uint32) bool {
 	return addr/WordBytes < m.size/WordBytes
 }
 
 // PageResident reports whether the page holding addr is already
 // materialized (false for out-of-range addresses). A store to a
-// non-resident page allocates the page as a side effect; the sharded
-// run loop only executes stores in its parallel phase when the page is
-// resident, so page materialization — a write to the page table itself
-// — always happens on the coordinating goroutine.
+// non-resident page allocates the page as a side effect.
 func (m *Memory) PageResident(addr uint32) bool {
 	idx := addr / WordBytes
 	return idx < m.size/WordBytes && m.find(idx) != nil

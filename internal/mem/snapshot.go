@@ -8,8 +8,8 @@ import (
 
 // Snapshot support. A machine image needs only the resident pages — a
 // page that is not resident reads as zero and full — and, because
-// residency is observable to the sharded run loop's access classifier
-// via PageResident, restore must reproduce the exact residency map, not
+// residency is observable (the resident-page counters and the size of
+// the next image), restore must reproduce the exact residency map, not
 // just the exact contents. There is one notion of residency: a page is
 // resident with its words and its full/empty bits, or not at all.
 

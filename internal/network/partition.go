@@ -3,14 +3,16 @@ package network
 import "fmt"
 
 // Partition splits the node ids of a k-ary n-cube into contiguous
-// blocks, one per simulation shard. Node ids enumerate the cube with
-// dimension 0 varying fastest, so a contiguous id range is a contiguous
-// slab of the torus: shard boundaries cut along the highest dimension
-// and every shard's nodes are neighbors in the topology. The sharded
-// run loop in package sim steps each block on its own goroutine and
-// exchanges boundary messages at horizon barriers; messages whose
-// source and destination fall in different blocks are the cross-shard
-// traffic the lookahead window must cover.
+// blocks ("shards"). Node ids enumerate the cube with dimension 0
+// varying fastest, so a contiguous id range is a contiguous slab of the
+// torus: block boundaries cut along the highest dimension and every
+// block's nodes are neighbors in the topology. Messages whose source
+// and destination fall in different blocks are cross-shard traffic,
+// which a conservative parallel run loop's lookahead window must cover.
+//
+// The simulator's run loop is sequential (DESIGN.md, "Why the run loop
+// is sequential"), so no loop consumes a Partition; Machine.Partition
+// exposes one for layout analysis.
 type Partition struct {
 	// bounds has one entry per shard plus a final sentinel: shard s owns
 	// nodes [bounds[s], bounds[s+1]).
@@ -87,7 +89,7 @@ func (p Partition) String() string {
 // minimum number of cycles between a message being sent and the
 // earliest cycle at which any other node can observe it. Within one
 // window, nodes in different shards cannot affect each other through
-// the interconnect, so the sharded run loop may execute them
+// the interconnect, so a parallel run loop could execute them
 // concurrently between horizon barriers.
 //
 // The ideal backend delivers every message exactly `latency` cycles

@@ -28,7 +28,6 @@ var gaugeKeys = map[string]bool{
 	"outstanding_flushes": true, // cache controller: unacked flushes
 	"threads":             true, // scheduler: live thread count
 	"max_latency":         true, // network: high-water mark, not a sum
-	"nodes":               true, // shard size (static)
 	"pages_resident":      true, // memory: 4 KiB demand pages resident
 	"resident_bytes":      true, // memory: what those pages cost the host
 }
@@ -51,11 +50,10 @@ type promFamily struct {
 
 // splitGroup decomposes a registry group name into a metric-family
 // component and an optional label. Per-instance groups follow the
-// "<kind><index>.<subsystem>" convention ("node3.proc", "node3.memory",
-// "shard1.pdes"): the subsystem becomes the family component and the
-// kind/index pair becomes a label ({node="3"}, {shard="1"}). Plain
-// groups ("scheduler", "network", "pdes", "machine") map to unlabeled
-// families.
+// "<kind><index>.<subsystem>" convention ("node3.proc",
+// "node3.memory"): the subsystem becomes the family component and the
+// kind/index pair becomes a label ({node="3"}). Plain groups
+// ("scheduler", "network", "machine") map to unlabeled families.
 func splitGroup(group string) (family, labelName, labelValue string, order int) {
 	dot := strings.IndexByte(group, '.')
 	if dot < 0 {
@@ -122,8 +120,7 @@ func escapeLabel(s string) string {
 
 // WritePrometheus renders a registry snapshot (trace.Registry.Snapshot)
 // in the Prometheus text exposition format (version 0.0.4). Every
-// metric is prefixed "april_"; per-node and per-shard groups become
-// labeled series of one family (april_proc_instructions{node="5"}),
+// metric is prefixed "april_"; per-node groups become labeled series of one family (april_proc_instructions{node="5"}),
 // so a scrape of a 64-node machine yields a handful of families, not
 // thousands. Output is deterministic: families sort by name, series by
 // numeric label value, so diffing two scrapes diffs the numbers.

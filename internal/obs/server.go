@@ -40,7 +40,6 @@ type Progress struct {
 	Instructions uint64  `json:"instructions"`
 	Utilization  float64 `json:"utilization"`
 	Nodes        int     `json:"nodes"`
-	Shards       int     `json:"shards"`
 
 	Done   bool   `json:"done"`
 	Result string `json:"result,omitempty"`
@@ -58,7 +57,7 @@ type Progress struct {
 // holds the gate for each slice; handlers take the gate between
 // slices, snapshot what they need into private buffers, release, and
 // only then write the response. A curl therefore waits at most one
-// window, the coordinator at most one snapshot, and no hook ever
+// window, the run loop at most one snapshot, and no hook ever
 // observes a machine mid-cycle.
 type Server struct {
 	hooks Hooks

@@ -10,7 +10,7 @@ import (
 // nodes — no network delivery, IPI, wake, sampler boundary, or watchdog
 // watermark falls inside the window — and then advances every node
 // through it in lockstep, one EpochStep per node per simulated cycle,
-// without per-cycle fabric ticks or barriers. EpochStep may therefore
+// without per-cycle fabric ticks. EpochStep may therefore
 // execute only ops whose effects are provably confined to this
 // processor for the cycle: the trap-free superinstruction handlers
 // (fusedOp) plus — on a machine with a real memory system — plain

@@ -82,7 +82,6 @@ func (a *AlewifeConfig) fill(nodes int) error {
 // the dense scan's per-controller work is a no-op at every cycle the
 // controller is not visited.
 type netFabric struct {
-	m     *Machine
 	cfg   *AlewifeConfig
 	net   network.Network
 	ctls  []*cacheCtl
@@ -92,27 +91,15 @@ type netFabric struct {
 
 	// Dirty-controller set and outbox calendar. Invariant: every ctl
 	// with a nonempty recallQ or an outbox entry whose readyAt has come
-	// has dirtyCtl[node] set and appears in exactly one bucket of dirty
+	// has dirtyCtl[node] set and appears exactly once in dirty
 	// (unsorted; tick sorts its snapshot); every later readyAt has its
-	// node filed in cal at that cycle. Both are bucketed by shard so the
-	// sharded run loop's parallel phases need no synchronization: a
-	// worker only touches its own shard's bucket (unsharded: one bucket).
+	// node filed in cal at that cycle.
 	dirtyCtl  []bool
-	dirty     [][]int
-	cal       []calendar.Calendar
-	shardOf   []int32            // node -> dirty bucket; nil = single bucket
+	dirty     []int
+	cal       calendar.Calendar
 	idScratch []int              // tick's sorted snapshot, reused
 	pendBuf   []int              // PendingNodes scratch, reused
 	delivBuf  []*network.Message // Deliveries scratch, reused
-
-	// Sharded-tick support (see shard.go). part is non-nil when the
-	// machine shards this fabric; staging redirects flushOutbox's
-	// network sends into per-shard buffers (drained by the coordinator
-	// at the horizon barrier) while the controllers run in parallel.
-	part      *network.Partition
-	stages    []*fabricStage
-	staging   bool
-	crossMsgs uint64 // messages sent across a shard boundary
 
 	// reference selects the pre-overhaul cost profile: tick and
 	// nextEvent scan every controller each cycle instead of the dirty
@@ -134,8 +121,7 @@ func (f *netFabric) markDirty(node int) {
 	}
 	if !f.dirtyCtl[node] {
 		f.dirtyCtl[node] = true
-		s := f.shardOf[node]
-		f.dirty[s] = append(f.dirty[s], node)
+		f.dirty = append(f.dirty, node)
 	}
 }
 
@@ -147,30 +133,18 @@ func (f *netFabric) wakeAt(node int, at uint64) {
 	case at <= f.now:
 		f.markDirty(node)
 	default:
-		f.cal[f.shardOf[node]].Add(f.now, at, node)
+		f.cal.Add(f.now, at, node)
 	}
 }
 
-// matureOutboxes moves the controllers whose delayed outbox entries
-// mature this cycle into the dirty set: top of every tick, coordinator.
-func (f *netFabric) matureOutboxes() {
-	for s := range f.cal {
-		for _, id := range f.cal[s].Due(f.now) {
-			f.markDirty(int(id))
-		}
-	}
-}
-
-// gatherDirty snapshots the whole dirty set into idScratch in ascending
-// node id (the reference all-controllers order), clearing the flags and
-// buckets so controllers that still have work re-mark themselves. The
-// returned slice is valid until the next call.
+// gatherDirty takes the dirty set, sorted into ascending node id (the
+// reference all-controllers order), and leaves an empty set on the
+// previous snapshot's buffer with the flags cleared, so controllers
+// that still have work re-mark themselves. The returned slice is valid
+// until the next call.
 func (f *netFabric) gatherDirty() []int {
-	ids := f.idScratch[:0]
-	for s, bucket := range f.dirty {
-		ids = append(ids, bucket...)
-		f.dirty[s] = bucket[:0]
-	}
+	ids := f.dirty
+	f.dirty = f.idScratch[:0]
 	slices.Sort(ids)
 	f.idScratch = ids
 	for _, id := range ids {
@@ -193,25 +167,13 @@ func (m *Machine) initAlewife() error {
 	}
 	net.SetFaultPlan(m.plan)
 	f := &netFabric{
-		m:         m,
 		cfg:       cfg,
 		net:       net,
 		dist:      mem.Distribution{Nodes: m.Cfg.Nodes, BlockSize: cfg.Cache.BlockBytes},
 		dirtyCtl:  make([]bool, m.Cfg.Nodes),
-		shardOf:   m.shardOf,
-		dirty:     make([][]int, m.part.Shards()),
-		cal:       make([]calendar.Calendar, m.part.Shards()),
 		reference: m.Cfg.DisableFastForward,
 		plan:      m.plan,
 		check:     m.checker,
-	}
-	if s := m.part.Shards(); s > 1 {
-		part := m.part
-		f.part = &part
-		f.stages = make([]*fabricStage, s)
-		for i := range f.stages {
-			f.stages[i] = &fabricStage{}
-		}
 	}
 	m.net = f
 	return nil
@@ -263,7 +225,11 @@ func (f *netFabric) tickInner() {
 		}
 		return
 	}
-	f.matureOutboxes()
+	// Controllers whose delayed outbox entries mature this cycle join
+	// the dirty set.
+	for _, id := range f.cal.Due(f.now) {
+		f.markDirty(int(id))
+	}
 	f.pendBuf = f.net.PendingNodes(f.pendBuf[:0])
 	for _, node := range f.pendBuf {
 		f.drainInto(node, f.ctls[node])
@@ -309,13 +275,10 @@ func (f *netFabric) nextEvent() uint64 {
 		}
 		return next
 	}
-	for s, bucket := range f.dirty {
-		for _, id := range bucket {
-			next = f.ctlNextEvent(f.ctls[id], next)
-		}
-		next = min(next, f.cal[s].Next(f.now))
+	for _, id := range f.dirty {
+		next = f.ctlNextEvent(f.ctls[id], next)
 	}
-	return next
+	return min(next, f.cal.Next(f.now))
 }
 
 // ctlNextEvent folds one controller's queued-work deadlines into next.
@@ -489,17 +452,6 @@ func (c *cacheCtl) flushOutbox() {
 			continue
 		}
 		f := c.fabric
-		if f.staging {
-			// Parallel fabric phase: the network is shared, so queue the
-			// send for the coordinator to apply at the horizon barrier
-			// (tickSharded replays staged sends in the sequential order).
-			st := f.stages[f.shardOf[c.node]]
-			st.sends = append(st.sends, stagedSend{src: c.node, dst: om.dst, msg: om.msg})
-			continue
-		}
-		if f.part != nil && f.part.Cross(c.node, om.dst) {
-			f.crossMsgs++
-		}
 		nm := f.net.Alloc()
 		nm.Src = c.node
 		nm.Dst = om.dst

@@ -69,8 +69,8 @@ func TestOutboxCalendarMatchesDenseScan(t *testing.T) {
 		if got, want := fast.net.Stats(), dense.net.Stats(); got != want {
 			t.Fatalf("tick %d: network saw %+v, dense scan %+v", tick, got, want)
 		}
-		if len(fast.dirty[0]) != 0 {
-			t.Fatalf("tick %d: controllers %v left dirty with only waiting replies", tick, fast.dirty[0])
+		if len(fast.dirty) != 0 {
+			t.Fatalf("tick %d: controllers %v left dirty with only waiting replies", tick, fast.dirty)
 		}
 		if !reflect.DeepEqual(fast.ctls[2].outbox, dense.ctls[2].outbox) {
 			t.Fatalf("tick %d: outbox %v, dense scan %v", tick, fast.ctls[2].outbox, dense.ctls[2].outbox)

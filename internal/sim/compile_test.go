@@ -7,8 +7,8 @@ package sim_test
 // results, only host speed changes. The matrix here pins the compiled
 // tier against the predecoded per-op path (its differential oracle,
 // selected by Config.DisableCompile) across programs, memory systems,
-// machine sizes, translation thresholds, and shard counts — including
-// the hostile cases: traps and asynchronous IPIs landing mid-block,
+// machine sizes, and translation thresholds — including the hostile
+// cases: traps and asynchronous IPIs landing mid-block,
 // future-strictness faults on operands inside a fused run, and blocks
 // entered at interior PCs.
 
@@ -187,20 +187,17 @@ func TestCompiledImagePurityAndSharing(t *testing.T) {
 	}
 }
 
-// TestCompiledShardedIdentical runs the compiled tier on a sharded
-// machine (fusion only ever happens on the coordinating goroutine, in
-// the sequential fallback) against the unsharded per-op oracle.
+// TestCompiledShardedIdentical runs the compiled tier, translating
+// every block on first entry, on a 16-node machine against the per-op
+// oracle. The cell keeps its name from when the machine could be
+// sharded: "shards1" is the one goroutine that steps every node.
 func TestCompiledShardedIdentical(t *testing.T) {
 	src := bench.QueensSource(6)
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
-			compiled := runCompileSide(t, src, sim.Config{
-				Nodes: 16, Shards: shards, CompileThreshold: 1,
-			})
-			oracle := runCompileSide(t, src, sim.Config{Nodes: 16, DisableCompile: true})
-			compareCompiled(t, compiled, oracle)
-		})
-	}
+	t.Run("shards1", func(t *testing.T) {
+		compiled := runCompileSide(t, src, sim.Config{Nodes: 16, CompileThreshold: 1})
+		oracle := runCompileSide(t, src, sim.Config{Nodes: 16, DisableCompile: true})
+		compareCompiled(t, compiled, oracle)
+	})
 }
 
 // TestKindCountsTierInvariant pins the per-kind execution counters

@@ -3,8 +3,8 @@
 //
 // The compiled tier (compile.go) only fired when a cycle had exactly
 // one stepper, so multiprocessor runs — the configuration the paper
-// actually argues for — stepped one op per node per cycle and, when
-// sharded, barriered every cycle. The epoch engine generalizes the
+// actually argues for — stepped one op per node per cycle. The epoch
+// engine generalizes the
 // isolated-window proof from "one node runs while the rest sleep" to
 // "this group of nodes runs undisturbed": before stepping a cycle with
 // two or more steppers, the machine computes the group's safe horizon —
@@ -12,8 +12,8 @@
 // ops can act — and executes every stepper in lockstep through the
 // superinstruction handlers for the whole window, batching the fabric's
 // provably uneventful ticks into one advance and paying the run loop's
-// per-cycle costs (due-set pops, merges, and on sharded machines the
-// phase barriers) once per window instead of once per cycle.
+// per-cycle costs (due-set pops, merges) once per window instead of
+// once per cycle.
 //
 // The horizon proof. A window [now, B) is safe to execute in lockstep
 // when no event from outside the stepping group can occur inside it,
@@ -26,9 +26,9 @@
 //     fabric's event horizon covers both in-flight network messages and
 //     every controller-side timer), so the per-cycle fabric ticks the
 //     reference loop would run are all no-ops and batch into one
-//     advance. IPIs ride the I/O path (classStop ops), not the fabric,
-//     and cannot appear asynchronously: only a stepper's own STIO could
-//     post one, and EpochStep refuses STIO.
+//     advance. IPIs ride the I/O path, not the fabric, and cannot
+//     appear asynchronously: only a stepper's own STIO could post one,
+//     and EpochStep refuses STIO.
 //   - B <= sampler.NextBoundary(), limit, the deadlock deadline, and
 //     the wedge-scan watermark: the observability and watchdog
 //     schedules stay exactly per-op.
@@ -47,7 +47,7 @@
 // commitment needs no rewind: the committed prefix is bit-identical to
 // per-cycle stepping by construction, and the differential matrices in
 // epoch_test.go hold every {reference, predecode, compiled, epoch} x
-// {shard count} x {horizon} row to that.
+// {horizon} row to that.
 
 package sim
 

@@ -4,8 +4,8 @@ package sim_test
 // epoch.go + proc's epoch.go): multi-node lockstep execution through
 // the compiled tier across provably safe horizons. The engine's
 // contract is the strongest one in the simulator — bit-identical
-// simulated results against every other execution mode, at any shard
-// count and any horizon cap, with mid-epoch fallbacks (an IPI, trap,
+// simulated results against every other execution mode, at any
+// horizon cap, with mid-epoch fallbacks (an IPI, trap,
 // miss, or run-ending op inside a committed window's reach) resolved
 // by refusing BEFORE the unsafe op rather than by rewinding after it.
 
@@ -22,8 +22,8 @@ import (
 // TestEpochMatchesOracles is the engine's differential matrix: two
 // programs (perfect memory and the full ALEWIFE memory system) run
 // through all four execution modes — reference, predecode, compiled
-// with epochs off, compiled with epochs on — crossed with shard counts
-// and horizon caps. Every cell must agree with the reference row on
+// with epochs off, compiled with epochs on — crossed with horizon caps.
+// Every cell must agree with the reference row on
 // cycles, result, and every node's full statistics.
 func TestEpochMatchesOracles(t *testing.T) {
 	cases := []struct {
@@ -54,9 +54,6 @@ func TestEpochMatchesOracles(t *testing.T) {
 				"epoch-k1":         mk(func(c *sim.Config) { c.Horizon = 1 }),
 				"epoch-k2":         mk(func(c *sim.Config) { c.Horizon = 2 }),
 				"epoch-k4":         mk(func(c *sim.Config) { c.Horizon = 4 }),
-				"epoch-2shards":    mk(func(c *sim.Config) { c.Shards = 2 }),
-				"epoch-2shards-k2": mk(func(c *sim.Config) { c.Shards = 2; c.Horizon = 2 }),
-				"epoch-4shards":    mk(func(c *sim.Config) { c.Shards = 4 }),
 			}
 			for name, cfg := range rows {
 				t.Run(name, func(t *testing.T) {
@@ -98,7 +95,7 @@ func TestEpochHorizonBoundaryDeliveries(t *testing.T) {
 
 // TestEpochUnsafeOpsForceFallback pins the mid-epoch fallback
 // mechanism: on a multi-node machine the runtime's syscalls, IPIs
-// (STIO is classStop and refused by EpochStep), traps, and cache
+// (STIO is refused by EpochStep), traps, and cache
 // misses all land inside stretches the horizon bound would otherwise
 // cover, so the engine must both commit real windows AND stop early
 // for the unsafe ops — never reorder them. The run is held
@@ -134,35 +131,6 @@ func TestEpochUnsafeOpsForceFallback(t *testing.T) {
 	}
 	if et.Ops < et.Cycles {
 		t.Errorf("Ops %d < Cycles %d: a committed cycle steps every stepper", et.Ops, et.Cycles)
-	}
-}
-
-// TestEpochShardBatchMatrix crosses epoch windows with the sharded
-// loop's batching knob: ShardBatch > 1 changes which cycles take the
-// phased parallel path versus the sequential fallback, and epoch
-// windows must compose with both (the engine runs before
-// classification and hands partial cycles to the sequential body).
-func TestEpochShardBatchMatrix(t *testing.T) {
-	src := bench.QueensSource(6)
-	ref := runCompileSide(t, src, sim.Config{
-		Nodes: 8, Alewife: &sim.AlewifeConfig{}, DisableEpoch: true,
-	})
-	for _, batch := range []int{2, 4} {
-		for _, k := range []uint64{0, 2, 4} {
-			out := runCompileSide(t, src, sim.Config{
-				Nodes: 8, Alewife: &sim.AlewifeConfig{},
-				Shards: 2, ShardBatch: batch, Horizon: k,
-			})
-			if out.cycles != ref.cycles || out.value != ref.value {
-				t.Errorf("batch=%d k=%d: cycles %d result %q, oracle %d %q",
-					batch, k, out.cycles, out.value, ref.cycles, ref.value)
-			}
-			for i := range out.stats {
-				if !reflect.DeepEqual(out.stats[i], ref.stats[i]) {
-					t.Errorf("batch=%d k=%d node %d stats diverge", batch, k, i)
-				}
-			}
-		}
 	}
 }
 

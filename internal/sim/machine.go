@@ -48,26 +48,6 @@ type Config struct {
 	// Alewife enables the full memory system; nil = perfect memory.
 	Alewife *AlewifeConfig
 
-	// Shards splits the machine's nodes into that many contiguous blocks
-	// and runs them on parallel worker goroutines (conservative PDES with
-	// per-cycle horizon barriers; see shard.go and DESIGN.md "Parallel
-	// simulation"). Simulated results — cycle counts, Stats, answers —
-	// are bit-identical for every shard count; the differential tests in
-	// shard_test.go hold the sharded loop to that. <= 1 keeps the
-	// sequential loop; values above Nodes are clamped. Forced to 1 when
-	// DisableFastForward (the oracle loop is the point of that flag) or
-	// Check (the invariant checkers read cross-node state on every
-	// transition, which would race across shards) is set.
-	Shards int
-
-	// ShardBatch is the minimum number of same-cycle work items (node
-	// steps, fabric deliveries + dirty controllers) before a sharded
-	// cycle's phase is dispatched to the workers; smaller cycles run
-	// inline on the coordinating goroutine, where the handoff would cost
-	// more than it buys. 0 means 8 per shard. Tests set 1 to force every
-	// eligible cycle through the parallel phases.
-	ShardBatch int
-
 	// DisableFastForward forces the reference stepping loop: one
 	// iteration per simulated cycle, visiting every node to decrement
 	// its relative busy counter. The default loop instead keeps
@@ -215,18 +195,6 @@ type Machine struct {
 	nextSchedCheck uint64         // next scheduler-conservation watermark
 	nextWedgeCheck uint64         // next stuck-remote-op (livelock) scan
 
-	// Sharded execution (see shard.go): the node partition (one block
-	// per worker; a single block when unsharded), each node's shard, and
-	// the lazily started worker pool.
-	part    network.Partition
-	shardOf []int32
-	shr     *shardRunner
-
-	// Host-side PDES telemetry (see telemetry.go). shardTel has one
-	// entry per shard; both stay zero on unsharded machines.
-	pdes     PDESStats
-	shardTel []ShardTelemetry
-
 	// lastProgress is the cycle of the most recent instruction
 	// retirement anywhere in the machine — the deadlock watchdog's
 	// baseline. A Machine field (not a run-loop local) so detection
@@ -341,26 +309,6 @@ func New(cfg Config) (*Machine, error) {
 	m.nextSchedCheck = schedCheckInterval
 	m.nextWedgeCheck = wedgeInterval
 
-	// The shard layout exists for every machine (a single block when
-	// unsharded) so Partition() and the fabric's dirty buckets need no
-	// special cases. It is fixed before initAlewife, which wires it into
-	// the fabric. The oracle loop and the invariant checkers force one
-	// shard: the former is the sequential reference by definition, the
-	// latter read cross-node state on every protocol transition.
-	shards := cfg.Shards
-	if cfg.DisableFastForward || cfg.Check {
-		shards = 1
-	}
-	m.part = network.ComputePartition(cfg.Nodes, shards)
-	m.shardOf = make([]int32, cfg.Nodes)
-	for s := 0; s < m.part.Shards(); s++ {
-		lo, hi := m.part.Block(s)
-		for i := lo; i < hi; i++ {
-			m.shardOf[i] = int32(s)
-		}
-	}
-	m.shardTel = make([]ShardTelemetry, m.part.Shards())
-
 	if cfg.Alewife != nil {
 		if err := m.initAlewife(); err != nil {
 			return nil, err
@@ -436,9 +384,8 @@ func (m *Machine) Load(prog *isa.Program) error {
 		}
 		if !m.Cfg.DisableCompile && !m.Cfg.DisableFastForward && !m.Cfg.Check {
 			// Arm the compiled tier: one block-translation set over the
-			// shared image (profiled and translated only on the
-			// coordinating goroutine), sized here so steady state
-			// allocates nothing. Memory ops fuse only on perfect memory
+			// shared image, sized here so steady state allocates
+			// nothing. Memory ops fuse only on perfect memory
 			// — in ALEWIFE mode a miss inside a fused window would
 			// stamp network messages mid-window.
 			bs := isa.NewBlockSet(micro, m.Cfg.CompileThreshold, m.Cfg.Alewife == nil)
@@ -573,9 +520,6 @@ func (m *Machine) runGuarded(limit uint64) (hit bool, err error) {
 	if m.Cfg.DisableFastForward {
 		return m.runReferenceUntil(limit)
 	}
-	if m.part.Shards() > 1 {
-		return m.runShardedUntil(limit)
-	}
 	return m.runFastUntil(limit)
 }
 
@@ -648,11 +592,6 @@ func (m *Machine) runEventful(limit uint64) (hit bool, err error) {
 		}
 	}
 }
-
-// Partition exposes the machine's shard layout: contiguous node blocks,
-// one per worker goroutine (a single block covering every node when the
-// machine is unsharded).
-func (m *Machine) Partition() network.Partition { return m.part }
 
 // deadlockErr builds the deadlock error: the machine-wide counts the
 // one-line error always carried, extended with per-node ready/blocked
@@ -824,28 +763,23 @@ func (m *Machine) runFastUntil(limit uint64) (hitLimit bool, err error) {
 				continue
 			}
 		}
-		if err := m.sequentialCycle(steps, limit); err != nil {
+		// With exactly one stepper, first try to run that node's
+		// compiled tier across a whole isolated window (see compile.go).
+		keep := m.keepBuf[:0]
+		if m.compileOn && len(steps) == 1 {
+			used, err := m.fusedStep(steps[0], limit, &keep)
+			if err != nil {
+				return false, err
+			}
+			if used {
+				steps = nil
+			}
+		}
+		if err := m.finishCycle(steps, keep); err != nil {
 			return false, err
 		}
 	}
 	return false, nil
-}
-
-// sequentialCycle executes cycle m.now for steps on the calling
-// goroutine. With exactly one stepper it first tries to run that node's
-// compiled tier across a whole isolated window (see compile.go).
-func (m *Machine) sequentialCycle(steps []int, limit uint64) error {
-	keep := m.keepBuf[:0]
-	if m.compileOn && len(steps) == 1 {
-		used, err := m.fusedStep(steps[0], limit, &keep)
-		if err != nil {
-			return err
-		}
-		if used {
-			steps = nil
-		}
-	}
-	return m.finishCycle(steps, keep)
 }
 
 // advance moves simulated time to the next cycle in which anything can
@@ -1166,6 +1100,13 @@ func (m *Machine) parkedWork() bool {
 
 // Now returns the current simulated cycle.
 func (m *Machine) Now() uint64 { return m.now }
+
+// Partition lays the machine's nodes out in at most shards contiguous
+// blocks, slabs of the torus (network.ComputePartition). It is layout
+// arithmetic only: the run loop steps every node on one goroutine.
+func (m *Machine) Partition(shards int) network.Partition {
+	return network.ComputePartition(len(m.Nodes), shards)
+}
 
 // KindTotals sums the per-MicroKind dispatch counters across nodes:
 // the machine's opcode mix, keyed by handler-kind name. All three

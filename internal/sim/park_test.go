@@ -1,7 +1,7 @@
 package sim_test
 
 // Differential tests for parked idle nodes (wake.go): on machines that
-// are mostly idle, the work-proportional loops elide the idle polls
+// are mostly idle, the work-proportional loop elides the idle polls
 // that cannot find work and charge them in closed form. Everything an
 // observer can see — cycles, answers, every node's Stats, sampler rows,
 // snapshot images, the cycle an IPI is taken, the cycle and text of a
@@ -37,7 +37,6 @@ type parkCell struct {
 	faults  *fault.Config
 
 	reference bool   // reference loop and interpreter
-	shards    int    // sharded loop, every eligible cycle parallel
 	noCompile bool   // predecoded per-op tier only
 	noEpoch   bool   // compiled tier without epoch windows
 	slice     uint64 // drive in RunWindow slices of this many cycles (0 = one Run)
@@ -57,8 +56,6 @@ func (c parkCell) machine(t *testing.T) *sim.Machine {
 		Faults:             c.faults,
 		DisableFastForward: c.reference,
 		DisablePredecode:   c.reference,
-		Shards:             c.shards,
-		ShardBatch:         1,
 		DisableCompile:     c.noCompile,
 		DisableEpoch:       c.noEpoch,
 	})
@@ -146,8 +143,8 @@ func TestParkDifferentialMatrix(t *testing.T) {
 }
 
 // TestParkTierPairings: the parked fast loop against every surviving
-// execution pairing on a mostly idle ALEWIFE machine — sharded loops,
-// compiled tier off, epoch windows off, fault plans armed.
+// execution pairing on a mostly idle ALEWIFE machine — compiled tier
+// off, epoch windows off, fault plans armed.
 func TestParkTierPairings(t *testing.T) {
 	base := parkCell{src: bench.QueensSource(5), nodes: 27, alewife: true, prof: rts.APRIL}
 	plans := []*fault.Config{nil}
@@ -163,8 +160,6 @@ func TestParkTierPairings(t *testing.T) {
 		want, _ := ref.run(t)
 		variants := map[string]func(*parkCell){
 			"fast":       func(*parkCell) {},
-			"2-shards":   func(c *parkCell) { c.shards = 2 },
-			"4-shards":   func(c *parkCell) { c.shards = 4 },
 			"no-compile": func(c *parkCell) { c.noCompile = true },
 			"no-epoch":   func(c *parkCell) { c.noEpoch = true },
 		}
@@ -268,7 +263,7 @@ func TestParkRunForIdleNodes(t *testing.T) {
 // byte-identical to the reference-loop machine's image at the same
 // cycle (a parked node is written as the busy-remaining it already has
 // in the canonical form), and restores to the same finish under the
-// fast, reference and sharded loops.
+// fast and reference loops.
 func TestParkSnapshotMidPark(t *testing.T) {
 	for _, aw := range []bool{false, true} {
 		cell := parkCell{src: bench.QueensSource(5), nodes: 27, alewife: aw, prof: rts.APRIL}
@@ -302,7 +297,6 @@ func TestParkSnapshotMidPark(t *testing.T) {
 				for name, ov := range map[string]sim.RestoreOverrides{
 					"fast":      {},
 					"reference": {Reference: true},
-					"2-shards":  {Shards: 2, ShardBatch: 1},
 				} {
 					m2, err := sim.Restore(fimg, ov)
 					if err != nil {

@@ -12,8 +12,8 @@ package sim
 // dirty sets, derived indices, telemetry of the host's own performance
 // — is reconstructed from the simulated state instead. That is what
 // lets one image restore under any execution tier (reference,
-// predecoded, compiled, epoch, sharded): the tiers share simulated
-// semantics and differ only in host bookkeeping.
+// predecoded, compiled, epoch): the tiers share simulated semantics and
+// differ only in host bookkeeping.
 //
 // An image is self-contained. It embeds the program (instructions via
 // isa.Encode, symbols, entry) and the machine-defining configuration —
@@ -22,16 +22,15 @@ package sim
 // (snapshot.Hash; the payload checksum is a separate CRC-32C) is the
 // header's config hash: two images restore into the same run iff their
 // hashes match, which is how the divergence bisector pairs checkpoints
-// without decoding them. Host knobs (tier selection,
-// shards, Check, output writer) are deliberately NOT part of identity:
-// restoring under a different tier than the one that wrote the image
-// is the point.
+// without decoding them. Host knobs (tier selection, Check, output
+// writer) are deliberately NOT part of identity: restoring under a
+// different tier than the one that wrote the image is the point.
 //
 // Not captured, by design:
 //   - trace ring contents and sampler rows (host-side flight-recorder
 //     windows; the rings' event counters and the sampler's window
 //     boundary round-trip as cursors, see internal/trace/snapshot.go)
-//   - host telemetry: fused/epoch/PDES counters restart at zero
+//   - host telemetry: fused/epoch/park counters restart at zero
 //   - the static heap cursor (compile-time state; programs are loaded
 //     from the image, never recompiled into the restored machine)
 
@@ -104,8 +103,8 @@ func (m *Machine) ConfigHash() (uint64, error) {
 
 // RestoreOverrides are the host-side knobs a restored machine takes
 // from the caller rather than the image: how to execute, not what to
-// execute. The zero value restores at full speed — all tiers armed,
-// unsharded, no checkers, no tracing.
+// execute. The zero value restores at full speed — all tiers armed, no
+// checkers, no tracing.
 type RestoreOverrides struct {
 	Out io.Writer
 
@@ -114,8 +113,6 @@ type RestoreOverrides struct {
 	DisableEpoch     bool
 	CompileThreshold int
 	Horizon          uint64
-	Shards           int
-	ShardBatch       int
 	Check            bool
 
 	Trace            bool   // attach an event tracer (cursors continue from the image)
@@ -146,8 +143,6 @@ func Restore(img []byte, ov RestoreOverrides) (*Machine, error) {
 	cfg.DisableEpoch = ov.DisableEpoch
 	cfg.CompileThreshold = ov.CompileThreshold
 	cfg.Horizon = ov.Horizon
-	cfg.Shards = ov.Shards
-	cfg.ShardBatch = ov.ShardBatch
 	cfg.Check = ov.Check
 	// The checksum passed, so whatever New or Load refuses is what the
 	// image says: an identity section no machine could have written.
@@ -204,8 +199,8 @@ func (m *Machine) SetCheckpointInfo(cycle uint64, imageBytes int, restoreCmd str
 
 // ===========================================================================
 // Identity: program + machine-defining configuration. Everything here
-// is covered by the header's config hash. Host knobs (tiers, shards,
-// Check, Out) are intentionally absent.
+// is covered by the header's config hash. Host knobs (tiers, Check,
+// Out) are intentionally absent.
 // ===========================================================================
 
 func (m *Machine) encodeIdentity(w *snapshot.Writer) {

@@ -16,7 +16,7 @@ import (
 // cycle 20000 (at 64 nodes, the benchmark's ckpt64 donor).
 func queensDonor(tb testing.TB, nodes int) *sim.Machine {
 	tb.Helper()
-	m, err := sim.New(snapConfig{nodes: nodes, shards: 1, aw: true}.simConfig())
+	m, err := sim.New(snapConfig{nodes: nodes, aw: true}.simConfig())
 	if err != nil {
 		tb.Fatal(err)
 	}

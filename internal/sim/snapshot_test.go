@@ -4,7 +4,7 @@ package sim_test
 // machine snapshotted mid-run and restored must reach a bit-identical
 // end state — same cycle count, same answer, same per-node Stats — as
 // the machine that kept running, across every cell of the
-// (program x memory system x machine size x shard count x faults)
+// (program x memory system x machine size x faults)
 // matrix, and across execution tiers (an image written by the compiled
 // tier restores under the reference loop, and vice versa). Malformed
 // images must fail with structured errors, never panics. All tests
@@ -33,7 +33,6 @@ import (
 
 type snapConfig struct {
 	nodes  int
-	shards int
 	aw     bool
 	faults bool
 }
@@ -49,12 +48,10 @@ func (c snapConfig) simConfig() sim.Config {
 		fc = &f
 	}
 	return sim.Config{
-		Nodes:      c.nodes,
-		Profile:    rts.APRIL,
-		Alewife:    aw,
-		Shards:     c.shards,
-		ShardBatch: 1,
-		Faults:     fc,
+		Nodes:   c.nodes,
+		Profile: rts.APRIL,
+		Alewife: aw,
+		Faults:  fc,
 	}
 }
 
@@ -122,25 +119,19 @@ func TestSnapshotDifferentialMatrix(t *testing.T) {
 				mode = "alewife"
 			}
 			for _, nodes := range []int{1, 4, 64} {
-				for _, shards := range []int{1, 4} {
-					if shards > nodes {
-						continue
+				for _, faults := range []bool{false, true} {
+					if faults && !aw {
+						continue // fault plans perturb the memory fabric; perfect memory has none
 					}
-					for _, faults := range []bool{false, true} {
-						if faults && !aw {
-							continue // fault plans perturb the memory fabric; perfect memory has none
-						}
-						cell := fmt.Sprintf("%s/%s/%dp/%dshards/faults=%v", name, mode, nodes, shards, faults)
-						t.Run(cell, func(t *testing.T) {
-							cfg := snapConfig{nodes: nodes, shards: shards, aw: aw, faults: faults}
-							m := snapMachine(t, src, cfg.simConfig())
-							orig, restored := roundTrip(t, m, 2048, sim.RestoreOverrides{
-								Shards:     shards,
-								ShardBatch: 1,
-							})
-							compareOutcomes(t, restored, orig)
-						})
-					}
+					// "1shards" keeps the cell names stable: every
+					// run steps its machine on one goroutine.
+					cell := fmt.Sprintf("%s/%s/%dp/1shards/faults=%v", name, mode, nodes, faults)
+					t.Run(cell, func(t *testing.T) {
+						cfg := snapConfig{nodes: nodes, aw: aw, faults: faults}
+						m := snapMachine(t, src, cfg.simConfig())
+						orig, restored := roundTrip(t, m, 2048, sim.RestoreOverrides{})
+						compareOutcomes(t, restored, orig)
+					})
 				}
 			}
 		}
@@ -152,7 +143,7 @@ func TestSnapshotDifferentialMatrix(t *testing.T) {
 // ran straight through.
 func TestSnapshotDoesNotPerturb(t *testing.T) {
 	src := bench.QueensSource(5)
-	cfg := snapConfig{nodes: 8, shards: 1, aw: true}
+	cfg := snapConfig{nodes: 8, aw: true}
 	straight := finishOutcome(t, snapMachine(t, src, cfg.simConfig()))
 
 	m := snapMachine(t, src, cfg.simConfig())
@@ -167,12 +158,12 @@ func TestSnapshotDoesNotPerturb(t *testing.T) {
 
 // TestSnapshotCrossTierRestore: one image, written by the default
 // (compiled) tier, restored under every other tier — reference loop,
-// predecode-only, epoch-disabled, sharded — all reaching the same end
+// predecode-only, epoch-disabled, checked — all reaching the same end
 // state. Tier choice is a host decision and must never leak into
 // simulated results.
 func TestSnapshotCrossTierRestore(t *testing.T) {
 	src := bench.FibSource(10)
-	cfg := snapConfig{nodes: 8, shards: 1, aw: true}
+	cfg := snapConfig{nodes: 8, aw: true}
 	m := snapMachine(t, src, cfg.simConfig())
 	if _, err := m.RunWindow(2048); err != nil {
 		t.Fatal(err)
@@ -188,7 +179,6 @@ func TestSnapshotCrossTierRestore(t *testing.T) {
 		"reference": {Reference: true},
 		"predecode": {DisableCompile: true},
 		"no-epoch":  {DisableEpoch: true},
-		"sharded":   {Shards: 4, ShardBatch: 1},
 		"checked":   {Check: true},
 	}
 	for name, ov := range tiers {
@@ -208,7 +198,7 @@ func TestSnapshotCrossTierRestore(t *testing.T) {
 // phases — startup, steady state, near completion.
 func TestSnapshotRepeatedWindows(t *testing.T) {
 	src := bench.FibSource(9)
-	cfg := snapConfig{nodes: 4, shards: 1, aw: true}
+	cfg := snapConfig{nodes: 4, aw: true}
 	m := snapMachine(t, src, cfg.simConfig())
 
 	var images [][]byte
@@ -238,7 +228,7 @@ func TestSnapshotRepeatedWindows(t *testing.T) {
 
 // TestSnapshotConfigHash: images from the same run carry the same
 // identity hash; changing the machine-defining configuration or the
-// program changes it; host knobs (shards) do not.
+// program changes it; host knobs (tier selection) do not.
 func TestSnapshotConfigHash(t *testing.T) {
 	hash := func(src string, cfg sim.Config) uint64 {
 		m := snapMachine(t, src, cfg)
@@ -250,17 +240,17 @@ func TestSnapshotConfigHash(t *testing.T) {
 	}
 	// New fills the shared *AlewifeConfig in place, so every machine
 	// gets a freshly built Config.
-	base := func() sim.Config { return snapConfig{nodes: 4, shards: 1, aw: true}.simConfig() }
+	base := func() sim.Config { return snapConfig{nodes: 4, aw: true}.simConfig() }
 	src := bench.FibSource(8)
 	h0 := hash(src, base())
 
 	if h := hash(src, base()); h != h0 {
 		t.Errorf("same config hashes differ: %#x vs %#x", h, h0)
 	}
-	sharded := base()
-	sharded.Shards = 4
-	if h := hash(src, sharded); h != h0 {
-		t.Errorf("host knob (shards) changed the config hash")
+	predecode := base()
+	predecode.DisableCompile = true
+	if h := hash(src, predecode); h != h0 {
+		t.Errorf("host knob (tier) changed the config hash")
 	}
 	bigger := base()
 	bigger.Nodes = 8
@@ -290,7 +280,7 @@ func TestSnapshotConfigHash(t *testing.T) {
 // errors classifiable by errors.Is — never a panic, never a silently
 // wrong machine.
 func TestSnapshotImageValidation(t *testing.T) {
-	m := snapMachine(t, bench.FibSource(8), snapConfig{nodes: 4, shards: 1, aw: true}.simConfig())
+	m := snapMachine(t, bench.FibSource(8), snapConfig{nodes: 4, aw: true}.simConfig())
 	if _, err := m.RunWindow(1024); err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +330,7 @@ func TestSnapshotImageValidation(t *testing.T) {
 // SetCheckpointInfo tells the user where the last checkpoint is and how
 // to resume from it (satellite: crash recovery UX).
 func TestSnapshotCrashReportIncludesCheckpoint(t *testing.T) {
-	cfg := snapConfig{nodes: 4, shards: 1, aw: true}.simConfig()
+	cfg := snapConfig{nodes: 4, aw: true}.simConfig()
 	cfg.MaxCycles = 4096 // far below completion: force a budget crash
 	m := snapMachine(t, bench.QueensSource(5), cfg)
 	m.SetCheckpointInfo(1024, 400_000, "april -restore ckpt/000001024.img")
@@ -368,7 +358,7 @@ func TestSnapshotCrashReportIncludesCheckpoint(t *testing.T) {
 // in a run restored from a pre-sabotage checkpoint — the property the
 // divergence bisector depends on.
 func TestSnapshotSabotageDeterminism(t *testing.T) {
-	cfg := snapConfig{nodes: 4, shards: 1, aw: true}.simConfig()
+	cfg := snapConfig{nodes: 4, aw: true}.simConfig()
 	cfg.SabotageCycle = 3000
 	m := snapMachine(t, bench.QueensSource(5), cfg)
 	if _, err := m.RunWindow(1024); err != nil {
@@ -427,7 +417,7 @@ func memoryPages(m *sim.Machine) map[uint32]residentPage {
 // process touched while rebuilding the machine do not stay, and a page
 // beyond a memory that ends inside its last 256 KiB group is refused.
 func TestSnapshotMemoryResidency(t *testing.T) {
-	cfg := snapConfig{nodes: 2, shards: 1, aw: true}.simConfig()
+	cfg := snapConfig{nodes: 2, aw: true}.simConfig()
 	cfg.MemoryBytes = 16<<20 + 3*4096 // not a multiple of 256 KiB
 	m := snapMachine(t, bench.FibSource(8), cfg)
 	if _, err := m.RunWindow(1024); err != nil {
@@ -475,12 +465,11 @@ func TestSnapshotMemoryResidency(t *testing.T) {
 
 // TestSnapshotImageLoopInvariant: an image taken mid-run is the same
 // bytes whether the fast or the reference loop ran the machine there,
-// and restores to the same finish under the fast, reference and
-// 2-shard loops.
+// and restores to the same finish under the fast and reference loops.
 func TestSnapshotImageLoopInvariant(t *testing.T) {
 	src := bench.QueensSource(5)
-	fast := snapMachine(t, src, snapConfig{nodes: 8, shards: 1, aw: true}.simConfig())
-	refCfg := snapConfig{nodes: 8, shards: 1, aw: true}.simConfig()
+	fast := snapMachine(t, src, snapConfig{nodes: 8, aw: true}.simConfig())
+	refCfg := snapConfig{nodes: 8, aw: true}.simConfig()
 	refCfg.DisableFastForward, refCfg.DisablePredecode = true, true
 	ref := snapMachine(t, src, refCfg)
 	var imgs [2][]byte
@@ -500,7 +489,6 @@ func TestSnapshotImageLoopInvariant(t *testing.T) {
 	for name, ov := range map[string]sim.RestoreOverrides{
 		"fast":      {},
 		"reference": {Reference: true},
-		"2-shard":   {Shards: 2, ShardBatch: 1},
 	} {
 		m, err := sim.Restore(imgs[0], ov)
 		if err != nil {
@@ -565,7 +553,7 @@ func TestSnapshotHostileIdentity(t *testing.T) {
 	}
 	for name, mutate := range cases {
 		t.Run(name, func(t *testing.T) {
-			m := snapMachine(t, bench.FibSource(8), snapConfig{nodes: 4, shards: 1, aw: true}.simConfig())
+			m := snapMachine(t, bench.FibSource(8), snapConfig{nodes: 4, aw: true}.simConfig())
 			mutate(&m.Cfg) // Snapshot encodes m.Cfg: a sealed image of the hostile identity
 			img, err := m.Snapshot()
 			if err != nil {
@@ -574,7 +562,7 @@ func TestSnapshotHostileIdentity(t *testing.T) {
 			if _, err := sim.Restore(img, sim.RestoreOverrides{}); !errors.Is(err, snapshot.ErrCorrupt) {
 				t.Errorf("Restore: %v, want ErrCorrupt", err)
 			}
-			cfg := snapConfig{nodes: 4, shards: 1, aw: true}.simConfig()
+			cfg := snapConfig{nodes: 4, aw: true}.simConfig()
 			sim.New(cfg) // fills cfg.Alewife's defaults in place
 			mutate(&cfg)
 			if _, err := sim.New(cfg); err == nil {
@@ -589,7 +577,7 @@ func TestSnapshotHostileIdentity(t *testing.T) {
 // — never a panic, never an allocation sized by a hostile field.
 func FuzzRestore(f *testing.F) {
 	for _, aw := range []bool{false, true} {
-		cfg := snapConfig{nodes: 2, shards: 1, aw: aw}.simConfig()
+		cfg := snapConfig{nodes: 2, aw: aw}.simConfig()
 		cfg.MemoryBytes = 16 << 20
 		if aw {
 			cfg.Alewife.Cache = cache.Config{SizeBytes: 1 << 10, BlockBytes: 16, Assoc: 2}

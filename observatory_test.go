@@ -39,10 +39,7 @@ func httpGetBody(t *testing.T, url string) string {
 // TestObsDifferentialMatrix proves the observatory is observation-only:
 // for fib and queens on perfect and ALEWIFE memory, a run with the full
 // observatory armed — live server, event trace, timeline, counter
-// snapshot — at 1 and 4 shards reproduces the plain sequential run's
-// result bit-identically, and the sampler rows (including the
-// NetInFlight and OutstandingRemote gauges) are identical sharded vs
-// sequential.
+// snapshot — reproduces the plain run's result bit-identically.
 func TestObsDifferentialMatrix(t *testing.T) {
 	for _, benchName := range []string{"fib", "queens"} {
 		src := april.BenchmarkSource(benchName, april.TestSizes)
@@ -63,34 +60,26 @@ func TestObsDifferentialMatrix(t *testing.T) {
 				t.Fatalf("%s: plain run: %v", name, err)
 			}
 
-			var timelines [][]byte
-			for _, shards := range []int{1, 4} {
-				var chrome, timeline, counters bytes.Buffer
-				o := plain
-				o.Shards = shards
-				o.Serve = "127.0.0.1:0"
-				o.Trace = &april.TraceOptions{
-					ChromeOut:    &chrome,
-					TimelineOut:  &timeline,
-					TimelineJSON: true,
-					CountersOut:  &counters,
-				}
-				got, err := april.Run(src, o)
-				if err != nil {
-					t.Fatalf("%s x%d: observed run: %v", name, shards, err)
-				}
-				if stripHostPerf(got) != stripHostPerf(base) {
-					t.Errorf("%s x%d: observed result differs from plain run:\n got %+v\nwant %+v",
-						name, shards, stripHostPerf(got), stripHostPerf(base))
-				}
-				if chrome.Len() == 0 || timeline.Len() == 0 || counters.Len() == 0 {
-					t.Errorf("%s x%d: empty observability output (chrome %d, timeline %d, counters %d bytes)",
-						name, shards, chrome.Len(), timeline.Len(), counters.Len())
-				}
-				timelines = append(timelines, timeline.Bytes())
+			var chrome, timeline, counters bytes.Buffer
+			o := plain
+			o.Serve = "127.0.0.1:0"
+			o.Trace = &april.TraceOptions{
+				ChromeOut:    &chrome,
+				TimelineOut:  &timeline,
+				TimelineJSON: true,
+				CountersOut:  &counters,
 			}
-			if !bytes.Equal(timelines[0], timelines[1]) {
-				t.Errorf("%s: sampler rows differ sharded vs sequential", name)
+			got, err := april.Run(src, o)
+			if err != nil {
+				t.Fatalf("%s: observed run: %v", name, err)
+			}
+			if stripHostPerf(got) != stripHostPerf(base) {
+				t.Errorf("%s: observed result differs from plain run:\n got %+v\nwant %+v",
+					name, stripHostPerf(got), stripHostPerf(base))
+			}
+			if chrome.Len() == 0 || timeline.Len() == 0 || counters.Len() == 0 {
+				t.Errorf("%s: empty observability output (chrome %d, timeline %d, counters %d bytes)",
+					name, chrome.Len(), timeline.Len(), counters.Len())
 			}
 		}
 	}
@@ -106,7 +95,6 @@ func TestObsLiveEndpoints(t *testing.T) {
 	o := april.Options{
 		Processors: 8,
 		Alewife:    &april.AlewifeOptions{},
-		Shards:     2,
 		Output:     io.Discard,
 		Serve:      "127.0.0.1:0",
 		ServeNotify: func(url string) {
@@ -124,24 +112,23 @@ func TestObsLiveEndpoints(t *testing.T) {
 	}
 
 	var p struct {
-		Cycle  uint64 `json:"cycle"`
-		Nodes  int    `json:"nodes"`
-		Shards int    `json:"shards"`
-		Done   bool   `json:"done"`
+		Cycle uint64 `json:"cycle"`
+		Nodes int    `json:"nodes"`
+		Done  bool   `json:"done"`
 	}
 	if err := json.Unmarshal([]byte(progressBody), &p); err != nil {
 		t.Fatalf("progress JSON: %v\n%s", err, progressBody)
 	}
-	if p.Nodes != 8 || p.Shards != 2 || p.Done {
+	if p.Nodes != 8 || p.Cycle != 0 || p.Done {
 		t.Errorf("progress = %+v", p)
 	}
 
 	for _, want := range []string{
-		"april_pdes_parallel_cycles",
-		"april_pdes_barrier_wait_ns",
-		"april_pdes_fallback_small",
-		`april_pdes_local_steps{shard="1"}`,
-		"april_network_cross_shard_messages",
+		"april_memory_resident_bytes",
+		"april_compile_translated_blocks",
+		"april_park_polls_elided",
+		`april_proc_instructions{node="7"}`,
+		"april_network_in_flight",
 	} {
 		if !strings.Contains(metricsBody, want) {
 			t.Errorf("missing %q in /metrics:\n%s", want, metricsBody)
@@ -152,7 +139,7 @@ func TestObsLiveEndpoints(t *testing.T) {
 	if err := json.Unmarshal([]byte(countersBody), &counters); err != nil {
 		t.Fatalf("counters JSON: %v", err)
 	}
-	for _, group := range []string{"pdes", "shard0.pdes", "shard1.pdes"} {
+	for _, group := range []string{"machine", "memory", "compile", "park", "node7.memory"} {
 		if _, ok := counters[group]; !ok {
 			t.Errorf("counters missing group %q", group)
 		}
