@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test verify fmt-check fuzz-smoke bench benchmark-smoke perf compile-smoke epoch-smoke checkpoint-smoke
+.PHONY: all build test verify fmt-check fuzz-smoke bench benchmark-smoke perf tier-smoke checkpoint-smoke
 
 all: verify
 
@@ -46,29 +46,20 @@ benchmark-smoke:
 bench:
 	$(GO) test -bench . -benchtime 1x -run xxx . ./internal/sim/ ./internal/cache/ ./internal/mem/ ./internal/network/ ./internal/calendar/ ./internal/snapshot/
 
-# Measure simulator throughput (reference loop vs fast-forward +
-# parallel harness, compiled tier off and on) on the full Table 3 grid;
-# writes BENCH_simperf.json.
+# Measure simulator throughput under each execution tier on the full
+# Table 3 grid and a 64-node ALEWIFE run; writes BENCH_simperf.json.
 perf:
 	$(GO) run ./cmd/april-bench -sizes paper -perf
 
-# Quick gate for the compiled execution tier: the small grid with the
-# compiler off and on (results must stay bit-identical), plus the
-# steady-state allocation pin with the translator armed.
-compile-smoke:
-	$(GO) run ./cmd/april-bench -sizes test -compile=false
-	$(GO) run ./cmd/april-bench -sizes test -compile -compile-threshold 1
-	$(GO) test -run CompiledSteadyStateAllocRate -v ./internal/sim/
-
-# Quick gate for the epoch engine: the grid at a multi-cycle horizon
-# cap and with epochs off (results must stay bit-identical),
-# the full differential matrix under the race detector, and the
-# steady-state allocation pin with windows armed.
-epoch-smoke:
-	$(GO) run ./cmd/april-bench -sizes test -horizon 4
-	$(GO) run ./cmd/april-bench -sizes test -epoch=false
-	$(GO) test -race -run Epoch -v ./internal/sim/
-	$(GO) test -run EpochSteadyStateAllocRate -v ./internal/sim/
+# The small Table 3 grid under every execution tier: the three outputs
+# must be byte-identical, and an unknown tier must be refused.
+tier-smoke:
+	$(GO) build -o /tmp/april-bench ./cmd/april-bench
+	for t in compiled predecode reference; do \
+		/tmp/april-bench -sizes test -tier $$t > /tmp/tier-$$t.out || exit 1; done
+	cmp /tmp/tier-compiled.out /tmp/tier-predecode.out
+	cmp /tmp/tier-compiled.out /tmp/tier-reference.out
+	! /tmp/april-bench -sizes test -tier fast 2>/dev/null
 
 # Quick gate for checkpoint/restore: kill a checkpointed run mid-flight,
 # restore the newest image, and require bit-identical simulated stats;

@@ -72,6 +72,18 @@ func (mt MachineType) profile() (rts.Profile, error) {
 	return rts.Profile{}, fmt.Errorf("april: unknown machine type %q", mt)
 }
 
+// Tier is an execution path: TierCompiled (the default), TierPredecode
+// or TierReference, fastest first. Simulated results are bit-identical
+// under every tier; *Tier is a flag.Value ("compiled", "predecode",
+// "reference").
+type Tier = sim.Tier
+
+const (
+	TierCompiled  = sim.TierCompiled
+	TierPredecode = sim.TierPredecode
+	TierReference = sim.TierReference
+)
+
 // AlewifeOptions enables the full memory system (caches + directory
 // coherence + k-ary n-cube network) instead of the default
 // zero-latency shared memory.
@@ -129,32 +141,10 @@ type Options struct {
 	// run: event tracing, the utilization timeline, and the counter
 	// registry. Tracing never perturbs simulated results.
 	Trace *TraceOptions
-	// Reference runs the simulator on its oracle paths — the per-cycle
-	// reference stepping loop and the opcode-switch interpreter instead
-	// of the wake-queue loop and predecoded dispatch (which also implies
-	// the compiled tier off). Simulated results are bit-identical either
-	// way; this exists for differential debugging of the simulator
-	// itself.
-	Reference bool
-	// DisableCompile turns off the compiled execution tier —
-	// profile-guided fusion of hot basic blocks into superinstructions
-	// run in bulk across isolated windows — leaving the predecoded
-	// per-op path as the differential oracle. Simulated results are
-	// bit-identical either way; the tier only changes host-side speed.
-	DisableCompile bool
-	// CompileThreshold is how many times a block entry PC must execute
-	// before the compiled tier translates it (0 = the default, 8).
-	CompileThreshold int
-	// DisableEpoch turns off the epoch engine — multi-node lockstep
-	// execution through the compiled tier across provably safe horizons
-	// — leaving per-cycle stepping as the differential oracle. Requires
-	// nothing; implied off whenever the compiled tier is off. Simulated
-	// results are bit-identical either way.
-	DisableEpoch bool
-	// Horizon caps epoch windows at that many simulated cycles (0 =
-	// unbounded, bounded only by the proven horizon; 1 degenerates to
-	// per-cycle stepping). Results are bit-identical at any cap.
-	Horizon uint64
+	// Tier selects the execution path (default TierCompiled). Every
+	// tier computes bit-identical results; the slower ones exist for
+	// differential debugging of the simulator itself.
+	Tier Tier
 	// Faults, when non-nil, arms seeded timing perturbations (see
 	// FaultOptions). Requires Alewife; perfect memory has no network to
 	// perturb.
@@ -508,23 +498,18 @@ func (o Options) build() (*sim.Machine, *isa.Program, error) {
 		return nil, nil, errors.New("april: Faults requires Alewife (perfect memory has no network to perturb)")
 	}
 	m, err := sim.New(sim.Config{
-		Nodes:              max(1, o.Processors),
-		Profile:            prof,
-		Lazy:               o.LazyFutures,
-		MemoryBytes:        o.MemoryBytes,
-		MaxCycles:          o.MaxCycles,
-		Out:                o.Output,
-		Alewife:            o.Alewife,
-		DisableFastForward: o.Reference,
-		DisablePredecode:   o.Reference,
-		DisableCompile:     o.DisableCompile || o.Reference,
-		CompileThreshold:   o.CompileThreshold,
-		DisableEpoch:       o.DisableEpoch,
-		Horizon:            o.Horizon,
-		Faults:             o.Faults,
-		Check:              o.Check,
-		DeadlockWindow:     o.DeadlockWindow,
-		SabotageCycle:      o.SabotageCycle,
+		Nodes:          max(1, o.Processors),
+		Profile:        prof,
+		Lazy:           o.LazyFutures,
+		MemoryBytes:    o.MemoryBytes,
+		MaxCycles:      o.MaxCycles,
+		Out:            o.Output,
+		Alewife:        o.Alewife,
+		Tier:           o.Tier,
+		Faults:         o.Faults,
+		Check:          o.Check,
+		DeadlockWindow: o.DeadlockWindow,
+		SabotageCycle:  o.SabotageCycle,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -611,21 +596,16 @@ func packageResult(m *sim.Machine, res sim.Result, start time.Time) Result {
 // image is self-contained — program, configuration, and complete
 // machine state — so Options fields that describe what to run
 // (Processors, Machine, Alewife, Faults, memory and cycle budgets) are
-// ignored; host-side fields still apply: Output, tier selection
-// (Reference, DisableCompile, DisableEpoch, CompileThreshold,
-// Horizon), Check, Trace, Serve, and the Checkpoint* fields
+// ignored; host-side fields still apply: Output, Tier, Check, Trace,
+// Serve, and the Checkpoint* fields
 // (resuming a checkpointed run keeps checkpointing). The resumed run
 // reaches a final state bit-identical to the uninterrupted original.
 func Restore(image []byte, o Options) (Result, error) {
 	start := time.Now()
 	ov := sim.RestoreOverrides{
-		Out:              o.Output,
-		Reference:        o.Reference,
-		DisableCompile:   o.DisableCompile || o.Reference,
-		DisableEpoch:     o.DisableEpoch,
-		CompileThreshold: o.CompileThreshold,
-		Horizon:          o.Horizon,
-		Check:            o.Check,
+		Out:   o.Output,
+		Tier:  o.Tier,
+		Check: o.Check,
 	}
 	if t := o.Trace; t != nil {
 		ov.Trace = t.ChromeOut != nil
@@ -813,7 +793,7 @@ func loadCheckpoints(dir string) ([]ckptFile, error) {
 // place; ^uint64(0) runs to completion), and audits. A mid-run
 // invariant crash counts as dirty at the crash cycle.
 func probeAudit(img []byte, target uint64) (bad bool, rep *FaultReport, err error) {
-	m, err := sim.Restore(img, sim.RestoreOverrides{Reference: true, Check: true})
+	m, err := sim.Restore(img, sim.RestoreOverrides{Tier: sim.TierReference, Check: true})
 	if err != nil {
 		return false, nil, err
 	}

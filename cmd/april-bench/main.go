@@ -4,11 +4,10 @@
 // at 1-16 processors.
 //
 // The grid's independent runs are fanned across host cores (-workers).
-// -perf runs the whole grid three times — reference per-cycle loop on
-// one worker, then fast-forward with and without the compiled tier on
-// all workers — plus a 64-node ALEWIFE comparison and a checkpoint
-// sweep over 16/64/256-node machines, and writes the throughput report
-// to BENCH_simperf.json.
+// -tier selects the execution path; -perf runs the whole grid once
+// under each tier, plus a 64-node ALEWIFE run under each tier and a
+// checkpoint sweep over 16/64/256-node machines, and writes the
+// throughput report to BENCH_simperf.json.
 //
 // -model-check cross-validates the Section 8 analytical model: it runs
 // fib/queens on the full ALEWIFE memory system across the Figure 5
@@ -47,17 +46,12 @@ func main() {
 
 func run() int {
 	var (
-		sizes            = flag.String("sizes", "paper", "workload scale: paper | test")
-		verbose          = flag.Bool("v", false, "log each measurement as it completes")
-		frames           = flag.Bool("frames", false, "run the task-frame ablation (E9) instead of Table 3")
-		workers          = flag.Int("workers", 0, "parallel host workers (0 = one per core)")
-		naive            = flag.Bool("naive", false, "use the reference per-cycle loop and switch interpreter (no fast-forward, no predecode)")
-		compile          = flag.Bool("compile", true, "enable the compiled execution tier (profile-guided basic-block superinstructions); results are bit-identical on or off")
-		compileThreshold = flag.Int("compile-threshold", 0, "block executions before the compiled tier translates (0 = default 8)")
-		epoch            = flag.Bool("epoch", true, "enable epoch execution (multi-node lockstep windows through the compiled tier); results are bit-identical on or off")
-		horizon          = flag.Uint64("horizon", 0, "cap epoch windows at this many simulated cycles (0 = unbounded, 1 = per-cycle stepping); results are bit-identical at any cap")
-		perf             = flag.Bool("perf", false, "measure simulator throughput and host allocator pressure (naive/serial vs fast/parallel, plus a 64-node ALEWIFE run) and write BENCH_simperf.json")
-		perfOut          = flag.String("perf-out", "BENCH_simperf.json", "output path for -perf")
+		sizes   = flag.String("sizes", "paper", "workload scale: paper | test")
+		verbose = flag.Bool("v", false, "log each measurement as it completes")
+		frames  = flag.Bool("frames", false, "run the task-frame ablation (E9) instead of Table 3")
+		workers = flag.Int("workers", 0, "parallel host workers (0 = one per core)")
+		perf    = flag.Bool("perf", false, "measure simulator throughput and host allocator pressure under each tier (the grid plus a 64-node ALEWIFE run) and write BENCH_simperf.json")
+		perfOut = flag.String("perf-out", "BENCH_simperf.json", "output path for -perf")
 
 		statsJSON = flag.String("stats-json", "", "write every grid run's full statistics (totals, per-node, throughput) as JSON to this path")
 
@@ -76,6 +70,8 @@ func run() int {
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile (taken at exit) to this path")
 	)
+	var tier april.Tier
+	flag.Var(&tier, "tier", "execution path: compiled | predecode | reference (the per-cycle loop and switch interpreter); results are bit-identical")
 	flag.Parse()
 
 	fail := func(err error) int {
@@ -187,11 +183,7 @@ func run() int {
 	}
 	cfg.Verbose = log
 	cfg.Workers = *workers
-	cfg.Naive = *naive
-	cfg.NoCompile = !*compile
-	cfg.CompileThreshold = *compileThreshold
-	cfg.NoEpoch = !*epoch
-	cfg.Horizon = *horizon
+	cfg.Tier = tier
 
 	if *traceOut != "" || *timelineOut != "" || *serve != "" {
 		// Tracing (or serving) the whole grid would interleave hundreds
@@ -212,10 +204,10 @@ func run() int {
 			return fail(err)
 		}
 		fmt.Printf("Simulator throughput on the full Table 3 grid (-sizes %s):\n  %s\n", *sizes, rep.Summary())
-		fmt.Printf("  baseline : %s\n  predecode: %s\n  compiled : %s\n", rep.Baseline, rep.Predecode, rep.Optimized)
+		fmt.Printf("  reference: %s\n  predecode: %s\n  compiled : %s\n", rep.Reference, rep.Predecode, rep.Compiled)
 		fmt.Println("written to", *perfOut)
 		if !rep.RowsIdentical || (rep.Alewife != nil && !rep.Alewife.Identical) {
-			return fail(fmt.Errorf("simulated results differ between loops"))
+			return fail(fmt.Errorf("simulated results differ between tiers"))
 		}
 		return 0
 	}

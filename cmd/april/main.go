@@ -12,6 +12,7 @@
 //	april -n 64 -alewife -serve :8080 prog.mt
 //	april -n 8 -alewife -faults -fault-seed 3 -check prog.mt
 //	april -n 8 -alewife -check -autopsy prog.mt
+//	april -tier reference prog.mt   # the simulator's oracle tier
 //	april -interp prog.mt           # reference interpreter
 //
 // Checkpoint/restore and divergence bisection:
@@ -34,23 +35,18 @@ import (
 
 func main() {
 	var (
-		nProcs           = flag.Int("n", 1, "number of processors")
-		machine          = flag.String("machine", "april", "machine profile: april | april-custom | encore")
-		lazy             = flag.Bool("lazy", false, "lazy task creation (instead of eager futures)")
-		seq              = flag.Bool("seq", false, "strip futures (sequential 'T seq' compilation)")
-		alewife          = flag.Bool("alewife", false, "simulate the full memory system (caches + directory + network)")
-		stats            = flag.Bool("stats", false, "print execution statistics")
-		interp           = flag.Bool("interp", false, "run the reference interpreter instead of the simulator")
-		dis              = flag.Bool("S", false, "print the compiled assembly listing and exit")
-		asm              = flag.Bool("asm", false, "treat the input as raw APRIL assembly instead of Mul-T")
-		cycles           = flag.Uint64("max-cycles", 0, "simulation cycle budget (0 = default)")
-		memMB            = flag.Int("mem", 0, "simulated physical memory in MiB (0 = default 256)")
-		ref              = flag.Bool("reference", false, "run the simulator's oracle paths (per-cycle loop, switch interpreter); results are bit-identical, only slower")
-		compile          = flag.Bool("compile", true, "enable the compiled execution tier (profile-guided basic-block superinstructions); results are bit-identical on or off, only host speed changes")
-		compileThreshold = flag.Int("compile-threshold", 0, "block executions before translation (0 = default 8)")
-		epoch            = flag.Bool("epoch", true, "enable epoch execution (multi-node lockstep windows across provably safe horizons); results are bit-identical on or off, only host speed changes")
-		horizon          = flag.Uint64("horizon", 0, "cap epoch windows at this many simulated cycles (0 = unbounded, 1 = per-cycle stepping); results are bit-identical at any cap")
-		serve            = flag.String("serve", "", "serve live run introspection on this host:port (e.g. :8080; /progress, /counters, /metrics, /timeline, /trace); observation-only")
+		nProcs  = flag.Int("n", 1, "number of processors")
+		machine = flag.String("machine", "april", "machine profile: april | april-custom | encore")
+		lazy    = flag.Bool("lazy", false, "lazy task creation (instead of eager futures)")
+		seq     = flag.Bool("seq", false, "strip futures (sequential 'T seq' compilation)")
+		alewife = flag.Bool("alewife", false, "simulate the full memory system (caches + directory + network)")
+		stats   = flag.Bool("stats", false, "print execution statistics")
+		interp  = flag.Bool("interp", false, "run the reference interpreter instead of the simulator")
+		dis     = flag.Bool("S", false, "print the compiled assembly listing and exit")
+		asm     = flag.Bool("asm", false, "treat the input as raw APRIL assembly instead of Mul-T")
+		cycles  = flag.Uint64("max-cycles", 0, "simulation cycle budget (0 = default)")
+		memMB   = flag.Int("mem", 0, "simulated physical memory in MiB (0 = default 256)")
+		serve   = flag.String("serve", "", "serve live run introspection on this host:port (e.g. :8080; /progress, /counters, /metrics, /timeline, /trace); observation-only")
 
 		faults    = flag.Bool("faults", false, "arm seeded timing perturbations (requires -alewife): hop jitter, transient link stalls, delayed directory replies; answers are unaffected, cycle counts shift")
 		faultSeed = flag.Uint64("fault-seed", 1, "seed for -faults")
@@ -71,6 +67,8 @@ func main() {
 		sabotage  = flag.Uint64("sabotage", 0, "deliberately corrupt scheduler state at this cycle (deterministic invariant violation; checkpoint/bisect test hook)")
 		statsJSON = flag.Bool("stats-json", false, "print the simulated run statistics as one JSON object (host-side perf excluded; stable across tiers and restores)")
 	)
+	var tier april.Tier
+	flag.Var(&tier, "tier", "execution path: compiled | predecode | reference (the per-cycle loop and switch interpreter); results are bit-identical, only host speed changes")
 	flag.Parse()
 
 	if *bisect != "" {
@@ -125,12 +123,7 @@ func main() {
 		Output:      os.Stdout,
 		MaxCycles:   *cycles,
 		MemoryBytes: uint32(*memMB) << 20,
-		Reference:   *ref,
-
-		DisableCompile:   !*compile,
-		CompileThreshold: *compileThreshold,
-		DisableEpoch:     !*epoch,
-		Horizon:          *horizon,
+		Tier:        tier,
 
 		CheckpointEvery: *ckptEvery,
 		CheckpointDir:   *ckptDir,

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"april/internal/harness"
-	"april/internal/isa"
 	"april/internal/mult"
 	"april/internal/proc"
 	"april/internal/rts"
@@ -17,46 +16,33 @@ import (
 
 // PerfReport is the simulator-throughput measurement that
 // cmd/april-bench -perf serializes to BENCH_simperf.json: the full
-// Table 3 grid run three times on the same host — at the pre-overhaul
-// cost profile (reference per-cycle loop, a single worker), with
-// fast-forward, predecoded dispatch and the parallel harness but the
-// compiled tier off, and finally with profile-guided basic-block
-// superinstructions on — with a bit-identity cross-check across the
-// three sets of rows.
+// Table 3 grid run once under each execution tier on the same host and
+// worker count, with a bit-identity cross-check across the three sets
+// of rows.
 type PerfReport struct {
 	GeneratedAt string `json:"generated_at"`
 	GoVersion   string `json:"go_version"`
 	NumCPU      int    `json:"num_cpu"`
 	GOMAXPROCS  int    `json:"gomaxprocs"`
 	Sizes       string `json:"sizes"`
-	Workers     int    `json:"workers"` // workers used by the optimized grid
+	Workers     int    `json:"workers"`
 
-	// Baseline: naive loop, one worker. Predecode: fast-forward and
-	// predecoded per-op dispatch on Workers workers with the compiled
-	// tier off. Optimized: the same plus profile-guided basic-block
-	// superinstructions. All three cover the identical run grid.
-	Baseline  proc.Perf `json:"baseline"`
-	Predecode proc.Perf `json:"predecode"`
-	Optimized proc.Perf `json:"optimized"`
+	// One grid per tier, all covering the identical runs.
+	TierPerfs
 
-	// Speedup is baseline wall time / optimized wall time;
-	// CompiledVsPredecode is predecode wall time / optimized wall time
-	// (the compiled tier's own contribution, workers held equal).
+	// Speedup is reference wall time / compiled wall time;
+	// CompiledVsPredecode is predecode wall time / compiled wall time
+	// (the compiled tier's own contribution).
 	Speedup             float64 `json:"speedup"`
 	CompiledVsPredecode float64 `json:"compiled_vs_predecode"`
-
-	// CompileThreshold is the block-translation threshold the compiled
-	// grid ran with (the isa.DefaultCompileThreshold unless overridden).
-	CompileThreshold int `json:"compile_threshold"`
 
 	// RowsIdentical asserts the three grids produced byte-identical
 	// simulated results (same cycle counts, same program outputs).
 	RowsIdentical bool `json:"rows_identical"`
 
-	// Alewife is the same before/after comparison on the full memory
-	// system (caches + directory + torus) at a machine size the Table 3
-	// grid never reaches — where the work-proportional run loop,
-	// predecoded dispatch, and idle-router skip matter most.
+	// Alewife is the same comparison on the full memory system (caches
+	// + directory + torus) at a machine size the Table 3 grid never
+	// reaches.
 	Alewife *AlewifeRow `json:"alewife,omitempty"`
 
 	// CheckpointOverhead measures the snapshot/restore path across
@@ -64,32 +50,23 @@ type PerfReport struct {
 	// a bit-identity cross-check of the restored run against the donor.
 	CheckpointOverhead []CheckpointRow `json:"checkpoint_overhead,omitempty"`
 
-	// WorkerOccupancy reports how the optimized grid's harness workers
+	// WorkerOccupancy reports how the compiled grid's harness workers
 	// spent the sweep: runs and busy time per worker against wall time.
 	WorkerOccupancy *harness.Occupancy `json:"worker_occupancy,omitempty"`
 }
 
 // AlewifeRow is one ALEWIFE-mode throughput measurement: a single
-// benchmark on the full memory system, run with the reference cost
-// profile, with the compiled tier but epoch windows off (the
-// pre-epoch configuration), and fully optimized (compiled tier plus
-// multi-node epoch windows), with a bit-identity cross-check across
-// all three.
+// benchmark on the full memory system under each execution tier, with
+// a bit-identity cross-check across the three runs.
 type AlewifeRow struct {
-	Benchmark string    `json:"benchmark"`
-	Nodes     int       `json:"nodes"`
-	Cycles    uint64    `json:"cycles"`
-	Result    string    `json:"result"`
-	Baseline  proc.Perf `json:"baseline"`
-	Compiled  proc.Perf `json:"compiled_no_epoch"`
-	Optimized proc.Perf `json:"optimized"`
-	Speedup   float64   `json:"speedup"`
-	// EpochSpeedup is compiled-without-epochs wall time over optimized
-	// wall time: the epoch engine's own contribution on a multi-node
-	// machine, everything else held equal.
-	EpochSpeedup float64 `json:"epoch_speedup"`
-	// Epoch is the optimized run's epoch telemetry.
-	Epoch *EpochOverhead `json:"epoch,omitempty"`
+	Benchmark string `json:"benchmark"`
+	Nodes     int    `json:"nodes"`
+	Cycles    uint64 `json:"cycles"`
+	Result    string `json:"result"`
+	TierPerfs
+	// Speedup and CompiledVsPredecode as in PerfReport.
+	Speedup             float64 `json:"speedup"`
+	CompiledVsPredecode float64 `json:"compiled_vs_predecode"`
 
 	// Identical asserts the three runs agreed on cycles, result, and
 	// every node's full statistics.
@@ -97,6 +74,31 @@ type AlewifeRow struct {
 	// NumCPU is the host the wall times were taken on (like the
 	// checkpoint rows, this one can be regenerated apart from the rest).
 	NumCPU int `json:"num_cpu"`
+}
+
+// TierPerfs holds one throughput measurement per execution tier.
+type TierPerfs struct {
+	Reference proc.Perf `json:"reference"`
+	Predecode proc.Perf `json:"predecode"`
+	Compiled  proc.Perf `json:"compiled"`
+}
+
+func (t *TierPerfs) of(tier sim.Tier) *proc.Perf {
+	switch tier {
+	case sim.TierReference:
+		return &t.Reference
+	case sim.TierPredecode:
+		return &t.Predecode
+	}
+	return &t.Compiled
+}
+
+// speedups returns reference and predecode wall time over compiled.
+func (t *TierPerfs) speedups() (float64, float64) {
+	if t.Compiled.WallSeconds <= 0 {
+		return 0, 0
+	}
+	return t.Reference.WallSeconds / t.Compiled.WallSeconds, t.Predecode.WallSeconds / t.Compiled.WallSeconds
 }
 
 // CheckpointRow is one checkpoint-overhead measurement: the benchmark
@@ -209,29 +211,17 @@ func checkpointOnce(src, benchName string, nodes int) (CheckpointRow, error) {
 	return row, nil
 }
 
-// alewifeOpts selects the machine variant alewifeOnce measures.
-type alewifeOpts struct {
-	// reference selects the pre-overhaul cost profile: reference
-	// stepping loop, opcode-switch interpreter.
-	reference bool
-	// disableEpoch keeps the compiled tier but turns multi-node epoch
-	// windows off (sim.Config.DisableEpoch) — the PR 8 configuration.
-	disableEpoch bool
-}
-
 // alewifeOnce runs one benchmark on a fresh full-memory-system machine.
-func alewifeOnce(src string, nodes int, o alewifeOpts) (runOut, error) {
+func alewifeOnce(src string, nodes int, tier sim.Tier) (runOut, error) {
 	// The GC bracket matches the wall-clock bracket: it covers machine
 	// construction too.
 	gcBefore := proc.TakeGCSnapshot()
 	start := time.Now()
 	m, err := sim.New(sim.Config{
-		Nodes:              nodes,
-		Profile:            rts.APRIL,
-		Alewife:            &sim.AlewifeConfig{},
-		DisableFastForward: o.reference,
-		DisablePredecode:   o.reference,
-		DisableEpoch:       o.disableEpoch,
+		Nodes:   nodes,
+		Profile: rts.APRIL,
+		Alewife: &sim.AlewifeConfig{},
+		Tier:    tier,
 	})
 	if err != nil {
 		return runOut{}, err
@@ -257,52 +247,35 @@ func alewifeOnce(src string, nodes int, o alewifeOpts) (runOut, error) {
 	for _, n := range m.Nodes {
 		out.stats.PerNode = append(out.stats.PerNode, n.Proc.Stats)
 	}
-	out.stats.Epoch = epochOverhead(m)
 	return out, nil
 }
 
 // AlewifePerf measures one AlewifeRow: the named benchmark on an
-// ALEWIFE machine of the given size, reference vs compiled-without-
-// epochs vs fully optimized.
+// ALEWIFE machine of the given size under each tier.
 func AlewifePerf(benchName string, sizes Sizes, nodes int) (AlewifeRow, error) {
 	src := sizes.Source(benchName)
-	base, err := alewifeOnce(src, nodes, alewifeOpts{reference: true})
-	if err != nil {
-		return AlewifeRow{}, fmt.Errorf("alewife reference run: %w", err)
+	row := AlewifeRow{Benchmark: benchName, Nodes: nodes, Identical: true, NumCPU: runtime.NumCPU()}
+	var first runOut
+	for i, tier := range sim.Tiers {
+		out, err := alewifeOnce(src, nodes, tier)
+		if err != nil {
+			return AlewifeRow{}, fmt.Errorf("alewife %v run: %w", tier, err)
+		}
+		*row.of(tier) = out.perf
+		if i == 0 {
+			first = out
+			continue
+		}
+		row.Identical = row.Identical && out.cycles == first.cycles && out.result == first.result &&
+			reflect.DeepEqual(out.stats.PerNode, first.stats.PerNode)
 	}
-	comp, err := alewifeOnce(src, nodes, alewifeOpts{disableEpoch: true})
-	if err != nil {
-		return AlewifeRow{}, fmt.Errorf("alewife compiled-no-epoch run: %w", err)
-	}
-	opt, err := alewifeOnce(src, nodes, alewifeOpts{})
-	if err != nil {
-		return AlewifeRow{}, fmt.Errorf("alewife optimized run: %w", err)
-	}
-	same := func(a, b runOut) bool {
-		return a.cycles == b.cycles && a.result == b.result &&
-			reflect.DeepEqual(a.stats.PerNode, b.stats.PerNode)
-	}
-	row := AlewifeRow{
-		Benchmark: benchName,
-		Nodes:     nodes,
-		Cycles:    opt.cycles,
-		Result:    opt.result,
-		Baseline:  base.perf,
-		Compiled:  comp.perf,
-		Optimized: opt.perf,
-		Epoch:     opt.stats.Epoch,
-		Identical: same(base, opt) && same(comp, opt),
-		NumCPU:    runtime.NumCPU(),
-	}
-	if row.Optimized.WallSeconds > 0 {
-		row.Speedup = row.Baseline.WallSeconds / row.Optimized.WallSeconds
-		row.EpochSpeedup = row.Compiled.WallSeconds / row.Optimized.WallSeconds
-	}
+	row.Cycles, row.Result = first.cycles, first.result
+	row.Speedup, row.CompiledVsPredecode = row.speedups()
 	return row, nil
 }
 
 // Table3Perf measures PerfReport for the given grid configuration
-// (cfg.Naive, cfg.Workers and cfg.Perf are overridden per side).
+// (cfg.Tier, cfg.Perf and cfg.Occupancy are overridden per grid).
 func Table3Perf(cfg Table3Config, sizesName string) (PerfReport, error) {
 	rep := PerfReport{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
@@ -310,56 +283,34 @@ func Table3Perf(cfg Table3Config, sizesName string) (PerfReport, error) {
 		NumCPU:      runtime.NumCPU(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		Sizes:       sizesName,
+		Workers:     harness.Workers(cfg.Workers),
 	}
-
-	base := cfg
-	base.Naive, base.Workers, base.Perf = true, 1, &rep.Baseline
-	runtime.GC()
-	gcBefore := proc.TakeGCSnapshot()
-	baseRows, err := Table3(base)
-	if err != nil {
-		return PerfReport{}, fmt.Errorf("baseline grid: %w", err)
+	var first []Row
+	rep.RowsIdentical = true
+	for i, tier := range sim.Tiers {
+		c := cfg
+		c.Tier, c.Perf, c.Occupancy = tier, rep.of(tier), nil
+		if tier == sim.TierCompiled {
+			rep.WorkerOccupancy = &harness.Occupancy{}
+			c.Occupancy = rep.WorkerOccupancy
+		}
+		// Collect before each timed grid so no grid inherits the
+		// previous one's heap target: the pacer otherwise flatters
+		// whichever side runs next.
+		runtime.GC()
+		gcBefore := proc.TakeGCSnapshot()
+		rows, err := Table3(c)
+		if err != nil {
+			return PerfReport{}, fmt.Errorf("%v grid: %w", tier, err)
+		}
+		c.Perf.SetGC(gcBefore, proc.TakeGCSnapshot())
+		if i == 0 {
+			first = rows
+		} else {
+			rep.RowsIdentical = rep.RowsIdentical && reflect.DeepEqual(rows, first)
+		}
 	}
-	rep.Baseline.SetGC(gcBefore, proc.TakeGCSnapshot())
-
-	pre := cfg
-	pre.Naive, pre.NoCompile, pre.Perf = false, true, &rep.Predecode
-	// Collect before each timed grid so no side inherits the previous
-	// grid's heap target: the naive grid's allocation churn otherwise
-	// leaves the pacer with a bloated goal that flatters whichever
-	// side runs next (observed as a 2x GC-count skew between the
-	// predecode and compiled grids despite identical alloc rates).
-	runtime.GC()
-	gcBefore = proc.TakeGCSnapshot()
-	preRows, err := Table3(pre)
-	if err != nil {
-		return PerfReport{}, fmt.Errorf("predecode grid: %w", err)
-	}
-	rep.Predecode.SetGC(gcBefore, proc.TakeGCSnapshot())
-
-	opt := cfg
-	opt.Naive, opt.NoCompile, opt.Perf = false, false, &rep.Optimized
-	var occ harness.Occupancy
-	opt.Occupancy = &occ
-	rep.Workers = harness.Workers(opt.Workers)
-	rep.CompileThreshold = opt.CompileThreshold
-	if rep.CompileThreshold == 0 {
-		rep.CompileThreshold = isa.DefaultCompileThreshold
-	}
-	runtime.GC()
-	gcBefore = proc.TakeGCSnapshot()
-	optRows, err := Table3(opt)
-	if err != nil {
-		return PerfReport{}, fmt.Errorf("optimized grid: %w", err)
-	}
-	rep.Optimized.SetGC(gcBefore, proc.TakeGCSnapshot())
-	rep.WorkerOccupancy = &occ
-
-	rep.RowsIdentical = reflect.DeepEqual(baseRows, optRows) && reflect.DeepEqual(preRows, optRows)
-	if rep.Optimized.WallSeconds > 0 {
-		rep.Speedup = rep.Baseline.WallSeconds / rep.Optimized.WallSeconds
-		rep.CompiledVsPredecode = rep.Predecode.WallSeconds / rep.Optimized.WallSeconds
-	}
+	rep.Speedup, rep.CompiledVsPredecode = rep.speedups()
 
 	// ALEWIFE-mode row: a 64-node full-memory-system run, the regime
 	// the Table 3 grid (perfect memory, <= 16 nodes) never exercises.
@@ -391,45 +342,36 @@ func (r PerfReport) JSON() []byte {
 
 // Summary is the one-line human rendering.
 func (r PerfReport) Summary() string {
-	ident := "IDENTICAL"
-	if !r.RowsIdentical {
-		ident = "MISMATCH"
-	}
-	s := fmt.Sprintf("baseline %.2fs -> predecode %.2fs -> compiled %.2fs (%.2fx overall, %.2fx from compile @ threshold %d, %d workers, results %s)",
-		r.Baseline.WallSeconds, r.Predecode.WallSeconds, r.Optimized.WallSeconds,
-		r.Speedup, r.CompiledVsPredecode, r.CompileThreshold, r.Workers, ident)
+	s := fmt.Sprintf("reference %.2fs -> predecode %.2fs -> compiled %.2fs (%.2fx overall, %.2fx from compile, %d workers, results %s)",
+		r.Reference.WallSeconds, r.Predecode.WallSeconds, r.Compiled.WallSeconds,
+		r.Speedup, r.CompiledVsPredecode, r.Workers, identical(r.RowsIdentical))
 	s += fmt.Sprintf("\n  gc: %.0f -> %.0f allocs/Mcycle, %.0f -> %.0f KB/Mcycle, %d -> %d GCs",
-		r.Baseline.AllocsPerMcycle, r.Optimized.AllocsPerMcycle,
-		r.Baseline.BytesPerMcycle/1024, r.Optimized.BytesPerMcycle/1024,
-		r.Baseline.HostNumGC, r.Optimized.HostNumGC)
+		r.Reference.AllocsPerMcycle, r.Compiled.AllocsPerMcycle,
+		r.Reference.BytesPerMcycle/1024, r.Compiled.BytesPerMcycle/1024,
+		r.Reference.HostNumGC, r.Compiled.HostNumGC)
 	if a := r.Alewife; a != nil {
-		aident := "IDENTICAL"
-		if !a.Identical {
-			aident = "MISMATCH"
-		}
-		s += fmt.Sprintf("\n  alewife %s %dp: %.2fs -> %.2fs -> %.2fs (%.2fx overall, %.2fx from epochs, results %s)",
-			a.Benchmark, a.Nodes, a.Baseline.WallSeconds, a.Compiled.WallSeconds,
-			a.Optimized.WallSeconds, a.Speedup, a.EpochSpeedup, aident)
-		if e := a.Epoch; e != nil {
-			s += fmt.Sprintf("\n  alewife epochs: %d windows, %.1f%% of cycles inside, %d fallbacks",
-				e.Windows, e.EpochCyclesPct, e.Fallbacks)
-		}
+		s += fmt.Sprintf("\n  alewife %s %dp: %.2fs -> %.2fs -> %.2fs (%.2fx overall, %.2fx from compile, results %s)",
+			a.Benchmark, a.Nodes, a.Reference.WallSeconds, a.Predecode.WallSeconds,
+			a.Compiled.WallSeconds, a.Speedup, a.CompiledVsPredecode, identical(a.Identical))
 		s += fmt.Sprintf("\n  alewife gc: %.0f -> %.0f allocs/Mcycle, %.0f -> %.0f KB/Mcycle",
-			a.Baseline.AllocsPerMcycle, a.Optimized.AllocsPerMcycle,
-			a.Baseline.BytesPerMcycle/1024, a.Optimized.BytesPerMcycle/1024)
+			a.Reference.AllocsPerMcycle, a.Compiled.AllocsPerMcycle,
+			a.Reference.BytesPerMcycle/1024, a.Compiled.BytesPerMcycle/1024)
 	}
 	for _, row := range r.CheckpointOverhead {
-		cident := "IDENTICAL"
-		if !row.Identical {
-			cident = "MISMATCH"
-		}
 		s += fmt.Sprintf("\n  checkpoint %s %4dp @%d: %5.1f MB image (%.1f KB/node), snapshot %6.2f ms, restore %6.2f ms, results %s",
 			row.Benchmark, row.Nodes, row.Cycle, float64(row.ImageBytes)/(1<<20),
-			float64(row.ImageBytesPerNode)/(1<<10), row.SnapshotMS, row.RestoreMS, cident)
+			float64(row.ImageBytesPerNode)/(1<<10), row.SnapshotMS, row.RestoreMS, identical(row.Identical))
 	}
 	if o := r.WorkerOccupancy; o != nil {
 		s += fmt.Sprintf("\n  harness: %d workers, %.0f%% busy over %.2fs",
 			o.Workers, 100*o.BusyFraction(), float64(o.WallNS)/1e9)
 	}
 	return s
+}
+
+func identical(ok bool) string {
+	if ok {
+		return "IDENTICAL"
+	}
+	return "MISMATCH"
 }

@@ -47,28 +47,10 @@ type Table3Config struct {
 	// results are identical at any worker count.
 	Workers int
 
-	// Naive forces every machine onto the reference per-cycle stepping
-	// loop and opcode-switch interpreter (sim.Config.DisableFastForward
-	// + DisablePredecode) — the A side of the before/after throughput
-	// comparison in Table3Perf.
-	Naive bool
-
-	// NoCompile turns off the compiled execution tier
-	// (sim.Config.DisableCompile), leaving predecoded per-op dispatch —
-	// the middle column of Table3Perf's three-way comparison. Results
-	// are bit-identical with the tier on or off.
-	NoCompile bool
-
-	// CompileThreshold overrides how hot a block entry must run before
-	// the compiled tier translates it (0 = the default, 8).
-	CompileThreshold int
-
-	// NoEpoch turns off the epoch engine (sim.Config.DisableEpoch) —
-	// multi-node lockstep windows through the compiled tier — and
-	// Horizon caps its windows in cycles (sim.Config.Horizon; 0 =
-	// unbounded). Results are bit-identical at any setting.
-	NoEpoch bool
-	Horizon uint64
+	// Tier is the execution path every machine runs (sim.Tier; the
+	// zero value is the compiled tier). Results are bit-identical
+	// under every tier; Table3Perf times the grid under each.
+	Tier sim.Tier
 
 	// Perf, when non-nil, receives the whole grid's aggregate host-side
 	// throughput (simulated cycles and instructions over the grid's
@@ -176,16 +158,10 @@ type runOut struct {
 	stats  RunStats
 }
 
-// runOnce compiles and runs src on a fresh machine. cfg.Naive selects the
-// pre-overhaul cost profile — the reference per-cycle loop and the
-// opcode-switch interpreter — so Table3Perf's baseline measures the
-// reference loops; simulated results are identical either way.
+// runOnce compiles and runs src on a fresh machine under cfg.Tier.
 func runOnce(src string, mode mult.Mode, prof rts.Profile, lazy bool, nodes int, cfg *Table3Config) (runOut, error) {
 	start := time.Now()
-	m, err := sim.New(sim.Config{Nodes: nodes, Profile: prof, Lazy: lazy,
-		DisableFastForward: cfg.Naive, DisablePredecode: cfg.Naive,
-		DisableCompile: cfg.NoCompile, CompileThreshold: cfg.CompileThreshold,
-		DisableEpoch: cfg.NoEpoch, Horizon: cfg.Horizon})
+	m, err := sim.New(sim.Config{Nodes: nodes, Profile: prof, Lazy: lazy, Tier: cfg.Tier})
 	if err != nil {
 		return runOut{}, err
 	}

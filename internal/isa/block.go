@@ -92,8 +92,9 @@ type BlockSet struct {
 	NoBlocks uint64
 }
 
-// DefaultCompileThreshold is the profile-guided translation trigger
-// when the configuration does not override it.
+// DefaultCompileThreshold is the profile-guided translation trigger:
+// how many times an entry PC executes before its block is translated.
+// Machines always use it; only tests pass another threshold.
 const DefaultCompileThreshold = 8
 
 // NewBlockSet builds the translation state for a predecoded image.

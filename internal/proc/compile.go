@@ -211,10 +211,10 @@ outer:
 		if !memOK && memTouchKinds[u.Kind] {
 			// Non-perfect memory: the full dispatch path could stamp
 			// network messages mid-window, so only a provable clock-free
-			// cache hit may run here. epochMem touches no state when it
+			// cache hit may run here. fusedHit touches no state when it
 			// refuses, and Kinds counts only completed dispatches (the
 			// caller's fallback Step counts the refused one).
-			if u.Kind == isa.MMem && p.epochMem(f, u) {
+			if u.Kind == isa.MMem && p.fusedHit(f, u) {
 				p.Kinds[u.Kind]++
 				fops++
 				nret++
@@ -297,6 +297,79 @@ func (p *Processor) fusedMem(f *core.Frame, u *isa.Micro) bool {
 	return true
 }
 
+// FusedPort is implemented by memory ports that can complete a plain
+// flavored access as a clock-free cache hit. It is the narrow slice of
+// the ALEWIFE cache controller the superinstruction handlers, inside a
+// fused window or per op, may drive without a fabric clock: a hit with
+// sufficient permission reads or writes the coherence-protected word
+// and costs one cycle with zero stall, exactly like the full
+// MemPort.Access hit path.
+type FusedPort interface {
+	// FusedHit completes a plain (no full/empty side effects) load or
+	// store iff it is a cache hit with the required permission.
+	// ok=false means the access was not a provable hit and NO state was
+	// touched; the caller re-executes through the full port. On ok, prev
+	// is the word's prior value (the load result) and full its observed
+	// full/empty bit, mirroring FEAccess.
+	FusedHit(addr uint32, store bool, value isa.Word) (prev isa.Word, full bool, ok bool)
+}
+
+// SetFusedPort installs (or, with nil, removes) the clock-free
+// cache-hit port. Like the compiled tier it extends, the port changes
+// host-side dispatch only: every access it completes is bit-identical
+// to the same access through Mem.Access.
+func (p *Processor) SetFusedPort(fp FusedPort) { p.fusedPort = fp }
+
+// fusedHit is fusedMem's counterpart for a machine with a real memory
+// system: a plain-flavored load/store that hits the local cache with
+// sufficient permission. It mirrors microMem + the controller's hit
+// path exactly for the case it handles; any special condition (flavor
+// side effects, future-tagged address operands, misalignment, a miss,
+// an upgrade) returns false with no state touched, and the caller
+// re-executes through the full path. On a hit the op retired at cost
+// 1; Instructions/UsefulCycles accounting is the caller's (fusedOp
+// contract).
+func (p *Processor) fusedHit(f *core.Frame, u *isa.Micro) bool {
+	fp := p.fusedPort
+	if fp == nil {
+		return false
+	}
+	fl := u.Flavor
+	if fl.TrapOnSync || fl.SetFE || fl.ResetFE {
+		return false
+	}
+	e := p.Engine
+	base := e.Reg(u.Rs1)
+	var index isa.Word
+	if !u.UseImm {
+		index = e.Reg(u.Rs2)
+	}
+	if f.PSR&core.PSRFutureTrap != 0 && (isa.IsFuture(base) || isa.IsFuture(index)) {
+		return false
+	}
+	ea := uint32(int32(uint32(base)) + int32(uint32(index)) + u.Imm)
+	if ea%4 != 0 {
+		return false
+	}
+	var value isa.Word
+	if u.Store {
+		value = e.Reg(u.Rd)
+	}
+	prev, full, ok := fp.FusedHit(ea, u.Store, value)
+	if !ok {
+		return false
+	}
+	f.PSR = f.PSR.WithFull(full)
+	if u.Store {
+		p.Stats.StoreCount++
+	} else {
+		e.SetReg(u.Rd, prev)
+		p.Stats.LoadCount++
+	}
+	p.advance(f)
+	return true
+}
+
 // fusedOp executes one op through the superinstruction handlers: the
 // trap-free register ops inline plus the plain perfect-memory
 // load/store (fusedMem), skipping the dispatch-table indirection, the
@@ -314,9 +387,9 @@ func (p *Processor) fusedOp(f *core.Frame, u *isa.Micro) bool {
 	case isa.MMem:
 		// Perfect memory fuses through the plain-access fast path; an
 		// ALEWIFE port fuses exactly the clock-free cache hits (the two
-		// are mutually exclusive: perfMem and epochPort are never both
+		// are mutually exclusive: perfMem and fusedPort are never both
 		// set).
-		return p.fusedMem(f, u) || p.epochMem(f, u)
+		return p.fusedMem(f, u) || p.fusedHit(f, u)
 	case isa.MNop:
 		f.PC++
 		f.NPC = f.PC + 1

@@ -14,8 +14,8 @@ import (
 // same stats increments, same PSR/register update order, same trap
 // payloads, same error returns — so the two paths produce bit-identical
 // simulated machines (the differential tests in internal/sim hold them
-// to that). The reference path stays selectable (sim's
-// DisablePredecode) as the oracle.
+// to that). The reference path stays selectable (sim's TierReference)
+// as the oracle.
 
 // microFn executes one predecoded instruction of the active frame.
 type microFn func(p *Processor, f *core.Frame, u *isa.Micro) (int, error)

@@ -137,11 +137,11 @@ type Processor struct {
 	done    *bool
 	perfMem *mem.Memory
 
-	// epochPort, when non-nil, is the clock-free cache-hit slice of an
-	// ALEWIFE memory port (see epoch.go), letting the superinstruction
+	// fusedPort, when non-nil, is the clock-free cache-hit slice of an
+	// ALEWIFE memory port (see compile.go), letting the superinstruction
 	// handlers complete plain cached accesses without the full port
-	// call — and letting epoch windows cross them.
-	epochPort EpochPort
+	// call.
+	fusedPort FusedPort
 }
 
 // New creates a processor over the given engine and program.

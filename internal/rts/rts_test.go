@@ -1,6 +1,7 @@
 package rts
 
 import (
+	"math/rand/v2"
 	"strings"
 	"testing"
 
@@ -229,6 +230,69 @@ func TestThreadStateString(t *testing.T) {
 	} {
 		if st.String() != want {
 			t.Errorf("%d -> %q", st, st.String())
+		}
+	}
+}
+
+// scanSteal is the steal probe without the nonempty-queue count: the
+// dense scan every idle node once paid. It names the thread StealReady
+// must take (nil when no other node has one) without taking it.
+func scanSteal(s *Scheduler, node int) *Thread {
+	n := len(s.ready)
+	for d := 1; d < n; d++ {
+		if q := s.ready[(node+d)%n]; len(q) > 0 {
+			return s.threads[q[0]]
+		}
+	}
+	return nil
+}
+
+// TestStealMatchesDenseScan drives a seeded mix of pushes, local pops
+// and steals across 16 nodes, checking before every steal that the
+// counted probe takes the thread the dense scan names, and after every
+// operation that the count of nonempty queues is exact.
+func TestStealMatchesDenseScan(t *testing.T) {
+	const nodes = 16
+	s := newSched(t, nodes, false)
+	rng := rand.New(rand.NewPCG(7, 11))
+	var idle []*Thread
+	for i := 0; i < 48; i++ {
+		idle = append(idle, s.NewThread(i%nodes))
+	}
+	for step := 0; step < 20000; step++ {
+		node := rng.IntN(nodes)
+		switch op := rng.IntN(4); {
+		case op == 0 && len(idle) > 0:
+			k := rng.IntN(len(idle))
+			th := idle[k]
+			idle = append(idle[:k], idle[k+1:]...)
+			th.Home = node
+			if rng.IntN(2) == 0 {
+				s.PushReady(th)
+			} else {
+				s.PushReadyOldest(th)
+			}
+		case op == 1:
+			if th := s.PopReadyLocal(node); th != nil {
+				idle = append(idle, th)
+			}
+		default:
+			want := scanSteal(s, node)
+			if got := s.StealReady(node); got != want {
+				t.Fatalf("step %d: node %d stole %v, dense scan names %v", step, node, got, want)
+			}
+			if want != nil {
+				idle = append(idle, want)
+			}
+		}
+		nonempty := 0
+		for _, q := range s.ready {
+			if len(q) > 0 {
+				nonempty++
+			}
+		}
+		if got := s.ReadyQueues(); got != nonempty {
+			t.Fatalf("step %d: ReadyQueues %d, %d queues nonempty", step, got, nonempty)
 		}
 	}
 }

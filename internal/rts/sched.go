@@ -56,11 +56,7 @@ type Scheduler struct {
 	// readyQueues counts nonempty ready queues, so an idle node's steal
 	// probe is O(1) when the whole machine is out of work — the common
 	// case in low-parallelism phases — instead of scanning every queue.
-	// ScanSteal restores the scanning probe (the reference cost profile
-	// used for before/after throughput measurement; the probe's result
-	// is identical either way).
 	readyQueues int
-	ScanSteal   bool
 
 	stackAlloc *chunkAlloc
 	freeStacks []uint32 // recycled stack chunk bases
@@ -170,7 +166,7 @@ func (s *Scheduler) PopReadyLocal(node int) *Thread {
 // (oldest-first stealing takes the biggest pending work, as in lazy
 // task stealing).
 func (s *Scheduler) StealReady(node int) *Thread {
-	if s.readyQueues == 0 && !s.ScanSteal {
+	if s.readyQueues == 0 {
 		return nil
 	}
 	n := len(s.ready)

@@ -79,8 +79,9 @@ func (a *AlewifeConfig) fill(nodes int) error {
 // recall; an entry waiting out a delay files its controller in a
 // calendar at the cycle it matures. Processing the dirty set in
 // ascending node id makes the skip invisible to simulated behavior —
-// the dense scan's per-controller work is a no-op at every cycle the
-// controller is not visited.
+// a dense scan's per-controller work is a no-op at every cycle the
+// controller is not visited (dense_test.go keeps that scan as the
+// oracle).
 type netFabric struct {
 	cfg   *AlewifeConfig
 	net   network.Network
@@ -101,11 +102,6 @@ type netFabric struct {
 	pendBuf   []int              // PendingNodes scratch, reused
 	delivBuf  []*network.Message // Deliveries scratch, reused
 
-	// reference selects the pre-overhaul cost profile: tick and
-	// nextEvent scan every controller each cycle instead of the dirty
-	// set, as the differential oracle and throughput baseline.
-	reference bool
-
 	// plan perturbs timing (directory-reply delays here; the network
 	// draws its own penalties) and check records invariant violations.
 	// Both nil by default; clean runs take one nil test per hook.
@@ -116,9 +112,6 @@ type netFabric struct {
 // markDirty records that a controller has work for the next tick (a due
 // outbox entry or a deferred recall). Idempotent.
 func (f *netFabric) markDirty(node int) {
-	if f.reference {
-		return // the reference tick scans every controller anyway
-	}
 	if !f.dirtyCtl[node] {
 		f.dirtyCtl[node] = true
 		f.dirty = append(f.dirty, node)
@@ -128,13 +121,11 @@ func (f *netFabric) markDirty(node int) {
 // wakeAt records an outbox entry maturing at cycle at: its controller is
 // dirty now if that has come, else filed for then.
 func (f *netFabric) wakeAt(node int, at uint64) {
-	switch {
-	case f.reference:
-	case at <= f.now:
+	if at <= f.now {
 		f.markDirty(node)
-	default:
-		f.cal.Add(f.now, at, node)
+		return
 	}
+	f.cal.Add(f.now, at, node)
 }
 
 // gatherDirty takes the dirty set, sorted into ascending node id (the
@@ -167,13 +158,12 @@ func (m *Machine) initAlewife() error {
 	}
 	net.SetFaultPlan(m.plan)
 	f := &netFabric{
-		cfg:       cfg,
-		net:       net,
-		dist:      mem.Distribution{Nodes: m.Cfg.Nodes, BlockSize: cfg.Cache.BlockBytes},
-		dirtyCtl:  make([]bool, m.Cfg.Nodes),
-		reference: m.Cfg.DisableFastForward,
-		plan:      m.plan,
-		check:     m.checker,
+		cfg:      cfg,
+		net:      net,
+		dist:     mem.Distribution{Nodes: m.Cfg.Nodes, BlockSize: cfg.Cache.BlockBytes},
+		dirtyCtl: make([]bool, m.Cfg.Nodes),
+		plan:     m.plan,
+		check:    m.checker,
 	}
 	m.net = f
 	return nil
@@ -214,17 +204,6 @@ func (f *netFabric) tick() {
 func (f *netFabric) tickInner() {
 	f.now++
 	f.net.Tick()
-	if f.reference {
-		// Pre-overhaul dense scan: every node's inbox, every controller.
-		for node, ctl := range f.ctls {
-			f.drainInto(node, ctl)
-		}
-		for _, ctl := range f.ctls {
-			ctl.processRecalls()
-			ctl.flushOutbox()
-		}
-		return
-	}
 	// Controllers whose delayed outbox entries mature this cycle join
 	// the dirty set.
 	for _, id := range f.cal.Due(f.now) {
@@ -269,12 +248,6 @@ func (f *netFabric) drainInto(node int, ctl *cacheCtl) {
 // re-evaluates), but it must never be later than a real event.
 func (f *netFabric) nextEvent() uint64 {
 	next := f.net.NextEvent()
-	if f.reference {
-		for _, ctl := range f.ctls {
-			next = f.ctlNextEvent(ctl, next)
-		}
-		return next
-	}
 	for _, id := range f.dirty {
 		next = f.ctlNextEvent(f.ctls[id], next)
 	}
@@ -480,10 +453,10 @@ func (c *cacheCtl) Access(addr uint32, f isa.MemFlavor, store bool, value isa.Wo
 	return res, err
 }
 
-// EpochHit implements proc.EpochPort: hit without a fabric clock. The
-// callers exclude full/empty flavors and misaligned addresses. (The
-// checkers force the compiled tier off: Access's audit is not needed.)
-func (c *cacheCtl) EpochHit(addr uint32, store bool, value isa.Word) (isa.Word, bool, bool) {
+// FusedHit implements proc.FusedPort: hit without a fabric clock. The
+// callers exclude full/empty flavors and misaligned addresses. (Check
+// runs the predecode tier: Access's audit is not needed.)
+func (c *cacheCtl) FusedHit(addr uint32, store bool, value isa.Word) (isa.Word, bool, bool) {
 	res, done, _ := c.hit(addr, isa.MemFlavor{}, store, value, true)
 	return res.Value, res.Full, done
 }
@@ -502,7 +475,7 @@ func (c *cacheCtl) EpochHit(addr uint32, store bool, value isa.Word) (isa.Word, 
 // also refuses an out-of-range address (Access reports the error) and
 // a hit that would release the interlock under a deferred recall, which
 // would then fire on the next tick — earlier than the nextEvent()
-// horizon the epoch window was proved against, which prices deferred
+// horizon the fused window was proved against, which prices deferred
 // recalls at lock expiry. Only the per-op path ticks every cycle.
 func (c *cacheCtl) hit(addr uint32, f isa.MemFlavor, store bool, value isa.Word, clockFree bool) (res proc.MemResult, done bool, err error) {
 	needWrite := store || f.ResetFE || f.SetFE

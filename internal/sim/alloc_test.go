@@ -118,16 +118,12 @@ func BenchmarkAlewifeSteadyWindow(b *testing.B) {
 // loops.
 func TestPoisonedRecycleIdentity(t *testing.T) {
 	src := bench.QueensSource(5)
-	for _, naive := range []bool{false, true} {
-		name := "fast"
-		if naive {
-			name = "reference"
-		}
+	for name, tier := range map[string]sim.Tier{"fast": sim.TierCompiled, "reference": sim.TierReference} {
 		t.Run(name, func(t *testing.T) {
-			plain := runDifferential(t, src, ffConfig{nodes: 8, alewife: true, naive: naive})
+			plain := runDifferential(t, src, ffConfig{nodes: 8, alewife: true, tier: tier})
 			network.SetPoisonRecycle(true)
 			defer network.SetPoisonRecycle(false)
-			poisoned := runDifferential(t, src, ffConfig{nodes: 8, alewife: true, naive: naive})
+			poisoned := runDifferential(t, src, ffConfig{nodes: 8, alewife: true, tier: tier})
 			compareOutcomes(t, poisoned, plain)
 		})
 	}

@@ -14,8 +14,8 @@ import (
 )
 
 // Tests of the fabric's two calendars from the inside: the controller
-// outbox calendar against the dense controller scan (netFabric.reference)
-// on directed delays, and the one state a snapshot has to rebuild both
+// outbox calendar against the dense controller scan (dense_test.go) on
+// directed delays, and the one state a snapshot has to rebuild both
 // calendars from their far ends.
 
 func calMachine(t testing.TB, cfg Config, src string) *Machine {
@@ -43,7 +43,6 @@ func calMachine(t testing.TB, cfg Config, src string) *Machine {
 func TestOutboxCalendarMatchesDenseScan(t *testing.T) {
 	cfg := Config{Nodes: 8, Profile: rts.APRIL, Alewife: &AlewifeConfig{}}
 	fast, dense := calMachine(t, cfg, "1").net, calMachine(t, cfg, "1").net
-	dense.reference = true
 	delays := []int{10, 0, 63, 64, 65, 10, 300, 1}
 	var due []uint64
 	for _, f := range []*netFabric{fast, dense} {
@@ -65,7 +64,7 @@ func TestOutboxCalendarMatchesDenseScan(t *testing.T) {
 			t.Fatalf("before tick %d: nextEvent %d, but a reply matures at %d", tick, got, next)
 		}
 		fast.tick()
-		dense.tick()
+		denseTick(dense)
 		if got, want := fast.net.Stats(), dense.net.Stats(); got != want {
 			t.Fatalf("tick %d: network saw %+v, dense scan %+v", tick, got, want)
 		}
@@ -114,28 +113,10 @@ func waitingCalendars(m *Machine) bool {
 func TestSnapshotRebuildsCalendars(t *testing.T) {
 	faults := fault.Default(4)
 	faults.MaxReplyDelay = 200
-	// bench.QueensSource(5); package bench imports this one.
-	const src = `
-(define (safe? row dist placed)
-  (cond ((null? placed) #t)
-        ((= (car placed) row) #f)
-        ((= (abs (- (car placed) row)) dist) #f)
-        (else (safe? row (+ dist 1) (cdr placed)))))
-(define (try-row placed len row)
-  (cond ((> row 5) 0)
-        ((safe? row 1 placed)
-         (+ (future (extend (cons row placed) (+ len 1)))
-            (try-row placed len (+ row 1))))
-        (else (try-row placed len (+ row 1)))))
-(define (extend placed len)
-  (if (= len 5) 1 (try-row placed len 1)))
-(extend '() 0)
-`
-	mk := func(reference bool) *Machine {
+	mk := func(tier Tier) *Machine {
 		return calMachine(t, Config{
-			Nodes: 16, Profile: rts.APRIL, Alewife: &AlewifeConfig{}, Faults: &faults,
-			DisableFastForward: reference, DisablePredecode: reference,
-		}, src)
+			Nodes: 16, Profile: rts.APRIL, Alewife: &AlewifeConfig{}, Faults: &faults, Tier: tier,
+		}, queens5)
 	}
 	finish := func(m *Machine) (uint64, string, []proc.Stats) {
 		t.Helper()
@@ -150,7 +131,7 @@ func TestSnapshotRebuildsCalendars(t *testing.T) {
 		return res.Cycles, res.Formatted, stats
 	}
 
-	donors := []*Machine{mk(false), mk(true)}
+	donors := []*Machine{mk(TierCompiled), mk(TierReference)}
 	for !waitingCalendars(donors[0]) {
 		if done, err := donors[0].RunWindow(1); err != nil || done {
 			t.Fatalf("no cycle with both calendars waiting (done %v, err %v)", done, err)
@@ -177,32 +158,21 @@ func TestSnapshotRebuildsCalendars(t *testing.T) {
 			t.Fatalf("donor %d finished at %d (%s), donor 0 at %d (%s)", i+1, c, v, wantCycles, wantValue)
 		}
 	}
-	for _, reference := range []bool{false, true} {
-		twin, err := Restore(imgs[0], RestoreOverrides{Reference: reference})
+	for _, tier := range Tiers {
+		twin, err := Restore(imgs[0], RestoreOverrides{Tier: tier})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reference && !waitingCalendars(twin) {
-			t.Fatal("restored twin lost the waiting state")
+		if !waitingCalendars(twin) {
+			t.Fatalf("twin (%v) lost the waiting state", tier)
 		}
-		if ne, want := twin.net.nextEvent(), denseNextEvent(t, imgs[0]); !reference && ne != want {
-			t.Fatalf("restored nextEvent %d, want %d", ne, want)
+		if ne, want := twin.net.nextEvent(), denseNextEvent(twin.net); ne != want {
+			t.Fatalf("twin (%v): restored nextEvent %d, dense scan %d", tier, ne, want)
 		}
 		if c, v, s := finish(twin); c != wantCycles || v != wantValue || !reflect.DeepEqual(s, wantStats) {
-			t.Fatalf("twin (reference=%v) finished at %d (%s), donors at %d (%s)", reference, c, v, wantCycles, wantValue)
+			t.Fatalf("twin (%v) finished at %d (%s), donors at %d (%s)", tier, c, v, wantCycles, wantValue)
 		}
 	}
-}
-
-// denseNextEvent is the fabric horizon of an image restored under the
-// dense controller scan, which reads it off the queues themselves.
-func denseNextEvent(t *testing.T, img []byte) uint64 {
-	t.Helper()
-	m, err := Restore(img, RestoreOverrides{Reference: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m.net.nextEvent()
 }
 
 // BenchmarkCtlDelayedReply is the controller-outbox row: one data reply
@@ -222,3 +192,21 @@ func BenchmarkCtlDelayedReply(b *testing.B) {
 		}
 	}
 }
+
+// queens5 is bench.QueensSource(5); package bench imports this one.
+const queens5 = `
+(define (safe? row dist placed)
+  (cond ((null? placed) #t)
+        ((= (car placed) row) #f)
+        ((= (abs (- (car placed) row)) dist) #f)
+        (else (safe? row (+ dist 1) (cdr placed)))))
+(define (try-row placed len row)
+  (cond ((> row 5) 0)
+        ((safe? row 1 placed)
+         (+ (future (extend (cons row placed) (+ len 1)))
+            (try-row placed len (+ row 1))))
+        (else (try-row placed len (+ row 1)))))
+(define (extend placed len)
+  (if (= len 5) 1 (try-row placed len 1)))
+(extend '() 0)
+`

@@ -6,7 +6,7 @@ package sim_test
 // as every other fast path in this simulator: bit-identical simulated
 // results, only host speed changes. The matrix here pins the compiled
 // tier against the predecoded per-op path (its differential oracle,
-// selected by Config.DisableCompile) across programs, memory systems,
+// selected by sim.TierPredecode) across programs, memory systems,
 // machine sizes, and translation thresholds — including the hostile
 // cases: traps and asynchronous IPIs landing mid-block,
 // future-strictness faults on operands inside a fused run, and blocks
@@ -34,14 +34,18 @@ type compiledOutcome struct {
 	stats  []proc.Stats
 }
 
-// runCompileSide builds, loads, and runs one machine. cfg.Profile is
-// forced to APRIL; everything else is the caller's.
-func runCompileSide(t *testing.T, src string, cfg sim.Config) compiledOutcome {
+// runCompileSide builds, loads, and runs one machine, applying the
+// tuning hooks (sim.Threshold, sim.WindowCap) before Load. cfg.Profile
+// is forced to APRIL; everything else is the caller's.
+func runCompileSide(t *testing.T, src string, cfg sim.Config, tune ...func(*sim.Machine)) compiledOutcome {
 	t.Helper()
 	cfg.Profile = rts.APRIL
 	m, err := sim.New(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, f := range tune {
+		f(m)
 	}
 	prog, err := mult.Compile(src, mult.Mode{HardwareFutures: true}, m.StaticHeap())
 	if err != nil {
@@ -112,12 +116,8 @@ func TestCompiledMatchesPredecode(t *testing.T) {
 						if alewife {
 							aw = &sim.AlewifeConfig{}
 						}
-						compiled := runCompileSide(t, src, sim.Config{
-							Nodes: nodes, Alewife: aw, CompileThreshold: threshold,
-						})
-						oracle := runCompileSide(t, src, sim.Config{
-							Nodes: nodes, Alewife: aw, DisableCompile: true,
-						})
+						compiled := runCompileSide(t, src, sim.Config{Nodes: nodes, Alewife: aw}, sim.Threshold(threshold))
+						oracle := runCompileSide(t, src, sim.Config{Nodes: nodes, Alewife: aw, Tier: sim.TierPredecode})
 						compareCompiled(t, compiled, oracle)
 						fused, inline := coverage(compiled.m)
 						if fused+inline == 0 {
@@ -143,8 +143,8 @@ func TestCompiledMatchesPredecode(t *testing.T) {
 // the events actually fired inside the compiled run.
 func TestCompiledHostileEventsMidBlock(t *testing.T) {
 	src := bench.FibSource(12)
-	compiled := runCompileSide(t, src, sim.Config{Nodes: 4, CompileThreshold: 1})
-	oracle := runCompileSide(t, src, sim.Config{Nodes: 4, DisableCompile: true})
+	compiled := runCompileSide(t, src, sim.Config{Nodes: 4}, sim.Threshold(1))
+	oracle := runCompileSide(t, src, sim.Config{Nodes: 4, Tier: sim.TierPredecode})
 	compareCompiled(t, compiled, oracle)
 
 	var future, sync, ipi uint64
@@ -169,7 +169,7 @@ func TestCompiledHostileEventsMidBlock(t *testing.T) {
 // program. All nodes of a machine must also share one BlockSet (one
 // translation, one profile) exactly as they share one image.
 func TestCompiledImagePurityAndSharing(t *testing.T) {
-	out := runCompileSide(t, bench.QueensSource(6), sim.Config{Nodes: 4, CompileThreshold: 1})
+	out := runCompileSide(t, bench.QueensSource(6), sim.Config{Nodes: 4}, sim.Threshold(1))
 	bs := out.m.Nodes[0].Proc.Blocks()
 	if bs == nil {
 		t.Fatal("compiled tier not armed")
@@ -194,8 +194,8 @@ func TestCompiledImagePurityAndSharing(t *testing.T) {
 func TestCompiledShardedIdentical(t *testing.T) {
 	src := bench.QueensSource(6)
 	t.Run("shards1", func(t *testing.T) {
-		compiled := runCompileSide(t, src, sim.Config{Nodes: 16, CompileThreshold: 1})
-		oracle := runCompileSide(t, src, sim.Config{Nodes: 16, DisableCompile: true})
+		compiled := runCompileSide(t, src, sim.Config{Nodes: 16}, sim.Threshold(1))
+		oracle := runCompileSide(t, src, sim.Config{Nodes: 16, Tier: sim.TierPredecode})
 		compareCompiled(t, compiled, oracle)
 	})
 }
@@ -206,11 +206,9 @@ func TestCompiledShardedIdentical(t *testing.T) {
 // count every dispatch identically.
 func TestKindCountsTierInvariant(t *testing.T) {
 	src := bench.QueensSource(6)
-	compiled := runCompileSide(t, src, sim.Config{Nodes: 4, CompileThreshold: 1})
-	predecode := runCompileSide(t, src, sim.Config{Nodes: 4, DisableCompile: true})
-	reference := runCompileSide(t, src, sim.Config{
-		Nodes: 4, DisableFastForward: true, DisablePredecode: true,
-	})
+	compiled := runCompileSide(t, src, sim.Config{Nodes: 4}, sim.Threshold(1))
+	predecode := runCompileSide(t, src, sim.Config{Nodes: 4, Tier: sim.TierPredecode})
+	reference := runCompileSide(t, src, sim.Config{Nodes: 4, Tier: sim.TierReference})
 	ck := compiled.m.KindTotals()
 	if pk := predecode.m.KindTotals(); !reflect.DeepEqual(ck, pk) {
 		t.Errorf("kind counts diverge: compiled %v != predecode %v", ck, pk)

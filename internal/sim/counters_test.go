@@ -28,6 +28,7 @@ var neverWritten = map[string]string{
 	"scheduler.steals":                 "continuation steals happen under lazy task creation only; this run is eager",
 	"scheduler.steal_words":            "continuation steals happen under lazy task creation only; this run is eager",
 	"scheduler.requeues":               "only a full/empty wait spinning past BlockRounds requeues; queens synchronizes through futures",
+	"compile.epoch_ops":                "epoch windows open on perfect memory only",
 	"network.in_flight":                "gauge: the fabric drains before the main thread exits",
 	"node*.memory.outstanding_remote":  "gauge: no miss is outstanding at the end of the run",
 	"node*.memory.pending_home_tx":     "gauge: no home transaction is open at the end of the run",

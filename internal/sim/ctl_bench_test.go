@@ -14,7 +14,7 @@ import (
 // cache probe, full/empty-aware access to the flat store, LRU, counters
 // and interlock test, everything a hit costs below the processor. Both
 // callers of the one hit routine are timed: per-op (MemPort.Access) and
-// clock-free (EpochPort.EpochHit). Addresses are uniform over the
+// clock-free (FusedPort.FusedHit). Addresses are uniform over the
 // resident half of the Table 4 cache.
 
 var ctlBenchSink uint64
@@ -52,7 +52,7 @@ func benchCtlHit(b *testing.B, store bool) {
 	})
 	b.Run("clock-free", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			prev, _, ok := ctl.EpochHit(addrs[i&(len(addrs)-1)], store, isa.Word(i))
+			prev, _, ok := ctl.FusedHit(addrs[i&(len(addrs)-1)], store, isa.Word(i))
 			if !ok {
 				b.Fatal("a timed access was refused")
 			}

@@ -1,53 +1,46 @@
 // The epoch engine: multi-node execution through the compiled tier
-// across provably safe horizons.
+// across provably safe horizons, on perfect memory only.
 //
-// The compiled tier (compile.go) only fired when a cycle had exactly
-// one stepper, so multiprocessor runs — the configuration the paper
-// actually argues for — stepped one op per node per cycle. The epoch
-// engine generalizes the
-// isolated-window proof from "one node runs while the rest sleep" to
-// "this group of nodes runs undisturbed": before stepping a cycle with
-// two or more steppers, the machine computes the group's safe horizon —
-// the earliest cycle at which anything outside the group's epoch-safe
-// ops can act — and executes every stepper in lockstep through the
-// superinstruction handlers for the whole window, batching the fabric's
-// provably uneventful ticks into one advance and paying the run loop's
-// per-cycle costs (due-set pops, merges) once per window instead of
-// once per cycle.
+// The compiled tier (compile.go) fires only when a cycle has exactly
+// one stepper. The epoch engine generalizes its isolated-window proof
+// from "one node runs while the rest sleep" to "this group of nodes
+// runs undisturbed": before stepping a cycle with two or more
+// steppers, the machine computes the group's safe horizon and executes
+// every stepper in lockstep through the superinstruction handlers for
+// the whole window, paying the run loop's per-cycle costs (due-set
+// pops, merges) once per window instead of once per cycle.
+//
+// Windows are armed only on perfect memory, the configuration of the
+// paper's Table 3 ("the processor simulator without the cache and
+// network simulators", Section 7). With the ALEWIFE fabric a window
+// would have to stop at every network and controller event, and on
+// the benchmark's ALEWIFE workloads it covered under 0.1% of cycles.
 //
 // The horizon proof. A window [now, B) is safe to execute in lockstep
 // when no event from outside the stepping group can occur inside it,
 // and no stepper performs an op whose effects leave the node before B:
 //
 //   - B <= wakeq.next(): no sleeping node joins mid-window, so the
-//     stepping group is constant.
-//   - B <= net.nextEvent()-1: no message delivery, outbox maturation,
-//     deferred recall, or interlock expiry fires inside the window (the
-//     fabric's event horizon covers both in-flight network messages and
-//     every controller-side timer), so the per-cycle fabric ticks the
-//     reference loop would run are all no-ops and batch into one
-//     advance. IPIs ride the I/O path, not the fabric, and cannot
+//     stepping group is constant. IPIs ride the I/O path and cannot
 //     appear asynchronously: only a stepper's own STIO could post one,
 //     and EpochStep refuses STIO.
-//   - B <= sampler.NextBoundary(), limit, the deadlock deadline, and
-//     the wedge-scan watermark: the observability and watchdog
-//     schedules stay exactly per-op.
+//   - B <= sampler.NextBoundary(), limit and the deadlock deadline:
+//     the observability and watchdog schedules stay exactly per-op.
 //   - Every op executed inside the window is epoch-safe (EpochStep):
 //     a trap-free superinstruction that retires at cost 1 and touches
-//     only this node's state — or a plain cached access protected by
-//     the coherence protocol's exclusive-copy guarantee. Ops the proof
-//     does not cover (traps, syscalls, misses, strict-future operands,
-//     full/empty flavors, FLUSH, I/O, HALT, run-ending services) make
-//     EpochStep refuse with no state touched; the window commits the
-//     cycles before the refusal and the machine resumes per-op at the
-//     refusing op's exact cycle — a mid-epoch fallback, not a reorder.
+//     only this node's state and plain words of perfect memory. Ops
+//     the proof does not cover (traps, syscalls, strict-future
+//     operands, full/empty flavors, FLUSH, I/O, HALT, run-ending
+//     services) make EpochStep refuse with no state touched; the window
+//     commits the cycles before the refusal and the machine resumes
+//     per-op at the refusing op's exact cycle — a mid-epoch fallback,
+//     not a reorder.
 //
 // Within a window every stepper executes one op per simulated cycle in
 // ascending node id — the reference loop's own interleaving — so
 // commitment needs no rewind: the committed prefix is bit-identical to
-// per-cycle stepping by construction, and the differential matrices in
-// epoch_test.go hold every {reference, predecode, compiled, epoch} x
-// {horizon} row to that.
+// per-cycle stepping by construction, and the tier matrices in
+// epoch_test.go hold every tier, at several window caps, to that.
 
 package sim
 
@@ -55,8 +48,8 @@ import "math/bits"
 
 // epochWindow tries to run the cycle's steppers in lockstep through
 // the compiled tier across the group's safe horizon. It returns
-// full=true when the whole window committed: m.now advanced past it,
-// the fabric replayed its no-op ticks, and every stepper remains a
+// full=true when the whole window committed: m.now advanced past it
+// and every stepper remains a
 // running 1-cycle node (the caller rebuilds the running list and
 // continues its loop). Otherwise the window stopped at an epoch-unsafe
 // op (or proved shorter than 2 cycles): any complete cycles are
@@ -84,22 +77,8 @@ func (m *Machine) epochWindow(steps []int, limit uint64) (si int, full bool) {
 	if dl := m.lastProgress + m.deadlockWin + 1; dl < b {
 		b = dl
 	}
-	if m.net != nil {
-		ne := m.net.nextEvent()
-		if ne <= m.now+1 {
-			return 0, false
-		}
-		if ne-1 < b {
-			b = ne - 1
-		}
-		if m.nextWedgeCheck < b {
-			b = m.nextWedgeCheck
-		}
-	}
-	if h := m.Cfg.Horizon; h > 0 {
-		if hc := m.now + h; hc < b {
-			b = hc
-		}
+	if c := m.windowCap; c > 0 && m.now+c < b {
+		b = m.now + c
 	}
 	if b <= m.now+1 {
 		return 0, false // a 0/1-cycle window cannot beat the per-cycle path
@@ -107,9 +86,8 @@ func (m *Machine) epochWindow(steps []int, limit uint64) (si int, full bool) {
 	w := b - m.now
 
 	// Lockstep: one epoch-safe op per stepper per cycle, ascending node
-	// id — the reference interleaving, executed without intervening
-	// fabric ticks (all provably no-ops) or running-list rebuilds
-	// (every op costs 1, so the group is invariant).
+	// id — the reference interleaving, executed without running-list
+	// rebuilds (every op costs 1, so the group is invariant).
 	var fc uint64
 	stopped := false
 loop:
@@ -128,15 +106,9 @@ loop:
 		return 0, false // the very first op refused; nothing committed
 	}
 
-	// Commit the complete cycles: batch the fabric's no-op ticks (they
-	// run with the fabric clock at m.now+1 .. m.now+fc, all strictly
-	// before its next event) and advance simulated time. The partial
-	// cycle's own tick, if any, comes from the caller's normal
-	// end-of-cycle path.
+	// Commit the complete cycles; the partial one, if any, is closed by
+	// the caller's normal end-of-cycle path.
 	if fc > 0 {
-		if m.net != nil {
-			m.net.advance(fc)
-		}
 		m.now += fc
 		c := m.now - 1
 		for _, id := range steps {

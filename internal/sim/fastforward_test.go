@@ -3,9 +3,9 @@ package sim_test
 // Differential tests for the work-proportional run loop and the
 // predecoded dispatch tables: the same program on the same machine
 // must produce byte-identical simulated results whether Run steps
-// every cycle through the reference interpreter (DisableFastForward +
-// DisablePredecode) or uses the wake-queue loop and micro-op handlers,
-// with tracing on or off. This is the contract that lets the fast
+// every cycle through the reference interpreter (sim.TierReference) or
+// uses the wake-queue loop and micro-op handlers, with tracing on or
+// off. This is the contract that lets the fast
 // paths replace the reference ones everywhere.
 
 import (
@@ -32,14 +32,8 @@ type ffOutcome struct {
 type ffConfig struct {
 	nodes   int
 	alewife bool
-	naive   bool // reference loop AND reference interpreter
+	tier    sim.Tier
 	tracing bool
-
-	// Independent flag control for the mixed-mode combinations
-	// (ignored unless mixed is set; naive must be false then).
-	mixed         bool
-	disableFF     bool
-	disablePredec bool
 }
 
 func runDifferential(t *testing.T, src string, cfg ffConfig) ffOutcome {
@@ -48,17 +42,7 @@ func runDifferential(t *testing.T, src string, cfg ffConfig) ffOutcome {
 	if cfg.alewife {
 		aw = &sim.AlewifeConfig{}
 	}
-	disFF, disPre := cfg.naive, cfg.naive
-	if cfg.mixed {
-		disFF, disPre = cfg.disableFF, cfg.disablePredec
-	}
-	m, err := sim.New(sim.Config{
-		Nodes:              cfg.nodes,
-		Profile:            rts.APRIL,
-		Alewife:            aw,
-		DisableFastForward: disFF,
-		DisablePredecode:   disPre,
-	})
+	m, err := sim.New(sim.Config{Nodes: cfg.nodes, Profile: rts.APRIL, Alewife: aw, Tier: cfg.tier})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +111,7 @@ func TestFastForwardMatchesNaiveLoop(t *testing.T) {
 					}
 					t.Run(fmt.Sprintf("%s/%s/%dp/%s", name, mode, nodes, tr), func(t *testing.T) {
 						fast := runDifferential(t, src, ffConfig{nodes: nodes, alewife: alewife, tracing: tracing})
-						naive := runDifferential(t, src, ffConfig{nodes: nodes, alewife: alewife, naive: true, tracing: tracing})
+						naive := runDifferential(t, src, ffConfig{nodes: nodes, alewife: alewife, tier: sim.TierReference, tracing: tracing})
 						compareOutcomes(t, fast, naive)
 					})
 				}
@@ -150,16 +134,14 @@ func TestPooledPayloadIdentity(t *testing.T) {
 		t.Run(fmt.Sprintf("%dp", nodes), func(t *testing.T) {
 			src := bench.QueensSource(6)
 			fast := runDifferential(t, src, ffConfig{nodes: nodes, alewife: true})
-			naive := runDifferential(t, src, ffConfig{nodes: nodes, alewife: true, naive: true})
+			naive := runDifferential(t, src, ffConfig{nodes: nodes, alewife: true, tier: sim.TierReference})
 			compareOutcomes(t, fast, naive)
 		})
 	}
 }
 
-// TestMixedModeFlagsAgree exercises the two optimizations
-// independently: fast-forward with the reference interpreter, and the
-// predecoded interpreter under the reference loop, must both match the
-// all-reference run exactly.
+// TestMixedModeFlagsAgree runs every tier on the same machine: each
+// must match the reference tier exactly.
 func TestMixedModeFlagsAgree(t *testing.T) {
 	src := bench.QueensSource(6)
 	for _, alewife := range []bool{false, true} {
@@ -168,22 +150,12 @@ func TestMixedModeFlagsAgree(t *testing.T) {
 			mode = "alewife"
 		}
 		t.Run(mode, func(t *testing.T) {
-			ref := runDifferential(t, src, ffConfig{nodes: 8, alewife: alewife, naive: true})
-			for _, c := range []struct {
-				name          string
-				disFF, disPre bool
-			}{
-				{"fastforward-only", false, true},
-				{"predecode-only", true, false},
-				{"both", false, false},
-			} {
-				got := runDifferential(t, src, ffConfig{
-					nodes: 8, alewife: alewife,
-					mixed: true, disableFF: c.disFF, disablePredec: c.disPre,
-				})
+			ref := runDifferential(t, src, ffConfig{nodes: 8, alewife: alewife, tier: sim.TierReference})
+			for _, tier := range []sim.Tier{sim.TierCompiled, sim.TierPredecode} {
+				got := runDifferential(t, src, ffConfig{nodes: 8, alewife: alewife, tier: tier})
 				if got.cycles != ref.cycles || got.value != ref.value || !reflect.DeepEqual(got.stats, ref.stats) {
-					t.Errorf("%s diverges from reference: cycles %d vs %d, value %s vs %s",
-						c.name, got.cycles, ref.cycles, got.value, ref.value)
+					t.Errorf("%v diverges from reference: cycles %d vs %d, value %s vs %s",
+						tier, got.cycles, ref.cycles, got.value, ref.value)
 				}
 			}
 		})

@@ -105,14 +105,8 @@ func TestBudgetErrorMatchesReference(t *testing.T) {
 (define (spin n) (if (= n 0) 0 (spin (- n 1))))
 (spin 1000000)
 `
-	runOut := func(reference bool) error {
-		m, err := New(Config{
-			Nodes:              2,
-			Profile:            rts.APRIL,
-			MaxCycles:          5000,
-			DisableFastForward: reference,
-			DisablePredecode:   reference,
-		})
+	runOut := func(tier Tier) error {
+		m, err := New(Config{Nodes: 2, Profile: rts.APRIL, MaxCycles: 5000, Tier: tier})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +120,7 @@ func TestBudgetErrorMatchesReference(t *testing.T) {
 		_, err = m.Run()
 		return err
 	}
-	fast, ref := runOut(false), runOut(true)
+	fast, ref := runOut(TierCompiled), runOut(TierReference)
 	if fast == nil || ref == nil {
 		t.Fatalf("expected budget errors, got fast=%v ref=%v", fast, ref)
 	}

@@ -66,19 +66,18 @@ func TestInvariantFaultDifferential(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			fc := fault.Default(9)
-			mk := func(naive bool) sim.Config {
+			mk := func(tier sim.Tier) sim.Config {
 				return sim.Config{
-					Nodes:              8,
-					Profile:            rts.APRIL,
-					Alewife:            &sim.AlewifeConfig{IdealNet: tc.ideal},
-					Faults:             &fc,
-					Check:              true,
-					DisableFastForward: naive,
-					DisablePredecode:   naive,
+					Nodes:   8,
+					Profile: rts.APRIL,
+					Alewife: &sim.AlewifeConfig{IdealNet: tc.ideal},
+					Faults:  &fc,
+					Check:   true,
+					Tier:    tier,
 				}
 			}
-			fast, _ := runFaulted(t, tc.src, mk(false), false)
-			naive, _ := runFaulted(t, tc.src, mk(true), false)
+			fast, _ := runFaulted(t, tc.src, mk(sim.TierCompiled), false)
+			naive, _ := runFaulted(t, tc.src, mk(sim.TierReference), false)
 			compareOutcomes(t, fast, naive)
 		})
 	}

@@ -21,7 +21,7 @@ import (
 // interlockRig is a two-node machine driven at the controller ports,
 // the way the stress tests do, one fabric tick per step. fused selects
 // how an access is attempted: the reference rig goes through Access
-// only; the fused rig tries the clock-free EpochHit first and falls
+// only; the fused rig tries the clock-free FusedHit first and falls
 // back to Access when it refuses, as the superinstruction path does.
 type interlockRig struct {
 	t     *testing.T
@@ -57,7 +57,7 @@ func (r *interlockRig) try(node int, addr uint32, store bool, v isa.Word) (isa.W
 	r.t.Helper()
 	ctl := r.m.Nodes[node].cache
 	if r.fused {
-		if prev, _, ok := ctl.EpochHit(addr, store, v); ok {
+		if prev, _, ok := ctl.FusedHit(addr, store, v); ok {
 			return prev, true
 		}
 	}
@@ -172,7 +172,7 @@ func interlockSuffix(r *interlockRig) {
 		t.Fatal("the interlock expired before the recall arrived: the case is not exercised")
 	}
 	hits := ctl.cache.Hits
-	if _, _, ok := ctl.EpochHit(ilX<<4, false, 0); ok {
+	if _, _, ok := ctl.FusedHit(ilX<<4, false, 0); ok {
 		t.Fatal("clock-free hit released an interlock under a deferred recall")
 	}
 	if ctl.cache.Hits != hits {
@@ -197,7 +197,7 @@ func interlockSuffix(r *interlockRig) {
 }
 
 func TestInterlockOutlivesEviction(t *testing.T) {
-	ref := newInterlockRig(t, Config{DisableFastForward: true, DisablePredecode: true}, false)
+	ref := newInterlockRig(t, Config{Tier: TierReference}, false)
 	interlockPrefix(ref)
 	mid := ref.image()
 	interlockSuffix(ref)

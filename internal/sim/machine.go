@@ -48,55 +48,9 @@ type Config struct {
 	// Alewife enables the full memory system; nil = perfect memory.
 	Alewife *AlewifeConfig
 
-	// DisableFastForward forces the reference stepping loop: one
-	// iteration per simulated cycle, visiting every node to decrement
-	// its relative busy counter. The default loop instead keeps
-	// absolute wake cycles in a priority queue, visits only the nodes
-	// due at the current cycle, and fast-forwards across provably
-	// uneventful stretches. Simulated results are bit-identical either
-	// way (the differential tests assert this); the reference loop
-	// exists as the oracle implementation and for those tests.
-	DisableFastForward bool
-
-	// DisablePredecode forces the reference opcode-switch interpreter
-	// instead of the predecoded flat-table dispatch. As with
-	// DisableFastForward, simulated results are bit-identical either
-	// way; the switch interpreter is the differential oracle.
-	DisablePredecode bool
-
-	// DisableCompile turns off the third execution tier: profile-guided
-	// fusion of hot basic blocks into superinstructions, executed in
-	// bulk across isolated windows (see compile.go and proc.StepFused).
-	// As with the other two knobs, simulated results are bit-identical
-	// either way; disabling leaves the predecoded per-op path as the
-	// differential oracle for the compiled tier. The tier is implied
-	// off by DisablePredecode (it runs over the predecoded image),
-	// DisableFastForward (it lives in the work-proportional loops), and
-	// Check (the invariant checkers audit at per-cycle watermarks the
-	// fused windows would cross).
-	DisableCompile bool
-
-	// CompileThreshold is how many times a block entry PC must execute
-	// before it is translated (0 = isa.DefaultCompileThreshold).
-	CompileThreshold int
-
-	// DisableEpoch turns off the epoch engine (see epoch.go): multi-node
-	// lockstep execution through the compiled tier across provably safe
-	// horizons. As with the other tier knobs, simulated results are
-	// bit-identical either way; disabling leaves the per-cycle stepping
-	// of the same ops as the differential oracle for epoch windows. The
-	// engine is implied off by anything that disarms the compiled tier
-	// (DisablePredecode, DisableCompile, DisableFastForward, Check).
-	DisableEpoch bool
-
-	// Horizon caps the epoch engine's window length in cycles: 0 means
-	// auto (windows bounded only by the provable safe horizon — the
-	// next wake, network event, sampler boundary, or watchdog
-	// watermark), and k >= 1 additionally caps every window at k
-	// cycles. 1 therefore degenerates to per-cycle stepping (a 1-cycle
-	// window cannot beat the per-cycle path and is never opened), which
-	// is the -horizon sweep's baseline point.
-	Horizon uint64
+	// Tier selects how the machine executes, never what it computes
+	// (see Tier). The zero value is the fastest tier.
+	Tier Tier
 
 	// Faults, when non-nil, arms the seeded perturbation plan: bounded
 	// per-hop delay jitter, transient link stalls, and delayed directory
@@ -109,7 +63,9 @@ type Config struct {
 	// coherence state agreement on every protocol transition, full/empty
 	// consistency at trap boundaries, scheduler thread conservation, and
 	// message-pool ownership. Violations abort the run with a structured
-	// crash report rather than panicking.
+	// crash report rather than panicking. The checkers audit at
+	// per-cycle watermarks a fused window would cross, so Check runs
+	// TierCompiled as TierPredecode.
 	Check bool
 
 	// DeadlockWindow overrides how many cycles the machine may go
@@ -127,6 +83,55 @@ type Config struct {
 	// machine-defining configuration: it changes simulated state, so it
 	// is embedded in snapshot images and included in the config hash.
 	SabotageCycle uint64
+}
+
+// Tier is an execution path. Tiers are ordered from fastest to the
+// oracle, and each is the differential oracle of the one before it:
+// simulated results are bit-identical under every tier.
+type Tier uint8
+
+const (
+	// TierCompiled, the default: the work-proportional loop (wake.go)
+	// over the predecoded image, with hot basic blocks fused into
+	// superinstructions (compile.go) and, on perfect memory, multi-node
+	// lockstep epoch windows (epoch.go).
+	TierCompiled Tier = iota
+	// TierPredecode: the work-proportional loop with per-op dispatch
+	// through the predecoded table.
+	TierPredecode
+	// TierReference: dense per-cycle stepping through the opcode-switch
+	// interpreter.
+	TierReference
+)
+
+var tierNames = [...]string{"compiled", "predecode", "reference"}
+
+// Tiers lists every tier, fastest first.
+var Tiers = []Tier{TierCompiled, TierPredecode, TierReference}
+
+func (t Tier) String() string {
+	if int(t) < len(tierNames) {
+		return tierNames[t]
+	}
+	return fmt.Sprintf("Tier(%d)", t)
+}
+
+// Set parses a tier name, so a *Tier serves as a flag.Value.
+func (t *Tier) Set(name string) error {
+	for i, n := range tierNames {
+		if n == name {
+			*t = Tier(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown tier %q (want %s)", name, strings.Join(tierNames[:], ", "))
+}
+
+func (t Tier) valid() error {
+	if int(t) >= len(tierNames) {
+		return fmt.Errorf("sim: %v out of range", t)
+	}
+	return nil
 }
 
 // ErrDeadlock is returned when the machine stops making progress.
@@ -164,10 +169,15 @@ type Machine struct {
 	// node; the run loops then try fusedStep (compile.go) whenever a
 	// cycle has exactly one stepper. epochOn additionally arms the
 	// multi-node epoch engine (epoch.go) for cycles with two or more
-	// steppers; epochTel is its telemetry (see telemetry.go).
+	// steppers on perfect memory; epochTel is its telemetry (see
+	// telemetry.go). threshold (0 = isa.DefaultCompileThreshold) and
+	// windowCap (0 = none) are zero outside tests, which set them to
+	// translate every block on first entry or to cap epoch windows.
 	compileOn bool
 	epochOn   bool
 	epochTel  EpochStats
+	threshold int
+	windowCap uint64
 
 	// The work-proportional run loop's node scheduler (see wake.go):
 	// nodes executing 1-cycle instructions live on the sorted running
@@ -247,6 +257,12 @@ func (cfg *Config) fill() error {
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = 4_000_000_000
 	}
+	if err := cfg.Tier.valid(); err != nil {
+		return err
+	}
+	if cfg.Check && cfg.Tier == TierCompiled {
+		cfg.Tier = TierPredecode
+	}
 	if cfg.Nodes > maxNodes {
 		return fmt.Errorf("sim: %d nodes, at most %d", cfg.Nodes, maxNodes)
 	}
@@ -289,9 +305,6 @@ func New(cfg Config) (*Machine, error) {
 	heapArena := mem.NewArena(m.Layout.HeapStart, m.Layout.End)
 	prof := cfg.Profile
 	m.Sched = rts.NewScheduler(m.Mem, &prof, cfg.Lazy, cfg.Nodes, stackArena, heapArena, cfg.Out)
-	// The reference cost profile keeps every O(machine size) scan the
-	// pre-overhaul loop paid, including the idle steal probe.
-	m.Sched.ScanSteal = cfg.DisableFastForward
 
 	// The fault plan and checker must exist before initAlewife wires the
 	// fabric: the network backends and cache controllers capture them at
@@ -376,35 +389,26 @@ func (m *Machine) Load(prog *isa.Program) error {
 	for _, n := range m.Nodes {
 		n.Proc.Prog = prog
 	}
-	if !m.Cfg.DisablePredecode {
-		// One predecoded image, shared read-only by every node.
-		micro := prog.Predecode()
+	micro := m.predecode(prog)
+	if m.Cfg.Tier == TierCompiled {
+		// Arm the compiled tier: one block-translation set over the
+		// shared image, sized here so steady state allocates nothing.
+		// Memory ops fuse only on perfect memory — in ALEWIFE mode a
+		// miss inside a fused window would stamp network messages
+		// mid-window; the clock-free cache-hit port lets fused code
+		// cross plain cached accesses instead.
+		bs := isa.NewBlockSet(micro, m.threshold, m.Cfg.Alewife == nil)
 		for _, n := range m.Nodes {
-			n.Proc.SetMicro(micro)
-		}
-		if !m.Cfg.DisableCompile && !m.Cfg.DisableFastForward && !m.Cfg.Check {
-			// Arm the compiled tier: one block-translation set over the
-			// shared image, sized here so steady state allocates
-			// nothing. Memory ops fuse only on perfect memory
-			// — in ALEWIFE mode a miss inside a fused window would
-			// stamp network messages mid-window.
-			bs := isa.NewBlockSet(micro, m.Cfg.CompileThreshold, m.Cfg.Alewife == nil)
-			for _, n := range m.Nodes {
-				n.Proc.SetCompile(bs, &m.Sched.MainDone)
+			n.Proc.SetCompile(bs, &m.Sched.MainDone)
+			if n.cache != nil {
+				n.Proc.SetFusedPort(n.cache)
 			}
-			m.compileOn = true
-			if m.Cfg.Alewife != nil {
-				// ALEWIFE blocks exclude memory ops, but the clock-free
-				// cache-hit port lets both the per-op superinstruction
-				// path and epoch windows cross plain cached accesses.
-				for _, n := range m.Nodes {
-					n.Proc.SetEpochPort(n.cache)
-				}
-			}
-			// The epoch engine rides on the compiled tier: multi-node
-			// lockstep windows execute exclusively epoch-safe fused ops.
-			m.epochOn = !m.Cfg.DisableEpoch
 		}
+		m.compileOn = true
+		// Epoch windows pay only where the paper's Table 3 runs: on
+		// perfect memory. On ALEWIFE they would have to stop at every
+		// fabric event and cover almost no cycles.
+		m.epochOn = m.Cfg.Alewife == nil
 	}
 	main := m.Sched.NewThread(0)
 	main.PC = prog.Entry
@@ -416,6 +420,20 @@ func (m *Machine) Load(prog *isa.Program) error {
 	m.Sched.PushReady(main)
 	m.loaded = true
 	return nil
+}
+
+// predecode installs one predecoded image of prog, shared read-only by
+// every node, and returns it; the reference tier keeps the
+// opcode-switch interpreter and gets nil.
+func (m *Machine) predecode(prog *isa.Program) []isa.Micro {
+	if m.Cfg.Tier == TierReference {
+		return nil
+	}
+	micro := prog.Predecode()
+	for _, n := range m.Nodes {
+		n.Proc.SetMicro(micro)
+	}
+	return micro
 }
 
 // Result is the outcome of a run.
@@ -517,7 +535,7 @@ func (m *Machine) runGuarded(limit uint64) (hit bool, err error) {
 		hit = false
 		err = m.crash(fault.ReasonMemFault, f)
 	}()
-	if m.Cfg.DisableFastForward {
+	if m.Cfg.Tier == TierReference {
 		return m.runReferenceUntil(limit)
 	}
 	return m.runFastUntil(limit)
@@ -745,8 +763,7 @@ func (m *Machine) runFastUntil(limit uint64) (hitLimit bool, err error) {
 			si, epochFull := m.epochWindow(steps, limit)
 			if epochFull {
 				// Whole window committed: every stepper ran 1-cycle ops,
-				// so they are the running list, and the fabric already
-				// replayed its no-op ticks.
+				// so they are the running list.
 				m.setRunning(append(m.keepBuf[:0], steps...))
 				if err := m.watchdogs(); err != nil {
 					return false, err

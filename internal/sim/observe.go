@@ -154,7 +154,7 @@ func (m *Machine) CounterRegistry() *trace.Registry {
 			return out
 		})
 	}
-	if m.park.period > 0 && !m.Cfg.DisableFastForward {
+	if m.park.period > 0 && m.Cfg.Tier != TierReference {
 		// Idle-node parking (wake.go): host-side like the groups above,
 		// registered only where nodes can park so oracle-path snapshots
 		// stay byte-stable.

@@ -36,10 +36,8 @@ type parkCell struct {
 	lazy    bool
 	faults  *fault.Config
 
-	reference bool   // reference loop and interpreter
-	noCompile bool   // predecoded per-op tier only
-	noEpoch   bool   // compiled tier without epoch windows
-	slice     uint64 // drive in RunWindow slices of this many cycles (0 = one Run)
+	tier  sim.Tier
+	slice uint64 // drive in RunWindow slices of this many cycles (0 = one Run)
 }
 
 func (c parkCell) machine(t *testing.T) *sim.Machine {
@@ -49,15 +47,12 @@ func (c parkCell) machine(t *testing.T) *sim.Machine {
 		aw = &sim.AlewifeConfig{}
 	}
 	m, err := sim.New(sim.Config{
-		Nodes:              c.nodes,
-		Profile:            c.prof,
-		Lazy:               c.lazy,
-		Alewife:            aw,
-		Faults:             c.faults,
-		DisableFastForward: c.reference,
-		DisablePredecode:   c.reference,
-		DisableCompile:     c.noCompile,
-		DisableEpoch:       c.noEpoch,
+		Nodes:   c.nodes,
+		Profile: c.prof,
+		Lazy:    c.lazy,
+		Alewife: aw,
+		Faults:  c.faults,
+		Tier:    c.tier,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +113,7 @@ func TestParkDifferentialMatrix(t *testing.T) {
 					cell := parkCell{src: p.src, nodes: nodes, alewife: aw, prof: prof}
 					t.Run(fmt.Sprintf("%s/%s/%dp/%s", p.name, mode, nodes, prof.Name), func(t *testing.T) {
 						ref := cell
-						ref.reference = true
+						ref.tier = sim.TierReference
 						want, _ := ref.run(t)
 						for _, slice := range []uint64{1, 3, 7, 4096} {
 							fast := cell
@@ -142,9 +137,9 @@ func TestParkDifferentialMatrix(t *testing.T) {
 	}
 }
 
-// TestParkTierPairings: the parked fast loop against every surviving
-// execution pairing on a mostly idle ALEWIFE machine — compiled tier
-// off, epoch windows off, fault plans armed.
+// TestParkTierPairings: the parked fast loop under the compiled and
+// predecode tiers on a mostly idle ALEWIFE machine, with and without
+// fault plans armed.
 func TestParkTierPairings(t *testing.T) {
 	base := parkCell{src: bench.QueensSource(5), nodes: 27, alewife: true, prof: rts.APRIL}
 	plans := []*fault.Config{nil}
@@ -156,17 +151,13 @@ func TestParkTierPairings(t *testing.T) {
 		cell := base
 		cell.faults = plan
 		ref := cell
-		ref.reference = true
+		ref.tier = sim.TierReference
 		want, _ := ref.run(t)
-		variants := map[string]func(*parkCell){
-			"fast":       func(*parkCell) {},
-			"no-compile": func(c *parkCell) { c.noCompile = true },
-			"no-epoch":   func(c *parkCell) { c.noEpoch = true },
-		}
-		for name, set := range variants {
+		variants := map[string]sim.Tier{"fast": sim.TierCompiled, "no-compile": sim.TierPredecode}
+		for name, tier := range variants {
 			t.Run(fmt.Sprintf("plan%d/%s", i, name), func(t *testing.T) {
 				c := cell
-				set(&c)
+				c.tier = tier
 				c.slice = 4096
 				got, _ := c.run(t)
 				compareOutcomes(t, got, want)
@@ -182,7 +173,7 @@ func TestParkLazyNeverParks(t *testing.T) {
 	for _, nodes := range []int{8, 27} {
 		cell := parkCell{src: bench.FibSource(10), nodes: nodes, prof: rts.APRIL, lazy: true}
 		ref := cell
-		ref.reference = true
+		ref.tier = sim.TierReference
 		want, _ := ref.run(t)
 		cell.slice = 7
 		got, m := cell.run(t)
@@ -218,7 +209,7 @@ func TestParkRunForIdleNodes(t *testing.T) {
 				awc = &sim.AlewifeConfig{}
 			}
 			m, err := sim.New(sim.Config{Nodes: 27, Profile: rts.APRIL, Alewife: awc,
-				DisableFastForward: reference, DisablePredecode: reference})
+				Tier: tierOf(reference)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -271,7 +262,7 @@ func TestParkSnapshotMidPark(t *testing.T) {
 		for _, at := range []uint64{whole.cycles / 7, whole.cycles - 601, whole.cycles - 300} {
 			t.Run(fmt.Sprintf("alewife=%v/at%d", aw, at), func(t *testing.T) {
 				ref := cell
-				ref.reference = true
+				ref.tier = sim.TierReference
 				fm, rm := cell.machine(t), ref.machine(t)
 				for _, m := range []*sim.Machine{fm, rm} {
 					if done, err := m.RunWindow(at); err != nil || done {
@@ -296,7 +287,7 @@ func TestParkSnapshotMidPark(t *testing.T) {
 				compareOutcomes(t, finishOutcome(t, fm), want)
 				for name, ov := range map[string]sim.RestoreOverrides{
 					"fast":      {},
-					"reference": {Reference: true},
+					"reference": {Tier: sim.TierReference},
 				} {
 					m2, err := sim.Restore(fimg, ov)
 					if err != nil {
@@ -366,7 +357,7 @@ func TestParkIPIDelivery(t *testing.T) {
 	for delay := 40; delay < 49; delay++ {
 		runIPI := func(reference bool) ([]delivery, ffOutcome, sim.ParkStats) {
 			m, err := sim.New(sim.Config{Nodes: 5, Profile: rts.APRIL,
-				DisableFastForward: reference, DisablePredecode: reference})
+				Tier: tierOf(reference)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -455,7 +446,7 @@ __main_exit: trap 1
 	}{
 		{"deadlock-all-parked", func(reference bool) *sim.Machine {
 			m, err := sim.New(sim.Config{Nodes: 9, Profile: rts.APRIL, DeadlockWindow: 10_007,
-				Alewife: &sim.AlewifeConfig{}, DisableFastForward: reference, DisablePredecode: reference})
+				Alewife: &sim.AlewifeConfig{}, Tier: tierOf(reference)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -466,14 +457,14 @@ __main_exit: trap 1
 			return m
 		}},
 		{"deadlock-bouncing-thread", func(reference bool) *sim.Machine {
-			return parkCell{src: bouncing, nodes: 8, prof: rts.APRIL, reference: reference}.machine(t)
+			return parkCell{src: bouncing, nodes: 8, prof: rts.APRIL, tier: tierOf(reference)}.machine(t)
 		}},
 		{"wedged-network", func(reference bool) *sim.Machine {
 			// TestInvariantInducedWedgeAutopsy's wedge: every torus
 			// link stalled, checkers armed.
 			m, err := sim.New(sim.Config{Nodes: 4, Profile: rts.APRIL, Check: true, DeadlockWindow: 60_000,
 				Alewife: &sim.AlewifeConfig{Geometry: geo}, Faults: &fault.Config{Seed: 1, StallLinks: links},
-				DisableFastForward: reference, DisablePredecode: reference})
+				Tier: tierOf(reference)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -526,7 +517,7 @@ func TestParkWorkProportional(t *testing.T) {
 				awc = &sim.AlewifeConfig{}
 			}
 			m, err := sim.New(sim.Config{Nodes: nodes, Profile: rts.APRIL, Alewife: awc,
-				DisableFastForward: reference, DisablePredecode: reference})
+				Tier: tierOf(reference)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -570,4 +561,12 @@ func TestParkWorkProportional(t *testing.T) {
 				aw, idle, idle/period, period, executed, tel.PollsElided)
 		}
 	}
+}
+
+// tierOf names the tier a reference-or-fast pairing runs.
+func tierOf(reference bool) sim.Tier {
+	if reference {
+		return sim.TierReference
+	}
+	return sim.TierCompiled
 }

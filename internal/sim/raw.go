@@ -17,12 +17,7 @@ func (m *Machine) LoadRaw(prog *isa.Program) {
 	for _, n := range m.Nodes {
 		n.Proc.Prog = prog
 	}
-	if !m.Cfg.DisablePredecode {
-		micro := prog.Predecode()
-		for _, n := range m.Nodes {
-			n.Proc.SetMicro(micro)
-		}
-	}
+	m.predecode(prog)
 	m.loaded = true
 }
 
@@ -45,14 +40,14 @@ func (m *Machine) SpawnRaw(node int, pc uint32, regs map[uint8]isa.Word) *rts.Th
 // RunFor drives the machine for exactly the given number of cycles
 // (threads typically loop forever; there is no termination or deadlock
 // detection — an idle machine simply burns idle cycles). Like Run it
-// fast-forwards across provably uneventful cycles unless the config
-// disables that; the window boundary is honored exactly either way.
+// fast-forwards across provably uneventful cycles, except under
+// TierReference; the window boundary is honored exactly either way.
 func (m *Machine) RunFor(cycles uint64) error {
 	if !m.loaded {
 		return errors.New("sim: no program loaded")
 	}
 	end := m.now + cycles
-	if m.Cfg.DisableFastForward {
+	if m.Cfg.Tier == TierReference {
 		for m.now < end {
 			for _, n := range m.Nodes {
 				if n.busy > 0 {

@@ -12,7 +12,7 @@ package sim
 // dirty sets, derived indices, telemetry of the host's own performance
 // — is reconstructed from the simulated state instead. That is what
 // lets one image restore under any execution tier (reference,
-// predecoded, compiled, epoch): the tiers share simulated semantics and
+// predecode, compiled): the tiers share simulated semantics and
 // differ only in host bookkeeping.
 //
 // An image is self-contained. It embeds the program (instructions via
@@ -103,17 +103,13 @@ func (m *Machine) ConfigHash() (uint64, error) {
 
 // RestoreOverrides are the host-side knobs a restored machine takes
 // from the caller rather than the image: how to execute, not what to
-// execute. The zero value restores at full speed — all tiers armed, no
-// checkers, no tracing.
+// execute. The zero value restores on the default tier, with no
+// checkers and no tracing.
 type RestoreOverrides struct {
 	Out io.Writer
 
-	Reference        bool // reference loops (DisableFastForward + DisablePredecode)
-	DisableCompile   bool
-	DisableEpoch     bool
-	CompileThreshold int
-	Horizon          uint64
-	Check            bool
+	Tier  Tier
+	Check bool
 
 	Trace            bool   // attach an event tracer (cursors continue from the image)
 	Timeline         bool   // attach the activity sampler
@@ -128,6 +124,9 @@ type RestoreOverrides struct {
 // fail with structured errors wrapping the internal/snapshot
 // sentinels.
 func Restore(img []byte, ov RestoreOverrides) (*Machine, error) {
+	if err := ov.Tier.valid(); err != nil {
+		return nil, err
+	}
 	hdr, r, err := snapshot.Open(img)
 	if err != nil {
 		return nil, err
@@ -137,12 +136,7 @@ func Restore(img []byte, ov RestoreOverrides) (*Machine, error) {
 		return nil, err
 	}
 	cfg.Out = ov.Out
-	cfg.DisableFastForward = ov.Reference
-	cfg.DisablePredecode = ov.Reference
-	cfg.DisableCompile = ov.DisableCompile
-	cfg.DisableEpoch = ov.DisableEpoch
-	cfg.CompileThreshold = ov.CompileThreshold
-	cfg.Horizon = ov.Horizon
+	cfg.Tier = ov.Tier
 	cfg.Check = ov.Check
 	// The checksum passed, so whatever New or Load refuses is what the
 	// image says: an identity section no machine could have written.
@@ -433,7 +427,7 @@ func (m *Machine) decodeState(r *snapshot.Reader) error {
 // restores into either representation.
 func (m *Machine) busyRemaining() []uint64 {
 	rem := make([]uint64, len(m.Nodes))
-	if m.Cfg.DisableFastForward {
+	if m.Cfg.Tier == TierReference {
 		for i, n := range m.Nodes {
 			rem[i] = uint64(n.busy)
 		}
@@ -457,7 +451,7 @@ func (m *Machine) busyRemaining() []uint64 {
 // rebuildRunLists installs canonical per-node remaining-busy values
 // into the target loop's representation.
 func (m *Machine) rebuildRunLists(rem []uint64) {
-	if m.Cfg.DisableFastForward {
+	if m.Cfg.Tier == TierReference {
 		for i, n := range m.Nodes {
 			n.busy = int(rem[i])
 		}

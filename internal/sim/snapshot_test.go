@@ -157,8 +157,8 @@ func TestSnapshotDoesNotPerturb(t *testing.T) {
 }
 
 // TestSnapshotCrossTierRestore: one image, written by the default
-// (compiled) tier, restored under every other tier — reference loop,
-// predecode-only, epoch-disabled, checked — all reaching the same end
+// (compiled) tier, restored under every tier and with the checkers
+// armed — all reaching the same end
 // state. Tier choice is a host decision and must never leak into
 // simulated results.
 func TestSnapshotCrossTierRestore(t *testing.T) {
@@ -176,9 +176,8 @@ func TestSnapshotCrossTierRestore(t *testing.T) {
 
 	tiers := map[string]sim.RestoreOverrides{
 		"compiled":  {},
-		"reference": {Reference: true},
-		"predecode": {DisableCompile: true},
-		"no-epoch":  {DisableEpoch: true},
+		"reference": {Tier: sim.TierReference},
+		"predecode": {Tier: sim.TierPredecode},
 		"checked":   {Check: true},
 	}
 	for name, ov := range tiers {
@@ -189,6 +188,34 @@ func TestSnapshotCrossTierRestore(t *testing.T) {
 			}
 			compareOutcomes(t, finishOutcome(t, m2), want)
 		})
+	}
+}
+
+// TestTierOutOfRange: a tier outside the three is an error from New
+// and from Restore (not a corrupt image: the image is fine), never a
+// silent fallback; every tier's name parses back to it.
+func TestTierOutOfRange(t *testing.T) {
+	bad := sim.TierReference + 1
+	if _, err := sim.New(sim.Config{Tier: bad, Profile: rts.APRIL}); err == nil {
+		t.Error("New accepted an out-of-range tier")
+	}
+	m := snapMachine(t, bench.FibSource(5), snapConfig{nodes: 2}.simConfig())
+	img, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Restore(img, sim.RestoreOverrides{Tier: bad}); err == nil || errors.Is(err, snapshot.ErrCorrupt) {
+		t.Errorf("Restore with an out-of-range tier: %v, want a non-corrupt-image error", err)
+	}
+	for _, tier := range sim.Tiers {
+		var got sim.Tier
+		if err := got.Set(tier.String()); err != nil || got != tier {
+			t.Errorf("Set(%q) = %v, %v", tier, got, err)
+		}
+	}
+	var got sim.Tier
+	if err := got.Set("fast"); err == nil {
+		t.Error(`Set("fast") accepted an unknown tier name`)
 	}
 }
 
@@ -248,7 +275,7 @@ func TestSnapshotConfigHash(t *testing.T) {
 		t.Errorf("same config hashes differ: %#x vs %#x", h, h0)
 	}
 	predecode := base()
-	predecode.DisableCompile = true
+	predecode.Tier = sim.TierPredecode
 	if h := hash(src, predecode); h != h0 {
 		t.Errorf("host knob (tier) changed the config hash")
 	}
@@ -369,7 +396,7 @@ func TestSnapshotSabotageDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m2, err := sim.Restore(img, sim.RestoreOverrides{Reference: true, Check: true})
+	m2, err := sim.Restore(img, sim.RestoreOverrides{Tier: sim.TierReference, Check: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +410,7 @@ func TestSnapshotSabotageDeterminism(t *testing.T) {
 	}
 
 	// A second restore stopped one cycle short must still be clean.
-	m3, err := sim.Restore(img, sim.RestoreOverrides{Reference: true, Check: true})
+	m3, err := sim.Restore(img, sim.RestoreOverrides{Tier: sim.TierReference, Check: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +497,7 @@ func TestSnapshotImageLoopInvariant(t *testing.T) {
 	src := bench.QueensSource(5)
 	fast := snapMachine(t, src, snapConfig{nodes: 8, aw: true}.simConfig())
 	refCfg := snapConfig{nodes: 8, aw: true}.simConfig()
-	refCfg.DisableFastForward, refCfg.DisablePredecode = true, true
+	refCfg.Tier = sim.TierReference
 	ref := snapMachine(t, src, refCfg)
 	var imgs [2][]byte
 	for i, m := range []*sim.Machine{fast, ref} {
@@ -488,7 +515,7 @@ func TestSnapshotImageLoopInvariant(t *testing.T) {
 	want := finishOutcome(t, ref)
 	for name, ov := range map[string]sim.RestoreOverrides{
 		"fast":      {},
-		"reference": {Reference: true},
+		"reference": {Tier: sim.TierReference},
 	} {
 		m, err := sim.Restore(imgs[0], ov)
 		if err != nil {

@@ -12,9 +12,9 @@ import "april/internal/mem"
 // EpochStats aggregates the epoch engine's behavior (epoch.go) over a
 // run: how often multi-node lockstep windows opened, how many cycles
 // and node-steps they absorbed, and how they ended. All-zero when the
-// engine is disarmed (DisableEpoch or anything disarming the compiled
-// tier). Pure host-side observation: simulated results are
-// bit-identical with the engine on or off.
+// engine is disarmed: on ALEWIFE machines and below TierCompiled. Pure
+// host-side observation: simulated results are bit-identical under
+// every tier.
 type EpochStats struct {
 	Windows uint64 // windows that executed at least one op
 	Cycles  uint64 // complete simulated cycles committed inside windows

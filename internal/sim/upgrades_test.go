@@ -31,14 +31,10 @@ func memoryCounters(m *sim.Machine) map[string]map[string]uint64 {
 // counts it once.
 func TestUpgradesCountedAcrossTiers(t *testing.T) {
 	src := bench.QueensSource(6)
-	mk := func(mut func(*sim.Config)) sim.Config {
-		cfg := sim.Config{Nodes: 64, Alewife: &sim.AlewifeConfig{}}
-		mut(&cfg)
-		return cfg
+	mk := func(tier sim.Tier) sim.Config {
+		return sim.Config{Nodes: 64, Alewife: &sim.AlewifeConfig{}, Tier: tier}
 	}
-	ref := runCompileSide(t, src, mk(func(c *sim.Config) {
-		c.DisableFastForward, c.DisablePredecode = true, true
-	}))
+	ref := runCompileSide(t, src, mk(sim.TierReference))
 	want := memoryCounters(ref.m)
 	var upgrades uint64
 	for i := range ref.m.Nodes {
@@ -47,11 +43,9 @@ func TestUpgradesCountedAcrossTiers(t *testing.T) {
 	if upgrades == 0 {
 		t.Fatal("no upgrades counted on 64-node queens")
 	}
-	for name, cfg := range map[string]sim.Config{
-		"predecode": mk(func(c *sim.Config) { c.DisableCompile = true }),
-		"compiled":  mk(func(c *sim.Config) {}),
-	} {
-		out := runCompileSide(t, src, cfg)
+	for _, tier := range []sim.Tier{sim.TierPredecode, sim.TierCompiled} {
+		name := tier.String()
+		out := runCompileSide(t, src, mk(tier))
 		compareCompiled(t, out, ref)
 		if got := memoryCounters(out.m); !reflect.DeepEqual(got, want) {
 			for g, kv := range got {
