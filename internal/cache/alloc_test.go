@@ -3,8 +3,8 @@ package cache
 import "testing"
 
 // The cache hit path runs on every simulated memory access; it must
-// not allocate. (Insert may allocate only through set growth at
-// construction time, which New performs up front.)
+// not allocate. (Insert allocates a chunk of lines the first time one
+// lands in it; a probe never does, see TestProbesAllocateNothing.)
 func TestHitPathAllocFree(t *testing.T) {
 	c, err := New(DefaultConfig())
 	if err != nil {

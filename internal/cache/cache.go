@@ -67,15 +67,25 @@ type line struct {
 	lru    uint64
 }
 
+// ChunkSets is how many consecutive sets share one chunk of lines: 256
+// lines, 4 KiB, for the Table 4 cache. Smaller chunks would track
+// touched ranges more closely, but every hit reads the chunk table, and
+// a longer table is dearer to keep in the host's caches (see DESIGN.md,
+// "Touch-granular cache lines").
+const ChunkSets = 64
+
 // Cache is a set-associative cache indexed by block number. The lines
-// live in one flat slice, set-major (set s occupies
-// lines[s*ways:(s+1)*ways]): one allocation per cache rather than one
-// per set, and a lookup is one pointer chase.
+// live set-major in chunks of ChunkSets sets (set s is chunk s/ChunkSets,
+// lines (s%ChunkSets)*ways onward); the last chunk holds whatever sets
+// remain. A chunk is allocated by the first line installed in it, so an
+// untouched cache costs only its chunk table, and never moves once
+// allocated, so Line handles into it stay put. A lookup is two pointer
+// chases: the table, then the set.
 type Cache struct {
-	cfg   Config
-	lines []line
-	nsets uint32
-	ways  int
+	cfg    Config
+	chunks [][]line // nil until a line is installed in the chunk
+	nsets  uint32
+	ways   int
 	// mask is nsets-1 when the set count is a power of two (every
 	// default geometry), sparing the lookup a hardware divide; pow2
 	// false keeps the modulo.
@@ -93,15 +103,14 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	blocks := cfg.SizeBytes / cfg.BlockBytes
-	nsets := blocks / uint32(cfg.Assoc)
+	nsets := cfg.SizeBytes / cfg.BlockBytes / uint32(cfg.Assoc)
 	return &Cache{
-		cfg:   cfg,
-		lines: make([]line, blocks),
-		nsets: nsets,
-		ways:  cfg.Assoc,
-		mask:  nsets - 1,
-		pow2:  nsets&(nsets-1) == 0,
+		cfg:    cfg,
+		chunks: make([][]line, (nsets+ChunkSets-1)/ChunkSets),
+		nsets:  nsets,
+		ways:   cfg.Assoc,
+		mask:   nsets - 1,
+		pow2:   nsets&(nsets-1) == 0,
 	}, nil
 }
 
@@ -111,17 +120,34 @@ func (c *Cache) Config() Config { return c.cfg }
 // Block maps a byte address to its block number.
 func (c *Cache) Block(addr uint32) uint32 { return addr / c.cfg.BlockBytes }
 
-func (c *Cache) set(block uint32) []line {
-	si := block & c.mask
-	if !c.pow2 {
-		si = block % c.nsets
+func (c *Cache) setIndex(block uint32) uint32 {
+	if c.pow2 {
+		return block & c.mask
 	}
-	base := int(si) * c.ways
-	return c.lines[base : base+c.ways]
+	return block % c.nsets
+}
+
+// set returns set si's ways, or nil when its chunk holds no lines yet.
+func (c *Cache) set(si uint32) []line {
+	ch := c.chunks[si/ChunkSets]
+	if ch == nil {
+		return nil
+	}
+	base := int(si%ChunkSets) * c.ways
+	return ch[base : base+c.ways]
+}
+
+// chunk returns chunk k, allocating it on first use.
+func (c *Cache) chunk(k int) []line {
+	if c.chunks[k] == nil {
+		sets := min(ChunkSets, int(c.nsets)-k*ChunkSets)
+		c.chunks[k] = make([]line, sets*c.ways)
+	}
+	return c.chunks[k]
 }
 
 func (c *Cache) find(block uint32) *line {
-	set := c.set(block)
+	set := c.set(c.setIndex(block))
 	for i := range set {
 		if set[i].state != Invalid && set[i].block == block {
 			return &set[i]
@@ -200,7 +226,9 @@ func (c *Cache) Insert(block uint32, st State) (Victim, bool) {
 		l.lru = c.clock
 		return Victim{}, false
 	}
-	set := c.set(block)
+	si := c.setIndex(block)
+	base := int(si%ChunkSets) * c.ways
+	set := c.chunk(int(si / ChunkSets))[base : base+c.ways]
 	vi := 0
 	for i := range set {
 		if set[i].state == Invalid {
@@ -267,14 +295,30 @@ func (c *Cache) Occupancy() int { return c.valid }
 // ForEach calls fn for every valid line in slot order, with its slot
 // index (set*ways + way) and lru stamp: what a snapshot needs to put the
 // line back where it was (see SetSlot). Invalid slots cost a state test
-// and no call. Cold path: snapshots and the fault checker's coherence
-// audits walk whole caches with it.
+// and no call; unallocated chunks cost nothing. Cold path: snapshots and
+// the fault checker's coherence audits walk whole caches with it.
 func (c *Cache) ForEach(fn func(slot int, block uint32, st State, dirty bool, lru uint64)) {
-	for i := range c.lines {
-		if l := &c.lines[i]; l.state != Invalid {
-			fn(i, l.block, l.state, l.dirty, l.lru)
+	for k, ch := range c.chunks {
+		base := k * ChunkSets * c.ways
+		for i := range ch {
+			if l := &ch[i]; l.state != Invalid {
+				fn(base+i, l.block, l.state, l.dirty, l.lru)
+			}
 		}
 	}
+}
+
+// ResidentChunks is the number of allocated chunks: host memory, not
+// simulated state (a restored cache allocates only the chunks its valid
+// lines land in, however many the original had touched).
+func (c *Cache) ResidentChunks() int {
+	n := 0
+	for _, ch := range c.chunks {
+		if ch != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // MissRatio is misses / (hits + misses).

@@ -197,8 +197,10 @@ func TestBlockMapping(t *testing.T) {
 }
 
 // TestSlotContractAcrossGeometries pins the slot contract of
-// ForEach/SetSlot over the flat line store, for a power-of-two set
-// count (mask indexing) and one that is not (modulo indexing): ForEach
+// ForEach/SetSlot over the chunked line store (slots number set*ways +
+// way across chunks, as in the flat store it replaced), for a
+// power-of-two set count (mask indexing) and one that is not (modulo
+// indexing): ForEach
 // visits exactly the valid lines, in ascending slot order, a block sits
 // in set block%sets (slot/ways), and the walk replayed through SetSlot
 // into an empty cache rebuilds one that probes, replaces and walks the

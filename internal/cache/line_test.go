@@ -28,11 +28,16 @@ type slot struct {
 	lru    uint64
 }
 
-// image is everything a probe could have disturbed: every slot, the LRU
-// clock and the counters.
+// image is everything a probe could have disturbed: every slot (an
+// unallocated chunk's read as zero lines), the LRU clock and the
+// counters.
 func image(c *Cache) ([]slot, [6]uint64) {
 	var slots []slot
-	for _, l := range c.lines {
+	for i := 0; i < int(c.nsets)*c.ways; i++ {
+		var l line
+		if ch := c.chunks[i/(ChunkSets*c.ways)]; ch != nil {
+			l = ch[i%(ChunkSets*c.ways)]
+		}
 		slots = append(slots, slot{l.block, l.state, l.dirty, l.locked, l.lru})
 	}
 	return slots, [6]uint64{c.clock, c.Hits, c.Misses, c.Evictions, c.Writebacks, c.Invalidations}

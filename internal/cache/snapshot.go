@@ -19,20 +19,26 @@ func (c *Cache) Clock() uint64 { return c.clock }
 func (c *Cache) SetClock(v uint64) { c.clock = v }
 
 // SetSlot restores one slot, by the set*ways + way index ForEach
-// reports. It performs no stats or LRU bookkeeping.
+// reports. It performs no stats or LRU bookkeeping. An Invalid line
+// into a chunk that holds none allocates nothing: it is already there.
 func (c *Cache) SetSlot(slot int, block uint32, st State, dirty bool, lru uint64) error {
-	if slot < 0 || slot >= len(c.lines) {
+	if slot < 0 || slot >= int(c.nsets)*c.ways {
 		return fmt.Errorf("cache: slot %d out of range (%d sets × %d ways)", slot, c.nsets, c.ways)
 	}
 	if st > Exclusive {
 		return fmt.Errorf("cache: slot %d has invalid state %d", slot, st)
 	}
-	if c.lines[slot].state != Invalid {
+	k := slot / (ChunkSets * c.ways)
+	if st == Invalid && c.chunks[k] == nil {
+		return nil
+	}
+	l := &c.chunk(k)[slot-k*ChunkSets*c.ways]
+	if l.state != Invalid {
 		c.valid--
 	}
 	if st != Invalid {
 		c.valid++
 	}
-	c.lines[slot] = line{block: block, state: st, dirty: dirty, lru: lru}
+	*l = line{block: block, state: st, dirty: dirty, lru: lru}
 	return nil
 }

@@ -9,9 +9,11 @@ package sim_test
 // and deliberately not pooled) and amortized map/table growth.
 
 import (
+	"runtime"
 	"testing"
 
 	"april/internal/bench"
+	"april/internal/cache"
 	"april/internal/mult"
 	"april/internal/network"
 	"april/internal/rts"
@@ -107,6 +109,97 @@ func BenchmarkAlewifeSteadyWindow(b *testing.B) {
 			warm()
 			b.StartTimer()
 		}
+	}
+}
+
+// alewife1000 builds the benchmark's sparse machine — 1000 default
+// ALEWIFE nodes (Table 4 caches on a 10-ary 3-cube) in 2 GiB — loaded
+// with queens 8. newLoad reports what sim.New and Load allocated
+// between them (compilation excluded).
+func alewife1000(tb testing.TB) (m *sim.Machine, newLoad uint64) {
+	tb.Helper()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	m, err := sim.New(sim.Config{Nodes: 1000, Profile: rts.APRIL, MemoryBytes: 1 << 31, Alewife: &sim.AlewifeConfig{}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	runtime.ReadMemStats(&ms)
+	newLoad = ms.TotalAlloc - before
+	prog, err := mult.Compile(bench.QueensSource(8), mult.Mode{HardwareFutures: true}, m.StaticHeap())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	runtime.ReadMemStats(&ms)
+	before = ms.TotalAlloc
+	if err := m.Load(prog); err != nil {
+		tb.Fatal(err)
+	}
+	runtime.ReadMemStats(&ms)
+	return m, newLoad + ms.TotalAlloc - before
+}
+
+// TestNewAlewife1000Alloc guards set-up cost at the scale of the
+// paper's machine: caches are allocated as lines arrive, not up front,
+// so building and loading 1000 nodes allocates ~7 MiB (the Table 4
+// tag arrays alone would be 62.5 MiB).
+func TestNewAlewife1000Alloc(t *testing.T) {
+	m, got := alewife1000(t)
+	t.Logf("sim.New + Load of %d nodes: %.1f MiB", len(m.Nodes), float64(got)/(1<<20))
+	if got >= 16<<20 {
+		t.Errorf("sim.New + Load allocated %.1f MiB, want < 16 MiB", float64(got)/(1<<20))
+	}
+	for i := range m.Nodes {
+		if n := sim.NodeCache(m, i).ResidentChunks(); n != 0 {
+			t.Fatalf("node %d: %d cache chunks before the first cycle", i, n)
+		}
+	}
+}
+
+// BenchmarkNewAlewife1000 is one set-up of the 1000-node machine (with
+// -benchmem, the bytes TestNewAlewife1000Alloc bounds, plus compiling
+// queens 8).
+func BenchmarkNewAlewife1000(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		alewife1000(b)
+	}
+}
+
+// TestSnapshotRestoreAllocatesOnlyValidChunks: a restored cache holds
+// exactly the chunks its image's valid lines land in, however many the
+// donor had touched; residency is host memory, not machine state.
+func TestSnapshotRestoreAllocatesOnlyValidChunks(t *testing.T) {
+	m := loadedQueens64(t)
+	if done, err := m.RunWindow(20_000); err != nil || done {
+		t.Fatalf("warm-up: done %v, err %v", done, err)
+	}
+	img, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := sim.Restore(img, sim.RestoreOverrides{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := 0
+	for i := range r.Nodes {
+		c := sim.NodeCache(r, i)
+		_, ways := c.Geometry()
+		want := map[int]bool{}
+		c.ForEach(func(slot int, _ uint32, _ cache.State, _ bool, _ uint64) {
+			want[slot/(cache.ChunkSets*ways)] = true
+		})
+		if got := c.ResidentChunks(); got != len(want) {
+			t.Errorf("node %d: %d chunks resident, %d hold valid lines", i, got, len(want))
+		}
+		if donor := sim.NodeCache(m, i).ResidentChunks(); c.ResidentChunks() > donor {
+			t.Errorf("node %d: restored %d chunks, donor had %d", i, c.ResidentChunks(), donor)
+		}
+		restored += c.ResidentChunks()
+	}
+	if restored == 0 {
+		t.Fatal("no node restored a cache line")
 	}
 }
 

@@ -386,30 +386,7 @@ func (m *Machine) Load(prog *isa.Program) error {
 	}
 	m.Sched.TaskExitPC = taskExit
 	m.Sched.MainExitPC = mainExit
-	for _, n := range m.Nodes {
-		n.Proc.Prog = prog
-	}
-	micro := m.predecode(prog)
-	if m.Cfg.Tier == TierCompiled {
-		// Arm the compiled tier: one block-translation set over the
-		// shared image, sized here so steady state allocates nothing.
-		// Memory ops fuse only on perfect memory — in ALEWIFE mode a
-		// miss inside a fused window would stamp network messages
-		// mid-window; the clock-free cache-hit port lets fused code
-		// cross plain cached accesses instead.
-		bs := isa.NewBlockSet(micro, m.threshold, m.Cfg.Alewife == nil)
-		for _, n := range m.Nodes {
-			n.Proc.SetCompile(bs, &m.Sched.MainDone)
-			if n.cache != nil {
-				n.Proc.SetFusedPort(n.cache)
-			}
-		}
-		m.compileOn = true
-		// Epoch windows pay only where the paper's Table 3 runs: on
-		// perfect memory. On ALEWIFE they would have to stop at every
-		// fabric event and cover almost no cycles.
-		m.epochOn = m.Cfg.Alewife == nil
-	}
+	m.install(prog)
 	main := m.Sched.NewThread(0)
 	main.PC = prog.Entry
 	main.NPC = prog.Entry + 1
@@ -422,18 +399,42 @@ func (m *Machine) Load(prog *isa.Program) error {
 	return nil
 }
 
-// predecode installs one predecoded image of prog, shared read-only by
-// every node, and returns it; the reference tier keeps the
-// opcode-switch interpreter and gets nil.
-func (m *Machine) predecode(prog *isa.Program) []isa.Micro {
+// install puts prog on every node under the configured tier, for Load
+// and LoadRaw alike: one predecoded image shared read-only by every
+// node (the reference tier keeps the opcode-switch interpreter), and on
+// TierCompiled the fused-block tier over it.
+func (m *Machine) install(prog *isa.Program) {
+	for _, n := range m.Nodes {
+		n.Proc.Prog = prog
+	}
 	if m.Cfg.Tier == TierReference {
-		return nil
+		return
 	}
 	micro := prog.Predecode()
 	for _, n := range m.Nodes {
 		n.Proc.SetMicro(micro)
 	}
-	return micro
+	if m.Cfg.Tier != TierCompiled {
+		return
+	}
+	// Arm the compiled tier: one block-translation set over the shared
+	// image, sized here so steady state allocates nothing. Memory ops
+	// fuse only on perfect memory — in ALEWIFE mode a miss inside a
+	// fused window would stamp network messages mid-window; the
+	// clock-free cache-hit port lets fused code cross plain cached
+	// accesses instead.
+	bs := isa.NewBlockSet(micro, m.threshold, m.Cfg.Alewife == nil)
+	for _, n := range m.Nodes {
+		n.Proc.SetCompile(bs, &m.Sched.MainDone)
+		if n.cache != nil {
+			n.Proc.SetFusedPort(n.cache)
+		}
+	}
+	m.compileOn = true
+	// Epoch windows pay only where the paper's Table 3 runs: on perfect
+	// memory. On ALEWIFE they would have to stop at every fabric event
+	// and cover almost no cycles.
+	m.epochOn = m.Cfg.Alewife == nil
 }
 
 // Result is the outcome of a run.

@@ -12,12 +12,10 @@ import (
 // LoadRaw installs a hand-built program (no Mul-T runtime stubs, no
 // main thread). Threads are then created with SpawnRaw and the machine
 // driven with RunFor — the configuration used by the synthetic
-// utilization workloads of experiment E6.
+// utilization workloads of experiment E6. The program runs on the
+// configured tier, as a loaded one does.
 func (m *Machine) LoadRaw(prog *isa.Program) {
-	for _, n := range m.Nodes {
-		n.Proc.Prog = prog
-	}
-	m.predecode(prog)
+	m.install(prog)
 	m.loaded = true
 }
 

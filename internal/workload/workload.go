@@ -126,13 +126,20 @@ type Measurement struct {
 
 // Run measures one configuration.
 func Run(cfg Config) (Measurement, error) {
+	meas, _, err := run(cfg, sim.TierCompiled)
+	return meas, err
+}
+
+// run is Run on the given execution tier, also returning the machine
+// it measured. The tier changes host time, never a measurement.
+func run(cfg Config, tier sim.Tier) (Measurement, *sim.Machine, error) {
 	if cfg.ThreadsPerNode < 1 {
-		return Measurement{}, fmt.Errorf("workload: need at least one thread per node")
+		return Measurement{}, nil, fmt.Errorf("workload: need at least one thread per node")
 	}
-	prof := rts.APRIL
 	m, err := sim.New(sim.Config{
 		Nodes:   cfg.Nodes,
-		Profile: prof,
+		Profile: rts.APRIL,
+		Tier:    tier,
 		Alewife: &sim.AlewifeConfig{
 			MemLatency: cfg.MemLatency,
 			Cache: cache.Config{
@@ -143,7 +150,7 @@ func Run(cfg Config) (Measurement, error) {
 		},
 	})
 	if err != nil {
-		return Measurement{}, err
+		return Measurement{}, nil, err
 	}
 	prog := buildProgram(cfg.ComputePerRef)
 	m.LoadRaw(prog)
@@ -153,20 +160,20 @@ func Run(cfg Config) (Measurement, error) {
 	regionBytes := uint32(cfg.WorkingSetBlocks) * cfg.BlockBytes
 	mask := regionBytes - 1
 	if regionBytes&mask != 0 {
-		return Measurement{}, fmt.Errorf("workload: working set (%d blocks) must give a power-of-two region", cfg.WorkingSetBlocks)
+		return Measurement{}, nil, fmt.Errorf("workload: working set (%d blocks) must give a power-of-two region", cfg.WorkingSetBlocks)
 	}
 	seed := int32(12345)
 	for node := 0; node < cfg.Nodes; node++ {
 		for k := 0; k < cfg.ThreadsPerNode; k++ {
 			base, _, err := m.Sched.HeapChunk(regionBytes)
 			if err != nil {
-				return Measurement{}, err
+				return Measurement{}, nil, err
 			}
 			// Align the region so masking stays inside it.
 			base = (base + mask) &^ mask
 			sbase, _, err := m.Sched.HeapChunk(2 * streamBytes)
 			if err != nil {
-				return Measurement{}, err
+				return Measurement{}, nil, err
 			}
 			sbase = (sbase + streamBytes - 1) &^ (streamBytes - 1)
 			m.SpawnRaw(node, 0, map[uint8]isa.Word{
@@ -181,13 +188,13 @@ func Run(cfg Config) (Measurement, error) {
 	}
 
 	if err := m.RunFor(cfg.WarmupCycles); err != nil {
-		return Measurement{}, err
+		return Measurement{}, nil, err
 	}
 	// Snapshot, run the window, and diff.
 	s0 := m.TotalStats()
 	ms0 := m.MemSystemStats()
 	if err := m.RunFor(cfg.Cycles); err != nil {
-		return Measurement{}, err
+		return Measurement{}, nil, err
 	}
 	s1 := m.TotalStats()
 	ms1 := m.MemSystemStats()
@@ -214,7 +221,7 @@ func Run(cfg Config) (Measurement, error) {
 	if remote > 0 {
 		meas.RemoteLatency = remLat / remote
 	}
-	return meas, nil
+	return meas, m, nil
 }
 
 // Sweep measures p = 1..maxThreads threads per node. The points are

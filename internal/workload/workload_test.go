@@ -3,6 +3,8 @@ package workload
 import (
 	"math"
 	"testing"
+
+	"april/internal/sim"
 )
 
 func TestLinearFit(t *testing.T) {
@@ -45,6 +47,33 @@ func TestRunMeasures(t *testing.T) {
 	}
 	if m.RemoteLatency <= 10 {
 		t.Errorf("remote latency %v should exceed the memory latency", m.RemoteLatency)
+	}
+}
+
+// TestRunSameUnderEveryTier: a raw program runs on the configured tier
+// — the compiled tier resolves single steps through its
+// superinstruction handlers — and the tier never moves a measurement.
+func TestRunSameUnderEveryTier(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Cycles, cfg.WarmupCycles = 20_000, 5_000
+	var want Measurement
+	for _, tier := range sim.Tiers {
+		meas, m, err := run(cfg, tier)
+		if err != nil {
+			t.Fatalf("%v: %v", tier, err)
+		}
+		var inline uint64
+		for _, n := range m.Nodes {
+			inline += n.Proc.InlineSteps
+		}
+		if (inline > 0) != (tier == sim.TierCompiled) {
+			t.Errorf("%v: %d inline steps", tier, inline)
+		}
+		if tier == sim.TierCompiled {
+			want = meas
+		} else if meas != want {
+			t.Errorf("%v measures %+v, compiled %+v", tier, meas, want)
+		}
 	}
 }
 
