@@ -84,7 +84,7 @@ type RunStats struct {
 	Kinds map[string]uint64 `json:"kinds,omitempty"`
 
 	// Epoch appears when the epoch engine committed at least one
-	// window: multi-node lockstep execution through the compiled tier
+	// window: multi-node execution through the compiled tier
 	// (sim's epoch.go). Purely observational.
 	Epoch *EpochOverhead `json:"epoch,omitempty"`
 
@@ -98,15 +98,18 @@ type RunStats struct {
 	Memory sim.MemoryStats `json:"memory"`
 }
 
-// EpochOverhead is the epoch engine's telemetry for one run: lockstep
-// windows committed, the cycles and node-steps they absorbed, and how
-// they ended (sim.EpochStats, serialized).
+// EpochOverhead is the epoch engine's telemetry for one run: windows
+// committed, the cycles and node-steps they absorbed, how they ended,
+// and what their node-major chunks cost (sim.EpochStats, serialized).
 type EpochOverhead struct {
-	Windows    uint64 `json:"windows"`
-	Cycles     uint64 `json:"cycles"`
-	Ops        uint64 `json:"ops"`
-	PartialOps uint64 `json:"partial_ops"`
-	Fallbacks  uint64 `json:"fallbacks"`
+	Windows     uint64 `json:"windows"`
+	Cycles      uint64 `json:"cycles"`
+	Ops         uint64 `json:"ops"`
+	PartialOps  uint64 `json:"partial_ops"`
+	Fallbacks   uint64 `json:"fallbacks"`
+	Chunks      uint64 `json:"chunks"`
+	Aborts      uint64 `json:"aborts"`
+	ReplayedOps uint64 `json:"replayed_ops"`
 	// LenHist is the committed-window-length histogram in power-of-two
 	// buckets (index b counts windows of bit-length-b complete cycles).
 	LenHist []uint64 `json:"len_hist"`
@@ -123,11 +126,14 @@ func epochOverhead(m *sim.Machine) *EpochOverhead {
 		return nil
 	}
 	eo := &EpochOverhead{
-		Windows:    t.Windows,
-		Cycles:     t.Cycles,
-		Ops:        t.Ops,
-		PartialOps: t.PartialOps,
-		Fallbacks:  t.Fallbacks,
+		Windows:     t.Windows,
+		Cycles:      t.Cycles,
+		Ops:         t.Ops,
+		PartialOps:  t.PartialOps,
+		Fallbacks:   t.Fallbacks,
+		Chunks:      t.Chunks,
+		Aborts:      t.Aborts,
+		ReplayedOps: t.ReplayedOps,
 	}
 	hist := t.LenHist
 	last := len(hist)

@@ -267,6 +267,18 @@ func (m *Memory) AccessPlain(idx uint32, store bool, value isa.Word) (prev isa.W
 	return p.access(idx, store, value)
 }
 
+// AccessResident is AccessPlain for a caller that can undo a store but
+// not a page: a store to a page that is not resident stores nothing and
+// returns ok=false. Loads always complete.
+func (m *Memory) AccessResident(idx uint32, store bool, value isa.Word) (prev isa.Word, full, ok bool) {
+	p := m.find(idx)
+	if p == nil {
+		return 0, true, !store
+	}
+	prev, full = p.access(idx, store, value)
+	return prev, full, true
+}
+
 // Fault is the panic value raised by the Must* accessors: a runtime
 // access to simulator-internal state went outside the simulated arena.
 // Carrying the operation, address, and memory size lets the machine's

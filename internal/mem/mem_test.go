@@ -288,7 +288,7 @@ func TestPartialLastGroup(t *testing.T) {
 }
 
 // Reads and SetFE(full) answer (0, full) from untouched memory without
-// materializing anything.
+// materializing anything, and AccessResident refuses a store there.
 func TestUntouchedStaysUntouched(t *testing.T) {
 	m := New(1 << 20)
 	for addr := uint32(0); addr < 1<<20; addr += 1000 * WordBytes {
@@ -306,6 +306,12 @@ func TestUntouchedStaysUntouched(t *testing.T) {
 		}
 		if prev, full := m.AccessPlain(addr/WordBytes, false, 99); prev != 0 || !full {
 			t.Fatalf("AccessPlain load (%#x) = %#x, %v", addr, prev, full)
+		}
+		if prev, full, ok := m.AccessResident(addr/WordBytes, false, 99); !ok || prev != 0 || !full {
+			t.Fatalf("AccessResident load (%#x) = %#x, %v, %v", addr, prev, full, ok)
+		}
+		if _, _, ok := m.AccessResident(addr/WordBytes, true, 99); ok {
+			t.Fatalf("AccessResident stored to the untouched page of %#x", addr)
 		}
 		if m.PageResident(addr) {
 			t.Fatalf("page of %#x resident after reads only", addr)

@@ -258,7 +258,8 @@ outer:
 // out-of-range) returns false with no state touched, and the caller
 // re-executes through the full path. On a hit the op retired at cost
 // 1; Instructions/UsefulCycles accounting is the caller's (fusedOp
-// contract).
+// contract). Inside a lane of an epoch chunk the access is recorded in
+// the chunk's log, which may refuse it (epoch.go).
 func (p *Processor) fusedMem(f *core.Frame, u *isa.Micro) bool {
 	mm := p.perfMem
 	if mm == nil {
@@ -285,7 +286,16 @@ func (p *Processor) fusedMem(f *core.Frame, u *isa.Micro) bool {
 	if u.Store {
 		value = e.Reg(u.Rd)
 	}
-	prev, full := mm.AccessPlain(ea/mem.WordBytes, u.Store, value)
+	var prev isa.Word
+	var full bool
+	if l := p.epoch; l != nil {
+		var ok bool
+		if prev, full, ok = l.access(mm, ea/mem.WordBytes, u.Store, value); !ok {
+			return false
+		}
+	} else {
+		prev, full = mm.AccessPlain(ea/mem.WordBytes, u.Store, value)
+	}
 	f.PSR = f.PSR.WithFull(full)
 	if u.Store {
 		p.Stats.StoreCount++

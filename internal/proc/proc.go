@@ -115,7 +115,7 @@ type Processor struct {
 	// FusedOps counts dispatches executed inside StepFused windows,
 	// InlineSteps the single Steps resolved by the superinstruction
 	// handlers outside a window, and EpochOps the ops executed by
-	// EpochStep inside multi-node epoch windows — compile-tier coverage
+	// EpochRun inside multi-node epoch windows — compile-tier coverage
 	// telemetry (the "compile" counter group), outside Stats for the
 	// same reason as Kinds.
 	FusedOps    uint64
@@ -142,6 +142,11 @@ type Processor struct {
 	// handlers complete plain cached accesses without the full port
 	// call.
 	fusedPort FusedPort
+
+	// epoch is the log of the epoch chunk this processor is running a
+	// lane of (see epoch.go), nil outside EpochRun: fusedMem records
+	// its accesses there.
+	epoch *EpochLog
 }
 
 // New creates a processor over the given engine and program.

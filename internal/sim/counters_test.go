@@ -1,12 +1,14 @@
 package sim_test
 
 import (
+	"fmt"
 	"regexp"
 	"sort"
 	"testing"
 
 	"april/internal/bench"
 	"april/internal/mult"
+	"april/internal/rts"
 	"april/internal/sim"
 )
 
@@ -14,71 +16,107 @@ import (
 // ("node12.proc" -> "node*.proc").
 var nodeIndex = regexp.MustCompile(`^node\d+\.`)
 
-// writtenGroups are the registry group kinds whose every counter a
-// 64-node ALEWIFE queens run must write on at least one node.
-var writtenGroups = map[string]bool{
-	"machine": true, "network": true, "scheduler": true, "memory": true,
-	"compile": true, "park": true, "node*.proc": true, "node*.memory": true,
+// counterCell is one run of TestCountersWritten: the registry group
+// kinds whose every counter the run must write on at least one node,
+// and the counters it legitimately leaves at zero everywhere, each with
+// its reason.
+type counterCell struct {
+	cfg          sim.Config
+	groups       map[string]bool
+	neverWritten map[string]string
 }
 
-// neverWritten lists the counters such a run legitimately leaves at
-// zero everywhere, each with its reason.
-var neverWritten = map[string]string{
-	"compile.translated_blocks":        "ALEWIFE blocks translate only in one-stepper windows, where no entry PC reaches the threshold on 64 busy nodes",
-	"scheduler.steals":                 "continuation steals happen under lazy task creation only; this run is eager",
-	"scheduler.steal_words":            "continuation steals happen under lazy task creation only; this run is eager",
-	"scheduler.requeues":               "only a full/empty wait spinning past BlockRounds requeues; queens synchronizes through futures",
-	"compile.epoch_ops":                "epoch windows open on perfect memory only",
-	"network.in_flight":                "gauge: the fabric drains before the main thread exits",
-	"node*.memory.outstanding_remote":  "gauge: no miss is outstanding at the end of the run",
-	"node*.memory.pending_home_tx":     "gauge: no home transaction is open at the end of the run",
-	"node*.memory.deferred_recalls":    "gauge: no recall waits at the end of the run",
-	"node*.memory.outstanding_flushes": "gauge: the program issues no FLUSH",
+var counterCells = map[string]counterCell{
+	// 64 busy ALEWIFE nodes: the fabric's groups.
+	"alewife64": {
+		cfg: snapConfig{nodes: 64, aw: true}.simConfig(),
+		groups: map[string]bool{
+			"machine": true, "network": true, "scheduler": true, "memory": true,
+			"compile": true, "park": true, "node*.proc": true, "node*.memory": true,
+		},
+		neverWritten: map[string]string{
+			"compile.translated_blocks":        "ALEWIFE blocks translate only in one-stepper windows, where no entry PC reaches the threshold on 64 busy nodes",
+			"scheduler.steals":                 "continuation steals happen under lazy task creation only; this run is eager",
+			"scheduler.steal_words":            "continuation steals happen under lazy task creation only; this run is eager",
+			"scheduler.requeues":               "only a full/empty wait spinning past BlockRounds requeues; queens synchronizes through futures",
+			"compile.epoch_ops":                "epoch windows open on perfect memory only",
+			"network.in_flight":                "gauge: the fabric drains before the main thread exits",
+			"node*.memory.outstanding_remote":  "gauge: no miss is outstanding at the end of the run",
+			"node*.memory.pending_home_tx":     "gauge: no home transaction is open at the end of the run",
+			"node*.memory.deferred_recalls":    "gauge: no recall waits at the end of the run",
+			"node*.memory.outstanding_flushes": "gauge: the program issues no FLUSH",
+		},
+	},
+	// 4 perfect-memory nodes: the epoch engine's group.
+	"perfect4": {
+		cfg: sim.Config{Nodes: 4, Profile: rts.APRIL},
+		groups: map[string]bool{
+			"machine": true, "scheduler": true, "memory": true, "compile": true,
+			"epoch": true, "park": true, "node*.proc": true,
+		},
+		neverWritten: func() map[string]string {
+			nw := map[string]string{
+				"machine.wait_cycles":    "perfect memory never holds the processor",
+				"node*.proc.wait_cycles": "perfect memory never holds the processor",
+				"scheduler.steals":       "continuation steals happen under lazy task creation only; this run is eager",
+				"scheduler.steal_words":  "continuation steals happen under lazy task creation only; this run is eager",
+				"scheduler.requeues":     "only a full/empty wait spinning past BlockRounds requeues; queens synchronizes through futures",
+			}
+			for b := 11; b <= 16; b++ {
+				nw[fmt.Sprintf("epoch.len_p2_%d", b)] = "windows of 1024 or more cycles: a trap ends every window of this run sooner"
+			}
+			return nw
+		}(),
+	},
 }
 
 // TestCountersWritten catches a counter that is exported but never
-// incremented: after a 64-node ALEWIFE queens run, every key of the
-// registry groups above must be non-zero on at least one node, unless
-// neverWritten names it.
+// incremented: after each cell's queens run, every key of the cell's
+// registry groups must be non-zero on at least one node, unless the
+// cell's neverWritten names it.
 func TestCountersWritten(t *testing.T) {
-	m, err := sim.New(snapConfig{nodes: 64, aw: true}.simConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := mult.Compile(bench.QueensSource(8), mult.Mode{HardwareFutures: true}, m.StaticHeap())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Load(prog); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	written := map[string]bool{}
-	for group, counters := range m.CounterRegistry().Snapshot() {
-		kind := nodeIndex.ReplaceAllString(group, "node*.")
-		if !writtenGroups[kind] {
-			continue
-		}
-		for key, v := range counters {
-			id := kind + "." + key
-			written[id] = written[id] || v != 0
-		}
-	}
-	var zero []string
-	for id, ok := range written {
-		if _, exempt := neverWritten[id]; !ok && !exempt {
-			zero = append(zero, id)
-		}
-	}
-	sort.Strings(zero)
-	for _, id := range zero {
-		t.Errorf("%s is zero on every node", id)
-	}
-	for id := range neverWritten {
-		if _, ok := written[id]; !ok {
-			t.Errorf("allowlisted %s is not in the registry", id)
-		}
+	for name, cell := range counterCells {
+		t.Run(name, func(t *testing.T) {
+			m, err := sim.New(cell.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog, err := mult.Compile(bench.QueensSource(8), mult.Mode{HardwareFutures: true}, m.StaticHeap())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Load(prog); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			written := map[string]bool{}
+			for group, counters := range m.CounterRegistry().Snapshot() {
+				kind := nodeIndex.ReplaceAllString(group, "node*.")
+				if !cell.groups[kind] {
+					continue
+				}
+				for key, v := range counters {
+					id := kind + "." + key
+					written[id] = written[id] || v != 0
+				}
+			}
+			var zero []string
+			for id, ok := range written {
+				if _, exempt := cell.neverWritten[id]; !ok && !exempt {
+					zero = append(zero, id)
+				}
+			}
+			sort.Strings(zero)
+			for _, id := range zero {
+				t.Errorf("%s is zero on every node", id)
+			}
+			for id := range cell.neverWritten {
+				if _, ok := written[id]; !ok {
+					t.Errorf("allowlisted %s is not in the registry", id)
+				}
+			}
+		})
 	}
 }

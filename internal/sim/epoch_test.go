@@ -1,20 +1,24 @@
 package sim_test
 
 // Differential and structural tests for the epoch engine (sim's
-// epoch.go + proc's epoch.go): multi-node lockstep execution through
-// the compiled tier across provably safe horizons, armed on perfect
-// memory only. The engine's contract is bit-identical simulated results
-// against every other tier, at any window cap, with mid-epoch fallbacks
-// (an IPI, trap, or run-ending op inside a committed window's reach)
-// resolved by refusing BEFORE the unsafe op rather than by rewinding
-// after it.
+// epoch.go + proc's epoch.go): multi-node execution through the
+// compiled tier across provably safe horizons, in node-major chunks,
+// armed on perfect memory only. The engine's contract is bit-identical
+// simulated results against every other tier, at any window cap, with
+// mid-epoch fallbacks (an IPI, trap, or run-ending op inside a
+// committed window's reach) stopping BEFORE the unsafe op, and with
+// chunks that would not match lockstep (two nodes sharing a word with
+// a store, a first touch of a page) rolled back and redone.
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"april/internal/bench"
 	"april/internal/fault"
+	"april/internal/isa"
 	"april/internal/mult"
 	"april/internal/rts"
 	"april/internal/sim"
@@ -89,7 +93,7 @@ func TestEpochHorizonBoundaryDeliveries(t *testing.T) {
 
 // TestEpochUnsafeOpsForceFallback pins the mid-epoch fallback
 // mechanism: on a multi-node machine the runtime's syscalls, IPIs
-// (STIO is refused by EpochStep) and traps all land inside stretches
+// (STIO is refused by EpochRun) and traps all land inside stretches
 // the horizon bound would otherwise cover, so the engine must both
 // commit real windows AND stop early for the unsafe ops — never reorder
 // them. The run is held bit-identical by TestEpochMatchesOracles; here
@@ -174,9 +178,9 @@ func TestEpochFaultsArmedIdentity(t *testing.T) {
 }
 
 // TestEpochKindsTierInvariant: the per-micro-kind dispatch counters
-// must be identical whether an op executed through EpochStep, the
-// fused inline path, or plain per-op dispatch — a refused EpochStep
-// must not pre-count the dispatch its fallback Step will count.
+// must be identical whether an op executed through EpochRun, the fused
+// inline path, or plain per-op dispatch — a refused op must not
+// pre-count the dispatch its fallback Step will count.
 func TestEpochKindsTierInvariant(t *testing.T) {
 	src := bench.QueensSource(6)
 	on := runCompileSide(t, src, sim.Config{Nodes: 8})
@@ -239,4 +243,180 @@ func TestEpochSteadyStateAllocRate(t *testing.T) {
 	if on > off {
 		t.Errorf("epoch windows add %.0f allocations per 5000 cycles", on-off)
 	}
+}
+
+// conflictSrc is the raw program of TestEpochConflictsMatchReference.
+// Every node loops over its own counter and, at strides that differ by
+// node, executes a div (refused by the epoch engine, so windows stop at
+// staggered cycles and earlier lanes overrun), increments a counter all
+// nodes share (a conflict whenever two lanes of a chunk reach it), and
+// stores to the first word of a fresh page. The word at shared+0 is read
+// by every node and stored by none, which must not abort anything.
+// Node 0 exits the run with the shared counter; the others retire.
+// Registers: r9 fixnum 1, r10 the shared words, r11 the node's region
+// (counter at +0), r14 its page cursor, r12 iterations left; r13, r15
+// and r16 count down to the next div, shared increment and page, r19,
+// r18 and r17 reload them; r7 is zero on node 0.
+const conflictSrc = `
+loop:   ldnt  r20, [r10+0]
+        ldnt  r21, [r11+0]
+        add   r21, r21, r20
+        add   r21, r21, r9
+        stnt  [r11+0], r21
+        subcc r13, r13, r9
+        bg    shared
+        div   r22, r21, r9
+        add   r13, r19, r0
+shared: subcc r15, r15, r9
+        bg    page
+        ldnt  r23, [r10+4]
+        add   r23, r23, r9
+        stnt  [r10+4], r23
+        add   r15, r18, r0
+page:   subcc r16, r16, r9
+        bg    next
+        add   r14, r14, 4096
+        stnt  [r14+0], r21
+        add   r16, r17, r0
+next:   subcc r12, r12, r9
+        bg    loop
+        subcc r0, r7, 0
+        be    main
+        trap  2
+main:   ldnt  r8, [r10+4]
+        trap  1
+`
+
+// conflictMachine builds the machine for conflictSrc on the given tier.
+func conflictMachine(t *testing.T, nodes int, tier sim.Tier) *sim.Machine {
+	t.Helper()
+	prog, err := isa.Assemble(conflictSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := sim.New(sim.Config{Nodes: nodes, Profile: rts.APRIL, Tier: tier})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.LoadRaw(prog)
+	shared, _, err := m.Sched.HeapChunk(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fix := func(n int) isa.Word { return isa.MakeFixnum(int32(n)) }
+	for i := 0; i < nodes; i++ {
+		region, _, err := m.Sched.HeapChunk(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.SpawnRaw(i, 0, map[uint8]isa.Word{
+			7: fix(min(i, 1)), 9: fix(1),
+			10: isa.Word(shared), 11: isa.Word(region), 14: isa.Word(region),
+			12: fix(90),
+			13: fix(1 + i%3), 19: fix(3 + i%4),
+			15: fix(1 + i%2), 18: fix(2 + i%3),
+			16: fix(2 + i%4), 17: fix(9 + i%5),
+		})
+	}
+	return m
+}
+
+// TestEpochConflictsMatchReference forces the paths no Table 3 program
+// takes: chunks that abort on a shared word or a fresh page, and lanes
+// rolled back and replayed to a later lane's refusal. At 2, 4 and 16
+// nodes the compiled tier must match the reference tier on the result,
+// every node's Stats and Kinds, and the Snapshot bytes at every
+// boundary of RunWindow slices of 1, 7 and 64 cycles before the run
+// ends.
+func TestEpochConflictsMatchReference(t *testing.T) {
+	for _, nodes := range []int{2, 4, 16} {
+		t.Run(fmt.Sprintf("%dp", nodes), func(t *testing.T) {
+			for _, slice := range []uint64{1, 7, 64} {
+				c := conflictMachine(t, nodes, sim.TierCompiled)
+				r := conflictMachine(t, nodes, sim.TierReference)
+				for done := false; !done; {
+					dc, err := c.RunWindow(slice)
+					if err != nil {
+						t.Fatal(err)
+					}
+					dr, err := r.RunWindow(slice)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if done = dc; dc != dr {
+						t.Fatalf("slice %d: done %v at cycle %d, reference %v", slice, dc, c.Now(), dr)
+					}
+					if done {
+						break // the run ended mid-cycle: Run compares the rest
+					}
+					ic, err := c.Snapshot()
+					if err != nil {
+						t.Fatal(err)
+					}
+					ir, err := r.Snapshot()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(ic, ir) {
+						t.Fatalf("slice %d: images differ at cycle %d", slice, c.Now())
+					}
+				}
+			}
+			c := conflictMachine(t, nodes, sim.TierCompiled)
+			r := conflictMachine(t, nodes, sim.TierReference)
+			rc, err := c.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rr, err := r.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rc != rr {
+				t.Errorf("result %+v, reference %+v", rc, rr)
+			}
+			for i := range c.Nodes {
+				pc, pr := c.Nodes[i].Proc, r.Nodes[i].Proc
+				if pc.Stats != pr.Stats {
+					t.Errorf("node %d stats:\ncompiled:  %+v\nreference: %+v", i, pc.Stats, pr.Stats)
+				}
+				if pc.Kinds != pr.Kinds {
+					t.Errorf("node %d kinds:\ncompiled:  %v\nreference: %v", i, pc.Kinds, pr.Kinds)
+				}
+			}
+			et := c.EpochTelemetry()
+			t.Logf("%d cycles, %d windows, %d chunks, %d aborts, %d replayed ops", rc.Cycles, et.Windows, et.Chunks, et.Aborts, et.ReplayedOps)
+			if et.Aborts == 0 || et.ReplayedOps == 0 {
+				t.Errorf("aborts %d, replayed ops %d: the rollback paths did not run", et.Aborts, et.ReplayedOps)
+			}
+		})
+	}
+}
+
+// BenchmarkEpochWindow is the epoch engine's per-layer row: queens 8
+// on four perfect-memory nodes, where windows commit 99% of the
+// instructions, reported as host ns per committed epoch op (the timed
+// runs over their EpochTelemetry().Ops; set-up is not timed).
+func BenchmarkEpochWindow(b *testing.B) {
+	var ops uint64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m, err := sim.New(sim.Config{Nodes: 4, Profile: rts.APRIL})
+		if err != nil {
+			b.Fatal(err)
+		}
+		prog, err := mult.Compile(bench.QueensSource(8), mult.Mode{HardwareFutures: true}, m.StaticHeap())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := m.Load(prog); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := m.Run(); err != nil {
+			b.Fatal(err)
+		}
+		ops += m.EpochTelemetry().Ops
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops), "ns/epoch_op")
 }

@@ -94,7 +94,7 @@ const (
 	// TierCompiled, the default: the work-proportional loop (wake.go)
 	// over the predecoded image, with hot basic blocks fused into
 	// superinstructions (compile.go) and, on perfect memory, multi-node
-	// lockstep epoch windows (epoch.go).
+	// epoch windows (epoch.go).
 	TierCompiled Tier = iota
 	// TierPredecode: the work-proportional loop with per-op dispatch
 	// through the predecoded table.
@@ -169,12 +169,14 @@ type Machine struct {
 	// node; the run loops then try fusedStep (compile.go) whenever a
 	// cycle has exactly one stepper. epochOn additionally arms the
 	// multi-node epoch engine (epoch.go) for cycles with two or more
-	// steppers on perfect memory; epochTel is its telemetry (see
-	// telemetry.go). threshold (0 = isa.DefaultCompileThreshold) and
-	// windowCap (0 = none) are zero outside tests, which set them to
-	// translate every block on first entry or to cap epoch windows.
+	// steppers on perfect memory; epochLog is its chunk log (nil on one
+	// node) and epochTel its telemetry (see telemetry.go). threshold
+	// (0 = isa.DefaultCompileThreshold) and windowCap (0 = none) are
+	// zero outside tests, which set them to translate every block on
+	// first entry or to cap epoch windows.
 	compileOn bool
 	epochOn   bool
+	epochLog  *proc.EpochLog
 	epochTel  EpochStats
 	threshold int
 	windowCap uint64
@@ -435,6 +437,9 @@ func (m *Machine) install(prog *isa.Program) {
 	// memory. On ALEWIFE they would have to stop at every fabric event
 	// and cover almost no cycles.
 	m.epochOn = m.Cfg.Alewife == nil
+	if m.epochOn && len(m.Nodes) > 1 {
+		m.epochLog = proc.NewEpochLog(len(m.Nodes))
+	}
 }
 
 // Result is the outcome of a run.
@@ -759,7 +764,7 @@ func (m *Machine) runFastUntil(limit uint64) (hitLimit bool, err error) {
 		}
 		steps := m.dueSteps()
 		if m.epochOn && len(steps) > 1 {
-			// Two or more steppers: try a lockstep epoch window across
+			// Two or more steppers: try an epoch window across
 			// the group's safe horizon (see epoch.go).
 			si, epochFull := m.epochWindow(steps, limit)
 			if epochFull {

@@ -134,19 +134,23 @@ func (m *Machine) CounterRegistry() *trace.Registry {
 		})
 	}
 	if m.epochOn {
-		// Epoch engine coverage (epoch.go): lockstep windows committed,
-		// cycles and ops they absorbed, mid-epoch fallbacks, and the
-		// committed-window-length histogram in power-of-two buckets
+		// Epoch engine coverage (epoch.go): windows committed, cycles and
+		// ops they absorbed, mid-epoch fallbacks, node-major chunks with
+		// their aborts and replayed ops, and the committed-window-length
+		// histogram in power-of-two buckets
 		// (len_p2_b counts windows of 2^(b-1)..2^b-1 complete cycles;
 		// b=0 is windows that only committed a partial cycle).
 		r.Register("epoch", func() map[string]uint64 {
 			t := m.epochTel
 			out := map[string]uint64{
-				"windows":     t.Windows,
-				"cycles":      t.Cycles,
-				"ops":         t.Ops,
-				"partial_ops": t.PartialOps,
-				"fallbacks":   t.Fallbacks,
+				"windows":      t.Windows,
+				"cycles":       t.Cycles,
+				"ops":          t.Ops,
+				"partial_ops":  t.PartialOps,
+				"fallbacks":    t.Fallbacks,
+				"chunks":       t.Chunks,
+				"aborts":       t.Aborts,
+				"replayed_ops": t.ReplayedOps,
 			}
 			for b, c := range t.LenHist {
 				out[fmt.Sprintf("len_p2_%d", b)] = c

@@ -10,11 +10,11 @@ package sim
 import "april/internal/mem"
 
 // EpochStats aggregates the epoch engine's behavior (epoch.go) over a
-// run: how often multi-node lockstep windows opened, how many cycles
-// and node-steps they absorbed, and how they ended. All-zero when the
-// engine is disarmed: on ALEWIFE machines and below TierCompiled. Pure
-// host-side observation: simulated results are bit-identical under
-// every tier.
+// run: how often multi-node windows opened, how many cycles and
+// node-steps they absorbed, how they ended, and what their node-major
+// chunks cost. All-zero when the engine is disarmed: on ALEWIFE
+// machines and below TierCompiled. Pure host-side observation:
+// simulated results are bit-identical under every tier.
 type EpochStats struct {
 	Windows uint64 // windows that executed at least one op
 	Cycles  uint64 // complete simulated cycles committed inside windows
@@ -25,6 +25,13 @@ type EpochStats struct {
 	// horizon bound).
 	PartialOps uint64
 	Fallbacks  uint64
+	// Chunks counts the node-major chunks of two or more cycles the
+	// windows ran, Aborts those rolled back and redone in lockstep, and
+	// ReplayedOps the ops re-executed to bring a node that ran past a
+	// chunk's stop back to it.
+	Chunks      uint64
+	Aborts      uint64
+	ReplayedOps uint64
 	// LenHist is the committed-window-length histogram in power-of-two
 	// buckets: LenHist[b] counts windows whose complete-cycle count has
 	// bit length b — bucket 0 is fc=0 (only a partial cycle committed),
