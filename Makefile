@@ -53,27 +53,28 @@ bench:
 perf:
 	$(GO) run ./cmd/april-bench -sizes paper -perf
 
-# The Table 3 grid under every execution tier: the small grid's three
+# The Table 3 grid under both execution tiers: the small grid's two
 # outputs must be byte-identical; the paper grid's -stats-json must match
 # between the compiled and reference tiers once the host-side blocks
 # (perf, epoch, park) are stripped, since long epoch chunks and lanes
-# running past a stop occur mainly at paper sizes; and an unknown tier
-# must be refused. SMOKE_DIR holds the binary and the outputs.
+# running past a stop occur mainly at paper sizes; and an unknown tier,
+# or the deleted predecode tier, must be refused. SMOKE_DIR holds the
+# binary and the outputs.
 SMOKE_DIR ?= /tmp
 STRIP_HOST = python3 -c 'import json, sys; rs = json.load(open(sys.argv[1])); \
 	[r.pop(k, None) for r in rs for k in ("perf", "epoch", "park")]; \
 	json.dump(rs, open(sys.argv[1], "w"), indent=1, sort_keys=True)'
 tier-smoke:
 	$(GO) build -o $(SMOKE_DIR)/april-bench ./cmd/april-bench
-	for t in compiled predecode reference; do \
+	for t in compiled reference; do \
 		$(SMOKE_DIR)/april-bench -sizes test -tier $$t > $(SMOKE_DIR)/tier-$$t.out || exit 1; done
-	cmp $(SMOKE_DIR)/tier-compiled.out $(SMOKE_DIR)/tier-predecode.out
 	cmp $(SMOKE_DIR)/tier-compiled.out $(SMOKE_DIR)/tier-reference.out
 	for t in compiled reference; do \
 		$(SMOKE_DIR)/april-bench -sizes paper -tier $$t -stats-json $(SMOKE_DIR)/tier-$$t.json > /dev/null && \
 		$(STRIP_HOST) $(SMOKE_DIR)/tier-$$t.json || exit 1; done
 	cmp $(SMOKE_DIR)/tier-compiled.json $(SMOKE_DIR)/tier-reference.json
 	! $(SMOKE_DIR)/april-bench -sizes test -tier fast 2>/dev/null
+	! $(SMOKE_DIR)/april-bench -sizes test -tier predecode 2>/dev/null
 
 # Quick gate for checkpoint/restore: kill a checkpointed run mid-flight,
 # restore the newest image, and require bit-identical simulated stats;

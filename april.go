@@ -72,15 +72,14 @@ func (mt MachineType) profile() (rts.Profile, error) {
 	return rts.Profile{}, fmt.Errorf("april: unknown machine type %q", mt)
 }
 
-// Tier is an execution path: TierCompiled (the default), TierPredecode
-// or TierReference, fastest first. Simulated results are bit-identical
-// under every tier; *Tier is a flag.Value ("compiled", "predecode",
+// Tier is an execution path: TierCompiled (the default) or
+// TierReference, its differential oracle. Simulated results are
+// bit-identical under both; *Tier is a flag.Value ("compiled",
 // "reference").
 type Tier = sim.Tier
 
 const (
 	TierCompiled  = sim.TierCompiled
-	TierPredecode = sim.TierPredecode
 	TierReference = sim.TierReference
 )
 
@@ -141,8 +140,8 @@ type Options struct {
 	// run: event tracing, the utilization timeline, and the counter
 	// registry. Tracing never perturbs simulated results.
 	Trace *TraceOptions
-	// Tier selects the execution path (default TierCompiled). Every
-	// tier computes bit-identical results; the slower ones exist for
+	// Tier selects the execution path (default TierCompiled). Both
+	// tiers compute bit-identical results; TierReference exists for
 	// differential debugging of the simulator itself.
 	Tier Tier
 	// Faults, when non-nil, arms seeded timing perturbations (see
@@ -153,7 +152,7 @@ type Options struct {
 	// agreement on every protocol transition, full/empty consistency at
 	// trap boundaries, scheduler thread conservation, and message-pool
 	// ownership. Violations abort the run with a crash report. Checking
-	// never perturbs simulated results.
+	// never perturbs simulated results; it runs on TierReference.
 	Check bool
 	// DeadlockWindow overrides the watchdog's no-retirement window in
 	// cycles (0 = the 3M default).
@@ -788,12 +787,12 @@ func loadCheckpoints(dir string) ([]ckptFile, error) {
 	return cks, nil
 }
 
-// probeAudit restores an image under the reference tier with checkers
-// armed, advances to the target cycle (the image's own cycle probes in
-// place; ^uint64(0) runs to completion), and audits. A mid-run
-// invariant crash counts as dirty at the crash cycle.
+// probeAudit restores an image with checkers armed (so on the
+// reference tier), advances to the target cycle (the image's own cycle
+// probes in place; ^uint64(0) runs to completion), and audits. A
+// mid-run invariant crash counts as dirty at the crash cycle.
 func probeAudit(img []byte, target uint64) (bad bool, rep *FaultReport, err error) {
-	m, err := sim.Restore(img, sim.RestoreOverrides{Tier: sim.TierReference, Check: true})
+	m, err := sim.Restore(img, sim.RestoreOverrides{Check: true})
 	if err != nil {
 		return false, nil, err
 	}
@@ -958,11 +957,10 @@ func Table3(cfg Table3Config) ([]Table3Row, error) { return bench.Table3(cfg) }
 // april-bench -perf writes to BENCH_simperf.json.
 type PerfReport = bench.PerfReport
 
-// Table3Perf runs the full Table 3 grid three times — reference
-// per-cycle loop on one worker, then fast-forward with the compiled
-// tier off, then with basic-block superinstructions on, both on
-// cfg.Workers workers — and reports the host-side speedups plus a
-// bit-identity cross-check across all three grids.
+// Table3Perf runs the full Table 3 grid once per tier — the compiled
+// tier, then the reference per-cycle loop, both on cfg.Workers workers
+// — plus a 64-node ALEWIFE run per tier and a checkpoint sweep, and
+// reports the host-side speedup with a bit-identity cross-check.
 func Table3Perf(cfg Table3Config, sizesName string) (PerfReport, error) {
 	return bench.Table3Perf(cfg, sizesName)
 }

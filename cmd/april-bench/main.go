@@ -71,7 +71,7 @@ func run() int {
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile (taken at exit) to this path")
 	)
 	var tier april.Tier
-	flag.Var(&tier, "tier", "execution path: compiled | predecode | reference (the per-cycle loop and switch interpreter); results are bit-identical")
+	flag.Var(&tier, "tier", "execution path: compiled | reference (the per-cycle loop and switch interpreter); results are bit-identical")
 	flag.Parse()
 
 	fail := func(err error) int {
@@ -204,7 +204,7 @@ func run() int {
 			return fail(err)
 		}
 		fmt.Printf("Simulator throughput on the full Table 3 grid (-sizes %s):\n  %s\n", *sizes, rep.Summary())
-		fmt.Printf("  reference: %s\n  predecode: %s\n  compiled : %s\n", rep.Reference, rep.Predecode, rep.Compiled)
+		fmt.Printf("  reference: %s\n  compiled : %s\n", rep.Reference, rep.Compiled)
 		fmt.Println("written to", *perfOut)
 		if !rep.RowsIdentical || (rep.Alewife != nil && !rep.Alewife.Identical) {
 			return fail(fmt.Errorf("simulated results differ between tiers"))

@@ -68,7 +68,7 @@ func main() {
 		statsJSON = flag.Bool("stats-json", false, "print the simulated run statistics as one JSON object (host-side perf excluded; stable across tiers and restores)")
 	)
 	var tier april.Tier
-	flag.Var(&tier, "tier", "execution path: compiled | predecode | reference (the per-cycle loop and switch interpreter); results are bit-identical, only host speed changes")
+	flag.Var(&tier, "tier", "execution path: compiled | reference (the per-cycle loop and switch interpreter); results are bit-identical, only host speed changes")
 	flag.Parse()
 
 	if *bisect != "" {

@@ -17,8 +17,8 @@ import (
 // PerfReport is the simulator-throughput measurement that
 // cmd/april-bench -perf serializes to BENCH_simperf.json: the full
 // Table 3 grid run once under each execution tier on the same host and
-// worker count, with a bit-identity cross-check across the three sets
-// of rows.
+// worker count, with a bit-identity cross-check across the two sets of
+// rows.
 type PerfReport struct {
 	GeneratedAt string `json:"generated_at"`
 	GoVersion   string `json:"go_version"`
@@ -30,13 +30,10 @@ type PerfReport struct {
 	// One grid per tier, all covering the identical runs.
 	TierPerfs
 
-	// Speedup is reference wall time / compiled wall time;
-	// CompiledVsPredecode is predecode wall time / compiled wall time
-	// (the compiled tier's own contribution).
-	Speedup             float64 `json:"speedup"`
-	CompiledVsPredecode float64 `json:"compiled_vs_predecode"`
+	// Speedup is reference wall time / compiled wall time.
+	Speedup float64 `json:"speedup"`
 
-	// RowsIdentical asserts the three grids produced byte-identical
+	// RowsIdentical asserts the two grids produced byte-identical
 	// simulated results (same cycle counts, same program outputs).
 	RowsIdentical bool `json:"rows_identical"`
 
@@ -57,18 +54,17 @@ type PerfReport struct {
 
 // AlewifeRow is one ALEWIFE-mode throughput measurement: a single
 // benchmark on the full memory system under each execution tier, with
-// a bit-identity cross-check across the three runs.
+// a bit-identity cross-check across the two runs.
 type AlewifeRow struct {
 	Benchmark string `json:"benchmark"`
 	Nodes     int    `json:"nodes"`
 	Cycles    uint64 `json:"cycles"`
 	Result    string `json:"result"`
 	TierPerfs
-	// Speedup and CompiledVsPredecode as in PerfReport.
-	Speedup             float64 `json:"speedup"`
-	CompiledVsPredecode float64 `json:"compiled_vs_predecode"`
+	// Speedup as in PerfReport.
+	Speedup float64 `json:"speedup"`
 
-	// Identical asserts the three runs agreed on cycles, result, and
+	// Identical asserts the two runs agreed on cycles, result, and
 	// every node's full statistics.
 	Identical bool `json:"identical"`
 	// NumCPU is the host the wall times were taken on (like the
@@ -79,26 +75,22 @@ type AlewifeRow struct {
 // TierPerfs holds one throughput measurement per execution tier.
 type TierPerfs struct {
 	Reference proc.Perf `json:"reference"`
-	Predecode proc.Perf `json:"predecode"`
 	Compiled  proc.Perf `json:"compiled"`
 }
 
 func (t *TierPerfs) of(tier sim.Tier) *proc.Perf {
-	switch tier {
-	case sim.TierReference:
+	if tier == sim.TierReference {
 		return &t.Reference
-	case sim.TierPredecode:
-		return &t.Predecode
 	}
 	return &t.Compiled
 }
 
-// speedups returns reference and predecode wall time over compiled.
-func (t *TierPerfs) speedups() (float64, float64) {
+// speedup returns reference wall time over compiled.
+func (t *TierPerfs) speedup() float64 {
 	if t.Compiled.WallSeconds <= 0 {
-		return 0, 0
+		return 0
 	}
-	return t.Reference.WallSeconds / t.Compiled.WallSeconds, t.Predecode.WallSeconds / t.Compiled.WallSeconds
+	return t.Reference.WallSeconds / t.Compiled.WallSeconds
 }
 
 // CheckpointRow is one checkpoint-overhead measurement: the benchmark
@@ -270,7 +262,7 @@ func AlewifePerf(benchName string, sizes Sizes, nodes int) (AlewifeRow, error) {
 			reflect.DeepEqual(out.stats.PerNode, first.stats.PerNode)
 	}
 	row.Cycles, row.Result = first.cycles, first.result
-	row.Speedup, row.CompiledVsPredecode = row.speedups()
+	row.Speedup = row.speedup()
 	return row, nil
 }
 
@@ -310,7 +302,7 @@ func Table3Perf(cfg Table3Config, sizesName string) (PerfReport, error) {
 			rep.RowsIdentical = rep.RowsIdentical && reflect.DeepEqual(rows, first)
 		}
 	}
-	rep.Speedup, rep.CompiledVsPredecode = rep.speedups()
+	rep.Speedup = rep.speedup()
 
 	// ALEWIFE-mode row: a 64-node full-memory-system run, the regime
 	// the Table 3 grid (perfect memory, <= 16 nodes) never exercises.
@@ -342,17 +334,17 @@ func (r PerfReport) JSON() []byte {
 
 // Summary is the one-line human rendering.
 func (r PerfReport) Summary() string {
-	s := fmt.Sprintf("reference %.2fs -> predecode %.2fs -> compiled %.2fs (%.2fx overall, %.2fx from compile, %d workers, results %s)",
-		r.Reference.WallSeconds, r.Predecode.WallSeconds, r.Compiled.WallSeconds,
-		r.Speedup, r.CompiledVsPredecode, r.Workers, identical(r.RowsIdentical))
+	s := fmt.Sprintf("reference %.2fs -> compiled %.2fs (%.2fx, %d workers, results %s)",
+		r.Reference.WallSeconds, r.Compiled.WallSeconds,
+		r.Speedup, r.Workers, identical(r.RowsIdentical))
 	s += fmt.Sprintf("\n  gc: %.0f -> %.0f allocs/Mcycle, %.0f -> %.0f KB/Mcycle, %d -> %d GCs",
 		r.Reference.AllocsPerMcycle, r.Compiled.AllocsPerMcycle,
 		r.Reference.BytesPerMcycle/1024, r.Compiled.BytesPerMcycle/1024,
 		r.Reference.HostNumGC, r.Compiled.HostNumGC)
 	if a := r.Alewife; a != nil {
-		s += fmt.Sprintf("\n  alewife %s %dp: %.2fs -> %.2fs -> %.2fs (%.2fx overall, %.2fx from compile, results %s)",
-			a.Benchmark, a.Nodes, a.Reference.WallSeconds, a.Predecode.WallSeconds,
-			a.Compiled.WallSeconds, a.Speedup, a.CompiledVsPredecode, identical(a.Identical))
+		s += fmt.Sprintf("\n  alewife %s %dp: %.2fs -> %.2fs (%.2fx, results %s)",
+			a.Benchmark, a.Nodes, a.Reference.WallSeconds,
+			a.Compiled.WallSeconds, a.Speedup, identical(a.Identical))
 		s += fmt.Sprintf("\n  alewife gc: %.0f -> %.0f allocs/Mcycle, %.0f -> %.0f KB/Mcycle",
 			a.Reference.AllocsPerMcycle, a.Compiled.AllocsPerMcycle,
 			a.Reference.BytesPerMcycle/1024, a.Compiled.BytesPerMcycle/1024)

@@ -80,7 +80,7 @@ type RunStats struct {
 
 	// Kinds is the machine-wide per-micro-kind execution count — the
 	// opcode mix that drives the compiled tier's profile-guided
-	// translation. Maintained identically by all three execution tiers.
+	// translation. Maintained identically by both execution tiers.
 	Kinds map[string]uint64 `json:"kinds,omitempty"`
 
 	// Epoch appears when the epoch engine committed at least one

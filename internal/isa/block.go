@@ -1,13 +1,13 @@
 package isa
 
-// Basic-block discovery over a predecoded program: the third execution
+// Basic-block discovery over a predecoded program: the compiled
 // tier's translation unit. A block is a maximal straight-line run of
 // fusable micro-ops starting at an entry PC, optionally ending with a
 // control transfer (branch/jmpl). The superinstruction executor
 // (internal/proc, compile.go) runs a whole block per dispatch with the
 // per-instruction fetch and PC-bounds checks hoisted to block entry,
-// falling back to the per-op path at block exits, on any trap, and on
-// anything the fuse classification excludes.
+// falling back to the opcode switch at block exits, on any trap, and
+// on anything the fuse classification excludes.
 //
 // Translation is profile-guided: every entry PC carries an execution
 // counter, and a block is discovered only once the counter crosses the
@@ -186,11 +186,10 @@ func (k MicroKind) String() string {
 	return "unknown"
 }
 
-// opKinds maps every opcode to its handler kind — the reference
-// interpreter's path to the same per-kind execution counters the
-// predecoded tiers read off the Micro directly. Kind is a function of
-// the opcode alone (PredecodeInst derives it from Op), so the table is
-// exact.
+// opKinds maps every opcode to its kind — the reference interpreter's
+// path to the same per-kind execution counters the compiled tier reads
+// off the Micro directly. Kind is a function of the opcode alone
+// (PredecodeInst derives it from Op), so the table is exact.
 var opKinds = func() (t [256]MicroKind) {
 	for op := 0; op < 256; op++ {
 		t[op] = PredecodeInst(Inst{Op: Opcode(op)}).Kind

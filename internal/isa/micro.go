@@ -1,12 +1,12 @@
 package isa
 
 // Micro is a predecoded instruction: the original Inst together with
-// every per-instruction decision the interpreter would otherwise make
-// on the hot path — the handler index (Kind), the condition-code /
-// strictness / memory attributes that live behind the opcode-info
-// table, and the branch condition. Predecoding a Program once turns
-// the interpreter's nested opcode switches into a single flat table
-// dispatch per executed instruction.
+// every per-instruction decision the compiled tier would otherwise make
+// on the hot path — the kind, the condition-code / strictness / memory
+// attributes that live behind the opcode-info table, and the branch
+// condition. The block translator classifies kinds, and the
+// superinstruction handlers switch on them; every op they refuse runs
+// the original Inst through the opcode switch.
 //
 // A Micro carries no execution state: predecode is a pure function of
 // the instruction, so a predecoded program can be shared read-only by
@@ -21,10 +21,11 @@ type Micro struct {
 	Flavor MemFlavor
 }
 
-// MicroKind is the flat handler index of a predecoded instruction.
-// Compute opcodes that differ only in condition-code or strictness
-// behavior (add/addcc/rawadd) share a kind and dispatch on the
-// predecoded SetsCC/Strict flags.
+// MicroKind is the kind of a predecoded instruction: what the
+// superinstruction handlers switch on and the "isa" counter group
+// counts. Compute opcodes that differ only in condition-code or
+// strictness behavior (add/addcc/rawadd) share a kind and are told
+// apart by the predecoded SetsCC/Strict flags.
 type MicroKind uint8
 
 const (
@@ -56,12 +57,12 @@ const (
 	MStio
 	MTrap
 	MHalt
-	MInvalid // undefined opcode: the handler reports the decode error
+	MInvalid // no defined opcode maps here (undefined opcodes decode as nops)
 
 	numMicroKinds // sentinel; must remain final
 )
 
-// NumMicroKinds sizes a flat handler table.
+// NumMicroKinds sizes a per-kind table.
 const NumMicroKinds = int(numMicroKinds)
 
 // computeKinds maps the compute opcodes onto their shared handler

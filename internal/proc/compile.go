@@ -9,16 +9,16 @@ package proc
 // them with the machine loop. Within the window, translated blocks run
 // with the per-instruction fetch, PC-bounds, halt and IPI checks
 // hoisted to block entry; everything else (traps, syscalls, cold PCs)
-// still executes through the per-op dispatch table, so the tier is a
-// pure scheduling change plus a specialized memory fast path.
+// still executes through the reference opcode switch, so the tier is a
+// pure scheduling change plus the superinstruction handlers (fusedOp).
 //
 // Exactness contract (held by the differential matrices in
-// internal/sim): every op observes the same machine state, trap
-// payloads, stats increments, and — via the threaded clock — the same
-// timestamps as the per-op path; the fused loop stops at anything
-// whose effect could reach outside the processor before the window
-// ends (run termination, IPI self-posts, halts, cache/IO traffic on
-// non-perfect memory).
+// internal/sim and the per-op oracle in fused_test.go): every op
+// observes the same machine state, trap payloads, stats increments,
+// and — via the threaded clock — the same timestamps as the opcode
+// switch; the fused loop stops at anything whose effect could reach
+// outside the processor before the window ends (run termination, IPI
+// self-posts, halts, cache/IO traffic on non-perfect memory).
 
 import (
 	"april/internal/core"
@@ -43,19 +43,22 @@ var frameSwitchKinds = [isa.NumMicroKinds]bool{
 	isa.MIncFP: true, isa.MDecFP: true, isa.MStFP: true,
 }
 
-// SetCompile arms (or, with a nil set, disarms) the fused-block tier.
-// done is the machine's run-termination flag ("main returned"): the
-// fused loop re-checks it after every op so it never executes past the
-// cycle where the machine would have stopped. When the memory port is
+// SetCompile arms (or, with a nil set, disarms) the fused-block tier:
+// Step then fetches from the set's predecoded image and tries the
+// superinstruction handlers before the opcode switch. done is the
+// machine's run-termination flag ("main returned"): the fused loop
+// re-checks it after every op so it never executes past the cycle
+// where the machine would have stopped. When the memory port is
 // a PerfectPort the raw memory is captured for the plain-access fast
 // path and memory/IO ops become fusable.
 func (p *Processor) SetCompile(bs *isa.BlockSet, done *bool) {
 	p.blocks = bs
 	p.done = done
-	p.perfMem = nil
+	p.micro, p.perfMem = nil, nil
 	if bs == nil {
 		return
 	}
+	p.micro = bs.Micro
 	if pp, ok := p.Mem.(*PerfectPort); ok {
 		p.perfMem = pp.Mem
 	}
@@ -116,7 +119,7 @@ outer:
 		}
 		pc := f.PC
 		if uint64(pc) >= plen {
-			break // the per-op tier reports the exact bounds error
+			break // Step reports the exact bounds error
 		}
 		if n := bs.Enter(pc); n > 0 {
 			// Translated block: fetch and bounds checks are hoisted —
@@ -147,13 +150,7 @@ outer:
 				}
 				*clock = base + t
 				before := p.Stats.Instructions
-				var c int
-				var eerr error
-				if u.Kind == isa.MMem {
-					c, eerr = microMem(p, f, u)
-				} else {
-					c, eerr = microTable[u.Kind](p, f, u)
-				}
+				c, eerr := p.execute(f, u.Inst)
 				if eerr != nil {
 					return true, t, lastRet, doneAt, eerr
 				}
@@ -206,10 +203,10 @@ outer:
 			}
 			break // budget exhausted mid-block
 		}
-		// Cold or unfusable PC: one op through the dispatch table.
+		// Cold or unfusable PC: one op through the opcode switch.
 		u := &micro[pc]
 		if !memOK && memTouchKinds[u.Kind] {
-			// Non-perfect memory: the full dispatch path could stamp
+			// Non-perfect memory: the opcode switch could stamp
 			// network messages mid-window, so only a provable clock-free
 			// cache hit may run here. fusedHit touches no state when it
 			// refuses, and Kinds counts only completed dispatches (the
@@ -229,7 +226,7 @@ outer:
 		fops++
 		*clock = base + t
 		before := p.Stats.Instructions
-		c, eerr := microTable[u.Kind](p, f, u)
+		c, eerr := p.execute(f, u.Inst)
 		if eerr != nil {
 			return true, t, lastRet, doneAt, eerr
 		}
@@ -252,7 +249,7 @@ outer:
 
 // fusedMem is the superinstruction path for a load/store with no
 // full/empty side effects on the perfect-memory port — the dominant
-// memory operation in the Table 3 workloads. It mirrors microMem +
+// memory operation in the Table 3 workloads. It mirrors execMemory +
 // FEAccess exactly for the case it handles; any special condition
 // (flavor side effects, future-tagged address operands, misalignment,
 // out-of-range) returns false with no state touched, and the caller
@@ -332,7 +329,7 @@ func (p *Processor) SetFusedPort(fp FusedPort) { p.fusedPort = fp }
 
 // fusedHit is fusedMem's counterpart for a machine with a real memory
 // system: a plain-flavored load/store that hits the local cache with
-// sufficient permission. It mirrors microMem + the controller's hit
+// sufficient permission. It mirrors execMemory + the controller's hit
 // path exactly for the case it handles; any special condition (flavor
 // side effects, future-tagged address operands, misalignment, a miss,
 // an upgrade) returns false with no state touched, and the caller
@@ -382,15 +379,14 @@ func (p *Processor) fusedHit(f *core.Frame, u *isa.Micro) bool {
 
 // fusedOp executes one op through the superinstruction handlers: the
 // trap-free register ops inline plus the plain perfect-memory
-// load/store (fusedMem), skipping the dispatch-table indirection, the
-// clock store (only trap handlers and tracers read it), and the per-op
-// retirement compare. Every case is a line-for-line mirror of its
-// dispatch.go handler minus the accounting the caller batches
-// (Instructions, UsefulCycles — every op handled here retires at cost
-// 1). Anything that could trap or error — a future-tagged strict
-// operand, a non-fixnum jmpl base, div/mod (zero divisor), any memory
-// special case — returns false with no state touched, and the caller
-// re-executes through the full handler.
+// load/store (fusedMem), skipping the opcode switch, the clock store
+// (only trap handlers and tracers read it), and the per-op retirement
+// compare. Every case mirrors its case of execute minus the accounting
+// the caller batches (Instructions, UsefulCycles — every op handled
+// here retires at cost 1). Anything that could trap or error — a
+// future-tagged strict operand, a non-fixnum jmpl base, div/mod (zero
+// divisor), any memory special case — returns false with no state
+// touched, and the caller re-executes it on the switch.
 func (p *Processor) fusedOp(f *core.Frame, u *isa.Micro) bool {
 	e := p.Engine
 	switch u.Kind {

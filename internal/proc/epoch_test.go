@@ -16,15 +16,13 @@ func epochProcs(t *testing.T, asm string, n int) ([]*Processor, *mem.Memory) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	micro := prog.Predecode()
-	bs := isa.NewBlockSet(micro, 0, true)
+	bs := isa.NewBlockSet(prog.Predecode(), 0, true)
 	m := mem.New(1 << 20)
 	ps := make([]*Processor, n)
 	for i := range ps {
 		e := core.NewEngine(4, core.TrapEntryCycles+core.SwitchHandlerCyclesSPARC)
 		e.Frames[0].ThreadID = i
 		p := New(i, e, prog, &PerfectPort{Mem: m})
-		p.SetMicro(micro)
 		p.SetCompile(bs, new(bool))
 		ps[i] = p
 	}

@@ -98,15 +98,9 @@ type Processor struct {
 	pendingIPI []isa.Word
 	ipiHead    int
 
-	// micro, when non-nil, is the predecoded form of Prog: Step
-	// dispatches through the flat handler table in dispatch.go instead
-	// of the reference opcode switches. Installed by SetMicro; shared
-	// read-only across the machine's processors.
-	micro []isa.Micro
-
-	// Kinds counts dispatched instructions by handler kind. All three
-	// execution tiers (reference switch, predecoded table, fused
-	// blocks) increment once per dispatch attempt, so the counts are
+	// Kinds counts dispatched instructions by micro-op kind. The
+	// opcode switch and the compiled tier's superinstruction handlers
+	// increment once per dispatch attempt, so the counts are
 	// tier-invariant; they live outside Stats because they are
 	// telemetry (the "isa" counter group), not part of the simulated
 	// machine state the differential tests compare.
@@ -129,11 +123,14 @@ type Processor struct {
 	IdlePolls uint64
 
 	// Compile-tier state (see compile.go), installed by SetCompile:
-	// the machine's block translation set, the run-termination flag the
-	// fused loop must observe after every op, and — when the memory
-	// port is a PerfectPort — the raw memory behind it, enabling both
-	// flavored-access fusion and the plain-access fast path.
+	// the machine's block translation set and the predecoded image it
+	// translates (shared read-only across the machine's processors),
+	// the run-termination flag the fused loop must observe after every
+	// op, and — when the memory port is a PerfectPort — the raw memory
+	// behind it, enabling both flavored-access fusion and the
+	// plain-access fast path.
 	blocks  *isa.BlockSet
+	micro   []isa.Micro
 	done    *bool
 	perfMem *mem.Memory
 
@@ -189,12 +186,6 @@ func (p *Processor) NextStepIdles() bool {
 // slots (tests use it to observe compaction).
 func (p *Processor) ipiQueueLen() int { return len(p.pendingIPI) }
 
-// SetMicro installs a predecoded program image (Prog.Predecode()).
-// Step then dispatches through the flat handler table; passing nil
-// reverts to the reference opcode-switch interpreter. The slice is
-// shared read-only — every processor of a machine can use one image.
-func (p *Processor) SetMicro(m []isa.Micro) { p.micro = m }
-
 func (p *Processor) trap(t core.Trap) (int, error) {
 	p.Stats.Traps[t.Kind]++
 	if p.Handler == nil {
@@ -233,32 +224,32 @@ func (p *Processor) Step() (int, error) {
 		}
 		u := &m[f.PC]
 		p.Kinds[u.Kind]++
-		if p.blocks != nil {
-			// Compiled tier armed: a single op at the correct cycle may
-			// run through the superinstruction handlers even outside a
-			// fused window — it is the same state transformation at the
-			// same interleaving point, just without the dispatch-table
-			// indirection (and, for plain perfect-memory accesses, the
-			// port call). Multi-stepper cycles, which can never fuse,
-			// still get the tier's per-op win this way.
-			if p.fusedOp(f, u) {
-				p.InlineSteps++
-				p.Stats.Instructions++
-				p.Stats.UsefulCycles++
-				return 1, nil
-			}
+		// Compiled tier armed: a single op at the correct cycle may run
+		// through the superinstruction handlers even outside a fused
+		// window — it is the same state transformation at the same
+		// interleaving point, just without the opcode switch (and, for
+		// plain perfect-memory accesses, the port call). Multi-stepper
+		// cycles, which can never fuse, still get the tier's per-op win
+		// this way. Everything else runs on the switch.
+		if p.fusedOp(f, u) {
+			p.InlineSteps++
+			p.Stats.Instructions++
+			p.Stats.UsefulCycles++
+			return 1, nil
 		}
-		return microTable[u.Kind](p, f, u)
+		return p.execute(f, u.Inst)
 	}
 	code := p.Prog.Code
 	if uint64(f.PC) >= uint64(len(code)) {
 		return 0, p.pcBoundsErr(f, len(code))
 	}
-	return p.execute(f, code[f.PC])
+	inst := code[f.PC]
+	p.Kinds[isa.KindOf(inst.Op)]++
+	return p.execute(f, inst)
 }
 
-// pcBoundsErr is the out-of-bounds-PC error shared by all three
-// execution tiers (reference switch, predecoded table, fused blocks).
+// pcBoundsErr is the out-of-bounds-PC error shared by both execution
+// tiers (the opcode switch and the fused blocks).
 func (p *Processor) pcBoundsErr(f *core.Frame, progLen int) error {
 	return fmt.Errorf("proc %d frame %d thread %d: isa: PC %d outside program of %d instructions",
 		p.ID, p.Engine.FP(), f.ThreadID, f.PC, progLen)
@@ -296,8 +287,11 @@ func (p *Processor) advance(f *core.Frame) {
 	f.NPC = f.PC + 1
 }
 
+// execute is the reference interpreter: one instruction of the active
+// frame through the opcode switch. Both tiers run it (the compiled tier
+// for every op its superinstruction handlers refuse); the caller counts
+// the dispatch in Kinds.
 func (p *Processor) execute(f *core.Frame, inst isa.Inst) (int, error) {
-	p.Kinds[isa.KindOf(inst.Op)]++
 	e := p.Engine
 	switch inst.Op.Class() {
 	case isa.ClassNop:

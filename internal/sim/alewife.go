@@ -455,7 +455,7 @@ func (c *cacheCtl) Access(addr uint32, f isa.MemFlavor, store bool, value isa.Wo
 
 // FusedHit implements proc.FusedPort: hit without a fabric clock. The
 // callers exclude full/empty flavors and misaligned addresses. (Check
-// runs the predecode tier: Access's audit is not needed.)
+// runs the reference tier: Access's audit is not needed.)
 func (c *cacheCtl) FusedHit(addr uint32, store bool, value isa.Word) (isa.Word, bool, bool) {
 	res, done, _ := c.hit(addr, isa.MemFlavor{}, store, value, true)
 	return res.Value, res.Full, done

@@ -5,8 +5,8 @@ package sim_test
 // compile.go + internal/isa block.go). The tier's contract is the same
 // as every other fast path in this simulator: bit-identical simulated
 // results, only host speed changes. The matrix here pins the compiled
-// tier against the predecoded per-op path (its differential oracle,
-// selected by sim.TierPredecode) across programs, memory systems,
+// tier against the reference tier (its differential oracle: the
+// per-cycle loop and the opcode switch) across programs, memory systems,
 // machine sizes, and translation thresholds — including the hostile
 // cases: traps and asynchronous IPIs landing mid-block,
 // future-strictness faults on operands inside a fused run, and blocks
@@ -68,14 +68,14 @@ func runCompileSide(t *testing.T, src string, cfg sim.Config, tune ...func(*sim.
 func compareCompiled(t *testing.T, compiled, oracle compiledOutcome) {
 	t.Helper()
 	if compiled.cycles != oracle.cycles {
-		t.Errorf("cycles: compiled %d != predecode %d", compiled.cycles, oracle.cycles)
+		t.Errorf("cycles: compiled %d != reference %d", compiled.cycles, oracle.cycles)
 	}
 	if compiled.value != oracle.value {
-		t.Errorf("result: compiled %s != predecode %s", compiled.value, oracle.value)
+		t.Errorf("result: compiled %s != reference %s", compiled.value, oracle.value)
 	}
 	for i := range compiled.stats {
 		if !reflect.DeepEqual(compiled.stats[i], oracle.stats[i]) {
-			t.Errorf("node %d stats diverge:\ncompiled:  %+v\npredecode: %+v",
+			t.Errorf("node %d stats diverge:\ncompiled:  %+v\nreference: %+v",
 				i, compiled.stats[i], oracle.stats[i])
 		}
 	}
@@ -92,13 +92,13 @@ func coverage(m *sim.Machine) (fused, inline uint64) {
 	return fused, inline
 }
 
-// TestCompiledMatchesPredecode is the tier's differential matrix:
+// TestCompiledMatchesReference is the tier's differential matrix:
 // programs x memory systems x machine sizes x translation thresholds,
-// compiled against the per-op predecode oracle. Threshold 1 translates
+// compiled against the reference tier. Threshold 1 translates
 // every entry PC on first execution, maximizing block coverage (and
 // with it the chance of a trap or IPI landing mid-block); the default
 // threshold exercises the profile-guided warmup.
-func TestCompiledMatchesPredecode(t *testing.T) {
+func TestCompiledMatchesReference(t *testing.T) {
 	programs := map[string]string{
 		"fib":    bench.FibSource(12),
 		"queens": bench.QueensSource(6),
@@ -117,7 +117,7 @@ func TestCompiledMatchesPredecode(t *testing.T) {
 							aw = &sim.AlewifeConfig{}
 						}
 						compiled := runCompileSide(t, src, sim.Config{Nodes: nodes, Alewife: aw}, sim.Threshold(threshold))
-						oracle := runCompileSide(t, src, sim.Config{Nodes: nodes, Alewife: aw, Tier: sim.TierPredecode})
+						oracle := runCompileSide(t, src, sim.Config{Nodes: nodes, Alewife: aw, Tier: sim.TierReference})
 						compareCompiled(t, compiled, oracle)
 						fused, inline := coverage(compiled.m)
 						if fused+inline == 0 {
@@ -139,12 +139,12 @@ func TestCompiledMatchesPredecode(t *testing.T) {
 // forces future-strictness faults (a strict + on an unresolved future
 // operand), full/empty touch traps on future cells, and — at several
 // nodes — asynchronous IPIs, all landing mid-block. The run must still
-// be bit-identical to the per-op oracle, and the trap counters prove
+// be bit-identical to the reference tier, and the trap counters prove
 // the events actually fired inside the compiled run.
 func TestCompiledHostileEventsMidBlock(t *testing.T) {
 	src := bench.FibSource(12)
 	compiled := runCompileSide(t, src, sim.Config{Nodes: 4}, sim.Threshold(1))
-	oracle := runCompileSide(t, src, sim.Config{Nodes: 4, Tier: sim.TierPredecode})
+	oracle := runCompileSide(t, src, sim.Config{Nodes: 4, Tier: sim.TierReference})
 	compareCompiled(t, compiled, oracle)
 
 	var future, sync, ipi uint64
@@ -188,31 +188,27 @@ func TestCompiledImagePurityAndSharing(t *testing.T) {
 }
 
 // TestCompiledShardedIdentical runs the compiled tier, translating
-// every block on first entry, on a 16-node machine against the per-op
-// oracle. The cell keeps its name from when the machine could be
+// every block on first entry, on a 16-node machine against the
+// reference tier. The cell keeps its name from when the machine could be
 // sharded: "shards1" is the one goroutine that steps every node.
 func TestCompiledShardedIdentical(t *testing.T) {
 	src := bench.QueensSource(6)
 	t.Run("shards1", func(t *testing.T) {
 		compiled := runCompileSide(t, src, sim.Config{Nodes: 16}, sim.Threshold(1))
-		oracle := runCompileSide(t, src, sim.Config{Nodes: 16, Tier: sim.TierPredecode})
+		oracle := runCompileSide(t, src, sim.Config{Nodes: 16, Tier: sim.TierReference})
 		compareCompiled(t, compiled, oracle)
 	})
 }
 
 // TestKindCountsTierInvariant pins the per-kind execution counters
-// (the "isa" counter group) across all three tiers: the reference
-// switch interpreter, the predecoded table, and the compiled tier must
-// count every dispatch identically.
+// (the "isa" counter group) across both tiers: the reference switch
+// interpreter and the compiled tier must count every dispatch
+// identically.
 func TestKindCountsTierInvariant(t *testing.T) {
 	src := bench.QueensSource(6)
 	compiled := runCompileSide(t, src, sim.Config{Nodes: 4}, sim.Threshold(1))
-	predecode := runCompileSide(t, src, sim.Config{Nodes: 4, Tier: sim.TierPredecode})
 	reference := runCompileSide(t, src, sim.Config{Nodes: 4, Tier: sim.TierReference})
 	ck := compiled.m.KindTotals()
-	if pk := predecode.m.KindTotals(); !reflect.DeepEqual(ck, pk) {
-		t.Errorf("kind counts diverge: compiled %v != predecode %v", ck, pk)
-	}
 	if rk := reference.m.KindTotals(); !reflect.DeepEqual(ck, rk) {
 		t.Errorf("kind counts diverge: compiled %v != reference %v", ck, rk)
 	}

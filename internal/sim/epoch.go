@@ -53,8 +53,8 @@
 // which bounds the work a stop can waste by the work already committed.
 //
 // The committed prefix is bit-identical to per-cycle stepping, and the
-// tier matrices in epoch_test.go hold every tier, at several window
-// caps and with forced conflicts, to that.
+// tier matrices in epoch_test.go hold the compiled tier, at several
+// window caps and with forced conflicts, to that.
 
 package sim
 

@@ -26,8 +26,8 @@ import (
 
 // TestEpochMatchesOracles is the engine's differential matrix: two
 // programs (perfect memory and the full ALEWIFE memory system) run
-// under the predecode and compiled tiers, the compiled tier also with
-// its epoch windows capped at 1, 2 and 4 cycles. Every cell must agree
+// under the compiled tier, uncapped and with its epoch windows capped
+// at 1, 2 and 4 cycles. Every cell must agree
 // with the reference tier on cycles, result, and every node's full
 // statistics.
 func TestEpochMatchesOracles(t *testing.T) {
@@ -49,19 +49,10 @@ func TestEpochMatchesOracles(t *testing.T) {
 				return cfg
 			}
 			ref := runCompileSide(t, tc.src, mk(sim.TierReference))
-			rows := map[string]struct {
-				tier sim.Tier
-				cap  uint64
-			}{
-				"predecode": {sim.TierPredecode, 0},
-				"epoch":     {sim.TierCompiled, 0},
-				"epoch-k1":  {sim.TierCompiled, 1},
-				"epoch-k2":  {sim.TierCompiled, 2},
-				"epoch-k4":  {sim.TierCompiled, 4},
-			}
-			for name, row := range rows {
+			caps := map[string]uint64{"epoch": 0, "epoch-k1": 1, "epoch-k2": 2, "epoch-k4": 4}
+			for name, windowCap := range caps {
 				t.Run(name, func(t *testing.T) {
-					compareCompiled(t, runCompileSide(t, tc.src, mk(row.tier), sim.WindowCap(row.cap)), ref)
+					compareCompiled(t, runCompileSide(t, tc.src, mk(sim.TierCompiled), sim.WindowCap(windowCap)), ref)
 				})
 			}
 		})
@@ -149,7 +140,7 @@ func TestEpochScope(t *testing.T) {
 }
 
 // TestEpochFaultsArmedIdentity runs seeded fault plans (hop jitter,
-// link stalls, delayed directory replies) under every tier. Faults
+// link stalls, delayed directory replies) under both tiers. Faults
 // perturb only the ALEWIFE fabric, where the compiled tier opens no
 // epoch window but its fused windows must still stop at every shifted
 // delivery and recall deadline.
@@ -162,16 +153,14 @@ func TestEpochFaultsArmedIdentity(t *testing.T) {
 			return sim.Config{Nodes: 8, Alewife: &sim.AlewifeConfig{}, Faults: &f, Tier: tier}
 		}
 		ref := runCompileSide(t, src, mk(sim.TierReference))
-		for _, tier := range []sim.Tier{sim.TierCompiled, sim.TierPredecode} {
-			out := runCompileSide(t, src, mk(tier))
-			if out.cycles != ref.cycles || out.value != ref.value {
-				t.Errorf("seed %d: %v %d %q, reference %d %q",
-					seed, tier, out.cycles, out.value, ref.cycles, ref.value)
-			}
-			for i := range out.stats {
-				if !reflect.DeepEqual(out.stats[i], ref.stats[i]) {
-					t.Errorf("seed %d %v node %d stats diverge under faults", seed, tier, i)
-				}
+		out := runCompileSide(t, src, mk(sim.TierCompiled))
+		if out.cycles != ref.cycles || out.value != ref.value {
+			t.Errorf("seed %d: compiled %d %q, reference %d %q",
+				seed, out.cycles, out.value, ref.cycles, ref.value)
+		}
+		for i := range out.stats {
+			if !reflect.DeepEqual(out.stats[i], ref.stats[i]) {
+				t.Errorf("seed %d node %d stats diverge under faults", seed, i)
 			}
 		}
 	}

@@ -64,8 +64,8 @@ type Config struct {
 	// consistency at trap boundaries, scheduler thread conservation, and
 	// message-pool ownership. Violations abort the run with a structured
 	// crash report rather than panicking. The checkers audit at
-	// per-cycle watermarks a fused window would cross, so Check runs
-	// TierCompiled as TierPredecode.
+	// per-cycle watermarks a fused window would cross, so Check runs on
+	// TierReference, the oracle.
 	Check bool
 
 	// DeadlockWindow overrides how many cycles the machine may go
@@ -85,29 +85,26 @@ type Config struct {
 	SabotageCycle uint64
 }
 
-// Tier is an execution path. Tiers are ordered from fastest to the
-// oracle, and each is the differential oracle of the one before it:
-// simulated results are bit-identical under every tier.
+// Tier is an execution path: the fast tier and its differential
+// oracle. Simulated results are bit-identical under both.
 type Tier uint8
 
 const (
 	// TierCompiled, the default: the work-proportional loop (wake.go)
 	// over the predecoded image, with hot basic blocks fused into
 	// superinstructions (compile.go) and, on perfect memory, multi-node
-	// epoch windows (epoch.go).
+	// epoch windows (epoch.go). Ops the superinstruction handlers
+	// refuse run on the opcode switch.
 	TierCompiled Tier = iota
-	// TierPredecode: the work-proportional loop with per-op dispatch
-	// through the predecoded table.
-	TierPredecode
 	// TierReference: dense per-cycle stepping through the opcode-switch
 	// interpreter.
 	TierReference
 )
 
-var tierNames = [...]string{"compiled", "predecode", "reference"}
+var tierNames = [...]string{"compiled", "reference"}
 
 // Tiers lists every tier, fastest first.
-var Tiers = []Tier{TierCompiled, TierPredecode, TierReference}
+var Tiers = []Tier{TierCompiled, TierReference}
 
 func (t Tier) String() string {
 	if int(t) < len(tierNames) {
@@ -262,8 +259,8 @@ func (cfg *Config) fill() error {
 	if err := cfg.Tier.valid(); err != nil {
 		return err
 	}
-	if cfg.Check && cfg.Tier == TierCompiled {
-		cfg.Tier = TierPredecode
+	if cfg.Check {
+		cfg.Tier = TierReference
 	}
 	if cfg.Nodes > maxNodes {
 		return fmt.Errorf("sim: %d nodes, at most %d", cfg.Nodes, maxNodes)
@@ -402,21 +399,14 @@ func (m *Machine) Load(prog *isa.Program) error {
 }
 
 // install puts prog on every node under the configured tier, for Load
-// and LoadRaw alike: one predecoded image shared read-only by every
-// node (the reference tier keeps the opcode-switch interpreter), and on
-// TierCompiled the fused-block tier over it.
+// and LoadRaw alike: the reference tier runs the opcode-switch
+// interpreter over prog itself; TierCompiled arms the fused-block tier
+// over one predecoded image shared read-only by every node.
 func (m *Machine) install(prog *isa.Program) {
 	for _, n := range m.Nodes {
 		n.Proc.Prog = prog
 	}
 	if m.Cfg.Tier == TierReference {
-		return
-	}
-	micro := prog.Predecode()
-	for _, n := range m.Nodes {
-		n.Proc.SetMicro(micro)
-	}
-	if m.Cfg.Tier != TierCompiled {
 		return
 	}
 	// Arm the compiled tier: one block-translation set over the shared
@@ -425,7 +415,7 @@ func (m *Machine) install(prog *isa.Program) {
 	// fused window would stamp network messages mid-window; the
 	// clock-free cache-hit port lets fused code cross plain cached
 	// accesses instead.
-	bs := isa.NewBlockSet(micro, m.threshold, m.Cfg.Alewife == nil)
+	bs := isa.NewBlockSet(prog.Predecode(), m.threshold, m.Cfg.Alewife == nil)
 	for _, n := range m.Nodes {
 		n.Proc.SetCompile(bs, &m.Sched.MainDone)
 		if n.cache != nil {
@@ -718,7 +708,7 @@ func (m *Machine) runReferenceUntil(limit uint64) (hitLimit bool, err error) {
 		if m.now >= limit {
 			return true, nil
 		}
-		for _, n := range m.Nodes {
+		for i, n := range m.Nodes {
 			if n.busy > 0 {
 				n.busy--
 				continue
@@ -736,6 +726,14 @@ func (m *Machine) runReferenceUntil(limit uint64) (hitLimit bool, err error) {
 				n.lastRetired = m.now
 			}
 			if m.Sched.MainDone {
+				// The later nodes do not step, but this cycle still
+				// passes for the ones inside an operation, exactly as
+				// the fast loop's absolute wake cycles count it.
+				for _, rest := range m.Nodes[i+1:] {
+					if rest.busy > 0 {
+						rest.busy--
+					}
+				}
 				break
 			}
 		}
@@ -827,9 +825,10 @@ func (m *Machine) advance(limit uint64) (hitLimit bool) {
 	}
 	// With nodes parked, nothing lands the loop every few cycles any
 	// more, so a jump must stop at the cycle whose end-of-cycle
-	// watchdogs() would fire — deadlock deadline, livelock scan,
-	// scheduler-conservation watermark — or every later report and scan
-	// shifts away from the reference loop's cycle.
+	// watchdogs() would fire — deadlock deadline, livelock scan — or
+	// every later report and scan shifts away from the reference loop's
+	// cycle. (The checkers' watermark never applies: Check runs on the
+	// reference tier.)
 	if m.park.n > 0 {
 		if wd := m.lastWatchedCycle(); wd < jumpLimit {
 			jumpLimit = max(wd, m.now)
@@ -855,9 +854,6 @@ func (m *Machine) lastWatchedCycle() uint64 {
 	c := m.lastProgress + m.deadlockWin
 	if m.net != nil && m.nextWedgeCheck-1 < c {
 		c = m.nextWedgeCheck - 1
-	}
-	if m.checker != nil && m.nextSchedCheck-1 < c {
-		c = m.nextSchedCheck - 1
 	}
 	return c
 }
@@ -1132,11 +1128,11 @@ func (m *Machine) Partition(shards int) network.Partition {
 }
 
 // KindTotals sums the per-MicroKind dispatch counters across nodes:
-// the machine's opcode mix, keyed by handler-kind name. All three
-// execution tiers maintain the counters identically, so the mix is
-// comparable across interpreter/predecode/compiled runs; the compiled
-// tier's profile-guided translation is driven by exactly this
-// distribution (per block-entry PC).
+// the machine's opcode mix, keyed by micro-op kind name. Both execution
+// tiers maintain the counters identically, so the mix is comparable
+// across reference and compiled runs; the compiled tier's
+// profile-guided translation is driven by exactly this distribution
+// (per block-entry PC).
 func (m *Machine) KindTotals() map[string]uint64 {
 	out := make(map[string]uint64, isa.NumMicroKinds)
 	for k := 0; k < isa.NumMicroKinds; k++ {

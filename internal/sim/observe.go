@@ -102,7 +102,7 @@ func (m *Machine) CounterRegistry() *trace.Registry {
 		}
 	})
 	// The opcode mix that drives the compiled tier's profile-guided
-	// translation, maintained identically by all three execution tiers.
+	// translation, maintained identically by both execution tiers.
 	r.Register("isa", m.KindTotals)
 	if m.compileOn {
 		// Compiled-tier coverage: dispatches executed inside fused

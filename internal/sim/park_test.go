@@ -137,9 +137,8 @@ func TestParkDifferentialMatrix(t *testing.T) {
 	}
 }
 
-// TestParkTierPairings: the parked fast loop under the compiled and
-// predecode tiers on a mostly idle ALEWIFE machine, with and without
-// fault plans armed.
+// TestParkTierPairings: the parked fast loop under the compiled tier on
+// a mostly idle ALEWIFE machine, with and without fault plans armed.
 func TestParkTierPairings(t *testing.T) {
 	base := parkCell{src: bench.QueensSource(5), nodes: 27, alewife: true, prof: rts.APRIL}
 	plans := []*fault.Config{nil}
@@ -153,16 +152,12 @@ func TestParkTierPairings(t *testing.T) {
 		ref := cell
 		ref.tier = sim.TierReference
 		want, _ := ref.run(t)
-		variants := map[string]sim.Tier{"fast": sim.TierCompiled, "no-compile": sim.TierPredecode}
-		for name, tier := range variants {
-			t.Run(fmt.Sprintf("plan%d/%s", i, name), func(t *testing.T) {
-				c := cell
-				c.tier = tier
-				c.slice = 4096
-				got, _ := c.run(t)
-				compareOutcomes(t, got, want)
-			})
-		}
+		t.Run(fmt.Sprintf("plan%d/fast", i), func(t *testing.T) {
+			c := cell
+			c.slice = 4096
+			got, _ := c.run(t)
+			compareOutcomes(t, got, want)
+		})
 	}
 }
 
@@ -461,8 +456,9 @@ __main_exit: trap 1
 		}},
 		{"wedged-network", func(reference bool) *sim.Machine {
 			// TestInvariantInducedWedgeAutopsy's wedge: every torus
-			// link stalled, checkers armed.
-			m, err := sim.New(sim.Config{Nodes: 4, Profile: rts.APRIL, Check: true, DeadlockWindow: 60_000,
+			// link stalled. (That test arms the checkers, which would
+			// put both sides on the reference loop.)
+			m, err := sim.New(sim.Config{Nodes: 4, Profile: rts.APRIL, DeadlockWindow: 60_000,
 				Alewife: &sim.AlewifeConfig{Geometry: geo}, Faults: &fault.Config{Seed: 1, StallLinks: links},
 				Tier: tierOf(reference)})
 			if err != nil {

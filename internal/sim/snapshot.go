@@ -11,9 +11,9 @@ package sim
 // round-trips exactly; *host-side* state — scratch buffers, freelists,
 // dirty sets, derived indices, telemetry of the host's own performance
 // — is reconstructed from the simulated state instead. That is what
-// lets one image restore under any execution tier (reference,
-// predecode, compiled): the tiers share simulated semantics and
-// differ only in host bookkeeping.
+// lets one image restore under either execution tier (reference or
+// compiled): the tiers share simulated semantics and differ only in
+// host bookkeeping.
 //
 // An image is self-contained. It embeds the program (instructions via
 // isa.Encode, symbols, entry) and the machine-defining configuration —

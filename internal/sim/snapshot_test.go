@@ -157,7 +157,7 @@ func TestSnapshotDoesNotPerturb(t *testing.T) {
 }
 
 // TestSnapshotCrossTierRestore: one image, written by the default
-// (compiled) tier, restored under every tier and with the checkers
+// (compiled) tier, restored under both tiers and with the checkers
 // armed — all reaching the same end
 // state. Tier choice is a host decision and must never leak into
 // simulated results.
@@ -177,7 +177,6 @@ func TestSnapshotCrossTierRestore(t *testing.T) {
 	tiers := map[string]sim.RestoreOverrides{
 		"compiled":  {},
 		"reference": {Tier: sim.TierReference},
-		"predecode": {Tier: sim.TierPredecode},
 		"checked":   {Check: true},
 	}
 	for name, ov := range tiers {
@@ -191,7 +190,68 @@ func TestSnapshotCrossTierRestore(t *testing.T) {
 	}
 }
 
-// TestTierOutOfRange: a tier outside the three is an error from New
+// TestSnapshotAfterRunTierInvariant: an image of a finished run does
+// not depend on the tier. The reference loop stops stepping at the node
+// that ends the run, yet the final cycle passes for every later node
+// inside an operation — the raw cell's node 1 sits in an idle poll when
+// node 0's main returns.
+func TestSnapshotAfterRunTierInvariant(t *testing.T) {
+	raw, err := isa.Assemble(`
+.entry main
+main:   movi r9, 40
+spin:   subcc r9, r9, 4
+        bg spin
+        movi r8, 4
+        jmpl r0, r5+0
+__task_exit: trap 2
+        halt
+__main_exit: trap 1
+        halt
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := map[string]func(sim.Tier) *sim.Machine{
+		"raw-2p": func(tier sim.Tier) *sim.Machine {
+			m, err := sim.New(sim.Config{Nodes: 2, Profile: rts.APRIL, Tier: tier})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Load(raw); err != nil {
+				t.Fatal(err)
+			}
+			return m
+		},
+		"queens-alewife-8p": func(tier sim.Tier) *sim.Machine {
+			cfg := snapConfig{nodes: 8, aw: true}.simConfig()
+			cfg.Tier = tier
+			return snapMachine(t, bench.QueensSource(6), cfg)
+		},
+	}
+	for name, build := range cells {
+		t.Run(name, func(t *testing.T) {
+			var first []byte
+			for _, tier := range sim.Tiers {
+				m := build(tier)
+				if _, err := m.Run(); err != nil {
+					t.Fatal(err)
+				}
+				img, err := m.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if first == nil {
+					first = img
+				} else if !bytes.Equal(img, first) {
+					t.Errorf("images of the finished run differ: %v %d bytes, %v %d bytes",
+						sim.Tiers[0], len(first), tier, len(img))
+				}
+			}
+		})
+	}
+}
+
+// TestTierOutOfRange: a tier outside the two is an error from New
 // and from Restore (not a corrupt image: the image is fine), never a
 // silent fallback; every tier's name parses back to it.
 func TestTierOutOfRange(t *testing.T) {
@@ -274,9 +334,9 @@ func TestSnapshotConfigHash(t *testing.T) {
 	if h := hash(src, base()); h != h0 {
 		t.Errorf("same config hashes differ: %#x vs %#x", h, h0)
 	}
-	predecode := base()
-	predecode.Tier = sim.TierPredecode
-	if h := hash(src, predecode); h != h0 {
+	reference := base()
+	reference.Tier = sim.TierReference
+	if h := hash(src, reference); h != h0 {
 		t.Errorf("host knob (tier) changed the config hash")
 	}
 	bigger := base()

@@ -13,8 +13,8 @@ import "april/internal/mem"
 // run: how often multi-node windows opened, how many cycles and
 // node-steps they absorbed, how they ended, and what their node-major
 // chunks cost. All-zero when the engine is disarmed: on ALEWIFE
-// machines and below TierCompiled. Pure host-side observation:
-// simulated results are bit-identical under every tier.
+// machines and on TierReference. Pure host-side observation:
+// simulated results are bit-identical under both tiers.
 type EpochStats struct {
 	Windows uint64 // windows that executed at least one op
 	Cycles  uint64 // complete simulated cycles committed inside windows

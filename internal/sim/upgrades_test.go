@@ -26,7 +26,7 @@ func memoryCounters(m *sim.Machine) map[string]map[string]uint64 {
 // found the block resident without the exclusive copy — was exported
 // but never incremented. The one hit routine counts it, so it must be
 // non-zero on a 64-node queens run (stores into shared list cells) and,
-// like every other memory counter, the same on every tier: the
+// like every other memory counter, the same on both tiers: the
 // clock-free caller refuses an upgrade untouched and the per-op caller
 // counts it once.
 func TestUpgradesCountedAcrossTiers(t *testing.T) {
@@ -43,15 +43,12 @@ func TestUpgradesCountedAcrossTiers(t *testing.T) {
 	if upgrades == 0 {
 		t.Fatal("no upgrades counted on 64-node queens")
 	}
-	for _, tier := range []sim.Tier{sim.TierPredecode, sim.TierCompiled} {
-		name := tier.String()
-		out := runCompileSide(t, src, mk(tier))
-		compareCompiled(t, out, ref)
-		if got := memoryCounters(out.m); !reflect.DeepEqual(got, want) {
-			for g, kv := range got {
-				if !reflect.DeepEqual(kv, want[g]) {
-					t.Errorf("%s: %s = %v, reference %v", name, g, kv, want[g])
-				}
+	out := runCompileSide(t, src, mk(sim.TierCompiled))
+	compareCompiled(t, out, ref)
+	if got := memoryCounters(out.m); !reflect.DeepEqual(got, want) {
+		for g, kv := range got {
+			if !reflect.DeepEqual(kv, want[g]) {
+				t.Errorf("compiled: %s = %v, reference %v", g, kv, want[g])
 			}
 		}
 	}
