@@ -76,23 +76,33 @@ tier-smoke:
 	! $(SMOKE_DIR)/april-bench -sizes test -tier fast 2>/dev/null
 	! $(SMOKE_DIR)/april-bench -sizes test -tier predecode 2>/dev/null
 
-# Quick gate for checkpoint/restore: kill a checkpointed run mid-flight,
-# restore the newest image, and require bit-identical simulated stats;
+# Quick gate for checkpoint/restore, and CI's one definition of it:
+# kill a checkpointed run as soon as its first image lands (images are
+# written and renamed atomically, so a visible one is whole), restore
+# the newest image under the default tier and under the reference tier
+# with checkers on, and require bit-identical simulated stats from both;
 # then sabotage a run at a known cycle and require the bisector to pin
-# it exactly; then the snapshot differential matrix under race.
+# it exactly. The snapshot tests themselves run under go test (and
+# -race in CI's race job). SMOKE_DIR holds the binary, the images and
+# the outputs.
+CKPT = $(SMOKE_DIR)/ckpt
 checkpoint-smoke:
-	$(GO) build -o /tmp/april ./cmd/april
-	/tmp/april -n 64 -alewife -stats-json examples/progs/queens.mt | tail -1 > /tmp/ckpt-clean.json
-	rm -rf /tmp/ckpt-smoke
-	/tmp/april -n 64 -alewife -checkpoint-every 20000 \
-		-checkpoint-dir /tmp/ckpt-smoke -stats-json examples/progs/queens.mt & \
+	$(GO) build -o $(SMOKE_DIR)/april ./cmd/april
+	$(SMOKE_DIR)/april -n 64 -alewife -stats-json examples/progs/queens.mt | tail -1 > $(CKPT)-clean.json
+	rm -rf $(CKPT)-smoke
+	$(SMOKE_DIR)/april -n 64 -alewife -checkpoint-every 20000 \
+		-checkpoint-dir $(CKPT)-smoke -stats-json examples/progs/queens.mt & \
 	pid=$$!; for i in $$(seq 1 300); do \
-		ls /tmp/ckpt-smoke/ckpt-*.img >/dev/null 2>&1 && break; sleep 0.1; done; \
+		ls $(CKPT)-smoke/ckpt-*.img >/dev/null 2>&1 && break; sleep 0.1; done; \
 	kill -KILL $$pid 2>/dev/null || true
-	/tmp/april -restore "$$(ls /tmp/ckpt-smoke/ckpt-*.img | tail -1)" -stats-json \
-		| tail -1 | diff - /tmp/ckpt-clean.json
-	rm -rf /tmp/ckpt-bisect
-	/tmp/april -n 8 -alewife -sabotage 150000 -max-cycles 250000 -checkpoint-every 20000 \
-		-checkpoint-keep 20 -checkpoint-dir /tmp/ckpt-bisect examples/progs/queens.mt || true
-	/tmp/april -bisect /tmp/ckpt-bisect | grep -q '^first violating cycle: 150000$$'
-	$(GO) test -race -run Snapshot -v ./internal/sim/
+	ls $(CKPT)-smoke/
+	newest="$$(ls $(CKPT)-smoke/ckpt-*.img | tail -1)" && \
+	$(SMOKE_DIR)/april -restore "$$newest" -stats-json | tail -1 | diff - $(CKPT)-clean.json && \
+	$(SMOKE_DIR)/april -restore "$$newest" -tier reference -check -stats-json \
+		| tail -1 | diff - $(CKPT)-clean.json
+	rm -rf $(CKPT)-bisect
+	$(SMOKE_DIR)/april -n 8 -alewife -sabotage 150000 -max-cycles 250000 -checkpoint-every 20000 \
+		-checkpoint-keep 20 -checkpoint-dir $(CKPT)-bisect examples/progs/queens.mt || true
+	$(SMOKE_DIR)/april -bisect $(CKPT)-bisect | tee $(CKPT)-bisect.out
+	grep -q '^first violating cycle: 150000$$' $(CKPT)-bisect.out
+	grep -q '^clean through cycle:   149999$$' $(CKPT)-bisect.out

@@ -94,7 +94,11 @@ type Cache struct {
 	clock uint64
 	valid int // lines not Invalid: Occupancy without a walk
 
-	// Stats.
+	Stats
+}
+
+// Stats counts a cache's lookups and line movements.
+type Stats struct {
 	Hits, Misses, Evictions, Writebacks, Invalidations uint64
 }
 

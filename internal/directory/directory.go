@@ -170,7 +170,11 @@ type Directory struct {
 	shift uint      // 32 - log2(len(slots)), for the multiplicative hash
 	used  int
 
-	// Stats.
+	Stats
+}
+
+// Stats counts the protocol work a directory's home node does.
+type Stats struct {
 	ReadMisses, WriteMisses, InvalsSent, Fetches, Writebacks uint64
 }
 
@@ -316,6 +320,12 @@ type Msg struct {
 	From      int
 	Requester int  // original requester for three-party transactions
 	Write     bool // Fetch: recall for a writer (invalidate) vs reader (downgrade)
+}
+
+// Valid reports whether m is a message nodes nodes could exchange: a
+// known kind, between node ids in range.
+func (m *Msg) Valid(nodes int) bool {
+	return m.Kind <= FlushAck && m.From >= 0 && m.From < nodes && m.Requester >= 0 && m.Requester < nodes
 }
 
 // Size returns the packet size in flits: a two-flit header plus the

@@ -60,8 +60,8 @@ func (p *msgPool) fromImage(img MessageImage) *Message {
 // check refuses a packet no network of this shape could hold: restore
 // runs on images that passed a checksum but may say anything.
 func (img *MessageImage) check(nodes, channels int) error {
-	if img.Src < 0 || img.Src >= nodes || img.Dst < 0 || img.Dst >= nodes {
-		return fmt.Errorf("network: image packet %d->%d on %d nodes", img.Src, img.Dst, nodes)
+	if img.Src < 0 || img.Src >= nodes || img.Dst < 0 || img.Dst >= nodes || !img.Payload.Coh.Valid(nodes) {
+		return fmt.Errorf("network: image packet %d->%d carrying %+v on %d nodes", img.Src, img.Dst, img.Payload.Coh, nodes)
 	}
 	if img.Size < 1 || img.Hop < 0 || img.Hop > len(img.Route) {
 		return fmt.Errorf("network: image packet of %d flits at hop %d of %d", img.Size, img.Hop, len(img.Route))

@@ -38,12 +38,7 @@ type NodeRT struct {
 	// has consecutively retried the same trapping PC without success;
 	// past the profile's threshold the thread is blocked or requeued
 	// (the paper's guard against switch-spin starvation, Section 3.1).
-	stuck []stuckState
-}
-
-type stuckState struct {
-	pc    uint32
-	count int
+	stuck []StuckImage
 }
 
 // NewNodeRT builds the runtime for one node, giving it an initial heap
@@ -84,21 +79,21 @@ func (n *NodeRT) newFuture() (isa.Word, error) {
 // pc; a different pc resets the count.
 func (n *NodeRT) stuckCount(p *proc.Processor, pc uint32) int {
 	if n.stuck == nil {
-		n.stuck = make([]stuckState, len(p.Engine.Frames))
+		n.stuck = make([]StuckImage, len(p.Engine.Frames))
 	}
 	st := &n.stuck[p.Engine.FP()]
-	if st.pc != pc {
-		*st = stuckState{pc: pc, count: 0}
+	if st.PC != pc {
+		*st = StuckImage{PC: pc}
 	}
-	st.count++
-	return st.count
+	st.Count++
+	return st.Count
 }
 
 // clearStuck resets the active frame's retry tracking (a new thread is
 // loaded or the stuck one departs).
 func (n *NodeRT) clearStuck(p *proc.Processor) {
 	if n.stuck != nil {
-		n.stuck[p.Engine.FP()] = stuckState{}
+		n.stuck[p.Engine.FP()] = StuckImage{}
 	}
 }
 

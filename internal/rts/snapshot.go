@@ -14,22 +14,16 @@ import (
 // and readyQueues are host-side (recycling scratch and a derived
 // count) and are reconstructed.
 
-// WaiterImage is one blocked-waiter list keyed by future address.
-type WaiterImage struct {
-	Addr    uint32
-	Threads []int
-}
-
 // SchedImage is a Scheduler's complete snapshot state.
 type SchedImage struct {
 	MainDone   bool
 	MainResult isa.Word
 	Stats      Stats
 
-	Threads    []Thread // by ID
-	Ready      [][]int  // per node, oldest first
-	Waiters    []WaiterImage
-	FreeStacks []uint32 // LIFO order (next alloc pops the end)
+	Threads    []Thread         // by ID
+	Ready      [][]int          // per node, oldest first
+	Waiters    map[uint32][]int // blocked threads by future address
+	FreeStacks []uint32         // LIFO order (next alloc pops the end)
 	FreeTCBs   []uint32
 	StealRR    int
 
@@ -37,16 +31,18 @@ type SchedImage struct {
 	HeapNext, HeapLimit   uint32 // heap-region bump cursor
 }
 
-// DumpState captures the scheduler.
+// DumpState captures the scheduler. The queues, waiter lists and
+// freelists are the scheduler's own: read them before it runs again.
 func (s *Scheduler) DumpState() SchedImage {
 	img := SchedImage{
 		MainDone:   s.MainDone,
 		MainResult: s.MainResult,
 		Stats:      s.Stats,
 		Threads:    make([]Thread, len(s.threads)),
-		Ready:      make([][]int, len(s.ready)),
-		FreeStacks: append([]uint32(nil), s.freeStacks...),
-		FreeTCBs:   append([]uint32(nil), s.freeTCBs...),
+		Ready:      s.ready,
+		Waiters:    s.waiters,
+		FreeStacks: s.freeStacks,
+		FreeTCBs:   s.freeTCBs,
 		StealRR:    s.stealRR,
 		StackNext:  s.stackAlloc.arena.Next,
 		StackLimit: s.stackAlloc.arena.Limit,
@@ -56,21 +52,12 @@ func (s *Scheduler) DumpState() SchedImage {
 	for i, t := range s.threads {
 		img.Threads[i] = *t
 	}
-	for node, q := range s.ready {
-		img.Ready[node] = append([]int(nil), q...)
-	}
-	// The waiter lists are copied into one growing array, not one each.
-	var ids []int
-	s.ForEachWaiter(func(addr uint32, threads []int) {
-		start := len(ids)
-		ids = append(ids, threads...)
-		img.Waiters = append(img.Waiters, WaiterImage{Addr: addr, Threads: ids[start:len(ids):len(ids)]})
-	})
 	return img
 }
 
 // RestoreState installs a dumped scheduler state into a freshly
-// constructed scheduler with the same node count.
+// constructed scheduler with the same node count. The scheduler takes
+// over the image's queues, waiter lists and freelists.
 func (s *Scheduler) RestoreState(img SchedImage) error {
 	if len(img.Ready) != len(s.ready) {
 		return fmt.Errorf("rts: image has %d ready queues, scheduler has %d nodes", len(img.Ready), len(s.ready))
@@ -103,8 +90,8 @@ func (s *Scheduler) RestoreState(img SchedImage) error {
 			return err
 		}
 	}
-	for _, w := range img.Waiters {
-		if err := checkIDs(fmt.Sprintf("waiters[%#x]", w.Addr), w.Threads); err != nil {
+	for addr, ids := range img.Waiters {
+		if err := checkIDs(fmt.Sprintf("waiters[%#x]", addr), ids); err != nil {
 			return err
 		}
 	}
@@ -117,19 +104,16 @@ func (s *Scheduler) RestoreState(img SchedImage) error {
 		t := img.Threads[i]
 		s.threads[i] = &t
 	}
+	copy(s.ready, img.Ready)
 	s.readyQueues = 0
-	for node, q := range img.Ready {
-		s.ready[node] = append([]int(nil), q...)
+	for _, q := range img.Ready {
 		if len(q) > 0 {
 			s.readyQueues++
 		}
 	}
-	s.waiters = make(map[uint32][]int, len(img.Waiters))
-	for _, w := range img.Waiters {
-		s.waiters[w.Addr] = append([]int(nil), w.Threads...)
-	}
-	s.freeStacks = append(s.freeStacks[:0], img.FreeStacks...)
-	s.freeTCBs = append(s.freeTCBs[:0], img.FreeTCBs...)
+	s.waiters = img.Waiters
+	s.freeStacks = img.FreeStacks
+	s.freeTCBs = img.FreeTCBs
 	s.stealRR = img.StealRR
 	s.stackAlloc.arena.Next = img.StackNext
 	s.stackAlloc.arena.Limit = img.StackLimit
@@ -156,33 +140,28 @@ func (s *Scheduler) CorruptThreadState() bool {
 	return false
 }
 
-// StuckImage is one task frame's switch-spin retry tracker.
+// StuckImage is one task frame's switch-spin retry tracker: the PC
+// its thread last retried and how many times in a row.
 type StuckImage struct {
 	PC    uint32
 	Count int
 }
 
-// DumpStuck captures the per-frame retry trackers (nil when the node
-// has never tracked a retry).
-func (n *NodeRT) DumpStuck() []StuckImage {
+// DumpStuck returns the per-frame retry trackers, one per task frame,
+// or nil when the node has never tracked a retry. The list is the
+// node's own: read it, do not keep it.
+func (n *NodeRT) DumpStuck() *[]StuckImage {
 	if n.stuck == nil {
 		return nil
 	}
-	out := make([]StuckImage, len(n.stuck))
-	for i, st := range n.stuck {
-		out[i] = StuckImage{PC: st.pc, Count: st.count}
-	}
-	return out
+	return &n.stuck
 }
 
-// RestoreStuck installs retry trackers dumped by DumpStuck.
-func (n *NodeRT) RestoreStuck(imgs []StuckImage) {
-	if imgs == nil {
+// RestoreStuck installs a copy of trackers DumpStuck returned.
+func (n *NodeRT) RestoreStuck(s *[]StuckImage) {
+	if s == nil {
 		n.stuck = nil
 		return
 	}
-	n.stuck = make([]stuckState, len(imgs))
-	for i, st := range imgs {
-		n.stuck[i] = stuckState{pc: st.PC, count: st.Count}
-	}
+	n.stuck = append(make([]StuckImage, 0, len(*s)), *s...)
 }

@@ -183,10 +183,12 @@ func (m *Machine) newCachePort(node int) proc.MemPort {
 		blockShift: uint(bits.TrailingZeros32(f.cfg.Cache.BlockBytes)),
 		cache:      c,
 		dir:        directory.New(),
-		pending:    map[uint32]missState{},
-		homeTx:     map[uint32]*homeTx{},
-		locked:     map[uint32]uint64{},
 		lockWindow: uint64(4*prof.Frames*(prof.SwitchCycles+prof.TrapEntry) + 64),
+		ctlState: ctlState{
+			pending: map[uint32]missState{},
+			homeTx:  map[uint32]homeTx{},
+			locked:  map[uint32]uint64{},
+		},
 	}
 	f.ctls = append(f.ctls, ctl)
 	return ctl
@@ -294,9 +296,10 @@ type missState struct {
 	poisoned bool
 }
 
-// homeTx tracks a home-side multi-party transaction. Completed
-// transactions return to the controller's freelist so the steady state
-// reuses both the object and its queued-request capacity.
+// homeTx tracks a home-side multi-party transaction. The table holds
+// transactions by value; a completed one's queued-request buffer
+// returns to the controller's freelist, so the steady state reuses the
+// capacity.
 type homeTx struct {
 	write     bool
 	requester int
@@ -304,20 +307,19 @@ type homeTx struct {
 	queued    []directory.Msg
 }
 
-func (c *cacheCtl) newTx(write bool, requester, acksLeft int) *homeTx {
-	if n := len(c.txFree); n > 0 {
-		tx := c.txFree[n-1]
-		c.txFree[n-1] = nil
-		c.txFree = c.txFree[:n-1]
-		tx.write, tx.requester, tx.acksLeft = write, requester, acksLeft
-		return tx
+func (c *cacheCtl) newTx(write bool, requester, acksLeft int) homeTx {
+	tx := homeTx{write: write, requester: requester, acksLeft: acksLeft}
+	if n := len(c.queuedFree); n > 0 {
+		tx.queued = c.queuedFree[n-1]
+		c.queuedFree = c.queuedFree[:n-1]
 	}
-	return &homeTx{write: write, requester: requester, acksLeft: acksLeft}
+	return tx
 }
 
-func (c *cacheCtl) freeTx(tx *homeTx) {
-	tx.queued = tx.queued[:0]
-	c.txFree = append(c.txFree, tx)
+func (c *cacheCtl) freeTx(tx homeTx) {
+	if cap(tx.queued) > 0 {
+		c.queuedFree = append(c.queuedFree, tx.queued[:0])
+	}
 }
 
 // CtlStats aggregates one controller's behavior.
@@ -337,14 +339,24 @@ type cacheCtl struct {
 	blockShift uint // log2 of the block size (validated a power of two)
 	cache      *cache.Cache
 	dir        *directory.Directory
+	lockWindow uint64 // see ctlState.locked
 
-	pending  map[uint32]missState // by value: missState is two words, no box
-	homeTx   map[uint32]*homeTx
-	txFree   []*homeTx // retired homeTx objects, recycled with their queued capacity
-	outbox   []outMsg
-	outSpare []outMsg // flushOutbox double buffer
-	keepQ    []outMsg // flushOutbox not-yet-matured scratch
-	fence    int      // outstanding flush writebacks (Section 3.4)
+	ctlState
+
+	queuedFree  [][]directory.Msg // retired homeTx queue buffers
+	outSpare    []outMsg          // flushOutbox double buffer
+	keepQ       []outMsg          // flushOutbox not-yet-matured scratch
+	recallSpare []pendingRecall   // processRecalls double buffer
+	targetsBuf  []int             // homeRequest invalidation-target scratch
+}
+
+// ctlState is a controller's protocol state, a record of the image.
+type ctlState struct {
+	pending map[uint32]missState // by value: missState is two words, no box
+	homeTx  map[uint32]homeTx
+	outbox  []outMsg
+	recallQ []pendingRecall // recalls deferred by the interlock or a miss
+	fence   int             // outstanding flush writebacks (Section 3.4)
 
 	// locked implements the anti-"cache tag" interlock of Section 3.1:
 	// a freshly installed line is protected from recalls until the
@@ -353,11 +365,7 @@ type cacheCtl struct {
 	// block. The window must exceed a switch-spinning thread's retry
 	// period — all resident frames rotating through context switches —
 	// or every line is stolen before its requester returns.
-	locked      map[uint32]uint64 // block -> protection expiry cycle
-	lockWindow  uint64
-	recallQ     []pendingRecall // recalls deferred by the interlock or a miss
-	recallSpare []pendingRecall // processRecalls double buffer
-	targetsBuf  []int           // homeRequest invalidation-target scratch
+	locked map[uint32]uint64 // block -> protection expiry cycle
 
 	// replySeq numbers this node's directory data replies for the fault
 	// plan's reply-delay draws; it advances in send order, which both
@@ -786,6 +794,7 @@ func (c *cacheCtl) recall(msg directory.Msg) {
 func (c *cacheCtl) homeRequest(req directory.Msg) {
 	if tx, busy := c.homeTx[req.Block]; busy {
 		tx.queued = append(tx.queued, req)
+		c.homeTx[req.Block] = tx
 		return
 	}
 	e := c.dir.Entry(req.Block)
@@ -855,6 +864,7 @@ func (c *cacheCtl) homeAck(msg directory.Msg) {
 	}
 	tx.acksLeft--
 	if tx.acksLeft > 0 {
+		c.homeTx[msg.Block] = tx
 		return
 	}
 	delete(c.homeTx, msg.Block)
@@ -879,7 +889,7 @@ func (c *cacheCtl) homeAck(msg directory.Msg) {
 	c.dirTrans(msg.Block, old, e.State, tx.requester)
 	// Serve queued requests in arrival order. A served request may open
 	// a fresh transaction on the same block; its queue is a different
-	// homeTx, so iterating tx.queued stays safe. Retire tx (keeping its
+	// buffer, so iterating tx.queued stays safe. Retire tx (keeping its
 	// queued capacity) only after the loop.
 	for _, q := range tx.queued {
 		c.homeRequest(q)

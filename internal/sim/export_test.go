@@ -1,10 +1,15 @@
 package sim
 
-import "april/internal/cache"
+import (
+	"april/internal/cache"
+	"april/internal/network"
+	"april/internal/rts"
+)
 
 // Hooks for the tests in package sim_test: the compiled tier's two
 // tuning values, which machines outside tests leave at zero (apply one
-// to a machine after New and before Load), and a node's cache.
+// to a machine after New and before Load), a node's cache, and the
+// image tests' probe and corruption.
 
 // Threshold makes Load translate a block once its entry PC has
 // executed n times (1 = on first entry).
@@ -19,4 +24,41 @@ func NodeCache(m *Machine, node int) *cache.Cache {
 		return c.cache
 	}
 	return nil
+}
+
+// ImageCoverage counts, in m, the entries of the image's
+// variable-length records: the controller tables, packets in torus
+// channels, blocked-waiter lists and nodes with a retry-tracker list.
+func ImageCoverage(m *Machine) map[string]int {
+	c := map[string]int{}
+	if m.net != nil {
+		for _, ctl := range m.net.ctls {
+			c["pending"] += len(ctl.pending)
+			c["homeTx"] += len(ctl.homeTx)
+			for _, tx := range ctl.homeTx {
+				c["homeTx queued"] += len(tx.queued)
+			}
+			c["outbox"] += len(ctl.outbox)
+			c["recallQ"] += len(ctl.recallQ)
+			c["locked"] += len(ctl.locked)
+		}
+		if t, ok := m.net.net.(*network.Torus); ok {
+			for _, q := range t.DumpImage().Queues {
+				c["torus packets"] += len(q)
+			}
+		}
+	}
+	c["waiter lists"] = len(m.Sched.DumpState().Waiters)
+	for _, n := range m.Nodes {
+		if n.RT.DumpStuck() != nil {
+			c["retry trackers"]++
+		}
+	}
+	return c
+}
+
+// EmptyRetryTrackers gives node an empty retry-tracker list, one no
+// run writes (a run's list has a tracker per task frame).
+func EmptyRetryTrackers(m *Machine, node int) {
+	m.Nodes[node].RT.RestoreStuck(&[]rts.StuckImage{})
 }

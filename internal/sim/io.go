@@ -32,9 +32,15 @@ const (
 
 // ioCtl implements proc.IOPort for one node.
 type ioCtl struct {
-	m         *Machine
-	node      int
-	ctl       *cacheCtl // nil in perfect-memory mode
+	m    *Machine
+	node int
+	ctl  *cacheCtl // nil in perfect-memory mode
+	ioState
+}
+
+// ioState is the IO controller's simulated state, a record of the
+// image: the IPI target register and the block-transfer registers.
+type ioState struct {
 	ipiTarget int
 
 	btSrc, btDst, btLen uint32

@@ -289,6 +289,18 @@ func (cfg *Config) fill() error {
 	return nil
 }
 
+// profileCosts lists the profile's cycle costs, which fill bounds.
+func profileCosts(p *rts.Profile) []*int {
+	return []*int{
+		&p.TrapEntry, &p.SwitchCycles, &p.TouchResolvedHandler, &p.TouchDecide,
+		&p.FutureNew, &p.TaskExit, &p.ThreadLoad, &p.ThreadUnload,
+		&p.Steal, &p.StealPerWord, &p.StolenResolve,
+		&p.Enqueue, &p.Dequeue, &p.Idle,
+		&p.MakeVectorBase, &p.MakeVectorPerWord, &p.Print,
+		&p.AllocRefill, &p.BlockRounds,
+	}
+}
+
 // New builds a machine. Compile programs against StaticHeap(), then
 // Load and Run.
 func New(cfg Config) (*Machine, error) {

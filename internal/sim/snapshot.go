@@ -15,6 +15,20 @@ package sim
 // compiled): the tiers share simulated semantics and differ only in
 // host bookkeeping.
 //
+// Layout: most of the image is records — identity, rts.SchedImage,
+// nodeImage, network.Image, the cache and directory counters and
+// ctlState — that snapshot.Put and snapshot.Get walk as their fields in
+// declaration order, by the rules in internal/snapshot/codec.go.
+// Reordering, adding, removing or retyping a field of a walked record
+// changes the format and needs a snapshot.Version bump
+// (TestSnapshotImageBytes pins the bytes). What is not a record is
+// written by hand below: the program, resident pages, valid cache
+// lines, directory entries, trace and sampler cursors, and the
+// busy-remaining canonicalization. TestSnapshotFieldsClassified holds
+// every field of the machine's state-holding types to one of three
+// classes: inside a walked record, written by a hand-written section,
+// or host bookkeeping with the reason it is not saved.
+//
 // An image is self-contained. It embeds the program (instructions via
 // isa.Encode, symbols, entry) and the machine-defining configuration —
 // node count, cost profile, memory size, ALEWIFE parameters, fault
@@ -25,20 +39,11 @@ package sim
 // without decoding them. Host knobs (tier selection, Check, output
 // writer) are deliberately NOT part of identity: restoring under a
 // different tier than the one that wrote the image is the point.
-//
-// Not captured, by design:
-//   - trace ring contents and sampler rows (host-side flight-recorder
-//     windows; the rings' event counters and the sampler's window
-//     boundary round-trip as cursors, see internal/trace/snapshot.go)
-//   - host telemetry: fused/epoch/park counters restart at zero
-//   - the static heap cursor (compile-time state; programs are loaded
-//     from the image, never recompiled into the restored machine)
 
 import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 
 	"april/internal/cache"
@@ -197,38 +202,27 @@ func (m *Machine) SetCheckpointInfo(cycle uint64, imageBytes int, restoreCmd str
 // Out) are intentionally absent.
 // ===========================================================================
 
+// identity is the machine-defining part of Config, a record of the
+// image. The program follows it.
+type identity struct {
+	Nodes          int
+	Profile        rts.Profile
+	Lazy           bool
+	MemoryBytes    uint32
+	MaxCycles      uint64
+	DeadlockWindow uint64
+	SabotageCycle  uint64
+	Alewife        *AlewifeConfig
+	Faults         *fault.Config
+}
+
 func (m *Machine) encodeIdentity(w *snapshot.Writer) {
-	cfg := &m.Cfg
-	w.Int(cfg.Nodes)
-	encodeProfile(w, &cfg.Profile)
-	w.Bool(cfg.Lazy)
-	w.U32(cfg.MemoryBytes)
-	w.U64(cfg.MaxCycles)
-	w.U64(cfg.DeadlockWindow)
-	w.U64(cfg.SabotageCycle)
-	w.Bool(cfg.Alewife != nil)
-	if a := cfg.Alewife; a != nil {
-		w.U32(a.Cache.SizeBytes)
-		w.U32(a.Cache.BlockBytes)
-		w.Int(a.Cache.Assoc)
-		w.Int(a.MemLatency)
-		w.Int(a.Geometry.Dim)
-		w.Int(a.Geometry.Radix)
-		w.Bool(a.IdealNet)
-		w.Int(a.IdealLat)
-		w.Int(a.PollCycles)
-	}
-	w.Bool(cfg.Faults != nil)
-	if f := cfg.Faults; f != nil {
-		w.U64(f.Seed)
-		w.Int(f.MaxHopJitter)
-		w.Int(f.StallEvery)
-		w.Int(f.StallCycles)
-		w.Int(f.MaxReplyDelay)
-		w.Ints(f.StallLinks)
-		w.U64(f.WedgeAtCycle)
-		w.Int(f.WedgeNode)
-	}
+	c := &m.Cfg
+	snapshot.Put(w, &identity{
+		Nodes: c.Nodes, Profile: c.Profile, Lazy: c.Lazy, MemoryBytes: c.MemoryBytes,
+		MaxCycles: c.MaxCycles, DeadlockWindow: c.DeadlockWindow, SabotageCycle: c.SabotageCycle,
+		Alewife: c.Alewife, Faults: c.Faults,
+	})
 
 	prog := m.Nodes[0].Proc.Prog
 	w.U32(prog.Entry)
@@ -249,38 +243,12 @@ func (m *Machine) encodeIdentity(w *snapshot.Writer) {
 }
 
 func decodeIdentity(r *snapshot.Reader) (Config, *isa.Program) {
-	var cfg Config
-	cfg.Nodes = r.Int()
-	decodeProfile(r, &cfg.Profile)
-	cfg.Lazy = r.Bool()
-	cfg.MemoryBytes = r.U32()
-	cfg.MaxCycles = r.U64()
-	cfg.DeadlockWindow = r.U64()
-	cfg.SabotageCycle = r.U64()
-	if r.Bool() {
-		a := &AlewifeConfig{}
-		a.Cache.SizeBytes = r.U32()
-		a.Cache.BlockBytes = r.U32()
-		a.Cache.Assoc = r.Int()
-		a.MemLatency = r.Int()
-		a.Geometry.Dim = r.Int()
-		a.Geometry.Radix = r.Int()
-		a.IdealNet = r.Bool()
-		a.IdealLat = r.Int()
-		a.PollCycles = r.Int()
-		cfg.Alewife = a
-	}
-	if r.Bool() {
-		f := &fault.Config{}
-		f.Seed = r.U64()
-		f.MaxHopJitter = r.Int()
-		f.StallEvery = r.Int()
-		f.StallCycles = r.Int()
-		f.MaxReplyDelay = r.Int()
-		f.StallLinks = r.Ints("stall links")
-		f.WedgeAtCycle = r.U64()
-		f.WedgeNode = r.Int()
-		cfg.Faults = f
+	var id identity
+	snapshot.Get(r, &id)
+	cfg := Config{
+		Nodes: id.Nodes, Profile: id.Profile, Lazy: id.Lazy, MemoryBytes: id.MemoryBytes,
+		MaxCycles: id.MaxCycles, DeadlockWindow: id.DeadlockWindow, SabotageCycle: id.SabotageCycle,
+		Alewife: id.Alewife, Faults: id.Faults,
 	}
 	if cfg.Nodes <= 0 {
 		r.Corrupt("node count %d out of range", cfg.Nodes)
@@ -310,37 +278,6 @@ func decodeIdentity(r *snapshot.Reader) (Config, *isa.Program) {
 	return cfg, prog
 }
 
-func encodeProfile(w *snapshot.Writer, p *rts.Profile) {
-	w.String(p.Name)
-	w.Int(p.Frames)
-	w.Bool(p.HardwareFutures)
-	for _, v := range profileCosts(p) {
-		w.Int(*v)
-	}
-}
-
-func decodeProfile(r *snapshot.Reader, p *rts.Profile) {
-	p.Name = r.String()
-	p.Frames = r.Int()
-	p.HardwareFutures = r.Bool()
-	for _, v := range profileCosts(p) {
-		*v = r.Int()
-	}
-}
-
-// profileCosts enumerates the profile's integer cost fields in a fixed
-// order shared by encode and decode.
-func profileCosts(p *rts.Profile) []*int {
-	return []*int{
-		&p.TrapEntry, &p.SwitchCycles, &p.TouchResolvedHandler, &p.TouchDecide,
-		&p.FutureNew, &p.TaskExit, &p.ThreadLoad, &p.ThreadUnload,
-		&p.Steal, &p.StealPerWord, &p.StolenResolve,
-		&p.Enqueue, &p.Dequeue, &p.Idle,
-		&p.MakeVectorBase, &p.MakeVectorPerWord, &p.Print,
-		&p.AllocRefill, &p.BlockRounds,
-	}
-}
-
 // ===========================================================================
 // State: everything after the identity section.
 // ===========================================================================
@@ -351,11 +288,14 @@ func (m *Machine) encodeState(w *snapshot.Writer) {
 	w.U64(m.nextSchedCheck)
 	w.U64(m.nextWedgeCheck)
 
-	encodeSched(w, m.Sched.DumpState())
+	sched := m.Sched.DumpState()
+	snapshot.Put(w, &sched)
 
 	rem := m.busyRemaining()
+	img := new(nodeImage) // one for every node: its IPI buffer is reused
 	for i, n := range m.Nodes {
-		m.encodeNode(w, n, rem[i])
+		img.fill(n, rem[i])
+		snapshot.Put(w, img)
 	}
 
 	m.encodeMemory(w)
@@ -374,16 +314,26 @@ func (m *Machine) decodeState(r *snapshot.Reader) error {
 	m.nextSchedCheck = r.U64()
 	m.nextWedgeCheck = r.U64()
 
-	img := decodeSched(r)
+	var sched rts.SchedImage
+	snapshot.Get(r, &sched)
 	if r.Err() == nil {
-		if err := m.Sched.RestoreState(img); err != nil {
+		if err := m.Sched.RestoreState(sched); err != nil {
 			r.Corrupt("%v", err)
 		}
 	}
 
 	rem := make([]uint64, len(m.Nodes))
+	img := new(nodeImage) // decoded into again for every node
 	for i, n := range m.Nodes {
-		rem[i] = m.decodeNode(r, n)
+		snapshot.Get(r, img)
+		if r.Err() != nil {
+			break
+		}
+		if err := m.installNode(n, img); err != nil {
+			r.Corrupt("node %d: %v", i, err)
+			break
+		}
+		rem[i] = img.Rem
 	}
 
 	m.decodeMemory(r)
@@ -470,274 +420,79 @@ func (m *Machine) rebuildRunLists(rem []uint64) {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduler
-// ---------------------------------------------------------------------------
-
-func encodeSched(w *snapshot.Writer, img rts.SchedImage) {
-	w.Bool(img.MainDone)
-	w.U32(uint32(img.MainResult))
-	putU64s(w, rtsStatFields(&img.Stats))
-	w.Count(len(img.Threads))
-	for i := range img.Threads {
-		encodeThread(w, &img.Threads[i])
-	}
-	w.Count(len(img.Ready))
-	for _, q := range img.Ready {
-		w.Ints(q)
-	}
-	w.Count(len(img.Waiters))
-	for _, wt := range img.Waiters {
-		w.U32(wt.Addr)
-		w.Ints(wt.Threads)
-	}
-	w.U32s(img.FreeStacks)
-	w.U32s(img.FreeTCBs)
-	w.Int(img.StealRR)
-	w.U32(img.StackNext)
-	w.U32(img.StackLimit)
-	w.U32(img.HeapNext)
-	w.U32(img.HeapLimit)
-}
-
-func decodeSched(r *snapshot.Reader) rts.SchedImage {
-	var img rts.SchedImage
-	img.MainDone = r.Bool()
-	img.MainResult = isa.Word(r.U32())
-	getU64s(r, rtsStatFields(&img.Stats))
-	img.Threads = make([]rts.Thread, r.Count("threads"))
-	for i := range img.Threads {
-		decodeThread(r, &img.Threads[i])
-	}
-	img.Ready = make([][]int, r.Count("ready queues"))
-	for i := range img.Ready {
-		img.Ready[i] = r.Ints("ready queue")
-	}
-	img.Waiters = make([]rts.WaiterImage, r.Count("waiters"))
-	for i := range img.Waiters {
-		img.Waiters[i].Addr = r.U32()
-		img.Waiters[i].Threads = r.Ints("waiter threads")
-	}
-	img.FreeStacks = r.U32s("free stacks")
-	img.FreeTCBs = r.U32s("free TCBs")
-	img.StealRR = r.Int()
-	img.StackNext = r.U32()
-	img.StackLimit = r.U32()
-	img.HeapNext = r.U32()
-	img.HeapLimit = r.U32()
-	return img
-}
-
-func encodeThread(w *snapshot.Writer, t *rts.Thread) {
-	w.Int(t.ID)
-	w.U8(uint8(t.State))
-	for _, reg := range t.Regs {
-		w.U32(uint32(reg))
-	}
-	w.U32(t.PC)
-	w.U32(t.NPC)
-	w.U32(uint32(t.PSR))
-	w.U32(t.TCB)
-	w.U32(t.StackLow)
-	w.U32(t.StackTop)
-	w.U32(uint32(t.Future))
-	w.Int(t.Home)
-}
-
-func decodeThread(r *snapshot.Reader, t *rts.Thread) {
-	t.ID = r.Int()
-	t.State = rts.ThreadState(r.U8())
-	for i := range t.Regs {
-		t.Regs[i] = isa.Word(r.U32())
-	}
-	t.PC = r.U32()
-	t.NPC = r.U32()
-	t.PSR = core.PSR(r.U32())
-	t.TCB = r.U32()
-	t.StackLow = r.U32()
-	t.StackTop = r.U32()
-	t.Future = isa.Word(r.U32())
-	t.Home = r.Int()
-}
-
-// Counter blocks round-trip as their fields in one fixed order, listed
-// once per struct so encode and decode cannot drift apart.
-func putU64s(w *snapshot.Writer, fields []*uint64) {
-	for _, f := range fields {
-		w.U64(*f)
-	}
-}
-
-func getU64s(r *snapshot.Reader, fields []*uint64) {
-	for _, f := range fields {
-		*f = r.U64()
-	}
-}
-
-func rtsStatFields(s *rts.Stats) []*uint64 {
-	return []*uint64{&s.TasksCreated, &s.Steals, &s.StealWords, &s.Blocks, &s.Requeues,
-		&s.Wakes, &s.ThreadSteals, &s.TouchesResolved, &s.TouchesUnresolved}
-}
-
-func procStatFields(s *proc.Stats) []*uint64 {
-	// Sized up front (a constant, so an inlined call keeps the list on
-	// the caller's stack).
-	fs := make([]*uint64, 0, 7+len(s.Traps))
-	fs = append(fs, &s.Instructions, &s.UsefulCycles, &s.WaitCycles, &s.TrapCycles, &s.IdleCycles)
-	for i := range s.Traps {
-		fs = append(fs, &s.Traps[i])
-	}
-	return append(fs, &s.LoadCount, &s.StoreCount)
-}
-
-func netStatFields(s *network.Stats) []*uint64 {
-	return []*uint64{&s.Messages, &s.FlitsSent, &s.TotalLatency, &s.Delivered, &s.MaxLatency, &s.Hops}
-}
-
-// ctlCounterFields lists a controller's cache, directory and miss counters.
-func ctlCounterFields(c *cacheCtl) (cacheFs, dirFs, ctlFs []*uint64) {
-	ca, d, st := c.cache, c.dir, &c.Stats
-	return []*uint64{&ca.Hits, &ca.Misses, &ca.Evictions, &ca.Writebacks, &ca.Invalidations},
-		[]*uint64{&d.ReadMisses, &d.WriteMisses, &d.InvalsSent, &d.Fetches, &d.Writebacks},
-		[]*uint64{&st.LocalMisses, &st.RemoteMisses, &st.RemoteLatency, &st.Upgrades}
-}
-
-// ---------------------------------------------------------------------------
 // Nodes: engine, processor, IO controller, runtime trackers
 // ---------------------------------------------------------------------------
 
-func (m *Machine) encodeNode(w *snapshot.Writer, n *Node, rem uint64) {
-	w.U64(rem)
-	w.U64(n.lastRetired)
+// nodeImage is one node's state, a record of the image.
+type nodeImage struct {
+	Rem         uint64 // cycles until the node next steps (busyRemaining)
+	LastRetired uint64
+	FP          int
+	Switches    uint64
+	Frames      []core.Frame
+	Globals     [isa.NumGlobalRegs]isa.Word
+	Halted      bool
+	Stats       proc.Stats
+	Kinds       [isa.NumMicroKinds]uint64
+	IPIs        []isa.Word // undelivered, oldest first
+	IO          ioState
+	// Arena is the node's private allocation chunk (futures, cons
+	// cells): its cursor decides every future address the node hands
+	// out next.
+	Arena mem.Arena
+	Stuck *[]rts.StuckImage // nil until the node first tracks a retry
+}
 
-	e := n.Proc.Engine
-	w.Int(e.FP())
-	w.U64(e.Switches)
-	w.Count(len(e.Frames))
-	for i := range e.Frames {
-		f := &e.Frames[i]
-		for _, reg := range f.R {
-			w.U32(uint32(reg))
-		}
-		w.U32(f.PC)
-		w.U32(f.NPC)
-		w.U32(uint32(f.PSR))
-		w.Int(f.ThreadID)
-	}
-	for _, g := range e.Globals {
-		w.U32(uint32(g))
-	}
-
-	p := n.Proc
-	w.Bool(p.Halted)
-	putU64s(w, procStatFields(&p.Stats))
-	for _, k := range p.Kinds {
-		w.U64(k)
-	}
-	ipis := p.DumpIPIs(nil)
-	w.Count(len(ipis))
-	for _, v := range ipis {
-		w.U32(uint32(v))
-	}
-
-	ioc := p.IO.(*ioCtl)
-	w.Int(ioc.ipiTarget)
-	w.U32(ioc.btSrc)
-	w.U32(ioc.btDst)
-	w.U32(ioc.btLen)
-	w.U64(ioc.btReadyAt)
-
-	// The node's private allocation chunk (futures, cons cells): the
-	// cursor decides every future address this node hands out next.
-	w.U32(n.RT.Heap.Arena.Next)
-	w.U32(n.RT.Heap.Arena.Limit)
-
-	stuck := n.RT.DumpStuck()
-	w.Bool(stuck != nil)
-	if stuck != nil {
-		w.Count(len(stuck))
-		for _, st := range stuck {
-			w.U32(st.PC)
-			w.Int(st.Count)
-		}
+// fill captures node n, reusing img's IPI buffer. The frames and the
+// retry trackers are n's own, read until the next fill.
+func (img *nodeImage) fill(n *Node, rem uint64) {
+	p, e := n.Proc, n.Proc.Engine
+	*img = nodeImage{
+		Rem: rem, LastRetired: n.lastRetired,
+		FP: e.FP(), Switches: e.Switches, Frames: e.Frames, Globals: e.Globals,
+		Halted: p.Halted, Stats: p.Stats, Kinds: p.Kinds, IPIs: p.DumpIPIs(img.IPIs[:0]),
+		IO: p.IO.(*ioCtl).ioState, Arena: *n.RT.Heap.Arena, Stuck: n.RT.DumpStuck(),
 	}
 }
 
-// decodeNode installs one node's state and returns its canonical
-// remaining-busy count.
-func (m *Machine) decodeNode(r *snapshot.Reader, n *Node) uint64 {
-	rem := r.U64()
-	n.lastRetired = r.U64()
-
-	e := n.Proc.Engine
-	fp := r.Int()
-	e.Switches = r.U64()
-	nframes := r.Count("frames")
-	if r.Err() != nil {
-		return rem
+// installNode installs a decoded node, refusing one that would index
+// past the node's frames or the machine's nodes and threads.
+func (m *Machine) installNode(n *Node, img *nodeImage) error {
+	p, e := n.Proc, n.Proc.Engine
+	nframes, threads := len(e.Frames), m.Sched.NumThreads()
+	switch {
+	case len(img.Frames) != nframes:
+		return fmt.Errorf("image has %d frames, engine has %d", len(img.Frames), nframes)
+	case img.FP < 0 || img.FP >= nframes:
+		return fmt.Errorf("frame pointer %d out of %d frames", img.FP, nframes)
+	case !isNode(img.IO.ipiTarget, len(m.Nodes)):
+		return fmt.Errorf("IPI target %d of %d nodes", img.IO.ipiTarget, len(m.Nodes))
+	case img.Stuck != nil && len(*img.Stuck) != nframes:
+		return fmt.Errorf("%d retry trackers for %d frames", len(*img.Stuck), nframes)
 	}
-	if nframes != len(e.Frames) {
-		r.Corrupt("image has %d frames, engine has %d", nframes, len(e.Frames))
-		return rem
-	}
-	if fp < 0 || fp >= nframes {
-		r.Corrupt("frame pointer %d out of %d frames", fp, nframes)
-		return rem
-	}
-	e.SetFP(fp)
-	for i := range e.Frames {
-		f := &e.Frames[i]
-		for j := range f.R {
-			f.R[j] = isa.Word(r.U32())
-		}
-		f.PC = r.U32()
-		f.NPC = r.U32()
-		f.PSR = core.PSR(r.U32())
-		if f.ThreadID = r.Int(); f.ThreadID >= m.Sched.NumThreads() {
-			r.Corrupt("frame %d holds thread %d of %d", i, f.ThreadID, m.Sched.NumThreads())
+	for i, f := range img.Frames {
+		if f.ThreadID >= threads {
+			return fmt.Errorf("frame %d holds thread %d of %d", i, f.ThreadID, threads)
 		}
 	}
-	for i := range e.Globals {
-		e.Globals[i] = isa.Word(r.U32())
-	}
-
-	p := n.Proc
-	p.Halted = r.Bool()
-	getU64s(r, procStatFields(&p.Stats))
-	for i := range p.Kinds {
-		p.Kinds[i] = r.U64()
-	}
-	nipi := r.Count("pending IPIs")
-	if r.Err() != nil {
-		return rem
-	}
-	ipis := make([]isa.Word, nipi)
-	for i := range ipis {
-		ipis[i] = isa.Word(r.U32())
-	}
-	p.RestoreIPIs(ipis)
-
-	ioc := p.IO.(*ioCtl)
-	ioc.ipiTarget = decodeNodeID(r, len(m.Nodes))
-	ioc.btSrc = r.U32()
-	ioc.btDst = r.U32()
-	ioc.btLen = r.U32()
-	ioc.btReadyAt = r.U64()
-
-	n.RT.Heap.Arena.Next = r.U32()
-	n.RT.Heap.Arena.Limit = r.U32()
-
-	if r.Bool() {
-		stuck := make([]rts.StuckImage, r.Count("stuck trackers"))
-		for i := range stuck {
-			stuck[i].PC = r.U32()
-			stuck[i].Count = r.Int()
-		}
-		n.RT.RestoreStuck(stuck)
-	} else {
-		n.RT.RestoreStuck(nil)
-	}
-	return rem
+	n.lastRetired = img.LastRetired
+	e.SetFP(img.FP)
+	e.Switches = img.Switches
+	copy(e.Frames, img.Frames)
+	e.Globals = img.Globals
+	p.Halted = img.Halted
+	p.Stats = img.Stats
+	p.Kinds = img.Kinds
+	p.RestoreIPIs(img.IPIs)
+	p.IO.(*ioCtl).ioState = img.IO
+	*n.RT.Heap.Arena = img.Arena
+	n.RT.RestoreStuck(img.Stuck)
+	return nil
 }
+
+// isNode reports whether id names one of nodes nodes: decoded ids
+// index per-node tables on the first cycle after restore.
+func isNode(id, nodes int) bool { return id >= 0 && id < nodes }
 
 // ---------------------------------------------------------------------------
 // Memory: resident pages only, exact residency
@@ -798,7 +553,8 @@ func (m *Machine) encodeFabric(w *snapshot.Writer) {
 	f := m.net
 	w.U64(f.now)
 	w.U8(netKind(f.net))
-	encodeNetImage(w, f.net.(netBackend).DumpImage())
+	img := f.net.(netBackend).DumpImage()
+	snapshot.Put(w, &img)
 	w.Count(len(f.ctls))
 	var members []int // one sharer-list buffer for every directory entry
 	for _, ctl := range f.ctls {
@@ -810,10 +566,12 @@ func (m *Machine) decodeFabric(r *snapshot.Reader) {
 	f := m.net
 	f.now = r.U64()
 	kind := r.U8()
-	img := decodeNetImage(r, len(f.ctls))
+	var img network.Image
+	snapshot.Get(r, &img)
 	if r.Err() != nil {
 		return
 	}
+	nodes := len(f.ctls)
 	if kind != netKind(f.net) {
 		r.Corrupt("image network kind %d, machine has kind %d", kind, netKind(f.net))
 		return
@@ -826,13 +584,8 @@ func (m *Machine) decodeFabric(r *snapshot.Reader) {
 		r.Corrupt("%v", err)
 		return
 	}
-	nctl := r.Count("controllers")
-	if r.Err() != nil {
-		return
-	}
-	if nctl != len(f.ctls) {
-		r.Corrupt("image has %d controllers, machine has %d", nctl, len(f.ctls))
-		return
+	if nctl := r.Count("controllers"); r.Err() == nil && nctl != nodes {
+		r.Corrupt("image has %d controllers, machine has %d", nctl, nodes)
 	}
 	for _, ctl := range f.ctls {
 		decodeCtl(r, ctl)
@@ -851,124 +604,16 @@ func (m *Machine) decodeFabric(r *snapshot.Reader) {
 	}
 }
 
-func encodeNetImage(w *snapshot.Writer, img network.Image) {
-	w.U64(img.Now)
-	putU64s(w, netStatFields(&img.Stats))
-	w.U64(img.SendSeq)
-	w.U64s(img.LastArr)
-	encodeMsgs(w, img.Pending)
-	w.U64s(img.TxSeq)
-	w.Ints(img.Busy)
-	w.Count(len(img.Queues))
-	for _, q := range img.Queues {
-		encodeMsgs(w, q)
+// checkMsg refuses a protocol message no machine of nodes nodes sends.
+func checkMsg(r *snapshot.Reader, m *directory.Msg, nodes int) {
+	if !m.Valid(nodes) {
+		r.Corrupt("coherence message %+v on %d nodes", *m, nodes)
 	}
-	w.Count(len(img.Inbox))
-	for _, box := range img.Inbox {
-		encodeMsgs(w, box)
-	}
-}
-
-func decodeNetImage(r *snapshot.Reader, nodes int) network.Image {
-	var img network.Image
-	img.Now = r.U64()
-	getU64s(r, netStatFields(&img.Stats))
-	img.SendSeq = r.U64()
-	img.LastArr = r.U64s("lastArr")
-	img.Pending = decodeMsgs(r, "pending", nodes)
-	img.TxSeq = r.U64s("txSeq")
-	img.Busy = r.Ints("channel busy")
-	nq := r.Count("channel queues")
-	if nq > 0 {
-		img.Queues = make([][]network.MessageImage, nq)
-		for i := range img.Queues {
-			img.Queues[i] = decodeMsgs(r, "channel queue", nodes)
-		}
-	}
-	nb := r.Count("inboxes")
-	img.Inbox = make([][]network.MessageImage, nb)
-	for i := range img.Inbox {
-		img.Inbox[i] = decodeMsgs(r, "inbox", nodes)
-	}
-	return img
-}
-
-func encodeMsgs(w *snapshot.Writer, ms []network.MessageImage) {
-	w.Count(len(ms))
-	for i := range ms {
-		m := &ms[i]
-		w.Int(m.Src)
-		w.Int(m.Dst)
-		w.Int(m.Size)
-		w.U8(uint8(m.Payload.Kind))
-		encodeCohMsg(w, m.Payload.Coh)
-		w.U64(m.Payload.Word)
-		w.U64(m.SentAt)
-		w.U64(m.ArriveAt)
-		w.Ints(m.Route)
-		w.Int(m.Hop)
-	}
-}
-
-func decodeMsgs(r *snapshot.Reader, what string, nodes int) []network.MessageImage {
-	n := r.Count(what)
-	if n == 0 {
-		return nil
-	}
-	ms := make([]network.MessageImage, n)
-	for i := range ms {
-		m := &ms[i]
-		m.Src = r.Int()
-		m.Dst = r.Int()
-		m.Size = r.Int()
-		m.Payload.Kind = network.PayloadKind(r.U8())
-		m.Payload.Coh = decodeCohMsg(r, nodes)
-		m.Payload.Word = r.U64()
-		m.SentAt = r.U64()
-		m.ArriveAt = r.U64()
-		m.Route = r.Ints("route")
-		m.Hop = r.Int()
-	}
-	return ms
-}
-
-func encodeCohMsg(w *snapshot.Writer, m directory.Msg) {
-	w.U8(uint8(m.Kind))
-	w.U32(m.Block)
-	w.Int(m.From)
-	w.Int(m.Requester)
-	w.Bool(m.Write)
-}
-
-// decodeCohMsg reads a protocol message between two of nodes nodes.
-func decodeCohMsg(r *snapshot.Reader, nodes int) directory.Msg {
-	var m directory.Msg
-	m.Kind = directory.MsgKind(r.U8())
-	m.Block = r.U32()
-	m.From = decodeNodeID(r, nodes)
-	m.Requester = decodeNodeID(r, nodes)
-	m.Write = r.Bool()
-	if m.Kind > directory.FlushAck {
-		r.Corrupt("coherence message of kind %d", m.Kind)
-	}
-	return m
-}
-
-// decodeNodeID reads a node id and range-checks it: ids index per-node
-// tables on the first cycle after restore.
-func decodeNodeID(r *snapshot.Reader, nodes int) int {
-	id := r.Int()
-	if id < 0 || id >= nodes {
-		r.Corrupt("node id %d of %d nodes", id, nodes)
-		return 0
-	}
-	return id
 }
 
 // encodeCtl writes one controller, listing sharers through members (a
 // scratch buffer it returns for the next controller).
 func encodeCtl(w *snapshot.Writer, c *cacheCtl, members []int) []int {
-	cacheFs, dirFs, ctlFs := ctlCounterFields(c)
 	// Cache arrays: the valid lines with their slots, plus the LRU clock
 	// and counters. An Invalid slot's stale block and lru are never read
 	// (find skips it, Insert takes it before comparing any lru).
@@ -976,7 +621,7 @@ func encodeCtl(w *snapshot.Writer, c *cacheCtl, members []int) []int {
 	w.Int(sets)
 	w.Int(ways)
 	w.U64(c.cache.Clock())
-	putU64s(w, cacheFs)
+	snapshot.Put(w, &c.cache.Stats)
 	w.Count(c.cache.Occupancy())
 	c.cache.ForEach(func(slot int, block uint32, st cache.State, dirty bool, lru uint64) {
 		w.U32(uint32(slot))
@@ -987,61 +632,20 @@ func encodeCtl(w *snapshot.Writer, c *cacheCtl, members []int) []int {
 	})
 
 	// Directory entries, ascending block.
-	putU64s(w, dirFs)
+	snapshot.Put(w, &c.dir.Stats)
 	w.Count(c.dir.Entries())
 	c.dir.DumpEntries(func(block uint32, e *directory.Entry) {
 		w.U32(block)
 		w.U8(uint8(e.State))
 		w.Int(e.Owner)
 		members = e.Sharers.AppendMembers(members[:0], -1)
-		w.Ints(members)
+		w.Count(len(members))
+		for _, id := range members {
+			w.Int(id)
+		}
 	})
 
-	// Outstanding misses, sorted by block.
-	w.Count(len(c.pending))
-	for _, block := range sortedKeys(c.pending) {
-		ms := c.pending[block]
-		w.U32(block)
-		w.Bool(ms.write)
-		w.U64(ms.start)
-		w.Bool(ms.poisoned)
-	}
-
-	// Home transactions, sorted by block.
-	w.Count(len(c.homeTx))
-	for _, block := range sortedKeys(c.homeTx) {
-		tx := c.homeTx[block]
-		w.U32(block)
-		w.Bool(tx.write)
-		w.Int(tx.requester)
-		w.Int(tx.acksLeft)
-		w.Count(len(tx.queued))
-		for _, msg := range tx.queued {
-			encodeCohMsg(w, msg)
-		}
-	}
-
-	// Output queue and deferred recalls, in order.
-	w.Count(len(c.outbox))
-	for _, om := range c.outbox {
-		encodeCohMsg(w, om.msg)
-		w.Int(om.dst)
-		w.U64(om.readyAt)
-	}
-	w.Count(len(c.recallQ))
-	for _, pr := range c.recallQ {
-		encodeCohMsg(w, pr.msg)
-		w.U64(pr.deadline)
-	}
-
-	w.Int(c.fence)
-	w.Count(len(c.locked))
-	for _, block := range sortedKeys(c.locked) {
-		w.U32(block)
-		w.U64(c.locked[block])
-	}
-	w.U64(c.replySeq)
-	putU64s(w, ctlFs)
+	snapshot.Put(w, &c.ctlState)
 	return members
 }
 
@@ -1050,7 +654,6 @@ func encodeCtl(w *snapshot.Writer, c *cacheCtl, members []int) []int {
 const dirEntryMinBytes = 4 + 1 + 8 + 4
 
 func decodeCtl(r *snapshot.Reader, c *cacheCtl) {
-	cacheFs, dirFs, ctlFs := ctlCounterFields(c)
 	sets, ways := c.cache.Geometry()
 	isets := r.Int()
 	iways := r.Int()
@@ -1062,7 +665,7 @@ func decodeCtl(r *snapshot.Reader, c *cacheCtl) {
 		return
 	}
 	c.cache.SetClock(r.U64())
-	getU64s(r, cacheFs)
+	snapshot.Get(r, &c.cache.Stats)
 	for n := r.CountAtMost("cache lines", sets*ways); n > 0; n-- {
 		slot := int(r.U32())
 		block := r.U32()
@@ -1083,7 +686,7 @@ func decodeCtl(r *snapshot.Reader, c *cacheCtl) {
 		}
 	}
 
-	getU64s(r, dirFs)
+	snapshot.Get(r, &c.dir.Stats)
 	nodes := len(c.fabric.ctls)
 	// The table is sized once for the image's entries; the bound keeps a
 	// hostile count from sizing it past what the payload can hold.
@@ -1113,7 +716,7 @@ func decodeCtl(r *snapshot.Reader, c *cacheCtl) {
 			if r.Err() != nil {
 				return
 			}
-			if id < 0 || id >= nodes {
+			if !isNode(id, nodes) {
 				r.Corrupt("directory entry %#x has sharer %d of %d nodes", block, id, nodes)
 				return
 			}
@@ -1121,82 +724,40 @@ func decodeCtl(r *snapshot.Reader, c *cacheCtl) {
 		}
 	}
 
-	npend := r.Count("pending misses")
-	c.pending = make(map[uint32]missState, npend)
-	for i := 0; i < npend; i++ {
-		block := r.U32()
-		var ms missState
-		ms.write = r.Bool()
-		ms.start = r.U64()
-		ms.poisoned = r.Bool()
-		c.pending[block] = ms
+	snapshot.Get(r, &c.ctlState)
+	if r.Err() != nil {
+		return
 	}
-
-	ntx := r.Count("home transactions")
-	c.homeTx = make(map[uint32]*homeTx, ntx)
-	for i := 0; i < ntx; i++ {
-		block := r.U32()
-		tx := &homeTx{}
-		tx.write = r.Bool()
-		tx.requester = decodeNodeID(r, nodes)
-		tx.acksLeft = r.Int()
-		nq := r.Count("queued requests")
-		for j := 0; j < nq; j++ {
-			tx.queued = append(tx.queued, decodeCohMsg(r, nodes))
+	for _, tx := range c.homeTx {
+		if !isNode(tx.requester, nodes) {
+			r.Corrupt("home transaction for node %d of %d", tx.requester, nodes)
 		}
-		if r.Err() != nil {
-			return
+		for i := range tx.queued {
+			checkMsg(r, &tx.queued[i], nodes)
 		}
-		c.homeTx[block] = tx
 	}
-
-	nout := r.Count("outbox")
-	c.outbox = c.outbox[:0]
-	for i := 0; i < nout; i++ {
-		var om outMsg
-		om.msg = decodeCohMsg(r, nodes)
-		om.dst = decodeNodeID(r, nodes)
-		om.readyAt = r.U64()
-		c.outbox = append(c.outbox, om)
+	for i := range c.outbox {
+		checkMsg(r, &c.outbox[i].msg, nodes)
+		if !isNode(c.outbox[i].dst, nodes) {
+			r.Corrupt("outbox message to node %d of %d", c.outbox[i].dst, nodes)
+		}
 	}
-	nrec := r.Count("recall queue")
-	c.recallQ = c.recallQ[:0]
-	for i := 0; i < nrec; i++ {
-		var pr pendingRecall
-		pr.msg = decodeCohMsg(r, nodes)
-		pr.deadline = r.U64()
-		c.recallQ = append(c.recallQ, pr)
+	for i := range c.recallQ {
+		checkMsg(r, &c.recallQ[i].msg, nodes)
 	}
-
-	c.fence = r.Int()
-	nlock := r.Count("locked blocks")
-	c.locked = make(map[uint32]uint64, nlock)
-	for i := 0; i < nlock; i++ {
-		block := r.U32()
-		c.locked[block] = r.U64()
-		// The line's interlock flag is derived state (see install): not
-		// in the image, rebuilt here.
+	// A line's interlock flag is derived state (see install): not in
+	// the image, rebuilt here.
+	for block := range c.locked {
 		if ln, ok := c.cache.Find(block); ok {
 			ln.SetLocked(true)
 		}
 	}
-	c.replySeq = r.U64()
-	getU64s(r, ctlFs)
-}
-
-// sortedKeys returns a map's uint32 keys ascending (deterministic
-// encode order for map-backed controller state).
-func sortedKeys[V any](m map[uint32]V) []uint32 {
-	ks := make([]uint32, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	slices.Sort(ks)
-	return ks
 }
 
 // ---------------------------------------------------------------------------
-// Observability cursors (contents are host-side; see package comment)
+// Observability cursors: trace ring contents and sampler rows are
+// host-side flight-recorder windows, but the rings' event counters and
+// the sampler's window boundary and baselines continue from the image.
 // ---------------------------------------------------------------------------
 
 func (m *Machine) encodeCursors(w *snapshot.Writer) {
@@ -1210,10 +771,7 @@ func (m *Machine) encodeCursors(w *snapshot.Writer) {
 	w.Bool(m.sampler != nil)
 	if m.sampler != nil {
 		w.U64(m.sampler.NextBoundary())
-		w.Count(len(m.lastSample))
-		for i := range m.lastSample {
-			putU64s(w, procStatFields(&m.lastSample[i]))
-		}
+		snapshot.Put(w, &m.lastSample)
 	}
 }
 
@@ -1229,15 +787,10 @@ func (m *Machine) decodeCursors(r *snapshot.Reader) {
 	}
 	if r.Bool() {
 		next := r.U64()
-		n := r.Count("sample baselines")
-		for i := 0; i < n; i++ {
-			var s proc.Stats
-			getU64s(r, procStatFields(&s))
-			if m.sampler != nil && i < len(m.lastSample) {
-				m.lastSample[i] = s
-			}
-		}
+		var last []proc.Stats
+		snapshot.Get(r, &last)
 		if m.sampler != nil {
+			copy(m.lastSample, last)
 			m.sampler.SetNextBoundary(next)
 		}
 	}

@@ -55,6 +55,31 @@ func TestSnapshotAllocsPerNode(t *testing.T) {
 	}
 }
 
+// TestRestoreAllocs: decoding allocates the fresh machine and the
+// decoded records, and no per-record scratch on top: 1759 allocations
+// for this donor before the image's records were decoded by one
+// declaration-order codec, which may not add more than 5% to that.
+func TestRestoreAllocs(t *testing.T) {
+	img, err := queensDonor(t, 16).Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The least of three measurements: allocations from anything else
+	// running in the process only ever add to a count.
+	allocs := 1e9
+	for range 3 {
+		allocs = min(allocs, testing.AllocsPerRun(3, func() {
+			if _, err := sim.Restore(img, sim.RestoreOverrides{}); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	t.Logf("16-node Restore: %.0f allocations", allocs)
+	if limit := 1759 * 1.05; allocs > limit {
+		t.Errorf("Restore made %.0f allocations, want at most %.0f", allocs, limit)
+	}
+}
+
 // BenchmarkSnapshot encodes and seals the 64-node donor's image.
 func BenchmarkSnapshot(b *testing.B) {
 	m := queensDonor(b, 64)

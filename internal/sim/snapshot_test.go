@@ -402,6 +402,20 @@ func TestSnapshotImageValidation(t *testing.T) {
 		return snapshot.Seal(payload, hdr.ConfigHash, hdr.Cycle)
 	}, snapshot.ErrTruncated)
 
+	// A retry-tracker list holds one tracker per task frame, indexed by
+	// the frame pointer: an image whose list is shorter is corrupt.
+	t.Run("retry-trackers-short", func(t *testing.T) {
+		m := snapMachine(t, bench.QueensSource(6), snapConfig{nodes: 4}.simConfig())
+		sim.EmptyRetryTrackers(m, 0)
+		bad, err := m.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sim.Restore(bad, sim.RestoreOverrides{}); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Fatalf("error %v, want %v", err, snapshot.ErrCorrupt)
+		}
+	})
+
 	// Truncation sweep: no cut point may panic.
 	for _, n := range []int{0, 7, 8, 12, 43, 44, 45, 100, len(img) / 2} {
 		if n > len(img) {

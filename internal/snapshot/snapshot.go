@@ -1,6 +1,7 @@
 // Package snapshot is the machine-image container format: a
 // self-describing header plus a checksummed binary payload, with
-// sticky-error primitive codecs for the encoders in internal/sim.
+// sticky-error primitive codecs and a declaration-order record codec
+// (codec.go) for the encoders in internal/sim.
 //
 // The format is deliberately dumb — fixed-width little-endian scalars,
 // length-prefixed slices, no compression, no framing beyond the one
@@ -35,9 +36,10 @@ import (
 )
 
 // Version is the current image format version. Bump on any payload
-// layout change; Open rejects other versions with ErrVersion. (v2: one
-// memory section of 4 KiB pages, valid cache lines only. v3: CRC-32C
-// payload checksum.)
+// layout change, a field added to, removed from, retyped or moved in a
+// record Put walks included; Open rejects other versions with
+// ErrVersion. (v2: one memory section of 4 KiB pages, valid cache
+// lines only. v3: CRC-32C payload checksum.)
 const Version = 3
 
 var magic = [8]byte{'A', 'P', 'R', 'I', 'L', 'I', 'M', 'G'}
@@ -180,8 +182,7 @@ func (w *Writer) extend(n int) []byte {
 func (w *Writer) U8(v uint8)   { w.buf = append(w.buf, v) }
 func (w *Writer) U32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
 func (w *Writer) U64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-func (w *Writer) I64(v int64)  { w.U64(uint64(v)) }
-func (w *Writer) Int(v int)    { w.I64(int64(v)) }
+func (w *Writer) Int(v int)    { w.U64(uint64(v)) } // two's complement
 
 func (w *Writer) Bool(v bool) {
 	if v {
@@ -198,28 +199,6 @@ func (w *Writer) Count(n int) { w.U32(uint32(n)) }
 func (w *Writer) String(s string) {
 	w.Count(len(s))
 	w.buf = append(w.buf, s...)
-}
-
-// Ints encodes a length-prefixed []int.
-func (w *Writer) Ints(vs []int) {
-	w.Count(len(vs))
-	for _, v := range vs {
-		w.I64(int64(v))
-	}
-}
-
-// U32s encodes a length-prefixed []uint32.
-func (w *Writer) U32s(vs []uint32) {
-	w.Count(len(vs))
-	PutWords(w, vs)
-}
-
-// U64s encodes a length-prefixed []uint64.
-func (w *Writer) U64s(vs []uint64) {
-	w.Count(len(vs))
-	for _, v := range vs {
-		w.U64(v)
-	}
 }
 
 // hostLittleEndian reports whether the host lays words out as the image
@@ -309,8 +288,7 @@ func (r *Reader) U64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-func (r *Reader) I64() int64 { return int64(r.U64()) }
-func (r *Reader) Int() int   { return int(r.I64()) }
+func (r *Reader) Int() int { return int(int64(r.U64())) }
 
 func (r *Reader) Bool() bool {
 	switch r.U8() {
@@ -358,30 +336,6 @@ func (r *Reader) String() string {
 	return string(b)
 }
 
-// Ints decodes a length-prefixed []int (nil when empty).
-func (r *Reader) Ints(what string) []int {
-	n := r.Count(what)
-	if n == 0 {
-		return nil
-	}
-	vs := make([]int, n)
-	for i := range vs {
-		vs[i] = r.Int()
-	}
-	return vs
-}
-
-// U32s decodes a length-prefixed []uint32 (nil when empty).
-func (r *Reader) U32s(what string) []uint32 {
-	n := r.Count(what)
-	if n == 0 {
-		return nil
-	}
-	vs := make([]uint32, n)
-	GetWords(r, vs)
-	return vs
-}
-
 // GetWords fills dst with the next len(dst) 32-bit words: one bounds
 // check for the run. On failure dst is left untouched.
 func GetWords[T ~uint32](r *Reader, dst []T) {
@@ -401,19 +355,6 @@ func getWordsLoop[T ~uint32](dst []T, b []byte) {
 	for i := range dst {
 		dst[i] = T(binary.LittleEndian.Uint32(b[4*i:]))
 	}
-}
-
-// U64s decodes a length-prefixed []uint64 (nil when empty).
-func (r *Reader) U64s(what string) []uint64 {
-	n := r.Count(what)
-	if n == 0 {
-		return nil
-	}
-	vs := make([]uint64, n)
-	for i := range vs {
-		vs[i] = r.U64()
-	}
-	return vs
 }
 
 // Corrupt records a semantic validation failure at the current offset

@@ -17,17 +17,17 @@ func encodeAll(w *Writer) {
 	w.U8(0xab)
 	w.U32(0xdeadbeef)
 	w.U64(0x0123456789abcdef)
-	w.I64(-42)
+	w.Int(-42)
 	w.Int(-1 << 40)
 	w.Bool(true)
 	w.Bool(false)
 	w.Count(7)
 	w.String("APRIL")
 	w.String("")
-	w.Ints([]int{3, -1, 1 << 33})
-	w.Ints(nil)
-	w.U32s([]uint32{1, 2, 0xffffffff})
-	w.U64s([]uint64{^uint64(0), 5})
+	Put(w, &[]int{3, -1, 1 << 33})
+	Put(w, new([]int))
+	Put(w, &[]uint32{1, 2, 0xffffffff})
+	Put(w, &[]uint64{^uint64(0), 5})
 	PutWords(w, []word{9, 8, 7, 6})
 	PutWords(w, []word(nil))
 }
@@ -53,17 +53,17 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 	check("U8", r.U8(), uint8(0xab))
 	check("U32", r.U32(), uint32(0xdeadbeef))
 	check("U64", r.U64(), uint64(0x0123456789abcdef))
-	check("I64", r.I64(), int64(-42))
+	check("Int", r.Int(), -42)
 	check("Int", r.Int(), -1<<40)
 	check("Bool", r.Bool(), true)
 	check("Bool", r.Bool(), false)
 	check("U32 under Count", r.U32(), uint32(7))
 	check("String", r.String(), "APRIL")
 	check("String", r.String(), "")
-	check("Ints", r.Ints("ints"), []int{3, -1, 1 << 33})
-	check("Ints", r.Ints("ints"), []int(nil))
-	check("U32s", r.U32s("u32s"), []uint32{1, 2, 0xffffffff})
-	check("U64s", r.U64s("u64s"), []uint64{^uint64(0), 5})
+	check("Ints", get[[]int](r), []int{3, -1, 1 << 33})
+	check("Ints", get[[]int](r), []int(nil))
+	check("[]uint32", get[[]uint32](r), []uint32{1, 2, 0xffffffff})
+	check("[]uint64", get[[]uint64](r), []uint64{^uint64(0), 5})
 	ws := make([]word, 4)
 	GetWords(r, ws)
 	check("GetWords", ws, []word{9, 8, 7, 6})
@@ -237,8 +237,8 @@ func TestCountsAreBounded(t *testing.T) {
 	}
 	// A hostile length prefix fails before the slice is allocated.
 	r = open(func(w *Writer) { w.Count(1 << 30) })
-	if vs := r.U64s("u64s"); vs != nil || !errors.Is(r.Err(), ErrCorrupt) {
-		t.Errorf("U64s = %v, %v; want nil, ErrCorrupt", vs, r.Err())
+	if vs := get[[]uint64](r); vs != nil || !errors.Is(r.Err(), ErrCorrupt) {
+		t.Errorf("[]uint64 = %v, %v; want nil, ErrCorrupt", vs, r.Err())
 	}
 	r = open(func(w *Writer) { w.U8(2) })
 	if r.Bool() || !errors.Is(r.Err(), ErrCorrupt) {
@@ -264,7 +264,7 @@ func TestStickyError(t *testing.T) {
 		t.Errorf("failed GetWords wrote %v", ws)
 	}
 	if r.U8() != 0 || r.U32() != 0 || r.U64() != 0 || r.Int() != 0 || r.Bool() || r.String() != "" ||
-		r.Ints("x") != nil || r.U32s("x") != nil || r.U64s("x") != nil || r.Count("x") != 0 {
+		get[[]int](r) != nil || get[[]uint32](r) != nil || get[*record](r) != nil || r.Count("x") != 0 {
 		t.Error("read after an error returned a non-zero value")
 	}
 	r.Corrupt("later complaint")
@@ -307,11 +307,11 @@ func FuzzOpen(f *testing.F) {
 			case 2:
 				_ = r.String()
 			case 3:
-				r.Ints("ints")
+				get[[]int](r)
 			case 4:
-				r.U32s("u32s")
+				get[[]uint32](r)
 			case 5:
-				r.U64s("u64s")
+				get[record](r)
 			case 6:
 				GetWords(r, make([]word, r.CountAtMost("words", 1<<10)))
 			case 7:
