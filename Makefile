@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test verify fmt-check fuzz-smoke bench benchmark-smoke perf tier-smoke checkpoint-smoke
+.PHONY: all build test verify fmt-check fuzz-smoke bench benchmark-smoke perf ab tier-smoke checkpoint-smoke
 
 all: verify
 
@@ -41,17 +41,29 @@ benchmark-smoke:
 # per-layer microbenchmarks beside their packages (cache hit / write hit
 # / refused probe, the full/empty-aware memory access, the controller
 # hit through both of its callers and a delayed reply through its
-# outbox, a torus hop / NextEvent / Advance, a calendar add+drain, a
-# 64-node image's Snapshot and Restore, a 4 MiB payload's Seal+Open). One
-# iteration each keeps them from rotting; use -benchtime and -count by
-# hand to measure.
+# outbox, a torus hop / NextEvent / Advance, a calendar add+drain, the
+# Snapshot and Restore of 16-, 64- and 256-node images, a 4 MiB
+# payload's Seal+Open). One iteration each keeps them from rotting; use
+# -benchtime and -count by hand to measure.
 bench:
 	$(GO) test -bench . -benchtime 1x -run xxx . ./internal/sim/ ./internal/cache/ ./internal/mem/ ./internal/network/ ./internal/calendar/ ./internal/snapshot/
 
 # Measure simulator throughput under each execution tier on the full
-# Table 3 grid and a 64-node ALEWIFE run; writes BENCH_simperf.json.
+# Table 3 grid and a 64-node ALEWIFE run, every run through the grid's
+# own run path; writes BENCH_simperf.json. Host allocation and the
+# checkpoint round trip are the repo benchmark's (host_alloc_mb, ckpt64).
 perf:
 	$(GO) run ./cmd/april-bench -sizes paper -perf
+
+# A/B one repo-benchmark workload between PARENT and the working tree:
+# PAIRS alternating pairs of benchmark/run.sh runs (each tree builds its
+# own binary), then per end-to-end metric both medians, the parent's
+# quartiles and the change's win count. Exits 2 when a metric is worse
+# than its BENCHMARK.json bound. Use SEED=2 for the held-out seed.
+PAIRS ?= 10
+SEED ?= 1
+ab:
+	python3 scripts/ab.py --parent $(PARENT) --workload $(WORKLOAD) --pairs $(PAIRS) --seed $(SEED)
 
 # The Table 3 grid under both execution tiers: the small grid's two
 # outputs must be byte-identical; the paper grid's -stats-json must match

@@ -953,14 +953,15 @@ func DefaultTable3Config() Table3Config { return bench.DefaultTable3Config() }
 // worker count.
 func Table3(cfg Table3Config) ([]Table3Row, error) { return bench.Table3(cfg) }
 
-// PerfReport is the before/after simulator-throughput comparison that
+// PerfReport is the per-tier simulator-throughput comparison that
 // april-bench -perf writes to BENCH_simperf.json.
 type PerfReport = bench.PerfReport
 
 // Table3Perf runs the full Table 3 grid once per tier — the compiled
 // tier, then the reference per-cycle loop, both on cfg.Workers workers
-// — plus a 64-node ALEWIFE run per tier and a checkpoint sweep, and
-// reports the host-side speedup with a bit-identity cross-check.
+// — plus a 64-node ALEWIFE run per tier, every run through the grid's
+// own run path, and reports the host-side speedup with a bit-identity
+// cross-check.
 func Table3Perf(cfg Table3Config, sizesName string) (PerfReport, error) {
 	return bench.Table3Perf(cfg, sizesName)
 }

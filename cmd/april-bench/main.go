@@ -5,9 +5,8 @@
 //
 // The grid's independent runs are fanned across host cores (-workers).
 // -tier selects the execution path; -perf runs the whole grid once
-// under each tier, plus a 64-node ALEWIFE run under each tier and a
-// checkpoint sweep over 16/64/256-node machines, and writes the
-// throughput report to BENCH_simperf.json.
+// under each tier, plus a 64-node ALEWIFE run under each tier, and
+// writes the throughput report to BENCH_simperf.json.
 //
 // -model-check cross-validates the Section 8 analytical model: it runs
 // fib/queens on the full ALEWIFE memory system across the Figure 5
@@ -38,6 +37,9 @@ import (
 	"april"
 )
 
+// perfOut is where -perf writes its report.
+const perfOut = "BENCH_simperf.json"
+
 // main delegates to run so deferred profile writers execute before the
 // process exits (os.Exit skips defers).
 func main() {
@@ -50,8 +52,7 @@ func run() int {
 		verbose = flag.Bool("v", false, "log each measurement as it completes")
 		frames  = flag.Bool("frames", false, "run the task-frame ablation (E9) instead of Table 3")
 		workers = flag.Int("workers", 0, "parallel host workers (0 = one per core)")
-		perf    = flag.Bool("perf", false, "measure simulator throughput and host allocator pressure under each tier (the grid plus a 64-node ALEWIFE run) and write BENCH_simperf.json")
-		perfOut = flag.String("perf-out", "BENCH_simperf.json", "output path for -perf")
+		perf    = flag.Bool("perf", false, "measure simulator throughput under each tier (the grid plus a 64-node ALEWIFE run) and write "+perfOut)
 
 		statsJSON = flag.String("stats-json", "", "write every grid run's full statistics (totals, per-node, throughput) as JSON to this path")
 
@@ -200,12 +201,12 @@ func run() int {
 		if err != nil {
 			return fail(err)
 		}
-		if err := os.WriteFile(*perfOut, rep.JSON(), 0o644); err != nil {
+		if err := os.WriteFile(perfOut, rep.JSON(), 0o644); err != nil {
 			return fail(err)
 		}
 		fmt.Printf("Simulator throughput on the full Table 3 grid (-sizes %s):\n  %s\n", *sizes, rep.Summary())
 		fmt.Printf("  reference: %s\n  compiled : %s\n", rep.Reference, rep.Compiled)
-		fmt.Println("written to", *perfOut)
+		fmt.Println("written to", perfOut)
 		if !rep.RowsIdentical || (rep.Alewife != nil && !rep.Alewife.Identical) {
 			return fail(fmt.Errorf("simulated results differ between tiers"))
 		}

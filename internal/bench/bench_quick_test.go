@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"april/internal/mult"
+	"april/internal/sim"
 )
 
 // TestBenchmarkProgramsCorrect cross-checks each benchmark program at
@@ -16,7 +17,6 @@ func TestBenchmarkProgramsCorrect(t *testing.T) {
 		"queens": "4", // 6-queens has 4 solutions
 		"speech": "",
 	}
-	quick := &Table3Config{Sizes: TestSizes}
 	for _, name := range Names {
 		src := TestSizes.Source(name)
 		iv, err := mult.NewInterp(nil, 0).RunSource(src)
@@ -33,22 +33,22 @@ func TestBenchmarkProgramsCorrect(t *testing.T) {
 				{HardwareFutures: true, Sequential: true},
 				{HardwareFutures: su.mode.HardwareFutures, Sequential: true},
 			} {
-				out, err := runOnce(src, mode, su.prof, false, 1, quick)
+				out, err := runOnce(sim.Config{Nodes: 1, Profile: su.prof}, src, mode)
 				if err != nil {
 					t.Fatalf("%s/%s seq: %v", name, su.sys, err)
 				}
-				if out.result != ref {
-					t.Errorf("%s/%s seq: got %s, want %s", name, su.sys, out.result, ref)
+				if out.Result != ref {
+					t.Errorf("%s/%s seq: got %s, want %s", name, su.sys, out.Result, ref)
 				}
 			}
 			// Parallel at a couple of machine sizes.
 			for _, p := range []int{1, 4} {
-				out, err := runOnce(src, su.mode, su.prof, su.lazy, p, quick)
+				out, err := runOnce(sim.Config{Nodes: p, Profile: su.prof, Lazy: su.lazy}, src, su.mode)
 				if err != nil {
 					t.Fatalf("%s/%s %dp: %v", name, su.sys, p, err)
 				}
-				if out.result != ref {
-					t.Errorf("%s/%s %dp: got %s, want %s", name, su.sys, p, out.result, ref)
+				if out.Result != ref {
+					t.Errorf("%s/%s %dp: got %s, want %s", name, su.sys, p, out.Result, ref)
 				}
 			}
 		}

@@ -61,21 +61,13 @@ func FramesSweep(cfg FramesSweepConfig) ([]FramesPoint, error) {
 		frames := cfg.Frames[i]
 		prof := rts.APRIL
 		prof.Frames = frames
-		m, err := sim.New(sim.Config{
+		m, err := build(sim.Config{
 			Nodes:   cfg.Nodes,
 			Profile: prof,
 			Lazy:    cfg.Lazy,
 			Alewife: &sim.AlewifeConfig{},
-		})
+		}, src, mult.Mode{HardwareFutures: true, LazyFutures: cfg.Lazy})
 		if err != nil {
-			return pointOut{}, err
-		}
-		mode := mult.Mode{HardwareFutures: true, LazyFutures: cfg.Lazy}
-		prog, err := mult.Compile(src, mode, m.StaticHeap())
-		if err != nil {
-			return pointOut{}, err
-		}
-		if err := m.Load(prog); err != nil {
 			return pointOut{}, err
 		}
 		res, err := m.Run()

@@ -111,22 +111,15 @@ func (r ModelCheckReport) JSON() []byte {
 
 // modelCheckOnce runs one cell and measures the model inputs.
 func modelCheckOnce(src string, nodes int, interval uint64) (ModelCheckRow, error) {
-	m, err := sim.New(sim.Config{
+	m, err := build(sim.Config{
 		Nodes:   nodes,
 		Profile: rts.APRIL,
 		Alewife: &sim.AlewifeConfig{},
-	})
+	}, src, mult.Mode{HardwareFutures: true})
 	if err != nil {
 		return ModelCheckRow{}, err
 	}
 	m.EnableTimeline(interval)
-	prog, err := mult.Compile(src, mult.Mode{HardwareFutures: true}, m.StaticHeap())
-	if err != nil {
-		return ModelCheckRow{}, err
-	}
-	if err := m.Load(prog); err != nil {
-		return ModelCheckRow{}, err
-	}
 	res, err := m.Run()
 	if err != nil {
 		return ModelCheckRow{}, err

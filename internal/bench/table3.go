@@ -156,35 +156,39 @@ func DefaultTable3Config() Table3Config {
 	}
 }
 
-// runOut is what one simulated run reports back to the grid.
-type runOut struct {
-	cycles uint64
-	result string
-	perf   proc.Perf
-	stats  RunStats
-}
-
-// runOnce compiles and runs src on a fresh machine under cfg.Tier.
-func runOnce(src string, mode mult.Mode, prof rts.Profile, lazy bool, nodes int, cfg *Table3Config) (runOut, error) {
-	start := time.Now()
-	m, err := sim.New(sim.Config{Nodes: nodes, Profile: prof, Lazy: lazy, Tier: cfg.Tier})
+// build makes a machine from cfg and loads src, compiled under mode,
+// into it: the one path from a Mul-T source to a runnable machine that
+// every harness in this package takes.
+func build(cfg sim.Config, src string, mode mult.Mode) (*sim.Machine, error) {
+	m, err := sim.New(cfg)
 	if err != nil {
-		return runOut{}, err
+		return nil, err
 	}
 	prog, err := mult.Compile(src, mode, m.StaticHeap())
 	if err != nil {
-		return runOut{}, err
+		return nil, err
 	}
 	if err := m.Load(prog); err != nil {
-		return runOut{}, err
+		return nil, err
+	}
+	return m, nil
+}
+
+// runOnce builds a fresh machine from cfg, runs src on it to
+// completion, and dumps its statistics. Perf covers build and run.
+func runOnce(cfg sim.Config, src string, mode mult.Mode) (RunStats, error) {
+	start := time.Now()
+	m, err := build(cfg, src, mode)
+	if err != nil {
+		return RunStats{}, err
 	}
 	res, err := m.Run()
 	if err != nil {
-		return runOut{}, err
+		return RunStats{}, err
 	}
 	perf := proc.NewPerf(res.Cycles, m.TotalStats().Instructions, time.Since(start))
 	rs := RunStats{
-		Nodes:   nodes,
+		Nodes:   cfg.Nodes,
 		Cycles:  res.Cycles,
 		Result:  res.Formatted,
 		Total:   m.TotalStats(),
@@ -201,12 +205,7 @@ func runOnce(src string, mode mult.Mode, prof rts.Profile, lazy bool, nodes int,
 		rs.Park = &t
 	}
 	rs.Memory = m.MemoryTelemetry()
-	return runOut{
-		cycles: res.Cycles,
-		result: res.Formatted,
-		perf:   perf,
-		stats:  rs,
-	}, nil
+	return rs, nil
 }
 
 // systemSetup captures how each Table 3 system compiles and runs.
@@ -323,11 +322,11 @@ func Table3(cfg Table3Config) ([]Row, error) {
 		}
 	}
 
-	outs, occ, err := harness.MapOccupancy(cfg.Workers, len(specs), func(i int) (runOut, error) {
+	outs, occ, err := harness.MapOccupancy(cfg.Workers, len(specs), func(i int) (RunStats, error) {
 		s := specs[i]
-		out, err := runOnce(s.src, s.mode, s.prof, s.lazy, s.nodes, &cfg)
+		out, err := runOnce(sim.Config{Nodes: s.nodes, Profile: s.prof, Lazy: s.lazy, Tier: cfg.Tier}, s.src, s.mode)
 		if err != nil {
-			return runOut{}, fmt.Errorf("%s: %w", s.label, err)
+			return RunStats{}, fmt.Errorf("%s: %w", s.label, err)
 		}
 		return out, nil
 	})
@@ -340,13 +339,10 @@ func Table3(cfg Table3Config) ([]Row, error) {
 
 	if cfg.Stats != nil {
 		// Grid order, so the dump is independent of worker count.
-		all := make([]RunStats, len(outs))
-		for i, o := range outs {
-			rs := o.stats
-			rs.Label = specs[i].label
-			all[i] = rs
+		for i := range outs {
+			outs[i].Label = specs[i].label
 		}
-		*cfg.Stats = all
+		*cfg.Stats = outs
 	}
 
 	log := func(format string, args ...interface{}) {
@@ -357,29 +353,29 @@ func Table3(cfg Table3Config) ([]Row, error) {
 	var rows []Row
 	for _, pl := range plans {
 		tseq := outs[pl.tseq]
-		log("%-7s %-9s T-seq result %s: %s", pl.name, pl.su.sys, tseq.result, tseq.perf)
+		log("%-7s %-9s T-seq result %s: %s", pl.name, pl.su.sys, tseq.Result, tseq.Perf)
 		mulTSeq := outs[pl.mulTSeq]
-		if mulTSeq.result != tseq.result {
+		if mulTSeq.Result != tseq.Result {
 			return nil, fmt.Errorf("%s/%s: Mul-T seq result %s != %s",
-				pl.name, pl.su.sys, mulTSeq.result, tseq.result)
+				pl.name, pl.su.sys, mulTSeq.Result, tseq.Result)
 		}
 		row := Row{
 			Program: pl.name,
 			System:  pl.su.sys,
 			TSeq:    1.0,
-			MulTSeq: float64(mulTSeq.cycles) / float64(tseq.cycles),
+			MulTSeq: float64(mulTSeq.Cycles) / float64(tseq.Cycles),
 			Par:     map[int]float64{},
-			Result:  tseq.result,
-			RawSeq:  tseq.cycles,
+			Result:  tseq.Result,
+			RawSeq:  tseq.Cycles,
 		}
 		for k, p := range pl.procs {
 			out := outs[pl.parIdx[k]]
-			if out.result != tseq.result {
+			if out.Result != tseq.Result {
 				return nil, fmt.Errorf("%s/%s: %d procs: result %s != %s",
-					pl.name, pl.su.sys, p, out.result, tseq.result)
+					pl.name, pl.su.sys, p, out.Result, tseq.Result)
 			}
-			row.Par[p] = float64(out.cycles) / float64(tseq.cycles)
-			log("%-7s %-9s %2dp   %.2f vs T-seq: %s", pl.name, pl.su.sys, p, row.Par[p], out.perf)
+			row.Par[p] = float64(out.Cycles) / float64(tseq.Cycles)
+			log("%-7s %-9s %2dp   %.2f vs T-seq: %s", pl.name, pl.su.sys, p, row.Par[p], out.Perf)
 		}
 		rows = append(rows, row)
 	}
@@ -389,8 +385,8 @@ func Table3(cfg Table3Config) ([]Row, error) {
 		// per-run wall times, which would double-count parallel workers).
 		var cycles, instructions uint64
 		for _, o := range outs {
-			cycles += o.perf.SimCycles
-			instructions += o.perf.Instructions
+			cycles += o.Perf.SimCycles
+			instructions += o.Perf.Instructions
 		}
 		*cfg.Perf = proc.NewPerf(cycles, instructions, time.Since(start))
 	}

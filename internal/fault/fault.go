@@ -202,9 +202,6 @@ func (p *Plan) StalledLinks() []int { return p.stalled }
 // ArmWedge once the configured cycle is reached.
 func (p *Plan) WedgePending() bool { return p.cfg.WedgeAtCycle > 0 && !p.armed }
 
-// WedgeArmed reports that the scheduled wedge has fired.
-func (p *Plan) WedgeArmed() bool { return p.armed }
-
 // ArmWedge fires the scheduled wedge: the given channels (the wedge
 // node's output channels, computed by the caller, who knows the torus
 // geometry) join the permanently-stalled set. Idempotent; a no-op when

@@ -151,10 +151,6 @@ func (h *Heap) VectorSet(v isa.Word, i int, w isa.Word) error {
 	return h.Mem.StoreWord(slot, w)
 }
 
-// VectorSlotAddr exposes the byte address of element i (for full/empty
-// bit manipulation by tests and the runtime).
-func (h *Heap) VectorSlotAddr(v isa.Word, i int) (uint32, error) { return h.vectorSlot(v, i) }
-
 // NewClosure allocates a closure with the given code entry point and
 // captured values.
 func (h *Heap) NewClosure(entry uint32, captured []isa.Word) (isa.Word, error) {

@@ -48,9 +48,6 @@ var fuseClasses = [NumMicroKinds]FuseClass{
 	// MFlush, MLdio, MStio, MTrap, MHalt, MInvalid: FuseNever (zero).
 }
 
-// Fuse returns the fuse classification of a kind.
-func (k MicroKind) Fuse() FuseClass { return fuseClasses[k] }
-
 // blockTerminal reports whether the op ends a block after executing.
 func blockTerminal(k MicroKind) bool { return k == MBranch || k == MJmpl }
 

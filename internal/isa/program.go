@@ -49,31 +49,6 @@ func (p *Program) SymbolAt(pc uint32) (string, bool) {
 	return name, ok
 }
 
-// EncodeImage serializes the program's code to its binary form.
-func (p *Program) EncodeImage() []uint64 {
-	img := make([]uint64, len(p.Code))
-	for i, in := range p.Code {
-		img[i] = Encode(in)
-	}
-	return img
-}
-
-// LoadImage decodes a binary image into a program.
-func LoadImage(img []uint64, entry uint32) (*Program, error) {
-	p := &Program{Code: make([]Inst, len(img)), Entry: entry}
-	for i, w := range img {
-		in, err := Decode(w)
-		if err != nil {
-			return nil, fmt.Errorf("at instruction %d: %w", i, err)
-		}
-		p.Code[i] = in
-	}
-	if int(entry) > len(img) {
-		return nil, fmt.Errorf("isa: entry %d outside image of %d instructions", entry, len(img))
-	}
-	return p, nil
-}
-
 // Disassemble renders the program as an assembler listing with symbol
 // labels.
 func (p *Program) Disassemble() string {

@@ -37,11 +37,6 @@ func CoherencePayload(m directory.Msg) Payload {
 	return Payload{Kind: PayloadCoherence, Coh: m}
 }
 
-// IPIPayload wraps an interprocessor-interrupt vector.
-func IPIPayload(vector uint64) Payload {
-	return Payload{Kind: PayloadIPI, Word: vector}
-}
-
 // RawPayload wraps an uninterpreted word.
 func RawPayload(w uint64) Payload {
 	return Payload{Kind: PayloadRaw, Word: w}

@@ -64,9 +64,6 @@ func (p *Processor) SetCompile(bs *isa.BlockSet, done *bool) {
 	}
 }
 
-// CompileArmed reports whether the fused tier is installed.
-func (p *Processor) CompileArmed() bool { return p.blocks != nil }
-
 // Blocks exposes the installed translation set (telemetry and tests).
 func (p *Processor) Blocks() *isa.BlockSet { return p.blocks }
 

@@ -2,7 +2,6 @@ package proc
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 )
 
@@ -22,95 +21,26 @@ type Perf struct {
 	// millions of simulated instructions per wall second.
 	CyclesPerSecond float64 `json:"cycles_per_second"`
 	MIPS            float64 `json:"mips"`
-
-	// Host allocator pressure over the measured interval (deltas of
-	// runtime.MemStats counters; see SetGC). Zero when no GC snapshot
-	// was attached.
-	HostAllocs     uint64 `json:"host_allocs,omitempty"`
-	HostAllocBytes uint64 `json:"host_alloc_bytes,omitempty"`
-	HostNumGC      uint32 `json:"host_num_gc,omitempty"`
-
-	// Allocation rates per million simulated cycles — the steady-state
-	// figure the allocation-regression tests pin near zero.
-	AllocsPerMcycle float64 `json:"allocs_per_mcycle,omitempty"`
-	BytesPerMcycle  float64 `json:"bytes_per_mcycle,omitempty"`
-}
-
-// GCSnapshot captures the host allocator's cumulative counters at a
-// point in time. Two snapshots bracket a measured interval; their
-// difference is the interval's allocation bill.
-type GCSnapshot struct {
-	Allocs     uint64 // cumulative mallocs (runtime.MemStats.Mallocs)
-	AllocBytes uint64 // cumulative bytes allocated (TotalAlloc)
-	NumGC      uint32 // completed GC cycles
-}
-
-// TakeGCSnapshot reads the host allocator counters. It forces a full
-// runtime.ReadMemStats (a stop-the-world), so call it only at run
-// boundaries, never inside a measured loop.
-func TakeGCSnapshot() GCSnapshot {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return GCSnapshot{Allocs: ms.Mallocs, AllocBytes: ms.TotalAlloc, NumGC: ms.NumGC}
 }
 
 // NewPerf derives the throughput rates from a run's simulated cycle and
-// instruction totals and its measured wall time.
+// instruction totals and its measured wall time. The rates degrade to 0
+// (never NaN/Inf) when the wall time is zero.
 func NewPerf(simCycles, instructions uint64, wall time.Duration) Perf {
 	p := Perf{
 		SimCycles:    simCycles,
 		Instructions: instructions,
 		WallSeconds:  wall.Seconds(),
 	}
-	p.recompute()
-	return p
-}
-
-// SetGC attaches the allocator delta between two snapshots bracketing
-// the run and derives the per-Mcycle rates.
-func (p *Perf) SetGC(before, after GCSnapshot) {
-	p.HostAllocs = after.Allocs - before.Allocs
-	p.HostAllocBytes = after.AllocBytes - before.AllocBytes
-	p.HostNumGC = after.NumGC - before.NumGC
-	p.recompute()
-}
-
-// Add accumulates another run's totals into p, recomputing the rates
-// over the summed wall time (runs measured back to back).
-func (p *Perf) Add(o Perf) {
-	p.SimCycles += o.SimCycles
-	p.Instructions += o.Instructions
-	p.WallSeconds += o.WallSeconds
-	p.HostAllocs += o.HostAllocs
-	p.HostAllocBytes += o.HostAllocBytes
-	p.HostNumGC += o.HostNumGC
-	p.recompute()
-}
-
-// recompute rederives every rate from the totals, degrading to 0 (never
-// NaN/Inf) when a denominator is zero.
-func (p *Perf) recompute() {
-	p.CyclesPerSecond, p.MIPS = 0, 0
 	if p.WallSeconds > 0 {
 		p.CyclesPerSecond = float64(p.SimCycles) / p.WallSeconds
 		p.MIPS = float64(p.Instructions) / p.WallSeconds / 1e6
 	}
-	p.AllocsPerMcycle, p.BytesPerMcycle = 0, 0
-	if p.SimCycles > 0 {
-		mcycles := float64(p.SimCycles) / 1e6
-		p.AllocsPerMcycle = float64(p.HostAllocs) / mcycles
-		p.BytesPerMcycle = float64(p.HostAllocBytes) / mcycles
-	}
+	return p
 }
 
-// String renders the throughput summary, with the allocator bill when
-// one was measured.
+// String renders the throughput summary.
 func (p Perf) String() string {
-	s := fmt.Sprintf("%d cycles, %d instructions in %.3fs (%.1f Mcycles/s, %.1f MIPS)",
+	return fmt.Sprintf("%d cycles, %d instructions in %.3fs (%.1f Mcycles/s, %.1f MIPS)",
 		p.SimCycles, p.Instructions, p.WallSeconds, p.CyclesPerSecond/1e6, p.MIPS)
-	if p.HostAllocs > 0 || p.HostAllocBytes > 0 {
-		s += fmt.Sprintf(", %.0f allocs/Mcycle, %.0f B/Mcycle, %d GCs",
-			p.AllocsPerMcycle, p.BytesPerMcycle, p.HostNumGC)
-	}
-	return s
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 )
 
 func assertFinite(t *testing.T, p Perf, label string) {
@@ -45,23 +44,4 @@ func TestPerfZeroEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = p.String() // must not panic
-}
-
-func TestPerfAddZeroDurations(t *testing.T) {
-	var p Perf
-	p.Add(NewPerf(0, 0, 0))
-	p.Add(NewPerf(100, 50, 0))
-	assertFinite(t, p, "accumulated zero wall time")
-	if p.SimCycles != 100 || p.Instructions != 50 {
-		t.Errorf("totals %d/%d, want 100/50", p.SimCycles, p.Instructions)
-	}
-	if p.CyclesPerSecond != 0 {
-		t.Errorf("rate %f with zero wall time, want 0", p.CyclesPerSecond)
-	}
-	// A real duration added later recomputes the rates.
-	p.Add(NewPerf(100, 50, time.Second))
-	if p.CyclesPerSecond != 200 {
-		t.Errorf("rate %f after 1s, want 200", p.CyclesPerSecond)
-	}
-	assertFinite(t, p, "after real duration")
 }

@@ -9,6 +9,7 @@ package sim_test
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -182,5 +183,79 @@ func TestInvariantBudgetCrashReport(t *testing.T) {
 	want := fmt.Sprintf("sim: exceeded cycle budget %d", cfg.MaxCycles)
 	if err.Error() != want {
 		t.Errorf("error text %q, want %q", err.Error(), want)
+	}
+}
+
+// TestScheduledWedge: node 3's router dies at cycle wedgeAt. Through
+// the cycle before, the run is the unwedged run; after it, the run
+// ends in a livelock or deadlock crash report; and restores from images
+// taken before and after the wedge armed end in the same crash (the
+// later one by re-arming the wedge as it decodes).
+func TestScheduledWedge(t *testing.T) {
+	const wedgeAt = 3000
+	src := bench.QueensSource(6)
+	geo := network.FitGeometry(8)
+	cfg := func(wedge uint64) sim.Config {
+		return sim.Config{
+			Nodes:          8,
+			Profile:        rts.APRIL,
+			Alewife:        &sim.AlewifeConfig{Geometry: geo},
+			Faults:         &fault.Config{Seed: 1, WedgeAtCycle: wedge, WedgeNode: 3},
+			DeadlockWindow: 60_000,
+		}
+	}
+	clean, wedged := snapMachine(t, src, cfg(0)), snapMachine(t, src, cfg(wedgeAt))
+	for _, m := range []*sim.Machine{clean, wedged} {
+		if done, err := m.RunWindow(wedgeAt - 1); err != nil || done {
+			t.Fatalf("RunWindow(%d) = %v, %v", wedgeAt-1, done, err)
+		}
+	}
+	for i := range clean.Nodes {
+		if !reflect.DeepEqual(clean.Nodes[i].Proc.Stats, wedged.Nodes[i].Proc.Stats) {
+			t.Errorf("node %d diverges before the wedge", i)
+		}
+	}
+	if c, w := clean.MemSystemStats(), wedged.MemSystemStats(); c != w {
+		t.Errorf("memory system diverges before the wedge:\n clean %+v\nwedged %+v", c, w)
+	}
+
+	before, err := wedged.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done, err := wedged.RunWindow(2000); err != nil || done {
+		t.Fatalf("RunWindow past the wedge = %v, %v", done, err)
+	}
+	after, err := wedged.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	crash := func(m *sim.Machine) (*fault.Report, string) {
+		t.Helper()
+		_, err := m.Run()
+		var ce *sim.CrashError
+		if !errors.As(err, &ce) {
+			t.Fatalf("wedged run ended in %v, want a crash report", err)
+		}
+		r := ce.Report
+		if r.Reason != fault.ReasonDeadlock && r.Reason != fault.ReasonLivelock {
+			t.Errorf("reason %q, want deadlock or livelock", r.Reason)
+		}
+		if r.Cycle <= wedgeAt {
+			t.Errorf("crash at cycle %d, before the wedge at %d", r.Cycle, wedgeAt)
+		}
+		return r, err.Error()
+	}
+	want, wantErr := crash(wedged)
+	for name, img := range map[string][]byte{"before": before, "after": after} {
+		m, err := sim.Restore(img, sim.RestoreOverrides{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotErr := crash(m)
+		if got.Reason != want.Reason || got.Cycle != want.Cycle || gotErr != wantErr {
+			t.Errorf("restored from the image %s the wedge: %s at %d (%s), want %s at %d (%s)",
+				name, got.Reason, got.Cycle, gotErr, want.Reason, want.Cycle, wantErr)
+		}
 	}
 }

@@ -1132,13 +1132,6 @@ func (m *Machine) parkedWork() bool {
 // Now returns the current simulated cycle.
 func (m *Machine) Now() uint64 { return m.now }
 
-// Partition lays the machine's nodes out in at most shards contiguous
-// blocks, slabs of the torus (network.ComputePartition). It is layout
-// arithmetic only: the run loop steps every node on one goroutine.
-func (m *Machine) Partition(shards int) network.Partition {
-	return network.ComputePartition(len(m.Nodes), shards)
-}
-
 // KindTotals sums the per-MicroKind dispatch counters across nodes:
 // the machine's opcode mix, keyed by micro-op kind name. Both execution
 // tiers maintain the counters identically, so the mix is comparable

@@ -2,9 +2,10 @@ package sim_test
 
 // The image round trip's cost rows and its allocation pin. The donors
 // are the benchmark's ckpt64 shape: queens 8 on ALEWIFE nodes, stopped
-// at cycle 20000.
+// at cycle 20000, at 16, 64 and 256 nodes.
 
 import (
+	"fmt"
 	"testing"
 
 	"april/internal/bench"
@@ -80,35 +81,49 @@ func TestRestoreAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkSnapshot encodes and seals the 64-node donor's image.
+// donorSizes are the machine sizes the round-trip benchmarks cover:
+// 64 is the ckpt64 donor, 16 and 256 show how the image grows with the
+// machine.
+var donorSizes = []int{16, 64, 256}
+
+// BenchmarkSnapshot encodes and seals each donor's image.
 func BenchmarkSnapshot(b *testing.B) {
-	m := queensDonor(b, 64)
-	img, err := m.Snapshot()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(img)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Snapshot(); err != nil {
-			b.Fatal(err)
-		}
+	for _, nodes := range donorSizes {
+		b.Run(fmt.Sprintf("%dp", nodes), func(b *testing.B) {
+			m := queensDonor(b, nodes)
+			img, err := m.Snapshot()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(img)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.Snapshot(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
-// BenchmarkRestore opens and decodes that image into a new machine.
+// BenchmarkRestore opens and decodes each donor's image into a new
+// machine.
 func BenchmarkRestore(b *testing.B) {
-	img, err := queensDonor(b, 64).Snapshot()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(img)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.Restore(img, sim.RestoreOverrides{}); err != nil {
-			b.Fatal(err)
-		}
+	for _, nodes := range donorSizes {
+		b.Run(fmt.Sprintf("%dp", nodes), func(b *testing.B) {
+			img, err := queensDonor(b, nodes).Snapshot()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(img)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sim.Restore(img, sim.RestoreOverrides{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
