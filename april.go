@@ -519,28 +519,29 @@ func (o Options) build() (*sim.Machine, *isa.Program, error) {
 // Result reports a completed run.
 type Result struct {
 	// Value is the printed form of the program's final value.
-	Value string
+	Value string `json:"value"`
 	// Cycles is the simulated execution time.
-	Cycles uint64
+	Cycles uint64 `json:"cycles"`
 	// Instructions retired across all processors.
-	Instructions uint64
+	Instructions uint64 `json:"instructions"`
 	// Utilization is useful cycles / total cycles across processors.
-	Utilization float64
+	Utilization float64 `json:"utilization"`
 	// ContextSwitches across all processors.
-	ContextSwitches uint64
+	ContextSwitches uint64 `json:"context_switches"`
 	// TasksCreated counts eager tasks; Steals counts lazy continuation
 	// steals; TouchesResolved/TouchesUnresolved count future touches.
-	TasksCreated      uint64
-	Steals            uint64
-	TouchesResolved   uint64
-	TouchesUnresolved uint64
+	TasksCreated      uint64 `json:"tasks_created"`
+	Steals            uint64 `json:"steals"`
+	TouchesResolved   uint64 `json:"touches_resolved"`
+	TouchesUnresolved uint64 `json:"touches_unresolved"`
 	// CacheMissTraps counts controller-forced context switches
 	// (ALEWIFE mode).
-	CacheMissTraps uint64
+	CacheMissTraps uint64 `json:"cache_miss_traps"`
 	// Perf is the host-side throughput of this run (simulated
 	// cycles/sec, MIPS, wall time). It describes the simulator, not the
-	// simulated machine, and varies run to run.
-	Perf RunPerf
+	// simulated machine, and varies run to run, so it stays out of the
+	// JSON form.
+	Perf RunPerf `json:"-"`
 }
 
 // RunPerf reports host-side simulator throughput for a run or a grid.
@@ -570,17 +571,13 @@ func Run(source string, o Options) (Result, error) {
 // packageResult reduces a completed machine to the public Result.
 func packageResult(m *sim.Machine, res sim.Result, start time.Time) Result {
 	stats := m.TotalStats()
-	var switches uint64
-	for _, n := range m.Nodes {
-		switches += n.Proc.Engine.Switches
-	}
 	s := m.Sched.Stats
 	return Result{
 		Value:             res.Formatted,
 		Cycles:            res.Cycles,
 		Instructions:      stats.Instructions,
 		Utilization:       stats.Utilization(),
-		ContextSwitches:   switches,
+		ContextSwitches:   m.Switches(),
 		TasksCreated:      s.TasksCreated,
 		Steals:            s.Steals,
 		TouchesResolved:   s.TouchesResolved,
@@ -867,14 +864,7 @@ func RunAssembly(source string, o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	stats := m.TotalStats()
-	return Result{
-		Value:        res.Formatted,
-		Cycles:       res.Cycles,
-		Instructions: stats.Instructions,
-		Utilization:  stats.Utilization(),
-		Perf:         proc.NewPerf(res.Cycles, stats.Instructions, time.Since(start)),
-	}, nil
+	return packageResult(m, res, start), nil
 }
 
 // Assemble parses APRIL assembly into a loadable program (exposed for

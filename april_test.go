@@ -1,6 +1,9 @@
 package april_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -163,6 +166,49 @@ main:   movi r8, 168       ; fixnum 42
 	}
 	if _, err := april.RunAssembly(`bogus r1`, april.Options{}); err == nil {
 		t.Error("invalid assembly accepted")
+	}
+}
+
+// TestRunAssemblyCounters: a raw program's Result carries the same
+// counters as a Mul-T run's. Node 0 strides loads 16 bytes apart over
+// 8 KiB of memory homed across four ALEWIFE nodes, so three quarters
+// of its misses are remote and each one switches contexts.
+func TestRunAssemblyCounters(t *testing.T) {
+	var counters bytes.Buffer
+	res, err := april.RunAssembly(`
+.entry main
+main:   movi r9, 0x100000
+        movi r12, 2048       ; fixnum 512: one load per 16-byte block
+loop:   ldnt r11, [r9+0]
+        rawadd r9, r9, 16
+        subcc r12, r12, 4
+        bg loop
+        movi r8, 0
+        jmpl r0, r5+0
+`, april.Options{Processors: 4, Alewife: &april.AlewifeOptions{}, Trace: &april.TraceOptions{CountersOut: &counters}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap map[string]map[string]uint64
+	if err := json.Unmarshal(counters.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	var switches, remote uint64
+	for i := 0; i < 4; i++ {
+		switches += snap[fmt.Sprintf("node%d.proc", i)]["switches"]
+		remote += snap[fmt.Sprintf("node%d.memory", i)]["remote_misses"]
+	}
+	if remote == 0 {
+		t.Fatal("the program missed remotely nowhere")
+	}
+	if res.ContextSwitches != switches || res.ContextSwitches == 0 {
+		t.Errorf("ContextSwitches = %d, registry switches %d", res.ContextSwitches, switches)
+	}
+	if res.CacheMissTraps == 0 {
+		t.Errorf("CacheMissTraps = 0 with %d remote misses", remote)
+	}
+	if s := snap["scheduler"]; res.TouchesResolved != s["touches_resolved"] || res.TasksCreated != s["tasks_created"] {
+		t.Errorf("Result touches %d, tasks %d; registry %v", res.TouchesResolved, res.TasksCreated, s)
 	}
 }
 

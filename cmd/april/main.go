@@ -202,18 +202,7 @@ func main() {
 	}
 	fmt.Printf("=> %s\n", res.Value)
 	if *statsJSON {
-		payload, err := json.Marshal(map[string]any{
-			"value":              res.Value,
-			"cycles":             res.Cycles,
-			"instructions":       res.Instructions,
-			"utilization":        res.Utilization,
-			"context_switches":   res.ContextSwitches,
-			"tasks_created":      res.TasksCreated,
-			"steals":             res.Steals,
-			"touches_resolved":   res.TouchesResolved,
-			"touches_unresolved": res.TouchesUnresolved,
-			"cache_miss_traps":   res.CacheMissTraps,
-		})
+		payload, err := json.Marshal(res)
 		if err != nil {
 			fatal(err)
 		}

@@ -33,7 +33,7 @@ func TestBenchmarkProgramsCorrect(t *testing.T) {
 				{HardwareFutures: true, Sequential: true},
 				{HardwareFutures: su.mode.HardwareFutures, Sequential: true},
 			} {
-				out, err := runOnce(sim.Config{Nodes: 1, Profile: su.prof}, src, mode)
+				out, err := RunOnce(sim.Config{Nodes: 1, Profile: su.prof}, src, mode)
 				if err != nil {
 					t.Fatalf("%s/%s seq: %v", name, su.sys, err)
 				}
@@ -43,7 +43,7 @@ func TestBenchmarkProgramsCorrect(t *testing.T) {
 			}
 			// Parallel at a couple of machine sizes.
 			for _, p := range []int{1, 4} {
-				out, err := runOnce(sim.Config{Nodes: p, Profile: su.prof, Lazy: su.lazy}, src, su.mode)
+				out, err := RunOnce(sim.Config{Nodes: p, Profile: su.prof, Lazy: su.lazy}, src, su.mode)
 				if err != nil {
 					t.Fatalf("%s/%s %dp: %v", name, su.sys, p, err)
 				}

@@ -75,16 +75,12 @@ func FramesSweep(cfg FramesSweepConfig) ([]FramesPoint, error) {
 			return pointOut{}, fmt.Errorf("frames=%d: %w", frames, err)
 		}
 		stats := m.TotalStats()
-		var switches uint64
-		for _, n := range m.Nodes {
-			switches += n.Proc.Engine.Switches
-		}
 		return pointOut{
 			point: FramesPoint{
 				Frames:      frames,
 				Cycles:      res.Cycles,
 				Utilization: stats.Utilization(),
-				Switches:    switches,
+				Switches:    m.Switches(),
 				MissTraps:   stats.Traps[core.TrapCacheMiss],
 			},
 			result: res.Formatted,

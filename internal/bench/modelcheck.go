@@ -12,6 +12,7 @@ import (
 	"april/internal/network"
 	"april/internal/rts"
 	"april/internal/sim"
+	"april/internal/trace"
 )
 
 // ModelCheck cross-validates the Section 8 analytical model against the
@@ -132,7 +133,7 @@ func modelCheckOnce(src string, nodes int, interval uint64) (ModelCheckRow, erro
 		Procs:         nodes,
 		Cycles:        res.Cycles,
 		Result:        res.Formatted,
-		RemoteLatency: mem.AvgRemoteLatency(),
+		RemoteLatency: trace.SafeRate(mem.RemoteLatency, mem.RemoteMisses),
 		SwitchCost:    float64(rts.APRIL.SwitchCycles),
 	}
 	if total := stats.TotalCycles(); total > 0 {
@@ -141,12 +142,8 @@ func modelCheckOnce(src string, nodes int, interval uint64) (ModelCheckRow, erro
 	if stats.UsefulCycles > 0 {
 		row.MissRate = float64(mem.LocalMisses+mem.RemoteMisses) / float64(stats.UsefulCycles)
 	}
-	var switches uint64
-	for _, n := range m.Nodes {
-		switches += n.Proc.Engine.Switches
-	}
 	if scope := float64(stats.UsefulCycles+stats.WaitCycles) +
-		row.SwitchCost*float64(switches); scope > 0 {
+		row.SwitchCost*float64(m.Switches()); scope > 0 {
 		row.MeasuredModelScope = float64(stats.UsefulCycles) / scope
 	}
 	// Mean resident threads per processor, weighted by each sample

@@ -87,14 +87,14 @@ func (t *TierPerfs) speedup() float64 {
 
 // alewifeRow measures one AlewifeRow: the named benchmark on an
 // ALEWIFE machine of the given size under each tier, each run through
-// runOnce as the grid's runs are.
+// RunOnce as the grid's runs are.
 func alewifeRow(benchName string, sizes Sizes, nodes int) (AlewifeRow, error) {
 	src := sizes.Source(benchName)
 	row := AlewifeRow{Benchmark: benchName, Nodes: nodes, Identical: true}
 	var first RunStats
 	for i, tier := range sim.Tiers {
 		cfg := sim.Config{Nodes: nodes, Profile: rts.APRIL, Alewife: &sim.AlewifeConfig{}, Tier: tier}
-		out, err := runOnce(cfg, src, mult.Mode{HardwareFutures: true})
+		out, err := RunOnce(cfg, src, mult.Mode{HardwareFutures: true})
 		if err != nil {
 			return AlewifeRow{}, fmt.Errorf("alewife %v run: %w", tier, err)
 		}

@@ -86,7 +86,7 @@ type RunStats struct {
 	// Epoch appears when the epoch engine committed at least one
 	// window: multi-node execution through the compiled tier
 	// (sim's epoch.go). Purely observational.
-	Epoch *EpochOverhead `json:"epoch,omitempty"`
+	Epoch *sim.EpochStats `json:"epoch,omitempty"`
 
 	// Park appears when the run loop parked an idle node: how many idle
 	// polls it executed and how many it charged in closed form (sim's
@@ -96,55 +96,6 @@ type RunStats struct {
 	// Memory is the simulated memory's host footprint at the end of the
 	// run: 4 KiB demand pages resident. Observational.
 	Memory sim.MemoryStats `json:"memory"`
-}
-
-// EpochOverhead is the epoch engine's telemetry for one run: windows
-// committed, the cycles and node-steps they absorbed, how they ended,
-// and what their node-major chunks cost (sim.EpochStats, serialized).
-type EpochOverhead struct {
-	Windows     uint64 `json:"windows"`
-	Cycles      uint64 `json:"cycles"`
-	Ops         uint64 `json:"ops"`
-	PartialOps  uint64 `json:"partial_ops"`
-	Fallbacks   uint64 `json:"fallbacks"`
-	Chunks      uint64 `json:"chunks"`
-	Aborts      uint64 `json:"aborts"`
-	ReplayedOps uint64 `json:"replayed_ops"`
-	// LenHist is the committed-window-length histogram in power-of-two
-	// buckets (index b counts windows of bit-length-b complete cycles).
-	LenHist []uint64 `json:"len_hist"`
-	// EpochCyclesPct is the share of simulated cycles committed inside
-	// windows.
-	EpochCyclesPct float64 `json:"epoch_cycles_pct"`
-}
-
-// epochOverhead summarizes m's epoch telemetry; nil when the engine
-// never committed a window.
-func epochOverhead(m *sim.Machine) *EpochOverhead {
-	t := m.EpochTelemetry()
-	if t.Windows == 0 {
-		return nil
-	}
-	eo := &EpochOverhead{
-		Windows:     t.Windows,
-		Cycles:      t.Cycles,
-		Ops:         t.Ops,
-		PartialOps:  t.PartialOps,
-		Fallbacks:   t.Fallbacks,
-		Chunks:      t.Chunks,
-		Aborts:      t.Aborts,
-		ReplayedOps: t.ReplayedOps,
-	}
-	hist := t.LenHist
-	last := len(hist)
-	for last > 0 && hist[last-1] == 0 {
-		last--
-	}
-	eo.LenHist = append(eo.LenHist, hist[:last]...)
-	if now := m.Now(); now > 0 {
-		eo.EpochCyclesPct = 100 * float64(t.Cycles) / float64(now)
-	}
-	return eo
 }
 
 // DefaultTable3Config mirrors the paper's configurations.
@@ -174,9 +125,9 @@ func build(cfg sim.Config, src string, mode mult.Mode) (*sim.Machine, error) {
 	return m, nil
 }
 
-// runOnce builds a fresh machine from cfg, runs src on it to
+// RunOnce builds a fresh machine from cfg, runs src on it to
 // completion, and dumps its statistics. Perf covers build and run.
-func runOnce(cfg sim.Config, src string, mode mult.Mode) (RunStats, error) {
+func RunOnce(cfg sim.Config, src string, mode mult.Mode) (RunStats, error) {
 	start := time.Now()
 	m, err := build(cfg, src, mode)
 	if err != nil {
@@ -186,25 +137,27 @@ func runOnce(cfg sim.Config, src string, mode mult.Mode) (RunStats, error) {
 	if err != nil {
 		return RunStats{}, err
 	}
-	perf := proc.NewPerf(res.Cycles, m.TotalStats().Instructions, time.Since(start))
+	total := m.TotalStats()
 	rs := RunStats{
-		Nodes:   cfg.Nodes,
-		Cycles:  res.Cycles,
-		Result:  res.Formatted,
-		Total:   m.TotalStats(),
-		PerNode: make([]proc.Stats, 0, len(m.Nodes)),
-		Perf:    perf,
-		Kinds:   m.KindTotals(),
+		Nodes:           cfg.Nodes,
+		Cycles:          res.Cycles,
+		Result:          res.Formatted,
+		ContextSwitches: m.Switches(),
+		Total:           total,
+		PerNode:         make([]proc.Stats, 0, len(m.Nodes)),
+		Perf:            proc.NewPerf(res.Cycles, total.Instructions, time.Since(start)),
+		Kinds:           m.KindTotals(),
+		Memory:          m.MemoryTelemetry(),
 	}
 	for _, n := range m.Nodes {
 		rs.PerNode = append(rs.PerNode, n.Proc.Stats)
-		rs.ContextSwitches += n.Proc.Engine.Switches
 	}
-	rs.Epoch = epochOverhead(m)
+	if t := m.EpochTelemetry(); t.Windows > 0 {
+		rs.Epoch = &t
+	}
 	if t := m.ParkTelemetry(); t.Parks > 0 {
 		rs.Park = &t
 	}
-	rs.Memory = m.MemoryTelemetry()
 	return rs, nil
 }
 
@@ -324,7 +277,7 @@ func Table3(cfg Table3Config) ([]Row, error) {
 
 	outs, occ, err := harness.MapOccupancy(cfg.Workers, len(specs), func(i int) (RunStats, error) {
 		s := specs[i]
-		out, err := runOnce(sim.Config{Nodes: s.nodes, Profile: s.prof, Lazy: s.lazy, Tier: cfg.Tier}, s.src, s.mode)
+		out, err := RunOnce(sim.Config{Nodes: s.nodes, Profile: s.prof, Lazy: s.lazy, Tier: cfg.Tier}, s.src, s.mode)
 		if err != nil {
 			return RunStats{}, fmt.Errorf("%s: %w", s.label, err)
 		}

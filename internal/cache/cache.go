@@ -99,7 +99,10 @@ type Cache struct {
 
 // Stats counts a cache's lookups and line movements.
 type Stats struct {
-	Hits, Misses, Evictions, Writebacks, Invalidations uint64
+	Hits                      uint64 `counter:"cache_hits"`
+	Misses                    uint64 `counter:"cache_misses"`
+	Evictions                 uint64 `counter:"cache_evictions"`
+	Writebacks, Invalidations uint64
 }
 
 // New builds a cache.

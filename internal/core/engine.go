@@ -64,7 +64,7 @@ type Engine struct {
 	OnSwitch func(from, to int)
 
 	// Stats.
-	Switches uint64 // context switches performed
+	Switches uint64 `counter:"switches"` // context switches performed
 }
 
 // NewEngine creates an engine with n task frames and the given context

@@ -175,7 +175,11 @@ type Directory struct {
 
 // Stats counts the protocol work a directory's home node does.
 type Stats struct {
-	ReadMisses, WriteMisses, InvalsSent, Fetches, Writebacks uint64
+	ReadMisses  uint64 `counter:"dir_read_misses"`
+	WriteMisses uint64 `counter:"dir_write_misses"`
+	InvalsSent  uint64 `counter:"dir_invals_sent"`
+	Fetches     uint64 `counter:"dir_fetches"`
+	Writebacks  uint64 `counter:"dir_writebacks"`
 }
 
 // New creates an empty directory.

@@ -72,7 +72,7 @@ type BlockSet struct {
 	Micro []Micro
 	// Threshold is how many times an entry PC must execute cold before
 	// it is translated.
-	Threshold uint32
+	Threshold uint32 `counter:"threshold"`
 
 	// lens[pc] encodes the translation state of entry PC pc:
 	// 0 = cold (not yet profiled past threshold), 1 = translated to "no
@@ -85,8 +85,8 @@ type BlockSet struct {
 
 	// Blocks and NoBlocks count translation outcomes: entry PCs that
 	// became fused blocks vs. ones pinned per-op (telemetry).
-	Blocks   uint64
-	NoBlocks uint64
+	Blocks   uint64 `counter:"translated_blocks"`
+	NoBlocks uint64 `counter:"unfusable_entries"`
 }
 
 // DefaultCompileThreshold is the profile-guided translation trigger:

@@ -99,12 +99,12 @@ const NoEvent = calendar.None
 
 // Stats aggregates network behavior.
 type Stats struct {
-	Messages     uint64
-	FlitsSent    uint64
-	TotalLatency uint64 // sum over delivered messages, cycles
-	Delivered    uint64
-	MaxLatency   uint64
-	Hops         uint64 // completed channel transits (packet-level backends only)
+	Messages     uint64 `counter:"messages"`
+	FlitsSent    uint64 `counter:"flits_sent"`
+	TotalLatency uint64 `counter:"total_latency"` // sum over delivered messages, cycles
+	Delivered    uint64 `counter:"delivered"`
+	MaxLatency   uint64 `counter:"max_latency"`
+	Hops         uint64 `counter:"hops"` // completed channel transits (packet-level backends only)
 }
 
 // AvgLatency is the mean end-to-end latency of delivered messages.

@@ -44,14 +44,16 @@ var (
 // analyses of Section 8: useful work, memory wait, trap/switch
 // overhead, and idle time.
 type Stats struct {
-	Instructions uint64
-	UsefulCycles uint64 // instruction execution
-	WaitCycles   uint64 // processor held for memory (MHOLD)
-	TrapCycles   uint64 // trap entry + handler + context switches
-	IdleCycles   uint64 // no loaded thread could run
+	Instructions uint64 `counter:"instructions"`
+	UsefulCycles uint64 `counter:"useful_cycles"` // instruction execution
+	WaitCycles   uint64 `counter:"wait_cycles"`   // processor held for memory (MHOLD)
+	TrapCycles   uint64 `counter:"trap_cycles"`   // trap entry + handler + context switches
+	IdleCycles   uint64 `counter:"idle_cycles"`   // no loaded thread could run
 	Traps        [16]uint64
-	LoadCount    uint64
-	StoreCount   uint64
+	// The access counts are per node only: the machine group carries
+	// the cycle decomposition.
+	LoadCount  uint64 `counter:"loads,nosum"`
+	StoreCount uint64 `counter:"stores,nosum"`
 }
 
 // TotalCycles is the sum of all categories.
@@ -112,9 +114,9 @@ type Processor struct {
 	// EpochRun inside multi-node epoch windows — compile-tier coverage
 	// telemetry (the "compile" counter group), outside Stats for the
 	// same reason as Kinds.
-	FusedOps    uint64
-	InlineSteps uint64
-	EpochOps    uint64
+	FusedOps    uint64 `counter:"fused_ops"`
+	InlineSteps uint64 `counter:"inline_steps"`
+	EpochOps    uint64 `counter:"epoch_ops"`
 
 	// IdlePolls counts executed Handler.Idle calls: host-side telemetry
 	// (the "park" counter group), since the work-proportional run loop

@@ -13,15 +13,15 @@ import (
 
 // Stats counts scheduler events across the machine.
 type Stats struct {
-	TasksCreated      uint64 // eager tasks
-	Steals            uint64 // lazy continuations stolen
-	StealWords        uint64 // stack words copied by steals
-	Blocks            uint64 // threads blocked on unresolved futures
-	Requeues          uint64 // threads requeued after F/E sync faults
-	Wakes             uint64
-	ThreadSteals      uint64 // eager tasks taken from a remote ready queue
-	TouchesResolved   uint64
-	TouchesUnresolved uint64
+	TasksCreated      uint64 `counter:"tasks_created"` // eager tasks
+	Steals            uint64 `counter:"steals"`        // lazy continuations stolen
+	StealWords        uint64 `counter:"steal_words"`   // stack words copied by steals
+	Blocks            uint64 `counter:"blocks"`        // threads blocked on unresolved futures
+	Requeues          uint64 `counter:"requeues"`      // threads requeued after F/E sync faults
+	Wakes             uint64 `counter:"wakes"`
+	ThreadSteals      uint64 `counter:"thread_steals"` // eager tasks taken from a remote ready queue
+	TouchesResolved   uint64 `counter:"touches_resolved"`
+	TouchesUnresolved uint64 `counter:"touches_unresolved"`
 }
 
 // Scheduler is the machine-wide thread system shared by all node

@@ -324,10 +324,10 @@ func (c *cacheCtl) freeTx(tx homeTx) {
 
 // CtlStats aggregates one controller's behavior.
 type CtlStats struct {
-	LocalMisses   uint64
-	RemoteMisses  uint64
-	RemoteLatency uint64 // summed cycles from request to data arrival
-	Upgrades      uint64
+	LocalMisses   uint64 `counter:"local_misses"`
+	RemoteMisses  uint64 `counter:"remote_misses"`
+	RemoteLatency uint64 `counter:"remote_latency_sum"` // summed cycles from request to data arrival
+	Upgrades      uint64 `counter:"upgrades"`
 }
 
 // cacheCtl is the per-node cache and directory controller; it
@@ -352,11 +352,11 @@ type cacheCtl struct {
 
 // ctlState is a controller's protocol state, a record of the image.
 type ctlState struct {
-	pending map[uint32]missState // by value: missState is two words, no box
-	homeTx  map[uint32]homeTx
+	pending map[uint32]missState `counter:"outstanding_remote"` // by value: missState is two words, no box
+	homeTx  map[uint32]homeTx    `counter:"pending_home_tx"`
 	outbox  []outMsg
-	recallQ []pendingRecall // recalls deferred by the interlock or a miss
-	fence   int             // outstanding flush writebacks (Section 3.4)
+	recallQ []pendingRecall `counter:"deferred_recalls"`    // recalls deferred by the interlock or a miss
+	fence   int             `counter:"outstanding_flushes"` // outstanding flush writebacks (Section 3.4)
 
 	// locked implements the anti-"cache tag" interlock of Section 3.1:
 	// a freshly installed line is protected from recalls until the

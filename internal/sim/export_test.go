@@ -2,14 +2,15 @@ package sim
 
 import (
 	"april/internal/cache"
+	"april/internal/directory"
 	"april/internal/network"
 	"april/internal/rts"
 )
 
 // Hooks for the tests in package sim_test: the compiled tier's two
 // tuning values, which machines outside tests leave at zero (apply one
-// to a machine after New and before Load), a node's cache, and the
-// image tests' probe and corruption.
+// to a machine after New and before Load), a node's cache and
+// directory, and the image tests' probe and corruption.
 
 // Threshold makes Load translate a block once its entry PC has
 // executed n times (1 = on first entry).
@@ -22,6 +23,14 @@ func WindowCap(k uint64) func(*Machine) { return func(m *Machine) { m.windowCap 
 func NodeCache(m *Machine, node int) *cache.Cache {
 	if c := m.Nodes[node].cache; c != nil {
 		return c.cache
+	}
+	return nil
+}
+
+// NodeDirectory is node's directory (nil on perfect memory).
+func NodeDirectory(m *Machine, node int) *directory.Directory {
+	if c := m.Nodes[node].cache; c != nil {
+		return c.dir
 	}
 	return nil
 }

@@ -189,8 +189,9 @@ func TestInvariantBudgetCrashReport(t *testing.T) {
 // TestScheduledWedge: node 3's router dies at cycle wedgeAt. Through
 // the cycle before, the run is the unwedged run; after it, the run
 // ends in a livelock or deadlock crash report; and restores from images
-// taken before and after the wedge armed end in the same crash (the
-// later one by re-arming the wedge as it decodes).
+// taken before and after the wedge's cycle end in the same crash (in
+// the later one the overdue wedge stays pending and the resumed run's
+// first slice arms it).
 func TestScheduledWedge(t *testing.T) {
 	const wedgeAt = 3000
 	src := bench.QueensSource(6)
@@ -214,9 +215,15 @@ func TestScheduledWedge(t *testing.T) {
 		if !reflect.DeepEqual(clean.Nodes[i].Proc.Stats, wedged.Nodes[i].Proc.Stats) {
 			t.Errorf("node %d diverges before the wedge", i)
 		}
+		if c, w := sim.NodeCache(clean, i).Stats, sim.NodeCache(wedged, i).Stats; c != w {
+			t.Errorf("node %d cache diverges before the wedge:\n clean %+v\nwedged %+v", i, c, w)
+		}
+		if c, w := sim.NodeDirectory(clean, i).Stats, sim.NodeDirectory(wedged, i).Stats; c != w {
+			t.Errorf("node %d directory diverges before the wedge:\n clean %+v\nwedged %+v", i, c, w)
+		}
 	}
-	if c, w := clean.MemSystemStats(), wedged.MemSystemStats(); c != w {
-		t.Errorf("memory system diverges before the wedge:\n clean %+v\nwedged %+v", c, w)
+	if c, w := clean.CounterRegistry().Snapshot(), wedged.CounterRegistry().Snapshot(); !reflect.DeepEqual(c, w) {
+		t.Errorf("counters diverge before the wedge:\n clean %v\nwedged %v", c, w)
 	}
 
 	before, err := wedged.Snapshot()

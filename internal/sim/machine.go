@@ -1140,14 +1140,28 @@ func (m *Machine) Now() uint64 { return m.now }
 // (per block-entry PC).
 func (m *Machine) KindTotals() map[string]uint64 {
 	out := make(map[string]uint64, isa.NumMicroKinds)
-	for k := 0; k < isa.NumMicroKinds; k++ {
-		var s uint64
-		for _, n := range m.Nodes {
-			s += n.Proc.Kinds[k]
-		}
-		out[isa.MicroKind(k).String()] = s
+	for k := range isa.NumMicroKinds {
+		out[isa.MicroKind(k).String()] = m.kindTotal(k)
 	}
 	return out
+}
+
+// kindTotal sums micro-op kind k's dispatch counter across nodes.
+func (m *Machine) kindTotal(k int) uint64 {
+	var s uint64
+	for _, n := range m.Nodes {
+		s += n.Proc.Kinds[k]
+	}
+	return s
+}
+
+// Switches sums the context switches of every node's engine.
+func (m *Machine) Switches() uint64 {
+	var s uint64
+	for _, n := range m.Nodes {
+		s += n.Proc.Engine.Switches
+	}
+	return s
 }
 
 // TotalStats sums the processor statistics across nodes.

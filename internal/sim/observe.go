@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"april/internal/isa"
 	"april/internal/proc"
 	"april/internal/trace"
 )
@@ -82,173 +83,65 @@ func (m *Machine) sample() {
 // CounterRegistry builds a registry exposing every subsystem's counters
 // behind one Snapshot: the scheduler, each node's processor and engine,
 // and (in ALEWIFE mode) each node's cache, directory, and controller,
-// plus the network and machine-level totals. Closures read live state,
-// so snapshot after Run for final values.
+// plus the network and machine-level totals. Each group reads the
+// subsystem's own tagged stats struct in place, so snapshot after Run
+// for final values. Register after EnableTracing: the trace counters
+// join the machine group only when a tracer is attached.
 func (m *Machine) CounterRegistry() *trace.Registry {
 	r := &trace.Registry{}
-	sched := m.Sched
-	r.Register("scheduler", func() map[string]uint64 {
-		s := sched.Stats
-		return map[string]uint64{
-			"tasks_created":      s.TasksCreated,
-			"steals":             s.Steals,
-			"steal_words":        s.StealWords,
-			"thread_steals":      s.ThreadSteals,
-			"blocks":             s.Blocks,
-			"requeues":           s.Requeues,
-			"wakes":              s.Wakes,
-			"touches_resolved":   s.TouchesResolved,
-			"touches_unresolved": s.TouchesUnresolved,
-		}
-	})
+	r.Register("scheduler", &m.Sched.Stats)
 	// The opcode mix that drives the compiled tier's profile-guided
 	// translation, maintained identically by both execution tiers.
-	r.Register("isa", m.KindTotals)
+	for k := range isa.NumMicroKinds {
+		r.Gauge("isa", isa.MicroKind(k).String(), func() uint64 { return m.kindTotal(k) })
+	}
+	procs := make([]any, len(m.Nodes))
+	stats := make([]any, len(m.Nodes))
+	for i, n := range m.Nodes {
+		procs[i], stats[i] = n.Proc, &n.Proc.Stats
+	}
 	if m.compileOn {
 		// Compiled-tier coverage: dispatches executed inside fused
 		// windows and translation outcomes. Registered only when the
 		// tier is armed so oracle-path snapshots stay byte-stable.
-		r.Register("compile", func() map[string]uint64 {
-			var fused, inline, total uint64
-			for _, n := range m.Nodes {
-				fused += n.Proc.FusedOps
-				inline += n.Proc.InlineSteps
-				for _, k := range n.Proc.Kinds {
-					total += k
-				}
+		r.Sum("compile", procs)
+		r.Register("compile", m.Nodes[0].Proc.Blocks)
+		r.Gauge("compile", "dispatches", func() uint64 {
+			var s uint64
+			for k := range isa.NumMicroKinds {
+				s += m.kindTotal(k)
 			}
-			var epoch uint64
-			for _, n := range m.Nodes {
-				epoch += n.Proc.EpochOps
-			}
-			bs := m.Nodes[0].Proc.Blocks()
-			return map[string]uint64{
-				"fused_ops":         fused,
-				"inline_steps":      inline,
-				"epoch_ops":         epoch,
-				"dispatches":        total,
-				"translated_blocks": bs.Blocks,
-				"unfusable_entries": bs.NoBlocks,
-				"threshold":         uint64(bs.Threshold),
-			}
+			return s
 		})
 	}
 	if m.epochOn {
-		// Epoch engine coverage (epoch.go): windows committed, cycles and
-		// ops they absorbed, mid-epoch fallbacks, node-major chunks with
-		// their aborts and replayed ops, and the committed-window-length
-		// histogram in power-of-two buckets
-		// (len_p2_b counts windows of 2^(b-1)..2^b-1 complete cycles;
-		// b=0 is windows that only committed a partial cycle).
-		r.Register("epoch", func() map[string]uint64 {
-			t := m.epochTel
-			out := map[string]uint64{
-				"windows":      t.Windows,
-				"cycles":       t.Cycles,
-				"ops":          t.Ops,
-				"partial_ops":  t.PartialOps,
-				"fallbacks":    t.Fallbacks,
-				"chunks":       t.Chunks,
-				"aborts":       t.Aborts,
-				"replayed_ops": t.ReplayedOps,
-			}
-			for b, c := range t.LenHist {
-				out[fmt.Sprintf("len_p2_%d", b)] = c
-			}
-			return out
-		})
+		// Epoch engine coverage (epoch.go, EpochStats).
+		r.Register("epoch", &m.epochTel)
 	}
 	if m.park.period > 0 && m.Cfg.Tier != TierReference {
 		// Idle-node parking (wake.go): host-side like the groups above,
 		// registered only where nodes can park so oracle-path snapshots
 		// stay byte-stable.
-		r.Register("park", func() map[string]uint64 {
-			t := m.ParkTelemetry()
-			return map[string]uint64{
-				"parks":          t.Parks,
-				"unparks":        t.Unparks,
-				"polls_elided":   t.PollsElided,
-				"polls_executed": t.PollsExecuted,
-			}
-		})
+		r.Register("park", m.ParkTelemetry)
 	}
-	r.Register("memory", func() map[string]uint64 {
-		t := m.MemoryTelemetry()
-		return map[string]uint64{
-			"pages_resident": t.PagesResident,
-			"resident_bytes": t.ResidentBytes,
-		}
-	})
+	r.Register("memory", m.MemoryTelemetry)
 	for i, n := range m.Nodes {
-		p, eng, ctl := n.Proc, n.Proc.Engine, n.cache
-		r.Register(fmt.Sprintf("node%d.proc", i), func() map[string]uint64 {
-			s := p.Stats
-			return map[string]uint64{
-				"instructions":  s.Instructions,
-				"useful_cycles": s.UsefulCycles,
-				"wait_cycles":   s.WaitCycles,
-				"trap_cycles":   s.TrapCycles,
-				"idle_cycles":   s.IdleCycles,
-				"loads":         s.LoadCount,
-				"stores":        s.StoreCount,
-				"switches":      eng.Switches,
-			}
-		})
-		if ctl != nil {
-			r.Register(fmt.Sprintf("node%d.memory", i), func() map[string]uint64 {
-				c, d := ctl.cache, ctl.dir
-				return map[string]uint64{
-					"cache_hits":          c.Hits,
-					"cache_misses":        c.Misses,
-					"cache_evictions":     c.Evictions,
-					"local_misses":        ctl.Stats.LocalMisses,
-					"remote_misses":       ctl.Stats.RemoteMisses,
-					"remote_latency_sum":  ctl.Stats.RemoteLatency,
-					"upgrades":            ctl.Stats.Upgrades,
-					"dir_read_misses":     d.ReadMisses,
-					"dir_write_misses":    d.WriteMisses,
-					"dir_invals_sent":     d.InvalsSent,
-					"dir_fetches":         d.Fetches,
-					"dir_writebacks":      d.Writebacks,
-					"outstanding_remote":  uint64(len(ctl.pending)),
-					"pending_home_tx":     uint64(len(ctl.homeTx)),
-					"deferred_recalls":    uint64(len(ctl.recallQ)),
-					"outstanding_flushes": uint64(ctl.fence),
-				}
-			})
+		r.Register(fmt.Sprintf("node%d.proc", i), &n.Proc.Stats, n.Proc.Engine)
+		if ctl := n.cache; ctl != nil {
+			r.Register(fmt.Sprintf("node%d.memory", i), &ctl.cache.Stats, &ctl.dir.Stats, &ctl.Stats, &ctl.ctlState)
 		}
 	}
 	if m.net != nil {
 		net := m.net.net
-		r.Register("network", func() map[string]uint64 {
-			s := net.Stats()
-			return map[string]uint64{
-				"messages":      s.Messages,
-				"flits_sent":    s.FlitsSent,
-				"delivered":     s.Delivered,
-				"total_latency": s.TotalLatency,
-				"max_latency":   s.MaxLatency,
-				"hops":          s.Hops,
-				"in_flight":     uint64(net.InFlight()),
-			}
-		})
+		r.Register("network", net.Stats)
+		r.Gauge("network", "in_flight", func() uint64 { return uint64(net.InFlight()) })
 	}
-	r.Register("machine", func() map[string]uint64 {
-		s := m.TotalStats()
-		out := map[string]uint64{
-			"cycles":        m.now,
-			"instructions":  s.Instructions,
-			"useful_cycles": s.UsefulCycles,
-			"wait_cycles":   s.WaitCycles,
-			"trap_cycles":   s.TrapCycles,
-			"idle_cycles":   s.IdleCycles,
-			"threads":       uint64(m.Sched.NumThreads()),
-		}
-		if t := m.tracer; t != nil {
-			out["trace_events"] = t.TotalEvents()
-			out["trace_dropped"] = t.DroppedEvents()
-		}
-		return out
-	})
+	r.Gauge("machine", "cycles", func() uint64 { return m.now })
+	r.Sum("machine", stats)
+	r.Gauge("machine", "threads", func() uint64 { return uint64(m.Sched.NumThreads()) })
+	if t := m.tracer; t != nil {
+		r.Gauge("machine", "trace_events", t.TotalEvents)
+		r.Gauge("machine", "trace_dropped", t.DroppedEvents)
+	}
 	return r
 }

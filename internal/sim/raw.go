@@ -86,45 +86,17 @@ func (m *Machine) RunFor(cycles uint64) error {
 	return nil
 }
 
-// MemStats aggregates the memory-system counters across nodes
+// MemSystemStats sums the cache controllers' counters across nodes
 // (ALEWIFE mode only; zero otherwise).
-type MemStats struct {
-	CacheHits     uint64
-	CacheMisses   uint64
-	LocalMisses   uint64
-	RemoteMisses  uint64
-	RemoteLatency uint64 // summed request->data cycles
-	Invalidations uint64
-	NetMessages   uint64
-	NetAvgLatency float64
-}
-
-// AvgRemoteLatency is the mean remote miss service time.
-func (s MemStats) AvgRemoteLatency() float64 {
-	if s.RemoteMisses == 0 {
-		return 0
-	}
-	return float64(s.RemoteLatency) / float64(s.RemoteMisses)
-}
-
-// MemSystemStats collects the ALEWIFE memory statistics.
-func (m *Machine) MemSystemStats() MemStats {
-	var out MemStats
+func (m *Machine) MemSystemStats() CtlStats {
+	var out CtlStats
 	for _, n := range m.Nodes {
-		if n.cache == nil {
-			continue
+		if c := n.cache; c != nil {
+			out.LocalMisses += c.Stats.LocalMisses
+			out.RemoteMisses += c.Stats.RemoteMisses
+			out.RemoteLatency += c.Stats.RemoteLatency
+			out.Upgrades += c.Stats.Upgrades
 		}
-		out.CacheHits += n.cache.cache.Hits
-		out.CacheMisses += n.cache.cache.Misses
-		out.LocalMisses += n.cache.Stats.LocalMisses
-		out.RemoteMisses += n.cache.Stats.RemoteMisses
-		out.RemoteLatency += n.cache.Stats.RemoteLatency
-		out.Invalidations += n.cache.cache.Invalidations
-	}
-	if m.net != nil {
-		ns := m.net.net.Stats()
-		out.NetMessages = ns.Messages
-		out.NetAvgLatency = ns.AvgLatency()
 	}
 	return out
 }

@@ -359,13 +359,12 @@ func (m *Machine) decodeState(r *snapshot.Reader) error {
 
 	// Scheduled state events fired iff the image's cycle has passed them
 	// (runEventful fires due events before every window boundary, so a
-	// snapshot can never be taken in between). The wedge mutates the
-	// host-side fault plan, which New rebuilt pristine — re-arm it; the
-	// sabotage mutated scheduler state already restored above — only
-	// mark it fired.
-	if m.plan != nil && m.plan.WedgePending() && m.now >= m.plan.Config().WedgeAtCycle {
-		m.armWedge()
-	}
+	// snapshot can never be taken in between). The sabotage mutated
+	// scheduler state already restored above — only mark it fired. The
+	// wedge mutates the host-side fault plan, which New rebuilt
+	// pristine; it stays pending, and the resumed run's first
+	// runEventful slice, empty because the wedge is overdue, arms it
+	// before any cycle executes.
 	m.sabotaged = m.Cfg.SabotageCycle > 0 && m.now >= m.Cfg.SabotageCycle
 	return nil
 }

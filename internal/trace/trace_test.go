@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -176,19 +177,29 @@ func TestSamplerCSVShape(t *testing.T) {
 	}
 }
 
+// counterStats is a counter struct as a subsystem declares one.
+type counterStats struct {
+	X      uint64    `counter:"x"`
+	Depth  int       `counter:"depth"`
+	Hist   [3]uint64 `counter:"hist"`
+	Loads  uint64    `counter:"loads,nosum"`
+	Ignore uint64
+}
+
 func TestRegistrySnapshot(t *testing.T) {
 	r := &Registry{}
-	n := uint64(1)
-	r.Register("a", func() map[string]uint64 { return map[string]uint64{"x": n} })
-	r.Register("b", func() map[string]uint64 { return map[string]uint64{"y": 2} })
-	if got := r.Groups(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("groups %v", got)
+	a := counterStats{X: 1, Depth: 2, Hist: [3]uint64{4, 5, 6}, Loads: 7, Ignore: 9}
+	r.Register("a", &a)
+	r.Register("b", func() counterStats { return counterStats{X: 3} })
+	r.Gauge("b", "g", func() uint64 { return 8 })
+	want := map[string]map[string]uint64{
+		"a": {"x": 1, "depth": 2, "hist_0": 4, "hist_1": 5, "hist_2": 6, "loads": 7},
+		"b": {"x": 3, "depth": 0, "hist_0": 0, "hist_1": 0, "hist_2": 0, "loads": 0, "g": 8},
 	}
-	snap := r.Snapshot()
-	if snap["a"]["x"] != 1 || snap["b"]["y"] != 2 {
-		t.Fatalf("snapshot %v", snap)
+	if snap := r.Snapshot(); !reflect.DeepEqual(snap, want) {
+		t.Fatalf("snapshot %v, want %v", snap, want)
 	}
-	n = 7 // closures read live state
+	a.X = 7 // registered structs are read in place
 	if got := r.Snapshot()["a"]["x"]; got != 7 {
 		t.Errorf("live snapshot x=%d, want 7", got)
 	}
@@ -199,6 +210,25 @@ func TestRegistrySnapshot(t *testing.T) {
 	var back map[string]map[string]uint64
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatalf("registry JSON invalid: %v", err)
+	}
+}
+
+// TestRegistryMergesGroups: registrations under one group name merge
+// by key, the later one winning a key both emit, and Sum totals its
+// structs without their nosum fields.
+func TestRegistryMergesGroups(t *testing.T) {
+	r := &Registry{}
+	r.Register("g", &counterStats{X: 1, Depth: 2})
+	r.Gauge("g", "x", func() uint64 { return 5 })
+	r.Gauge("g", "extra", func() uint64 { return 6 })
+	r.Sum("total", []any{&counterStats{X: 1, Loads: 1}, &counterStats{X: 2, Hist: [3]uint64{0, 3, 0}, Loads: 1}})
+	snap := r.Snapshot()
+	if g := snap["g"]; len(g) != 7 || g["x"] != 5 || g["depth"] != 2 || g["extra"] != 6 {
+		t.Errorf("merged group = %v, want the struct's keys with x=5 plus extra=6", g)
+	}
+	want := map[string]uint64{"x": 3, "depth": 0, "hist_0": 0, "hist_1": 3, "hist_2": 0}
+	if got := snap["total"]; !reflect.DeepEqual(got, want) {
+		t.Errorf("summed group = %v, want %v", got, want)
 	}
 }
 
