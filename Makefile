@@ -70,8 +70,10 @@ ab:
 # between the compiled and reference tiers once the host-side blocks
 # (perf, epoch, park) are stripped, since long epoch chunks and lanes
 # running past a stop occur mainly at paper sizes; and an unknown tier,
-# or the deleted predecode tier, must be refused. SMOKE_DIR holds the
-# binary and the outputs.
+# or the deleted predecode tier, must be refused. 64-node ALEWIFE queens,
+# where lanes run ahead and are cut back, must print the same
+# -stats-json under both tiers eager, lazy and with the fault plan
+# armed. SMOKE_DIR holds the binaries and the outputs.
 SMOKE_DIR ?= /tmp
 STRIP_HOST = python3 -c 'import json, sys; rs = json.load(open(sys.argv[1])); \
 	[r.pop(k, None) for r in rs for k in ("perf", "epoch", "park")]; \
@@ -85,6 +87,12 @@ tier-smoke:
 		$(SMOKE_DIR)/april-bench -sizes paper -tier $$t -stats-json $(SMOKE_DIR)/tier-$$t.json > /dev/null && \
 		$(STRIP_HOST) $(SMOKE_DIR)/tier-$$t.json || exit 1; done
 	cmp $(SMOKE_DIR)/tier-compiled.json $(SMOKE_DIR)/tier-reference.json
+	$(GO) build -o $(SMOKE_DIR)/april ./cmd/april
+	for v in eager:"" lazy:-lazy faults:"-faults -fault-seed 2"; do \
+		for t in compiled reference; do \
+			$(SMOKE_DIR)/april -n 64 -alewife $${v#*:} -tier $$t -stats-json examples/progs/queens.mt \
+				> $(SMOKE_DIR)/alewife-$${v%%:*}-$$t.out || exit 1; done; \
+		cmp $(SMOKE_DIR)/alewife-$${v%%:*}-compiled.out $(SMOKE_DIR)/alewife-$${v%%:*}-reference.out || exit 1; done
 	! $(SMOKE_DIR)/april-bench -sizes test -tier fast 2>/dev/null
 	! $(SMOKE_DIR)/april-bench -sizes test -tier predecode 2>/dev/null
 

@@ -51,7 +51,15 @@ type Memory struct {
 	groups   []*group // indexed by word index >> groupShift; nil = nothing touched
 	size     uint32   // in bytes
 	resident int      // pages materialized
+
+	// watch, when set, is told of every access through LoadWord,
+	// StoreWord and SetFE before it happens: the paths of the run-time
+	// system and of block transfers, which bypass the caches.
+	watch func(addr uint32, store bool)
 }
+
+// SetWatch installs (or, with nil, removes) the bypass-access watch.
+func (m *Memory) SetWatch(fn func(addr uint32, store bool)) { m.watch = fn }
 
 type group [groupPages]*page
 
@@ -162,6 +170,9 @@ func (m *Memory) LoadWord(addr uint32) (isa.Word, error) {
 	if err != nil {
 		return 0, err
 	}
+	if m.watch != nil {
+		m.watch(addr, false)
+	}
 	if p := m.find(idx); p != nil {
 		return p.words[idx&pageMask], nil
 	}
@@ -173,6 +184,9 @@ func (m *Memory) StoreWord(addr uint32, w isa.Word) error {
 	idx, err := m.check(addr)
 	if err != nil {
 		return err
+	}
+	if m.watch != nil {
+		m.watch(addr, true)
 	}
 	m.page(idx).words[idx&pageMask] = w
 	return nil
@@ -195,6 +209,9 @@ func (m *Memory) SetFE(addr uint32, full bool) error {
 	idx, err := m.check(addr)
 	if err != nil {
 		return err
+	}
+	if m.watch != nil {
+		m.watch(addr, true)
 	}
 	bit := uint64(1) << (idx % 64)
 	if full {

@@ -322,7 +322,10 @@ type FusedPort interface {
 // cache-hit port. Like the compiled tier it extends, the port changes
 // host-side dispatch only: every access it completes is bit-identical
 // to the same access through Mem.Access.
-func (p *Processor) SetFusedPort(fp FusedPort) { p.fusedPort = fp }
+func (p *Processor) SetFusedPort(fp FusedPort) {
+	p.fusedPort = fp
+	p.lanePort, _ = fp.(LanePort)
+}
 
 // fusedHit is fusedMem's counterpart for a machine with a real memory
 // system: a plain-flavored load/store that hits the local cache with
@@ -332,7 +335,9 @@ func (p *Processor) SetFusedPort(fp FusedPort) { p.fusedPort = fp }
 // an upgrade) returns false with no state touched, and the caller
 // re-executes through the full path. On a hit the op retired at cost
 // 1; Instructions/UsefulCycles accounting is the caller's (fusedOp
-// contract).
+// contract). Inside a node lane of the epoch engine the access goes
+// through the port's LaneHit, which records it in the lane's log
+// (epoch.go).
 func (p *Processor) fusedHit(f *core.Frame, u *isa.Micro) bool {
 	fp := p.fusedPort
 	if fp == nil {
@@ -359,7 +364,16 @@ func (p *Processor) fusedHit(f *core.Frame, u *isa.Micro) bool {
 	if u.Store {
 		value = e.Reg(u.Rd)
 	}
-	prev, full, ok := fp.FusedHit(ea, u.Store, value)
+	var prev isa.Word
+	var full, ok bool
+	if l := p.epoch; l != nil {
+		if p.lanePort == nil {
+			return false
+		}
+		prev, full, ok = p.lanePort.LaneHit(ea, u.Store, value, l)
+	} else {
+		prev, full, ok = fp.FusedHit(ea, u.Store, value)
+	}
 	if !ok {
 		return false
 	}

@@ -64,7 +64,7 @@ func TestEpochLogConflicts(t *testing.T) {
 			for i, pcs := range tc.lanes {
 				p := ps[i]
 				p.Engine.Frames[0].R[10] = 0x1000
-				l.save(p, p.Engine.Active())
+				l.save(p, p.Engine.Active(), len(pcs))
 				p.epoch = l
 				for _, pc := range pcs {
 					f := p.Engine.Active()

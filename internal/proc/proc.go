@@ -141,10 +141,11 @@ type Processor struct {
 	// handlers complete plain cached accesses without the full port
 	// call.
 	fusedPort FusedPort
+	lanePort  LanePort // fusedPort as a LanePort, nil when it is not one
 
-	// epoch is the log of the epoch chunk this processor is running a
-	// lane of (see epoch.go), nil outside EpochRun: fusedMem records
-	// its accesses there.
+	// epoch is the log of the epoch lane this processor is running
+	// (see epoch.go), nil outside EpochRun: fusedMem and fusedHit
+	// record their accesses there.
 	epoch *EpochLog
 }
 

@@ -66,13 +66,19 @@ func TestAlewifeSteadyStateAllocRate(t *testing.T) {
 	// 6 windows (1 warm-up + 5 measured) x 600 cycles on top of the
 	// 26k warm-up ends at cycle 29,600, inside queens(7)'s 30,290-cycle
 	// run, so the program never finishes mid-measure.
+	before := m.EpochTelemetry()
 	allocsPerWindow := testing.AllocsPerRun(5, run)
 	if werr != nil {
 		t.Fatal(werr)
 	}
 	perCycle := allocsPerWindow / window
-	t.Logf("steady state: %.1f allocs per %d-cycle window (%.4f allocs/cycle)",
-		allocsPerWindow, window, perCycle)
+	et := m.EpochTelemetry()
+	committed := et.LaneOps - et.LaneUndoneOps - (before.LaneOps - before.LaneUndoneOps)
+	t.Logf("steady state: %.1f allocs per %d-cycle window (%.4f allocs/cycle), %d lane ops committed",
+		allocsPerWindow, window, perCycle, committed)
+	if committed == 0 {
+		t.Error("no lane committed an op in the measured windows: the guard would not measure them")
+	}
 	// The tiny epsilon tolerates a stray runtime-internal allocation;
 	// the simulator itself contributes none — the seed's
 	// per-message/per-payload/per-map-entry churn was ~100 allocs per

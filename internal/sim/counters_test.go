@@ -27,25 +27,38 @@ type counterCell struct {
 }
 
 var counterCells = map[string]counterCell{
-	// 64 busy ALEWIFE nodes: the fabric's groups.
+	// 64 busy ALEWIFE nodes: the fabric's groups and the epoch
+	// engine's lanes.
 	"alewife64": {
 		cfg: snapConfig{nodes: 64, aw: true}.simConfig(),
 		groups: map[string]bool{
 			"machine": true, "network": true, "scheduler": true, "memory": true,
-			"compile": true, "park": true, "node*.proc": true, "node*.memory": true,
+			"compile": true, "epoch": true, "park": true, "node*.proc": true, "node*.memory": true,
 		},
-		neverWritten: map[string]string{
-			"compile.translated_blocks":        "ALEWIFE blocks translate only in one-stepper windows, where no entry PC reaches the threshold on 64 busy nodes",
-			"scheduler.steals":                 "continuation steals happen under lazy task creation only; this run is eager",
-			"scheduler.steal_words":            "continuation steals happen under lazy task creation only; this run is eager",
-			"scheduler.requeues":               "only a full/empty wait spinning past BlockRounds requeues; queens synchronizes through futures",
-			"compile.epoch_ops":                "epoch windows open on perfect memory only",
-			"network.in_flight":                "gauge: the fabric drains before the main thread exits",
-			"node*.memory.outstanding_remote":  "gauge: no miss is outstanding at the end of the run",
-			"node*.memory.pending_home_tx":     "gauge: no home transaction is open at the end of the run",
-			"node*.memory.deferred_recalls":    "gauge: no recall waits at the end of the run",
-			"node*.memory.outstanding_flushes": "gauge: the program issues no FLUSH",
-		},
+		neverWritten: func() map[string]string {
+			nw := map[string]string{
+				"compile.translated_blocks":        "ALEWIFE blocks translate only in one-stepper windows, where no entry PC reaches the threshold on 64 busy nodes",
+				"compile.unfusable_entries":        "likewise: on 64 busy nodes lanes leave no one-stepper window to enter a block",
+				"epoch.lane_cuts_ipi":              "queens posts no IPI",
+				"epoch.lane_cuts_bypass":           "eager queens: the run-time system reaches no word a lane touched ahead of it (lazy cells of TestLanesMatchReference do)",
+				"epoch.lane_cuts_end":              "the main thread exits while no lane runs ahead of it",
+				"scheduler.steals":                 "continuation steals happen under lazy task creation only; this run is eager",
+				"scheduler.steal_words":            "continuation steals happen under lazy task creation only; this run is eager",
+				"scheduler.requeues":               "only a full/empty wait spinning past BlockRounds requeues; queens synchronizes through futures",
+				"network.in_flight":                "gauge: the fabric drains before the main thread exits",
+				"node*.memory.outstanding_remote":  "gauge: no miss is outstanding at the end of the run",
+				"node*.memory.pending_home_tx":     "gauge: no home transaction is open at the end of the run",
+				"node*.memory.deferred_recalls":    "gauge: no recall waits at the end of the run",
+				"node*.memory.outstanding_flushes": "gauge: the program issues no FLUSH",
+			}
+			for _, k := range []string{"windows", "cycles", "ops", "partial_ops", "fallbacks", "chunks", "aborts", "replayed_ops"} {
+				nw["epoch."+k] = "epoch windows open on perfect memory only; ALEWIFE runs lanes"
+			}
+			for b := 0; b <= 16; b++ {
+				nw[fmt.Sprintf("epoch.len_p2_%d", b)] = "epoch windows open on perfect memory only; ALEWIFE runs lanes"
+			}
+			return nw
+		}(),
 	},
 	// 4 perfect-memory nodes: the epoch engine's group.
 	"perfect4": {
@@ -64,6 +77,9 @@ var counterCells = map[string]counterCell{
 			}
 			for b := 11; b <= 16; b++ {
 				nw[fmt.Sprintf("epoch.len_p2_%d", b)] = "windows of 1024 or more cycles: a trap ends every window of this run sooner"
+			}
+			for _, k := range []string{"lanes", "lane_ops", "lane_undone_ops", "lane_replayed_ops", "lane_cuts_fabric", "lane_cuts_bypass", "lane_cuts_ipi", "lane_cuts_end"} {
+				nw["epoch."+k] = "lanes run on ALEWIFE only"
 			}
 			return nw
 		}(),

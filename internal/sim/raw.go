@@ -68,12 +68,17 @@ func (m *Machine) RunFor(cycles uint64) error {
 		return nil
 	}
 	defer m.settleNow()
+	defer m.retireLanes()
+	ls := &m.lanes
+	ls.bound, ls.watch = end, false
 	for m.now < end {
 		m.fastForwardUntil(end)
 		if m.now >= end {
 			break
 		}
-		keep, err := m.stepNodes(m.dueSteps(), m.keepBuf[:0], false)
+		steps := m.dueSteps()
+		ls.start = ls.on && (len(steps) > 1 || len(ls.live) > 0)
+		keep, err := m.stepNodes(steps, m.keepBuf[:0], false)
 		if err != nil {
 			return err
 		}

@@ -83,6 +83,7 @@ var imageFields = map[reflect.Type]map[string]imageClass{
 		"epochTel":       telemetry,
 		"threshold":      host("test-only tier tuning"),
 		"windowCap":      host("test-only tier tuning"),
+		"lanes":          host("ALEWIFE lanes in flight: every run loop returns with none"),
 		"running":        in("nodeImage", "Rem"), // busyRemaining's canonical form
 		"wakeq":          in("nodeImage", "Rem"),
 		"park":           in("nodeImage", "Rem"),
@@ -127,6 +128,7 @@ var imageFields = map[reflect.Type]map[string]imageClass{
 		"delivBuf":  scratch,
 		"plan":      faultPlan,
 		"check":     host("checkers follow RestoreOverrides.Check"),
+		"laneHook":  loadTier,
 	},
 	reflect.TypeFor[cacheCtl](): {
 		"node":        wiring,
@@ -171,6 +173,7 @@ var imageFields = map[reflect.Type]map[string]imageClass{
 		"done":        loadTier,
 		"perfMem":     loadTier,
 		"fusedPort":   loadTier,
+		"lanePort":    loadTier,
 		"epoch":       host("epoch chunk log, nil between windows"),
 	},
 	reflect.TypeFor[core.Engine](): {
@@ -270,6 +273,7 @@ var imageFields = map[reflect.Type]map[string]imageClass{
 		"groups":   section("memory"),
 		"size":     section("memory"),
 		"resident": host("resident-page count, rebuilt by InstallPage"),
+		"watch":    host("epoch-lane watch on cache-bypassing accesses, installed by Load"),
 	},
 }
 

@@ -12,9 +12,10 @@ import "april/internal/mem"
 // EpochStats aggregates the epoch engine's behavior (epoch.go) over a
 // run: how often multi-node windows opened, how many cycles and
 // node-steps they absorbed, how they ended, and what their node-major
-// chunks cost. All-zero when the engine is disarmed: on ALEWIFE
-// machines and on TierReference. Pure host-side observation:
-// simulated results are bit-identical under both tiers.
+// chunks cost (perfect memory); and what ALEWIFE lanes ran, undid and
+// why they were cut back. All-zero when the engine is disarmed: on one
+// node and on TierReference. Pure host-side observation: simulated
+// results are bit-identical under both tiers.
 type EpochStats struct {
 	Windows uint64 `json:"windows" counter:"windows"` // windows that executed at least one op
 	Cycles  uint64 `json:"cycles" counter:"cycles"`   // complete simulated cycles committed inside windows
@@ -39,6 +40,22 @@ type EpochStats struct {
 	// the last bucket absorbs everything longer. The registry emits
 	// bucket b as len_p2_b.
 	LenHist [17]uint64 `json:"len_hist" counter:"len_p2"`
+
+	// ALEWIFE lanes (epoch.go): Lanes counts lanes that ran at least
+	// one op and LaneOps the ops they ran; LaneUndoneOps of those were
+	// undone by cut-backs and LaneReplayedOps re-executed to bring a
+	// cut lane to its cut. The LaneCuts* count cut-backs by cause: a
+	// fill or recall at the lane's own controller, a run-time system or
+	// block-transfer access that bypasses the caches, an IPI to the
+	// lane's node, and the end of the run (or an error).
+	Lanes           uint64 `json:"lanes" counter:"lanes"`
+	LaneOps         uint64 `json:"lane_ops" counter:"lane_ops"`
+	LaneUndoneOps   uint64 `json:"lane_undone_ops" counter:"lane_undone_ops"`
+	LaneReplayedOps uint64 `json:"lane_replayed_ops" counter:"lane_replayed_ops"`
+	LaneCutsFabric  uint64 `json:"lane_cuts_fabric" counter:"lane_cuts_fabric"`
+	LaneCutsBypass  uint64 `json:"lane_cuts_bypass" counter:"lane_cuts_bypass"`
+	LaneCutsIPI     uint64 `json:"lane_cuts_ipi" counter:"lane_cuts_ipi"`
+	LaneCutsEnd     uint64 `json:"lane_cuts_end" counter:"lane_cuts_end"`
 }
 
 // ParkStats is the park set's telemetry (wake.go): how the

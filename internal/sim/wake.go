@@ -269,3 +269,73 @@ func (s *parkSet) elide(id int, end uint64) uint64 {
 	s.elided += k
 	return k
 }
+
+// laneWheel holds the nodes asleep in ALEWIFE lanes (epoch.go), keyed
+// by the cycle their lane ends. A lane is at most laneCycles long, so
+// the wake cycles in flight span fewer than wheelSlots cycles and a
+// ring of id bitsets, one per cycle mod wheelSlots, holds them: waking
+// is a bit scan in ascending id, and a lane cut back moves its node
+// between slots in O(1), neither of which a heap entry would give.
+type laneWheel struct {
+	words int      // bitset words per slot
+	bits  []uint64 // wheelSlots x words, slot-major
+	count [wheelSlots]int
+	n     int
+}
+
+const wheelSlots = 64 // > laneCycles + 1
+
+func (w *laneWheel) init(nodes int) {
+	w.words = (nodes + 63) / 64
+	w.bits = make([]uint64, wheelSlots*w.words)
+}
+
+// push schedules node id to wake at cycle at, fewer than wheelSlots
+// cycles from now.
+func (w *laneWheel) push(id int, at uint64) {
+	s := int(at % wheelSlots)
+	w.bits[s*w.words+id>>6] |= 1 << (id & 63)
+	w.count[s]++
+	w.n++
+}
+
+// remove unschedules node id, scheduled at cycle at.
+func (w *laneWheel) remove(id int, at uint64) {
+	s := int(at % wheelSlots)
+	w.bits[s*w.words+id>>6] &^= 1 << (id & 63)
+	w.count[s]--
+	w.n--
+}
+
+// next returns the earliest scheduled wake at or after now, or noWake.
+func (w *laneWheel) next(now uint64) uint64 {
+	if w.n == 0 {
+		return noWake
+	}
+	for d := uint64(0); d < wheelSlots; d++ {
+		if w.count[(now+d)%wheelSlots] > 0 {
+			return now + d
+		}
+	}
+	return noWake
+}
+
+// popDue removes the nodes waking at cycle now and appends their ids,
+// ascending, to buf.
+func (w *laneWheel) popDue(now uint64, buf []int) []int {
+	s := int(now % wheelSlots)
+	if w.count[s] == 0 {
+		return buf
+	}
+	row := w.bits[s*w.words : (s+1)*w.words]
+	for i, word := range row {
+		for word != 0 {
+			buf = append(buf, i<<6+bits.TrailingZeros64(word))
+			word &= word - 1
+		}
+		row[i] = 0
+	}
+	w.n -= w.count[s]
+	w.count[s] = 0
+	return buf
+}
