@@ -2,6 +2,7 @@ package rts
 
 import (
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 
@@ -76,6 +77,40 @@ func TestResolveWakesWaiters(t *testing.T) {
 	}
 	if err := s.Resolve(isa.Nil, 0); err == nil {
 		t.Error("resolving a non-future succeeded")
+	}
+}
+
+// TestWaiterListsImage: the waiter lists stay ascending by future
+// address under block and resolve, an image carries them as they are,
+// and a restore refuses an image whose lists are out of order or
+// repeat an address (Resolve's binary search needs them ascending).
+func TestWaiterListsImage(t *testing.T) {
+	s := newSched(t, 1, false)
+	addrs := []uint32{0x100040, 0x100000, 0x100080, 0x100020}
+	for _, a := range addrs {
+		s.Mem.MustSetFE(a, false)
+		s.AddWaiter(a, s.NewThread(0))
+	}
+	if err := s.Resolve(isa.MakeFuture(0x100080), isa.MakeFixnum(1)); err != nil {
+		t.Fatal(err)
+	}
+	var got []uint32
+	s.ForEachWaiter(func(addr uint32, _ []int) { got = append(got, addr) })
+	if want := []uint32{0x100000, 0x100020, 0x100040}; !slices.Equal(got, want) {
+		t.Fatalf("waiter lists at %#x, want %#x", got, want)
+	}
+	img := s.DumpState()
+	if err := newSched(t, 1, false).RestoreState(img); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range [][]WaiterList{
+		{img.Waiters[1], img.Waiters[0]},
+		{img.Waiters[0], img.Waiters[0]},
+	} {
+		img.Waiters = bad
+		if err := newSched(t, 1, false).RestoreState(img); err == nil {
+			t.Errorf("restore took waiter lists at %#x and %#x", bad[0].Addr, bad[1].Addr)
+		}
 	}
 }
 

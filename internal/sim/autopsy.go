@@ -27,7 +27,12 @@ func (e *CrashError) Error() string { return e.Err.Error() }
 func (e *CrashError) Unwrap() error { return e.Err }
 
 // crash packages a run-ending error with a full machine snapshot.
+// Every crash comes between cycles, so lanes still ahead of now go back
+// first: the report shows the state at now, as the reference loop's
+// does. (The deadlock message, built before, never sees a lane ahead:
+// a lane in flight keeps lastProgress at now-1.)
 func (m *Machine) crash(reason string, err error) error {
+	m.cutLanes(-1)
 	return &CrashError{Report: m.buildReport(reason, err), Err: err}
 }
 
