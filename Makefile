@@ -68,8 +68,8 @@ ab:
 # The Table 3 grid under both execution tiers: the small grid's two
 # outputs must be byte-identical; the paper grid's -stats-json must match
 # between the compiled and reference tiers once the host-side blocks
-# (perf, epoch, park) are stripped, since long epoch chunks and lanes
-# running past a stop occur mainly at paper sizes; and an unknown tier,
+# (perf, epoch, park) are stripped, since lanes are refused and cut back
+# mainly at paper sizes; and an unknown tier,
 # or the deleted predecode tier, must be refused. 64-node ALEWIFE queens,
 # where lanes run ahead and are cut back, must print the same
 # -stats-json under both tiers eager, lazy and with the fault plan

@@ -218,6 +218,8 @@ func main() {
 		fmt.Printf("touches resolved:  %d (unresolved: %d)\n", res.TouchesResolved, res.TouchesUnresolved)
 		if opts.Alewife != nil {
 			fmt.Printf("cache-miss traps:  %d\n", res.CacheMissTraps)
+			g := opts.Alewife.Geometry
+			fmt.Printf("geometry:          %d-ary %d-cube (%d nodes)\n", g.Radix, g.Dim, g.Nodes())
 		}
 	}
 }

@@ -83,9 +83,9 @@ type RunStats struct {
 	// translation. Maintained identically by both execution tiers.
 	Kinds map[string]uint64 `json:"kinds,omitempty"`
 
-	// Epoch appears when the epoch engine committed at least one
-	// window: multi-node execution through the compiled tier
-	// (sim's epoch.go). Purely observational.
+	// Epoch appears when the epoch engine ran at least one lane:
+	// multi-node execution through the compiled tier (sim's epoch.go).
+	// Purely observational.
 	Epoch *sim.EpochStats `json:"epoch,omitempty"`
 
 	// Park appears when the run loop parked an idle node: how many idle
@@ -152,7 +152,7 @@ func RunOnce(cfg sim.Config, src string, mode mult.Mode) (RunStats, error) {
 	for _, n := range m.Nodes {
 		rs.PerNode = append(rs.PerNode, n.Proc.Stats)
 	}
-	if t := m.EpochTelemetry(); t.Windows > 0 {
+	if t := m.EpochTelemetry(); t.Lanes > 0 {
 		rs.Epoch = &t
 	}
 	if t := m.ParkTelemetry(); t.Parks > 0 {

@@ -53,13 +53,24 @@ type Memory struct {
 	resident int      // pages materialized
 
 	// watch, when set, is told of every access through LoadWord,
-	// StoreWord and SetFE before it happens: the paths of the run-time
-	// system and of block transfers, which bypass the caches.
+	// StoreWord and SetFE before it happens (the paths of the run-time
+	// system and of block transfers, which bypass the caches), and of
+	// the accesses callers announce with Watch. FE is not watched: it
+	// reads only a full/empty bit.
 	watch func(addr uint32, store bool)
 }
 
-// SetWatch installs (or, with nil, removes) the bypass-access watch.
+// SetWatch installs (or, with nil, removes) the access watch.
 func (m *Memory) SetWatch(fn func(addr uint32, store bool)) { m.watch = fn }
+
+// Watch tells the watch, if one is installed, of an access (a write
+// with store) about to be made at addr through AccessSync or
+// AccessPlain: the perfect-memory processor ports.
+func (m *Memory) Watch(addr uint32, store bool) {
+	if m.watch != nil {
+		m.watch(addr, store)
+	}
+}
 
 type group [groupPages]*page
 

@@ -172,25 +172,28 @@ func (g Geometry) Hops(src, dst int) int {
 	return h
 }
 
-// FitGeometry picks a roughly cubic (n up to 3) geometry with at least
-// nodes nodes, for machine configurations that specify only a node
-// count.
+// FitGeometry picks the geometry of exactly nodes nodes with the most
+// dimensions, up to 3 like ALEWIFE, for machine configurations that
+// specify only a node count: a cube, else a square, else a ring.
 func FitGeometry(nodes int) Geometry {
 	if nodes <= 1 {
 		return Geometry{Dim: 1, Radix: 1}
 	}
-	// Prefer 3 dimensions like ALEWIFE; shrink for tiny machines.
-	for _, dim := range []int{3, 2, 1} {
-		k := 1
-		for pow(k, dim) < nodes {
-			k++
-		}
-		if pow(k, dim) == nodes {
+	for _, dim := range []int{3, 2} {
+		if k := Root(nodes, dim); pow(k, dim) == nodes {
 			return Geometry{Dim: dim, Radix: k}
 		}
 	}
-	// No exact fit: use a 1-D ring.
 	return Geometry{Dim: 1, Radix: nodes}
+}
+
+// Root returns the largest k with k^dim <= nodes (nodes >= 1).
+func Root(nodes, dim int) int {
+	k := 1
+	for pow(k+1, dim) <= nodes {
+		k++
+	}
+	return k
 }
 
 func pow(k, n int) int {

@@ -51,21 +51,30 @@ func TestAvgHopsMatchesPaper(t *testing.T) {
 
 func TestFitGeometry(t *testing.T) {
 	cases := map[int]Geometry{
-		1:  {Dim: 1, Radix: 1},
-		8:  {Dim: 3, Radix: 2},
-		27: {Dim: 3, Radix: 3},
-		64: {Dim: 3, Radix: 4},
-		16: {Dim: 2, Radix: 4},
-		4:  {Dim: 2, Radix: 2},
+		1:    {Dim: 1, Radix: 1},
+		2:    {Dim: 1, Radix: 2},
+		8:    {Dim: 3, Radix: 2},
+		27:   {Dim: 3, Radix: 3},
+		64:   {Dim: 3, Radix: 4},
+		1000: {Dim: 3, Radix: 10},
+		5832: {Dim: 3, Radix: 18},
+		16:   {Dim: 2, Radix: 4},
+		4:    {Dim: 2, Radix: 2},
+		100:  {Dim: 2, Radix: 10},
+		// Neither a cube nor a square: a ring of every node.
+		6:    {Dim: 1, Radix: 6},
+		128:  {Dim: 1, Radix: 128},
+		6000: {Dim: 1, Radix: 6000},
 	}
 	for nodes, want := range cases {
-		if got := FitGeometry(nodes); got != want {
+		if got := FitGeometry(nodes); got != want || got.Nodes() != nodes {
 			t.Errorf("FitGeometry(%d) = %+v, want %+v", nodes, got, want)
 		}
 	}
-	// Non-perfect counts get a ring.
-	if g := FitGeometry(6); g.Nodes() != 6 {
-		t.Errorf("FitGeometry(6) = %+v does not cover 6 nodes", g)
+	for _, c := range []struct{ nodes, dim, want int }{{1, 3, 1}, {7, 3, 1}, {8, 3, 2}, {6000, 3, 18}, {8000, 3, 20}, {99, 2, 9}} {
+		if got := Root(c.nodes, c.dim); got != c.want {
+			t.Errorf("Root(%d, %d) = %d, want %d", c.nodes, c.dim, got, c.want)
+		}
 	}
 }
 

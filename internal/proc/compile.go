@@ -252,8 +252,9 @@ outer:
 // out-of-range) returns false with no state touched, and the caller
 // re-executes through the full path. On a hit the op retired at cost
 // 1; Instructions/UsefulCycles accounting is the caller's (fusedOp
-// contract). Inside a lane of an epoch chunk the access is recorded in
-// the chunk's log, which may refuse it (epoch.go).
+// contract). Inside a lane the access is recorded in the lane's log,
+// which may refuse it; outside one it is shown to the memory's watch
+// first, as every access outside the lanes is (epoch.go).
 func (p *Processor) fusedMem(f *core.Frame, u *isa.Micro) bool {
 	mm := p.perfMem
 	if mm == nil {
@@ -284,10 +285,11 @@ func (p *Processor) fusedMem(f *core.Frame, u *isa.Micro) bool {
 	var full bool
 	if l := p.epoch; l != nil {
 		var ok bool
-		if prev, full, ok = l.access(mm, ea/mem.WordBytes, u.Store, value); !ok {
+		if prev, full, ok = l.access(p.ID, ea/mem.WordBytes, u.Store, value); !ok {
 			return false
 		}
 	} else {
+		mm.Watch(ea, u.Store)
 		prev, full = mm.AccessPlain(ea/mem.WordBytes, u.Store, value)
 	}
 	f.PSR = f.PSR.WithFull(full)
@@ -335,9 +337,8 @@ func (p *Processor) SetFusedPort(fp FusedPort) {
 // an upgrade) returns false with no state touched, and the caller
 // re-executes through the full path. On a hit the op retired at cost
 // 1; Instructions/UsefulCycles accounting is the caller's (fusedOp
-// contract). Inside a node lane of the epoch engine the access goes
-// through the port's LaneHit, which records it in the lane's log
-// (epoch.go).
+// contract). Inside a lane the access goes through the port's
+// LaneHit, which records it in the lane's log (epoch.go).
 func (p *Processor) fusedHit(f *core.Frame, u *isa.Micro) bool {
 	fp := p.fusedPort
 	if fp == nil {

@@ -11,84 +11,60 @@ package proc
 // interlocked lines) stops it before that op with the op untouched;
 // the machine then runs that op per-op at its exact cycle.
 //
-// An EpochLog records what lanes touched, so the machine can undo
-// them. It has two modes, one per memory system:
-//
-//   - Chunks (perfect memory): the lanes of one chunk run in order.
-//     The log records every word each lane touches and the old value
-//     of every word it stores, and aborts the chunk on a word touched
-//     by two lanes with at least one store, on a store to a page that
-//     is not resident (a word can be undone, a page cannot), or when
-//     it is full.
-//   - Node lanes (ALEWIFE): each node has at most one lane in flight,
-//     begun whenever the machine chose. The log records every word
-//     the lane touched and every cache line it hit, with their values
-//     before, so the machine can tell which outside actions reach
-//     into the lane and cut it back (Cut) before they do.
-//
-// Both modes save every lane's starting processor state; a rollback
-// restores it and undoes the lane's stores (and, for node lanes, its
-// cache hits) newest first.
+// An EpochLog holds each node's lane in flight: its starting processor
+// state, every word it touched (with the value before, for a store)
+// and, on ALEWIFE, every cache line it hit, so the machine can cut the
+// lane back (Cut) before an outside action reaches into it. On perfect
+// memory, where no cache keeps lanes apart, the log also indexes the
+// touched words: a lane refuses an op that would touch a word another
+// lane in flight touched where either side stores (access), and the
+// machine asks which lanes an access outside them reaches (Reaches).
+// DESIGN.md ("Epoch execution") has the exactness argument.
 
 import (
+	"math/bits"
+
 	"april/internal/cache"
 	"april/internal/core"
 	"april/internal/isa"
 	"april/internal/mem"
 )
 
-// EpochBudget bounds the ops of one chunk (its cycles times its lanes),
-// and with it the undo log: a chunk stores at most one word per op.
-// Chunks of two or more cycles therefore have at most EpochBudget/2
-// lanes.
-const EpochBudget = 512
-
-// The access table is open-addressed on exact word indexes. A slot
-// holds the word index in its low 32 bits, then a stored bit, a shared
-// bit (read by two or more lanes), the touching lane and the chunk
-// generation; a slot of an older generation is empty, so starting a
-// chunk clears nothing.
-const (
-	logSlotBits   = 9
-	logSlots      = 1 << logSlotBits // 4 KiB
-	logFull       = logSlots / 2     // distinct words per chunk: keeps probes short
-	slotStored    = 1 << 32
-	slotShared    = 1 << 33
-	slotLaneShift = 34 // 8 bits: lanes < EpochBudget/2
-	slotGenShift  = 42
-	maxGen        = 1<<(64-slotGenShift) - 1
-)
-
-// EpochLog is a machine's record of the lanes in flight: for chunks,
-// the access table, the undo log and each lane's starting state; for
-// node lanes, one lane record per node. Allocated once per machine and
-// reused.
+// EpochLog is a machine's record of its lanes in flight, one per node,
+// allocated once per machine and reused.
 type EpochLog struct {
-	slots [logSlots]uint64
-	gen   uint64
-	used  int
-	undo  [EpochBudget]undoEntry
-	nundo int
-	lanes []laneSave // in run order; lanes[:n] began this chunk
-	n     int
-	abort bool
-
-	// Node lanes: the record of each node's lane in flight, nil when it
-	// has none; free holds retired records for reuse. mem is the memory
-	// the lanes' cache hits read and write.
+	// byNode holds each node's lane record, nil when it has none; free
+	// holds retired records for reuse. mem is the memory the lanes
+	// read and write, cur the lane EpochRun is running.
 	byNode []*laneSave
 	free   []*laneSave
 	mem    *mem.Memory
-	cur    *laneSave // the node lane EpochRun is running
+	cur    *laneSave
+
+	// The word index (perfect memory): an open-addressed table, linear
+	// probing on word indexes, of every word a lane in flight touched.
+	// A lane's entries leave when it retires or is cut back, so the
+	// table holds live entries only and grows to stay a quarter full.
+	// reach is Reaches' scratch.
+	index []uint64 // touchKey values; 0 is an empty slot
+	shift uint     // 32 - log2(len(index))
+	used  int
+	reach []int
 }
 
-type undoEntry struct {
-	idx uint32 // word index
-	old isa.Word
+// touchKey is a word index entry: the word, the lane's node, and
+// whether the lane stored to the word.
+func touchKey(idx uint32, node int, store bool) uint64 {
+	return uint64(idx)<<32 | uint64(node+1)<<1 | uint64(b2u(store))
 }
 
-// Touch is one word a node lane read or wrote: its index, whether the
-// lane stored to it, and (for a store) the word as it was.
+// minIndex is the word index's first size, in slots.
+const minIndex = 256
+
+// Touch is one word a lane read or wrote: its index, whether the lane
+// stored to it, and (for a store) the word as it was. On perfect memory
+// a lane records only its first store to each word, which is all a cut
+// needs: the word index holds the rest.
 type Touch struct {
 	Idx    uint32
 	Stored bool
@@ -96,62 +72,37 @@ type Touch struct {
 }
 
 // laneSave is everything EpochRun can change on a processor, as it was
-// when the lane began, plus what the lane touched outside it: for a
-// chunk lane, its span of the undo log; for a node lane, its words,
-// the cache lines it hit and the cache's clock before the first hit.
+// when the lane began, plus what the lane touched outside it: its
+// words, the cache lines it hit and the cache's clock before the first
+// hit, and (keys) the words it entered in the word index.
 type laneSave struct {
 	frame                               core.Frame
 	globals                             [isa.NumGlobalRegs]isa.Word
 	instructions, useful, loads, stores uint64
 	epochOps                            uint64
 	kinds                               [isa.NumMicroKinds]uint64
-	undo, end                           int
-	ran                                 int
 
 	words  []Touch
 	lines  []cache.LineUndo
 	mark   cache.Mark
 	marked bool
+	keys   []uint32
 }
 
-// NewEpochLog returns a log for chunks of up to nodes lanes.
-func NewEpochLog(nodes int) *EpochLog {
-	return &EpochLog{lanes: make([]laneSave, min(nodes, EpochBudget/2))}
-}
-
-// NewLaneLog returns a log for node lanes on a machine of the given
-// size whose caches front mm. Records are allocated as lanes begin and
-// reused once retired, so the log grows with the lanes in flight at
-// once, not with the machine.
+// NewLaneLog returns a log for the lanes of a machine of the given
+// size over mm. Records are allocated as lanes begin and reused once
+// retired, so the log grows with the lanes in flight at once, not with
+// the machine.
 func NewLaneLog(nodes int, mm *mem.Memory) *EpochLog {
-	return &EpochLog{byNode: make([]*laneSave, nodes), mem: mm}
-}
-
-// Begin starts a chunk: no words touched, nothing to undo, no lanes.
-func (l *EpochLog) Begin() {
-	if l.gen++; l.gen > maxGen {
-		clear(l.slots[:])
-		l.gen = 1
+	return &EpochLog{
+		byNode: make([]*laneSave, nodes), mem: mm,
+		index: make([]uint64, minIndex), shift: uint(32 - bits.Len(minIndex-1)),
 	}
-	l.used, l.nundo, l.n = 0, 0, 0
-}
-
-// Ran reports how many ops lane executed in this chunk.
-func (l *EpochLog) Ran(lane int) int { return l.lanes[lane].ran }
-
-// Rollback returns lane's processor to the state its chunk began in:
-// the lane's stores are undone newest first, then its frame, globals,
-// counters and Kinds restored.
-func (l *EpochLog) Rollback(p *Processor, lane int) {
-	s := &l.lanes[lane]
-	for i := s.end - 1; i >= s.undo; i-- {
-		p.perfMem.AccessPlain(l.undo[i].idx, true, l.undo[i].old)
-	}
-	s.restore(p)
 }
 
 // Touches lists the words node's lane in flight touched, in order (nil
-// when it has none).
+// when it has none): on ALEWIFE every hit, on perfect memory the first
+// store to each word.
 func (l *EpochLog) Touches(node int) []Touch {
 	if s := l.byNode[node]; s != nil {
 		return s.words
@@ -160,11 +111,11 @@ func (l *EpochLog) Touches(node int) []Touch {
 }
 
 // Cut returns p's lane to its first n ops: the lane is rolled back to
-// its start (its stores and cache hits undone newest first, then the
-// processor restored) and its first n ops run again. The replay is
-// exact when nothing outside the lane has changed what the lane
-// touched since it ran, which the machine guarantees by cutting before
-// any such change.
+// its start (its stores and cache hits undone newest first, its words
+// taken out of the index, then the processor restored) and its first n
+// ops run again. The replay is exact when nothing outside the lane has
+// changed what the lane touched since it ran, which the machine
+// guarantees by cutting before any such change.
 func (l *EpochLog) Cut(p *Processor, n int) {
 	s := l.byNode[p.ID]
 	for i := len(s.words) - 1; i >= 0; i-- {
@@ -178,8 +129,9 @@ func (l *EpochLog) Cut(p *Processor, n int) {
 	if s.marked {
 		s.mark.Rewind()
 	}
+	l.unindex(p.ID, s)
 	s.restore(p)
-	if ran, _ := p.EpochRun(n, l); ran != n {
+	if ran := p.EpochRun(n, l); ran != n {
 		panic("proc: a cut lane's replay diverged from its first run")
 	}
 }
@@ -187,6 +139,7 @@ func (l *EpochLog) Cut(p *Processor, n int) {
 // Retire drops node's lane record: the lane is committed.
 func (l *EpochLog) Retire(node int) {
 	if s := l.byNode[node]; s != nil {
+		l.unindex(node, s)
 		l.byNode[node] = nil
 		l.free = append(l.free, s)
 	}
@@ -202,29 +155,22 @@ func (s *laneSave) restore(p *Processor) {
 	p.Kinds = s.kinds
 }
 
-// save begins the next lane with p, whose active frame is f: the
-// chunk's next lane in run order, or p's node lane of up to n ops.
+// save begins p's lane of up to n ops, whose active frame is f.
 func (l *EpochLog) save(p *Processor, f *core.Frame, n int) {
-	var s *laneSave
-	if l.byNode != nil {
-		if s = l.byNode[p.ID]; s == nil {
-			if k := len(l.free); k > 0 {
-				s, l.free = l.free[k-1], l.free[:k-1]
-			} else {
-				s = new(laneSave)
-			}
-			l.byNode[p.ID] = s
+	s := l.byNode[p.ID]
+	if s == nil {
+		if k := len(l.free); k > 0 {
+			s, l.free = l.free[k-1], l.free[:k-1]
+		} else {
+			s = new(laneSave)
 		}
-		if cap(s.words) < n { // at most one hit per op: sized once
-			s.words, s.lines = make([]Touch, 0, n), make([]cache.LineUndo, 0, n)
-		}
-		s.words, s.lines, s.marked = s.words[:0], s.lines[:0], false
-		l.cur = s
-	} else {
-		s = &l.lanes[l.n]
-		l.n++
-		s.undo = l.nundo
+		l.byNode[p.ID] = s
 	}
+	if cap(s.words) < n { // at most one access per op: sized once
+		s.words, s.lines, s.keys = make([]Touch, 0, n), make([]cache.LineUndo, 0, n), make([]uint32, 0, n)
+	}
+	s.words, s.lines, s.marked = s.words[:0], s.lines[:0], false
+	l.cur = s
 	s.frame = *f
 	s.globals = p.Engine.Globals
 	s.instructions, s.useful = p.Stats.Instructions, p.Stats.UsefulCycles
@@ -233,7 +179,7 @@ func (l *EpochLog) save(p *Processor, f *core.Frame, n int) {
 	s.kinds = p.Kinds
 }
 
-// NoteHit records, for the node lane in progress, a cache hit about to
+// NoteHit records, for the lane in progress, a cache hit about to
 // commit on line ln of cache c: the line's state before it, the cache
 // clock before the lane's first hit, and the word the hit reads or
 // (with store) overwrites, whose value before is prev.
@@ -246,89 +192,152 @@ func (l *EpochLog) NoteHit(c *cache.Cache, ln cache.Line, idx uint32, store bool
 	s.words = append(s.words, Touch{Idx: idx, Stored: store, old: prev})
 }
 
-// access is fusedMem's plain access for the lane in progress, recorded
-// in the table and, for a store, the undo log. ok=false means it
-// aborted the chunk and touched nothing: the word was touched by
-// another lane and one of the two accesses stores, the table is full,
-// or the store is to a page that is not resident.
-func (l *EpochLog) access(mm *mem.Memory, idx uint32, store bool, value isa.Word) (prev isa.Word, full, ok bool) {
-	lane := uint64(l.n - 1)
-	h := idx * 0x9E3779B1 >> (32 - logSlotBits)
-	for {
-		s := &l.slots[h]
-		if *s>>slotGenShift != l.gen {
-			if l.used == logFull {
-				l.abort = true
-				return 0, false, false
+// access is fusedMem's plain access for node's lane in progress on
+// perfect memory. ok=false means the lane refuses the op and nothing
+// was touched: another lane in flight touched the word and one of the
+// two stores, or it is a store to a page that is not resident.
+// Otherwise the access is made and entered in the index.
+//
+// Two lanes' entries of one word are both loads: the second would have
+// been refused otherwise. So a load that finds its own entry, and any
+// access that finds its own stored one, is decided there.
+func (l *EpochLog) access(node int, idx uint32, store bool, value isa.Word) (prev isa.Word, full, ok bool) {
+	mask := uint32(len(l.index) - 1)
+	h := idx * 0x9E3779B1 >> l.shift
+	key := touchKey(idx, node, false)
+	own := -1
+	for ; l.index[h] != 0; h = (h + 1) & mask {
+		e := l.index[h]
+		switch {
+		case e>>32 != uint64(idx):
+		case e&^1 == key:
+			if !store || e&1 != 0 {
+				return l.mem.AccessResident(idx, store, value)
 			}
-			l.used++
-			*s = l.gen<<slotGenShift | lane<<slotLaneShift | uint64(idx)
-			break
+			own = int(h) // a load of its own, about to store
+		case store || e&1 != 0:
+			return 0, false, false
 		}
-		if uint32(*s) == idx {
-			if *s&slotShared != 0 || *s>>slotLaneShift&0xff != lane {
-				if store || *s&slotStored != 0 {
-					l.abort = true
-					return 0, false, false
-				}
-				*s |= slotShared
-			}
-			break
-		}
-		h = (h + 1) & (logSlots - 1)
 	}
-	if !store {
-		prev, full, _ = mm.AccessResident(idx, false, 0)
-		return prev, full, true
-	}
-	if prev, full, ok = mm.AccessResident(idx, true, value); !ok {
-		l.abort = true
+	if prev, full, ok = l.mem.AccessResident(idx, store, value); !ok {
 		return 0, false, false
 	}
-	l.slots[h] |= slotStored
-	l.undo[l.nundo] = undoEntry{idx, prev}
-	l.nundo++
+	s := l.cur
+	if own >= 0 {
+		l.index[own] |= 1
+	} else {
+		l.insert(touchKey(idx, node, store), h)
+		s.keys = append(s.keys, idx)
+	}
+	if store {
+		s.words = append(s.words, Touch{Idx: idx, Stored: true, old: prev})
+	}
 	return prev, full, true
 }
 
+// insert enters key at the empty slot h ending its chain, growing the
+// table first when that would fill more than a quarter of it.
+func (l *EpochLog) insert(key uint64, h uint32) {
+	if 4*(l.used+1) > len(l.index) {
+		old := l.index
+		l.index = make([]uint64, 2*len(old))
+		l.shift--
+		for _, e := range old {
+			if e != 0 {
+				l.index[l.chainEnd(uint32(e>>32))] = e
+			}
+		}
+		h = l.chainEnd(uint32(key >> 32))
+	}
+	l.index[h] = key
+	l.used++
+}
+
+// chainEnd returns the empty slot ending word idx's chain.
+func (l *EpochLog) chainEnd(idx uint32) uint32 {
+	mask := uint32(len(l.index) - 1)
+	h := idx * 0x9E3779B1 >> l.shift
+	for l.index[h] != 0 {
+		h = (h + 1) & mask
+	}
+	return h
+}
+
+// unindex takes node's lane s's words out of the index, closing each
+// gap by moving later entries of the cluster back to their chain.
+func (l *EpochLog) unindex(node int, s *laneSave) {
+	mask := uint32(len(l.index) - 1)
+	for _, idx := range s.keys {
+		own := touchKey(idx, node, false)
+		h := idx * 0x9E3779B1 >> l.shift
+		for l.index[h]&^1 != own {
+			h = (h + 1) & mask
+		}
+		for j := (h + 1) & mask; l.index[j] != 0; j = (j + 1) & mask {
+			// The entry at j may fill the gap at h unless its home slot
+			// lies cyclically in (h, j].
+			if home := uint32(l.index[j]>>32) * 0x9E3779B1 >> l.shift; (j-home)&mask >= (j-h)&mask {
+				l.index[h], h = l.index[j], j
+			}
+		}
+		l.index[h] = 0
+		l.used--
+	}
+	s.keys = s.keys[:0]
+}
+
+// Reaches lists the nodes whose lanes in flight an access outside any
+// lane to word idx (a store with store) conflicts with: each touched
+// the word, and the lane or the access stores. The slice is reused by
+// the next call.
+func (l *EpochLog) Reaches(idx uint32, store bool) []int {
+	l.reach = l.reach[:0]
+	mask := uint32(len(l.index) - 1)
+	for h := idx * 0x9E3779B1 >> l.shift; l.index[h] != 0; h = (h + 1) & mask {
+		if e := l.index[h]; e>>32 == uint64(idx) && (store || e&1 != 0) {
+			l.reach = append(l.reach, int(uint32(e)>>1)-1)
+		}
+	}
+	return l.reach
+}
+
+func b2u(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // LanePort is implemented by memory ports whose clock-free cache hits
-// can run inside a node lane: LaneHit is FusedHit that also refuses a
-// hit on an interlocked line and a store to a page that is not
-// resident, and records the hit in l (NoteHit) before committing it.
+// can run inside a lane: LaneHit is FusedHit that also refuses a hit
+// on an interlocked line and a store to a page that is not resident,
+// and records the hit in l (NoteHit) before committing it.
 type LanePort interface {
 	LaneHit(addr uint32, store bool, value isa.Word, l *EpochLog) (prev isa.Word, full, ok bool)
 }
 
-// EpochRun executes up to n of the processor's next ops back to back
-// while each is epoch-safe: a running thread at an in-bounds PC whose
-// op the superinstruction handlers complete without trapping, erroring,
-// or reaching outside the node. It stops before the first op that is
-// not, with that op untouched, and returns how many ran. Each retired
-// at cost 1 with the same state transformation, stats and dispatch
-// accounting (Kinds) as a plain Step; Kinds counts only completed ops,
-// since the per-op path counts the refused one's own dispatch.
-//
-// With a nil log the ops execute as they would at consecutive cycles
-// of the reference loop with no other node stepping. With a log they
-// run as
-// a lane: the lane's starting state is saved and its accesses
-// recorded, and abort reports that one of them aborted the chunk,
-// whose lanes the caller must then roll back. The lanes of one chunk
-// run at most EpochBudget ops together.
-func (p *Processor) EpochRun(n int, l *EpochLog) (ran int, abort bool) {
+// EpochRun runs up to n of the processor's next ops as a lane in l,
+// back to back while each is epoch-safe: a running thread at an
+// in-bounds PC whose op the superinstruction handlers complete without
+// trapping, erroring, reaching outside the node or being refused by
+// the log. It stops before the first op that is not, with that op
+// untouched, and returns how many ran. Each retired at cost 1 with the
+// same state transformation, stats and dispatch accounting (Kinds) as
+// a plain Step; Kinds counts only completed ops, since the per-op path
+// counts the refused one's own dispatch. The lane's starting state is
+// saved and its accesses recorded, so l can cut it back.
+func (p *Processor) EpochRun(n int, l *EpochLog) (ran int) {
 	f := p.Engine.Active()
-	if l != nil {
-		l.save(p, f, n)
-		p.epoch = l
-	}
+	l.save(p, f, n)
+	p.epoch = l
 	if !p.Halted && p.ipiHead == len(p.pendingIPI) && f.ThreadID >= 0 && p.blocks != nil {
 		m := p.micro
 		perfect := p.perfMem != nil
 		for ran < n && uint64(f.PC) < uint64(len(m)) {
 			u := &m[f.PC]
 			// A memory op skips fusedOp's dispatch: perfect memory runs
-			// the plain access, ALEWIFE a cache hit, which inside a
-			// node lane goes through the port's LaneHit.
+			// the plain access, ALEWIFE a cache hit, each through the
+			// lane's log.
 			if u.Kind == isa.MMem {
 				if perfect {
 					if !p.fusedMem(f, u) {
@@ -348,15 +357,6 @@ func (p *Processor) EpochRun(n int, l *EpochLog) (ran int, abort bool) {
 	p.Stats.Instructions += r
 	p.Stats.UsefulCycles += r
 	p.EpochOps += r
-	if l != nil {
-		p.epoch = nil
-		if l.byNode != nil {
-			l.byNode[p.ID].ran = ran
-		} else {
-			s := &l.lanes[l.n-1]
-			s.end, s.ran = l.nundo, ran
-			abort, l.abort = l.abort, false
-		}
-	}
-	return ran, abort
+	p.epoch = nil
+	return ran
 }

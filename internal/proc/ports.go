@@ -96,8 +96,11 @@ type PerfectPort struct {
 	Mem *mem.Memory
 }
 
-// Access implements MemPort.
+// Access implements MemPort. The memory's watch sees the access first
+// (FEAccess's full/empty side effect goes through SetFE, which it
+// watches itself).
 func (p *PerfectPort) Access(addr uint32, f isa.MemFlavor, store bool, value isa.Word) (MemResult, error) {
+	p.Mem.Watch(addr, store)
 	return FEAccess(p.Mem, addr, f, store, value)
 }
 

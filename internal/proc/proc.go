@@ -110,8 +110,8 @@ type Processor struct {
 
 	// FusedOps counts dispatches executed inside StepFused windows,
 	// InlineSteps the single Steps resolved by the superinstruction
-	// handlers outside a window, and EpochOps the ops executed by
-	// EpochRun inside multi-node epoch windows — compile-tier coverage
+	// handlers outside a window, and EpochOps the ops committed by
+	// EpochRun in the epoch engine's lanes — compile-tier coverage
 	// telemetry (the "compile" counter group), outside Stats for the
 	// same reason as Kinds.
 	FusedOps    uint64 `counter:"fused_ops"`

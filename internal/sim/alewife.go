@@ -24,13 +24,20 @@ import (
 type AlewifeConfig struct {
 	Cache      cache.Config     // zero value -> Table 4 default (64 KB, 16 B blocks)
 	MemLatency int              // DRAM access, default 10 cycles (Table 4)
-	Geometry   network.Geometry // zero -> fitted to the node count
+	Geometry   network.Geometry // zero -> fitted: a cube, a square, or a ring of up to 64 nodes
 	IdealNet   bool             // constant-latency network instead of the torus
 	IdealLat   int              // one-way latency for IdealNet
 
 	// PollCycles is the MHOLD retry interval for wait-on-miss flavors.
 	PollCycles int
 }
+
+// maxDerivedRing is the longest ring fill derives from a node count
+// alone. A count that is neither a cube nor a square gets a ring, and
+// a long ring's hop counts make a run orders of magnitude slower than
+// the nearest cube's: queens 8 took 13.05M cycles on 6000 nodes,
+// against 132,515 on 5832 (an 18-ary 3-cube).
+const maxDerivedRing = 64
 
 func (a *AlewifeConfig) fill(nodes int) error {
 	if a.Cache == (cache.Config{}) {
@@ -47,6 +54,11 @@ func (a *AlewifeConfig) fill(nodes int) error {
 	}
 	if a.Geometry == (network.Geometry{}) {
 		a.Geometry = network.FitGeometry(nodes)
+		if g := a.Geometry; g.Dim == 1 && g.Radix > maxDerivedRing {
+			k := network.Root(nodes, 3)
+			return fmt.Errorf("sim: %d nodes make no cube or square, and a ring of more than %d nodes is too slow to be meant: use %d or %d nodes, or set AlewifeConfig.Geometry",
+				nodes, maxDerivedRing, k*k*k, (k+1)*(k+1)*(k+1))
+		}
 	}
 	g := a.Geometry
 	if g.Dim < 1 || g.Dim > maxTorusDim || g.Radix < 1 || g.Radix > maxNodes {

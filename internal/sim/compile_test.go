@@ -35,7 +35,7 @@ type compiledOutcome struct {
 }
 
 // runCompileSide builds, loads, and runs one machine, applying the
-// tuning hooks (sim.Threshold, sim.WindowCap) before Load. cfg.Profile
+// tuning hooks (sim.Threshold, sim.LaneCap) before Load. cfg.Profile
 // is forced to APRIL; everything else is the caller's.
 func runCompileSide(t *testing.T, src string, cfg sim.Config, tune ...func(*sim.Machine)) compiledOutcome {
 	t.Helper()

@@ -1,7 +1,6 @@
 package sim_test
 
 import (
-	"fmt"
 	"regexp"
 	"sort"
 	"testing"
@@ -40,7 +39,7 @@ var counterCells = map[string]counterCell{
 				"compile.translated_blocks":        "ALEWIFE blocks translate only in one-stepper windows, where no entry PC reaches the threshold on 64 busy nodes",
 				"compile.unfusable_entries":        "likewise: on 64 busy nodes lanes leave no one-stepper window to enter a block",
 				"epoch.lane_cuts_ipi":              "queens posts no IPI",
-				"epoch.lane_cuts_bypass":           "eager queens: the run-time system reaches no word a lane touched ahead of it (lazy cells of TestLanesMatchReference do)",
+				"epoch.lane_cuts_word":             "eager queens: the run-time system reaches no word a lane touched ahead of it (lazy cells of TestLanesMatchReference do)",
 				"epoch.lane_cuts_end":              "the main thread exits while no lane runs ahead of it",
 				"scheduler.steals":                 "continuation steals happen under lazy task creation only; this run is eager",
 				"scheduler.steal_words":            "continuation steals happen under lazy task creation only; this run is eager",
@@ -51,16 +50,10 @@ var counterCells = map[string]counterCell{
 				"node*.memory.deferred_recalls":    "gauge: no recall waits at the end of the run",
 				"node*.memory.outstanding_flushes": "gauge: the program issues no FLUSH",
 			}
-			for _, k := range []string{"windows", "cycles", "ops", "partial_ops", "fallbacks", "chunks", "aborts", "replayed_ops"} {
-				nw["epoch."+k] = "epoch windows open on perfect memory only; ALEWIFE runs lanes"
-			}
-			for b := 0; b <= 16; b++ {
-				nw[fmt.Sprintf("epoch.len_p2_%d", b)] = "epoch windows open on perfect memory only; ALEWIFE runs lanes"
-			}
 			return nw
 		}(),
 	},
-	// 4 perfect-memory nodes: the epoch engine's group.
+	// 4 perfect-memory nodes: the epoch engine's lanes without a fabric.
 	"perfect4": {
 		cfg: sim.Config{Nodes: 4, Profile: rts.APRIL},
 		groups: map[string]bool{
@@ -69,17 +62,18 @@ var counterCells = map[string]counterCell{
 		},
 		neverWritten: func() map[string]string {
 			nw := map[string]string{
-				"machine.wait_cycles":    "perfect memory never holds the processor",
-				"node*.proc.wait_cycles": "perfect memory never holds the processor",
-				"scheduler.steals":       "continuation steals happen under lazy task creation only; this run is eager",
-				"scheduler.steal_words":  "continuation steals happen under lazy task creation only; this run is eager",
-				"scheduler.requeues":     "only a full/empty wait spinning past BlockRounds requeues; queens synchronizes through futures",
-			}
-			for b := 11; b <= 16; b++ {
-				nw[fmt.Sprintf("epoch.len_p2_%d", b)] = "windows of 1024 or more cycles: a trap ends every window of this run sooner"
-			}
-			for _, k := range []string{"lanes", "lane_ops", "lane_undone_ops", "lane_replayed_ops", "lane_cuts_fabric", "lane_cuts_bypass", "lane_cuts_ipi", "lane_cuts_end"} {
-				nw["epoch."+k] = "lanes run on ALEWIFE only"
+				"machine.wait_cycles":       "perfect memory never holds the processor",
+				"node*.proc.wait_cycles":    "perfect memory never holds the processor",
+				"scheduler.steals":          "continuation steals happen under lazy task creation only; this run is eager",
+				"scheduler.steal_words":     "continuation steals happen under lazy task creation only; this run is eager",
+				"scheduler.requeues":        "only a full/empty wait spinning past BlockRounds requeues; queens synchronizes through futures",
+				"compile.unfusable_entries": "on 4 busy nodes lanes leave no one-stepper window to enter a block that cannot fuse",
+				"epoch.lane_cuts_fabric":    "perfect memory has no fabric",
+				"epoch.lane_cuts_word":      "eager queens: no access outside the lanes reaches a word a lane touched ahead of it (the perfect-memory cells of TestLanesMatchReference do)",
+				"epoch.lane_cuts_ipi":       "queens posts no IPI",
+				"epoch.lane_cuts_end":       "the main thread exits while no lane runs ahead of it",
+				"epoch.lane_undone_ops":     "no lane is cut back (above)",
+				"epoch.lane_replayed_ops":   "no lane is cut back (above)",
 			}
 			return nw
 		}(),

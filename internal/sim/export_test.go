@@ -16,8 +16,8 @@ import (
 // executed n times (1 = on first entry).
 func Threshold(n int) func(*Machine) { return func(m *Machine) { m.threshold = n } }
 
-// WindowCap caps epoch windows at k cycles (1 = no window opens).
-func WindowCap(k uint64) func(*Machine) { return func(m *Machine) { m.windowCap = k } }
+// LaneCap caps epoch lanes at k-1 ops (1 = no lane starts).
+func LaneCap(k uint64) func(*Machine) { return func(m *Machine) { m.laneCap = k } }
 
 // NodeCache is node's cache (nil on perfect memory).
 func NodeCache(m *Machine, node int) *cache.Cache {

@@ -92,9 +92,9 @@ type Tier uint8
 const (
 	// TierCompiled, the default: the work-proportional loop (wake.go)
 	// over the predecoded image, with hot basic blocks fused into
-	// superinstructions (compile.go) and the multi-node epoch engine
-	// (epoch.go): windows on perfect memory, lanes on ALEWIFE. Ops the
-	// superinstruction handlers refuse run on the opcode switch.
+	// superinstructions (compile.go) and the multi-node epoch engine's
+	// lanes (epoch.go). Ops the superinstruction handlers refuse run on
+	// the opcode switch.
 	TierCompiled Tier = iota
 	// TierReference: dense per-cycle stepping through the opcode-switch
 	// interpreter.
@@ -162,22 +162,20 @@ type Machine struct {
 	now        uint64
 	loaded     bool
 
-	// compileOn reports that Load armed the fused-block tier on every
-	// node; the run loops then try fusedStep (compile.go) whenever a
-	// cycle has exactly one stepper. epochOn additionally arms the
-	// multi-node epoch engine (epoch.go) for cycles with two or more
-	// steppers: windows of node-major chunks on perfect memory, lanes
-	// on ALEWIFE; epochLog is its log (nil on one node), epochTel its
-	// telemetry (see telemetry.go) and lanes the lanes in flight. threshold
-	// (0 = isa.DefaultCompileThreshold) and windowCap (0 = none) are
-	// zero outside tests, which set them to translate every block on
-	// first entry or to cap epoch windows.
+	// compileOn reports that Load armed the compiled tier on every
+	// node: the run loops then try fusedStep (compile.go) whenever a
+	// cycle has exactly one stepper, and on two or more nodes run the
+	// epoch engine's lanes (epoch.go) in cycles with two or more.
+	// epochLog is the lanes' log (nil on one node), epochTel their
+	// telemetry (see telemetry.go) and lanes the lanes in flight.
+	// threshold (0 = isa.DefaultCompileThreshold) and laneCap (0 =
+	// laneCycles) are zero outside tests, which set them to translate
+	// every block on first entry or to cap lanes (1: no lane).
 	compileOn bool
-	epochOn   bool
 	epochLog  *proc.EpochLog
 	epochTel  EpochStats
 	threshold int
-	windowCap uint64
+	laneCap   uint64
 	lanes     laneSet
 
 	// The work-proportional run loop's node scheduler (see wake.go):
@@ -437,25 +435,20 @@ func (m *Machine) install(prog *isa.Program) {
 		}
 	}
 	m.compileOn = true
-	// The epoch engine runs windows of node-major chunks on perfect
-	// memory and per-node lanes on ALEWIFE, where a window would have
-	// to stop at every fabric event of any node (epoch.go).
-	m.epochOn = true
 	m.lanes = laneSet{pos: len(m.Nodes)}
-	switch {
-	case len(m.Nodes) < 2:
-	case m.net == nil:
-		m.epochLog = proc.NewEpochLog(len(m.Nodes))
-	default:
-		m.epochLog = proc.NewLaneLog(len(m.Nodes), m.Mem)
-		m.lanes.on = true
-		m.lanes.span = make([]laneSpan, len(m.Nodes))
-		m.lanes.live = make([]int, 0, len(m.Nodes))
-		m.lanes.late = make([]int, 0, len(m.Nodes))
-		m.lanes.due = make([]int, 0, len(m.Nodes))
-		m.lanes.wheel.init(len(m.Nodes))
+	if len(m.Nodes) < 2 {
+		return
+	}
+	m.epochLog = proc.NewLaneLog(len(m.Nodes), m.Mem)
+	m.lanes.on = true
+	m.lanes.span = make([]laneSpan, len(m.Nodes))
+	m.lanes.live = make([]int, 0, len(m.Nodes))
+	m.lanes.late = make([]int, 0, len(m.Nodes))
+	m.lanes.due = make([]int, 0, len(m.Nodes))
+	m.lanes.wheel.init(len(m.Nodes))
+	m.lanes.hook = m.laneWatch
+	if m.net != nil {
 		m.net.laneHook = m.laneFabric
-		m.Mem.SetWatch(m.laneWatch)
 	}
 }
 
@@ -793,29 +786,6 @@ func (m *Machine) runFastUntil(limit uint64) (hitLimit bool, err error) {
 			return true, nil
 		}
 		steps := m.dueSteps()
-		if m.epochOn && m.net == nil && len(steps) > 1 {
-			// Two or more steppers on perfect memory: try an epoch
-			// window across the group's safe horizon (see epoch.go).
-			si, epochFull := m.epochWindow(steps, limit)
-			if epochFull {
-				// Whole window committed: every stepper ran 1-cycle ops,
-				// so they are the running list.
-				m.setRunning(append(m.keepBuf[:0], steps...))
-				if err := m.watchdogs(); err != nil {
-					return false, err
-				}
-				continue
-			}
-			if si > 0 {
-				// Mid-epoch fallback: steps[:si] already stepped in the
-				// current cycle (epoch-safe, cost 1, still running);
-				// finish it per-op.
-				if err := m.finishCycle(steps[si:], append(m.keepBuf[:0], steps[:si]...)); err != nil {
-					return false, err
-				}
-				continue
-			}
-		}
 		ls := &m.lanes
 		if ls.start = ls.on && (len(steps) > 1 || len(ls.live) > 0); ls.start {
 			ls.watch = true

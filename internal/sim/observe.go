@@ -113,8 +113,6 @@ func (m *Machine) CounterRegistry() *trace.Registry {
 			}
 			return s
 		})
-	}
-	if m.epochOn {
 		// Epoch engine coverage (epoch.go, EpochStats).
 		r.Register("epoch", &m.epochTel)
 	}

@@ -7,6 +7,7 @@ import (
 	"april/internal/core"
 	"april/internal/isa"
 	"april/internal/mult"
+	"april/internal/network"
 	"april/internal/rts"
 	"april/internal/sim"
 )
@@ -247,5 +248,35 @@ func TestBlockTransfer(t *testing.T) {
 	io.StoreIO(sim.IOBTLen, isa.Word(6))
 	if _, err := io.StoreIO(sim.IOBTGo, 0); err == nil {
 		t.Error("unaligned transfer accepted")
+	}
+}
+
+// TestAlewifeDerivedGeometry pins the shapes sim.New derives from a
+// node count alone: a cube, else a square, else a ring of at most 64
+// nodes. A longer ring is refused with an error naming the nearest
+// cubes; the same count with an explicit geometry is accepted.
+func TestAlewifeDerivedGeometry(t *testing.T) {
+	shapes := map[int]network.Geometry{
+		2:    {Dim: 1, Radix: 2},
+		16:   {Dim: 2, Radix: 4},
+		64:   {Dim: 3, Radix: 4},
+		1000: {Dim: 3, Radix: 10},
+	}
+	for nodes, want := range shapes {
+		aw := &sim.AlewifeConfig{}
+		if _, err := sim.New(sim.Config{Nodes: nodes, Profile: rts.APRIL, MemoryBytes: 1 << 30, Alewife: aw}); err != nil {
+			t.Fatalf("%d nodes: %v", nodes, err)
+		}
+		if aw.Geometry != want {
+			t.Errorf("%d nodes: geometry %+v, want %+v", nodes, aw.Geometry, want)
+		}
+	}
+	_, err := sim.New(sim.Config{Nodes: 128, Profile: rts.APRIL, Alewife: &sim.AlewifeConfig{}})
+	if err == nil || !strings.Contains(err.Error(), "use 125 or 216 nodes") {
+		t.Errorf("128 nodes: err %v, want a refusal naming 125 and 216", err)
+	}
+	ring := &sim.AlewifeConfig{Geometry: network.Geometry{Dim: 1, Radix: 128}}
+	if _, err := sim.New(sim.Config{Nodes: 128, Profile: rts.APRIL, Alewife: ring}); err != nil {
+		t.Errorf("128 nodes on an explicit ring: %v", err)
 	}
 }

@@ -78,12 +78,11 @@ var imageFields = map[reflect.Type]map[string]imageClass{
 		"now":            section("state header"),
 		"loaded":         host("set by Load, which Restore runs"),
 		"compileOn":      loadTier,
-		"epochOn":        loadTier,
 		"epochLog":       loadTier,
 		"epochTel":       telemetry,
 		"threshold":      host("test-only tier tuning"),
-		"windowCap":      host("test-only tier tuning"),
-		"lanes":          host("ALEWIFE lanes in flight: every run loop returns with none"),
+		"laneCap":        host("test-only tier tuning"),
+		"lanes":          host("lanes in flight: every run loop returns with none"),
 		"running":        in("nodeImage", "Rem"), // busyRemaining's canonical form
 		"wakeq":          in("nodeImage", "Rem"),
 		"park":           in("nodeImage", "Rem"),
@@ -174,7 +173,7 @@ var imageFields = map[reflect.Type]map[string]imageClass{
 		"perfMem":     loadTier,
 		"fusedPort":   loadTier,
 		"lanePort":    loadTier,
-		"epoch":       host("epoch chunk log, nil between windows"),
+		"epoch":       host("the lane log, nil outside EpochRun"),
 	},
 	reflect.TypeFor[core.Engine](): {
 		"Frames":       in("nodeImage", "Frames"),

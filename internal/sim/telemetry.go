@@ -1,5 +1,5 @@
 // Host-side telemetry: counters describing how the run loop behaved on
-// the host — epoch windows, parked idle nodes, resident memory pages.
+// the host — epoch lanes, parked idle nodes, resident memory pages.
 // None of it ever feeds back into simulated state: the counters are
 // pure observations of decisions the loop had already made, so
 // simulated results are bit-identical with telemetry read or ignored.
@@ -9,51 +9,30 @@ package sim
 
 import "april/internal/mem"
 
-// EpochStats aggregates the epoch engine's behavior (epoch.go) over a
-// run: how often multi-node windows opened, how many cycles and
-// node-steps they absorbed, how they ended, and what their node-major
-// chunks cost (perfect memory); and what ALEWIFE lanes ran, undid and
-// why they were cut back. All-zero when the engine is disarmed: on one
-// node and on TierReference. Pure host-side observation: simulated
-// results are bit-identical under both tiers.
+// EpochStats aggregates the epoch engine's lanes (epoch.go) over a
+// run: what they ran, undid and why they were cut back. All-zero when
+// the engine is disarmed: on one node and on TierReference. Pure
+// host-side observation: simulated results are bit-identical under
+// both tiers.
 type EpochStats struct {
-	Windows uint64 `json:"windows" counter:"windows"` // windows that executed at least one op
-	Cycles  uint64 `json:"cycles" counter:"cycles"`   // complete simulated cycles committed inside windows
-	Ops     uint64 `json:"ops" counter:"ops"`         // node-steps executed inside windows
-	// PartialOps counts the steps of partially completed cycles (the
-	// prefix executed before a mid-epoch stop); Fallbacks counts the
-	// windows an epoch-unsafe op stopped (the rest ended at their
-	// horizon bound).
-	PartialOps uint64 `json:"partial_ops" counter:"partial_ops"`
-	Fallbacks  uint64 `json:"fallbacks" counter:"fallbacks"`
-	// Chunks counts the node-major chunks of two or more cycles the
-	// windows ran, Aborts those rolled back and redone in lockstep, and
-	// ReplayedOps the ops re-executed to bring a node that ran past a
-	// chunk's stop back to it.
-	Chunks      uint64 `json:"chunks" counter:"chunks"`
-	Aborts      uint64 `json:"aborts" counter:"aborts"`
-	ReplayedOps uint64 `json:"replayed_ops" counter:"replayed_ops"`
-	// LenHist is the committed-window-length histogram in power-of-two
-	// buckets: LenHist[b] counts windows whose complete-cycle count has
-	// bit length b — bucket 0 is fc=0 (only a partial cycle committed),
-	// bucket 1 is fc=1, bucket 2 is 2-3, bucket 3 is 4-7, and so on;
-	// the last bucket absorbs everything longer. The registry emits
-	// bucket b as len_p2_b.
-	LenHist [17]uint64 `json:"len_hist" counter:"len_p2"`
+	// Cycles counts the node-cycles lanes committed: every lane op
+	// retires at cost 1, so it is LaneOps less LaneUndoneOps.
+	Cycles uint64 `json:"cycles" counter:"cycles"`
 
-	// ALEWIFE lanes (epoch.go): Lanes counts lanes that ran at least
-	// one op and LaneOps the ops they ran; LaneUndoneOps of those were
-	// undone by cut-backs and LaneReplayedOps re-executed to bring a
-	// cut lane to its cut. The LaneCuts* count cut-backs by cause: a
-	// fill or recall at the lane's own controller, a run-time system or
-	// block-transfer access that bypasses the caches, an IPI to the
+	// Lanes counts lanes that ran at least one op and LaneOps the ops
+	// they ran; LaneUndoneOps of those were undone by cut-backs and
+	// LaneReplayedOps re-executed to bring a cut lane to its cut. The
+	// LaneCuts* count cut-backs by cause: a fill or recall at the lane's
+	// own controller (ALEWIFE), an access outside the lanes to a word
+	// the lane touched (the run-time system or a block transfer, and on
+	// perfect memory also another node's per-op access), an IPI to the
 	// lane's node, and the end of the run (or an error).
 	Lanes           uint64 `json:"lanes" counter:"lanes"`
 	LaneOps         uint64 `json:"lane_ops" counter:"lane_ops"`
 	LaneUndoneOps   uint64 `json:"lane_undone_ops" counter:"lane_undone_ops"`
 	LaneReplayedOps uint64 `json:"lane_replayed_ops" counter:"lane_replayed_ops"`
 	LaneCutsFabric  uint64 `json:"lane_cuts_fabric" counter:"lane_cuts_fabric"`
-	LaneCutsBypass  uint64 `json:"lane_cuts_bypass" counter:"lane_cuts_bypass"`
+	LaneCutsWord    uint64 `json:"lane_cuts_word" counter:"lane_cuts_word"`
 	LaneCutsIPI     uint64 `json:"lane_cuts_ipi" counter:"lane_cuts_ipi"`
 	LaneCutsEnd     uint64 `json:"lane_cuts_end" counter:"lane_cuts_end"`
 }

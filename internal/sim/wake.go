@@ -49,12 +49,13 @@
 // set (Machine.unparkAll), so no later observer charges a poll that
 // never happened.
 //
-// Windows. A fused window (compile.go) runs trap handlers, which can
-// fill a ready queue, so it must not start in a cycle whose phase holds
-// a parked node and must end before the next such cycle — the bound
-// idle nodes used to impose through the wake queue. Epoch windows
-// (epoch.go) refuse traps and I/O, so they only must not start while
-// parked polls can find work.
+// Windows and lanes. A fused window (compile.go) runs trap handlers,
+// which can fill a ready queue, so it must not start in a cycle whose
+// phase holds a parked node and must end before the next such cycle —
+// the bound idle nodes used to impose through the wake queue. Epoch
+// lanes (epoch.go) refuse traps and I/O, so they fill no queue and
+// post no IPI: a parked poll between a lane's ops finds what it would
+// have found, and lanes need no bound from the park set.
 
 package sim
 
@@ -270,16 +271,18 @@ func (s *parkSet) elide(id int, end uint64) uint64 {
 	return k
 }
 
-// laneWheel holds the nodes asleep in ALEWIFE lanes (epoch.go), keyed
-// by the cycle their lane ends. A lane is at most laneCycles long, so
-// the wake cycles in flight span fewer than wheelSlots cycles and a
-// ring of id bitsets, one per cycle mod wheelSlots, holds them: waking
-// is a bit scan in ascending id, and a lane cut back moves its node
-// between slots in O(1), neither of which a heap entry would give.
+// laneWheel holds the nodes asleep in lanes (epoch.go), keyed by the
+// cycle their lane ends. A lane is at most laneCycles long, so the wake
+// cycles in flight span fewer than wheelSlots cycles and a ring of id
+// bitsets, one per cycle mod wheelSlots, holds them: waking is a bit
+// scan in ascending id, and a lane cut back moves its node between
+// slots in O(1), neither of which a heap entry would give. occ marks
+// the slots holding any node, so the next wake is one bit scan.
 type laneWheel struct {
 	words int      // bitset words per slot
 	bits  []uint64 // wheelSlots x words, slot-major
 	count [wheelSlots]int
+	occ   uint64
 	n     int
 }
 
@@ -296,6 +299,7 @@ func (w *laneWheel) push(id int, at uint64) {
 	s := int(at % wheelSlots)
 	w.bits[s*w.words+id>>6] |= 1 << (id & 63)
 	w.count[s]++
+	w.occ |= 1 << s
 	w.n++
 }
 
@@ -303,21 +307,18 @@ func (w *laneWheel) push(id int, at uint64) {
 func (w *laneWheel) remove(id int, at uint64) {
 	s := int(at % wheelSlots)
 	w.bits[s*w.words+id>>6] &^= 1 << (id & 63)
-	w.count[s]--
+	if w.count[s]--; w.count[s] == 0 {
+		w.occ &^= 1 << s
+	}
 	w.n--
 }
 
 // next returns the earliest scheduled wake at or after now, or noWake.
 func (w *laneWheel) next(now uint64) uint64 {
-	if w.n == 0 {
+	if w.occ == 0 {
 		return noWake
 	}
-	for d := uint64(0); d < wheelSlots; d++ {
-		if w.count[(now+d)%wheelSlots] > 0 {
-			return now + d
-		}
-	}
-	return noWake
+	return now + uint64(bits.TrailingZeros64(bits.RotateLeft64(w.occ, -int(now%wheelSlots))))
 }
 
 // popDue removes the nodes waking at cycle now and appends their ids,
@@ -337,5 +338,6 @@ func (w *laneWheel) popDue(now uint64, buf []int) []int {
 	}
 	w.n -= w.count[s]
 	w.count[s] = 0
+	w.occ &^= 1 << s
 	return buf
 }
