@@ -56,7 +56,7 @@ perf:
 	$(GO) run ./cmd/april-bench -sizes paper -perf
 
 # A/B one repo-benchmark workload between PARENT and the working tree:
-# PAIRS alternating pairs of benchmark/run.sh runs (each tree builds its
+# PAIRS (even) alternating pairs of benchmark/run.sh runs (each tree builds its
 # own binary), then per end-to-end metric both medians, the parent's
 # quartiles and the change's win count. Exits 2 when a metric is worse
 # than its BENCHMARK.json bound. Use SEED=2 for the held-out seed.

@@ -146,14 +146,16 @@ func NewTorus(g Geometry) (*Torus, error) {
 		return nil, err
 	}
 	n := g.Nodes()
-	return &Torus{
+	t := &Torus{
 		geo:      g,
 		channels: make([]channel, n*2*g.Dim),
 		inbox:    make([][]*Message, n),
 		inPend:   make([]bool, n),
 		curBuf:   make([]int, g.Dim),
 		dstBuf:   make([]int, g.Dim),
-	}, nil
+	}
+	t.cal.Init(len(t.channels))
+	return t, nil
 }
 
 // Geometry returns the torus shape.
@@ -275,8 +277,7 @@ func (t *Torus) Tick() {
 	moved := t.moved[:0]
 	movedFrom := t.movedFrom[:0]
 	// Phase 1: completions (and, under a plan, starts).
-	for _, id32 := range t.cal.Due(t.now) {
-		id := int(id32)
+	for _, id := range t.cal.Due(t.now) {
 		c := &t.channels[id]
 		if c.doneAt == 0 {
 			// The start tick under a plan: draw the penalty now. A

@@ -182,6 +182,7 @@ func (m *Machine) initAlewife() error {
 		plan:     m.plan,
 		check:    m.checker,
 	}
+	f.cal.Init(m.Cfg.Nodes)
 	m.net = f
 	return nil
 }
@@ -226,7 +227,7 @@ func (f *netFabric) tickInner() {
 	// Controllers whose delayed outbox entries mature this cycle join
 	// the dirty set.
 	for _, id := range f.cal.Due(f.now) {
-		f.markDirty(int(id))
+		f.markDirty(id)
 	}
 	f.pendBuf = f.net.PendingNodes(f.pendBuf[:0])
 	for _, node := range f.pendBuf {

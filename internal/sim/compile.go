@@ -36,7 +36,7 @@ func (m *Machine) fusedStep(id int, limit uint64, keep *[]int) (used bool, err e
 			b = nb
 		}
 	}
-	if w := m.nextWake(); w < b {
+	if w := m.wake.Next(m.now); w < b {
 		b = w
 	}
 	// The window runs trap handlers, which can fill a ready queue: it

@@ -37,13 +37,15 @@ func (m *Machine) EpochTelemetry() EpochStats { return m.epochTel }
 // retires 30 to 75 consecutive lane-safe ops between its own fabric
 // events; a longer lane is cut back and replayed more often, a shorter
 // one pays its start and wake-up more often. 24, 32 and 48 measured
-// alike (DESIGN.md, "Epoch execution"); it must stay below
-// wheelSlots-1.
+// alike (DESIGN.md, "Epoch execution"). A lane's end is filed in the
+// wake calendar's wheel and unfiled when it is cut back, so laneCycles
+// must stay below calendar.Span-1.
 const laneCycles = 32
 
 // laneSet is the machine side of lanes. A lane in flight on node i
 // covers cycles [span[i].start, span[i].end): its ops already ran, and
-// node i sleeps in wheel until end. Lanes start in cycles where two or
+// node i sleeps in the machine's wake calendar until end, like a node
+// inside a multi-cycle operation. Lanes start in cycles where two or
 // more nodes step or a lane is already in flight (a lone stepper takes
 // fusedStep's isolated window instead), end no later than bound, and
 // retire when their node wakes.
@@ -57,8 +59,6 @@ type laneSet struct {
 	hi    uint64     // the latest end of a lane in flight, or of a retired one
 	pos   int        // the node stepping now; len(Nodes) outside stepNodes
 	late  []int      // nodes cut back into the current cycle, ascending
-	wheel laneWheel  // nodes asleep in lanes, by end cycle
-	due   []int      // the wheel's wake-ups of a cycle, scratch
 
 	// hook is laneWatch, bound once: the memory's watch while a lane
 	// is in flight.
@@ -99,7 +99,7 @@ func (m *Machine) startLane(id int) bool {
 	ls.span[id] = laneSpan{s, e, len(ls.live)}
 	ls.live = append(ls.live, id)
 	ls.hi = max(ls.hi, e)
-	ls.wheel.push(id, e)
+	m.wake.Add(m.now, e, id)
 	if ls.watch {
 		m.Nodes[id].lastRetired = e - 1
 	}
@@ -165,16 +165,16 @@ func (m *Machine) cutLane(id int, c uint64, before int, cause *uint64, join bool
 	t.LaneUndoneOps += sp.end - e
 	t.Cycles -= sp.end - e
 	t.LaneReplayedOps += e - sp.start
-	ls.wheel.remove(id, sp.end)
+	m.wake.Remove(sp.end, id)
 	sp.end = e
 	if ls.watch {
 		m.Nodes[id].lastRetired = e - 1
 	}
 	switch {
 	case e > c || before < 0:
-		// Before any node of cycle c the node steps in it: the wheel's
-		// slot for c is not popped yet.
-		ls.wheel.push(id, e)
+		// Before any node of cycle c the node steps in it: the
+		// calendar has not handed out cycle c yet.
+		m.wake.Add(m.now, e, id)
 	case join:
 		i := len(ls.late)
 		for i > 0 && ls.late[i-1] > id {

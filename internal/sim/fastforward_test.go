@@ -4,7 +4,7 @@ package sim_test
 // compiled tier: the same program on the same machine must produce
 // byte-identical simulated results whether Run steps every cycle
 // through the reference interpreter (sim.TierReference) or uses the
-// wake-queue loop and superinstruction handlers, with tracing on or
+// work-proportional loop and superinstruction handlers, with tracing on or
 // off. This is the contract that lets the fast
 // paths replace the reference ones everywhere.
 

@@ -34,8 +34,8 @@ func TestFastForwardZeroSkipWhileRunning(t *testing.T) {
 func TestFastForwardZeroSkipAtWake(t *testing.T) {
 	m := ffTestMachine(t, 2)
 	m.running = m.running[:0]
-	m.wakeq.push(0, m.now) // a node wakes on the current cycle
-	m.wakeq.push(1, m.now+100)
+	m.wake.Add(m.now, m.now, 0) // a node wakes on the current cycle
+	m.wake.Add(m.now, m.now+100, 1)
 	m.fastForwardUntil(1_000_000)
 	if m.now != 0 {
 		t.Fatalf("jumped to %d across a due wake", m.now)
@@ -45,7 +45,7 @@ func TestFastForwardZeroSkipAtWake(t *testing.T) {
 func TestFastForwardZeroSkipAtLimit(t *testing.T) {
 	m := ffTestMachine(t, 1)
 	m.running = m.running[:0]
-	m.wakeq.push(0, 500)
+	m.wake.Add(m.now, 500, 0)
 	m.fastForwardUntil(m.now) // limit == now: nothing to skip
 	if m.now != 0 {
 		t.Fatalf("jumped to %d past a zero-length window", m.now)
@@ -55,8 +55,8 @@ func TestFastForwardZeroSkipAtLimit(t *testing.T) {
 func TestFastForwardJumpsToNextWake(t *testing.T) {
 	m := ffTestMachine(t, 2)
 	m.running = m.running[:0]
-	m.wakeq.push(0, 50)
-	m.wakeq.push(1, 90)
+	m.wake.Add(m.now, 50, 0)
+	m.wake.Add(m.now, 90, 1)
 	m.fastForwardUntil(1_000_000)
 	if m.now != 50 {
 		t.Fatalf("now = %d, want the earliest wake 50", m.now)
@@ -69,7 +69,7 @@ func TestFastForwardLandsExactlyOnLimit(t *testing.T) {
 	// when the next wake is beyond it.
 	m := ffTestMachine(t, 1)
 	m.running = m.running[:0]
-	m.wakeq.push(0, 500)
+	m.wake.Add(m.now, 500, 0)
 	m.fastForwardUntil(100)
 	if m.now != 100 {
 		t.Fatalf("now = %d, want the cap 100", m.now)
@@ -89,7 +89,7 @@ func TestFastForwardLandsExactlyOnLimit(t *testing.T) {
 func TestFastForwardLandsExactlyOnMaxCycles(t *testing.T) {
 	m := ffTestMachine(t, 1)
 	m.running = m.running[:0]
-	m.wakeq.push(0, m.Cfg.MaxCycles+1000)
+	m.wake.Add(m.now, m.Cfg.MaxCycles+1000, 0)
 	m.fastForwardUntil(m.Cfg.MaxCycles)
 	if m.now != m.Cfg.MaxCycles {
 		t.Fatalf("now = %d, want MaxCycles %d", m.now, m.Cfg.MaxCycles)

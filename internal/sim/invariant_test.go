@@ -1,44 +1,16 @@
 package sim
 
-// White-box invariant tests: the wake-queue determinism guard and the
-// coherence checker's ability to actually catch corrupted state (a
-// checker that never fires is indistinguishable from one that works).
+// White-box invariant tests: the coherence checker's ability to
+// actually catch corrupted state (a checker that never fires is
+// indistinguishable from one that works). The wake calendar's guard
+// against a missed node step is calendar.TestInvariantCalendarPastEntry.
 
 import (
-	"strings"
 	"testing"
 
 	"april/internal/cache"
 	"april/internal/rts"
 )
-
-func TestInvariantWakeQueuePastEntry(t *testing.T) {
-	var q wakeQueue
-	q.init(4)
-	q.push(2, 5)
-	q.push(1, 5)
-
-	// Exactly-due entries pop in ascending node order.
-	due := q.popDue(5, nil)
-	if len(due) != 2 || due[0] != 1 || due[1] != 2 {
-		t.Fatalf("popDue(5) = %v, want [1 2]", due)
-	}
-
-	// An entry strictly earlier than now means the run loop skipped a
-	// scheduled step; the queue must refuse to paper over it.
-	q.push(3, 7)
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("popDue past a scheduled wake did not panic")
-		}
-		msg, ok := r.(string)
-		if !ok || !strings.Contains(msg, "wake queue entry in the past") {
-			t.Fatalf("unexpected panic value: %v", r)
-		}
-	}()
-	q.popDue(8, nil)
-}
 
 func TestInvariantCheckerDetectsDoubleWriter(t *testing.T) {
 	m, err := New(Config{

@@ -25,6 +25,7 @@ import (
 	"strings"
 
 	"april/internal/abi"
+	"april/internal/calendar"
 	"april/internal/core"
 	"april/internal/fault"
 	"april/internal/heap"
@@ -181,14 +182,13 @@ type Machine struct {
 	// The work-proportional run loop's node scheduler (see wake.go):
 	// nodes executing 1-cycle instructions live on the sorted running
 	// list and step every cycle; nodes inside a multi-cycle operation
-	// sleep in the wake queue keyed by absolute wake cycle; idle nodes
-	// sit in the park set until a poll can find work. Unused by the
-	// reference loop, which keeps the per-node relative busy counters
-	// instead.
+	// or a lane sleep in the wake calendar at the cycle they next
+	// step; idle nodes sit in the park set until a poll can find work.
+	// Unused by the reference loop, which keeps the per-node relative
+	// busy counters instead.
 	running  []int // ascending node ids
-	wakeq    wakeQueue
+	wake     calendar.Calendar
 	park     parkSet
-	dueBuf   []int // popDue scratch, reused across cycles
 	mergeBuf []int // running+due merge scratch, reused across cycles
 	keepBuf  []int // the next cycle's running list under construction
 
@@ -369,12 +369,11 @@ func New(cfg Config) (*Machine, error) {
 		engine.Globals[isa.GAllocLimit-isa.NumFrameRegs] = isa.Word(limit)
 		engine.Globals[isa.GSelf-isa.NumFrameRegs] = isa.MakeFixnum(int32(i))
 	}
-	m.wakeq.init(cfg.Nodes)
+	m.wake.Init(cfg.Nodes)
 	m.running = make([]int, cfg.Nodes)
 	for i := range m.running {
 		m.running[i] = i
 	}
-	m.dueBuf = make([]int, 0, cfg.Nodes)
 	m.mergeBuf = make([]int, 0, cfg.Nodes)
 	m.keepBuf = make([]int, 0, cfg.Nodes)
 	period := prof.Idle
@@ -444,8 +443,6 @@ func (m *Machine) install(prog *isa.Program) {
 	m.lanes.span = make([]laneSpan, len(m.Nodes))
 	m.lanes.live = make([]int, 0, len(m.Nodes))
 	m.lanes.late = make([]int, 0, len(m.Nodes))
-	m.lanes.due = make([]int, 0, len(m.Nodes))
-	m.lanes.wheel.init(len(m.Nodes))
 	m.lanes.hook = m.laneWatch
 	if m.net != nil {
 		m.net.laneHook = m.laneFabric
@@ -840,7 +837,7 @@ func (m *Machine) advance(limit uint64) (hitLimit bool) {
 	// scan — or every later report and scan shifts away from the
 	// reference loop's cycle. (The checkers' watermark never applies:
 	// Check runs on the reference tier.)
-	if m.park.n > 0 || m.lanes.wheel.n > 0 {
+	if m.park.n > 0 || len(m.lanes.live) > 0 {
 		if wd := m.lastWatchedCycle(); wd < jumpLimit {
 			jumpLimit = max(wd, m.now)
 		}
@@ -870,27 +867,11 @@ func (m *Machine) lastWatchedCycle() uint64 {
 	return c
 }
 
-// dueSteps pops the nodes waking at m.now and merges them with the
+// dueSteps takes the nodes waking at m.now and merges them with the
 // running list: the cycle's scheduled steppers, ascending. (Parked
 // polls that find work join them inside stepNodes.)
 func (m *Machine) dueSteps() []int {
-	due := m.dueBuf[:0]
-	if m.wakeq.next() <= m.now {
-		due = m.wakeq.popDue(m.now, due)
-	}
-	if w := &m.lanes.wheel; w.n > 0 {
-		// Nodes waking from lanes merge in; the two sets are disjoint.
-		if ld := w.popDue(m.now, m.lanes.due[:0]); len(ld) > 0 {
-			if len(due) == 0 {
-				due = append(due, ld...)
-			} else {
-				m.mergeBuf = mergeSorted(m.mergeBuf[:0], due, ld)
-				due = append(due[:0], m.mergeBuf...)
-			}
-			m.lanes.due = ld
-		}
-	}
-	m.dueBuf = due
+	due := m.wake.Due(m.now)
 	switch {
 	case len(due) == 0:
 		return m.running
@@ -984,13 +965,13 @@ func (m *Machine) stepNodes(ids, keep []int, watch bool) ([]int, error) {
 
 // sleep schedules node id's next Step c > 1 cycles from now: in the
 // park set when that Step is a pure poll within one period, in the wake
-// queue otherwise.
+// calendar otherwise.
 func (m *Machine) sleep(n *Node, id int, c uint64) {
 	if c <= m.park.period && n.RT.PurePoll(n.Proc) {
 		m.park.add(id, m.now+c)
 		return
 	}
-	m.wakeq.push(id, m.now+c)
+	m.wake.Add(m.now, m.now+c, id)
 }
 
 // parkedPoll unparks and returns the lowest parked node in [lo, hi)
@@ -1050,15 +1031,16 @@ func (m *Machine) settleNow() { m.settleParked(m.now, 0) }
 // unparkAll ends parking when node `before` ends the run at cycle
 // m.now: the reference loop breaks out of the cycle there, so polls at
 // earlier positions are charged and the rest never happen. The nodes go
-// back to the wake queue at their next poll, which is where a finished
-// machine's image has always shown its idle nodes.
+// back to the wake calendar at their next poll, which is where a
+// finished machine's image has always shown its idle nodes (a poll at
+// m.now itself, its slot already taken, is written as due).
 func (m *Machine) unparkAll(before int) {
 	m.settleParked(m.now, before)
 	pk := &m.park
 	for id, at := range pk.next {
-		if at != noWake {
+		if at != calendar.None {
 			pk.remove(id)
-			m.wakeq.push(id, at)
+			m.wake.Add(m.now, at, id)
 		}
 	}
 	pk.ipis = 0
@@ -1128,7 +1110,7 @@ func (m *Machine) fastForwardUntil(limit uint64) {
 	if len(m.running) > 0 {
 		return // a running node Steps on the current cycle
 	}
-	next := m.nextWake()
+	next := m.wake.Next(m.now)
 	if m.parkedWork() {
 		// Parked polls find work: the next one is a Step like any other.
 		if pn := m.park.nextPoll(m.now); pn < next {
@@ -1162,12 +1144,6 @@ func (m *Machine) fastForwardUntil(limit uint64) {
 		m.net.advance(skip)
 	}
 	m.now += skip
-}
-
-// nextWake is the earliest cycle a sleeping node wakes: from the wake
-// queue or from a lane.
-func (m *Machine) nextWake() uint64 {
-	return min(m.wakeq.next(), m.lanes.wheel.next(m.now))
 }
 
 // parkedWork reports whether the polls of parked nodes can find

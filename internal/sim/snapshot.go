@@ -47,6 +47,7 @@ import (
 	"sort"
 
 	"april/internal/cache"
+	"april/internal/calendar"
 	"april/internal/core"
 	"april/internal/directory"
 	"april/internal/fault"
@@ -372,8 +373,9 @@ func (m *Machine) decodeState(r *snapshot.Reader) error {
 // busyRemaining canonicalizes per-node occupancy: how many cycles
 // until each node next Steps. The reference loop keeps it as relative
 // busy counters; the work-proportional loops keep absolute wake cycles
-// in the queue (0 remaining = on the running list). The canonical form
-// restores into either representation.
+// in the wake calendar (0 remaining = on the running list, or filed at
+// a cycle the clock has reached). The canonical form restores into
+// either representation.
 func (m *Machine) busyRemaining() []uint64 {
 	rem := make([]uint64, len(m.Nodes))
 	if m.Cfg.Tier == TierReference {
@@ -382,15 +384,15 @@ func (m *Machine) busyRemaining() []uint64 {
 		}
 		return rem
 	}
-	for _, e := range m.wakeq.heap {
-		if e.wake > m.now {
-			rem[e.node] = e.wake - m.now
+	m.wake.Each(func(at uint64, id int) {
+		if at > m.now {
+			rem[id] = at - m.now
 		}
-	}
+	})
 	// A parked node is settled whenever a run loop returns, so its next
 	// uncharged poll is the next Step the reference loop would take.
 	for i, at := range m.park.next {
-		if at != noWake && at > m.now {
+		if at != calendar.None && at > m.now {
 			rem[i] = at - m.now
 		}
 	}
@@ -406,14 +408,14 @@ func (m *Machine) rebuildRunLists(rem []uint64) {
 		}
 		return
 	}
-	m.wakeq.init(len(m.Nodes))
+	m.wake.Init(len(m.Nodes))
 	m.park.init(len(m.Nodes), int(m.park.period))
 	m.running = m.running[:0]
 	for i := range m.Nodes {
 		if rem[i] == 0 {
 			m.running = append(m.running, i)
 		} else {
-			m.wakeq.push(i, m.now+rem[i])
+			m.wake.Add(m.now, m.now+rem[i], i)
 		}
 	}
 }

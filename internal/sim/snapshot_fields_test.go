@@ -84,9 +84,8 @@ var imageFields = map[reflect.Type]map[string]imageClass{
 		"laneCap":        host("test-only tier tuning"),
 		"lanes":          host("lanes in flight: every run loop returns with none"),
 		"running":        in("nodeImage", "Rem"), // busyRemaining's canonical form
-		"wakeq":          in("nodeImage", "Rem"),
+		"wake":           in("nodeImage", "Rem"),
 		"park":           in("nodeImage", "Rem"),
-		"dueBuf":         scratch,
 		"mergeBuf":       scratch,
 		"keepBuf":        scratch,
 		"tracer":         section("cursors"),

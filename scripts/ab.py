@@ -11,13 +11,17 @@ directory, and each side runs through its own tree's
 which builds that tree's benchmark binary; <s> is BENCHMARK.json's
 run_seconds, as for the benchmark itself. The side that runs first
 alternates: the parent in odd pairs, the working tree in even ones.
+--pairs must be even, so each side runs first equally often: the
+second run of a pair can read slower on a busy host, and an odd count
+would put that against one side.
 
 For every end-to-end metric in BENCHMARK.json (read, never written) it
 prints both medians, the parent's interquartile range, the change in
 the median, and in how many pairs the working tree read better. It
 exits 2 when a median is worse than the metric's bound, when the working
 tree fails a larger share of operations, or when a run reports an
-incorrect result; 1 on a usage or build error; 0 otherwise.
+incorrect result; 1 on a usage or build error (an odd or non-positive
+--pairs among them); 0 otherwise.
 """
 
 import argparse
@@ -68,6 +72,8 @@ def main():
                     help="scratch directory for the parent tree, kept to reuse its build cache "
                          "(default: a temporary directory, removed afterwards)")
     args = ap.parse_args()
+    if args.pairs < 2 or args.pairs % 2:
+        sys.exit(f"ab: --pairs {args.pairs}: must be even and positive, so each side runs first equally often")
 
     root = subprocess.run(["git", "rev-parse", "--show-toplevel"], check=True,
                           stdout=subprocess.PIPE, text=True).stdout.strip()
