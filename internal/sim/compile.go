@@ -19,9 +19,9 @@ import "fmt"
 // window exists or nothing was executed (the caller then steps the
 // node normally; no state was touched). When used, the window has been
 // accounted exactly like one Step returning its total cycle count:
-// wake/keep bookkeeping, progress watermarks, and — for a run-ending
-// or erroring window — the same final cycle the per-op loop reports.
-func (m *Machine) fusedStep(id int, limit uint64, keep *[]int) (used bool, err error) {
+// wake bookkeeping, progress watermarks, and — for a run-ending or
+// erroring window — the same final cycle the per-op loop reports.
+func (m *Machine) fusedStep(id int, limit uint64) (used bool, err error) {
 	n := m.Nodes[id]
 	p := n.Proc
 
@@ -87,7 +87,7 @@ func (m *Machine) fusedStep(id int, limit uint64, keep *[]int) (used bool, err e
 	if c > 1 {
 		m.sleep(n, id, c)
 	} else {
-		*keep = append(*keep, id)
+		m.wake.Add(m.now, m.now+1, id)
 	}
 	if lastRet >= 0 {
 		m.lastProgress = start + uint64(lastRet)

@@ -52,7 +52,6 @@ const laneCycles = 32
 type laneSet struct {
 	on    bool       // armed: compiled tier, two or more nodes
 	start bool       // lanes may start in the current cycle
-	watch bool       // the run loop keeps lastRetired (RunFor does not)
 	bound uint64     // the cycle no lane may reach: run limit, sampler boundary
 	span  []laneSpan // per node; end == 0 when no lane is in flight
 	live  []int      // nodes with a lane in flight
@@ -100,9 +99,7 @@ func (m *Machine) startLane(id int) bool {
 	ls.live = append(ls.live, id)
 	ls.hi = max(ls.hi, e)
 	m.wake.Add(m.now, e, id)
-	if ls.watch {
-		m.Nodes[id].lastRetired = e - 1
-	}
+	m.Nodes[id].lastRetired = e - 1
 	t := &m.epochTel
 	t.Lanes++
 	t.LaneOps += uint64(ran)
@@ -128,7 +125,7 @@ func (m *Machine) retireLane(id int) {
 
 // retireLanes commits every lane when a run loop returns: lanes end by
 // its limit, so none is ahead of it, and their cycles are in the
-// watchdog's baseline already (or, after RunFor, never go there).
+// watchdog's baseline already.
 func (m *Machine) retireLanes() {
 	ls := &m.lanes
 	for _, id := range ls.live {
@@ -167,9 +164,7 @@ func (m *Machine) cutLane(id int, c uint64, before int, cause *uint64, join bool
 	t.LaneReplayedOps += e - sp.start
 	m.wake.Remove(sp.end, id)
 	sp.end = e
-	if ls.watch {
-		m.Nodes[id].lastRetired = e - 1
-	}
+	m.Nodes[id].lastRetired = e - 1
 	switch {
 	case e > c || before < 0:
 		// Before any node of cycle c the node steps in it: the

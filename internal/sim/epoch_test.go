@@ -580,9 +580,8 @@ func TestEpochConflictsMatchReference(t *testing.T) {
 
 // matchLanes holds the machine mk builds to the reference tier with
 // lanes running: whole and in slices (matchReference), then through
-// RunFor, which starts lanes too and keeps no retirement marks, also
-// for a RunWindow that follows it. It returns the whole run's lane
-// telemetry.
+// RunFor and a RunWindow that follows it. It returns the whole run's
+// lane telemetry.
 func matchLanes(t *testing.T, mk func(tier sim.Tier) *sim.Machine) sim.EpochStats {
 	t.Helper()
 	c := matchReference(t, mk)

@@ -23,8 +23,9 @@ func ffTestMachine(t *testing.T, nodes int) *Machine {
 
 func TestFastForwardZeroSkipWhileRunning(t *testing.T) {
 	m := ffTestMachine(t, 4)
-	// A fresh machine has every node on the running list: at least one
-	// node Steps this cycle, so no jump is possible.
+	// A fresh machine has every node filed in the wake calendar at
+	// cycle 0: at least one node Steps this cycle, so no jump is
+	// possible.
 	m.fastForwardUntil(1_000_000)
 	if m.now != 0 {
 		t.Fatalf("jumped to %d with nodes running", m.now)
@@ -33,7 +34,7 @@ func TestFastForwardZeroSkipWhileRunning(t *testing.T) {
 
 func TestFastForwardZeroSkipAtWake(t *testing.T) {
 	m := ffTestMachine(t, 2)
-	m.running = m.running[:0]
+	m.wake.Init(len(m.Nodes))
 	m.wake.Add(m.now, m.now, 0) // a node wakes on the current cycle
 	m.wake.Add(m.now, m.now+100, 1)
 	m.fastForwardUntil(1_000_000)
@@ -44,7 +45,7 @@ func TestFastForwardZeroSkipAtWake(t *testing.T) {
 
 func TestFastForwardZeroSkipAtLimit(t *testing.T) {
 	m := ffTestMachine(t, 1)
-	m.running = m.running[:0]
+	m.wake.Init(len(m.Nodes))
 	m.wake.Add(m.now, 500, 0)
 	m.fastForwardUntil(m.now) // limit == now: nothing to skip
 	if m.now != 0 {
@@ -54,7 +55,7 @@ func TestFastForwardZeroSkipAtLimit(t *testing.T) {
 
 func TestFastForwardJumpsToNextWake(t *testing.T) {
 	m := ffTestMachine(t, 2)
-	m.running = m.running[:0]
+	m.wake.Init(len(m.Nodes))
 	m.wake.Add(m.now, 50, 0)
 	m.wake.Add(m.now, 90, 1)
 	m.fastForwardUntil(1_000_000)
@@ -68,7 +69,7 @@ func TestFastForwardLandsExactlyOnLimit(t *testing.T) {
 	// jump must land on exactly — never cross, never stop short of
 	// when the next wake is beyond it.
 	m := ffTestMachine(t, 1)
-	m.running = m.running[:0]
+	m.wake.Init(len(m.Nodes))
 	m.wake.Add(m.now, 500, 0)
 	m.fastForwardUntil(100)
 	if m.now != 100 {
@@ -88,7 +89,7 @@ func TestFastForwardLandsExactlyOnLimit(t *testing.T) {
 
 func TestFastForwardLandsExactlyOnMaxCycles(t *testing.T) {
 	m := ffTestMachine(t, 1)
-	m.running = m.running[:0]
+	m.wake.Init(len(m.Nodes))
 	m.wake.Add(m.now, m.Cfg.MaxCycles+1000, 0)
 	m.fastForwardUntil(m.Cfg.MaxCycles)
 	if m.now != m.Cfg.MaxCycles {

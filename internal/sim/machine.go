@@ -180,17 +180,13 @@ type Machine struct {
 	lanes     laneSet
 
 	// The work-proportional run loop's node scheduler (see wake.go):
-	// nodes executing 1-cycle instructions live on the sorted running
-	// list and step every cycle; nodes inside a multi-cycle operation
-	// or a lane sleep in the wake calendar at the cycle they next
-	// step; idle nodes sit in the park set until a poll can find work.
-	// Unused by the reference loop, which keeps the per-node relative
-	// busy counters instead.
-	running  []int // ascending node ids
-	wake     calendar.Calendar
-	park     parkSet
-	mergeBuf []int // running+due merge scratch, reused across cycles
-	keepBuf  []int // the next cycle's running list under construction
+	// every node that steps again sits in the wake calendar at the
+	// cycle it next steps (the next cycle, after a 1-cycle
+	// instruction); idle nodes sit in the park set until a poll can
+	// find work. Unused by the reference loop, which keeps the
+	// per-node relative busy counters instead.
+	wake calendar.Calendar
+	park parkSet
 
 	// Observability (nil unless enabled; see observe.go).
 	tracer     *trace.Tracer
@@ -369,18 +365,12 @@ func New(cfg Config) (*Machine, error) {
 		engine.Globals[isa.GAllocLimit-isa.NumFrameRegs] = isa.Word(limit)
 		engine.Globals[isa.GSelf-isa.NumFrameRegs] = isa.MakeFixnum(int32(i))
 	}
-	m.wake.Init(cfg.Nodes)
-	m.running = make([]int, cfg.Nodes)
-	for i := range m.running {
-		m.running[i] = i
-	}
-	m.mergeBuf = make([]int, 0, cfg.Nodes)
-	m.keepBuf = make([]int, 0, cfg.Nodes)
 	period := prof.Idle
 	if cfg.Lazy {
 		period = 0 // a lazy poll probes simulated memory: never park
 	}
 	m.park.init(cfg.Nodes, period)
+	m.rebuildRunLists(make([]uint64, cfg.Nodes))
 	return m, nil
 }
 
@@ -514,9 +504,9 @@ func (m *Machine) RunWindow(n uint64) (bool, error) {
 	if m.Sched.MainDone {
 		return true, nil
 	}
-	limit := m.now + n
-	if limit > m.Cfg.MaxCycles {
-		limit = m.Cfg.MaxCycles
+	limit := m.Cfg.MaxCycles
+	if m.now < limit && n < limit-m.now {
+		limit = m.now + n
 	}
 	hit, err := m.runEventful(limit)
 	if err != nil {
@@ -782,10 +772,9 @@ func (m *Machine) runFastUntil(limit uint64) (hitLimit bool, err error) {
 		if m.advance(limit) {
 			return true, nil
 		}
-		steps := m.dueSteps()
+		steps := m.wake.Due(m.now)
 		ls := &m.lanes
 		if ls.start = ls.on && (len(steps) > 1 || len(ls.live) > 0); ls.start {
-			ls.watch = true
 			ls.bound = limit
 			if m.sampler != nil {
 				ls.bound = min(ls.bound, m.sampler.NextBoundary())
@@ -794,9 +783,8 @@ func (m *Machine) runFastUntil(limit uint64) (hitLimit bool, err error) {
 		// With exactly one stepper and no lane in flight, first try to
 		// run that node's compiled tier across a whole isolated window
 		// (see compile.go).
-		keep := m.keepBuf[:0]
 		if m.compileOn && len(steps) == 1 && !ls.start {
-			used, err := m.fusedStep(steps[0], limit, &keep)
+			used, err := m.fusedStep(steps[0], limit)
 			if err != nil {
 				return false, err
 			}
@@ -804,7 +792,7 @@ func (m *Machine) runFastUntil(limit uint64) (hitLimit bool, err error) {
 				steps = nil
 			}
 		}
-		if err := m.finishCycle(steps, keep); err != nil {
+		if err := m.finishCycle(steps); err != nil {
 			return false, err
 		}
 	}
@@ -867,30 +855,12 @@ func (m *Machine) lastWatchedCycle() uint64 {
 	return c
 }
 
-// dueSteps takes the nodes waking at m.now and merges them with the
-// running list: the cycle's scheduled steppers, ascending. (Parked
-// polls that find work join them inside stepNodes.)
-func (m *Machine) dueSteps() []int {
-	due := m.wake.Due(m.now)
-	switch {
-	case len(due) == 0:
-		return m.running
-	case len(m.running) == 0:
-		return due
-	}
-	m.mergeBuf = mergeSorted(m.mergeBuf[:0], m.running, due)
-	return m.mergeBuf
-}
-
 // stepNodes executes cycle m.now for the scheduled steppers ids
 // (ascending) and for every parked node whose poll finds work, merged
-// in ascending id — the reference loop's order. Nodes that step again
-// next cycle are appended to keep (which must not alias ids: unparked
-// nodes add entries ids never had); the others sleep or park. With
-// watch set (Run, RunWindow) retirements feed the deadlock watchdog and
-// the cycle stops at the node that ends the run; RunFor watches
-// neither.
-func (m *Machine) stepNodes(ids, keep []int, watch bool) ([]int, error) {
+// in ascending id — the reference loop's order. Each node then steps
+// again next cycle, sleeps or parks. Retirements feed the deadlock
+// watchdog, and the cycle stops at the node that ends the run.
+func (m *Machine) stepNodes(ids []int) error {
 	end := len(m.Nodes)
 	ls := &m.lanes
 	for i, lo := 0, 0; ; {
@@ -913,7 +883,7 @@ func (m *Machine) stepNodes(ids, keep []int, watch bool) ([]int, error) {
 		}
 		if id == end {
 			ls.pos = end
-			return keep, nil
+			return nil
 		}
 		if late {
 			ls.late = append(ls.late[:0], ls.late[1:]...)
@@ -932,7 +902,7 @@ func (m *Machine) stepNodes(ids, keep []int, watch bool) ([]int, error) {
 			m.cutLanes(id)
 			m.settleParked(m.now, id)
 			ls.pos = end
-			return keep, fmt.Errorf("cycle %d node %d: %w", m.now, id, err)
+			return fmt.Errorf("cycle %d node %d: %w", m.now, id, err)
 		}
 		// An inline op predicts a lane-safe next op: with lanes
 		// starting this cycle the node's next ops run as a lane, if
@@ -943,22 +913,20 @@ func (m *Machine) stepNodes(ids, keep []int, watch bool) ([]int, error) {
 			// Steps c cycles from now.
 			m.sleep(n, id, uint64(c))
 		} else if lane = ls.start && n.Proc.InlineSteps != inline; !lane {
-			keep = append(keep, id)
+			m.wake.Add(m.now, m.now+1, id)
 		}
-		if watch {
-			if n.Proc.Stats.Instructions != retired {
-				m.lastProgress = m.now
-				n.lastRetired = m.now
-			}
-			if m.Sched.MainDone {
-				m.cutLanes(id)
-				m.unparkAll(id)
-				ls.pos = end
-				return keep, nil
-			}
+		if n.Proc.Stats.Instructions != retired {
+			m.lastProgress = m.now
+			n.lastRetired = m.now
+		}
+		if m.Sched.MainDone {
+			m.cutLanes(id)
+			m.unparkAll(id)
+			ls.pos = end
+			return nil
 		}
 		if lane && !m.startLane(id) {
-			keep = append(keep, id)
+			m.wake.Add(m.now, m.now+1, id)
 		}
 	}
 }
@@ -1059,21 +1027,12 @@ func (m *Machine) noteIPI(id int) {
 	}
 }
 
-// setRunning installs keep (built on keepBuf) as the running list and
-// recycles the old list as the next cycle's keepBuf.
-func (m *Machine) setRunning(keep []int) {
-	m.running, m.keepBuf = keep, m.running[:0]
-}
-
-// finishCycle steps ids at cycle m.now (keep already holds the nodes of
-// this cycle that stepped and stay running) and closes the cycle:
-// running list, fabric tick, clock, watchdogs.
-func (m *Machine) finishCycle(ids, keep []int) error {
-	keep, err := m.stepNodes(ids, keep, true)
-	if err != nil {
+// finishCycle steps ids at cycle m.now and closes the cycle: fabric
+// tick, clock, watchdogs.
+func (m *Machine) finishCycle(ids []int) error {
+	if err := m.stepNodes(ids); err != nil {
 		return err
 	}
-	m.setRunning(keep)
 	if m.net != nil {
 		m.net.tick()
 	}
@@ -1107,9 +1066,6 @@ func (m *Machine) finish() Result {
 // differential tests in fastforward_test.go hold the two loops to
 // that.
 func (m *Machine) fastForwardUntil(limit uint64) {
-	if len(m.running) > 0 {
-		return // a running node Steps on the current cycle
-	}
 	next := m.wake.Next(m.now)
 	if m.parkedWork() {
 		// Parked polls find work: the next one is a Step like any other.
@@ -1118,7 +1074,7 @@ func (m *Machine) fastForwardUntil(limit uint64) {
 		}
 	}
 	if next <= m.now {
-		return // a sleeping node wakes, or a parked one polls, this cycle
+		return // a node steps, or a parked one polls, this cycle
 	}
 	skip := next - m.now
 	if m.net != nil {

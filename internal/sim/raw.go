@@ -1,9 +1,6 @@
 package sim
 
 import (
-	"errors"
-	"fmt"
-
 	"april/internal/core"
 	"april/internal/isa"
 	"april/internal/rts"
@@ -35,60 +32,16 @@ func (m *Machine) SpawnRaw(node int, pc uint32, regs map[uint8]isa.Word) *rts.Th
 	return t
 }
 
-// RunFor drives the machine for exactly the given number of cycles
-// (threads typically loop forever; there is no termination or deadlock
-// detection — an idle machine simply burns idle cycles). Like Run it
-// fast-forwards across provably uneventful cycles, except under
-// TierReference; the window boundary is honored exactly either way.
+// RunFor drives the machine for the given number of cycles through
+// the loop Run and RunWindow run: sampler rows, the checkers,
+// scheduled state events and the watchdogs all act as in any run. It
+// stops early, without an error, when the main thread exits (a raw
+// machine has none), and with one at MaxCycles or when the deadlock
+// watchdog fires — no instruction retired for a deadlock window, as on
+// a raw machine whose nodes all sit idle.
 func (m *Machine) RunFor(cycles uint64) error {
-	if !m.loaded {
-		return errors.New("sim: no program loaded")
-	}
-	end := m.now + cycles
-	if m.Cfg.Tier == TierReference {
-		for m.now < end {
-			for _, n := range m.Nodes {
-				if n.busy > 0 {
-					n.busy--
-					continue
-				}
-				c, err := n.Proc.Step()
-				if err != nil {
-					return fmt.Errorf("cycle %d node %d: %w", m.now, n.Proc.ID, err)
-				}
-				if c > 1 {
-					n.busy = c - 1
-				}
-			}
-			if m.net != nil {
-				m.net.tick()
-			}
-			m.now++
-		}
-		return nil
-	}
-	defer m.settleNow()
-	defer m.retireLanes()
-	ls := &m.lanes
-	ls.bound, ls.watch = end, false
-	for m.now < end {
-		m.fastForwardUntil(end)
-		if m.now >= end {
-			break
-		}
-		steps := m.dueSteps()
-		ls.start = ls.on && (len(steps) > 1 || len(ls.live) > 0)
-		keep, err := m.stepNodes(steps, m.keepBuf[:0], false)
-		if err != nil {
-			return err
-		}
-		m.setRunning(keep)
-		if m.net != nil {
-			m.net.tick()
-		}
-		m.now++
-	}
-	return nil
+	_, err := m.RunWindow(cycles)
+	return err
 }
 
 // MemSystemStats sums the cache controllers' counters across nodes

@@ -372,10 +372,10 @@ func (m *Machine) decodeState(r *snapshot.Reader) error {
 
 // busyRemaining canonicalizes per-node occupancy: how many cycles
 // until each node next Steps. The reference loop keeps it as relative
-// busy counters; the work-proportional loops keep absolute wake cycles
-// in the wake calendar (0 remaining = on the running list, or filed at
-// a cycle the clock has reached). The canonical form restores into
-// either representation.
+// busy counters; the work-proportional loop keeps absolute wake cycles
+// in the wake calendar (0 remaining = filed at a cycle the clock has
+// reached, or not filed: a node the run's final cycle did not reach).
+// The canonical form restores into either representation.
 func (m *Machine) busyRemaining() []uint64 {
 	rem := make([]uint64, len(m.Nodes))
 	if m.Cfg.Tier == TierReference {
@@ -400,7 +400,10 @@ func (m *Machine) busyRemaining() []uint64 {
 }
 
 // rebuildRunLists installs canonical per-node remaining-busy values
-// into the target loop's representation.
+// into the target loop's representation: every node is filed in the
+// wake calendar at the cycle it next steps. No node is parked: New
+// builds the park set empty, and Restore calls this on a machine New
+// just built.
 func (m *Machine) rebuildRunLists(rem []uint64) {
 	if m.Cfg.Tier == TierReference {
 		for i, n := range m.Nodes {
@@ -409,14 +412,8 @@ func (m *Machine) rebuildRunLists(rem []uint64) {
 		return
 	}
 	m.wake.Init(len(m.Nodes))
-	m.park.init(len(m.Nodes), int(m.park.period))
-	m.running = m.running[:0]
 	for i := range m.Nodes {
-		if rem[i] == 0 {
-			m.running = append(m.running, i)
-		} else {
-			m.wake.Add(m.now, m.now+rem[i], i)
-		}
+		m.wake.Add(m.now, m.now+rem[i], i)
 	}
 }
 

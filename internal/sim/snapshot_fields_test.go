@@ -83,11 +83,8 @@ var imageFields = map[reflect.Type]map[string]imageClass{
 		"threshold":      host("test-only tier tuning"),
 		"laneCap":        host("test-only tier tuning"),
 		"lanes":          host("lanes in flight: every run loop returns with none"),
-		"running":        in("nodeImage", "Rem"), // busyRemaining's canonical form
 		"wake":           in("nodeImage", "Rem"),
 		"park":           in("nodeImage", "Rem"),
-		"mergeBuf":       scratch,
-		"keepBuf":        scratch,
 		"tracer":         section("cursors"),
 		"sampler":        section("cursors"),
 		"lastSample":     section("cursors"),

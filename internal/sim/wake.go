@@ -1,11 +1,11 @@
-// The work-proportional run loops' node scheduler. Every node is in
-// exactly one of three places, by when and why it next Steps:
+// The work-proportional run loop's node scheduler. Every node is in
+// exactly one of two places, by when and why it next Steps:
 //
-//   - the machine's sorted running list: nodes executing 1-cycle
-//     instructions, which step every cycle with no queue traffic;
-//   - the wake calendar (calendar.Calendar): nodes inside a multi-cycle
-//     operation or asleep in a lane (epoch.go), filed at the absolute
-//     cycle they next Step and handed back in ascending id;
+//   - the wake calendar (calendar.Calendar): every node that steps
+//     again, filed at the absolute cycle it next Steps — the next
+//     cycle after a 1-cycle instruction, later inside a multi-cycle
+//     operation or a lane (epoch.go) — and handed back in ascending id,
+//     so Due(now) alone is a cycle's scheduled steppers;
 //   - the parkSet: idle nodes. An idle processor re-polls the ready
 //     queues every Profile.Idle cycles; the simulated machine polls, the
 //     host replays only the polls that can find something.
@@ -66,23 +66,6 @@ import (
 	"april/internal/calendar"
 )
 
-// mergeSorted appends the merge of two ascending, disjoint id lists to
-// dst (which must not alias a or b).
-func mergeSorted(dst, a, b []int) []int {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] < b[j] {
-			dst = append(dst, a[i])
-			i++
-		} else {
-			dst = append(dst, b[j])
-			j++
-		}
-	}
-	dst = append(dst, a[i:]...)
-	return append(dst, b[j:]...)
-}
-
 // parkSet holds the parked idle nodes: one id bitset per poll phase, so
 // "the next parked id of this cycle's phase at or above j" is a
 // find-first-set, and parking and unparking are O(1).
@@ -100,8 +83,8 @@ type parkSet struct {
 }
 
 // init empties the set. period is the profile's idle-poll cost; a
-// period under 2 cycles disables parking (such a node stays on the
-// running list), as does period 0 for lazy-mode machines.
+// period under 2 cycles disables parking (such a node's polls stay in
+// the wake calendar), as does period 0 for lazy-mode machines.
 func (s *parkSet) init(nodes, period int) {
 	s.n, s.ipis = 0, 0
 	s.next = make([]uint64, nodes)
