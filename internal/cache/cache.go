@@ -64,7 +64,11 @@ type line struct {
 	state  State
 	dirty  bool
 	locked bool // the controller's first-use interlock flag (see Line)
-	lru    uint64
+	// lru is the line's LRU stamp within its set: a hit or fill stamps
+	// it 1 + the set's largest, so a set's valid lines order by last
+	// use with unique stamps. An invalid line holds 0, so the stamps a
+	// set derives depend on its valid lines alone.
+	lru uint64
 }
 
 // ChunkSets is how many consecutive sets share one chunk of lines: 256
@@ -91,7 +95,6 @@ type Cache struct {
 	// false keeps the modulo.
 	mask  uint32
 	pow2  bool
-	clock uint64
 	valid int // lines not Invalid: Occupancy without a walk
 
 	Stats
@@ -127,7 +130,8 @@ func (c *Cache) Config() Config { return c.cfg }
 // Block maps a byte address to its block number.
 func (c *Cache) Block(addr uint32) uint32 { return addr / c.cfg.BlockBytes }
 
-func (c *Cache) setIndex(block uint32) uint32 {
+// SetIndex returns the set block maps to.
+func (c *Cache) SetIndex(block uint32) uint32 {
 	if c.pow2 {
 		return block & c.mask
 	}
@@ -153,37 +157,45 @@ func (c *Cache) chunk(k int) []line {
 	return c.chunks[k]
 }
 
-func (c *Cache) find(block uint32) *line {
-	set := c.set(c.setIndex(block))
-	for i := range set {
+// find returns block's line, nil when it is not resident, and the
+// stamp a hit or fill in its set takes next. The scan reads every way
+// for the set's largest stamp (a Table 4 set is one host cache line),
+// from the last, so the first way wins should a restored set hold a
+// block twice.
+func (c *Cache) find(block uint32) (hit *line, next uint64) {
+	set := c.set(c.SetIndex(block))
+	for i := len(set) - 1; i >= 0; i-- {
+		next = max(next, set[i].lru)
 		if set[i].state != Invalid && set[i].block == block {
-			return &set[i]
+			hit = &set[i]
 		}
 	}
-	return nil
+	return hit, next + 1
 }
 
 // Line is a handle on a resident line: the hit primitive. Find probes
 // the set once and touches nothing; the caller decides on permission
 // from State and Locked, then commits the hit through Touch (LRU and
 // Hits) and MarkDirty — or walks away, leaving no trace of the probe. A
-// handle is valid until the next Insert, Invalidate or SetState.
+// handle is valid until the next Insert, Invalidate or SetState, and
+// the next Touch of another line in its set (it holds the set's next
+// stamp).
 type Line struct {
-	c *Cache
-	l *line
+	c    *Cache
+	l    *line
+	next uint64
 }
 
 // Find returns a handle on block's line, or false when the block is
 // not resident. A miss is not counted: that is the caller's decision.
 func (c *Cache) Find(block uint32) (Line, bool) {
-	l := c.find(block)
-	return Line{c, l}, l != nil
+	l, next := c.find(block)
+	return Line{c, l, next}, l != nil
 }
 
 // Touch commits a hit: most recently used in its set, and counted.
 func (h Line) Touch() {
-	h.c.clock++
-	h.l.lru = h.c.clock
+	h.l.lru = h.next
 	h.c.Hits++
 }
 
@@ -199,39 +211,27 @@ func (h Line) SetLocked(on bool) { h.l.locked = on }
 
 // LineUndo is a line's LRU stamp and dirty bit as they were before a
 // hit: what an epoch lane that hit the line puts back when it is cut
-// (proc's EpochLog). Restore is exact while nothing but the lane has
-// touched the line since.
+// (proc's EpochLog), with the hit's count. Restore is exact while
+// nothing but the lane has touched the line's set since.
 type LineUndo struct {
+	c     *Cache
 	l     *line
 	lru   uint64
 	dirty bool
 }
 
 // Undo records the line's LRU stamp and dirty bit for Restore.
-func (h Line) Undo() LineUndo { return LineUndo{h.l, h.l.lru, h.l.dirty} }
+func (h Line) Undo() LineUndo { return LineUndo{h.c, h.l, h.l.lru, h.l.dirty} }
 
-// Restore puts back the LRU stamp and dirty bit Undo recorded.
-func (u LineUndo) Restore() { u.l.lru, u.l.dirty = u.lru, u.dirty }
-
-// Mark is the cache's LRU clock and hit count at one moment: Rewind
-// returns them there, undoing the hits committed since (their lines
-// are put back by LineUndo).
-type Mark struct {
-	c           *Cache
-	clock, hits uint64
-}
-
-// Mark records the clock and hit count for Rewind.
-func (c *Cache) Mark() Mark { return Mark{c, c.clock, c.Hits} }
-
-// Rewind returns the clock and hit count to the mark.
-func (k Mark) Rewind() { k.c.clock, k.c.Hits = k.clock, k.hits }
+// Restore puts back the LRU stamp and dirty bit Undo recorded and
+// takes back the hit's count.
+func (u LineUndo) Restore() { u.l.lru, u.l.dirty, u.c.Hits = u.lru, u.dirty, u.c.Hits-1 }
 
 // Lookup is Find committed at once: a touched hit, or a counted miss.
 func (c *Cache) Lookup(block uint32) (State, bool) {
-	if l := c.find(block); l != nil {
-		Line{c, l}.Touch()
-		return l.state, true
+	if h, ok := c.Find(block); ok {
+		h.Touch()
+		return h.State(), true
 	}
 	c.Misses++
 	return Invalid, false
@@ -239,7 +239,7 @@ func (c *Cache) Lookup(block uint32) (State, bool) {
 
 // Probe reads the state without touching LRU or stats.
 func (c *Cache) Probe(block uint32) (State, bool) {
-	if l := c.find(block); l != nil {
+	if l, _ := c.find(block); l != nil {
 		return l.state, true
 	}
 	return Invalid, false
@@ -256,14 +256,13 @@ type Victim struct {
 // Invalidate is how a line leaves), returning the evicted victim if the
 // set was full.
 func (c *Cache) Insert(block uint32, st State) (Victim, bool) {
-	if l := c.find(block); l != nil {
+	l, next := c.find(block)
+	if l != nil {
 		// Upgrade/downgrade in place.
-		l.state = st
-		c.clock++
-		l.lru = c.clock
+		l.state, l.lru = st, next
 		return Victim{}, false
 	}
-	si := c.setIndex(block)
+	si := c.SetIndex(block)
 	base := int(si%ChunkSets) * c.ways
 	set := c.chunk(int(si / ChunkSets))[base : base+c.ways]
 	vi := 0
@@ -287,14 +286,17 @@ func (c *Cache) Insert(block uint32, st State) (Victim, bool) {
 	} else {
 		c.valid++
 	}
-	c.clock++
-	set[vi] = line{block: block, state: st, lru: c.clock}
+	set[vi] = line{block: block, state: st, lru: next}
 	return victim, evicted
 }
 
 // SetState changes a cached block's state (downgrades clear dirty).
 func (c *Cache) SetState(block uint32, st State) bool {
-	l := c.find(block)
+	if st == Invalid {
+		_, ok := c.Invalidate(block)
+		return ok
+	}
+	l, _ := c.find(block)
 	if l == nil {
 		return false
 	}
@@ -302,24 +304,18 @@ func (c *Cache) SetState(block uint32, st State) bool {
 	if st != Exclusive {
 		l.dirty = false
 	}
-	if st == Invalid {
-		l.locked = false
-		c.Invalidations++
-		c.valid--
-	}
 	return true
 }
 
 // Invalidate removes a block, reporting whether it was present and
-// dirty.
+// dirty. The line is left empty: an invalid line holds no LRU stamp.
 func (c *Cache) Invalidate(block uint32) (wasDirty, wasPresent bool) {
-	l := c.find(block)
+	l, _ := c.find(block)
 	if l == nil {
 		return false, false
 	}
 	wasDirty = l.dirty
-	l.state = Invalid
-	l.dirty, l.locked = false, false
+	*l = line{}
 	c.Invalidations++
 	c.valid--
 	return wasDirty, true

@@ -242,7 +242,6 @@ func TestSlotContractAcrossGeometries(t *testing.T) {
 			t.Fatalf("%d sets: walked %d lines, %d valid", g.sets, len(lines), c.Occupancy())
 		}
 		r := newCache(t, g.size, 16, g.assoc)
-		r.SetClock(c.Clock())
 		for i, l := range lines {
 			if i > 0 && l.slot <= lines[i-1].slot {
 				t.Fatalf("%d sets: slot %d after slot %d", g.sets, l.slot, lines[i-1].slot)

@@ -154,10 +154,10 @@ func diffOps(cfg Config, spanShift uint, ops []byte) (*Cache, error) {
 				return fail("ForEach walks %v, flat %v", got, want)
 			}
 		}
-		got := [7]uint64{c.clock, c.Hits, c.Misses, c.Evictions, c.Writebacks, c.Invalidations, uint64(c.Occupancy())}
-		want := [7]uint64{f.clock, f.hits, f.misses, f.evictions, f.writebacks, f.invalidations, uint64(f.valid)}
+		got := [6]uint64{c.Hits, c.Misses, c.Evictions, c.Writebacks, c.Invalidations, uint64(c.Occupancy())}
+		want := [6]uint64{f.hits, f.misses, f.evictions, f.writebacks, f.invalidations, uint64(f.valid)}
 		if got != want {
-			return fail("clock, counters and occupancy %v, flat %v", got, want)
+			return fail("counters and occupancy %v, flat %v", got, want)
 		}
 	}
 	if got, want := walkChunked(c), walkFlat(f); !slices.Equal(got, want) {
@@ -252,4 +252,209 @@ func FuzzCacheOps(f *testing.F) {
 			t.Fatalf("%+v: %v", cfg, err)
 		}
 	})
+}
+
+// clockCache is the LRU scheme per-set stamps replaced: one clock for
+// the whole cache, bumped by every hit and fill and never taken back by
+// an invalidation. Replacement reads only the order of a set's valid
+// lines by last use, which both schemes keep, so the two must evict
+// the same victims and hold the same lines.
+type clockCache struct {
+	lines []line
+	nsets uint32
+	ways  int
+	clock uint64
+}
+
+func (o *clockCache) set(block uint32) []line {
+	base := int(block%o.nsets) * o.ways
+	return o.lines[base : base+o.ways]
+}
+
+func (o *clockCache) find(block uint32) *line {
+	set := o.set(block)
+	for i := range set {
+		if set[i].state != Invalid && set[i].block == block {
+			return &set[i]
+		}
+	}
+	return nil
+}
+
+func (o *clockCache) insert(block uint32, st State) (Victim, bool) {
+	o.clock++
+	if l := o.find(block); l != nil {
+		l.state, l.lru = st, o.clock
+		return Victim{}, false
+	}
+	set := o.set(block)
+	vi := 0
+	for i := range set {
+		if set[i].state == Invalid {
+			vi = i
+			break
+		}
+		if set[i].lru < set[vi].lru {
+			vi = i
+		}
+	}
+	v, evicted := set[vi], set[vi].state != Invalid
+	set[vi] = line{block: block, state: st, lru: o.clock}
+	if !evicted {
+		return Victim{}, false
+	}
+	return Victim{Block: v.block, State: v.state, Dirty: v.dirty}, true
+}
+
+// sameLRU compares residency (slot, block, state, dirty) and, set by
+// set, the order of the valid lines' stamps.
+func sameLRU(c *Cache, o *clockCache) error {
+	var got, want []slotLine
+	c.ForEach(func(slot int, block uint32, st State, dirty bool, lru uint64) {
+		got = append(got, slotLine{slot, block, st, dirty, lru})
+	})
+	for i, l := range o.lines {
+		if l.state != Invalid {
+			want = append(want, slotLine{i, l.block, l.state, l.dirty, l.lru})
+		}
+	}
+	if len(got) != len(want) {
+		return fmt.Errorf("%d lines resident, one-clock oracle %d", len(got), len(want))
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.slot != w.slot || g.block != w.block || g.st != w.st || g.dirty != w.dirty {
+			return fmt.Errorf("line %+v, one-clock oracle %+v", g, w)
+		}
+		for j := i + 1; j < len(got) && got[j].slot/o.ways == g.slot/o.ways; j++ {
+			if (g.lru < got[j].lru) != (w.lru < want[j].lru) || g.lru == got[j].lru {
+				return fmt.Errorf("slots %d and %d: stamps %d, %d, one-clock oracle %d, %d",
+					g.slot, got[j].slot, g.lru, got[j].lru, w.lru, want[j].lru)
+			}
+		}
+	}
+	return nil
+}
+
+// TestPerSetLRUMatchesOneClock runs seeded random inserts, hits,
+// invalidations and downgrades on a cache and on clockCache, over
+// direct-mapped, 4-way and non-power-of-two geometries, with blocks
+// crowded into a few sets so that every set used overflows: every
+// victim, every hit and the resident lines must agree.
+func TestPerSetLRUMatchesOneClock(t *testing.T) {
+	for _, cfg := range []Config{
+		{SizeBytes: 4 << 10, BlockBytes: 16, Assoc: 1},
+		{SizeBytes: 2 << 10, BlockBytes: 16, Assoc: 4},
+		{SizeBytes: 3 << 10, BlockBytes: 16, Assoc: 4}, // 48 sets
+		{SizeBytes: 3 << 10, BlockBytes: 16, Assoc: 2}, // 96 sets
+	} {
+		for seed := int64(1); seed <= 3; seed++ {
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := &clockCache{lines: make([]line, int(c.nsets)*c.ways), nsets: c.nsets, ways: c.ways}
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 20000; i++ {
+				block := uint32(rng.Intn(2*c.ways+1))*c.nsets + uint32(rng.Intn(6))
+				fail := func(format string, args ...any) {
+					t.Fatalf("%+v, seed %d, op %d on block %d: %s", cfg, seed, i, block, fmt.Sprintf(format, args...))
+				}
+				switch op := rng.Intn(8); {
+				case op < 3:
+					st := State(1 + rng.Intn(2))
+					v, ev := c.Insert(block, st)
+					if ov, oev := o.insert(block, st); v != ov || ev != oev {
+						fail("insert evicted %+v (%v), one-clock oracle %+v (%v)", v, ev, ov, oev)
+					}
+				case op < 6:
+					ln, hit := c.Find(block)
+					ol := o.find(block)
+					if hit != (ol != nil) {
+						fail("hit %v, one-clock oracle %v", hit, ol != nil)
+					}
+					if hit {
+						ln.Touch()
+						o.clock++
+						ol.lru = o.clock
+						if ln.State() == Exclusive && op == 5 {
+							ln.MarkDirty()
+							ol.dirty = true
+						}
+					}
+				case op == 6:
+					d, p := c.Invalidate(block)
+					if ol := o.find(block); p != (ol != nil) || p && d != ol.dirty {
+						fail("invalidate (%v,%v), one-clock oracle %+v", d, p, ol)
+					} else if p {
+						*ol = line{}
+					}
+				default:
+					c.SetState(block, Shared)
+					if ol := o.find(block); ol != nil {
+						ol.state, ol.dirty = Shared, false
+					}
+				}
+				if i%500 == 0 {
+					if err := sameLRU(c, o); err != nil {
+						fail("%v", err)
+					}
+				}
+			}
+			if err := sameLRU(c, o); err != nil {
+				t.Fatalf("%+v, seed %d, final: %v", cfg, seed, err)
+			}
+			if c.Evictions == 0 || c.Invalidations == 0 {
+				t.Errorf("%+v, seed %d: %d evictions, %d invalidations: stream too tame", cfg, seed, c.Evictions, c.Invalidations)
+			}
+		}
+	}
+}
+
+// TestRestoreDerivesSameStamps: a cache rebuilt from its valid lines
+// alone (what a snapshot image holds) derives the same LRU stamps as
+// the original under the same further operations, because an
+// invalidated line keeps no stamp that could still be its set's
+// largest.
+func TestRestoreDerivesSameStamps(t *testing.T) {
+	for _, cfg := range diffGeometries[1:3] {
+		for seed := int64(1); seed <= 3; seed++ {
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(seed))
+			op := func(c *Cache, k, block uint32) {
+				switch k % 4 {
+				case 0, 1:
+					c.Insert(block, Shared)
+				case 2:
+					c.Lookup(block)
+				default:
+					c.Invalidate(block)
+				}
+			}
+			draw := func() (uint32, uint32) {
+				return uint32(rng.Intn(4)), uint32(rng.Intn(2*c.ways+1))*c.nsets + uint32(rng.Intn(4))
+			}
+			for i := 0; i < 2000; i++ {
+				k, block := draw()
+				op(c, k, block)
+			}
+			r, _ := New(cfg)
+			c.ForEach(func(slot int, block uint32, st State, dirty bool, lru uint64) {
+				if err := r.SetSlot(slot, block, st, dirty, lru); err != nil {
+					t.Fatal(err)
+				}
+			})
+			for i := 0; i < 2000; i++ {
+				k, block := draw()
+				op(c, k, block)
+				op(r, k, block)
+			}
+			if got, want := walkChunked(r), walkChunked(c); !slices.Equal(got, want) {
+				t.Fatalf("%+v, seed %d: restored cache walks %v, original %v", cfg, seed, got, want)
+			}
+		}
+	}
 }

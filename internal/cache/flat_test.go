@@ -10,7 +10,6 @@ type flatCache struct {
 	lines []line
 	nsets uint32
 	ways  int
-	clock uint64
 	valid int
 
 	hits, misses, evictions, writebacks, invalidations uint64
@@ -36,9 +35,17 @@ func (c *flatCache) find(block uint32) *line {
 	return nil
 }
 
+// stamp is the LRU stamp block's set gives its next hit or fill.
+func (c *flatCache) stamp(block uint32) uint64 {
+	var top uint64
+	for _, l := range c.set(block) {
+		top = max(top, l.lru)
+	}
+	return top + 1
+}
+
 func (c *flatCache) touch(l *line) {
-	c.clock++
-	l.lru = c.clock
+	l.lru = c.stamp(l.block)
 	c.hits++
 }
 
@@ -53,9 +60,7 @@ func (c *flatCache) lookup(block uint32) (State, bool) {
 
 func (c *flatCache) insert(block uint32, st State) (Victim, bool) {
 	if l := c.find(block); l != nil {
-		l.state = st
-		c.clock++
-		l.lru = c.clock
+		l.state, l.lru = st, c.stamp(block)
 		return Victim{}, false
 	}
 	set := c.set(block)
@@ -80,8 +85,7 @@ func (c *flatCache) insert(block uint32, st State) (Victim, bool) {
 	} else {
 		c.valid++
 	}
-	c.clock++
-	set[vi] = line{block: block, state: st, lru: c.clock}
+	set[vi] = line{block: block, state: st, lru: c.stamp(block)}
 	return victim, evicted
 }
 
@@ -95,7 +99,7 @@ func (c *flatCache) setState(block uint32, st State) bool {
 		l.dirty = false
 	}
 	if st == Invalid {
-		l.locked = false
+		*l = line{}
 		c.invalidations++
 		c.valid--
 	}
@@ -108,7 +112,7 @@ func (c *flatCache) invalidate(block uint32) (wasDirty, wasPresent bool) {
 		return false, false
 	}
 	wasDirty = l.dirty
-	*l = line{block: l.block, lru: l.lru}
+	*l = line{}
 	c.invalidations++
 	c.valid--
 	return wasDirty, true
@@ -121,10 +125,11 @@ func (c *flatCache) setSlot(slot int, block uint32, st State, dirty bool, lru ui
 	if c.lines[slot].state != Invalid {
 		c.valid--
 	}
+	c.lines[slot] = line{}
 	if st != Invalid {
 		c.valid++
+		c.lines[slot] = line{block: block, state: st, dirty: dirty, lru: lru}
 	}
-	c.lines[slot] = line{block: block, state: st, dirty: dirty, lru: lru}
 	return nil
 }
 

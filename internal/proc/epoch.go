@@ -73,8 +73,8 @@ type Touch struct {
 
 // laneSave is everything EpochRun can change on a processor, as it was
 // when the lane began, plus what the lane touched outside it: its
-// words, the cache lines it hit and the cache's clock before the first
-// hit, and (keys) the words it entered in the word index.
+// words, the cache lines it hit, and (keys) the words it entered in the
+// word index.
 type laneSave struct {
 	frame                               core.Frame
 	globals                             [isa.NumGlobalRegs]isa.Word
@@ -82,11 +82,9 @@ type laneSave struct {
 	epochOps                            uint64
 	kinds                               [isa.NumMicroKinds]uint64
 
-	words  []Touch
-	lines  []cache.LineUndo
-	mark   cache.Mark
-	marked bool
-	keys   []uint32
+	words []Touch
+	lines []cache.LineUndo
+	keys  []uint32
 }
 
 // NewLaneLog returns a log for the lanes of a machine of the given
@@ -125,9 +123,6 @@ func (l *EpochLog) Cut(p *Processor, n int) {
 	}
 	for i := len(s.lines) - 1; i >= 0; i-- {
 		s.lines[i].Restore()
-	}
-	if s.marked {
-		s.mark.Rewind()
 	}
 	l.unindex(p.ID, s)
 	s.restore(p)
@@ -169,7 +164,7 @@ func (l *EpochLog) save(p *Processor, f *core.Frame, n int) {
 	if cap(s.words) < n { // at most one access per op: sized once
 		s.words, s.lines, s.keys = make([]Touch, 0, n), make([]cache.LineUndo, 0, n), make([]uint32, 0, n)
 	}
-	s.words, s.lines, s.marked = s.words[:0], s.lines[:0], false
+	s.words, s.lines = s.words[:0], s.lines[:0]
 	l.cur = s
 	s.frame = *f
 	s.globals = p.Engine.Globals
@@ -180,14 +175,10 @@ func (l *EpochLog) save(p *Processor, f *core.Frame, n int) {
 }
 
 // NoteHit records, for the lane in progress, a cache hit about to
-// commit on line ln of cache c: the line's state before it, the cache
-// clock before the lane's first hit, and the word the hit reads or
-// (with store) overwrites, whose value before is prev.
-func (l *EpochLog) NoteHit(c *cache.Cache, ln cache.Line, idx uint32, store bool, prev isa.Word) {
+// commit on line ln: the line's state before it, and the word the hit
+// reads or (with store) overwrites, whose value before is prev.
+func (l *EpochLog) NoteHit(ln cache.Line, idx uint32, store bool, prev isa.Word) {
 	s := l.cur
-	if !s.marked {
-		s.mark, s.marked = c.Mark(), true
-	}
 	s.lines = append(s.lines, ln.Undo())
 	s.words = append(s.words, Touch{Idx: idx, Stored: store, old: prev})
 }

@@ -71,7 +71,8 @@ type Scheduler struct {
 
 	heapAlloc *chunkAlloc
 
-	stealRR int // round-robin cursor over threads for marker stealing
+	stealRR int   // round-robin cursor over threads for marker stealing
+	tcbs    []int // ids of the threads holding a TCB, ascending
 }
 
 // Memory chunk sizes.
@@ -337,6 +338,8 @@ func (s *Scheduler) allocStack(t *Thread) error {
 		}
 		InitTCB(s.Mem, tcb, t.ID)
 		t.TCB = tcb
+		i, _ := slices.BinarySearch(s.tcbs, t.ID)
+		s.tcbs = slices.Insert(s.tcbs, i, t.ID)
 		t.Regs[isa.RTP] = isa.Word(tcb)
 	}
 	return nil
@@ -361,6 +364,9 @@ func (s *Scheduler) Kill(t *Thread) {
 	if t.TCB != 0 {
 		s.freeTCBs = append(s.freeTCBs, t.TCB)
 		t.TCB = 0
+		if i, ok := slices.BinarySearch(s.tcbs, t.ID); ok {
+			s.tcbs = slices.Delete(s.tcbs, i, i+1)
+		}
 	}
 }
 
@@ -376,17 +382,19 @@ func (s *Scheduler) LiveThreads() int {
 }
 
 // FindMarker scans threads round-robin for a stealable lazy marker and
-// returns the owning thread, or nil. The scan order is deterministic.
+// returns the owning thread, or nil. The scan order is deterministic:
+// ascending id from the cursor, wrapping, over the threads holding a
+// TCB (only those can hold a marker).
 func (s *Scheduler) FindMarker() *Thread {
-	n := len(s.threads)
-	for i := 0; i < n; i++ {
-		t := s.threads[(s.stealRR+i)%n]
-		if t.State == ThreadDead || t.TCB == 0 {
+	k, _ := slices.BinarySearch(s.tcbs, s.stealRR)
+	for i := range s.tcbs {
+		t := s.threads[s.tcbs[(k+i)%len(s.tcbs)]]
+		if t.State == ThreadDead {
 			continue
 		}
 		bot, top := DequeBounds(s.Mem, t.TCB)
 		if bot < top {
-			s.stealRR = (s.stealRR + i + 1) % n
+			s.stealRR = (t.ID + 1) % len(s.threads)
 			return t
 		}
 	}

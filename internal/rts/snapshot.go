@@ -10,9 +10,9 @@ import (
 // arena cursors are all simulated state: queue order decides which
 // thread runs next, freelist order decides which recycled stack a new
 // thread receives, and the arena cursors decide the addresses of
-// future allocations — so all of them round-trip exactly. waiterPool
-// and readyQueues are host-side (recycling scratch and a derived
-// count) and are reconstructed.
+// future allocations — so all of them round-trip exactly. waiterPool,
+// readyQueues and tcbs are host-side (recycling scratch, a derived
+// count and a derived index) and are reconstructed.
 
 // SchedImage is a Scheduler's complete snapshot state.
 type SchedImage struct {
@@ -103,9 +103,13 @@ func (s *Scheduler) RestoreState(img SchedImage) error {
 	s.MainResult = img.MainResult
 	s.Stats = img.Stats
 	s.threads = make([]*Thread, nthreads)
+	s.tcbs = s.tcbs[:0]
 	for i := range img.Threads {
 		t := img.Threads[i]
 		s.threads[i] = &t
+		if t.TCB != 0 {
+			s.tcbs = append(s.tcbs, i)
+		}
 	}
 	copy(s.ready, img.Ready)
 	s.readyQueues = 0

@@ -121,9 +121,9 @@ type netFabric struct {
 	check *fault.Checker
 
 	// laneHook, when the epoch engine runs ALEWIFE lanes, is told
-	// before a controller changes its own cache: a fill (Insert) or a
-	// recall of block (Invalidate or downgrade). See Machine.laneFabric.
-	laneHook func(node int, block uint32, fill bool)
+	// before a controller fills block into its own cache (Insert) or
+	// recalls it (Invalidate or downgrade). See Machine.laneFabric.
+	laneHook func(node int, block uint32)
 }
 
 // markDirty records that a controller has work for the next tick (a due
@@ -502,7 +502,7 @@ func (c *cacheCtl) LaneHit(addr uint32, store bool, value isa.Word, l *proc.Epoc
 	if !ok {
 		return 0, false, false
 	}
-	l.NoteHit(c.cache, ln, idx, store, prev)
+	l.NoteHit(ln, idx, store, prev)
 	ln.Touch()
 	if store {
 		ln.MarkDirty()
@@ -670,7 +670,7 @@ func (c *cacheCtl) install(block uint32, write bool) cache.Line {
 		st = cache.Exclusive
 	}
 	if h := c.fabric.laneHook; h != nil {
-		h(c.node, block, true)
+		h(c.node, block)
 	}
 	victim, evicted := c.cache.Insert(block, st)
 	if evicted && victim.State == cache.Exclusive {
@@ -815,7 +815,7 @@ func (c *cacheCtl) processRecalls() {
 // acknowledges the home.
 func (c *cacheCtl) recall(msg directory.Msg) {
 	if h := c.fabric.laneHook; h != nil {
-		h(c.node, msg.Block, false)
+		h(c.node, msg.Block)
 	}
 	switch msg.Kind {
 	case directory.Inv:

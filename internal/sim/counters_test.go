@@ -69,6 +69,7 @@ var counterCells = map[string]counterCell{
 				"scheduler.requeues":        "only a full/empty wait spinning past BlockRounds requeues; queens synchronizes through futures",
 				"compile.unfusable_entries": "on 4 busy nodes lanes leave no one-stepper window to enter a block that cannot fuse",
 				"epoch.lane_cuts_fabric":    "perfect memory has no fabric",
+				"epoch.lane_spares_fabric":  "perfect memory has no fabric",
 				"epoch.lane_cuts_word":      "eager queens: no access outside the lanes reaches a word a lane touched ahead of it (the perfect-memory cells of TestLanesMatchReference do)",
 				"epoch.lane_cuts_ipi":       "queens posts no IPI",
 				"epoch.lane_cuts_end":       "the main thread exits while no lane runs ahead of it",

@@ -13,7 +13,7 @@
 //   - (a) an access outside any lane to a word the lane touched, where
 //     either side stores (laneWatch, through the memory's watch); on
 //     ALEWIFE the processors' own accesses reach a lane only through
-//     its controller, as a fill or recall (laneFabric);
+//     its controller, as a fill or recall in a set it hit (laneFabric);
 //   - (b) on perfect memory, another lane: a lane refuses an op that
 //     would touch a word another lane in flight touched where either
 //     side stores (the log's word index), and that op runs per-op,
@@ -198,26 +198,24 @@ func (m *Machine) cutLanes(before int) {
 }
 
 // laneFabric is the fabric's laneHook: node's controller, in the tick
-// of cycle now, is about to fill its cache (fill) or recall block from
-// it. A fill moves the cache's LRU clock and may evict any line; a
-// recall changes block's line. Either cuts back a lane that hit the
-// cache, or block, and still has ops after the tick.
-func (m *Machine) laneFabric(node int, block uint32, fill bool) {
+// of cycle now, is about to fill or recall block. Either changes only
+// block's cache set (LRU stamps are per set), so it cuts back a lane
+// that hit that set and still has ops after the tick, and spares any
+// other.
+func (m *Machine) laneFabric(node int, block uint32) {
 	if m.lanes.span[node].end <= m.now+1 {
 		return
 	}
-	ts := m.epochLog.Touches(node)
-	if !fill {
-		shift := m.net.ctls[node].blockShift - 2 // word index to block
-		i := 0
-		for i < len(ts) && ts[i].Idx>>shift != block {
-			i++
+	c := m.net.ctls[node]
+	shift := c.blockShift - 2 // word index to block
+	set := c.cache.SetIndex(block)
+	for _, t := range m.epochLog.Touches(node) {
+		if c.cache.SetIndex(t.Idx>>shift) == set {
+			m.cutLane(node, m.now, len(m.Nodes), &m.epochTel.LaneCutsFabric, false)
+			return
 		}
-		ts = ts[i:]
 	}
-	if len(ts) > 0 {
-		m.cutLane(node, m.now, len(m.Nodes), &m.epochTel.LaneCutsFabric, false)
-	}
+	m.epochTel.LaneSparesFabric++
 }
 
 // laneWatch is the memory's watch while lanes are in flight: inside

@@ -13,9 +13,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 
 	"april/internal/bench"
@@ -478,11 +480,93 @@ func laneMachine(t *testing.T, nodes int, tier sim.Tier, alewife bool) *sim.Mach
 		})
 }
 
+// setSrc is the raw program of TestLanesMatchReference's set cells: two
+// threads on each of two ALEWIFE nodes with an 8-set, 2-way cache.
+// Each iteration runs 8 register ops, hits the node's own word H, runs
+// 24 more, reads the word R all nodes share (storing to it once every
+// r19 iterations), and loads the next block of a stream homed on the
+// other node, which misses: the thread switches out, and the other
+// thread's lane runs while the stream block is filled. A lane that
+// starts after that switch hits H and ends before it reaches R.
+// Registers: r9 fixnum 1, r10 H, r11 R, r14 the stream's base, r24 its
+// offset, r25 the offset mask, r26 the stride (one block of the same
+// set), r12 iterations left, r13 counts down to the next store to R
+// and r19 reloads it; r7 is zero on the thread that ends the run.
+var setSrc = `
+loop:   add   r20, r20, r9
+        add   r20, r20, r9
+        add   r20, r20, r9
+        add   r20, r20, r9
+        add   r20, r20, r9
+        add   r20, r20, r9
+        add   r20, r20, r9
+        add   r20, r20, r9
+        ldnt  r21, [r10+0]
+` + strings.Repeat("        add   r20, r20, r9\n", 24) + `        ldnt  r22, [r11+0]
+        subcc r13, r13, r9
+        bg    stream
+        stnt  [r11+0], r20
+        add   r13, r19, r0
+stream: add   r24, r24, r26
+        and   r24, r24, r25
+        add   r23, r14, r24
+        ldnt  r23, [r23+0]
+        subcc r12, r12, r9
+        bg    loop
+        subcc r0, r7, 0
+        be    main
+        trap  2
+main:   trap  1
+`
+
+// setMachine builds the machine for setSrc on the given tier. Node i's
+// stream lies in set 1-i, whose blocks the other node homes; hSet and
+// rSet place H and R (-1: H in the stream's set), and stores sets
+// whether any thread stores to R.
+func setMachine(t *testing.T, tier sim.Tier, hSet, rSet int, stores bool) *sim.Machine {
+	const block, sets = 16, 8
+	aw := &sim.AlewifeConfig{Cache: cache.Config{SizeBytes: 256, BlockBytes: block, Assoc: 2}}
+	var second []map[uint8]isa.Word
+	m := rawMachine(t, setSrc, sim.Config{Nodes: 2, Tier: tier, Alewife: aw},
+		func(i int, shared, region uint32) map[uint8]isa.Word {
+			shared = (shared + block*sets - 1) &^ (block*sets - 1)
+			region = (region + block*sets - 1) &^ (block*sets - 1)
+			h := hSet
+			if h < 0 {
+				h = 1 - i
+			}
+			every := 1 << 20
+			if stores {
+				every = 3 + 2*i
+			}
+			regs := map[uint8]isa.Word{
+				7: fix(0), 9: fix(1),
+				10: isa.Word(region + uint32(h)*block), 11: isa.Word(shared + uint32(rSet)*block),
+				14: isa.Word(region + 4096 + uint32(1-i)*block),
+				25: isa.Word(32*block*sets - block*sets), 26: isa.Word(block * sets),
+				12: fix(40 - 5*i), 13: fix(every), 19: fix(every),
+			}
+			other := maps.Clone(regs)
+			other[7], other[12], other[24] = fix(1), fix(30), isa.Word(16*block*sets)
+			second = append(second, other)
+			if i > 0 {
+				regs[7] = fix(1)
+			}
+			return regs
+		})
+	for i, regs := range second {
+		m.SpawnRaw(i, 0, regs)
+	}
+	return m
+}
+
 // TestLanesMatchReference is the lanes matrix: it holds lanes to the
 // reference tier where they are cut back, on both memory systems.
 // ALEWIFE: laneSrc at 2, 4, 16 and 64 nodes forces fills, recalls,
 // cache-bypassing writes, IPIs and the run's end into lanes running
-// ahead; Mul-T queens runs eager, with lazy task creation (the
+// ahead; setSrc fills into a cache set a lane hit, fills into one it
+// did not (which must spare every lane) and recalls another block of a
+// set a lane hit; Mul-T queens runs eager, with lazy task creation (the
 // run-time system copies stacks lanes write) and with the fault plan
 // armed; a livelock report lands with lanes ahead. Perfect memory:
 // laneSrc at 2, 4 and 16 nodes forces per-op and bypassing accesses to
@@ -508,6 +592,25 @@ func TestLanesMatchReference(t *testing.T) {
 	}
 	for _, nodes := range []int{2, 4, 16} {
 		raw(fmt.Sprintf("perfect-raw-%dp", nodes), false, func(tier sim.Tier) *sim.Machine { return laneMachine(t, nodes, tier, false) })
+	}
+	for _, c := range []struct {
+		name         string
+		hSet, rSet   int
+		stores       bool
+		cuts, spares bool // fabric cuts occur (else none may); spares occur
+	}{
+		{"fill-touched-set-2p", -1, 4, false, true, false},
+		{"fill-other-set-2p", 6, 4, false, false, true},
+		{"recall-touched-set-2p", 2, 2, true, true, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			et := matchLanes(t, func(tier sim.Tier) *sim.Machine { return setMachine(t, tier, c.hSet, c.rSet, c.stores) })
+			t.Logf("fabric: %d cuts, %d spares", et.LaneCutsFabric, et.LaneSparesFabric)
+			if (et.LaneCutsFabric > 0) != c.cuts || c.spares && et.LaneSparesFabric == 0 {
+				t.Errorf("fabric: %d cuts, %d spares: the case did not occur", et.LaneCutsFabric, et.LaneSparesFabric)
+			}
+			add(true, et)
+		})
 	}
 	t.Run("livelock-4p", func(t *testing.T) {
 		c := matchCrash(t, livelockMachine)

@@ -612,13 +612,12 @@ func checkMsg(r *snapshot.Reader, m *directory.Msg, nodes int) {
 // encodeCtl writes one controller, listing sharers through members (a
 // scratch buffer it returns for the next controller).
 func encodeCtl(w *snapshot.Writer, c *cacheCtl, members []int) []int {
-	// Cache arrays: the valid lines with their slots, plus the LRU clock
-	// and counters. An Invalid slot's stale block and lru are never read
-	// (find skips it, Insert takes it before comparing any lru).
+	// Cache arrays: the valid lines with their slots and LRU stamps,
+	// plus the counters. An Invalid slot holds stamp 0 and is never
+	// read otherwise, so a restore that leaves it empty is exact.
 	sets, ways := c.cache.Geometry()
 	w.Int(sets)
 	w.Int(ways)
-	w.U64(c.cache.Clock())
 	snapshot.Put(w, &c.cache.Stats)
 	w.Count(c.cache.Occupancy())
 	c.cache.ForEach(func(slot int, block uint32, st cache.State, dirty bool, lru uint64) {
@@ -662,7 +661,6 @@ func decodeCtl(r *snapshot.Reader, c *cacheCtl) {
 		r.Corrupt("image cache geometry %d×%d, machine has %d×%d", isets, iways, sets, ways)
 		return
 	}
-	c.cache.SetClock(r.U64())
 	snapshot.Get(r, &c.cache.Stats)
 	for n := r.CountAtMost("cache lines", sets*ways); n > 0; n-- {
 		slot := int(r.U32())

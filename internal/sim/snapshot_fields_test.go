@@ -38,7 +38,7 @@ var imageSections = []string{
 	"state header", // cycle and watchdog cursors
 	"memory",       // resident pages
 	"fabric",       // fabric cycle, network kind, controller count
-	"cache lines",  // geometry, LRU clock, valid lines by slot
+	"cache lines",  // geometry, valid lines by slot with LRU stamps
 	"directory",    // entries by ascending block
 	"cursors",      // trace ring and sampler cursors
 }
@@ -210,6 +210,7 @@ var imageFields = map[reflect.Type]map[string]imageClass{
 		"freeTCBs":    in("rts.SchedImage", "FreeTCBs"),
 		"heapAlloc":   in("rts.SchedImage", "HeapNext"), // and HeapLimit
 		"stealRR":     in("rts.SchedImage", "StealRR"),
+		"tcbs":        host("ids of threads holding a TCB, rebuilt by RestoreState"),
 	},
 	reflect.TypeFor[network.Torus](): {
 		"geo":       fromID,
@@ -254,7 +255,6 @@ var imageFields = map[reflect.Type]map[string]imageClass{
 		"ways":   fromID,
 		"mask":   fromID,
 		"pow2":   fromID,
-		"clock":  section("cache lines"),
 		"valid":  host("valid-line count, rebuilt by SetSlot"),
 		"Stats":  walk("cache.Stats"),
 	},

@@ -53,35 +53,35 @@ var pinnedImages = []struct {
 }{
 	{"perfect-4", func(t *testing.T) *sim.Machine {
 		return runTo(t, pinMachine(t, bench.FibSource(12), snapConfig{nodes: 4}.simConfig(), false), 6000)
-	}, 202986, 0x321ab64d45562a60},
+	}, 202986, 0x5ebc8d3d5c0630d7},
 	{"torus16-faults", func(t *testing.T) *sim.Machine {
 		cfg := snapConfig{nodes: 16, aw: true, faults: true}.simConfig()
 		return runTo(t, pinMachine(t, bench.QueensSource(6), cfg, false), 6446)
-	}, 406117, 0xf21c58d5ab4d658e},
+	}, 405989, 0x36d10b78d0f73e82},
 	{"ideal-alewife", func(t *testing.T) *sim.Machine {
 		cfg := snapConfig{nodes: 32}.simConfig()
 		cfg.Alewife = &sim.AlewifeConfig{IdealNet: true, IdealLat: 20}
 		return runTo(t, pinMachine(t, bench.QueensSource(8), cfg, false), 11839)
-	}, 1093177, 0x2e217b1220e2f48f},
+	}, 1092921, 0x07e6565843a1f852},
 	{"lazy", func(t *testing.T) *sim.Machine {
 		cfg := snapConfig{nodes: 4, aw: true}.simConfig()
 		cfg.Lazy = true
 		return runTo(t, pinMachine(t, bench.FibSource(10), cfg, true), 8000)
-	}, 302425, 0x6a093a95d10acd65},
+	}, 302393, 0x66189526af5488ab},
 	{"traced-timeline", func(t *testing.T) *sim.Machine {
 		m := pinMachine(t, bench.FibSource(10), snapConfig{nodes: 4, aw: true}.simConfig(), false)
 		m.EnableTracing(0)
 		m.EnableTimeline(500)
 		return runTo(t, m, 7000)
-	}, 299575, 0x24b679a3e952f12f},
+	}, 299543, 0x3d1b03ffea395249},
 	{"finished", func(t *testing.T) *sim.Machine {
 		m := pinMachine(t, bench.FibSource(8), snapConfig{nodes: 4, aw: true}.simConfig(), false)
 		if _, err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
 		return m
-	}, 252178, 0xc11ae302bf74fe0d},
-	{"ckpt64", func(t *testing.T) *sim.Machine { return queensDonor(t, 64) }, 3563573, 0x6b6d3b3d660bfbc5},
+	}, 252146, 0x7f697e136f1488ff},
+	{"ckpt64", func(t *testing.T) *sim.Machine { return queensDonor(t, 64) }, 3563061, 0x4dcf5609ec5fce96},
 }
 
 // TestSnapshotImageBytes: the images of the pinned configurations are

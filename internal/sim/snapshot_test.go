@@ -12,6 +12,7 @@ package sim_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
@@ -424,6 +425,24 @@ func TestSnapshotImageValidation(t *testing.T) {
 		if _, err := sim.Restore(img[:n], sim.RestoreOverrides{}); err == nil {
 			t.Errorf("restore of %d-byte prefix succeeded", n)
 		}
+	}
+}
+
+// TestSnapshotRefusesV3Image: a v3 image (one cache LRU clock, where
+// v4 keeps stamps per set) is refused by its header, whatever its
+// payload holds.
+func TestSnapshotRefusesV3Image(t *testing.T) {
+	m := snapMachine(t, bench.FibSource(8), snapConfig{nodes: 4, aw: true}.simConfig())
+	if _, err := m.RunWindow(1024); err != nil {
+		t.Fatal(err)
+	}
+	img, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(img[8:], 3)
+	if _, err := sim.Restore(img, sim.RestoreOverrides{}); !errors.Is(err, snapshot.ErrVersion) {
+		t.Fatalf("restore of a v3 image: %v, want %v", err, snapshot.ErrVersion)
 	}
 }
 

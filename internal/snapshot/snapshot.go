@@ -39,8 +39,9 @@ import (
 // layout change, a field added to, removed from, retyped or moved in a
 // record Put walks included; Open rejects other versions with
 // ErrVersion. (v2: one memory section of 4 KiB pages, valid cache
-// lines only. v3: CRC-32C payload checksum.)
-const Version = 3
+// lines only. v3: CRC-32C payload checksum. v4: per-set cache LRU
+// stamps, no cache clock.)
+const Version = 4
 
 var magic = [8]byte{'A', 'P', 'R', 'I', 'L', 'I', 'M', 'G'}
 

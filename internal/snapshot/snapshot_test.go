@@ -107,6 +107,7 @@ func TestOpenTaxonomy(t *testing.T) {
 		{"magic", func(b []byte) []byte { b[3] ^= 1; return b }, ErrMagic},
 		{"v1 header", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[8:], 1); return b }, ErrVersion},
 		{"v2 header", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[8:], 2); return b }, ErrVersion},
+		{"v3 header", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[8:], 3); return b }, ErrVersion},
 		{"future version", func(b []byte) []byte { binary.LittleEndian.PutUint32(b[8:], Version+1); return b }, ErrVersion},
 		{"empty", func(b []byte) []byte { return nil }, ErrTruncated},
 		{"short header", func(b []byte) []byte { return b[:headerLen-1] }, ErrTruncated},
@@ -125,8 +126,8 @@ func TestOpenTaxonomy(t *testing.T) {
 	if _, _, err := Open(img); err != nil {
 		t.Errorf("pristine image: %v", err)
 	}
-	if Version != 3 {
-		t.Errorf("format version %d, want 3", Version)
+	if Version != 4 {
+		t.Errorf("format version %d, want 4", Version)
 	}
 }
 

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -52,11 +53,14 @@ func TestRunMeasures(t *testing.T) {
 
 // TestRunSameUnderEveryTier: a raw program runs on the configured tier
 // — the compiled tier resolves single steps through its
-// superinstruction handlers — and the tier never moves a measurement.
+// superinstruction handlers and lanes — and the tier never moves a
+// measurement or a byte of the machine's image, cache LRU stamps
+// included.
 func TestRunSameUnderEveryTier(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Cycles, cfg.WarmupCycles = 20_000, 5_000
 	var want Measurement
+	var wantImg []byte
 	for _, tier := range sim.Tiers {
 		meas, m, err := run(cfg, tier)
 		if err != nil {
@@ -69,10 +73,14 @@ func TestRunSameUnderEveryTier(t *testing.T) {
 		if (inline > 0) != (tier == sim.TierCompiled) {
 			t.Errorf("%v: %d inline steps", tier, inline)
 		}
+		img, err := m.Snapshot()
+		if err != nil {
+			t.Fatalf("%v: %v", tier, err)
+		}
 		if tier == sim.TierCompiled {
-			want = meas
-		} else if meas != want {
-			t.Errorf("%v measures %+v, compiled %+v", tier, meas, want)
+			want, wantImg = meas, img
+		} else if meas != want || !bytes.Equal(img, wantImg) {
+			t.Errorf("%v measures %+v, compiled %+v; images equal %v", tier, meas, want, bytes.Equal(img, wantImg))
 		}
 	}
 }
