@@ -22,14 +22,18 @@ fmt-check:
 
 # Ten seconds each of native fuzzing over the machine-image container
 # (arbitrary bytes) and sim.Restore (mutated payloads, re-sealed so the
-# checksum passes): an error or a runnable machine, never a panic; and
-# over cache operation streams, run on the chunked cache and the flat
-# one it replaced, which must agree. New coverage is minimized for at
-# most a second, or a slow input eats the budget.
+# checksum passes): an error or a runnable machine, never a panic; over
+# cache operation streams, run on the chunked cache and the flat one it
+# replaced, which must agree; and over the front ends, the instruction
+# decoder and assembler (arbitrary words and text) and the Mul-T
+# compiler (arbitrary source): an error, never a panic. New coverage is
+# minimized for at most a second, or a slow input eats the budget.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzOpen -fuzztime 10s -fuzzminimizetime 1s ./internal/snapshot/
 	$(GO) test -run xxx -fuzz FuzzRestore -fuzztime 10s -fuzzminimizetime 1s ./internal/sim/
 	$(GO) test -run xxx -fuzz FuzzCacheOps -fuzztime 10s -fuzzminimizetime 1s ./internal/cache/
+	$(GO) test -run xxx -fuzz FuzzDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/isa/
+	$(GO) test -run xxx -fuzz FuzzCompile -fuzztime 10s -fuzzminimizetime 1s ./internal/mult/
 
 # The repo benchmark (benchmark/, BENCHMARK.json) is a module of its
 # own, so the root ./... patterns do not reach it: vet it and run its

@@ -4,9 +4,8 @@ package isa
 // every per-instruction decision the compiled tier would otherwise make
 // on the hot path — the kind, the condition-code / strictness / memory
 // attributes that live behind the opcode-info table, and the branch
-// condition. The block translator classifies kinds, and the
-// superinstruction handlers switch on them; every op they refuse runs
-// the original Inst through the opcode switch.
+// condition. The superinstruction handlers switch on the kind; every
+// op they refuse runs the original Inst through the opcode switch.
 //
 // A Micro carries no execution state: predecode is a pure function of
 // the instruction, so a predecoded program can be shared read-only by
@@ -64,6 +63,40 @@ const (
 
 // NumMicroKinds sizes a per-kind table.
 const NumMicroKinds = int(numMicroKinds)
+
+// microKindNames index MicroKind; used by the "isa" counter group and
+// telemetry output.
+var microKindNames = [NumMicroKinds]string{
+	MNop: "nop", MAdd: "add", MSub: "sub", MAnd: "and", MOr: "or",
+	MXor: "xor", MSll: "sll", MSrl: "srl", MSra: "sra", MMul: "mul",
+	MDiv: "div", MMod: "mod", MTagCmp: "tagcmp", MMovI: "movi",
+	MMem: "mem", MBranch: "branch", MJmpl: "jmpl", MIncFP: "incfp",
+	MDecFP: "decfp", MRdFP: "rdfp", MStFP: "stfp", MRdPSR: "rdpsr",
+	MWrPSR: "wrpsr", MFlush: "flush", MLdio: "ldio", MStio: "stio",
+	MTrap: "trap", MHalt: "halt", MInvalid: "invalid",
+}
+
+// String names the kind ("add", "mem", "branch", ...).
+func (k MicroKind) String() string {
+	if int(k) < len(microKindNames) {
+		return microKindNames[k]
+	}
+	return "unknown"
+}
+
+// opKinds maps every opcode to its kind — the reference interpreter's
+// path to the same per-kind execution counters the compiled tier reads
+// off the Micro directly. Kind is a function of the opcode alone
+// (PredecodeInst derives it from Op), so the table is exact.
+var opKinds = func() (t [256]MicroKind) {
+	for op := 0; op < 256; op++ {
+		t[op] = PredecodeInst(Inst{Op: Opcode(op)}).Kind
+	}
+	return t
+}()
+
+// KindOf returns the handler kind of an opcode.
+func KindOf(op Opcode) MicroKind { return opKinds[op] }
 
 // computeKinds maps the compute opcodes onto their shared handler
 // kinds.

@@ -1,24 +1,26 @@
 package proc
 
-// The compiled execution tier: profile-guided basic-block
-// superinstructions over the predecoded image (see isa.BlockSet for
-// discovery/translation). The machine calls StepFused instead of Step
-// when it can prove the processor is *isolated* for a window of cycles
-// — no other node steps and no network event fires — so executing many
-// instructions back-to-back is observably identical to interleaving
-// them with the machine loop. Within the window, translated blocks run
-// with the per-instruction fetch, PC-bounds, halt and IPI checks
-// hoisted to block entry; everything else (traps, syscalls, cold PCs)
-// still executes through the reference opcode switch, so the tier is a
-// pure scheduling change plus the superinstruction handlers (fusedOp).
+// The compiled execution tier: superinstruction handlers (fusedOp)
+// over the predecoded image, and one loop, RunAhead, that runs a
+// processor's next ops back to back ahead of the machine. It has two
+// modes. Without a lane log the machine has proved the processor
+// isolated for a window of cycles (no other node steps and no network
+// event fires), so running the window's ops back to back is observably
+// identical to interleaving them with the machine loop: ops fusedOp
+// refuses run on the opcode switch with the clock threaded through.
+// With a lane log the processor runs a lane (epoch.go) and the loop
+// stops before the first op fusedOp refuses.
 //
 // Exactness contract (held by the differential matrices in
-// internal/sim and the per-op oracle in fused_test.go): every op
-// observes the same machine state, trap payloads, stats increments,
-// and — via the threaded clock — the same timestamps as the opcode
-// switch; the fused loop stops at anything whose effect could reach
-// outside the processor before the window ends (run termination, IPI
-// self-posts, halts, cache/IO traffic on non-perfect memory).
+// internal/sim and the per-op oracle in fused_test.go; DESIGN.md,
+// "Compiled execution", has the argument): every op observes the same
+// machine state, trap payloads, stats increments, and, via the
+// threaded clock, the same timestamps as the opcode switch. An op
+// fusedOp retired ran no handler, and the loop re-resolves the frame
+// after every op it sends to the switch. The window stops at anything
+// whose effect could reach outside the processor before the window
+// ends (run termination, IPI self-posts, halts, cache/IO traffic on
+// non-perfect memory).
 
 import (
 	"april/internal/core"
@@ -27,207 +29,114 @@ import (
 )
 
 // memTouchKinds marks ops that reach the memory or I/O port. On a
-// machine with a cache/network fabric these must not execute inside a
-// fused window (a miss would stamp network messages mid-window), so
-// the fused loop stops before them unless the port is perfect memory.
+// machine with a cache/network fabric these must not run on the switch
+// inside an isolated window (a miss would stamp network messages
+// mid-window), so the loop stops before them unless the port is
+// perfect memory or fusedOp completes them as clock-free cache hits.
 var memTouchKinds = [isa.NumMicroKinds]bool{
 	isa.MMem: true, isa.MFlush: true, isa.MLdio: true, isa.MStio: true,
 }
 
-// frameSwitchKinds marks the ops that move the engine's frame pointer
-// (Engine.IncFP/DecFP/SetFP). These are the only retiring ops after
-// which the active-frame pointer cached by the fused block loop can be
-// stale; every other retiring op leaves the frame in place with PC
-// advanced past the op.
-var frameSwitchKinds = [isa.NumMicroKinds]bool{
-	isa.MIncFP: true, isa.MDecFP: true, isa.MStFP: true,
-}
-
-// SetCompile arms (or, with a nil set, disarms) the fused-block tier:
-// Step then fetches from the set's predecoded image and tries the
+// SetCompile arms (or, with a nil image, disarms) the compiled tier:
+// Step then fetches from micro, the program's predecoded image shared
+// read-only by every processor of the machine, and tries the
 // superinstruction handlers before the opcode switch. done is the
-// machine's run-termination flag ("main returned"): the fused loop
-// re-checks it after every op so it never executes past the cycle
-// where the machine would have stopped. When the memory port is
-// a PerfectPort the raw memory is captured for the plain-access fast
-// path and memory/IO ops become fusable.
-func (p *Processor) SetCompile(bs *isa.BlockSet, done *bool) {
-	p.blocks = bs
+// machine's run-termination flag ("main returned"): RunAhead re-checks
+// it after every op it sends to the switch, so it never executes past
+// the cycle where the machine would have stopped. When the memory port
+// is a PerfectPort the raw memory is captured for the plain-access
+// fast path.
+func (p *Processor) SetCompile(micro []isa.Micro, done *bool) {
+	p.micro = micro
 	p.done = done
-	p.micro, p.perfMem = nil, nil
-	if bs == nil {
+	p.perfMem = nil
+	if micro == nil {
 		return
 	}
-	p.micro = bs.Micro
 	if pp, ok := p.Mem.(*PerfectPort); ok {
 		p.perfMem = pp.Mem
 	}
 }
 
-// Blocks exposes the installed translation set (telemetry and tests).
-func (p *Processor) Blocks() *isa.BlockSet { return p.blocks }
+// Image returns the installed predecoded image, nil when the compiled
+// tier is disarmed (tests).
+func (p *Processor) Image() []isa.Micro { return p.micro }
 
-// StepFused executes as many instructions as fit in budget cycles,
-// assuming the caller proved the processor isolated for that window.
-// clock points at the machine's cycle counter: it is advanced to each
-// op's start cycle before the op runs (trap handlers and tracers read
-// it) and restored before returning.
+// RunAhead runs the processor's next ops back to back, up to budget
+// cycles, trying the superinstruction handlers first on every op.
+//
+// With a nil l it runs an isolated window, which the caller proved for
+// budget cycles. An op the handlers refuse runs on the opcode switch,
+// with *clock advanced to the op's start cycle while it runs (trap
+// handlers and tracers read it) and restored before returning; on a
+// port that is not perfect memory the window stops before a memory or
+// I/O op the handlers refuse.
+//
+// With a lane log l it runs a lane of up to budget ops in l: the
+// lane's starting state is saved and its accesses recorded, so l can
+// cut it back, and the loop stops before the first op the handlers
+// refuse, with that op untouched. clock is not read and may be nil.
 //
 // Returns:
-//   - ran: at least one op was dispatched. When false the caller must
-//     fall back to a normal Step (the state was not touched).
-//   - consumed: total cycles executed; the caller treats the window
-//     like one multi-cycle Step.
-//   - lastRet: offset (from window start) of the last op that retired
-//     an instruction, -1 if none — the machine's progress watermark.
+//   - ops: how many ops were dispatched. When 0 the caller must fall
+//     back to a normal Step (the state was not touched).
+//   - cycles: total cycles executed; the caller treats the run like
+//     one multi-cycle Step. In a lane, every op costs one cycle.
+//   - lastRet: offset (from the start) of the last op that retired an
+//     instruction, -1 if none: the machine's progress watermark.
 //   - doneAt: offset of the op that set the done flag, -1 otherwise.
 //     The machine must then account cycles exactly as if that op had
 //     been the window's only step at offset doneAt.
-//   - err: an execution error; consumed then counts only the cycles
+//   - err: an execution error; cycles then counts only the cycles
 //     before the erroring op, so the machine reports the same cycle
 //     the per-op loop would have.
-func (p *Processor) StepFused(budget uint64, clock *uint64) (ran bool, consumed uint64, lastRet, doneAt int64, err error) {
-	base := *clock
-	// Ops on the inline path (fusedOp hits)
-	// accumulate retirement stats in locals; the flush keeps Stats exact
-	// on every exit, including the error returns.
-	var nret, fops uint64
-	defer func() {
-		*clock = base
-		p.Stats.Instructions += nret
-		p.Stats.UsefulCycles += nret
-		p.FusedOps += fops
-	}()
+//
+// Each op has the same state transformation, stats and dispatch
+// accounting (Kinds) as a plain Step. Kinds counts only dispatched
+// ops: the caller's fallback Step counts a refused one's own dispatch.
+func (p *Processor) RunAhead(budget uint64, clock *uint64, l *EpochLog) (ops int, cycles uint64, lastRet, doneAt int64, err error) {
+	e := p.Engine
+	f := e.Active()
+	if l != nil {
+		l.save(p, f, int(budget))
+		p.epoch = l
+	}
+	var base uint64
+	if clock != nil {
+		base = *clock
+	}
+	// nret counts the ops fusedOp retired, nsw the ops sent to the
+	// switch; both are flushed into the counters on every exit.
+	var nret, nsw uint64
+	var t uint64
 	lastRet, doneAt = -1, -1
-	bs := p.blocks
 	micro := p.micro
 	plen := uint64(len(micro))
-	e := p.Engine
 	memOK := p.perfMem != nil
-	var t uint64
-outer:
-	for t < budget {
-		if p.Halted || p.ipiHead < len(p.pendingIPI) {
-			break
+	live := !p.Halted && p.ipiHead == len(p.pendingIPI) && f.ThreadID >= 0
+	for live && t < budget && uint64(f.PC) < plen {
+		u := &micro[f.PC]
+		if p.fusedOp(f, u) {
+			// Retired at cost 1 without a handler: the frame, Halted,
+			// the IPI queue and the done flag are as they were.
+			p.Kinds[u.Kind]++
+			nret++
+			lastRet = int64(t)
+			t++
+			continue
 		}
-		f := e.Active()
-		if f.ThreadID < 0 {
-			break
-		}
-		pc := f.PC
-		if uint64(pc) >= plen {
-			break // Step reports the exact bounds error
-		}
-		if n := bs.Enter(pc); n > 0 {
-			// Translated block: fetch and bounds checks are hoisted —
-			// ops are micro[pc:pc+n] by construction. The inner loop
-			// splits on retirement: an op that retired provably did not
-			// trap, so no handler ran — Halted, the IPI queue, and the
-			// done flag are unchanged, and the frame is unchanged too
-			// unless the op itself switches frames. Those checks run
-			// only on the trap/spin path.
-			end := pc + uint32(n)
-			q := pc
-			ran = true
-			for t < budget {
-				u := &micro[q]
-				p.Kinds[u.Kind]++
-				fops++
-				if p.fusedOp(f, u) {
-					// Inline-path hit: retired, cost 1, no trap, no
-					// frame switch, PC updated by the op itself.
-					lastRet = int64(t)
-					t++
-					nret++
-					q++
-					if q >= end || f.PC != q {
-						continue outer
-					}
-					continue
-				}
-				*clock = base + t
-				before := p.Stats.Instructions
-				c, eerr := p.execute(f, u.Inst)
-				if eerr != nil {
-					return true, t, lastRet, doneAt, eerr
-				}
-				if p.Stats.Instructions != before {
-					// Retired without trapping.
-					lastRet = int64(t)
-					if c == 0 {
-						break outer
-					}
-					t += uint64(c)
-					if frameSwitchKinds[u.Kind] {
-						f = e.Active()
-						if f.ThreadID < 0 {
-							break outer
-						}
-					}
-					q++
-					if q >= end || f.PC != q {
-						// Terminal control transfer or frame switch:
-						// re-enter through translation.
-						continue outer
-					}
-					continue
-				}
-				// Trapped or spun: a handler may have ended the run,
-				// halted, posted an IPI, or switched frames.
-				if p.done != nil && *p.done {
-					doneAt = int64(t)
-					t += uint64(c)
-					break outer
-				}
-				if c == 0 {
-					// A zero-cost step must not spin inside the window:
-					// hand it back to the machine loop, which advances
-					// time around it.
-					break outer
-				}
-				t += uint64(c)
-				if p.Halted || p.ipiHead < len(p.pendingIPI) {
-					break outer
-				}
-				f = e.Active()
-				if f.ThreadID < 0 {
-					break outer
-				}
-				q++
-				if q >= end || f.PC != q {
-					continue outer
-				}
-			}
-			break // budget exhausted mid-block
-		}
-		// Cold or unfusable PC: one op through the opcode switch.
-		u := &micro[pc]
-		if !memOK && memTouchKinds[u.Kind] {
-			// Non-perfect memory: the opcode switch could stamp
-			// network messages mid-window, so only a provable clock-free
-			// cache hit may run here. fusedHit touches no state when it
-			// refuses, and Kinds counts only completed dispatches (the
-			// caller's fallback Step counts the refused one).
-			if u.Kind == isa.MMem && p.fusedHit(f, u) {
-				p.Kinds[u.Kind]++
-				fops++
-				nret++
-				lastRet = int64(t)
-				t++
-				ran = true
-				continue
-			}
+		if l != nil || (!memOK && memTouchKinds[u.Kind]) {
 			break
 		}
 		p.Kinds[u.Kind]++
-		fops++
+		nsw++
 		*clock = base + t
 		before := p.Stats.Instructions
 		c, eerr := p.execute(f, u.Inst)
 		if eerr != nil {
-			return true, t, lastRet, doneAt, eerr
+			err = eerr
+			break
 		}
-		ran = true
 		if p.Stats.Instructions != before {
 			lastRet = int64(t)
 		}
@@ -237,11 +146,27 @@ outer:
 			break
 		}
 		if c == 0 {
+			// A zero-cost step must not spin inside the window: hand it
+			// back to the machine loop, which advances time around it.
 			break
 		}
 		t += uint64(c)
+		// A handler may have halted, posted an IPI or switched frames.
+		f = e.Active()
+		live = !p.Halted && p.ipiHead == len(p.pendingIPI) && f.ThreadID >= 0
 	}
-	return ran, t, lastRet, doneAt, nil
+	p.Stats.Instructions += nret
+	p.Stats.UsefulCycles += nret
+	if l != nil {
+		p.EpochOps += nret
+		p.epoch = nil
+	} else {
+		p.FusedOps += nret + nsw
+	}
+	if clock != nil {
+		*clock = base
+	}
+	return int(nret + nsw), t, lastRet, doneAt, err
 }
 
 // fusedMem is the superinstruction path for a load/store with no
@@ -407,7 +332,10 @@ func (p *Processor) fusedOp(f *core.Frame, u *isa.Micro) bool {
 		// ALEWIFE port fuses exactly the clock-free cache hits (the two
 		// are mutually exclusive: perfMem and fusedPort are never both
 		// set).
-		return p.fusedMem(f, u) || p.fusedHit(f, u)
+		if p.perfMem != nil {
+			return p.fusedMem(f, u)
+		}
+		return p.fusedHit(f, u)
 	case isa.MNop:
 		f.PC++
 		f.NPC = f.PC + 1

@@ -2,14 +2,15 @@ package proc
 
 // Epoch execution, processor side. The machine's epoch engine (sim's
 // epoch.go) runs a node's ops back to back, ahead of the rest of the
-// machine, through EpochRun: a lane. EpochRun executes only ops whose
-// effects provably stay inside the node: the trap-free
-// superinstruction handlers (fusedOp) and one memory access, a plain
-// word of perfect memory or a clock-free hit in the node's own cache.
-// Anything else (traps, syscalls, flushes, I/O, halts, IPIs,
-// strict-future operands, full/empty flavors, misses, upgrades,
-// interlocked lines) stops it before that op with the op untouched;
-// the machine then runs that op per-op at its exact cycle.
+// machine, as a lane: RunAhead (compile.go) with the machine's
+// EpochLog. A lane runs only ops whose effects provably stay inside
+// the node: the trap-free superinstruction handlers (fusedOp), whose
+// one memory access is a plain word of perfect memory or a clock-free
+// hit in the node's own cache, recorded in the log. Anything else
+// (traps, syscalls, flushes, I/O, halts, IPIs, strict-future operands,
+// full/empty flavors, misses, upgrades, interlocked lines) stops it
+// before that op with the op untouched; the machine then runs that op
+// per-op at its exact cycle.
 //
 // An EpochLog holds each node's lane in flight: its starting processor
 // state, every word it touched (with the value before, for a store)
@@ -35,7 +36,7 @@ import (
 type EpochLog struct {
 	// byNode holds each node's lane record, nil when it has none; free
 	// holds retired records for reuse. mem is the memory the lanes
-	// read and write, cur the lane EpochRun is running.
+	// read and write, cur the lane RunAhead is running.
 	byNode []*laneSave
 	free   []*laneSave
 	mem    *mem.Memory
@@ -71,7 +72,7 @@ type Touch struct {
 	old    isa.Word
 }
 
-// laneSave is everything EpochRun can change on a processor, as it was
+// laneSave is everything a lane can change on a processor, as it was
 // when the lane began, plus what the lane touched outside it: its
 // words, the cache lines it hit, and (keys) the words it entered in the
 // word index.
@@ -126,7 +127,7 @@ func (l *EpochLog) Cut(p *Processor, n int) {
 	}
 	l.unindex(p.ID, s)
 	s.restore(p)
-	if ran := p.EpochRun(n, l); ran != n {
+	if ran, _, _, _, _ := p.RunAhead(uint64(n), nil, l); ran != n {
 		panic("proc: a cut lane's replay diverged from its first run")
 	}
 }
@@ -305,49 +306,4 @@ func b2u(b bool) uint32 {
 // and records the hit in l (NoteHit) before committing it.
 type LanePort interface {
 	LaneHit(addr uint32, store bool, value isa.Word, l *EpochLog) (prev isa.Word, full, ok bool)
-}
-
-// EpochRun runs up to n of the processor's next ops as a lane in l,
-// back to back while each is epoch-safe: a running thread at an
-// in-bounds PC whose op the superinstruction handlers complete without
-// trapping, erroring, reaching outside the node or being refused by
-// the log. It stops before the first op that is not, with that op
-// untouched, and returns how many ran. Each retired at cost 1 with the
-// same state transformation, stats and dispatch accounting (Kinds) as
-// a plain Step; Kinds counts only completed ops, since the per-op path
-// counts the refused one's own dispatch. The lane's starting state is
-// saved and its accesses recorded, so l can cut it back.
-func (p *Processor) EpochRun(n int, l *EpochLog) (ran int) {
-	f := p.Engine.Active()
-	l.save(p, f, n)
-	p.epoch = l
-	if !p.Halted && p.ipiHead == len(p.pendingIPI) && f.ThreadID >= 0 && p.blocks != nil {
-		m := p.micro
-		perfect := p.perfMem != nil
-		for ran < n && uint64(f.PC) < uint64(len(m)) {
-			u := &m[f.PC]
-			// A memory op skips fusedOp's dispatch: perfect memory runs
-			// the plain access, ALEWIFE a cache hit, each through the
-			// lane's log.
-			if u.Kind == isa.MMem {
-				if perfect {
-					if !p.fusedMem(f, u) {
-						break
-					}
-				} else if !p.fusedHit(f, u) {
-					break
-				}
-			} else if !p.fusedOp(f, u) {
-				break
-			}
-			p.Kinds[u.Kind]++
-			ran++
-		}
-	}
-	r := uint64(ran)
-	p.Stats.Instructions += r
-	p.Stats.UsefulCycles += r
-	p.EpochOps += r
-	p.epoch = nil
-	return ran
 }

@@ -18,14 +18,14 @@ func epochProcs(t *testing.T, asm string, n int) ([]*Processor, *mem.Memory) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs := isa.NewBlockSet(prog.Predecode(), 0, true)
+	micro := prog.Predecode()
 	m := mem.New(1 << 20)
 	ps := make([]*Processor, n)
 	for i := range ps {
 		e := core.NewEngine(4, core.TrapEntryCycles+core.SwitchHandlerCyclesSPARC)
 		e.Frames[0].ThreadID = i
 		p := New(i, e, prog, &PerfectPort{Mem: m})
-		p.SetCompile(bs, new(bool))
+		p.SetCompile(micro, new(bool))
 		ps[i] = p
 	}
 	return ps, m
@@ -146,7 +146,7 @@ loop:   stnt [r10+0], r21
 	// Enough words to grow the index past its first size.
 	const n = 5 * minIndex
 	l := NewLaneLog(1, m)
-	if ran := p.EpochRun(n, l); ran != n {
+	if ran := runLane(p, n, l); ran != n {
 		t.Fatalf("ran %d ops, want %d", ran, n)
 	}
 	if l.used != n/5 || len(l.index) <= minIndex {
@@ -166,7 +166,7 @@ loop:   stnt [r10+0], r21
 			t.Fatalf("word %#x = %#x after the cut, want %#x", a, w, a)
 		}
 	}
-	if ran := p.EpochRun(n, l); ran != n || *f != after {
+	if ran := runLane(p, n, l); ran != n || *f != after {
 		t.Fatalf("a second run of the lane ran %d ops to a different state", ran)
 	}
 	l.Retire(0)
@@ -174,10 +174,17 @@ loop:   stnt [r10+0], r21
 	// A first touch: the page at 0x10000 was never stored to.
 	f.R[10] = 0x10000
 	resident := m.Resident()
-	if ran := p.EpochRun(8, l); ran != 0 {
+	if ran := runLane(p, 8, l); ran != 0 {
 		t.Fatalf("store to a fresh page: ran %d, want a refusal", ran)
 	}
 	if m.Resident() != resident || m.PageResident(0x10000) {
 		t.Error("a refused first touch materialized its page")
 	}
+}
+
+// runLane runs p's next ops as a lane of up to n ops in l and returns
+// how many ran.
+func runLane(p *Processor, n int, l *EpochLog) int {
+	ran, _, _, _, _ := p.RunAhead(uint64(n), nil, l)
+	return ran
 }

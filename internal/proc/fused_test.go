@@ -181,11 +181,10 @@ func (s *fusedState) rig(t *testing.T, cached bool) *fusedRig {
 	return rg
 }
 
-// arm installs the compiled tier the way sim does: one block set over
-// the predecoded image, the clock-free hit port on a cached machine.
+// arm installs the compiled tier the way sim does: the predecoded
+// image, the clock-free hit port on a cached machine.
 func (rg *fusedRig) arm() {
-	bs := isa.NewBlockSet(rg.p.Prog.Predecode(), 0, rg.hit == nil)
-	rg.p.SetCompile(bs, new(bool))
+	rg.p.SetCompile(rg.p.Prog.Predecode(), new(bool))
 	if rg.hit != nil {
 		rg.p.SetFusedPort(rg.hit)
 	}

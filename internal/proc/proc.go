@@ -108,12 +108,13 @@ type Processor struct {
 	// machine state the differential tests compare.
 	Kinds [isa.NumMicroKinds]uint64
 
-	// FusedOps counts dispatches executed inside StepFused windows,
-	// InlineSteps the single Steps resolved by the superinstruction
-	// handlers outside a window, and EpochOps the ops committed by
-	// EpochRun in the epoch engine's lanes — compile-tier coverage
-	// telemetry (the "compile" counter group), outside Stats for the
-	// same reason as Kinds.
+	// FusedOps counts dispatches RunAhead executed in isolated
+	// windows, InlineSteps the single Steps resolved by the
+	// superinstruction handlers, and EpochOps the ops RunAhead ran in
+	// the epoch engine's lanes (a cut lane's undone ops leave it, its
+	// replayed ones count again): compile-tier coverage telemetry (the
+	// "compile" counter group), outside Stats for the same reason as
+	// Kinds.
 	FusedOps    uint64 `counter:"fused_ops"`
 	InlineSteps uint64 `counter:"inline_steps"`
 	EpochOps    uint64 `counter:"epoch_ops"`
@@ -125,13 +126,11 @@ type Processor struct {
 	IdlePolls uint64
 
 	// Compile-tier state (see compile.go), installed by SetCompile:
-	// the machine's block translation set and the predecoded image it
-	// translates (shared read-only across the machine's processors),
-	// the run-termination flag the fused loop must observe after every
-	// op, and — when the memory port is a PerfectPort — the raw memory
-	// behind it, enabling both flavored-access fusion and the
-	// plain-access fast path.
-	blocks  *isa.BlockSet
+	// the predecoded image (shared read-only across the machine's
+	// processors), the run-termination flag RunAhead must observe after
+	// every op it sends to the switch, and, when the memory port is a
+	// PerfectPort, the raw memory behind it for the plain-access fast
+	// path.
 	micro   []isa.Micro
 	done    *bool
 	perfMem *mem.Memory
@@ -144,7 +143,7 @@ type Processor struct {
 	lanePort  LanePort // fusedPort as a LanePort, nil when it is not one
 
 	// epoch is the log of the epoch lane this processor is running
-	// (see epoch.go), nil outside EpochRun: fusedMem and fusedHit
+	// (see epoch.go), nil outside a lane: fusedMem and fusedHit
 	// record their accesses there.
 	epoch *EpochLog
 }
@@ -252,7 +251,7 @@ func (p *Processor) Step() (int, error) {
 }
 
 // pcBoundsErr is the out-of-bounds-PC error shared by both execution
-// tiers (the opcode switch and the fused blocks).
+// tiers.
 func (p *Processor) pcBoundsErr(f *core.Frame, progLen int) error {
 	return fmt.Errorf("proc %d frame %d thread %d: isa: PC %d outside program of %d instructions",
 		p.ID, p.Engine.FP(), f.ThreadID, f.PC, progLen)

@@ -1,16 +1,17 @@
 package sim
 
-// Machine side of the compiled execution tier. The run loops call
-// fusedStep when a cycle has exactly one stepper: if the machine can
-// prove the node is isolated for a window of cycles — every other node
-// sleeps past the window, the fabric fires no event inside it, and no
-// watchdog watermark falls in it — then executing the node's next W
-// cycles back-to-back (proc.StepFused) is observably identical to
-// interleaving them with the machine loop, and the window collapses to
-// one multi-cycle step. Single-processor machines spend essentially
-// the whole run inside such windows; larger machines use them across
-// the frequent stretches where one node runs while the rest sleep in
-// multi-cycle operations.
+// Machine side of the compiled execution tier's isolated windows. The
+// run loops call fusedStep when a cycle has exactly one stepper: if
+// the machine can prove the node is isolated for a window of cycles
+// (every other node sleeps past the window, the fabric fires no event
+// inside it, and no watchdog watermark falls in it), then running the
+// node's next ops back to back (proc.RunAhead without a lane log) is
+// observably identical to interleaving them with the machine loop, and
+// the window collapses to one multi-cycle step. Single-processor
+// machines spend essentially the whole run inside such windows; larger
+// machines use them across the stretches where one node runs while the
+// rest sleep in multi-cycle operations. Cycles with two or more
+// steppers run lanes instead (epoch.go).
 
 import "fmt"
 
@@ -65,7 +66,7 @@ func (m *Machine) fusedStep(id int, limit uint64) (used bool, err error) {
 	}
 
 	start := m.now
-	ran, c, lastRet, doneAt, ferr := p.StepFused(b-start, &m.now)
+	ran, c, lastRet, doneAt, ferr := p.RunAhead(b-start, &m.now, nil)
 	if ferr != nil {
 		// The erroring op starts c cycles into the window; report the
 		// cycle the per-op loop would.
@@ -73,7 +74,7 @@ func (m *Machine) fusedStep(id int, limit uint64) (used bool, err error) {
 		m.settleParked(m.now, id)
 		return true, fmt.Errorf("cycle %d node %d: %w", m.now, p.ID, ferr)
 	}
-	if !ran {
+	if ran == 0 {
 		return false, nil
 	}
 	if doneAt >= 0 {

@@ -36,10 +36,9 @@ var counterCells = map[string]counterCell{
 		},
 		neverWritten: func() map[string]string {
 			nw := map[string]string{
-				"compile.translated_blocks":        "ALEWIFE blocks translate only in one-stepper windows, where no entry PC reaches the threshold on 64 busy nodes",
-				"compile.unfusable_entries":        "likewise: on 64 busy nodes lanes leave no one-stepper window to enter a block",
 				"epoch.lane_cuts_ipi":              "queens posts no IPI",
 				"epoch.lane_cuts_word":             "eager queens: the run-time system reaches no word a lane touched ahead of it (lazy cells of TestLanesMatchReference do)",
+				"epoch.lane_cuts_word_read":        "no word cuts (above)",
 				"epoch.lane_cuts_end":              "the main thread exits while no lane runs ahead of it",
 				"scheduler.steals":                 "continuation steals happen under lazy task creation only; this run is eager",
 				"scheduler.steal_words":            "continuation steals happen under lazy task creation only; this run is eager",
@@ -67,10 +66,10 @@ var counterCells = map[string]counterCell{
 				"scheduler.steals":          "continuation steals happen under lazy task creation only; this run is eager",
 				"scheduler.steal_words":     "continuation steals happen under lazy task creation only; this run is eager",
 				"scheduler.requeues":        "only a full/empty wait spinning past BlockRounds requeues; queens synchronizes through futures",
-				"compile.unfusable_entries": "on 4 busy nodes lanes leave no one-stepper window to enter a block that cannot fuse",
 				"epoch.lane_cuts_fabric":    "perfect memory has no fabric",
 				"epoch.lane_spares_fabric":  "perfect memory has no fabric",
 				"epoch.lane_cuts_word":      "eager queens: no access outside the lanes reaches a word a lane touched ahead of it (the perfect-memory cells of TestLanesMatchReference do)",
+				"epoch.lane_cuts_word_read": "no word cuts (above)",
 				"epoch.lane_cuts_ipi":       "queens posts no IPI",
 				"epoch.lane_cuts_end":       "the main thread exits while no lane runs ahead of it",
 				"epoch.lane_undone_ops":     "no lane is cut back (above)",

@@ -1,11 +1,12 @@
 // The epoch engine: multi-node execution through the compiled tier in
 // per-node lanes, on perfect memory and on ALEWIFE alike.
 //
-// The compiled tier (compile.go) fires only when a cycle has exactly
-// one stepper. The epoch engine covers cycles with two or more: each
-// busy node runs its lane-safe ops (register ops, and a plain word of
-// perfect memory or a clock-free hit in its own cache) up to
-// laneCycles ahead on its own, and sleeps until the lane's end, while
+// The compiled tier's isolated windows (compile.go) fire only when a
+// cycle has exactly one stepper. The epoch engine covers cycles with
+// two or more: each busy node runs its lane-safe ops (register ops,
+// and a plain word of perfect memory or a clock-free hit in its own
+// cache) up to laneCycles ahead on its own, through proc.RunAhead with
+// the machine's lane log, and sleeps until the lane's end, while
 // the machine sweeps those cycles in order through its normal
 // per-cycle body. A lane is cut back to the exact (cycle, node)
 // position where something outside it reaches into what it touched:
@@ -86,7 +87,7 @@ func (m *Machine) startLane(id int) bool {
 	if k == 0 {
 		return false
 	}
-	ran := m.Nodes[id].Proc.EpochRun(int(k), m.epochLog)
+	ran, _, _, _, _ := m.Nodes[id].Proc.RunAhead(k, nil, m.epochLog)
 	if ran == 0 {
 		m.epochLog.Retire(id)
 		return false
@@ -225,14 +226,19 @@ func (m *Machine) laneFabric(node int, block uint32) {
 // position first. On perfect memory the log's word index names those
 // lanes. On ALEWIFE only the run-time system and block transfers reach
 // memory past the caches, and only nodes holding the word's block can
-// have touched it: the home directory lists them.
+// have touched it: the home directory lists them. Cuts made by a read
+// and by a store are counted apart.
 func (m *Machine) laneWatch(addr uint32, store bool) {
 	ls := &m.lanes
+	cause := &m.epochTel.LaneCutsWord
+	if !store {
+		cause = &m.epochTel.LaneCutsWordRead
+	}
 	idx := addr / mem.WordBytes
 	f := m.net
 	if f == nil {
 		for _, id := range m.epochLog.Reaches(idx, store) {
-			m.cutLane(id, m.now, ls.pos, &m.epochTel.LaneCutsWord, true)
+			m.cutLane(id, m.now, ls.pos, cause, true)
 		}
 		return
 	}
@@ -246,7 +252,7 @@ func (m *Machine) laneWatch(addr uint32, store bool) {
 		}
 		for _, t := range m.epochLog.Touches(id) {
 			if t.Idx == idx && (store || t.Stored) {
-				m.cutLane(id, m.now, ls.pos, &m.epochTel.LaneCutsWord, true)
+				m.cutLane(id, m.now, ls.pos, cause, true)
 				break
 			}
 		}

@@ -88,7 +88,7 @@ func TestEpochHorizonBoundaryDeliveries(t *testing.T) {
 
 // TestEpochUnsafeOpsForceFallback pins the lanes' stops: on a
 // multi-node perfect-memory machine the runtime's syscalls, IPIs (STIO
-// is refused by EpochRun) and traps fall inside stretches lanes would
+// is refused in a lane) and traps fall inside stretches lanes would
 // otherwise cover, so the engine must both commit lanes AND stop them
 // before the unsafe ops, which then run per-op — never reorder them.
 // The run is held bit-identical by TestEpochMatchesOracles; here we
@@ -164,7 +164,7 @@ func TestEpochFaultsArmedIdentity(t *testing.T) {
 }
 
 // TestEpochKindsTierInvariant: the per-micro-kind dispatch counters
-// must be identical whether an op executed through EpochRun, the fused
+// must be identical whether an op executed in a lane, the fused
 // inline path, or plain per-op dispatch — a refused op must not
 // pre-count the dispatch its fallback Step will count.
 func TestEpochKindsTierInvariant(t *testing.T) {
@@ -581,6 +581,7 @@ func TestLanesMatchReference(t *testing.T) {
 		c := cuts[alewife]
 		c.LaneCutsFabric += et.LaneCutsFabric
 		c.LaneCutsWord += et.LaneCutsWord
+		c.LaneCutsWordRead += et.LaneCutsWordRead
 		c.LaneCutsIPI += et.LaneCutsIPI
 		c.LaneCutsEnd += et.LaneCutsEnd
 	}
@@ -657,9 +658,9 @@ func TestLanesMatchReference(t *testing.T) {
 		})
 	}
 	for alewife, c := range cuts {
-		t.Logf("alewife %v: cuts across cells: fabric %d, word %d, IPI %d, end %d",
-			alewife, c.LaneCutsFabric, c.LaneCutsWord, c.LaneCutsIPI, c.LaneCutsEnd)
-		if alewife && c.LaneCutsFabric == 0 || c.LaneCutsWord == 0 || c.LaneCutsIPI == 0 || c.LaneCutsEnd == 0 {
+		t.Logf("alewife %v: cuts across cells: fabric %d, word %d by stores and %d by reads, IPI %d, end %d",
+			alewife, c.LaneCutsFabric, c.LaneCutsWord, c.LaneCutsWordRead, c.LaneCutsIPI, c.LaneCutsEnd)
+		if alewife && c.LaneCutsFabric == 0 || c.LaneCutsWord == 0 || c.LaneCutsWordRead == 0 || c.LaneCutsIPI == 0 || c.LaneCutsEnd == 0 {
 			t.Errorf("alewife %v: a cut-back cause never occurred: its path went untested", alewife)
 		}
 	}
@@ -709,8 +710,8 @@ func matchLanes(t *testing.T, mk func(tier sim.Tier) *sim.Machine) sim.EpochStat
 		t.Errorf("RunFor: images equal %v, %d lanes", bytes.Equal(ic, ir), fc.EpochTelemetry().Lanes)
 	}
 	et := c.EpochTelemetry()
-	t.Logf("%d cycles, %d lanes, %d ops, %d undone; cuts: fabric %d, word %d, IPI %d, end %d",
-		c.Now(), et.Lanes, et.LaneOps, et.LaneUndoneOps, et.LaneCutsFabric, et.LaneCutsWord, et.LaneCutsIPI, et.LaneCutsEnd)
+	t.Logf("%d cycles, %d lanes, %d ops, %d undone; cuts: fabric %d, word %d by stores and %d by reads, IPI %d, end %d",
+		c.Now(), et.Lanes, et.LaneOps, et.LaneUndoneOps, et.LaneCutsFabric, et.LaneCutsWord, et.LaneCutsWordRead, et.LaneCutsIPI, et.LaneCutsEnd)
 	if et.Lanes == 0 {
 		t.Error("no lane ran")
 	}

@@ -7,14 +7,10 @@ import (
 	"april/internal/rts"
 )
 
-// Hooks for the tests in package sim_test: the compiled tier's two
-// tuning values, which machines outside tests leave at zero (apply one
-// to a machine after New and before Load), a node's cache and
+// Hooks for the tests in package sim_test: the lane cap, which
+// machines outside tests leave at zero (apply it to a machine after
+// New and before Load), a node's cache and
 // directory, and the image tests' probe and corruption.
-
-// Threshold makes Load translate a block once its entry PC has
-// executed n times (1 = on first entry).
-func Threshold(n int) func(*Machine) { return func(m *Machine) { m.threshold = n } }
 
 // LaneCap caps epoch lanes at k-1 ops (1 = no lane starts).
 func LaneCap(k uint64) func(*Machine) { return func(m *Machine) { m.laneCap = k } }

@@ -169,13 +169,11 @@ type Machine struct {
 	// epoch engine's lanes (epoch.go) in cycles with two or more.
 	// epochLog is the lanes' log (nil on one node), epochTel their
 	// telemetry (see telemetry.go) and lanes the lanes in flight.
-	// threshold (0 = isa.DefaultCompileThreshold) and laneCap (0 =
-	// laneCycles) are zero outside tests, which set them to translate
-	// every block on first entry or to cap lanes (1: no lane).
+	// laneCap (0 = laneCycles) is zero outside tests, which set it to
+	// cap lanes (1: no lane).
 	compileOn bool
 	epochLog  *proc.EpochLog
 	epochTel  EpochStats
-	threshold int
 	laneCap   uint64
 	lanes     laneSet
 
@@ -401,7 +399,7 @@ func (m *Machine) Load(prog *isa.Program) error {
 
 // install puts prog on every node under the configured tier, for Load
 // and LoadRaw alike: the reference tier runs the opcode-switch
-// interpreter over prog itself; TierCompiled arms the fused-block tier
+// interpreter over prog itself; TierCompiled arms the compiled tier
 // over one predecoded image shared read-only by every node.
 func (m *Machine) install(prog *isa.Program) {
 	for _, n := range m.Nodes {
@@ -410,15 +408,12 @@ func (m *Machine) install(prog *isa.Program) {
 	if m.Cfg.Tier == TierReference {
 		return
 	}
-	// Arm the compiled tier: one block-translation set over the shared
-	// image, sized here so steady state allocates nothing. Memory ops
-	// fuse only on perfect memory — in ALEWIFE mode a miss inside a
-	// fused window would stamp network messages mid-window; the
-	// clock-free cache-hit port lets fused code cross plain cached
-	// accesses instead.
-	bs := isa.NewBlockSet(prog.Predecode(), m.threshold, m.Cfg.Alewife == nil)
+	// Arm the compiled tier over the shared image. On ALEWIFE the
+	// clock-free cache-hit port lets the superinstruction handlers
+	// complete plain cached accesses.
+	micro := prog.Predecode()
 	for _, n := range m.Nodes {
-		n.Proc.SetCompile(bs, &m.Sched.MainDone)
+		n.Proc.SetCompile(micro, &m.Sched.MainDone)
 		if n.cache != nil {
 			n.Proc.SetFusedPort(n.cache)
 		}

@@ -101,11 +101,10 @@ func (m *Machine) CounterRegistry() *trace.Registry {
 		procs[i], stats[i] = n.Proc, &n.Proc.Stats
 	}
 	if m.compileOn {
-		// Compiled-tier coverage: dispatches executed inside fused
-		// windows and translation outcomes. Registered only when the
-		// tier is armed so oracle-path snapshots stay byte-stable.
+		// Compiled-tier coverage: ops run ahead in isolated windows and
+		// lanes, and inline steps. Registered only when the tier is
+		// armed so oracle-path snapshots stay byte-stable.
 		r.Sum("compile", procs)
-		r.Register("compile", m.Nodes[0].Proc.Blocks)
 		r.Gauge("compile", "dispatches", func() uint64 {
 			var s uint64
 			for k := range isa.NumMicroKinds {

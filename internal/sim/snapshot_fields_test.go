@@ -80,7 +80,6 @@ var imageFields = map[reflect.Type]map[string]imageClass{
 		"compileOn":      loadTier,
 		"epochLog":       loadTier,
 		"epochTel":       telemetry,
-		"threshold":      host("test-only tier tuning"),
 		"laneCap":        host("test-only tier tuning"),
 		"lanes":          host("lanes in flight: every run loop returns with none"),
 		"wake":           in("nodeImage", "Rem"),
@@ -163,13 +162,12 @@ var imageFields = map[reflect.Type]map[string]imageClass{
 		"InlineSteps": telemetry,
 		"EpochOps":    telemetry,
 		"IdlePolls":   telemetry,
-		"blocks":      loadTier,
 		"micro":       loadTier,
 		"done":        loadTier,
 		"perfMem":     loadTier,
 		"fusedPort":   loadTier,
 		"lanePort":    loadTier,
-		"epoch":       host("the lane log, nil outside EpochRun"),
+		"epoch":       host("the lane log, nil outside a lane"),
 	},
 	reflect.TypeFor[core.Engine](): {
 		"Frames":       in("nodeImage", "Frames"),

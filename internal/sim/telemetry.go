@@ -27,14 +27,18 @@ type EpochStats struct {
 	// the lanes to a word the lane touched (the run-time system or a
 	// block transfer, and on perfect memory also another node's per-op
 	// access), an IPI to the lane's node, and the end of the run (or an
-	// error). LaneSparesFabric counts the fills and recalls that spared a
-	// lane with ops after the tick: it hit no block of their set.
+	// error). The word cuts are split by the access outside the lanes:
+	// LaneCutsWord counts those a store made, LaneCutsWordRead those a
+	// read made (a read cuts back only a lane that stored the word).
+	// LaneSparesFabric counts the fills and recalls that spared a lane
+	// with ops after the tick: it hit no block of their set.
 	Lanes            uint64 `json:"lanes" counter:"lanes"`
 	LaneOps          uint64 `json:"lane_ops" counter:"lane_ops"`
 	LaneUndoneOps    uint64 `json:"lane_undone_ops" counter:"lane_undone_ops"`
 	LaneReplayedOps  uint64 `json:"lane_replayed_ops" counter:"lane_replayed_ops"`
 	LaneCutsFabric   uint64 `json:"lane_cuts_fabric" counter:"lane_cuts_fabric"`
 	LaneCutsWord     uint64 `json:"lane_cuts_word" counter:"lane_cuts_word"`
+	LaneCutsWordRead uint64 `json:"lane_cuts_word_read" counter:"lane_cuts_word_read"`
 	LaneCutsIPI      uint64 `json:"lane_cuts_ipi" counter:"lane_cuts_ipi"`
 	LaneCutsEnd      uint64 `json:"lane_cuts_end" counter:"lane_cuts_end"`
 	LaneSparesFabric uint64 `json:"lane_spares_fabric" counter:"lane_spares_fabric"`

@@ -125,7 +125,7 @@ func TestObsLiveEndpoints(t *testing.T) {
 
 	for _, want := range []string{
 		"april_memory_resident_bytes",
-		"april_compile_translated_blocks",
+		"april_compile_fused_ops",
 		"april_park_polls_elided",
 		`april_proc_instructions{node="7"}`,
 		"april_network_in_flight",
