@@ -214,23 +214,20 @@ type Ideal struct {
 	nodes   int
 	latency uint64
 	now     uint64
-	inbox   [][]*Message // per node
-	pending []*Message   // ascending sentAt; live entries are pending[head:]
+	in      inboxes
+	pending []*Message // ascending sentAt; live entries are pending[head:]
 	head    int
 	stats   Stats
 	trace   *trace.Tracer
-
-	pendNodes []int // nodes with undrained inboxes, ascending
-	inPend    []bool
-	pool      msgPool
+	pool    msgPool
 
 	// Fault injection. A plan adds per-message flight jitter, which
 	// breaks the FIFO-prefix property the head-index queue depends on;
 	// jittered mode therefore delivers via a dense arriveAt scan (head
-	// stays 0) that still maintains the pendNodes bookkeeping. Jitter
-	// must not reorder messages between the same (src, dst) pair — the
-	// coherence protocol relies on point-to-point ordering (e.g. a
-	// writeback notification must not be overtaken by the same node's
+	// stays 0) into the same inbox set. Jitter must not reorder
+	// messages between the same (src, dst) pair — the coherence
+	// protocol relies on point-to-point ordering (e.g. a writeback
+	// notification must not be overtaken by the same node's
 	// re-request), and the torus preserves it structurally via FIFO
 	// channels on deterministic routes — so arrival times are clamped
 	// monotone per pair through lastArr.
@@ -260,8 +257,7 @@ func NewIdeal(nodes int, latency int) *Ideal {
 	return &Ideal{
 		nodes:   nodes,
 		latency: uint64(latency),
-		inbox:   make([][]*Message, nodes),
-		inPend:  make([]bool, nodes),
+		in:      newInboxes(nodes),
 	}
 }
 
@@ -303,11 +299,7 @@ func (n *Ideal) Tick() {
 		rest := n.pending[:0]
 		for _, m := range n.pending {
 			if n.now >= m.arriveAt {
-				if !n.inPend[m.Dst] {
-					n.inPend[m.Dst] = true
-					n.pendNodes = insertSorted(n.pendNodes, m.Dst)
-				}
-				n.inbox[m.Dst] = append(n.inbox[m.Dst], m)
+				n.in.put(m)
 				n.account(m)
 			} else {
 				rest = append(rest, m)
@@ -323,11 +315,7 @@ func (n *Ideal) Tick() {
 		m := n.pending[n.head]
 		n.pending[n.head] = nil
 		n.head++
-		if !n.inPend[m.Dst] {
-			n.inPend[m.Dst] = true
-			n.pendNodes = insertSorted(n.pendNodes, m.Dst)
-		}
-		n.inbox[m.Dst] = append(n.inbox[m.Dst], m)
+		n.in.put(m)
 		n.account(m)
 	}
 	switch {
@@ -354,31 +342,17 @@ func (n *Ideal) account(m *Message) {
 	n.trace.Emit(m.Dst, trace.KNetDeliver, int32(m.Src), int32(m.Size), int32(lat), 0)
 }
 
-// Deliveries implements Network. The inbox keeps its capacity: its
-// contents are copied into buf and the slice is truncated, so the
-// steady state drains without allocating.
-func (n *Ideal) Deliveries(node int, buf []*Message) []*Message {
-	box := n.inbox[node]
-	buf = append(buf, box...)
-	for i := range box {
-		box[i] = nil
-	}
-	n.inbox[node] = box[:0]
-	if n.inPend[node] {
-		n.inPend[node] = false
-		n.pendNodes = removeSorted(n.pendNodes, node)
-	}
-	return buf
-}
+// Deliveries implements Network.
+func (n *Ideal) Deliveries(node int, buf []*Message) []*Message { return n.in.take(node, buf) }
 
 // PendingNodes implements Network.
-func (n *Ideal) PendingNodes(buf []int) []int { return append(buf, n.pendNodes...) }
+func (n *Ideal) PendingNodes(buf []int) []int { return n.in.pending(buf) }
 
 // NextEvent implements Network: the earliest delivery time among
 // in-flight messages — the head of the FIFO pending queue — with
 // undrained inboxes counting as immediate.
 func (n *Ideal) NextEvent() uint64 {
-	if len(n.pendNodes) > 0 {
+	if n.in.held > 0 {
 		return n.now
 	}
 	if n.jittered {
@@ -411,13 +385,7 @@ func (n *Ideal) Nodes() int { return n.nodes }
 func (n *Ideal) Stats() Stats { return n.stats }
 
 // InFlight implements Network.
-func (n *Ideal) InFlight() int {
-	c := len(n.pending) - n.head
-	for _, node := range n.pendNodes {
-		c += len(n.inbox[node])
-	}
-	return c
-}
+func (n *Ideal) InFlight() int { return len(n.pending) - n.head + n.in.held }
 
 // SetTracer implements Network.
 func (n *Ideal) SetTracer(t *trace.Tracer) { n.trace = t }

@@ -190,6 +190,9 @@ func (p *torusPair) compare() {
 	if got, want := p.fast.InFlight(), p.dense.flight; got != want {
 		p.t.Fatalf("cycle %d: in flight %d, oracle %d", p.dense.now, got, want)
 	}
+	if got, want := p.fast.PendingNodes(nil), nonEmpty(p.dense.inbox); !slices.Equal(got, want) {
+		p.t.Fatalf("cycle %d: pending nodes %v, oracle %v", p.dense.now, got, want)
+	}
 	got, want := p.fast.DumpImage(), p.dense.DumpImage()
 	if sameImage(got, want) {
 		return
@@ -207,6 +210,18 @@ func (p *torusPair) compare() {
 		}
 	}
 	p.t.Fatalf("cycle %d: images differ outside the channels", p.dense.now)
+}
+
+// nonEmpty lists the nodes whose inbox holds a message, ascending: what
+// PendingNodes must return.
+func nonEmpty(inbox [][]*Message) []int {
+	var ids []int
+	for node, box := range inbox {
+		if len(box) > 0 {
+			ids = append(ids, node)
+		}
+	}
+	return ids
 }
 
 // sameImage is reflect.DeepEqual on two torus images, without the
@@ -285,6 +300,93 @@ func TestTorusMatchesDenseOracle(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestIdealMatchesPlainInboxes drives the ideal network, clean and
+// jittered, with seeded random traffic on 100 nodes (two words of the
+// inbox bitset) next to plain per-node lists: a sent message joins its
+// destination's list at the arrival time Send gave it, in send order.
+// After every cycle PendingNodes must name exactly the non-empty lists,
+// ascending, InFlight must count every undrained message, NextEvent must
+// not be later than the next arrival, and every drain must hand out the
+// list's messages in order.
+func TestIdealMatchesPlainInboxes(t *testing.T) {
+	plans := map[string]*fault.Config{
+		"clean":  nil,
+		"jitter": {Seed: 5, MaxHopJitter: 4, StallEvery: 7, StallCycles: 90},
+	}
+	for name, cfg := range plans {
+		t.Run(name, func(t *testing.T) {
+			const nodes = 100
+			n := NewIdeal(nodes, 3)
+			if cfg != nil {
+				n.SetFaultPlan(fault.NewPlan(*cfg))
+			}
+			var flying []*Message // sent, not arrived, in send order
+			inbox := make([][]*Message, nodes)
+			var buf []*Message
+			r := rand.New(rand.NewSource(11))
+			drain := func(node int) {
+				buf = n.Deliveries(node, buf[:0])
+				if !slices.Equal(buf, inbox[node]) {
+					t.Fatalf("cycle %d node %d: delivered %d messages, plain list %d", n.now, node, len(buf), len(inbox[node]))
+				}
+				inbox[node] = nil
+				n.Recycle(buf)
+			}
+			delivered, high := 0, 0
+			for c := 0; c < 3000; c++ {
+				if c%300 < 200 {
+					for k := r.Intn(4); k > 0; k-- {
+						m := n.Alloc()
+						m.Src, m.Dst, m.Size = r.Intn(nodes), r.Intn(nodes), 1
+						n.Send(m)
+						flying = append(flying, m)
+					}
+				}
+				next := uint64(NoEvent)
+				for _, m := range flying {
+					next = min(next, m.arriveAt)
+				}
+				if got := n.NextEvent(); got > next {
+					t.Fatalf("cycle %d: NextEvent %d, a message arrives at %d", n.now, got, next)
+				}
+				n.Tick()
+				rest := flying[:0]
+				for _, m := range flying {
+					if m.arriveAt <= n.now {
+						inbox[m.Dst] = append(inbox[m.Dst], m)
+						delivered++
+						high += m.Dst / 64
+					} else {
+						rest = append(rest, m)
+					}
+				}
+				flying = rest
+				held := 0
+				for _, box := range inbox {
+					held += len(box)
+				}
+				if got, want := n.PendingNodes(nil), nonEmpty(inbox); !slices.Equal(got, want) {
+					t.Fatalf("cycle %d: pending nodes %v, plain lists %v", n.now, got, want)
+				}
+				if got, want := n.InFlight(), len(flying)+held; got != want {
+					t.Fatalf("cycle %d: in flight %d, plain lists %d", n.now, got, want)
+				}
+				switch r.Intn(3) {
+				case 0:
+					for _, node := range n.PendingNodes(nil) {
+						drain(node)
+					}
+				case 1:
+					drain(r.Intn(nodes))
+				}
+			}
+			if delivered < 1000 || high == 0 {
+				t.Fatalf("%d messages delivered, %d past the bitset's first word", delivered, high)
+			}
+		})
 	}
 }
 

@@ -5,8 +5,8 @@ import "fmt"
 // Snapshot support. Message timing (sentAt/arriveAt/route/hop) is
 // unexported, so the dump/restore of in-flight traffic lives here. An
 // Image is the backend-neutral simulated state of a network: restore
-// reconstructs host-side bookkeeping (the channel calendar, pending-node
-// lists, pool freelists, head indices) from it — those are not part of
+// reconstructs host-side bookkeeping (the channel calendar, the inbox
+// bitset, pool freelists, head indices) from it — those are not part of
 // the simulated state, only the live messages and counters are.
 
 // MessageImage is one in-flight packet in snapshot form.
@@ -103,13 +103,10 @@ func (n *Ideal) DumpImage() Image {
 		Stats:   n.stats,
 		SendSeq: n.sendSeq,
 		Pending: imagesOf(n.pending[n.head:]),
-		Inbox:   make([][]MessageImage, n.nodes),
+		Inbox:   n.in.image(),
 	}
 	if n.lastArr != nil {
 		img.LastArr = append([]uint64(nil), n.lastArr...)
-	}
-	for node, box := range n.inbox {
-		img.Inbox[node] = imagesOf(box)
 	}
 	return img
 }
@@ -141,15 +138,7 @@ func (n *Ideal) RestoreImage(img Image) error {
 	for _, mi := range img.Pending {
 		n.pending = append(n.pending, n.pool.fromImage(mi))
 	}
-	for node, box := range img.Inbox {
-		for _, mi := range box {
-			n.inbox[node] = append(n.inbox[node], n.pool.fromImage(mi))
-		}
-		if len(box) > 0 {
-			n.inPend[node] = true
-			n.pendNodes = append(n.pendNodes, node)
-		}
-	}
+	n.in.restore(&n.pool, img.Inbox)
 	return nil
 }
 
@@ -161,7 +150,7 @@ func (t *Torus) DumpImage() Image {
 		Stats:  t.stats,
 		Busy:   make([]int, nch),
 		Queues: make([][]MessageImage, nch),
-		Inbox:  make([][]MessageImage, t.geo.Nodes()),
+		Inbox:  t.in.image(),
 	}
 	if t.txSeq != nil {
 		img.TxSeq = append([]uint64(nil), t.txSeq...)
@@ -170,9 +159,6 @@ func (t *Torus) DumpImage() Image {
 		c := &t.channels[i]
 		img.Busy[i] = c.busy(t.now)
 		img.Queues[i] = imagesOf(c.queue[c.head:])
-	}
-	for node, box := range t.inbox {
-		img.Inbox[node] = imagesOf(box)
 	}
 	return img
 }
@@ -216,7 +202,7 @@ func (t *Torus) RestoreImage(img Image) error {
 		for _, mi := range img.Queues[i] {
 			c.queue = append(c.queue, t.pool.fromImage(mi))
 		}
-		t.inFlight += c.qlen()
+		t.onLinks += c.qlen()
 		// The calendar is host bookkeeping: a transmission in progress is
 		// filed at its completion, a head packet not yet started by the
 		// rule Send and Tick use.
@@ -228,15 +214,6 @@ func (t *Torus) RestoreImage(img Image) error {
 			t.file(i, c)
 		}
 	}
-	for node, box := range img.Inbox {
-		for _, mi := range box {
-			t.inbox[node] = append(t.inbox[node], t.pool.fromImage(mi))
-		}
-		t.inFlight += len(box)
-		if len(box) > 0 {
-			t.inPend[node] = true
-			t.pendNodes = append(t.pendNodes, node)
-		}
-	}
+	t.in.restore(&t.pool, img.Inbox)
 	return nil
 }

@@ -2,7 +2,6 @@ package network
 
 import (
 	"fmt"
-	"sort"
 
 	"april/internal/calendar"
 	"april/internal/fault"
@@ -29,21 +28,17 @@ import (
 type Torus struct {
 	geo      Geometry
 	channels []channel
-	inbox    [][]*Message
+	in       inboxes
 	now      uint64
 	stats    Stats
 	trace    *trace.Tracer
 
 	// Host bookkeeping, rebuilt by RestoreImage: cal holds every channel
 	// with a head packet exactly once, at its doneAt (or, under a fault
-	// plan, at its startAt until the penalty is drawn); inFlight counts
-	// packets sent and not yet handed out by Deliveries; pendNodes holds
-	// exactly the nodes with undrained inboxes, ascending, flagged in
-	// inPend.
-	cal       calendar.Calendar
-	inFlight  int
-	pendNodes []int
-	inPend    []bool
+	// plan, at its startAt until the penalty is drawn); onLinks counts
+	// packets sent and not yet delivered to an inbox.
+	cal     calendar.Calendar
+	onLinks int
 
 	moved     []*Message // Tick scratch, reused across cycles
 	movedFrom []int
@@ -149,8 +144,7 @@ func NewTorus(g Geometry) (*Torus, error) {
 	t := &Torus{
 		geo:      g,
 		channels: make([]channel, n*2*g.Dim),
-		inbox:    make([][]*Message, n),
-		inPend:   make([]bool, n),
+		in:       newInboxes(n),
 		curBuf:   make([]int, g.Dim),
 		dstBuf:   make([]int, g.Dim),
 	}
@@ -161,31 +155,10 @@ func NewTorus(g Geometry) (*Torus, error) {
 // Geometry returns the torus shape.
 func (t *Torus) Geometry() Geometry { return t.geo }
 
-// insertSorted adds v to the ascending slice s (caller ensures v is not
-// already present).
-func insertSorted(s []int, v int) []int {
-	i := sort.SearchInts(s, v)
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-// removeSorted deletes v from the ascending slice s (caller ensures v
-// is present).
-func removeSorted(s []int, v int) []int {
-	i := sort.SearchInts(s, v)
-	return append(s[:i], s[i+1:]...)
-}
-
-// deliver places a message in its destination inbox and marks the node
-// pending.
+// deliver places a message in its destination inbox.
 func (t *Torus) deliver(m *Message) {
-	if !t.inPend[m.Dst] {
-		t.inPend[m.Dst] = true
-		t.pendNodes = insertSorted(t.pendNodes, m.Dst)
-	}
-	t.inbox[m.Dst] = append(t.inbox[m.Dst], m)
+	t.onLinks--
+	t.in.put(m)
 	t.account(m)
 }
 
@@ -240,7 +213,7 @@ func (t *Torus) Send(m *Message) {
 		m.Size = 1
 	}
 	m.sentAt = t.now
-	t.inFlight++
+	t.onLinks++
 	t.stats.Messages++
 	t.stats.FlitsSent += uint64(m.Size)
 	t.trace.Emit(m.Src, trace.KNetInject, int32(m.Dst), int32(m.Size), 0, 0)
@@ -328,26 +301,11 @@ func (t *Torus) account(m *Message) {
 	t.trace.Emit(m.Dst, trace.KNetDeliver, int32(m.Src), int32(m.Size), int32(lat), 0)
 }
 
-// Deliveries implements Network. The inbox keeps its capacity: its
-// contents are copied into buf and the slice is truncated, so the
-// steady state drains without allocating.
-func (t *Torus) Deliveries(node int, buf []*Message) []*Message {
-	box := t.inbox[node]
-	t.inFlight -= len(box)
-	buf = append(buf, box...)
-	for i := range box {
-		box[i] = nil
-	}
-	t.inbox[node] = box[:0]
-	if t.inPend[node] {
-		t.inPend[node] = false
-		t.pendNodes = removeSorted(t.pendNodes, node)
-	}
-	return buf
-}
+// Deliveries implements Network.
+func (t *Torus) Deliveries(node int, buf []*Message) []*Message { return t.in.take(node, buf) }
 
 // PendingNodes implements Network.
-func (t *Torus) PendingNodes(buf []int) []int { return append(buf, t.pendNodes...) }
+func (t *Torus) PendingNodes(buf []int) []int { return t.in.pending(buf) }
 
 // Nodes implements Network.
 func (t *Torus) Nodes() int { return t.geo.Nodes() }
@@ -356,7 +314,7 @@ func (t *Torus) Nodes() int { return t.geo.Nodes() }
 func (t *Torus) Stats() Stats { return t.stats }
 
 // InFlight counts undelivered packets, including undrained inboxes.
-func (t *Torus) InFlight() int { return t.inFlight }
+func (t *Torus) InFlight() int { return t.onLinks + t.in.held }
 
 // SetTracer implements Network.
 func (t *Torus) SetTracer(tr *trace.Tracer) { t.trace = tr }
@@ -365,7 +323,7 @@ func (t *Torus) SetTracer(tr *trace.Tracer) { t.trace = tr }
 // plan, start), every Tick before which moves no packet and draws no
 // penalty. Undrained inboxes count as immediate.
 func (t *Torus) NextEvent() uint64 {
-	if len(t.pendNodes) > 0 {
+	if t.in.held > 0 {
 		return t.now
 	}
 	return t.cal.Next(t.now)

@@ -84,16 +84,17 @@ func (a *AlewifeConfig) fill(nodes int) error {
 
 // netFabric owns the interconnect and the per-node cache controllers.
 //
-// The fabric is work-proportional on the host: tick visits the
-// controllers in the dirty set (plus the nodes the network reports
-// deliveries for) instead of scanning every controller each cycle. A
-// controller is dirty while it has a due outbox entry or a deferred
-// recall; an entry waiting out a delay files its controller in a
-// calendar at the cycle it matures. Processing the dirty set in
-// ascending node id makes the skip invisible to simulated behavior —
-// a dense scan's per-controller work is a no-op at every cycle the
-// controller is not visited (dense_test.go keeps that scan as the
-// oracle).
+// The fabric is work-proportional on the host: a controller runs in a
+// tick only when it is filed in cal for that tick's pass, and its
+// deliveries are drained only when the network reports them. A
+// controller is filed at the readyAt of each delayed send, for the
+// next pass when a message it handles leaves a recall waiting or a hit
+// releases the interlock a recall waits on, and, while recalls wait, at
+// the earliest cycle one can act by the clock (fileRecalls). Due hands
+// a pass's ids back in ascending node id, which makes the skip
+// invisible to simulated behavior: a dense scan's per-controller work
+// is a no-op at every cycle the controller is not visited
+// (dense_test.go keeps that scan as the oracle).
 type netFabric struct {
 	cfg   *AlewifeConfig
 	net   network.Network
@@ -102,17 +103,15 @@ type netFabric struct {
 	now   uint64
 	trace *trace.Tracer
 
-	// Dirty-controller set and outbox calendar. Invariant: every ctl
-	// with a nonempty recallQ or an outbox entry whose readyAt has come
-	// has dirtyCtl[node] set and appears exactly once in dirty
-	// (unsorted; tick sorts its snapshot); every later readyAt has its
-	// node filed in cal at that cycle.
-	dirtyCtl  []bool
-	dirty     []int
-	cal       calendar.Calendar
-	idScratch []int              // tick's sorted snapshot, reused
-	pendBuf   []int              // PendingNodes scratch, reused
-	delivBuf  []*network.Message // Deliveries scratch, reused
+	// cal files every controller with work at the pass that runs it:
+	// each outbox entry's readyAt, and each waiting recall's horizon.
+	// draining is set while tick drains deliveries, whose handlers file
+	// their controller for this tick's pass; outside that a filing
+	// lands no earlier than the next tick.
+	cal      calendar.Calendar
+	draining bool
+	pendBuf  []int              // PendingNodes scratch, reused
+	delivBuf []*network.Message // Deliveries scratch, reused
 
 	// plan perturbs timing (directory-reply delays here; the network
 	// draws its own penalties) and check records invariant violations.
@@ -126,39 +125,14 @@ type netFabric struct {
 	laneHook func(node int, block uint32)
 }
 
-// markDirty records that a controller has work for the next tick (a due
-// outbox entry or a deferred recall). Idempotent.
-func (f *netFabric) markDirty(node int) {
-	if !f.dirtyCtl[node] {
-		f.dirtyCtl[node] = true
-		f.dirty = append(f.dirty, node)
-	}
-}
-
-// wakeAt records an outbox entry maturing at cycle at: its controller is
-// dirty now if that has come, else filed for then.
+// wakeAt files node's controller for the first pass at or after cycle
+// at.
 func (f *netFabric) wakeAt(node int, at uint64) {
-	if at <= f.now {
-		f.markDirty(node)
-		return
+	next := f.now + 1
+	if f.draining {
+		next = f.now
 	}
-	f.cal.Add(f.now, at, node)
-}
-
-// gatherDirty takes the dirty set, sorted into ascending node id (the
-// reference all-controllers order), and leaves an empty set on the
-// previous snapshot's buffer with the flags cleared, so controllers
-// that still have work re-mark themselves. The returned slice is valid
-// until the next call.
-func (f *netFabric) gatherDirty() []int {
-	ids := f.dirty
-	f.dirty = f.idScratch[:0]
-	slices.Sort(ids)
-	f.idScratch = ids
-	for _, id := range ids {
-		f.dirtyCtl[id] = false
-	}
-	return ids
+	f.cal.Add(f.now, max(at, next), node)
 }
 
 func (m *Machine) initAlewife() error {
@@ -175,12 +149,11 @@ func (m *Machine) initAlewife() error {
 	}
 	net.SetFaultPlan(m.plan)
 	f := &netFabric{
-		cfg:      cfg,
-		net:      net,
-		dist:     mem.Distribution{Nodes: m.Cfg.Nodes, BlockSize: cfg.Cache.BlockBytes},
-		dirtyCtl: make([]bool, m.Cfg.Nodes),
-		plan:     m.plan,
-		check:    m.checker,
+		cfg:   cfg,
+		net:   net,
+		dist:  mem.Distribution{Nodes: m.Cfg.Nodes, BlockSize: cfg.Cache.BlockBytes},
+		plan:  m.plan,
+		check: m.checker,
 	}
 	f.cal.Init(m.Cfg.Nodes)
 	m.net = f
@@ -224,20 +197,16 @@ func (f *netFabric) tick() {
 func (f *netFabric) tickInner() {
 	f.now++
 	f.net.Tick()
-	// Controllers whose delayed outbox entries mature this cycle join
-	// the dirty set.
-	for _, id := range f.cal.Due(f.now) {
-		f.markDirty(id)
-	}
+	f.draining = true
 	f.pendBuf = f.net.PendingNodes(f.pendBuf[:0])
 	for _, node := range f.pendBuf {
 		f.drainInto(node, f.ctls[node])
 	}
-	// Snapshot and clear the dirty set, then run the controllers in
-	// ascending node id — the reference all-controllers order.
-	// Controllers that still have (or regain) work re-mark themselves
-	// through the append-site hooks.
-	for _, id := range f.gatherDirty() {
+	f.draining = false
+	// The pass: the controllers filed for this cycle, in ascending node
+	// id — the reference all-controllers order. Work they make files
+	// them again, for a later pass.
+	for _, id := range f.cal.Due(f.now) {
 		ctl := f.ctls[id]
 		ctl.processRecalls()
 		ctl.flushOutbox()
@@ -258,37 +227,14 @@ func (f *netFabric) drainInto(node int, ctl *cacheCtl) {
 }
 
 // nextEvent returns the earliest fabric cycle at which a tick could do
-// any work — deliver a network message, flush a matured outbox entry,
-// or act on a deferred recall (interlock expiry or wait deadline) — or
+// any work — deliver a network message, or run a filed controller — or
 // network.NoEvent when the whole memory system is quiescent. Ticks that
 // end strictly before that cycle are guaranteed no-ops, which is the
 // invariant Machine.Run's fast-forward path relies on. The estimate is
-// conservative: waking at a cycle where the tick turns out to do
-// nothing is harmless (the machine just resumes per-cycle stepping and
-// re-evaluates), but it must never be later than a real event.
+// conservative: a controller filed where it then finds nothing to do
+// costs one no-op pass, but no filing is later than a real event.
 func (f *netFabric) nextEvent() uint64 {
-	next := f.net.NextEvent()
-	for _, id := range f.dirty {
-		next = f.ctlNextEvent(f.ctls[id], next)
-	}
-	return min(next, f.cal.Next(f.now))
-}
-
-// ctlNextEvent folds one controller's queued-work deadlines into next.
-// Work that is already due happens on the very next tick.
-func (f *netFabric) ctlNextEvent(ctl *cacheCtl, next uint64) uint64 {
-	for i := range ctl.outbox {
-		next = min(next, max(ctl.outbox[i].readyAt, f.now+1))
-	}
-	for i := range ctl.recallQ {
-		pr := &ctl.recallQ[i]
-		at := pr.deadline
-		if exp, held := ctl.locked[pr.msg.Block]; held {
-			at = min(at, exp)
-		}
-		next = min(next, max(at, f.now+1))
-	}
-	return next
+	return min(f.net.NextEvent(), f.cal.Next(f.now))
 }
 
 // advance replays k guaranteed-no-op ticks in one step: the fabric and
@@ -458,8 +404,8 @@ func (c *cacheCtl) flushOutbox() {
 		nm.Payload = network.CoherencePayload(om.msg)
 		f.net.Send(nm)
 	}
-	// The kept entries are filed in the calendar; any entry handle just
-	// appended marked the controller dirty itself.
+	// The kept entries are filed in the calendar, and so is any entry
+	// handle just appended (send files it).
 	c.outbox = append(c.outbox, keep...)
 	c.keepQ = keep[:0]
 	c.outSpare = box[:0]
@@ -556,6 +502,9 @@ func (c *cacheCtl) hit(addr uint32, f isa.MemFlavor, store bool, value isa.Word,
 	if ln.Locked() { // one access completed: release the interlock
 		ln.SetLocked(false)
 		delete(c.locked, block)
+		if c.recallDeferred(block) {
+			c.fabric.wakeAt(c.node, c.fabric.now) // the recall it held acts next tick
+		}
 	}
 	return res, true, nil
 }
@@ -689,6 +638,11 @@ func (c *cacheCtl) install(block uint32, write bool) cache.Line {
 // handle processes one protocol message at this controller.
 func (c *cacheCtl) handle(msg directory.Msg) {
 	c.handleMsg(msg)
+	if len(c.recallQ) > 0 {
+		// A recall just deferred, or a grant that may end a wait (it
+		// changes pending and the cache): retry them in the next pass.
+		c.fabric.wakeAt(c.node, c.fabric.now)
+	}
 	if c.fabric.check != nil {
 		c.fabric.checkBlock(msg.Block)
 	}
@@ -763,7 +717,6 @@ func (c *cacheCtl) handleRecall(msg directory.Msg) {
 	if ms, busy := c.pending[msg.Block]; busy {
 		if !cached {
 			c.recallQ = append(c.recallQ, pendingRecall{msg: msg, deadline: c.fabric.now + recallWait})
-			c.fabric.markDirty(c.node)
 			return
 		}
 		ms.poisoned = true
@@ -771,7 +724,6 @@ func (c *cacheCtl) handleRecall(msg directory.Msg) {
 	}
 	if exp, held := c.locked[msg.Block]; held && c.fabric.now < exp {
 		c.recallQ = append(c.recallQ, pendingRecall{msg: msg, deadline: c.fabric.now + recallWait})
-		c.fabric.markDirty(c.node)
 		return
 	}
 	c.recall(msg)
@@ -806,9 +758,27 @@ func (c *cacheCtl) processRecalls() {
 		c.recall(pr.msg)
 	}
 	c.recallSpare = q[:0]
-	if len(c.recallQ) > 0 {
-		c.fabric.markDirty(c.node)
+	c.fileRecalls()
+}
+
+// fileRecalls files the controller at the earliest cycle a waiting
+// recall can act by the clock alone: its deadline, or its block's
+// interlock expiry. The other events that end a wait — a grant or a
+// dropped stale grant (handle) and a first-use hit (hit) — file the
+// controller themselves.
+func (c *cacheCtl) fileRecalls() {
+	if len(c.recallQ) == 0 {
+		return
 	}
+	at := uint64(calendar.None)
+	for i := range c.recallQ {
+		pr := &c.recallQ[i]
+		at = min(at, pr.deadline)
+		if exp, held := c.locked[pr.msg.Block]; held {
+			at = min(at, exp)
+		}
+	}
+	c.fabric.wakeAt(c.node, at)
 }
 
 // recall services an Inv or Fetch against the local cache and

@@ -3,10 +3,12 @@ package sim
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"april/internal/directory"
 	"april/internal/fault"
+	"april/internal/isa"
 	"april/internal/mult"
 	"april/internal/network"
 	"april/internal/proc"
@@ -38,8 +40,9 @@ func calMachine(t testing.TB, cfg Config, src string) *Machine {
 // sides of the calendar's wheel from a controller of an otherwise idle
 // fabric, next to a fabric that scans every controller every tick. Each
 // reply must enter the network at the same tick on both; while replies
-// only wait, the calendar side's dirty set stays empty (a tick costs a
-// bit-scan and a heap peek) and nextEvent names the next maturity.
+// only wait, no controller on the calendar side is filed for the next
+// tick (a tick costs a bit-scan and a heap peek) and nextEvent names the
+// next maturity.
 func TestOutboxCalendarMatchesDenseScan(t *testing.T) {
 	cfg := Config{Nodes: 8, Profile: rts.APRIL, Alewife: &AlewifeConfig{}}
 	fast, dense := calMachine(t, cfg, "1").net, calMachine(t, cfg, "1").net
@@ -68,8 +71,8 @@ func TestOutboxCalendarMatchesDenseScan(t *testing.T) {
 		if got, want := fast.net.Stats(), dense.net.Stats(); got != want {
 			t.Fatalf("tick %d: network saw %+v, dense scan %+v", tick, got, want)
 		}
-		if len(fast.dirty) != 0 {
-			t.Fatalf("tick %d: controllers %v left dirty with only waiting replies", tick, fast.dirty)
+		if next := fast.cal.Next(fast.now); next == fast.now+1 && !slices.Contains(due, next) {
+			t.Fatalf("tick %d: a controller is filed for the next tick with only waiting replies", tick)
 		}
 		if !reflect.DeepEqual(fast.ctls[2].outbox, dense.ctls[2].outbox) {
 			t.Fatalf("tick %d: outbox %v, dense scan %v", tick, fast.ctls[2].outbox, dense.ctls[2].outbox)
@@ -80,6 +83,119 @@ func TestOutboxCalendarMatchesDenseScan(t *testing.T) {
 	}
 	if got := fast.nextEvent(); got != network.NoEvent {
 		t.Fatalf("quiescent fabric reports an event at %d", got)
+	}
+}
+
+// TestDeferredRecallsMatchDenseScan drives a recall through each way
+// its wait ends, on a calendar fabric next to a fabric that scans every
+// controller every tick: its deadline (an awaited grant that never
+// comes), its interlock's expiry, a first-use hit that releases the
+// interlock, the awaited grant arriving (on a shortened interlock, so
+// its expiry comes before the deadline the recall was filed at), and a
+// stale grant dropped. Each scenario has its own node and block; the
+// home, node 0, sends the grants and recalls through the torus. Both
+// fabrics must hand every InvAck and FetchAck to the network at the
+// same tick, the one the scenario names, and hold the same recallQ,
+// interlocks, pending misses and cache line state at every tick.
+func TestDeferredRecallsMatchDenseScan(t *testing.T) {
+	cfg := Config{Nodes: 8, Profile: rts.APRIL, Alewife: &AlewifeConfig{}}
+	fast, dense := calMachine(t, cfg, "1").net, calMachine(t, cfg, "1").net
+	// The ticks a scenario reaches, from the dense side: its recall
+	// deferred, its grant handled, and its interlock's expiry.
+	type seen struct{ deferred, granted, exp uint64 }
+	paths := []struct {
+		name              string
+		node              int
+		recall            directory.Msg
+		recallAt, grantAt uint64 // the home sends them just before these ticks (grant 0: none)
+		hitAt             uint64 // a first-use load runs just before this tick (0: none)
+		poisoned          bool   // a recall crossed the grant before this one
+		lockWindow        uint64 // 0: the profile's
+		acts              func(s seen) uint64
+	}{
+		{name: "deadline", node: 1, recall: directory.Msg{Kind: directory.Inv}, recallAt: 1,
+			acts: func(s seen) uint64 { return s.deferred + recallWait }},
+		{name: "interlock-expiry", node: 2, recall: directory.Msg{Kind: directory.Fetch}, recallAt: 15, grantAt: 1,
+			acts: func(s seen) uint64 { return s.exp }},
+		{name: "first-use-hit", node: 3, recall: directory.Msg{Kind: directory.Inv}, recallAt: 15, grantAt: 1, hitAt: 40,
+			acts: func(seen) uint64 { return 40 }},
+		{name: "grant", node: 4, recall: directory.Msg{Kind: directory.Fetch, Write: true}, recallAt: 1, grantAt: 20, lockWindow: 40,
+			acts: func(s seen) uint64 { return s.exp }},
+		{name: "stale-grant", node: 5, recall: directory.Msg{Kind: directory.Inv}, recallAt: 1, grantAt: 20, poisoned: true,
+			acts: func(s seen) uint64 { return s.granted }},
+	}
+	block := func(node int) uint32 { return uint32(0x100 + node) }
+	for _, f := range []*netFabric{fast, dense} {
+		for _, p := range paths {
+			c := f.ctls[p.node]
+			c.pending[block(p.node)] = missState{poisoned: p.poisoned}
+			if p.lockWindow != 0 {
+				c.lockWindow = p.lockWindow
+			}
+		}
+	}
+	seens := make([]seen, len(paths))
+	acted := [2][]uint64{make([]uint64, len(paths)), make([]uint64, len(paths))}
+	for tick := uint64(1); tick <= 1000; tick++ {
+		for _, f := range []*netFabric{fast, dense} {
+			for _, p := range paths {
+				b := block(p.node)
+				if tick == p.recallAt {
+					msg := p.recall
+					msg.Block, msg.Requester = b, 0
+					f.ctls[0].send(p.node, msg, 0)
+				}
+				if tick == p.grantAt {
+					f.ctls[0].send(p.node, directory.Msg{Kind: directory.Data, Block: b}, 0)
+				}
+				if tick == p.hitAt {
+					c := f.ctls[p.node]
+					if res, err := c.Access(b<<c.blockShift, isa.MemFlavor{}, false, 0); err != nil || res.Outcome != proc.OK {
+						t.Fatalf("%s: first-use load at tick %d: %+v, %v", p.name, tick, res, err)
+					}
+				}
+			}
+		}
+		fast.tick()
+		denseTick(dense)
+		if got, want := fast.net.Stats(), dense.net.Stats(); got != want {
+			t.Fatalf("tick %d: network saw %+v, dense scan %+v", tick, got, want)
+		}
+		for i, p := range paths {
+			b := block(p.node)
+			fc, dc := fast.ctls[p.node], dense.ctls[p.node]
+			fst, fok := fc.cache.Probe(b)
+			dst, dok := dc.cache.Probe(b)
+			if !reflect.DeepEqual(fc.recallQ, dc.recallQ) || !reflect.DeepEqual(fc.locked, dc.locked) ||
+				!reflect.DeepEqual(fc.pending, dc.pending) || fst != dst || fok != dok {
+				t.Fatalf("%s, tick %d: recallQ %v locked %v pending %v line (%v,%v); dense scan %v %v %v (%v,%v)",
+					p.name, tick, fc.recallQ, fc.locked, fc.pending, fst, fok, dc.recallQ, dc.locked, dc.pending, dst, dok)
+			}
+			s := &seens[i]
+			if len(dc.recallQ) > 0 && s.deferred == 0 {
+				s.deferred = tick
+			}
+			if _, busy := dc.pending[b]; !busy && s.granted == 0 && s.deferred != 0 {
+				s.granted = tick
+			}
+			if exp, held := dc.locked[b]; held {
+				s.exp = exp
+			}
+			for side, c := range []*cacheCtl{fc, dc} {
+				if acted[side][i] == 0 && s.deferred != 0 && len(c.recallQ) == 0 {
+					acted[side][i] = tick
+				}
+			}
+		}
+	}
+	for i, p := range paths {
+		if acted[0][i] == 0 || acted[0][i] != acted[1][i] {
+			t.Errorf("%s: recall acted at tick %d, dense scan %d", p.name, acted[0][i], acted[1][i])
+		}
+		if want := p.acts(seens[i]); acted[1][i] != want {
+			t.Errorf("%s: recall deferred at tick %d acted at %d, want %d (%+v)", p.name, seens[i].deferred, acted[1][i], want, seens[i])
+		}
+		t.Logf("%s: deferred at tick %d, acted at %d", p.name, seens[i].deferred, acted[0][i])
 	}
 }
 
@@ -105,11 +221,23 @@ func waitingCalendars(m *Machine) bool {
 	return false
 }
 
+// waitingRecall reports whether a controller holds a deferred recall
+// that cannot act on the next tick, so its calendar entry lies ahead.
+func waitingRecall(m *Machine) bool {
+	for _, c := range m.net.ctls {
+		if len(c.recallQ) > 0 && !ctlActsAt(c, m.net.now+1) {
+			return true
+		}
+	}
+	return false
+}
+
 // TestSnapshotRebuildsCalendars: the image format stores no calendar.
 // Taken at a cycle where a fault-delayed reply matures more than a wheel
-// away and a channel holds a packet it has not started, the image must
-// be the same bytes from both run loops, and every (donor loop, restored
-// loop) pairing must finish where the donors do.
+// away and a channel holds a packet it has not started, or where a
+// recall waits in a controller's recallQ, the image must be the same
+// bytes from both run loops, and every (donor loop, restored loop)
+// pairing must finish where the donors do.
 func TestSnapshotRebuildsCalendars(t *testing.T) {
 	faults := fault.Default(4)
 	faults.MaxReplyDelay = 200
@@ -130,48 +258,54 @@ func TestSnapshotRebuildsCalendars(t *testing.T) {
 		}
 		return res.Cycles, res.Formatted, stats
 	}
-
-	donors := []*Machine{mk(TierCompiled), mk(TierReference)}
-	for !waitingCalendars(donors[0]) {
-		if done, err := donors[0].RunWindow(1); err != nil || done {
-			t.Fatalf("no cycle with both calendars waiting (done %v, err %v)", done, err)
-		}
-	}
-	at := donors[0].Now()
-	if _, err := donors[1].RunWindow(at); err != nil {
-		t.Fatal(err)
-	}
-	var imgs [2][]byte
-	for i, d := range donors {
-		img, err := d.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		imgs[i] = img
-	}
-	if !bytes.Equal(imgs[0], imgs[1]) {
-		t.Fatalf("cycle %d: the two run loops wrote different images", at)
-	}
-	wantCycles, wantValue, wantStats := finish(donors[0])
-	for i, d := range donors[1:] {
-		if c, v, s := finish(d); c != wantCycles || v != wantValue || !reflect.DeepEqual(s, wantStats) {
-			t.Fatalf("donor %d finished at %d (%s), donor 0 at %d (%s)", i+1, c, v, wantCycles, wantValue)
-		}
-	}
-	for _, tier := range Tiers {
-		twin, err := Restore(imgs[0], RestoreOverrides{Tier: tier})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !waitingCalendars(twin) {
-			t.Fatalf("twin (%v) lost the waiting state", tier)
-		}
-		if ne, want := twin.net.nextEvent(), denseNextEvent(twin.net); ne != want {
-			t.Fatalf("twin (%v): restored nextEvent %d, dense scan %d", tier, ne, want)
-		}
-		if c, v, s := finish(twin); c != wantCycles || v != wantValue || !reflect.DeepEqual(s, wantStats) {
-			t.Fatalf("twin (%v) finished at %d (%s), donors at %d (%s)", tier, c, v, wantCycles, wantValue)
-		}
+	for _, cut := range []struct {
+		name    string
+		waiting func(*Machine) bool
+	}{{"reply-and-packet", waitingCalendars}, {"recall", waitingRecall}} {
+		t.Run(cut.name, func(t *testing.T) {
+			donors := []*Machine{mk(TierCompiled), mk(TierReference)}
+			for !cut.waiting(donors[0]) {
+				if done, err := donors[0].RunWindow(1); err != nil || done {
+					t.Fatalf("no cycle with the calendars waiting (done %v, err %v)", done, err)
+				}
+			}
+			at := donors[0].Now()
+			if _, err := donors[1].RunWindow(at); err != nil {
+				t.Fatal(err)
+			}
+			var imgs [2][]byte
+			for i, d := range donors {
+				img, err := d.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				imgs[i] = img
+			}
+			if !bytes.Equal(imgs[0], imgs[1]) {
+				t.Fatalf("cycle %d: the two run loops wrote different images", at)
+			}
+			wantCycles, wantValue, wantStats := finish(donors[0])
+			for i, d := range donors[1:] {
+				if c, v, s := finish(d); c != wantCycles || v != wantValue || !reflect.DeepEqual(s, wantStats) {
+					t.Fatalf("donor %d finished at %d (%s), donor 0 at %d (%s)", i+1, c, v, wantCycles, wantValue)
+				}
+			}
+			for _, tier := range Tiers {
+				twin, err := Restore(imgs[0], RestoreOverrides{Tier: tier})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !cut.waiting(twin) {
+					t.Fatalf("twin (%v) lost the waiting state", tier)
+				}
+				if ne, want := twin.net.nextEvent(), denseNextEvent(twin.net); ne != want {
+					t.Fatalf("twin (%v): restored nextEvent %d, dense scan %d", tier, ne, want)
+				}
+				if c, v, s := finish(twin); c != wantCycles || v != wantValue || !reflect.DeepEqual(s, wantStats) {
+					t.Fatalf("twin (%v) finished at %d (%s), donors at %d (%s)", tier, c, v, wantCycles, wantValue)
+				}
+			}
+		})
 	}
 }
 

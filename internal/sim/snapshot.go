@@ -590,15 +590,13 @@ func (m *Machine) decodeFabric(r *snapshot.Reader) {
 		if r.Err() != nil {
 			return
 		}
-		// The dirty set and the outbox calendar are host bookkeeping:
-		// rebuild them from the simulated state they track, by send's
-		// and handleRecall's rules.
+		// The calendar is host bookkeeping: rebuild it from the
+		// simulated state it tracks, by send's and processRecalls'
+		// rules.
 		for i := range ctl.outbox {
 			f.wakeAt(ctl.node, ctl.outbox[i].readyAt)
 		}
-		if len(ctl.recallQ) > 0 {
-			f.markDirty(ctl.node)
-		}
+		ctl.fileRecalls()
 	}
 }
 

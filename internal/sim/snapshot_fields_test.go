@@ -108,21 +108,19 @@ var imageFields = map[reflect.Type]map[string]imageClass{
 		"lastRetired": in("nodeImage", "LastRetired"),
 	},
 	reflect.TypeFor[netFabric](): {
-		"cfg":       fromID,
-		"net":       walk("network.Image"),
-		"ctls":      section("fabric"),
-		"dist":      fromID,
-		"now":       section("fabric"),
-		"trace":     traceHook,
-		"dirtyCtl":  host("dirty set, rebuilt from ctlState.outbox and recallQ"),
-		"dirty":     host("dirty set, rebuilt from ctlState.outbox and recallQ"),
-		"cal":       host("outbox calendar, rebuilt from ctlState.outbox"),
-		"idScratch": scratch,
-		"pendBuf":   scratch,
-		"delivBuf":  scratch,
-		"plan":      faultPlan,
-		"check":     host("checkers follow RestoreOverrides.Check"),
-		"laneHook":  loadTier,
+		"cfg":      fromID,
+		"net":      walk("network.Image"),
+		"ctls":     section("fabric"),
+		"dist":     fromID,
+		"now":      section("fabric"),
+		"trace":    traceHook,
+		"cal":      host("controller calendar, rebuilt from ctlState.outbox and recallQ"),
+		"draining": host("which pass a filing joins, set only while tick drains"),
+		"pendBuf":  scratch,
+		"delivBuf": scratch,
+		"plan":     faultPlan,
+		"check":    host("checkers follow RestoreOverrides.Check"),
+		"laneHook": loadTier,
 	},
 	reflect.TypeFor[cacheCtl](): {
 		"node":        wiring,
@@ -213,14 +211,12 @@ var imageFields = map[reflect.Type]map[string]imageClass{
 	reflect.TypeFor[network.Torus](): {
 		"geo":       fromID,
 		"channels":  in("network.Image", "Queues"), // and Busy
-		"inbox":     in("network.Image", "Inbox"),
+		"in":        in("network.Image", "Inbox"),  // its bitset and count rebuilt by RestoreImage
 		"now":       in("network.Image", "Now"),
 		"stats":     in("network.Image", "Stats"),
 		"trace":     traceHook,
 		"cal":       host("channel calendar, rebuilt by RestoreImage"),
-		"inFlight":  host("packet count, rebuilt by RestoreImage"),
-		"pendNodes": host("undrained-inbox list, rebuilt by RestoreImage"),
-		"inPend":    host("undrained-inbox flags, rebuilt by RestoreImage"),
+		"onLinks":   host("packet count, rebuilt by RestoreImage"),
 		"moved":     scratch,
 		"movedFrom": scratch,
 		"pool":      scratch,
@@ -230,21 +226,19 @@ var imageFields = map[reflect.Type]map[string]imageClass{
 		"txSeq":     in("network.Image", "TxSeq"),
 	},
 	reflect.TypeFor[network.Ideal](): {
-		"nodes":     fromID,
-		"latency":   fromID,
-		"now":       in("network.Image", "Now"),
-		"inbox":     in("network.Image", "Inbox"),
-		"pending":   in("network.Image", "Pending"),
-		"head":      in("network.Image", "Pending"), // the live part starts there
-		"stats":     in("network.Image", "Stats"),
-		"trace":     traceHook,
-		"pendNodes": host("undrained-inbox list, rebuilt by RestoreImage"),
-		"inPend":    host("undrained-inbox flags, rebuilt by RestoreImage"),
-		"pool":      scratch,
-		"plan":      faultPlan,
-		"jittered":  faultPlan,
-		"sendSeq":   in("network.Image", "SendSeq"),
-		"lastArr":   in("network.Image", "LastArr"),
+		"nodes":    fromID,
+		"latency":  fromID,
+		"now":      in("network.Image", "Now"),
+		"in":       in("network.Image", "Inbox"), // its bitset and count rebuilt by RestoreImage
+		"pending":  in("network.Image", "Pending"),
+		"head":     in("network.Image", "Pending"), // the live part starts there
+		"stats":    in("network.Image", "Stats"),
+		"trace":    traceHook,
+		"pool":     scratch,
+		"plan":     faultPlan,
+		"jittered": faultPlan,
+		"sendSeq":  in("network.Image", "SendSeq"),
+		"lastArr":  in("network.Image", "LastArr"),
 	},
 	reflect.TypeFor[cache.Cache](): {
 		"cfg":    fromID,
