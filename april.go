@@ -26,7 +26,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"time"
 
 	"april/internal/abi"
@@ -1026,12 +1025,3 @@ func LinearFit(xs, ys []float64) (a, b, r2 float64) { return workload.LinearFit(
 
 // Version describes this reproduction.
 const Version = "1.0.0"
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-var _ = strings.TrimSpace // reserved for future formatting helpers

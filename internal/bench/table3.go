@@ -78,9 +78,8 @@ type RunStats struct {
 	PerNode         []proc.Stats `json:"per_node"`
 	Perf            proc.Perf    `json:"perf"`
 
-	// Kinds is the machine-wide per-micro-kind execution count — the
-	// opcode mix that drives the compiled tier's profile-guided
-	// translation. Maintained identically by both execution tiers.
+	// Kinds is the machine-wide per-micro-kind execution count: the
+	// opcode mix, maintained identically by both execution tiers.
 	Kinds map[string]uint64 `json:"kinds,omitempty"`
 
 	// Epoch appears when the epoch engine ran at least one lane:

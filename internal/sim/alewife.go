@@ -762,10 +762,11 @@ func (c *cacheCtl) processRecalls() {
 }
 
 // fileRecalls files the controller at the earliest cycle a waiting
-// recall can act by the clock alone: its deadline, or its block's
-// interlock expiry. The other events that end a wait — a grant or a
-// dropped stale grant (handle) and a first-use hit (hit) — file the
-// controller themselves.
+// recall can act by the clock alone, processRecalls' rule: a recall
+// on a locked block waits for the interlock's expiry whatever its
+// deadline, any other for its deadline. The other events that end a
+// wait — a grant or a dropped stale grant (handle) and a first-use hit
+// (hit) — file the controller themselves.
 func (c *cacheCtl) fileRecalls() {
 	if len(c.recallQ) == 0 {
 		return
@@ -773,9 +774,10 @@ func (c *cacheCtl) fileRecalls() {
 	at := uint64(calendar.None)
 	for i := range c.recallQ {
 		pr := &c.recallQ[i]
-		at = min(at, pr.deadline)
-		if exp, held := c.locked[pr.msg.Block]; held {
+		if exp, held := c.locked[pr.msg.Block]; held && c.fabric.now < exp {
 			at = min(at, exp)
+		} else {
+			at = min(at, pr.deadline)
 		}
 	}
 	c.fabric.wakeAt(c.node, at)

@@ -25,22 +25,7 @@ import (
 // arenas at this node count; queens(7) runs ~30k cycles).
 func loadedQueens64(t testing.TB) *sim.Machine {
 	t.Helper()
-	m, err := sim.New(sim.Config{
-		Nodes:   64,
-		Profile: rts.APRIL,
-		Alewife: &sim.AlewifeConfig{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := mult.Compile(bench.QueensSource(7), mult.Mode{HardwareFutures: true}, m.StaticHeap())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Load(prog); err != nil {
-		t.Fatal(err)
-	}
-	return m
+	return build(t, bench.QueensSource(7), sim.Config{Nodes: 64, Alewife: &sim.AlewifeConfig{}})
 }
 
 func TestAlewifeSteadyStateAllocRate(t *testing.T) {
@@ -219,11 +204,18 @@ func TestPoisonedRecycleIdentity(t *testing.T) {
 	src := bench.QueensSource(5)
 	for name, tier := range map[string]sim.Tier{"fast": sim.TierCompiled, "reference": sim.TierReference} {
 		t.Run(name, func(t *testing.T) {
-			plain := runDifferential(t, src, ffConfig{nodes: 8, alewife: true, tier: tier})
-			network.SetPoisonRecycle(true)
-			defer network.SetPoisonRecycle(false)
-			poisoned := runDifferential(t, src, ffConfig{nodes: 8, alewife: true, tier: tier})
-			compareOutcomes(t, poisoned, plain)
+			// Poisoning is process-wide: each side runs whole inside
+			// its builder, and Diverge compares the finished machines.
+			side := func(poison bool) func() *sim.Machine {
+				return func() *sim.Machine {
+					network.SetPoisonRecycle(poison)
+					defer network.SetPoisonRecycle(false)
+					m := build(t, src, sim.Config{Nodes: 8, Alewife: &sim.AlewifeConfig{}, Tier: tier})
+					finish(t, m)
+					return m
+				}
+			}
+			diverge(t, side(true), side(false), whole)
 		})
 	}
 }

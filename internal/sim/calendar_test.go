@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"bytes"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -45,7 +43,8 @@ func calMachine(t testing.TB, cfg Config, src string) *Machine {
 // next maturity.
 func TestOutboxCalendarMatchesDenseScan(t *testing.T) {
 	cfg := Config{Nodes: 8, Profile: rts.APRIL, Alewife: &AlewifeConfig{}}
-	fast, dense := calMachine(t, cfg, "1").net, calMachine(t, cfg, "1").net
+	fm, dm := calMachine(t, cfg, "1"), calMachine(t, cfg, "1")
+	fast, dense, pair := fm.net, dm.net, &runPair{m: [2]*Machine{fm, dm}}
 	delays := []int{10, 0, 63, 64, 65, 10, 300, 1}
 	var due []uint64
 	for _, f := range []*netFabric{fast, dense} {
@@ -68,14 +67,11 @@ func TestOutboxCalendarMatchesDenseScan(t *testing.T) {
 		}
 		fast.tick()
 		denseTick(dense)
-		if got, want := fast.net.Stats(), dense.net.Stats(); got != want {
-			t.Fatalf("tick %d: network saw %+v, dense scan %+v", tick, got, want)
+		if d := pair.diff(); d != "" {
+			t.Fatalf("tick %d: calendar and dense scan differ: %s", tick, d)
 		}
 		if next := fast.cal.Next(fast.now); next == fast.now+1 && !slices.Contains(due, next) {
 			t.Fatalf("tick %d: a controller is filed for the next tick with only waiting replies", tick)
-		}
-		if !reflect.DeepEqual(fast.ctls[2].outbox, dense.ctls[2].outbox) {
-			t.Fatalf("tick %d: outbox %v, dense scan %v", tick, fast.ctls[2].outbox, dense.ctls[2].outbox)
 		}
 	}
 	if got := fast.net.Stats().Messages; got != uint64(len(delays)) {
@@ -95,11 +91,13 @@ func TestOutboxCalendarMatchesDenseScan(t *testing.T) {
 // stale grant dropped. Each scenario has its own node and block; the
 // home, node 0, sends the grants and recalls through the torus. Both
 // fabrics must hand every InvAck and FetchAck to the network at the
-// same tick, the one the scenario names, and hold the same recallQ,
-// interlocks, pending misses and cache line state at every tick.
+// same tick, the one the scenario names, and hold the same image (the
+// recallQ, interlocks, pending misses and cache lines among it) at
+// every tick.
 func TestDeferredRecallsMatchDenseScan(t *testing.T) {
 	cfg := Config{Nodes: 8, Profile: rts.APRIL, Alewife: &AlewifeConfig{}}
-	fast, dense := calMachine(t, cfg, "1").net, calMachine(t, cfg, "1").net
+	fm, dm := calMachine(t, cfg, "1"), calMachine(t, cfg, "1")
+	fast, dense, pair := fm.net, dm.net, &runPair{m: [2]*Machine{fm, dm}}
 	// The ticks a scenario reaches, from the dense side: its recall
 	// deferred, its grant handled, and its interlock's expiry.
 	type seen struct{ deferred, granted, exp uint64 }
@@ -158,19 +156,12 @@ func TestDeferredRecallsMatchDenseScan(t *testing.T) {
 		}
 		fast.tick()
 		denseTick(dense)
-		if got, want := fast.net.Stats(), dense.net.Stats(); got != want {
-			t.Fatalf("tick %d: network saw %+v, dense scan %+v", tick, got, want)
+		if d := pair.diff(); d != "" {
+			t.Fatalf("tick %d: calendar and dense scan differ: %s", tick, d)
 		}
 		for i, p := range paths {
 			b := block(p.node)
 			fc, dc := fast.ctls[p.node], dense.ctls[p.node]
-			fst, fok := fc.cache.Probe(b)
-			dst, dok := dc.cache.Probe(b)
-			if !reflect.DeepEqual(fc.recallQ, dc.recallQ) || !reflect.DeepEqual(fc.locked, dc.locked) ||
-				!reflect.DeepEqual(fc.pending, dc.pending) || fst != dst || fok != dok {
-				t.Fatalf("%s, tick %d: recallQ %v locked %v pending %v line (%v,%v); dense scan %v %v %v (%v,%v)",
-					p.name, tick, fc.recallQ, fc.locked, fc.pending, fst, fok, dc.recallQ, dc.locked, dc.pending, dst, dok)
-			}
 			s := &seens[i]
 			if len(dc.recallQ) > 0 && s.deferred == 0 {
 				s.deferred = tick
@@ -246,63 +237,48 @@ func TestSnapshotRebuildsCalendars(t *testing.T) {
 			Nodes: 16, Profile: rts.APRIL, Alewife: &AlewifeConfig{}, Faults: &faults, Tier: tier,
 		}, queens5)
 	}
-	finish := func(m *Machine) (uint64, string, []proc.Stats) {
-		t.Helper()
-		res, err := m.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var stats []proc.Stats
-		for _, n := range m.Nodes {
-			stats = append(stats, n.Proc.Stats)
-		}
-		return res.Cycles, res.Formatted, stats
-	}
 	for _, cut := range []struct {
 		name    string
 		waiting func(*Machine) bool
 	}{{"reply-and-packet", waitingCalendars}, {"recall", waitingRecall}} {
 		t.Run(cut.name, func(t *testing.T) {
-			donors := []*Machine{mk(TierCompiled), mk(TierReference)}
-			for !cut.waiting(donors[0]) {
-				if done, err := donors[0].RunWindow(1); err != nil || done {
+			m := mk(TierCompiled)
+			for !cut.waiting(m) {
+				if done, err := m.RunWindow(1); err != nil || done {
 					t.Fatalf("no cycle with the calendars waiting (done %v, err %v)", done, err)
 				}
 			}
-			at := donors[0].Now()
-			if _, err := donors[1].RunWindow(at); err != nil {
+			donor := func(tier Tier) func() (*Machine, error) {
+				return func() (*Machine, error) {
+					d := mk(tier)
+					_, err := d.RunWindow(m.Now())
+					return d, err
+				}
+			}
+			// Both run loops write the donor image and finish alike.
+			if err := Diverge(donor(TierCompiled), donor(TierReference), ^uint64(0)); err != nil {
 				t.Fatal(err)
 			}
-			var imgs [2][]byte
-			for i, d := range donors {
-				img, err := d.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				imgs[i] = img
-			}
-			if !bytes.Equal(imgs[0], imgs[1]) {
-				t.Fatalf("cycle %d: the two run loops wrote different images", at)
-			}
-			wantCycles, wantValue, wantStats := finish(donors[0])
-			for i, d := range donors[1:] {
-				if c, v, s := finish(d); c != wantCycles || v != wantValue || !reflect.DeepEqual(s, wantStats) {
-					t.Fatalf("donor %d finished at %d (%s), donor 0 at %d (%s)", i+1, c, v, wantCycles, wantValue)
-				}
+			img, err := m.Snapshot()
+			if err != nil {
+				t.Fatal(err)
 			}
 			for _, tier := range Tiers {
-				twin, err := Restore(imgs[0], RestoreOverrides{Tier: tier})
-				if err != nil {
-					t.Fatal(err)
+				twin := func() (*Machine, error) {
+					twin, err := Restore(img, RestoreOverrides{Tier: tier})
+					if err != nil {
+						return nil, err
+					}
+					if !cut.waiting(twin) {
+						t.Fatalf("twin (%v) lost the waiting state", tier)
+					}
+					if ne, want := twin.net.nextEvent(), denseNextEvent(twin.net); ne != want {
+						t.Fatalf("twin (%v): restored nextEvent %d, dense scan %d", tier, ne, want)
+					}
+					return twin, nil
 				}
-				if !cut.waiting(twin) {
-					t.Fatalf("twin (%v) lost the waiting state", tier)
-				}
-				if ne, want := twin.net.nextEvent(), denseNextEvent(twin.net); ne != want {
-					t.Fatalf("twin (%v): restored nextEvent %d, dense scan %d", tier, ne, want)
-				}
-				if c, v, s := finish(twin); c != wantCycles || v != wantValue || !reflect.DeepEqual(s, wantStats) {
-					t.Fatalf("twin (%v) finished at %d (%s), donors at %d (%s)", tier, c, v, wantCycles, wantValue)
+				if err := Diverge(twin, donor(TierCompiled), ^uint64(0)); err != nil {
+					t.Fatalf("twin (%v): %v", tier, err)
 				}
 			}
 		})

@@ -70,7 +70,7 @@ func (m *Machine) fusedStep(id int, limit uint64) (used bool, err error) {
 	if ferr != nil {
 		// The erroring op starts c cycles into the window; report the
 		// cycle the per-op loop would.
-		m.now = start + c
+		m.skipTo(start + c)
 		m.settleParked(m.now, id)
 		return true, fmt.Errorf("cycle %d node %d: %w", m.now, p.ID, ferr)
 	}
@@ -81,7 +81,7 @@ func (m *Machine) fusedStep(id int, limit uint64) (used bool, err error) {
 		// The op at offset doneAt ended the run. Rewind to its cycle so
 		// the caller's end-of-cycle accounting (tick, now++, watchdogs,
 		// MainDone exit) lands exactly where the per-op loop stops.
-		m.now = start + uint64(doneAt)
+		m.skipTo(start + uint64(doneAt))
 		c -= uint64(doneAt)
 		m.unparkAll(id)
 	}
@@ -95,4 +95,13 @@ func (m *Machine) fusedStep(id int, limit uint64) (used bool, err error) {
 		n.lastRetired = m.lastProgress
 	}
 	return true, nil
+}
+
+// skipTo moves the clock to cycle inside an isolated window, the idle
+// fabric's with it: no fabric event falls in the window.
+func (m *Machine) skipTo(cycle uint64) {
+	if m.net != nil {
+		m.net.advance(cycle - m.now)
+	}
+	m.now = cycle
 }

@@ -18,67 +18,8 @@ import (
 
 	"april/internal/bench"
 	"april/internal/core"
-	"april/internal/isa"
-	"april/internal/mult"
-	"april/internal/proc"
-	"april/internal/rts"
 	"april/internal/sim"
 )
-
-type compiledOutcome struct {
-	m      *sim.Machine
-	prog   *isa.Program
-	cycles uint64
-	value  string
-	stats  []proc.Stats
-}
-
-// runCompileSide builds, loads, and runs one machine, applying the
-// tuning hooks (sim.LaneCap) before Load. cfg.Profile
-// is forced to APRIL; everything else is the caller's.
-func runCompileSide(t *testing.T, src string, cfg sim.Config, tune ...func(*sim.Machine)) compiledOutcome {
-	t.Helper()
-	cfg.Profile = rts.APRIL
-	m, err := sim.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range tune {
-		f(m)
-	}
-	prog, err := mult.Compile(src, mult.Mode{HardwareFutures: true}, m.StaticHeap())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Load(prog); err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := compiledOutcome{m: m, prog: prog, cycles: res.Cycles, value: res.Formatted}
-	for _, n := range m.Nodes {
-		out.stats = append(out.stats, n.Proc.Stats)
-	}
-	return out
-}
-
-func compareCompiled(t *testing.T, compiled, oracle compiledOutcome) {
-	t.Helper()
-	if compiled.cycles != oracle.cycles {
-		t.Errorf("cycles: compiled %d != reference %d", compiled.cycles, oracle.cycles)
-	}
-	if compiled.value != oracle.value {
-		t.Errorf("result: compiled %s != reference %s", compiled.value, oracle.value)
-	}
-	for i := range compiled.stats {
-		if !reflect.DeepEqual(compiled.stats[i], oracle.stats[i]) {
-			t.Errorf("node %d stats diverge:\ncompiled:  %+v\nreference: %+v",
-				i, compiled.stats[i], oracle.stats[i])
-		}
-	}
-}
 
 // coverage sums the compile tier's two execution counters: ops run
 // inside fused windows and single Steps resolved by the
@@ -111,14 +52,16 @@ func TestCompiledMatchesReference(t *testing.T) {
 					if alewife {
 						aw = &sim.AlewifeConfig{}
 					}
-					compiled := runCompileSide(t, src, sim.Config{Nodes: nodes, Alewife: aw})
-					oracle := runCompileSide(t, src, sim.Config{Nodes: nodes, Alewife: aw, Tier: sim.TierReference})
-					compareCompiled(t, compiled, oracle)
-					fused, inline := coverage(compiled.m)
+					compiled, oracle := diverge(t,
+						func() *sim.Machine { return build(t, src, sim.Config{Nodes: nodes, Alewife: aw}) },
+						func() *sim.Machine {
+							return build(t, src, sim.Config{Nodes: nodes, Alewife: aw, Tier: sim.TierReference})
+						}, whole)
+					fused, inline := coverage(compiled)
 					if fused+inline == 0 {
 						t.Errorf("compiled tier never executed an op (fused %d, inline %d)", fused, inline)
 					}
-					if f, i := coverage(oracle.m); f+i != 0 {
+					if f, i := coverage(oracle); f+i != 0 {
 						t.Errorf("oracle ran compile-tier ops (fused %d, inline %d), want none", f, i)
 					}
 				})
@@ -136,20 +79,15 @@ func TestCompiledMatchesReference(t *testing.T) {
 // the events actually fired inside the compiled run.
 func TestCompiledHostileEventsMidWindow(t *testing.T) {
 	src := bench.FibSource(12)
-	compiled := runCompileSide(t, src, sim.Config{Nodes: 4})
-	oracle := runCompileSide(t, src, sim.Config{Nodes: 4, Tier: sim.TierReference})
-	compareCompiled(t, compiled, oracle)
+	compiled, _ := diverge(t, func() *sim.Machine { return build(t, src, sim.Config{Nodes: 4}) },
+		func() *sim.Machine { return build(t, src, sim.Config{Nodes: 4, Tier: sim.TierReference}) }, whole)
 
-	var future, sync, ipi uint64
-	for _, s := range compiled.stats {
-		future += s.Traps[core.TrapFuture]
-		sync += s.Traps[core.TrapEmpty]
-		ipi += s.Traps[core.TrapIPI]
-	}
+	traps := compiled.TotalStats().Traps
+	future, sync, ipi := traps[core.TrapFuture], traps[core.TrapEmpty], traps[core.TrapIPI]
 	if future+sync == 0 {
 		t.Error("run took no future/touch traps; the mid-window fault path was not exercised")
 	}
-	if fused, _ := coverage(compiled.m); fused == 0 {
+	if fused, _ := coverage(compiled); fused == 0 {
 		t.Error("no ops executed inside fused windows")
 	}
 	t.Logf("traps mid-run: future=%d touch=%d ipi=%d", future, sync, ipi)
@@ -160,33 +98,30 @@ func TestCompiledHostileEventsMidWindow(t *testing.T) {
 // image, and after a full compiled run that image still equals a fresh
 // Predecode of the program.
 func TestCompiledImagePurityAndSharing(t *testing.T) {
-	out := runCompileSide(t, bench.QueensSource(6), sim.Config{Nodes: 4})
-	img := out.m.Nodes[0].Proc.Image()
+	m := build(t, bench.QueensSource(6), sim.Config{Nodes: 4})
+	finish(t, m)
+	img := m.Nodes[0].Proc.Image()
 	if img == nil {
 		t.Fatal("compiled tier not armed")
 	}
-	for i, n := range out.m.Nodes {
+	for i, n := range m.Nodes {
 		if got := n.Proc.Image(); len(got) != len(img) || &got[0] != &img[0] {
 			t.Errorf("node %d has its own image; want the machine-wide shared one", i)
 		}
 	}
-	if fresh := out.prog.Predecode(); !reflect.DeepEqual(img, fresh) {
+	if fresh := m.Nodes[0].Proc.Prog.Predecode(); !reflect.DeepEqual(img, fresh) {
 		t.Error("the run mutated the shared predecoded image")
 	}
 }
 
 // TestKindCountsTierInvariant pins the per-kind execution counters
-// (the "isa" counter group) across both tiers: the reference switch
-// interpreter and the compiled tier must count every dispatch
-// identically.
+// (the "isa" counter group, each node's Kinds in the image) across
+// both tiers: the reference switch interpreter and the compiled tier
+// must count every dispatch identically.
 func TestKindCountsTierInvariant(t *testing.T) {
 	src := bench.QueensSource(6)
-	compiled := runCompileSide(t, src, sim.Config{Nodes: 4})
-	reference := runCompileSide(t, src, sim.Config{Nodes: 4, Tier: sim.TierReference})
-	ck := compiled.m.KindTotals()
-	if rk := reference.m.KindTotals(); !reflect.DeepEqual(ck, rk) {
-		t.Errorf("kind counts diverge: compiled %v != reference %v", ck, rk)
-	}
+	diverge(t, func() *sim.Machine { return build(t, src, sim.Config{Nodes: 4}) },
+		func() *sim.Machine { return build(t, src, sim.Config{Nodes: 4, Tier: sim.TierReference}) }, whole)
 }
 
 // TestCompiledSteadyStateAllocRate pins the compiled tier's steady
@@ -194,17 +129,7 @@ func TestKindCountsTierInvariant(t *testing.T) {
 // reach working size the run-ahead loop allocates nothing, the same
 // (near) zero the per-op path achieves.
 func TestCompiledSteadyStateAllocRate(t *testing.T) {
-	m, err := sim.New(sim.Config{Nodes: 1, Profile: rts.APRIL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := mult.Compile(bench.QueensSource(7), mult.Mode{HardwareFutures: true}, m.StaticHeap())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Load(prog); err != nil {
-		t.Fatal(err)
-	}
+	m := build(t, bench.QueensSource(7), sim.Config{Nodes: 1})
 	// queens(7) runs ~690k cycles at one node; by 200k the runtime's
 	// pools have reached working size.
 	if done, err := m.RunWindow(200_000); err != nil {

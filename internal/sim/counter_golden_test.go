@@ -48,7 +48,7 @@ func goldenCounterCells() map[string]sim.Config {
 func TestCounterSnapshotGolden(t *testing.T) {
 	got := map[string]string{}
 	for name, cfg := range goldenCounterCells() {
-		m := pinMachine(t, bench.QueensSource(8), cfg, false)
+		m := build(t, bench.QueensSource(8), cfg)
 		if _, err := m.Run(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

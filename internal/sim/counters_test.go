@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"april/internal/bench"
-	"april/internal/mult"
 	"april/internal/rts"
 	"april/internal/sim"
 )
@@ -87,17 +86,7 @@ var counterCells = map[string]counterCell{
 func TestCountersWritten(t *testing.T) {
 	for name, cell := range counterCells {
 		t.Run(name, func(t *testing.T) {
-			m, err := sim.New(cell.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prog, err := mult.Compile(bench.QueensSource(8), mult.Mode{HardwareFutures: true}, m.StaticHeap())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := m.Load(prog); err != nil {
-				t.Fatal(err)
-			}
+			m := build(t, bench.QueensSource(8), cell.cfg)
 			if _, err := m.Run(); err != nil {
 				t.Fatal(err)
 			}

@@ -30,8 +30,9 @@ func denseTick(f *netFabric) {
 
 // denseCtlNext is the cycle the dense fold names for one controller's
 // queued work: an outbox entry's readyAt, and a deferred recall's
-// deadline or, while its block is locked, the interlock's expiry. Work
-// that is already due happens on the very next tick.
+// interlock expiry while its block is locked (it waits for that
+// whatever its deadline), or else its deadline. Work that is already
+// due happens on the very next tick.
 func denseCtlNext(f *netFabric, ctl *cacheCtl) uint64 {
 	next := uint64(network.NoEvent)
 	for i := range ctl.outbox {
@@ -40,8 +41,8 @@ func denseCtlNext(f *netFabric, ctl *cacheCtl) uint64 {
 	for i := range ctl.recallQ {
 		pr := &ctl.recallQ[i]
 		at := pr.deadline
-		if exp, held := ctl.locked[pr.msg.Block]; held {
-			at = min(at, exp)
+		if exp, held := ctl.locked[pr.msg.Block]; held && f.now < exp {
+			at = exp
 		}
 		next = min(next, max(at, f.now+1))
 	}

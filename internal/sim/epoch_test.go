@@ -10,7 +10,6 @@ package sim_test
 // lanes, an IPI or the run's end reaches in.
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"maps"
@@ -24,7 +23,6 @@ import (
 	"april/internal/cache"
 	"april/internal/fault"
 	"april/internal/isa"
-	"april/internal/mult"
 	"april/internal/rts"
 	"april/internal/sim"
 )
@@ -52,11 +50,11 @@ func TestEpochMatchesOracles(t *testing.T) {
 				}
 				return cfg
 			}
-			ref := runCompileSide(t, tc.src, mk(sim.TierReference))
 			caps := map[string]uint64{"epoch": 0, "epoch-k1": 1, "epoch-k2": 2, "epoch-k4": 4}
 			for name, laneCap := range caps {
 				t.Run(name, func(t *testing.T) {
-					compareCompiled(t, runCompileSide(t, tc.src, mk(sim.TierCompiled), sim.LaneCap(laneCap)), ref)
+					diverge(t, func() *sim.Machine { return build(t, tc.src, mk(sim.TierCompiled), sim.LaneCap(laneCap)) },
+						func() *sim.Machine { return build(t, tc.src, mk(sim.TierReference)) }, whole)
 				})
 			}
 		})
@@ -71,18 +69,10 @@ func TestEpochMatchesOracles(t *testing.T) {
 // must stay bit-identical to the reference tier.
 func TestEpochHorizonBoundaryDeliveries(t *testing.T) {
 	src := bench.QueensSource(5)
-	ref := runCompileSide(t, src, sim.Config{Nodes: 4, Tier: sim.TierReference})
 	for k := uint64(0); k <= 6; k++ {
-		out := runCompileSide(t, src, sim.Config{Nodes: 4}, sim.LaneCap(k))
-		if out.cycles != ref.cycles || out.value != ref.value {
-			t.Errorf("cap k=%d: cycles %d result %q, reference %d %q",
-				k, out.cycles, out.value, ref.cycles, ref.value)
-		}
-		for i := range out.stats {
-			if !reflect.DeepEqual(out.stats[i], ref.stats[i]) {
-				t.Errorf("cap k=%d node %d stats diverge", k, i)
-			}
-		}
+		t.Logf("cap k=%d", k)
+		diverge(t, func() *sim.Machine { return build(t, src, sim.Config{Nodes: 4}, sim.LaneCap(k)) },
+			func() *sim.Machine { return build(t, src, sim.Config{Nodes: 4, Tier: sim.TierReference}) }, whole)
 	}
 }
 
@@ -94,13 +84,14 @@ func TestEpochHorizonBoundaryDeliveries(t *testing.T) {
 // The run is held bit-identical by TestEpochMatchesOracles; here we
 // assert the telemetry adds up.
 func TestEpochUnsafeOpsForceFallback(t *testing.T) {
-	out := runCompileSide(t, bench.QueensSource(6), sim.Config{Nodes: 8})
-	et := out.m.EpochTelemetry()
+	m := build(t, bench.QueensSource(6), sim.Config{Nodes: 8})
+	finish(t, m)
+	et := m.EpochTelemetry()
 	if et.Lanes == 0 || et.Cycles == 0 {
 		t.Fatalf("epoch engine committed %d lanes, %d cycles on an 8-node run", et.Lanes, et.Cycles)
 	}
 	var epochOps, instructions uint64
-	for _, n := range out.m.Nodes {
+	for _, n := range m.Nodes {
 		epochOps += n.Proc.EpochOps
 		instructions += n.Proc.Stats.Instructions
 	}
@@ -122,10 +113,11 @@ func TestEpochScope(t *testing.T) {
 		"alewife": {Nodes: 8, Alewife: &sim.AlewifeConfig{}},
 		"perfect": {Nodes: 8},
 	} {
-		out := runCompileSide(t, src, cfg)
-		et := out.m.EpochTelemetry()
+		m := build(t, src, cfg)
+		finish(t, m)
+		et := m.EpochTelemetry()
 		var instructions, epochOps uint64
-		for _, n := range out.m.Nodes {
+		for _, n := range m.Nodes {
 			instructions += n.Proc.Stats.Instructions
 			epochOps += n.Proc.EpochOps
 		}
@@ -149,17 +141,9 @@ func TestEpochFaultsArmedIdentity(t *testing.T) {
 			f := fc
 			return sim.Config{Nodes: 8, Alewife: &sim.AlewifeConfig{}, Faults: &f, Tier: tier}
 		}
-		ref := runCompileSide(t, src, mk(sim.TierReference))
-		out := runCompileSide(t, src, mk(sim.TierCompiled))
-		if out.cycles != ref.cycles || out.value != ref.value {
-			t.Errorf("seed %d: compiled %d %q, reference %d %q",
-				seed, out.cycles, out.value, ref.cycles, ref.value)
-		}
-		for i := range out.stats {
-			if !reflect.DeepEqual(out.stats[i], ref.stats[i]) {
-				t.Errorf("seed %d node %d stats diverge under faults", seed, i)
-			}
-		}
+		t.Logf("seed %d", seed)
+		diverge(t, func() *sim.Machine { return build(t, src, mk(sim.TierCompiled)) },
+			func() *sim.Machine { return build(t, src, mk(sim.TierReference)) }, whole)
 	}
 }
 
@@ -169,14 +153,10 @@ func TestEpochFaultsArmedIdentity(t *testing.T) {
 // pre-count the dispatch its fallback Step will count.
 func TestEpochKindsTierInvariant(t *testing.T) {
 	src := bench.QueensSource(6)
-	on := runCompileSide(t, src, sim.Config{Nodes: 8})
-	off := runCompileSide(t, src, sim.Config{Nodes: 8}, sim.LaneCap(1))
-	if on.m.EpochTelemetry().Lanes == 0 {
+	on, _ := diverge(t, func() *sim.Machine { return build(t, src, sim.Config{Nodes: 8}) },
+		func() *sim.Machine { return build(t, src, sim.Config{Nodes: 8}, sim.LaneCap(1)) }, whole)
+	if on.EpochTelemetry().Lanes == 0 {
 		t.Fatal("no lanes: the comparison would measure nothing")
-	}
-	if !reflect.DeepEqual(on.m.KindTotals(), off.m.KindTotals()) {
-		t.Errorf("kind totals diverge:\nepoch:   %v\nno-epoch: %v",
-			on.m.KindTotals(), off.m.KindTotals())
 	}
 }
 
@@ -199,20 +179,7 @@ func TestEpochSteadyStateAllocRate(t *testing.T) {
 // machine cfg with lanes against the same machine capped to none.
 func epochAllocRate(t *testing.T, cfg sim.Config) {
 	allocs := func(tune ...func(*sim.Machine)) (float64, uint64) {
-		m, err := sim.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range tune {
-			f(m)
-		}
-		prog, err := mult.Compile(bench.QueensSource(8), mult.Mode{HardwareFutures: true}, m.StaticHeap())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Load(prog); err != nil {
-			t.Fatal(err)
-		}
+		m := build(t, bench.QueensSource(8), cfg, tune...)
 		// queens(8) runs ~197k cycles at 16 nodes; 1 warm-up + 5
 		// measured windows end at 130k.
 		if done, err := m.RunWindow(100_000); err != nil || done {
@@ -338,64 +305,13 @@ func rawMachine(t *testing.T, src string, cfg sim.Config, regs func(i int, share
 	return m
 }
 
-// matchReference runs the machine mk builds under both tiers: in
-// RunWindow slices of 1, 7 and 64 cycles, comparing the Snapshot bytes
-// at every boundary before the run ends, then whole, comparing the
-// result and every node's Stats and Kinds. It returns the compiled
-// tier's whole run.
+// matchReference holds the machine mk builds under the compiled tier
+// to the reference tier (sim.Diverge) in RunWindow slices of 1, 7 and
+// 64 cycles, and whole. It returns the compiled tier's whole run.
 func matchReference(t *testing.T, mk func(sim.Tier) *sim.Machine) *sim.Machine {
 	t.Helper()
-	for _, slice := range []uint64{1, 7, 64} {
-		c, r := mk(sim.TierCompiled), mk(sim.TierReference)
-		for done := false; !done; {
-			dc, err := c.RunWindow(slice)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dr, err := r.RunWindow(slice)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if done = dc; dc != dr {
-				t.Fatalf("slice %d: done %v at cycle %d, reference %v", slice, dc, c.Now(), dr)
-			}
-			if done {
-				break // the run ended mid-cycle: Run compares the rest
-			}
-			ic, err := c.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			ir, err := r.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(ic, ir) {
-				t.Fatalf("slice %d: images differ at cycle %d", slice, c.Now())
-			}
-		}
-	}
-	c, r := mk(sim.TierCompiled), mk(sim.TierReference)
-	rc, err := c.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rc != rr {
-		t.Errorf("result %+v, reference %+v", rc, rr)
-	}
-	for i := range c.Nodes {
-		pc, pr := c.Nodes[i].Proc, r.Nodes[i].Proc
-		if pc.Stats != pr.Stats {
-			t.Errorf("node %d stats:\ncompiled:  %+v\nreference: %+v", i, pc.Stats, pr.Stats)
-		}
-		if pc.Kinds != pr.Kinds {
-			t.Errorf("node %d kinds:\ncompiled:  %v\nreference: %v", i, pc.Kinds, pr.Kinds)
-		}
-	}
+	c, _ := diverge(t, func() *sim.Machine { return mk(sim.TierCompiled) },
+		func() *sim.Machine { return mk(sim.TierReference) }, 1, 7, 64, whole)
 	return c
 }
 
@@ -640,19 +556,8 @@ func TestLanesMatchReference(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := matchReference(t, func(tier sim.Tier) *sim.Machine {
 				cfg := tc.cfg
-				cfg.Tier, cfg.Profile = tier, rts.APRIL
-				m, err := sim.New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				prog, err := mult.Compile(tc.src, mult.Mode{HardwareFutures: true, LazyFutures: cfg.Lazy}, m.StaticHeap())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := m.Load(prog); err != nil {
-					t.Fatal(err)
-				}
-				return m
+				cfg.Tier = tier
+				return build(t, tc.src, cfg)
 			})
 			add(tc.cfg.Alewife != nil, c.EpochTelemetry())
 		})
@@ -683,31 +588,23 @@ func TestEpochConflictsMatchReference(t *testing.T) {
 }
 
 // matchLanes holds the machine mk builds to the reference tier with
-// lanes running: whole and in slices (matchReference), then through
-// RunFor and a RunWindow that follows it. It returns the whole run's
-// lane telemetry.
+// lanes running: whole and in slices (matchReference), then from a
+// RunFor on in slices of 300 cycles. It returns the whole run's lane
+// telemetry.
 func matchLanes(t *testing.T, mk func(tier sim.Tier) *sim.Machine) sim.EpochStats {
 	t.Helper()
 	c := matchReference(t, mk)
-	fc, fr := mk(sim.TierCompiled), mk(sim.TierReference)
-	for _, m := range []*sim.Machine{fc, fr} {
-		if err := m.RunFor(1500); err != nil {
-			t.Fatal(err)
+	runFor := func(tier sim.Tier) func() *sim.Machine {
+		return func() *sim.Machine {
+			m := mk(tier)
+			if err := m.RunFor(1500); err != nil {
+				t.Fatal(err)
+			}
+			return m
 		}
-		if _, err := m.RunWindow(300); err != nil {
-			t.Fatal(err)
-		}
 	}
-	ic, err := fc.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ir, err := fr.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ic, ir) || fc.EpochTelemetry().Lanes == 0 {
-		t.Errorf("RunFor: images equal %v, %d lanes", bytes.Equal(ic, ir), fc.EpochTelemetry().Lanes)
+	if fc, _ := diverge(t, runFor(sim.TierCompiled), runFor(sim.TierReference), 300); fc.EpochTelemetry().Lanes == 0 {
+		t.Error("RunFor: no lane ran")
 	}
 	et := c.EpochTelemetry()
 	t.Logf("%d cycles, %d lanes, %d ops, %d undone; cuts: fabric %d, word %d by stores and %d by reads, IPI %d, end %d",
@@ -764,48 +661,35 @@ func livelockMachine(t *testing.T, tier sim.Tier) *sim.Machine {
 }
 
 // matchCrash runs the machine mk builds under both tiers to a crash
-// and requires the same report, and the same Stats and Kinds on every
-// node. It returns the compiled tier's machine.
+// and requires the same report. It holds the crashed machines to each
+// other (sim.Diverge) at the crash and a cycle after it, where a
+// machine stepped on after its crash steps every node the reference
+// loop would (lanes cut back are scheduled again) and reports the
+// livelock again. It returns the compiled tier's machine.
 func matchCrash(t *testing.T, mk func(*testing.T, sim.Tier) *sim.Machine) *sim.Machine {
 	t.Helper()
-	c, r := mk(t, sim.TierCompiled), mk(t, sim.TierReference)
+	var machines [2]*sim.Machine
 	var reports [2]*fault.Report
-	for i, m := range []*sim.Machine{c, r} {
-		_, err := m.Run()
-		var ce *sim.CrashError
-		if !errors.As(err, &ce) {
-			t.Fatalf("run ended with %v, want a *sim.CrashError", err)
+	crashed := func(i int, tier sim.Tier) func() (*sim.Machine, error) {
+		return func() (*sim.Machine, error) {
+			machines[i] = mk(t, tier)
+			_, err := machines[i].Run()
+			var ce *sim.CrashError
+			if !errors.As(err, &ce) {
+				t.Fatalf("run ended with %v, want a *sim.CrashError", err)
+			}
+			reports[i] = ce.Report
+			return machines[i], nil
 		}
-		reports[i] = ce.Report
+	}
+	err := sim.Diverge(crashed(0, sim.TierCompiled), crashed(1, sim.TierReference), 1)
+	if ce := (*sim.CrashError)(nil); !errors.As(err, &ce) {
+		t.Fatalf("from the crash on: %v, want the livelock report again a cycle later", err)
 	}
 	if !reflect.DeepEqual(reports[0], reports[1]) {
 		t.Errorf("crash reports differ:\ncompiled:\n%s\nreference:\n%s", reports[0].Render(), reports[1].Render())
 	}
-	for i := range c.Nodes {
-		pc, pr := c.Nodes[i].Proc, r.Nodes[i].Proc
-		if pc.Stats != pr.Stats || pc.Kinds != pr.Kinds {
-			t.Errorf("node %d at the crash:\ncompiled:  %+v %v\nreference: %+v %v", i, pc.Stats, pc.Kinds, pr.Stats, pr.Kinds)
-		}
-	}
-	// A machine stepped on after its crash steps every node the
-	// reference loop would: lanes cut back are scheduled again.
-	for _, m := range []*sim.Machine{c, r} {
-		if _, err := m.RunWindow(1); err == nil {
-			t.Fatal("the cycle after a livelock report ran clean")
-		}
-	}
-	ic, err := c.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ir, err := r.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ic, ir) {
-		t.Errorf("images differ a cycle after the crash, at cycle %d", c.Now())
-	}
-	return c
+	return machines[0]
 }
 
 // BenchmarkEpochLanes is the epoch engine's per-layer row: queens 8 on
@@ -816,17 +700,7 @@ func BenchmarkEpochLanes(b *testing.B) {
 	var ops uint64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		m, err := sim.New(sim.Config{Nodes: 16, Profile: rts.APRIL})
-		if err != nil {
-			b.Fatal(err)
-		}
-		prog, err := mult.Compile(bench.QueensSource(8), mult.Mode{HardwareFutures: true}, m.StaticHeap())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := m.Load(prog); err != nil {
-			b.Fatal(err)
-		}
+		m := build(b, bench.QueensSource(8), sim.Config{Nodes: 16, Profile: rts.APRIL})
 		b.StartTimer()
 		if _, err := m.Run(); err != nil {
 			b.Fatal(err)

@@ -67,3 +67,8 @@ func ImageCoverage(m *Machine) map[string]int {
 func EmptyRetryTrackers(m *Machine, node int) {
 	m.Nodes[node].RT.RestoreStuck(&[]rts.StuckImage{})
 }
+
+// Defuse keeps m's sabotage (Config.SabotageCycle) from firing. The
+// flag is host state, so m's image stays its armed twin's until the
+// twin's sabotage fires.
+func Defuse(m *Machine) { m.sabotaged = true }

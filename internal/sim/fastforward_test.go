@@ -14,81 +14,34 @@ import (
 	"testing"
 
 	"april/internal/bench"
-	"april/internal/mult"
 	"april/internal/network"
-	"april/internal/proc"
-	"april/internal/rts"
 	"april/internal/sim"
-	"april/internal/trace"
 )
 
-type ffOutcome struct {
-	cycles  uint64
-	value   string
-	stats   []proc.Stats   // per node, in node order
-	samples []trace.Sample // timeline rows when tracing is enabled
-}
-
-type ffConfig struct {
-	nodes   int
-	alewife bool
-	tier    sim.Tier
-	tracing bool
-}
-
-func runDifferential(t *testing.T, src string, cfg ffConfig) ffOutcome {
-	t.Helper()
-	var aw *sim.AlewifeConfig
-	if cfg.alewife {
-		aw = &sim.AlewifeConfig{}
+// ffSide builds src on a machine of nodes nodes on tier, ALEWIFE or
+// perfect memory, traced with its timeline armed or not.
+func ffSide(t *testing.T, src string, nodes int, alewife bool, tier sim.Tier, tracing bool) func() *sim.Machine {
+	cfg := sim.Config{Nodes: nodes, Tier: tier}
+	if alewife {
+		cfg.Alewife = &sim.AlewifeConfig{}
 	}
-	m, err := sim.New(sim.Config{Nodes: cfg.nodes, Profile: rts.APRIL, Alewife: aw, Tier: cfg.tier})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sampler *trace.Sampler
-	if cfg.tracing {
-		m.EnableTracing(0)
-		sampler = m.EnableTimeline(256)
-	}
-	prog, err := mult.Compile(src, mult.Mode{HardwareFutures: true}, m.StaticHeap())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Load(prog); err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := ffOutcome{cycles: res.Cycles, value: res.Formatted}
-	for _, n := range m.Nodes {
-		out.stats = append(out.stats, n.Proc.Stats)
-	}
-	if sampler != nil {
-		out.samples = sampler.Rows()
-	}
-	return out
-}
-
-func compareOutcomes(t *testing.T, fast, naive ffOutcome) {
-	t.Helper()
-	if fast.cycles != naive.cycles {
-		t.Errorf("cycles: fast %d != naive %d", fast.cycles, naive.cycles)
-	}
-	if fast.value != naive.value {
-		t.Errorf("result: fast %s != naive %s", fast.value, naive.value)
-	}
-	for i := range fast.stats {
-		if !reflect.DeepEqual(fast.stats[i], naive.stats[i]) {
-			t.Errorf("node %d stats diverge:\nfast:  %+v\nnaive: %+v",
-				i, fast.stats[i], naive.stats[i])
+	return func() *sim.Machine {
+		if !tracing {
+			return build(t, src, cfg)
 		}
+		return build(t, src, cfg, func(m *sim.Machine) { m.EnableTracing(0); m.EnableTimeline(256) })
 	}
-	if !reflect.DeepEqual(fast.samples, naive.samples) {
-		t.Errorf("timeline rows diverge: fast %d rows, naive %d rows",
-			len(fast.samples), len(naive.samples))
+}
+
+// sameRows holds the timeline rows of two runs, which no image
+// carries, to each other.
+func sameRows(t *testing.T, fast, naive *sim.Machine) {
+	t.Helper()
+	if fast.Sampler() == nil {
+		return
+	}
+	if f, n := fast.Sampler().Rows(), naive.Sampler().Rows(); !reflect.DeepEqual(f, n) {
+		t.Errorf("timeline rows diverge: fast %d rows, naive %d rows", len(f), len(n))
 	}
 }
 
@@ -110,9 +63,9 @@ func TestFastForwardMatchesNaiveLoop(t *testing.T) {
 						tr = "traced"
 					}
 					t.Run(fmt.Sprintf("%s/%s/%dp/%s", name, mode, nodes, tr), func(t *testing.T) {
-						fast := runDifferential(t, src, ffConfig{nodes: nodes, alewife: alewife, tracing: tracing})
-						naive := runDifferential(t, src, ffConfig{nodes: nodes, alewife: alewife, tier: sim.TierReference, tracing: tracing})
-						compareOutcomes(t, fast, naive)
+						fast, naive := diverge(t, ffSide(t, src, nodes, alewife, sim.TierCompiled, tracing),
+							ffSide(t, src, nodes, alewife, sim.TierReference, tracing), whole)
+						sameRows(t, fast, naive)
 					})
 				}
 			}
@@ -133,9 +86,8 @@ func TestPooledPayloadIdentity(t *testing.T) {
 	for _, nodes := range []int{4, 64} {
 		t.Run(fmt.Sprintf("%dp", nodes), func(t *testing.T) {
 			src := bench.QueensSource(6)
-			fast := runDifferential(t, src, ffConfig{nodes: nodes, alewife: true})
-			naive := runDifferential(t, src, ffConfig{nodes: nodes, alewife: true, tier: sim.TierReference})
-			compareOutcomes(t, fast, naive)
+			diverge(t, ffSide(t, src, nodes, true, sim.TierCompiled, false),
+				ffSide(t, src, nodes, true, sim.TierReference, false), whole)
 		})
 	}
 }

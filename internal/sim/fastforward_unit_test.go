@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"april/internal/mult"
 	"april/internal/rts"
 )
 
@@ -107,18 +106,7 @@ func TestBudgetErrorMatchesReference(t *testing.T) {
 (spin 1000000)
 `
 	runOut := func(tier Tier) error {
-		m, err := New(Config{Nodes: 2, Profile: rts.APRIL, MaxCycles: 5000, Tier: tier})
-		if err != nil {
-			t.Fatal(err)
-		}
-		prog, err := mult.Compile(src, mult.Mode{HardwareFutures: true}, m.StaticHeap())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Load(prog); err != nil {
-			t.Fatal(err)
-		}
-		_, err = m.Run()
+		_, err := calMachine(t, Config{Nodes: 2, Profile: rts.APRIL, MaxCycles: 5000, Tier: tier}, src).Run()
 		return err
 	}
 	fast, ref := runOut(TierCompiled), runOut(TierReference)

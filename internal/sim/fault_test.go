@@ -15,41 +15,10 @@ import (
 
 	"april/internal/bench"
 	"april/internal/fault"
-	"april/internal/mult"
 	"april/internal/network"
 	"april/internal/rts"
 	"april/internal/sim"
 )
-
-// runFaulted runs src on an ALEWIFE machine with the given fault
-// config and checker setting, returning the outcome (or the run error
-// when wantErr).
-func runFaulted(t *testing.T, src string, cfg sim.Config, wantErr bool) (ffOutcome, error) {
-	t.Helper()
-	m, err := sim.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := mult.Compile(src, mult.Mode{HardwareFutures: true}, m.StaticHeap())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Load(prog); err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Run()
-	if err != nil {
-		if !wantErr {
-			t.Fatal(err)
-		}
-		return ffOutcome{}, err
-	}
-	out := ffOutcome{cycles: res.Cycles, value: res.Formatted}
-	for _, n := range m.Nodes {
-		out.stats = append(out.stats, n.Proc.Stats)
-	}
-	return out, nil
-}
 
 // TestInvariantFaultDifferential holds the two run loops to bit
 // identity under an active fault plan: same seed, same perturbations,
@@ -77,9 +46,8 @@ func TestInvariantFaultDifferential(t *testing.T) {
 					Tier:    tier,
 				}
 			}
-			fast, _ := runFaulted(t, tc.src, mk(sim.TierCompiled), false)
-			naive, _ := runFaulted(t, tc.src, mk(sim.TierReference), false)
-			compareOutcomes(t, fast, naive)
+			diverge(t, func() *sim.Machine { return build(t, tc.src, mk(sim.TierCompiled)) },
+				func() *sim.Machine { return build(t, tc.src, mk(sim.TierReference)) }, whole)
 		})
 	}
 }
@@ -89,14 +57,13 @@ func TestInvariantFaultDifferential(t *testing.T) {
 func TestInvariantFaultSeedsPreserveAnswer(t *testing.T) {
 	src := bench.QueensSource(5)
 	base := sim.Config{Nodes: 4, Profile: rts.APRIL, Alewife: &sim.AlewifeConfig{}, Check: true}
-	clean, _ := runFaulted(t, src, base, false)
+	clean := finish(t, build(t, src, base))
 	for seed := uint64(1); seed <= 3; seed++ {
 		cfg := base
 		fc := fault.Default(seed)
 		cfg.Faults = &fc
-		got, _ := runFaulted(t, src, cfg, false)
-		if got.value != clean.value {
-			t.Errorf("seed %d: answer %q, fault-free answer %q", seed, got.value, clean.value)
+		if got := finish(t, build(t, src, cfg)); got.Formatted != clean.Formatted {
+			t.Errorf("seed %d: answer %q, fault-free answer %q", seed, got.Formatted, clean.Formatted)
 		}
 	}
 }
@@ -109,9 +76,8 @@ func TestInvariantCheckersAreReadOnly(t *testing.T) {
 	mk := func(check bool) sim.Config {
 		return sim.Config{Nodes: 8, Profile: rts.APRIL, Alewife: &sim.AlewifeConfig{}, Check: check}
 	}
-	on, _ := runFaulted(t, src, mk(true), false)
-	off, _ := runFaulted(t, src, mk(false), false)
-	compareOutcomes(t, on, off)
+	diverge(t, func() *sim.Machine { return build(t, src, mk(true)) },
+		func() *sim.Machine { return build(t, src, mk(false)) }, whole)
 }
 
 // TestInvariantInducedWedgeAutopsy permanently stalls every torus link
@@ -132,7 +98,7 @@ func TestInvariantInducedWedgeAutopsy(t *testing.T) {
 		Check:          true,
 		DeadlockWindow: 60_000,
 	}
-	_, err := runFaulted(t, bench.QueensSource(5), cfg, true)
+	_, err := build(t, bench.QueensSource(5), cfg).Run()
 	if err == nil {
 		t.Fatal("run over a fully stalled network completed")
 	}
@@ -169,7 +135,7 @@ func TestInvariantInducedWedgeAutopsy(t *testing.T) {
 // callers.
 func TestInvariantBudgetCrashReport(t *testing.T) {
 	cfg := sim.Config{Nodes: 2, Profile: rts.APRIL, MaxCycles: 500}
-	_, err := runFaulted(t, bench.FibSource(18), cfg, true)
+	_, err := build(t, bench.FibSource(18), cfg).Run()
 	if err == nil {
 		t.Fatal("500-cycle budget was not exceeded")
 	}
@@ -205,7 +171,7 @@ func TestScheduledWedge(t *testing.T) {
 			DeadlockWindow: 60_000,
 		}
 	}
-	clean, wedged := snapMachine(t, src, cfg(0)), snapMachine(t, src, cfg(wedgeAt))
+	clean, wedged := build(t, src, cfg(0)), build(t, src, cfg(wedgeAt))
 	for _, m := range []*sim.Machine{clean, wedged} {
 		if done, err := m.RunWindow(wedgeAt - 1); err != nil || done {
 			t.Fatalf("RunWindow(%d) = %v, %v", wedgeAt-1, done, err)

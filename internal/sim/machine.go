@@ -92,10 +92,10 @@ type Tier uint8
 
 const (
 	// TierCompiled, the default: the work-proportional loop (wake.go)
-	// over the predecoded image, with hot basic blocks fused into
-	// superinstructions (compile.go) and the multi-node epoch engine's
-	// lanes (epoch.go). Ops the superinstruction handlers refuse run on
-	// the opcode switch.
+	// over the predecoded image, running ahead through the
+	// superinstruction handlers in isolated windows (compile.go) and
+	// the multi-node epoch engine's lanes (epoch.go). Ops the handlers
+	// refuse run on the opcode switch.
 	TierCompiled Tier = iota
 	// TierReference: dense per-cycle stepping through the opcode-switch
 	// interpreter.
@@ -682,7 +682,7 @@ func (m *Machine) watchdogs() error {
 		if err := m.checkWedge(); err != nil {
 			return err
 		}
-		m.nextWedgeCheck = m.now + wedgeInterval
+		m.nextWedgeCheck = nextWatch(m.now, wedgeInterval)
 	}
 	// A fused window can leave lastProgress ahead of m.now (the window's
 	// last retirement lies in cycles the loop has not yet swept past);
@@ -838,6 +838,12 @@ func (m *Machine) advance(limit uint64) (hitLimit bool) {
 	// loop stops before executing that cycle, so match it.
 	return m.now >= limit
 }
+
+// nextWatch is the first multiple of interval after now: a watermark's
+// next cycle. The reference loop, which runs the watchdogs every cycle,
+// keeps each watermark on these multiples; a run loop that lands on it
+// late stays on them too.
+func nextWatch(now, interval uint64) uint64 { return (now/interval + 1) * interval }
 
 // lastWatchedCycle returns the earliest cycle after whose execution
 // watchdogs() acts: it runs with m.now already incremented, so each
@@ -1109,9 +1115,7 @@ func (m *Machine) Now() uint64 { return m.now }
 // KindTotals sums the per-MicroKind dispatch counters across nodes:
 // the machine's opcode mix, keyed by micro-op kind name. Both execution
 // tiers maintain the counters identically, so the mix is comparable
-// across reference and compiled runs; the compiled tier's
-// profile-guided translation is driven by exactly this distribution
-// (per block-entry PC).
+// across reference and compiled runs.
 func (m *Machine) KindTotals() map[string]uint64 {
 	out := make(map[string]uint64, isa.NumMicroKinds)
 	for k := range isa.NumMicroKinds {

@@ -90,8 +90,7 @@ func (m *Machine) sample() {
 func (m *Machine) CounterRegistry() *trace.Registry {
 	r := &trace.Registry{}
 	r.Register("scheduler", &m.Sched.Stats)
-	// The opcode mix that drives the compiled tier's profile-guided
-	// translation, maintained identically by both execution tiers.
+	// The opcode mix, maintained identically by both execution tiers.
 	for k := range isa.NumMicroKinds {
 		r.Gauge("isa", isa.MicroKind(k).String(), func() uint64 { return m.kindTotal(k) })
 	}

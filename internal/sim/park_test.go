@@ -10,7 +10,6 @@ package sim_test
 // runs under -race.
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
@@ -27,7 +26,7 @@ import (
 )
 
 // parkCell is one machine of the matrix: what to run (program, memory
-// system, size, profile) and how the host runs it.
+// system, size, profile) and on which tier.
 type parkCell struct {
 	src     string
 	nodes   int
@@ -36,58 +35,50 @@ type parkCell struct {
 	lazy    bool
 	faults  *fault.Config
 
-	tier  sim.Tier
-	slice uint64 // drive in RunWindow slices of this many cycles (0 = one Run)
+	tier sim.Tier
 }
 
-func (c parkCell) machine(t *testing.T) *sim.Machine {
-	t.Helper()
-	var aw *sim.AlewifeConfig
-	if c.alewife {
-		aw = &sim.AlewifeConfig{}
+// side builds the cell's machine with the timeline armed.
+func (c parkCell) side(t *testing.T) func() *sim.Machine {
+	return func() *sim.Machine {
+		cfg := sim.Config{Nodes: c.nodes, Profile: c.prof, Lazy: c.lazy, Faults: c.faults, Tier: c.tier}
+		if c.alewife {
+			cfg.Alewife = &sim.AlewifeConfig{}
+		}
+		m := build(t, c.src, cfg)
+		m.EnableTimeline(256)
+		return m
 	}
-	m, err := sim.New(sim.Config{
-		Nodes:   c.nodes,
-		Profile: c.prof,
-		Lazy:    c.lazy,
-		Alewife: aw,
-		Faults:  c.faults,
-		Tier:    c.tier,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mode := mult.Mode{HardwareFutures: c.prof.HardwareFutures, LazyFutures: c.lazy}
-	prog, err := mult.Compile(c.src, mode, m.StaticHeap())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Load(prog); err != nil {
-		t.Fatal(err)
-	}
-	return m
 }
 
-// run drives the cell to completion with the timeline armed.
-func (c parkCell) run(t *testing.T) (ffOutcome, *sim.Machine) {
+// matchPark holds the cell on the compiled tier, driven in RunWindow
+// slices of slice cycles, to the reference loop run whole, timeline
+// rows included. Each side runs to its end inside its builder, so
+// Diverge compares the finished machines; on a difference it runs
+// again, comparing at every slice boundary, to name the first cycle.
+// It returns the compiled tier's machine.
+func (c parkCell) matchPark(t *testing.T, slice uint64) *sim.Machine {
 	t.Helper()
-	m := c.machine(t)
-	sampler := m.EnableTimeline(256)
-	for done := c.slice == 0; !done; {
-		var err error
-		if done, err = m.RunWindow(c.slice); err != nil {
-			t.Fatal(err)
+	ref := c
+	ref.tier = sim.TierReference
+	var fm, rm *sim.Machine
+	finished := func(cell parkCell, slice uint64, m **sim.Machine) func() (*sim.Machine, error) {
+		return func() (*sim.Machine, error) {
+			*m = cell.side(t)()
+			for done := false; !done; {
+				var err error
+				if done, err = (*m).RunWindow(slice); err != nil {
+					return nil, err
+				}
+			}
+			return *m, nil
 		}
 	}
-	res, err := m.Run()
-	if err != nil {
-		t.Fatal(err)
+	if err := sim.Diverge(finished(c, slice, &fm), finished(ref, whole, &rm), whole); err != nil {
+		t.Fatalf("slice %d: %v\nat every boundary: %v", slice, err, sim.Diverge(sideOf(c.side(t)), sideOf(ref.side(t)), slice))
 	}
-	out := ffOutcome{cycles: res.Cycles, value: res.Formatted, samples: sampler.Rows()}
-	for _, n := range m.Nodes {
-		out.stats = append(out.stats, n.Proc.Stats)
-	}
-	return out, m
+	sameRows(t, fm, rm)
+	return fm
 }
 
 // TestParkDifferentialMatrix: programs x memory systems x machine sizes
@@ -112,21 +103,8 @@ func TestParkDifferentialMatrix(t *testing.T) {
 					}
 					cell := parkCell{src: p.src, nodes: nodes, alewife: aw, prof: prof}
 					t.Run(fmt.Sprintf("%s/%s/%dp/%s", p.name, mode, nodes, prof.Name), func(t *testing.T) {
-						ref := cell
-						ref.tier = sim.TierReference
-						want, _ := ref.run(t)
 						for _, slice := range []uint64{1, 3, 7, 4096} {
-							fast := cell
-							fast.slice = slice
-							got, m := fast.run(t)
-							if t.Failed() {
-								return
-							}
-							compareOutcomes(t, got, want)
-							if t.Failed() {
-								t.Fatalf("diverged at RunWindow slice %d", slice)
-							}
-							if tel := m.ParkTelemetry(); tel.PollsElided == 0 {
+							if tel := cell.matchPark(t, slice).ParkTelemetry(); tel.PollsElided == 0 {
 								t.Errorf("slice %d: no poll was elided: %+v", slice, tel)
 							}
 						}
@@ -149,15 +127,7 @@ func TestParkTierPairings(t *testing.T) {
 	for i, plan := range plans {
 		cell := base
 		cell.faults = plan
-		ref := cell
-		ref.tier = sim.TierReference
-		want, _ := ref.run(t)
-		t.Run(fmt.Sprintf("plan%d/fast", i), func(t *testing.T) {
-			c := cell
-			c.slice = 4096
-			got, _ := c.run(t)
-			compareOutcomes(t, got, want)
-		})
+		t.Run(fmt.Sprintf("plan%d/fast", i), func(t *testing.T) { cell.matchPark(t, 4096) })
 	}
 }
 
@@ -166,13 +136,7 @@ func TestParkTierPairings(t *testing.T) {
 // nodes keep polling for real — and still match the reference loop.
 func TestParkLazyNeverParks(t *testing.T) {
 	for _, nodes := range []int{8, 27} {
-		cell := parkCell{src: bench.FibSource(10), nodes: nodes, prof: rts.APRIL, lazy: true}
-		ref := cell
-		ref.tier = sim.TierReference
-		want, _ := ref.run(t)
-		cell.slice = 7
-		got, m := cell.run(t)
-		compareOutcomes(t, got, want)
+		m := parkCell{src: bench.FibSource(10), nodes: nodes, prof: rts.APRIL, lazy: true}.matchPark(t, 7)
 		if tel := m.ParkTelemetry(); tel.Parks != 0 || tel.PollsElided != 0 {
 			t.Errorf("%d nodes: lazy machine parked: %+v", nodes, tel)
 		}
@@ -253,45 +217,27 @@ func TestParkRunForIdleNodes(t *testing.T) {
 func TestParkSnapshotMidPark(t *testing.T) {
 	for _, aw := range []bool{false, true} {
 		cell := parkCell{src: bench.QueensSource(5), nodes: 27, alewife: aw, prof: rts.APRIL}
-		whole, _ := cell.run(t)
-		for _, at := range []uint64{whole.cycles / 7, whole.cycles - 601, whole.cycles - 300} {
+		cycles := finish(t, cell.side(t)()).Cycles
+		for _, at := range []uint64{cycles / 7, cycles - 601, cycles - 300} {
 			t.Run(fmt.Sprintf("alewife=%v/at%d", aw, at), func(t *testing.T) {
 				ref := cell
 				ref.tier = sim.TierReference
-				fm, rm := cell.machine(t), ref.machine(t)
-				for _, m := range []*sim.Machine{fm, rm} {
-					if done, err := m.RunWindow(at); err != nil || done {
-						t.Fatalf("RunWindow(%d): done=%v err=%v", at, done, err)
+				fast := func() *sim.Machine {
+					fm := runTo(t, cell.side(t)(), at)
+					if fm.ParkTelemetry().Parks == fm.ParkTelemetry().Unparks {
+						t.Fatal("no node is parked at the snapshot cycle")
 					}
+					return fm
 				}
-				if fm.ParkTelemetry().Parks == fm.ParkTelemetry().Unparks {
-					t.Fatal("no node is parked at the snapshot cycle")
-				}
-				fimg, err := fm.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				rimg, err := rm.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(fimg, rimg) {
-					t.Fatalf("images differ at cycle %d (fast %d bytes, reference %d bytes)", at, len(fimg), len(rimg))
-				}
-				want := finishOutcome(t, rm)
-				compareOutcomes(t, finishOutcome(t, fm), want)
+				refAt := func() *sim.Machine { return runTo(t, ref.side(t)(), at) }
+				diverge(t, fast, refAt, whole)
 				for name, ov := range map[string]sim.RestoreOverrides{
 					"fast":      {},
 					"reference": {Tier: sim.TierReference},
 				} {
-					m2, err := sim.Restore(fimg, ov)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					compareOutcomes(t, finishOutcome(t, m2), want)
-					if t.Failed() {
-						t.Fatalf("restore under %s diverged", name)
-					}
+					t.Logf("restored under %s", name)
+					ov.Timeline, ov.TimelineInterval = true, 256 // the sides' sampler
+					diverge(t, func() *sim.Machine { return restore(t, fast(), ov) }, refAt, whole)
 				}
 			})
 		}
@@ -350,55 +296,38 @@ func TestParkIPIDelivery(t *testing.T) {
 		word  isa.Word
 	}
 	for delay := 40; delay < 49; delay++ {
-		runIPI := func(reference bool) ([]delivery, ffOutcome, sim.ParkStats) {
-			m, err := sim.New(sim.Config{Nodes: 5, Profile: rts.APRIL,
-				Tier: tierOf(reference)})
-			if err != nil {
-				t.Fatal(err)
+		var fast, ref []delivery
+		side := func(reference bool, got *[]delivery) func() *sim.Machine {
+			return func() *sim.Machine {
+				m, err := sim.New(sim.Config{Nodes: 5, Profile: rts.APRIL, Tier: tierOf(reference)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				*got = nil
+				for id, n := range m.Nodes {
+					n.RT.IPIHook = func(w isa.Word) { *got = append(*got, delivery{id, m.Now(), w}) }
+				}
+				prog := ipiProgram(t, delay)
+				if err := m.Load(prog); err != nil {
+					t.Fatal(err)
+				}
+				m.SpawnRaw(4, prog.Symbols["__task_exit"], nil)
+				m.SpawnRaw(4, prog.Symbols["second"], nil)
+				return m
 			}
-			var got []delivery
-			for id, n := range m.Nodes {
-				n.RT.IPIHook = func(w isa.Word) { got = append(got, delivery{id, m.Now(), w}) }
-			}
-			prog := ipiProgram(t, delay)
-			if err := m.Load(prog); err != nil {
-				t.Fatal(err)
-			}
-			m.SpawnRaw(4, prog.Symbols["__task_exit"], nil)
-			m.SpawnRaw(4, prog.Symbols["second"], nil)
-			out := finishOutcome(t, m)
-			return got, out, m.ParkTelemetry()
 		}
-		fast, fout, tel := runIPI(false)
-		ref, rout, _ := runIPI(true)
+		t.Logf("delay %d", delay)
+		fm, _ := diverge(t, side(false, &fast), side(true, &ref), whole)
 		if len(ref) != 2 || ref[0].node+ref[1].node != 4 {
 			t.Fatalf("delay %d: reference loop delivered %v, want one IPI each to nodes 1 and 3", delay, ref)
 		}
 		if fmt.Sprint(fast) != fmt.Sprint(ref) {
 			t.Errorf("delay %d: deliveries (node, cycle, word)\nfast: %v\nref:  %v", delay, fast, ref)
 		}
-		compareOutcomes(t, fout, rout)
-		if tel.Unparks < 2 {
+		if tel := fm.ParkTelemetry(); tel.Unparks < 2 {
 			t.Errorf("delay %d: IPI targets were not parked: %+v", delay, tel)
 		}
 	}
-}
-
-// crashAt runs a machine that must die and returns its error text, the
-// report's reason and cycle, and every node's Stats at the moment of
-// death.
-func crashAt(t *testing.T, m *sim.Machine) (string, string, uint64, []proc.Stats) {
-	t.Helper()
-	_, err := m.Run()
-	var ce *sim.CrashError
-	if !errors.As(err, &ce) {
-		t.Fatalf("run ended with %v, want a *sim.CrashError", err)
-	}
-	var stats []proc.Stats
-	for _, n := range m.Nodes {
-		stats = append(stats, n.Proc.Stats)
-	}
-	return err.Error(), ce.Report.Reason, ce.Report.Cycle, stats
 }
 
 // TestParkWatchdogCycles: with every node parked nothing lands the loop
@@ -452,43 +381,27 @@ __main_exit: trap 1
 			return m
 		}},
 		{"deadlock-bouncing-thread", func(reference bool) *sim.Machine {
-			return parkCell{src: bouncing, nodes: 8, prof: rts.APRIL, tier: tierOf(reference)}.machine(t)
+			return build(t, bouncing, sim.Config{Nodes: 8, Tier: tierOf(reference)})
 		}},
 		{"wedged-network", func(reference bool) *sim.Machine {
 			// TestInvariantInducedWedgeAutopsy's wedge: every torus
 			// link stalled. (That test arms the checkers, which would
 			// put both sides on the reference loop.)
-			m, err := sim.New(sim.Config{Nodes: 4, Profile: rts.APRIL, DeadlockWindow: 60_000,
+			return build(t, bench.QueensSource(5), sim.Config{Nodes: 4, DeadlockWindow: 60_000,
 				Alewife: &sim.AlewifeConfig{Geometry: geo}, Faults: &fault.Config{Seed: 1, StallLinks: links},
 				Tier: tierOf(reference)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			prog, err := mult.Compile(bench.QueensSource(5), mult.Mode{HardwareFutures: true}, m.StaticHeap())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := m.Load(prog); err != nil {
-				t.Fatal(err)
-			}
-			return m
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			fm := tc.build(false)
-			fmsg, freason, fcycle, fstats := crashAt(t, fm)
-			rmsg, rreason, rcycle, rstats := crashAt(t, tc.build(true))
-			if fcycle != rcycle || freason != rreason {
-				t.Errorf("fast loop reports %s at cycle %d, reference %s at cycle %d", freason, fcycle, rreason, rcycle)
-			}
-			if fmsg != rmsg {
-				t.Errorf("messages differ:\nfast: %s\nref:  %s", fmsg, rmsg)
-			}
-			for i := range fstats {
-				if fstats[i] != rstats[i] {
-					t.Errorf("node %d stats at the crash:\nfast: %+v\nref:  %+v", i, fstats[i], rstats[i])
-				}
+			// Both runs must die at one cycle with one message and one
+			// image; Diverge then returns the fast loop's crash.
+			var fm *sim.Machine
+			err := sim.Diverge(func() (*sim.Machine, error) { fm = tc.build(false); return fm, nil },
+				func() (*sim.Machine, error) { return tc.build(true), nil }, whole)
+			var ce *sim.CrashError
+			if !errors.As(err, &ce) {
+				t.Fatalf("run ended with %v, want a *sim.CrashError", err)
 			}
 			if tel := fm.ParkTelemetry(); tel.PollsElided == 0 {
 				t.Errorf("nothing parked before the crash: %+v", tel)

@@ -8,7 +8,6 @@ import (
 
 	"april/internal/fault"
 	"april/internal/isa"
-	"april/internal/mult"
 	"april/internal/rts"
 	"april/internal/sim"
 	"april/internal/trace"
@@ -88,17 +87,7 @@ func TestRunWindowSaturatesLimit(t *testing.T) {
 `
 	for _, tier := range sim.Tiers {
 		load := func(n int, maxCycles uint64) *sim.Machine {
-			m, err := sim.New(sim.Config{Nodes: 2, Profile: rts.APRIL, MaxCycles: maxCycles, Tier: tier})
-			if err != nil {
-				t.Fatal(err)
-			}
-			prog, err := mult.Compile(fmt.Sprintf(src, n), mult.Mode{HardwareFutures: true}, m.StaticHeap())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := m.Load(prog); err != nil {
-				t.Fatal(err)
-			}
+			m := build(t, fmt.Sprintf(src, n), sim.Config{Nodes: 2, Profile: rts.APRIL, MaxCycles: maxCycles, Tier: tier})
 			if done, err := m.RunWindow(1000); done || err != nil {
 				t.Fatalf("%v: first window: done=%v err=%v", tier, done, err)
 			}

@@ -4,33 +4,12 @@ import (
 	"testing"
 
 	"april/internal/isa"
-	"april/internal/mult"
 	"april/internal/rts"
 	"april/internal/sim"
 )
 
 // Runtime policy behavior observed end to end through scheduler
 // statistics.
-
-func runStats(t *testing.T, src string, cfg sim.Config, mode mult.Mode) (*sim.Machine, sim.Result) {
-	t.Helper()
-	m, err := sim.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := mult.Compile(src, mode, m.StaticHeap())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Load(prog); err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m, res
-}
 
 func TestTouchBlocksAndWakes(t *testing.T) {
 	// Single processor, eager futures: the parent must eventually BLOCK
@@ -39,7 +18,8 @@ func TestTouchBlocksAndWakes(t *testing.T) {
 	src := `
 (define (fib n) (if (< n 2) n (+ (future (fib (- n 1))) (future (fib (- n 2))))))
 (fib 8)`
-	m, res := runStats(t, src, sim.Config{Nodes: 1, Profile: rts.APRIL}, mult.Mode{HardwareFutures: true})
+	m := build(t, src, sim.Config{Nodes: 1})
+	res := finish(t, m)
 	if res.Formatted != "21" {
 		t.Fatalf("fib 8 = %s", res.Formatted)
 	}
@@ -62,7 +42,8 @@ func TestSwitchSpinningPrecedesBlocking(t *testing.T) {
 	src := `
 (define (fib n) (if (< n 2) n (+ (future (fib (- n 1))) (future (fib (- n 2))))))
 (fib 10)`
-	m, _ := runStats(t, src, sim.Config{Nodes: 2, Profile: rts.APRIL}, mult.Mode{HardwareFutures: true})
+	m := build(t, src, sim.Config{Nodes: 2})
+	finish(t, m)
 	var switches uint64
 	for _, n := range m.Nodes {
 		switches += n.Proc.Engine.Switches
@@ -82,7 +63,8 @@ func TestSyncFaultRequeue(t *testing.T) {
 (vector-ref-sync v 0)`
 	prof := rts.APRIL
 	prof.Frames = 1
-	m, res := runStats(t, src, sim.Config{Nodes: 1, Profile: prof}, mult.Mode{HardwareFutures: true})
+	m := build(t, src, sim.Config{Nodes: 1, Profile: prof})
+	res := finish(t, m)
 	if res.Formatted != "99" {
 		t.Fatalf("got %s", res.Formatted)
 	}
@@ -95,8 +77,8 @@ func TestLazyStealsAccountStackCopies(t *testing.T) {
 	src := `
 (define (fib n) (if (< n 2) n (+ (future (fib (- n 1))) (future (fib (- n 2))))))
 (fib 13)`
-	m, _ := runStats(t, src, sim.Config{Nodes: 4, Profile: rts.APRIL, Lazy: true},
-		mult.Mode{HardwareFutures: true, LazyFutures: true})
+	m := build(t, src, sim.Config{Nodes: 4, Lazy: true})
+	finish(t, m)
 	s := m.Sched.Stats
 	if s.Steals == 0 {
 		t.Fatal("no steals on a 4-node lazy run")

@@ -6,31 +6,10 @@ import (
 
 	"april/internal/core"
 	"april/internal/isa"
-	"april/internal/mult"
 	"april/internal/network"
 	"april/internal/rts"
 	"april/internal/sim"
 )
-
-func run(t *testing.T, src string, cfg sim.Config, mode mult.Mode) (sim.Result, *sim.Machine) {
-	t.Helper()
-	m, err := sim.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := mult.Compile(src, mode, m.StaticHeap())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Load(prog); err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, m
-}
 
 const fibSrc = `
 (define (fib n)
@@ -38,9 +17,8 @@ const fibSrc = `
 (fib 11)`
 
 func TestPerfectMemoryMultiprocessor(t *testing.T) {
-	res, m := run(t, fibSrc,
-		sim.Config{Nodes: 4, Profile: rts.APRIL},
-		mult.Mode{HardwareFutures: true})
+	m := build(t, fibSrc, sim.Config{Nodes: 4})
+	res := finish(t, m)
 	if res.Formatted != "89" {
 		t.Errorf("fib 11 = %s", res.Formatted)
 	}
@@ -54,9 +32,8 @@ func TestPerfectMemoryMultiprocessor(t *testing.T) {
 
 func TestAlewifeModeRunsCorrectly(t *testing.T) {
 	for _, nodes := range []int{1, 4, 8} {
-		res, m := run(t, fibSrc,
-			sim.Config{Nodes: nodes, Profile: rts.APRIL, Alewife: &sim.AlewifeConfig{}},
-			mult.Mode{HardwareFutures: true})
+		m := build(t, fibSrc, sim.Config{Nodes: nodes, Alewife: &sim.AlewifeConfig{}})
+		res := finish(t, m)
 		if res.Formatted != "89" {
 			t.Errorf("nodes=%d: fib 11 = %s", nodes, res.Formatted)
 		}
@@ -76,9 +53,8 @@ func TestAlewifeMatchesPerfectResults(t *testing.T) {
 		 (tree 5)`,
 	}
 	for _, src := range srcs {
-		perfect, _ := run(t, src, sim.Config{Nodes: 4, Profile: rts.APRIL}, mult.Mode{HardwareFutures: true})
-		alewife, _ := run(t, src, sim.Config{Nodes: 4, Profile: rts.APRIL, Alewife: &sim.AlewifeConfig{}},
-			mult.Mode{HardwareFutures: true})
+		perfect := finish(t, build(t, src, sim.Config{Nodes: 4}))
+		alewife := finish(t, build(t, src, sim.Config{Nodes: 4, Alewife: &sim.AlewifeConfig{}}))
 		if perfect.Formatted != alewife.Formatted {
 			t.Errorf("ALEWIFE result %s != perfect %s", alewife.Formatted, perfect.Formatted)
 		}
@@ -89,19 +65,14 @@ func TestAlewifeMatchesPerfectResults(t *testing.T) {
 }
 
 func TestAlewifeLazyFutures(t *testing.T) {
-	res, _ := run(t, fibSrc,
-		sim.Config{Nodes: 4, Profile: rts.APRIL, Lazy: true, Alewife: &sim.AlewifeConfig{}},
-		mult.Mode{HardwareFutures: true, LazyFutures: true})
+	res := finish(t, build(t, fibSrc, sim.Config{Nodes: 4, Lazy: true, Alewife: &sim.AlewifeConfig{}}))
 	if res.Formatted != "89" {
 		t.Errorf("lazy alewife fib = %s", res.Formatted)
 	}
 }
 
 func TestAlewifeIdealNetwork(t *testing.T) {
-	res, _ := run(t, fibSrc,
-		sim.Config{Nodes: 4, Profile: rts.APRIL,
-			Alewife: &sim.AlewifeConfig{IdealNet: true, IdealLat: 20}},
-		mult.Mode{HardwareFutures: true})
+	res := finish(t, build(t, fibSrc, sim.Config{Nodes: 4, Alewife: &sim.AlewifeConfig{IdealNet: true, IdealLat: 20}}))
 	if res.Formatted != "89" {
 		t.Errorf("ideal-net fib = %s", res.Formatted)
 	}
@@ -118,10 +89,8 @@ func TestCacheMissForcesContextSwitch(t *testing.T) {
   (let loop ((i lo)) (if (= i hi) 0 (begin (vector-set! v i (+ (vector-ref v i) 1)) (loop (+ i 1))))))
 (+ (future (bump-range 0 64))
    (let wait ((k 0)) (if (< k 200) (wait (+ k 1)) (sum-range 0 64))))`
-	res, m := run(t, src,
-		sim.Config{Nodes: 2, Profile: rts.APRIL, Alewife: &sim.AlewifeConfig{}},
-		mult.Mode{HardwareFutures: true})
-	_ = res
+	m := build(t, src, sim.Config{Nodes: 2, Alewife: &sim.AlewifeConfig{}})
+	finish(t, m)
 	stats := m.TotalStats()
 	if stats.Traps[core.TrapCacheMiss] == 0 {
 		t.Error("expected remote-miss context switches")
@@ -133,17 +102,7 @@ func TestDeadlockDetection(t *testing.T) {
 	src := `
 (define v (make-ivector 1))
 (vector-ref-sync v 0)`
-	m, err := sim.New(sim.Config{Nodes: 1, Profile: rts.APRIL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := mult.Compile(src, mult.Mode{HardwareFutures: true}, m.StaticHeap())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Load(prog); err != nil {
-		t.Fatal(err)
-	}
+	m := build(t, src, sim.Config{Nodes: 1, Profile: rts.APRIL})
 	if _, err := m.Run(); err == nil {
 		t.Fatal("deadlocked program terminated successfully")
 	} else if !strings.Contains(err.Error(), "deadlock") {
@@ -162,9 +121,7 @@ func TestProducerConsumerAcrossNodes(t *testing.T) {
   (if (= i 8) acc (consume (+ i 1) (+ acc (vector-ref-sync v i)))))
 (+ (future (produce 0)) (consume 0 0))`
 	for _, alewife := range []*sim.AlewifeConfig{nil, {}} {
-		res, _ := run(t, src,
-			sim.Config{Nodes: 2, Profile: rts.APRIL, Alewife: alewife},
-			mult.Mode{HardwareFutures: true})
+		res := finish(t, build(t, src, sim.Config{Nodes: 2, Alewife: alewife}))
 		if res.Formatted != "280" {
 			t.Errorf("alewife=%v: got %s, want 280", alewife != nil, res.Formatted)
 		}

@@ -219,6 +219,8 @@ type identity struct {
 
 func (m *Machine) encodeIdentity(w *snapshot.Writer) {
 	c := &m.Cfg
+	w.Enter("identity", -1)
+	defer w.Leave()
 	snapshot.Put(w, &identity{
 		Nodes: c.Nodes, Profile: c.Profile, Lazy: c.Lazy, MemoryBytes: c.MemoryBytes,
 		MaxCycles: c.MaxCycles, DeadlockWindow: c.DeadlockWindow, SabotageCycle: c.SabotageCycle,
@@ -226,7 +228,7 @@ func (m *Machine) encodeIdentity(w *snapshot.Writer) {
 	})
 
 	prog := m.Nodes[0].Proc.Prog
-	w.U32(prog.Entry)
+	w.Field("program", 1).U32(prog.Entry)
 	w.Count(len(prog.Code))
 	for _, inst := range prog.Code {
 		w.U64(isa.Encode(inst))
@@ -284,24 +286,32 @@ func decodeIdentity(r *snapshot.Reader) (Config, *isa.Program) {
 // ===========================================================================
 
 func (m *Machine) encodeState(w *snapshot.Writer) {
-	w.U64(m.now)
-	w.U64(m.lastProgress)
-	w.U64(m.nextSchedCheck)
-	w.U64(m.nextWedgeCheck)
+	w.Field("now", 8).U64(m.now)
+	w.Field("lastProgress", 8).U64(m.lastProgress)
+	// The checkers' watermark is host bookkeeping (Check is a host
+	// knob): every image holds New's value in its slot. The livelock
+	// scan's is written as the reference loop holds it: a loop that
+	// crossed it without landing has not moved it yet.
+	w.Field("nextSchedCheck", 8).U64(schedCheckInterval)
+	wedge := m.nextWedgeCheck
+	if m.net != nil && wedge <= m.now {
+		wedge = nextWatch(m.now, wedgeInterval)
+	}
+	w.Field("nextWedgeCheck", 8).U64(wedge)
 
 	sched := m.Sched.DumpState()
-	snapshot.Put(w, &sched)
+	snapshot.PutIn(w, "sched", -1, &sched)
 
 	rem := m.busyRemaining()
 	img := new(nodeImage) // one for every node: its IPI buffer is reused
 	for i, n := range m.Nodes {
 		img.fill(n, rem[i])
-		snapshot.Put(w, img)
+		snapshot.PutIn(w, "node", i, img)
 	}
 
 	m.encodeMemory(w)
 
-	w.Bool(m.net != nil)
+	w.Field("fabric", 1).Bool(m.net != nil)
 	if m.net != nil {
 		m.encodeFabric(w)
 	}
@@ -312,7 +322,8 @@ func (m *Machine) encodeState(w *snapshot.Writer) {
 func (m *Machine) decodeState(r *snapshot.Reader) error {
 	m.now = r.U64()
 	m.lastProgress = r.U64()
-	m.nextSchedCheck = r.U64()
+	r.U64() // the checkers' watermark slot
+	m.nextSchedCheck = nextWatch(m.now, schedCheckInterval)
 	m.nextWedgeCheck = r.U64()
 
 	var sched rts.SchedImage
@@ -497,14 +508,18 @@ func isNode(id, nodes int) bool { return id >= 0 && id < nodes }
 // ---------------------------------------------------------------------------
 
 func (m *Machine) encodeMemory(w *snapshot.Writer) {
-	w.U32(m.Mem.Size())
-	w.Count(m.Mem.Resident())
+	w.Field("memory size", 4).U32(m.Mem.Size())
+	w.Field("pages", 4).Count(m.Mem.Resident())
 	m.Mem.DumpResident(func(id uint32, words *[mem.PageWords]isa.Word, fe *[mem.PageFEWords]uint64) {
-		w.U32(id)
+		w.Enter("page", int(id))
+		w.Field("id", 4).U32(id)
+		w.Field("words", 4)
 		snapshot.PutWords(w, words[:])
+		w.Field("fe", 8)
 		for _, b := range fe {
 			w.U64(b)
 		}
+		w.Leave()
 	})
 }
 
@@ -549,14 +564,16 @@ func netKind(n network.Network) uint8 {
 
 func (m *Machine) encodeFabric(w *snapshot.Writer) {
 	f := m.net
-	w.U64(f.now)
-	w.U8(netKind(f.net))
+	w.Field("fabric now", 8).U64(f.now)
+	w.Field("network kind", 1).U8(netKind(f.net))
 	img := f.net.(netBackend).DumpImage()
-	snapshot.Put(w, &img)
-	w.Count(len(f.ctls))
+	snapshot.PutIn(w, "network", -1, &img)
+	w.Field("controllers", 4).Count(len(f.ctls))
 	var members []int // one sharer-list buffer for every directory entry
-	for _, ctl := range f.ctls {
+	for i, ctl := range f.ctls {
+		w.Enter("node", i)
 		members = encodeCtl(w, ctl, members)
+		w.Leave()
 	}
 }
 
@@ -614,33 +631,44 @@ func encodeCtl(w *snapshot.Writer, c *cacheCtl, members []int) []int {
 	// plus the counters. An Invalid slot holds stamp 0 and is never
 	// read otherwise, so a restore that leaves it empty is exact.
 	sets, ways := c.cache.Geometry()
-	w.Int(sets)
+	w.Enter("cache", -1)
+	w.Field("geometry", 8).Int(sets)
 	w.Int(ways)
 	snapshot.Put(w, &c.cache.Stats)
-	w.Count(c.cache.Occupancy())
+	w.Field("lines", 4).Count(c.cache.Occupancy())
 	c.cache.ForEach(func(slot int, block uint32, st cache.State, dirty bool, lru uint64) {
-		w.U32(uint32(slot))
-		w.U32(block)
-		w.U8(uint8(st))
-		w.Bool(dirty)
-		w.U64(lru)
+		w.Enter("set", slot/ways)
+		w.Enter("way", slot%ways)
+		w.Field("slot", 4).U32(uint32(slot))
+		w.Field("block", 4).U32(block)
+		w.Field("state", 1).U8(uint8(st))
+		w.Field("dirty", 1).Bool(dirty)
+		w.Field("lru", 8).U64(lru)
+		w.Leave()
+		w.Leave()
 	})
+	w.Leave()
 
 	// Directory entries, ascending block.
+	w.Enter("directory", -1)
 	snapshot.Put(w, &c.dir.Stats)
-	w.Count(c.dir.Entries())
+	w.Field("entries", 4).Count(c.dir.Entries())
 	c.dir.DumpEntries(func(block uint32, e *directory.Entry) {
-		w.U32(block)
-		w.U8(uint8(e.State))
-		w.Int(e.Owner)
+		w.Enter("block", int(block))
+		w.Field("block", 4).U32(block)
+		w.Field("state", 1).U8(uint8(e.State))
+		w.Field("owner", 8).Int(e.Owner)
 		members = e.Sharers.AppendMembers(members[:0], -1)
-		w.Count(len(members))
+		w.Field("sharers len", 4).Count(len(members))
+		w.Field("sharers", 8)
 		for _, id := range members {
 			w.Int(id)
 		}
+		w.Leave()
 	})
+	w.Leave()
 
-	snapshot.Put(w, &c.ctlState)
+	snapshot.PutIn(w, "ctl", -1, &c.ctlState)
 	return members
 }
 
@@ -755,17 +783,18 @@ func decodeCtl(r *snapshot.Reader, c *cacheCtl) {
 // ---------------------------------------------------------------------------
 
 func (m *Machine) encodeCursors(w *snapshot.Writer) {
-	w.Bool(m.tracer != nil)
+	w.Field("tracer", 1).Bool(m.tracer != nil)
 	if m.tracer != nil {
-		w.Count(m.tracer.Nodes())
+		w.Field("trace nodes", 4).Count(m.tracer.Nodes())
+		w.Field("trace cursors", 8)
 		for i := 0; i < m.tracer.Nodes(); i++ {
 			w.U64(m.tracer.Node(i).Cursor())
 		}
 	}
-	w.Bool(m.sampler != nil)
+	w.Field("sampler", 1).Bool(m.sampler != nil)
 	if m.sampler != nil {
-		w.U64(m.sampler.NextBoundary())
-		snapshot.Put(w, &m.lastSample)
+		w.Field("next sample", 8).U64(m.sampler.NextBoundary())
+		snapshot.PutIn(w, "last sample", -1, &m.lastSample)
 	}
 }
 

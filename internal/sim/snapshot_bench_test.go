@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"april/internal/bench"
-	"april/internal/mult"
 	"april/internal/sim"
 )
 
@@ -17,21 +16,7 @@ import (
 // cycle 20000 (at 64 nodes, the benchmark's ckpt64 donor).
 func queensDonor(tb testing.TB, nodes int) *sim.Machine {
 	tb.Helper()
-	m, err := sim.New(snapConfig{nodes: nodes, aw: true}.simConfig())
-	if err != nil {
-		tb.Fatal(err)
-	}
-	prog, err := mult.Compile(bench.QueensSource(8), mult.Mode{HardwareFutures: true}, m.StaticHeap())
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if err := m.Load(prog); err != nil {
-		tb.Fatal(err)
-	}
-	if done, err := m.RunWindow(20000); err != nil || done {
-		tb.Fatalf("RunWindow(20000) = %v, %v", done, err)
-	}
-	return m
+	return runTo(tb, build(tb, bench.QueensSource(8), snapConfig{nodes: nodes, aw: true}.simConfig()), 20000)
 }
 
 // TestSnapshotAllocsPerNode: encoding allocates the image and a few

@@ -90,7 +90,7 @@ var imageFields = map[reflect.Type]map[string]imageClass{
 		"plan":           faultPlan,
 		"checker":        host("checkers follow RestoreOverrides.Check"),
 		"deadlockWin":    fromID,
-		"nextSchedCheck": section("state header"),
+		"nextSchedCheck": host("the checkers' watermark: Check is a host knob; Restore puts it on its schedule"),
 		"nextWedgeCheck": section("state header"),
 		"lastProgress":   section("state header"),
 		"wedgeArmed":     host("rederived from the image's cycle"),

@@ -10,37 +10,9 @@ import (
 	"testing"
 
 	"april/internal/bench"
-	"april/internal/mult"
 	"april/internal/sim"
 	"april/internal/snapshot"
 )
-
-// pinMachine builds and loads src under cfg, compiled with lazy task
-// creation when lazy is set.
-func pinMachine(t *testing.T, src string, cfg sim.Config, lazy bool) *sim.Machine {
-	t.Helper()
-	m, err := sim.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := mult.Compile(src, mult.Mode{HardwareFutures: true, LazyFutures: lazy}, m.StaticHeap())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Load(prog); err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
-// runTo advances m to cycle, which must come before the run ends.
-func runTo(t *testing.T, m *sim.Machine, cycle uint64) *sim.Machine {
-	t.Helper()
-	if done, err := m.RunWindow(cycle - m.Now()); err != nil || done {
-		t.Fatalf("RunWindow to %d = %v, %v", cycle, done, err)
-	}
-	return m
-}
 
 // pinnedImages are the configurations whose images are pinned: every
 // section and every kind of walked field (maps, pointers, nested
@@ -52,30 +24,30 @@ var pinnedImages = []struct {
 	hash  uint64
 }{
 	{"perfect-4", func(t *testing.T) *sim.Machine {
-		return runTo(t, pinMachine(t, bench.FibSource(12), snapConfig{nodes: 4}.simConfig(), false), 6000)
+		return runTo(t, build(t, bench.FibSource(12), snapConfig{nodes: 4}.simConfig()), 6000)
 	}, 202986, 0x5ebc8d3d5c0630d7},
 	{"torus16-faults", func(t *testing.T) *sim.Machine {
 		cfg := snapConfig{nodes: 16, aw: true, faults: true}.simConfig()
-		return runTo(t, pinMachine(t, bench.QueensSource(6), cfg, false), 6446)
+		return runTo(t, build(t, bench.QueensSource(6), cfg), 6446)
 	}, 405989, 0x36d10b78d0f73e82},
 	{"ideal-alewife", func(t *testing.T) *sim.Machine {
 		cfg := snapConfig{nodes: 32}.simConfig()
 		cfg.Alewife = &sim.AlewifeConfig{IdealNet: true, IdealLat: 20}
-		return runTo(t, pinMachine(t, bench.QueensSource(8), cfg, false), 11839)
+		return runTo(t, build(t, bench.QueensSource(8), cfg), 11839)
 	}, 1092921, 0x07e6565843a1f852},
 	{"lazy", func(t *testing.T) *sim.Machine {
 		cfg := snapConfig{nodes: 4, aw: true}.simConfig()
 		cfg.Lazy = true
-		return runTo(t, pinMachine(t, bench.FibSource(10), cfg, true), 8000)
+		return runTo(t, build(t, bench.FibSource(10), cfg), 8000)
 	}, 302393, 0x66189526af5488ab},
 	{"traced-timeline", func(t *testing.T) *sim.Machine {
-		m := pinMachine(t, bench.FibSource(10), snapConfig{nodes: 4, aw: true}.simConfig(), false)
+		m := build(t, bench.FibSource(10), snapConfig{nodes: 4, aw: true}.simConfig())
 		m.EnableTracing(0)
 		m.EnableTimeline(500)
 		return runTo(t, m, 7000)
 	}, 299543, 0x3d1b03ffea395249},
 	{"finished", func(t *testing.T) *sim.Machine {
-		m := pinMachine(t, bench.FibSource(8), snapConfig{nodes: 4, aw: true}.simConfig(), false)
+		m := build(t, bench.FibSource(8), snapConfig{nodes: 4, aw: true}.simConfig())
 		if _, err := m.Run(); err != nil {
 			t.Fatal(err)
 		}

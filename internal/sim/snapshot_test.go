@@ -11,7 +11,6 @@ package sim_test
 // here match `go test -run Snapshot`, which CI also runs under -race.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -25,7 +24,6 @@ import (
 	"april/internal/fault"
 	"april/internal/isa"
 	"april/internal/mem"
-	"april/internal/mult"
 	"april/internal/network"
 	"april/internal/rts"
 	"april/internal/sim"
@@ -56,45 +54,15 @@ func (c snapConfig) simConfig() sim.Config {
 	}
 }
 
-func snapMachine(t *testing.T, src string, cfg sim.Config) *sim.Machine {
-	t.Helper()
-	m, err := sim.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := mult.Compile(src, mult.Mode{HardwareFutures: true}, m.StaticHeap())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Load(prog); err != nil {
-		t.Fatal(err)
-	}
-	return m
+// restored builds src on cfg, runs it to cycle and returns the machine
+// Restore makes of its image under ov.
+func restored(t *testing.T, src string, cfg sim.Config, cycle uint64, ov sim.RestoreOverrides) func() *sim.Machine {
+	return func() *sim.Machine { return restore(t, runTo(t, build(t, src, cfg), cycle), ov) }
 }
 
-// finishOutcome drives a machine from its current state to completion
-// and reduces it to the comparable outcome.
-func finishOutcome(t *testing.T, m *sim.Machine) ffOutcome {
+// restore returns the machine Restore makes of m's image under ov.
+func restore(t *testing.T, m *sim.Machine, ov sim.RestoreOverrides) *sim.Machine {
 	t.Helper()
-	res, err := m.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := ffOutcome{cycles: res.Cycles, value: res.Formatted}
-	for _, n := range m.Nodes {
-		out.stats = append(out.stats, n.Proc.Stats)
-	}
-	return out
-}
-
-// roundTrip advances a machine by window cycles, snapshots it, restores
-// the image under the given overrides, and returns both continuations'
-// outcomes (original machine first).
-func roundTrip(t *testing.T, m *sim.Machine, window uint64, ov sim.RestoreOverrides) (ffOutcome, ffOutcome) {
-	t.Helper()
-	if _, err := m.RunWindow(window); err != nil {
-		t.Fatal(err)
-	}
 	img, err := m.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +71,7 @@ func roundTrip(t *testing.T, m *sim.Machine, window uint64, ov sim.RestoreOverri
 	if err != nil {
 		t.Fatal(err)
 	}
-	return finishOutcome(t, m), finishOutcome(t, m2)
+	return m2
 }
 
 // TestSnapshotDifferentialMatrix: snapshot at a mid-run boundary,
@@ -128,10 +96,9 @@ func TestSnapshotDifferentialMatrix(t *testing.T) {
 					// run steps its machine on one goroutine.
 					cell := fmt.Sprintf("%s/%s/%dp/1shards/faults=%v", name, mode, nodes, faults)
 					t.Run(cell, func(t *testing.T) {
-						cfg := snapConfig{nodes: nodes, aw: aw, faults: faults}
-						m := snapMachine(t, src, cfg.simConfig())
-						orig, restored := roundTrip(t, m, 2048, sim.RestoreOverrides{})
-						compareOutcomes(t, restored, orig)
+						cfg := snapConfig{nodes: nodes, aw: aw, faults: faults}.simConfig()
+						diverge(t, func() *sim.Machine { return runTo(t, build(t, src, cfg), 2048) },
+							restored(t, src, cfg, 2048, sim.RestoreOverrides{}), whole)
 					})
 				}
 			}
@@ -144,17 +111,21 @@ func TestSnapshotDifferentialMatrix(t *testing.T) {
 // ran straight through.
 func TestSnapshotDoesNotPerturb(t *testing.T) {
 	src := bench.QueensSource(5)
-	cfg := snapConfig{nodes: 8, aw: true}
-	straight := finishOutcome(t, snapMachine(t, src, cfg.simConfig()))
-
-	m := snapMachine(t, src, cfg.simConfig())
-	if _, err := m.RunWindow(2048); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	compareOutcomes(t, finishOutcome(t, m), straight)
+	cfg := snapConfig{nodes: 8, aw: true}.simConfig()
+	// Each side runs whole inside its builder: Diverge compares only
+	// the finished machines, and takes no image of the straight run.
+	diverge(t, func() *sim.Machine {
+		m := build(t, src, cfg)
+		finish(t, m)
+		return m
+	}, func() *sim.Machine {
+		m := runTo(t, build(t, src, cfg), 2048)
+		if _, err := m.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		finish(t, m)
+		return m
+	}, whole)
 }
 
 // TestSnapshotCrossTierRestore: one image, written by the default
@@ -164,17 +135,12 @@ func TestSnapshotDoesNotPerturb(t *testing.T) {
 // simulated results.
 func TestSnapshotCrossTierRestore(t *testing.T) {
 	src := bench.FibSource(10)
-	cfg := snapConfig{nodes: 8, aw: true}
-	m := snapMachine(t, src, cfg.simConfig())
-	if _, err := m.RunWindow(2048); err != nil {
-		t.Fatal(err)
-	}
-	img, err := m.Snapshot()
+	cfg := snapConfig{nodes: 8, aw: true}.simConfig()
+	donor := func() *sim.Machine { return runTo(t, build(t, src, cfg), 2048) }
+	img, err := donor().Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := finishOutcome(t, m)
-
 	tiers := map[string]sim.RestoreOverrides{
 		"compiled":  {},
 		"reference": {Tier: sim.TierReference},
@@ -182,11 +148,13 @@ func TestSnapshotCrossTierRestore(t *testing.T) {
 	}
 	for name, ov := range tiers {
 		t.Run(name, func(t *testing.T) {
-			m2, err := sim.Restore(img, ov)
-			if err != nil {
-				t.Fatal(err)
-			}
-			compareOutcomes(t, finishOutcome(t, m2), want)
+			diverge(t, donor, func() *sim.Machine {
+				m, err := sim.Restore(img, ov)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m
+			}, whole)
 		})
 	}
 }
@@ -224,30 +192,13 @@ __main_exit: trap 1
 			return m
 		},
 		"queens-alewife-8p": func(tier sim.Tier) *sim.Machine {
-			cfg := snapConfig{nodes: 8, aw: true}.simConfig()
-			cfg.Tier = tier
-			return snapMachine(t, bench.QueensSource(6), cfg)
+			return build(t, bench.QueensSource(6), sim.Config{Nodes: 8, Alewife: &sim.AlewifeConfig{}, Tier: tier})
 		},
 	}
-	for name, build := range cells {
+	for name, mk := range cells {
 		t.Run(name, func(t *testing.T) {
-			var first []byte
-			for _, tier := range sim.Tiers {
-				m := build(tier)
-				if _, err := m.Run(); err != nil {
-					t.Fatal(err)
-				}
-				img, err := m.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if first == nil {
-					first = img
-				} else if !bytes.Equal(img, first) {
-					t.Errorf("images of the finished run differ: %v %d bytes, %v %d bytes",
-						sim.Tiers[0], len(first), tier, len(img))
-				}
-			}
+			diverge(t, func() *sim.Machine { return mk(sim.TierCompiled) },
+				func() *sim.Machine { return mk(sim.TierReference) }, whole)
 		})
 	}
 }
@@ -260,7 +211,7 @@ func TestTierOutOfRange(t *testing.T) {
 	if _, err := sim.New(sim.Config{Tier: bad, Profile: rts.APRIL}); err == nil {
 		t.Error("New accepted an out-of-range tier")
 	}
-	m := snapMachine(t, bench.FibSource(5), snapConfig{nodes: 2}.simConfig())
+	m := build(t, bench.FibSource(5), snapConfig{nodes: 2}.simConfig())
 	img, err := m.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -286,31 +237,22 @@ func TestTierOutOfRange(t *testing.T) {
 // phases — startup, steady state, near completion.
 func TestSnapshotRepeatedWindows(t *testing.T) {
 	src := bench.FibSource(9)
-	cfg := snapConfig{nodes: 4, aw: true}
-	m := snapMachine(t, src, cfg.simConfig())
-
-	var images [][]byte
-	for i := 0; i < 8; i++ {
-		done, err := m.RunWindow(1024)
-		if err != nil {
-			t.Fatal(err)
+	cfg := snapConfig{nodes: 4, aw: true}.simConfig()
+	// straight(i) is the run after i+1 windows, done true if it ended.
+	straight := func(i int) (m *sim.Machine, done bool) {
+		m = build(t, src, cfg)
+		for w := 0; w <= i && !done; w++ {
+			var err error
+			if done, err = m.RunWindow(1024); err != nil {
+				t.Fatal(err)
+			}
 		}
-		img, err := m.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		images = append(images, img)
-		if done {
-			break
-		}
+		return m, done
 	}
-	want := finishOutcome(t, m)
-	for i, img := range images {
-		m2, err := sim.Restore(img, sim.RestoreOverrides{})
-		if err != nil {
-			t.Fatalf("image %d: %v", i, err)
-		}
-		compareOutcomes(t, finishOutcome(t, m2), want)
+	for i, done := 0, false; i < 8 && !done; i++ {
+		t.Logf("image %d", i)
+		diverge(t, func() (m *sim.Machine) { m, done = straight(i); return m },
+			func() *sim.Machine { m, _ := straight(i); return restore(t, m, sim.RestoreOverrides{}) }, whole)
 	}
 }
 
@@ -319,7 +261,7 @@ func TestSnapshotRepeatedWindows(t *testing.T) {
 // program changes it; host knobs (tier selection) do not.
 func TestSnapshotConfigHash(t *testing.T) {
 	hash := func(src string, cfg sim.Config) uint64 {
-		m := snapMachine(t, src, cfg)
+		m := build(t, src, cfg)
 		h, err := m.ConfigHash()
 		if err != nil {
 			t.Fatal(err)
@@ -350,7 +292,7 @@ func TestSnapshotConfigHash(t *testing.T) {
 	}
 
 	// The image header carries the same hash ConfigHash reports.
-	m := snapMachine(t, src, base())
+	m := build(t, src, base())
 	img, err := m.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -368,7 +310,7 @@ func TestSnapshotConfigHash(t *testing.T) {
 // errors classifiable by errors.Is — never a panic, never a silently
 // wrong machine.
 func TestSnapshotImageValidation(t *testing.T) {
-	m := snapMachine(t, bench.FibSource(8), snapConfig{nodes: 4, aw: true}.simConfig())
+	m := build(t, bench.FibSource(8), snapConfig{nodes: 4, aw: true}.simConfig())
 	if _, err := m.RunWindow(1024); err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +348,7 @@ func TestSnapshotImageValidation(t *testing.T) {
 	// A retry-tracker list holds one tracker per task frame, indexed by
 	// the frame pointer: an image whose list is shorter is corrupt.
 	t.Run("retry-trackers-short", func(t *testing.T) {
-		m := snapMachine(t, bench.QueensSource(6), snapConfig{nodes: 4}.simConfig())
+		m := build(t, bench.QueensSource(6), snapConfig{nodes: 4}.simConfig())
 		sim.EmptyRetryTrackers(m, 0)
 		bad, err := m.Snapshot()
 		if err != nil {
@@ -432,7 +374,7 @@ func TestSnapshotImageValidation(t *testing.T) {
 // v4 keeps stamps per set) is refused by its header, whatever its
 // payload holds.
 func TestSnapshotRefusesV3Image(t *testing.T) {
-	m := snapMachine(t, bench.FibSource(8), snapConfig{nodes: 4, aw: true}.simConfig())
+	m := build(t, bench.FibSource(8), snapConfig{nodes: 4, aw: true}.simConfig())
 	if _, err := m.RunWindow(1024); err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +394,7 @@ func TestSnapshotRefusesV3Image(t *testing.T) {
 func TestSnapshotCrashReportIncludesCheckpoint(t *testing.T) {
 	cfg := snapConfig{nodes: 4, aw: true}.simConfig()
 	cfg.MaxCycles = 4096 // far below completion: force a budget crash
-	m := snapMachine(t, bench.QueensSource(5), cfg)
+	m := build(t, bench.QueensSource(5), cfg)
 	m.SetCheckpointInfo(1024, 400_000, "april -restore ckpt/000001024.img")
 	_, err := m.Run()
 	if err == nil {
@@ -480,7 +422,7 @@ func TestSnapshotCrashReportIncludesCheckpoint(t *testing.T) {
 func TestSnapshotSabotageDeterminism(t *testing.T) {
 	cfg := snapConfig{nodes: 4, aw: true}.simConfig()
 	cfg.SabotageCycle = 3000
-	m := snapMachine(t, bench.QueensSource(5), cfg)
+	m := build(t, bench.QueensSource(5), cfg)
 	if _, err := m.RunWindow(1024); err != nil {
 		t.Fatal(err)
 	}
@@ -539,48 +481,39 @@ func memoryPages(m *sim.Machine) map[uint32]residentPage {
 func TestSnapshotMemoryResidency(t *testing.T) {
 	cfg := snapConfig{nodes: 2, aw: true}.simConfig()
 	cfg.MemoryBytes = 16<<20 + 3*4096 // not a multiple of 256 KiB
-	m := snapMachine(t, bench.FibSource(8), cfg)
-	if _, err := m.RunWindow(1024); err != nil {
-		t.Fatal(err)
-	}
-	feOnly := cfg.MemoryBytes - 4096 // the last page, in the partly covered group
-	if m.Mem.PageResident(feOnly) {
-		t.Fatalf("page of %#x already resident", feOnly)
-	}
-	m.Mem.MustSetFE(feOnly+8, false)
-	for _, addr := range []uint32{0, feOnly - 4096} {
-		before := m.Mem.Resident()
-		if w, full := m.Mem.MustLoad(addr), m.Mem.MustFE(addr); w != 0 || !full || m.Mem.Resident() != before {
-			t.Fatalf("read of untouched %#x = (%#x, %v), resident %d -> %d", addr, w, full, before, m.Mem.Resident())
+	feOnly := cfg.MemoryBytes - 4096  // the last page, in the partly covered group
+	donor := func() *sim.Machine {
+		m := runTo(t, build(t, bench.FibSource(8), cfg), 1024)
+		if m.Mem.PageResident(feOnly) {
+			t.Fatalf("page of %#x already resident", feOnly)
 		}
+		m.Mem.MustSetFE(feOnly+8, false)
+		for _, addr := range []uint32{0, feOnly - 4096} {
+			before := m.Mem.Resident()
+			if w, full := m.Mem.MustLoad(addr), m.Mem.MustFE(addr); w != 0 || !full || m.Mem.Resident() != before {
+				t.Fatalf("read of untouched %#x = (%#x, %v), resident %d -> %d", addr, w, full, before, m.Mem.Resident())
+			}
+		}
+		return m
 	}
-	img, err := m.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := sim.Restore(img, sim.RestoreOverrides{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, got := memoryPages(m), memoryPages(m2)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("restored memory differs: %d pages, want %d", len(got), len(want))
-	}
-	if m2.Mem.Resident() != m.Mem.Resident() || !m2.Mem.PageResident(feOnly) {
-		t.Errorf("restored residency %d, want %d; F/E-only page resident %v",
-			m2.Mem.Resident(), m.Mem.Resident(), m2.Mem.PageResident(feOnly))
-	}
-	if m2.Mem.MustLoad(feOnly+8) != 0 || m2.Mem.MustFE(feOnly+8) || !m2.Mem.MustFE(feOnly+12) {
-		t.Error("F/E-only page did not restore as zero data with one empty bit")
-	}
-	img2, err := m2.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(img2, img) {
-		t.Error("image of the restored machine differs from the image it was restored from")
-	}
-	compareOutcomes(t, finishOutcome(t, m2), finishOutcome(t, m))
+	// The restored machine's image is the donor's (Diverge compares
+	// them as built), and both finish alike.
+	diverge(t, donor, func() *sim.Machine {
+		m := donor()
+		m2 := restore(t, m, sim.RestoreOverrides{})
+		want, got := memoryPages(m), memoryPages(m2)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("restored memory differs: %d pages, want %d", len(got), len(want))
+		}
+		if m2.Mem.Resident() != m.Mem.Resident() || !m2.Mem.PageResident(feOnly) {
+			t.Errorf("restored residency %d, want %d; F/E-only page resident %v",
+				m2.Mem.Resident(), m.Mem.Resident(), m2.Mem.PageResident(feOnly))
+		}
+		if m2.Mem.MustLoad(feOnly+8) != 0 || m2.Mem.MustFE(feOnly+8) || !m2.Mem.MustFE(feOnly+12) {
+			t.Error("F/E-only page did not restore as zero data with one empty bit")
+		}
+		return m2
+	}, whole)
 }
 
 // TestSnapshotImageLoopInvariant: an image taken mid-run is the same
@@ -588,33 +521,19 @@ func TestSnapshotMemoryResidency(t *testing.T) {
 // and restores to the same finish under the fast and reference loops.
 func TestSnapshotImageLoopInvariant(t *testing.T) {
 	src := bench.QueensSource(5)
-	fast := snapMachine(t, src, snapConfig{nodes: 8, aw: true}.simConfig())
-	refCfg := snapConfig{nodes: 8, aw: true}.simConfig()
-	refCfg.Tier = sim.TierReference
-	ref := snapMachine(t, src, refCfg)
-	var imgs [2][]byte
-	for i, m := range []*sim.Machine{fast, ref} {
-		if _, err := m.RunWindow(3000); err != nil {
-			t.Fatal(err)
-		}
-		var err error
-		if imgs[i], err = m.Snapshot(); err != nil {
-			t.Fatal(err)
+	at3000 := func(tier sim.Tier) func() *sim.Machine {
+		return func() *sim.Machine {
+			return runTo(t, build(t, src, sim.Config{Nodes: 8, Alewife: &sim.AlewifeConfig{}, Tier: tier}), 3000)
 		}
 	}
-	if !bytes.Equal(imgs[0], imgs[1]) {
-		t.Fatalf("fast-loop image (%d bytes) differs from reference-loop image (%d bytes)", len(imgs[0]), len(imgs[1]))
-	}
-	want := finishOutcome(t, ref)
+	diverge(t, at3000(sim.TierCompiled), at3000(sim.TierReference), whole)
 	for name, ov := range map[string]sim.RestoreOverrides{
 		"fast":      {},
 		"reference": {Tier: sim.TierReference},
 	} {
-		m, err := sim.Restore(imgs[0], ov)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		t.Run(name, func(t *testing.T) { compareOutcomes(t, finishOutcome(t, m), want) })
+		t.Run(name, func(t *testing.T) {
+			diverge(t, at3000(sim.TierReference), func() *sim.Machine { return restore(t, at3000(sim.TierCompiled)(), ov) }, whole)
+		})
 	}
 }
 
@@ -673,7 +592,7 @@ func TestSnapshotHostileIdentity(t *testing.T) {
 	}
 	for name, mutate := range cases {
 		t.Run(name, func(t *testing.T) {
-			m := snapMachine(t, bench.FibSource(8), snapConfig{nodes: 4, aw: true}.simConfig())
+			m := build(t, bench.FibSource(8), snapConfig{nodes: 4, aw: true}.simConfig())
 			mutate(&m.Cfg) // Snapshot encodes m.Cfg: a sealed image of the hostile identity
 			img, err := m.Snapshot()
 			if err != nil {
@@ -702,20 +621,7 @@ func FuzzRestore(f *testing.F) {
 		if aw {
 			cfg.Alewife.Cache = cache.Config{SizeBytes: 1 << 10, BlockBytes: 16, Assoc: 2}
 		}
-		m, err := sim.New(cfg)
-		if err != nil {
-			f.Fatal(err)
-		}
-		prog, err := mult.Compile(bench.FibSource(6), mult.Mode{HardwareFutures: true}, m.StaticHeap())
-		if err != nil {
-			f.Fatal(err)
-		}
-		if err := m.Load(prog); err != nil {
-			f.Fatal(err)
-		}
-		if _, err := m.RunWindow(1500); err != nil {
-			f.Fatal(err)
-		}
+		m := runTo(f, build(f, bench.FibSource(6), cfg), 1500)
 		img, err := m.Snapshot()
 		if err != nil {
 			f.Fatal(err)

@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"april/internal/bench"
-	"april/internal/mult"
 	"april/internal/proc"
 	"april/internal/rts"
 	"april/internal/sim"
@@ -29,30 +28,13 @@ type traceOutcome struct {
 	stats  []proc.Stats
 }
 
-// buildMachine compiles src onto a fresh machine.
-func buildMachine(t *testing.T, src string, nodes int, alewife bool) *sim.Machine {
-	t.Helper()
-	var aw *sim.AlewifeConfig
-	if alewife {
-		aw = &sim.AlewifeConfig{}
-	}
-	m, err := sim.New(sim.Config{Nodes: nodes, Profile: rts.APRIL, Alewife: aw})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := mult.Compile(src, mult.Mode{HardwareFutures: true}, m.StaticHeap())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Load(prog); err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
 func runObserved(t *testing.T, src string, nodes int, alewife, tracing, timeline bool) (traceOutcome, *sim.Machine) {
 	t.Helper()
-	m := buildMachine(t, src, nodes, alewife)
+	cfg := sim.Config{Nodes: nodes}
+	if alewife {
+		cfg.Alewife = &sim.AlewifeConfig{}
+	}
+	m := build(t, src, cfg)
 	if tracing {
 		m.EnableTracing(256) // small ring: exercises wrap during real runs
 	}

@@ -34,18 +34,17 @@ func TestUpgradesCountedAcrossTiers(t *testing.T) {
 	mk := func(tier sim.Tier) sim.Config {
 		return sim.Config{Nodes: 64, Alewife: &sim.AlewifeConfig{}, Tier: tier}
 	}
-	ref := runCompileSide(t, src, mk(sim.TierReference))
-	want := memoryCounters(ref.m)
+	out, ref := diverge(t, func() *sim.Machine { return build(t, src, mk(sim.TierCompiled)) },
+		func() *sim.Machine { return build(t, src, mk(sim.TierReference)) }, whole)
+	want := memoryCounters(ref)
 	var upgrades uint64
-	for i := range ref.m.Nodes {
+	for i := range ref.Nodes {
 		upgrades += want[fmt.Sprintf("node%d.memory", i)]["upgrades"]
 	}
 	if upgrades == 0 {
 		t.Fatal("no upgrades counted on 64-node queens")
 	}
-	out := runCompileSide(t, src, mk(sim.TierCompiled))
-	compareCompiled(t, out, ref)
-	if got := memoryCounters(out.m); !reflect.DeepEqual(got, want) {
+	if got := memoryCounters(out); !reflect.DeepEqual(got, want) {
 		for g, kv := range got {
 			if !reflect.DeepEqual(kv, want[g]) {
 				t.Errorf("compiled: %s = %v, reference %v", g, kv, want[g])

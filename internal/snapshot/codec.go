@@ -18,9 +18,11 @@ package snapshot
 // payload left to hold their elements.
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"unsafe"
 )
@@ -47,7 +49,7 @@ type op struct {
 	typ  reflect.Type
 	elem *plan       // Slice, Map, Pointer: the element's plan
 	maps *mapScratch // Map
-	what string      // the field, for count errors
+	what string      // the field's path in its record ("" at a slice or map's root), for errors and Diff
 }
 
 // plan is a type's operations in image order.
@@ -75,7 +77,7 @@ func planOf(t reflect.Type) *plan {
 		return p.(*plan)
 	}
 	p := &plan{size: t.Size(), words: t.Kind() == reflect.Uint32}
-	p.ops = appendOps(nil, t, 0, t.String())
+	p.ops = appendOps(nil, t, 0, "")
 	for _, o := range p.ops {
 		p.min += o.min()
 	}
@@ -83,7 +85,9 @@ func planOf(t reflect.Type) *plan {
 	return got.(*plan)
 }
 
-// appendOps appends the operations that move a t at off.
+// appendOps appends the operations that move a t at off, the value
+// what names: a struct's fields are named what.Field, an array's
+// elements what[i].
 func appendOps(ops []op, t reflect.Type, off uintptr, what string) []op {
 	o := op{kind: t.Kind(), off: off, typ: t, what: what}
 	switch o.kind {
@@ -91,7 +95,7 @@ func appendOps(ops []op, t reflect.Type, off uintptr, what string) []op {
 	case reflect.Array:
 		if e := t.Elem(); e.Kind() != reflect.Uint32 {
 			for i := 0; i < t.Len(); i++ {
-				ops = appendOps(ops, e, off+uintptr(i)*e.Size(), what)
+				ops = appendOps(ops, e, off+uintptr(i)*e.Size(), fmt.Sprintf("%s[%d]", what, i))
 			}
 			return ops
 		}
@@ -99,19 +103,23 @@ func appendOps(ops []op, t reflect.Type, off uintptr, what string) []op {
 	case reflect.Struct:
 		for i := 0; i < t.NumField(); i++ {
 			f := t.Field(i)
-			ops = appendOps(ops, f.Type, off+f.Offset, f.Name)
+			name := f.Name
+			if what != "" {
+				name = what + "." + name
+			}
+			ops = appendOps(ops, f.Type, off+f.Offset, name)
 		}
 		return ops
 	case reflect.Map:
 		if t.Key().Kind() != reflect.Uint32 {
-			panic(fmt.Sprintf("snapshot: %s: %s has no image layout", what, t))
+			panic(fmt.Sprintf("snapshot: %s: %s has no image layout", cmp.Or(what, "record"), t))
 		}
 		o.maps = &mapScratch{key: reflect.New(t.Key()).Elem(), val: reflect.New(t.Elem()).Elem()}
 		o.elem = planOf(t.Elem())
 	case reflect.Slice, reflect.Pointer:
 		o.elem = planOf(t.Elem())
 	default:
-		panic(fmt.Sprintf("snapshot: %s: %s has no image layout", what, t))
+		panic(fmt.Sprintf("snapshot: %s: %s has no image layout", cmp.Or(what, "record"), t))
 	}
 	return append(ops, o)
 }
@@ -129,6 +137,14 @@ func (o *op) min() int {
 }
 
 func (p *plan) put(w *Writer, base unsafe.Pointer) {
+	if w.loc != nil {
+		p.putLocated(w, base)
+		return
+	}
+	p.putOps(w, base)
+}
+
+func (p *plan) putOps(w *Writer, base unsafe.Pointer) {
 	for i := range p.ops {
 		o := &p.ops[i]
 		at := unsafe.Add(base, o.off)
@@ -213,7 +229,7 @@ func (r *Reader) count(what string, min int) int {
 }
 
 func (o *op) getSlice(r *Reader, at unsafe.Pointer) {
-	n := r.count(o.what, o.elem.min)
+	n := r.count(cmp.Or(o.what, o.typ.String()), o.elem.min)
 	s := (*[]byte)(at) // the header, whatever the element type
 	if cap(*s) < n {
 		v := reflect.NewAt(o.typ, at).Elem()
@@ -267,7 +283,7 @@ func (o *op) putMap(w *Writer, at unsafe.Pointer) {
 }
 
 func (o *op) getMap(r *Reader, at unsafe.Pointer) {
-	n := r.count(o.what, 4+o.elem.min)
+	n := r.count(cmp.Or(o.what, o.typ.String()), 4+o.elem.min)
 	m := reflect.NewAt(o.typ, at).Elem()
 	m.Set(reflect.MakeMapWithSize(o.typ, n))
 	if n == 0 {
@@ -284,4 +300,69 @@ func (o *op) getMap(r *Reader, at unsafe.Pointer) {
 		m.SetMapIndex(s.key, s.val)
 	}
 	s.val.SetZero()
+}
+
+// putLocated is put naming every value for the Writer's locator:
+// scalars and word runs by their field, a slice's elements and a map's
+// entries (walked by ascending key, the order putMap permutes them
+// into) each in a section of their own.
+func (p *plan) putLocated(w *Writer, base unsafe.Pointer) {
+	for i := range p.ops {
+		o := &p.ops[i]
+		at := unsafe.Add(base, o.off)
+		count := strings.TrimSpace(o.what + " len")
+		switch o.kind {
+		case reflect.Slice:
+			s := *(*[]byte)(at)
+			data := unsafe.Pointer(unsafe.SliceData(s))
+			w.Field(count, 4).Count(len(s))
+			if o.elem.words {
+				w.Field(o.what, 4)
+				PutWords(w, unsafe.Slice((*uint32)(data), len(s)))
+				break
+			}
+			for j := range s {
+				w.Enter(o.what, j)
+				o.elem.put(w, unsafe.Add(data, uintptr(j)*o.elem.size))
+				w.Leave()
+			}
+		case reflect.Map:
+			m := reflect.NewAt(o.typ, at).Elem()
+			keys := m.MapKeys()
+			slices.SortFunc(keys, func(a, b reflect.Value) int { return cmp.Compare(a.Uint(), b.Uint()) })
+			w.Field(count, 4).Count(len(keys))
+			for _, k := range keys {
+				v := reflect.New(o.typ.Elem()).Elem()
+				v.Set(m.MapIndex(k))
+				w.Enter(o.what, int(k.Uint()))
+				w.Field("key", 4).U32(uint32(k.Uint()))
+				o.elem.put(w, v.Addr().UnsafePointer())
+				w.Leave()
+			}
+		case reflect.Pointer:
+			ptr := *(*unsafe.Pointer)(at)
+			w.Field(o.what, 1).Bool(ptr != nil)
+			if ptr != nil {
+				w.Enter(o.what, -1)
+				o.elem.put(w, ptr)
+				w.Leave()
+			}
+		default:
+			w.Field(o.what, o.width())
+			one := plan{ops: p.ops[i : i+1]}
+			one.putOps(w, base)
+		}
+	}
+}
+
+// width is the byte width of a scalar op's value, or of one element of
+// a word run or a string.
+func (o *op) width() int {
+	switch o.kind {
+	case reflect.Uint32, reflect.Array:
+		return 4
+	case reflect.Uint64, reflect.Int:
+		return 8
+	}
+	return 1
 }

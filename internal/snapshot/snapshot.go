@@ -150,7 +150,8 @@ func Open(img []byte) (Header, *Reader, error) {
 // was encoded. Writes cannot fail, so there is no error state; the
 // encoders stay straight-line code.
 type Writer struct {
-	buf []byte // header space, then the payload
+	buf []byte   // header space, then the payload
+	loc *locator // names the fields while Diff re-encodes (label.go)
 }
 
 // NewWriter returns a Writer with room for a payload of the given size
@@ -161,6 +162,9 @@ func NewWriter(capacity int) *Writer {
 
 // Bytes returns the encoded payload.
 func (w *Writer) Bytes() []byte { return w.buf[headerLen:] }
+
+// Reset empties the payload, keeping the buffer.
+func (w *Writer) Reset() { w.buf = w.buf[:headerLen] }
 
 // Len returns the number of payload bytes encoded so far.
 func (w *Writer) Len() int { return len(w.buf) - headerLen }

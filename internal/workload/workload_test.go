@@ -1,10 +1,11 @@
 package workload
 
 import (
-	"bytes"
+	"errors"
 	"math"
 	"testing"
 
+	"april/internal/fault"
 	"april/internal/sim"
 )
 
@@ -54,34 +55,39 @@ func TestRunMeasures(t *testing.T) {
 // TestRunSameUnderEveryTier: a raw program runs on the configured tier
 // — the compiled tier resolves single steps through its
 // superinstruction handlers and lanes — and the tier never moves a
-// measurement or a byte of the machine's image, cache LRU stamps
-// included.
+// measurement or a byte of the machine's image (sim.Diverge), cache
+// LRU stamps included.
 func TestRunSameUnderEveryTier(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Cycles, cfg.WarmupCycles = 20_000, 5_000
-	var want Measurement
-	var wantImg []byte
-	for _, tier := range sim.Tiers {
-		meas, m, err := run(cfg, tier)
-		if err != nil {
-			t.Fatalf("%v: %v", tier, err)
+	var meas [2]Measurement
+	side := func(i int, tier sim.Tier) func() (*sim.Machine, error) {
+		return func() (*sim.Machine, error) {
+			var m *sim.Machine
+			var err error
+			if meas[i], m, err = run(cfg, tier); err != nil {
+				return nil, err
+			}
+			var inline uint64
+			for _, n := range m.Nodes {
+				inline += n.Proc.InlineSteps
+			}
+			if (inline > 0) != (tier == sim.TierCompiled) {
+				t.Errorf("%v: %d inline steps", tier, inline)
+			}
+			// The raw threads never end: the cycle budget ends the
+			// run where the measurement did.
+			m.Cfg.MaxCycles = m.Now()
+			return m, nil
 		}
-		var inline uint64
-		for _, n := range m.Nodes {
-			inline += n.Proc.InlineSteps
-		}
-		if (inline > 0) != (tier == sim.TierCompiled) {
-			t.Errorf("%v: %d inline steps", tier, inline)
-		}
-		img, err := m.Snapshot()
-		if err != nil {
-			t.Fatalf("%v: %v", tier, err)
-		}
-		if tier == sim.TierCompiled {
-			want, wantImg = meas, img
-		} else if meas != want || !bytes.Equal(img, wantImg) {
-			t.Errorf("%v measures %+v, compiled %+v; images equal %v", tier, meas, want, bytes.Equal(img, wantImg))
-		}
+	}
+	err := sim.Diverge(side(0, sim.TierCompiled), side(1, sim.TierReference), 1)
+	var ce *sim.CrashError
+	if !errors.As(err, &ce) || ce.Report.Reason != fault.ReasonBudget {
+		t.Errorf("the runs end in %v, want the cycle budget", err)
+	}
+	if meas[0] != meas[1] {
+		t.Errorf("reference measures %+v, compiled %+v", meas[1], meas[0])
 	}
 }
 
