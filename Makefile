@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test verify fmt-check fuzz-smoke bench benchmark-smoke perf ab tier-smoke checkpoint-smoke
+.PHONY: all build test verify fmt-check fuzz-smoke bench benchmark-smoke perf ab tier-smoke checkpoint-smoke scale-smoke
 
 all: verify
 
@@ -43,14 +43,15 @@ benchmark-smoke:
 
 # Every benchmark once: the experiment benchmarks at the root and the
 # per-layer microbenchmarks beside their packages (cache hit / write hit
-# / refused probe, the full/empty-aware memory access, the controller
+# / refused probe, a sharer-set round inline and in the overflow words,
+# the full/empty-aware memory access, the controller
 # hit through both of its callers and a delayed reply through its
 # outbox, a torus hop / NextEvent / Advance, a calendar add+drain, the
 # Snapshot and Restore of 16-, 64- and 256-node images, a 4 MiB
 # payload's Seal+Open). One iteration each keeps them from rotting; use
 # -benchtime and -count by hand to measure.
 bench:
-	$(GO) test -bench . -benchtime 1x -run xxx . ./internal/sim/ ./internal/cache/ ./internal/mem/ ./internal/network/ ./internal/calendar/ ./internal/snapshot/
+	$(GO) test -bench . -benchtime 1x -run xxx . ./internal/sim/ ./internal/cache/ ./internal/directory/ ./internal/mem/ ./internal/network/ ./internal/calendar/ ./internal/snapshot/
 
 # Measure simulator throughput under each execution tier on the full
 # Table 3 grid and a 64-node ALEWIFE run, every run through the grid's
@@ -137,3 +138,22 @@ checkpoint-smoke:
 	$(SMOKE_DIR)/april -bisect $(CKPT)-bisect | tee $(CKPT)-bisect.out
 	grep -q '^first violating cycle: 150000$$' $(CKPT)-bisect.out
 	grep -q '^clean through cycle:   149999$$' $(CKPT)-bisect.out
+
+# The paper's 8000-node machine (Section 8) in 4095 MiB, where heap
+# chunks are 64 KiB: queens 8 on the compiled tier must answer 92 and
+# print the committed -stats-json; a checkpointed copy of the same run,
+# restored from its first image, must finish with the same -stats-json
+# (Restore derives the same chunk size as New). SMOKE_DIR holds the
+# binary, the images and the outputs.
+SCALE = $(SMOKE_DIR)/scale8000
+SCALE_RUN = -alewife -n 8000 -mem 4095 -stats-json examples/progs/queens.mt
+scale-smoke:
+	$(GO) build -o $(SMOKE_DIR)/april ./cmd/april
+	$(SMOKE_DIR)/april $(SCALE_RUN) > $(SCALE).out
+	grep -qx '=> 92' $(SCALE).out
+	tail -1 $(SCALE).out | diff - testdata/queens8000.stats.json
+	rm -rf $(SCALE)-ckpt
+	$(SMOKE_DIR)/april -checkpoint-every 50000 -checkpoint-dir $(SCALE)-ckpt $(SCALE_RUN) > /dev/null
+	first="$$(ls $(SCALE)-ckpt/ckpt-*.img | head -1)" && \
+	$(SMOKE_DIR)/april -restore "$$first" -stats-json | tail -1 | diff - testdata/queens8000.stats.json
+	rm -rf $(SCALE)-ckpt

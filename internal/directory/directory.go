@@ -37,11 +37,20 @@ func (s State) String() string {
 
 // Sharers is a set of node ids. The first 64 nodes live in an inline
 // word so machines up to 64 processors (the paper's largest ALEWIFE
-// configuration) never allocate; larger machines spill into the lazily
-// grown overflow words.
+// configuration) never allocate; larger machines spill into overflow
+// words kept behind a pointer, so a set that never sees a node id of
+// 64 or more costs one word and a nil pointer.
 type Sharers struct {
-	word0 uint64   // nodes 0..63
-	rest  []uint64 // rest[i] covers nodes 64*(i+1) .. 64*(i+2)-1
+	word0 uint64    // nodes 0..63
+	rest  *[]uint64 // (*rest)[i] covers nodes 64*(i+1) .. 64*(i+2)-1; nil until one joins
+}
+
+// words returns the overflow words, nil when there are none.
+func (s *Sharers) words() []uint64 {
+	if s.rest == nil {
+		return nil
+	}
+	return *s.rest
 }
 
 // Add inserts node.
@@ -50,11 +59,14 @@ func (s *Sharers) Add(node int) {
 		s.word0 |= 1 << node
 		return
 	}
-	w := node/64 - 1
-	for len(s.rest) <= w {
-		s.rest = append(s.rest, 0)
+	if s.rest == nil {
+		s.rest = new([]uint64)
 	}
-	s.rest[w] |= 1 << (node % 64)
+	w := node/64 - 1
+	for len(*s.rest) <= w {
+		*s.rest = append(*s.rest, 0)
+	}
+	(*s.rest)[w] |= 1 << (node % 64)
 }
 
 // Remove deletes node.
@@ -63,8 +75,8 @@ func (s *Sharers) Remove(node int) {
 		s.word0 &^= 1 << node
 		return
 	}
-	if w := node/64 - 1; w < len(s.rest) {
-		s.rest[w] &^= 1 << (node % 64)
+	if rest, w := s.words(), node/64-1; w < len(rest) {
+		rest[w] &^= 1 << (node % 64)
 	}
 }
 
@@ -73,14 +85,14 @@ func (s *Sharers) Has(node int) bool {
 	if node < 64 {
 		return s.word0&(1<<node) != 0
 	}
-	w := node/64 - 1
-	return w < len(s.rest) && s.rest[w]&(1<<(node%64)) != 0
+	rest, w := s.words(), node/64-1
+	return w < len(rest) && rest[w]&(1<<(node%64)) != 0
 }
 
 // Count returns the set size.
 func (s *Sharers) Count() int {
 	n := bits.OnesCount64(s.word0)
-	for _, w := range s.rest {
+	for _, w := range s.words() {
 		n += bits.OnesCount64(w)
 	}
 	return n
@@ -102,7 +114,7 @@ func (s *Sharers) ForEach(f func(node int)) {
 	for w := s.word0; w != 0; w &= w - 1 {
 		f(bits.TrailingZeros64(w))
 	}
-	for wi, w := range s.rest {
+	for wi, w := range s.words() {
 		for ; w != 0; w &= w - 1 {
 			f((wi+1)*64 + bits.TrailingZeros64(w))
 		}
@@ -119,7 +131,7 @@ func (s *Sharers) AppendMembers(buf []int, except int) []int {
 			buf = append(buf, n)
 		}
 	}
-	for wi, w := range s.rest {
+	for wi, w := range s.words() {
 		for ; w != 0; w &= w - 1 {
 			if n := (wi+1)*64 + bits.TrailingZeros64(w); n != except {
 				buf = append(buf, n)
@@ -129,10 +141,13 @@ func (s *Sharers) AppendMembers(buf []int, except int) []int {
 	return buf
 }
 
-// Clear empties the set.
+// Clear empties the set. Overflow words keep their storage for the
+// next member past node 63.
 func (s *Sharers) Clear() {
 	s.word0 = 0
-	s.rest = s.rest[:0]
+	if s.rest != nil {
+		*s.rest = (*s.rest)[:0]
+	}
 }
 
 // String renders the set.
@@ -142,32 +157,34 @@ func (s *Sharers) String() string {
 	return "{" + strings.Join(parts, ",") + "}"
 }
 
-// Entry is one block's directory state.
+// Entry is one block's directory state: 24 bytes, so a table slot (its
+// entry and its 4-byte key) is 28.
 type Entry struct {
-	State   State
 	Sharers Sharers
-	Owner   int
+	Owner   int32 // the Exclusive holder's node id, -1 otherwise
+	State   State
 }
 
-// dirSlot is one slot of the open-addressed entry table.
-type dirSlot struct {
-	block uint32
-	live  bool
-	entry Entry
-}
+// minSlots is the table's size at its first entry.
+const minSlots = 8
 
-// Directory holds the entries homed at one node. Entries live inline
-// in an open-addressed hash table (linear probing, power-of-two size,
-// multiplicative hash): looking one up is an array index instead of a
-// map access plus a pointer chase, and creating one allocates nothing
-// beyond the amortized table growth. The table is sized from the
-// demand-paged footprint — it grows geometrically with the number of
-// distinct blocks actually touched, never with the address space — and
-// entries are never deleted (an entry that returns to Uncached keeps
-// its slot), so no tombstone machinery is needed.
+// Directory holds the entries homed at one node, in an open-addressed
+// hash table (linear probing, power-of-two size, multiplicative hash):
+// looking one up is an array index instead of a map access plus a
+// pointer chase, and creating one allocates nothing beyond the
+// amortized table growth. The table is two parallel arrays: keys, one
+// 4-byte word per slot holding block+1 (0 marks an empty slot), which
+// a probe scans, and the entries themselves, which it touches only at
+// the slot it finds. Nothing is allocated until the first Entry call,
+// so a node whose memory no one misses on costs an empty struct; the
+// table then grows geometrically with the number of distinct blocks
+// actually touched, never with the address space. Entries are never
+// deleted (an entry that returns to Uncached keeps its slot), so no
+// tombstone machinery is needed.
 type Directory struct {
-	slots []dirSlot // power-of-two length
-	shift uint      // 32 - log2(len(slots)), for the multiplicative hash
+	keys  []uint32 // block+1 per slot, 0 = empty; power-of-two length
+	ents  []Entry  // entry per slot, parallel to keys
+	shift uint     // 32 - log2(len(keys)), for the multiplicative hash
 	used  int
 
 	Stats
@@ -182,30 +199,24 @@ type Stats struct {
 	Writebacks  uint64 `counter:"dir_writebacks"`
 }
 
-// New creates an empty directory.
-func New() *Directory {
-	d := &Directory{}
-	d.initTable(64)
-	return d
-}
+// New creates an empty directory. It allocates no table.
+func New() *Directory { return &Directory{} }
 
 func (d *Directory) initTable(n int) {
-	d.slots = make([]dirSlot, n)
-	shift := uint(32)
-	for m := n; m > 1; m >>= 1 {
-		shift--
-	}
-	d.shift = shift
+	d.keys = make([]uint32, n)
+	d.ents = make([]Entry, n)
+	d.shift = uint(32 - bits.TrailingZeros(uint(n)))
 }
 
 // slotFor returns the index of block's slot: its live slot if present,
-// otherwise the empty slot where it would be inserted.
+// otherwise the empty slot where it would be inserted. The table must
+// be allocated.
 func (d *Directory) slotFor(block uint32) int {
-	mask := uint32(len(d.slots) - 1)
+	mask := uint32(len(d.keys) - 1)
+	key := block + 1
 	i := (block * 2654435761) >> d.shift // Fibonacci hashing
 	for {
-		s := &d.slots[i]
-		if !s.live || s.block == block {
+		if k := d.keys[i]; k == key || k == 0 {
 			return int(i)
 		}
 		i = (i + 1) & mask
@@ -214,55 +225,77 @@ func (d *Directory) slotFor(block uint32) int {
 
 // resize rehashes the live entries into a table of n slots.
 func (d *Directory) resize(n int) {
-	old := d.slots
+	keys, ents := d.keys, d.ents
 	d.initTable(n)
-	for i := range old {
-		if old[i].live {
-			d.slots[d.slotFor(old[i].block)] = old[i]
+	for i, k := range keys {
+		if k != 0 {
+			j := d.slotFor(k - 1)
+			d.keys[j], d.ents[j] = k, ents[i]
 		}
 	}
 }
 
-// Entry returns (creating) the entry for block. The pointer aliases
-// the table: it stays valid only until the next Entry call that
-// inserts a new block (table growth moves entries), so callers must
-// not hold it across insertions.
+// sizeFor is the table length growth reaches for n entries: the least
+// power of two from minSlots up that keeps the load at most 3/4.
+func sizeFor(n int) int {
+	size := minSlots
+	for n*4 > size*3 {
+		size *= 2
+	}
+	return size
+}
+
+// Entry returns (creating) the entry for block, which must not be
+// ^uint32(0) (its key would read as an empty slot). The pointer
+// aliases the table: it stays valid only until the next Entry call
+// that inserts a new block (table growth moves entries), so callers
+// must not hold it across insertions.
 func (d *Directory) Entry(block uint32) *Entry {
+	if block == ^uint32(0) {
+		panic("directory: block ^uint32(0) has no key")
+	}
+	if d.keys == nil {
+		d.initTable(minSlots)
+	}
 	i := d.slotFor(block)
-	if !d.slots[i].live {
-		if (d.used+1)*4 > len(d.slots)*3 { // keep load below 3/4
-			d.resize(2 * len(d.slots))
+	if d.keys[i] == 0 {
+		if n := sizeFor(d.used + 1); n > len(d.keys) {
+			d.resize(n)
 			i = d.slotFor(block)
 		}
-		s := &d.slots[i]
-		s.live = true
-		s.block = block
-		s.entry = Entry{Owner: -1}
+		d.keys[i] = block + 1
+		d.ents[i] = Entry{Owner: -1}
 		d.used++
 	}
-	return &d.slots[i].entry
+	return &d.ents[i]
 }
 
 // Probe returns the entry if it exists, under the same aliasing rule
 // as Entry.
 func (d *Directory) Probe(block uint32) (*Entry, bool) {
-	s := &d.slots[d.slotFor(block)]
-	if !s.live {
+	if d.used == 0 {
 		return nil, false
 	}
-	return &s.entry, true
+	i := d.slotFor(block)
+	if d.keys[i] == 0 {
+		return nil, false
+	}
+	return &d.ents[i], true
 }
 
 // Entries counts allocated entries.
 func (d *Directory) Entries() int { return d.used }
 
+// Slots is the table's length: 0 until the first Entry call.
+func (d *Directory) Slots() int { return len(d.keys) }
+
 // Blocks lists every block with an allocated entry, ascending, so
 // inspection and invariant-check output is deterministic.
 func (d *Directory) Blocks() []uint32 {
 	out := make([]uint32, 0, d.used)
-	for i := range d.slots {
-		if d.slots[i].live {
-			out = append(out, d.slots[i].block)
+	for _, k := range d.keys {
+		if k != 0 {
+			out = append(out, k-1)
 		}
 	}
 	slices.Sort(out)

@@ -1,9 +1,11 @@
 package directory
 
 import (
+	"math/rand/v2"
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestSharersBasics(t *testing.T) {
@@ -145,47 +147,159 @@ func TestBlocksSortedAscending(t *testing.T) {
 	}
 }
 
-// TestReserveMatchesGrowth: a table sized for n entries takes n inserts
-// without growing, and ends the length growth from an empty table
-// reaches — including at the 3/4 load boundaries, where one entry more
-// means one doubling more.
-func TestReserveMatchesGrowth(t *testing.T) {
-	for _, n := range []int{0, 1, 48, 49, 96, 97, 1000, 9241} {
-		grown := New()
-		for b := uint32(0); b < uint32(n); b++ {
-			grown.Entry(b * 7919)
+// modelEntry is an entry as TestMatchesMapModel's model keeps it: the
+// sharers a plain set, so the model shares no code with Sharers.
+type modelEntry struct {
+	State   State
+	Owner   int32
+	sharers map[int]bool
+}
+
+// members lists the model's sharers ascending, skipping except.
+func (m modelEntry) members(except int) []int {
+	var ids []int
+	for id := range m.sharers {
+		if id != except {
+			ids = append(ids, id)
 		}
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// TestMatchesMapModel runs random directory traffic against a plain
+// map of block to entry: Entry and Probe of new and old blocks, state
+// and owner updates, sharer Add/Remove/Has/Clear/AppendMembers with
+// node ids up to 7999 (deep in the overflow words), Reserve, and
+// DumpEntries, which must list the model's blocks in ascending order
+// with equal entries. A table sized by Reserve takes its entries
+// without growing.
+func TestMatchesMapModel(t *testing.T) {
+	const nodes = 8000
+	rng := rand.New(rand.NewPCG(1, 2))
+	for round := range 20 {
 		d := New()
-		d.Reserve(n)
-		table := &d.slots[0]
-		for b := uint32(0); b < uint32(n); b++ {
-			d.Entry(b * 7919)
+		if _, ok := d.Probe(0); ok || d.Slots() != 0 {
+			t.Fatalf("round %d: a new directory holds a table or an entry", round)
 		}
-		if &d.slots[0] != table {
-			t.Errorf("n=%d: an insert grew the reserved table", n)
+		if d.Reserve(0); d.Slots() != 0 {
+			t.Fatalf("round %d: Reserve(0) allocated %d slots", round, d.Slots())
 		}
-		if len(d.slots) != len(grown.slots) {
-			t.Errorf("n=%d: reserved table of %d slots, growth reaches %d", n, len(d.slots), len(grown.slots))
+		model := map[uint32]modelEntry{}
+		fresh := func() modelEntry { return modelEntry{Owner: -1, sharers: map[int]bool{}} }
+		var pool []uint32
+		pick := func() uint32 {
+			switch {
+			case len(pool) > 0 && rng.IntN(3) > 0:
+				return pool[rng.IntN(len(pool))] // an old block
+			case rng.IntN(2) == 0:
+				return rng.Uint32N(1 << 12) // dense, colliding
+			}
+			return rng.Uint32N(^uint32(0)) // anywhere but the unkeyed top
 		}
-		if d.Entries() != n {
-			t.Errorf("n=%d: %d entries", n, d.Entries())
+		check := func(b uint32, e *Entry, what string) {
+			t.Helper()
+			want, ok := model[b]
+			if !ok {
+				want = fresh()
+			}
+			got, exp := e.Sharers.AppendMembers(nil, -1), want.members(-1)
+			if e.State != want.State || e.Owner != want.Owner || !slices.Equal(got, exp) || e.Sharers.Count() != len(exp) {
+				t.Fatalf("round %d: %s(%#x) = {%v %d %v}, model {%v %d %v}",
+					round, what, b, e.State, e.Owner, got, want.State, want.Owner, exp)
+			}
+		}
+		for range 1000 {
+			switch op := rng.IntN(50); {
+			case op < 20: // Entry, then change it and the model alike
+				b := pick()
+				e := d.Entry(b)
+				check(b, e, "Entry")
+				m, ok := model[b]
+				if !ok {
+					m = fresh()
+					pool = append(pool, b)
+				}
+				id := rng.IntN(nodes)
+				if rng.IntN(2) == 0 {
+					id = rng.IntN(64)
+				}
+				switch rng.IntN(8) {
+				case 0:
+					e.State = State(rng.IntN(3))
+					e.Owner = int32(rng.IntN(nodes+1) - 1)
+					m.State, m.Owner = e.State, e.Owner
+				case 1, 2, 3:
+					e.Sharers.Add(id)
+					m.sharers[id] = true
+				case 4, 5:
+					if ids := m.members(-1); len(ids) > 0 && rng.IntN(2) == 0 {
+						id = ids[rng.IntN(len(ids))]
+					}
+					e.Sharers.Remove(id)
+					delete(m.sharers, id)
+				case 6:
+					e.Sharers.Clear()
+					clear(m.sharers)
+				case 7:
+					if e.Sharers.Has(id) != m.sharers[id] {
+						t.Fatalf("round %d: block %#x Has(%d) = %v, model %v", round, b, id, e.Sharers.Has(id), m.sharers[id])
+					}
+				}
+				model[b] = m
+				check(b, e, "Entry")
+				if got, want := e.Sharers.AppendMembers(nil, id), m.members(id); !slices.Equal(got, want) {
+					t.Fatalf("round %d: block %#x AppendMembers except %d = %v, model %v", round, b, id, got, want)
+				}
+			case op < 40: // Probe, of a block the model may or may not hold
+				b := pick()
+				e, ok := d.Probe(b)
+				if _, want := model[b]; ok != want {
+					t.Fatalf("round %d: Probe(%#x) found %v, model %v", round, b, ok, want)
+				}
+				if ok {
+					check(b, e, "Probe")
+				}
+			case op < 48: // Reserve, then fill up to it without growing
+				n := len(model) + rng.IntN(16)
+				d.Reserve(n)
+				slots := d.Slots()
+				for len(model) < n {
+					b := pick()
+					if _, ok := model[b]; !ok {
+						check(b, d.Entry(b), "Entry")
+						model[b] = fresh()
+						pool = append(pool, b)
+					}
+				}
+				if d.Slots() != slots {
+					t.Fatalf("round %d: a table reserved for %d entries grew from %d to %d slots", round, n, slots, d.Slots())
+				}
+			default: // DumpEntries and Entries against the model
+				if d.Entries() != len(model) {
+					t.Fatalf("round %d: %d entries, model %d", round, d.Entries(), len(model))
+				}
+				var dumped []uint32
+				d.DumpEntries(func(b uint32, e *Entry) {
+					check(b, e, "DumpEntries")
+					dumped = append(dumped, b)
+				})
+				want := make([]uint32, 0, len(model))
+				for b := range model {
+					want = append(want, b)
+				}
+				if slices.Sort(want); !slices.Equal(dumped, want) {
+					t.Fatalf("round %d: DumpEntries listed %v, model %v", round, dumped, want)
+				}
+			}
 		}
 	}
-	// Reserving on a populated table keeps its entries and never shrinks it.
-	d := New()
-	for b := uint32(0); b < 100; b++ {
-		d.Entry(b).Owner = int(b)
-	}
-	size := len(d.slots)
-	d.Reserve(10)
-	if len(d.slots) != size {
-		t.Errorf("Reserve(10) resized a %d-slot table to %d", size, len(d.slots))
-	}
-	d.Reserve(1000)
-	for b := uint32(0); b < 100; b++ {
-		if e, ok := d.Probe(b); !ok || e.Owner != int(b) {
-			t.Fatalf("block %d lost across Reserve", b)
-		}
+}
+
+// An entry and its key fit a 28-byte slot.
+func TestSlotBytes(t *testing.T) {
+	if n := 4 + unsafe.Sizeof(Entry{}); n != 28 {
+		t.Errorf("a table slot takes %d bytes, want 28", n)
 	}
 }
 
@@ -196,7 +310,7 @@ func TestDumpEntriesAscending(t *testing.T) {
 	var want []uint32
 	for i := uint32(0); i < 300; i++ {
 		b := i * 2654435761 // distinct, scrambled relative to insertion
-		d.Entry(b).Owner = int(i)
+		d.Entry(b).Owner = int32(i)
 		want = append(want, b)
 	}
 	slices.Sort(want)
@@ -240,5 +354,36 @@ func TestSteadyStateOpsAllocFree(t *testing.T) {
 	ops() // size the scratch buffer
 	if n := testing.AllocsPerRun(1000, ops); n != 0 {
 		t.Errorf("steady-state directory ops allocate %v/op, want 0", n)
+	}
+}
+
+// BenchmarkSharers prices one sharer-set round — add a reader, list
+// the other members (the invalidation fan-out), drop it — with node
+// ids drawn from the inline word, from a 1000-node machine's and from
+// an 8000-node machine's overflow words.
+func BenchmarkSharers(b *testing.B) {
+	for _, r := range []struct {
+		name   string
+		lo, hi int
+	}{{"inline", 0, 64}, {"overflow1000", 64, 1000}, {"overflow8000", 64, 8000}} {
+		b.Run(r.name, func(b *testing.B) {
+			rng := rand.New(rand.NewPCG(1, 2))
+			ids := make([]int, 1<<10)
+			for i := range ids {
+				ids[i] = r.lo + rng.IntN(r.hi-r.lo)
+			}
+			var s Sharers
+			for _, id := range ids[:8] {
+				s.Add(id)
+			}
+			var buf []int
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				id := ids[i&(len(ids)-1)]
+				s.Add(id)
+				buf = s.AppendMembers(buf[:0], id)
+				s.Remove(id)
+			}
+		})
 	}
 }

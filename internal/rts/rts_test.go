@@ -219,6 +219,20 @@ func TestHeapChunks(t *testing.T) {
 	}
 }
 
+// TestHeapChunkFitsArena: a heap chunk is 256 KiB while two per node
+// fit the heap arena, and 64 KiB once they do not.
+func TestHeapChunkFitsArena(t *testing.T) {
+	m := mem.New(4 << 20)
+	prof := APRIL
+	for nodes, want := range map[int]uint32{1: heapChunkBytes, 2: heapChunkBytes, 3: smallHeapChunkBytes, 8: smallHeapChunkBytes} {
+		s := NewScheduler(m, &prof, false, nodes,
+			mem.NewArena(0x2000, 0x80000), mem.NewArena(0x100000, 0x100000+4*heapChunkBytes), nil)
+		if b, l, err := s.HeapChunk(0); err != nil || l-b != want {
+			t.Errorf("%d nodes on a 1 MiB heap arena: chunk of %d bytes (err %v), want %d", nodes, l-b, err, want)
+		}
+	}
+}
+
 func TestOutOfStackMemoryError(t *testing.T) {
 	m := mem.New(1 << 20)
 	prof := APRIL

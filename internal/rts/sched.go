@@ -70,22 +70,33 @@ type Scheduler struct {
 	freeTCBs   []uint32
 
 	heapAlloc *chunkAlloc
+	heapChunk uint32 // a HeapChunk's default size: heapChunkBytes, or smallHeapChunkBytes on a crowded arena
 
 	stealRR int   // round-robin cursor over threads for marker stealing
 	tcbs    []int // ids of the threads holding a TCB, ascending
 }
 
-// Memory chunk sizes.
+// Memory chunk sizes. A heap chunk is heapChunkBytes unless two of
+// them per node would not fit the heap arena (a machine of thousands
+// of nodes), when it is smallHeapChunkBytes: every machine whose nodes
+// fit the large chunk keeps it, so its simulated addresses do not move.
 const (
-	stackChunkBytes = abi.StackBytes
-	heapChunkBytes  = 256 << 10
+	stackChunkBytes     = abi.StackBytes
+	heapChunkBytes      = 256 << 10
+	smallHeapChunkBytes = 64 << 10
 )
 
 // NewScheduler creates the thread system over the given memory regions.
+// The heap chunk size follows from nodes and the heap arena alone, so a
+// restored machine, built over the same regions, derives the same one.
 func NewScheduler(m *mem.Memory, prof *Profile, lazy bool, nodes int,
 	stackArena, heapArena *mem.Arena, out io.Writer) *Scheduler {
 	if out == nil {
 		out = io.Discard
+	}
+	chunk := uint32(heapChunkBytes)
+	if 2*uint64(nodes)*heapChunkBytes > uint64(heapArena.Remaining()) {
+		chunk = smallHeapChunkBytes
 	}
 	return &Scheduler{
 		Mem:        m,
@@ -95,13 +106,14 @@ func NewScheduler(m *mem.Memory, prof *Profile, lazy bool, nodes int,
 		ready:      make([][]int, nodes),
 		stackAlloc: &chunkAlloc{arena: stackArena, what: "stack"},
 		heapAlloc:  &chunkAlloc{arena: heapArena, what: "heap"},
+		heapChunk:  chunk,
 	}
 }
 
 // HeapChunk hands a node a fresh allocation chunk (for both the
 // compiled code's bump allocator and the runtime's own allocations).
 func (s *Scheduler) HeapChunk(minBytes uint32) (base, limit uint32, err error) {
-	n := uint32(heapChunkBytes)
+	n := s.heapChunk
 	if minBytes > n {
 		n = (minBytes + 7) &^ 7
 	}

@@ -589,13 +589,13 @@ func (c *cacheCtl) tryLocal(block uint32, write bool) (ln cache.Line, ok bool) {
 			return ln, false
 		}
 	case directory.Exclusive:
-		if e.Owner != self {
+		if int(e.Owner) != self {
 			return ln, false
 		}
 	}
 	if write {
 		e.State = directory.Exclusive
-		e.Owner = self
+		e.Owner = int32(self)
 		e.Sharers.Clear()
 	} else {
 		if e.State != directory.Shared {
@@ -657,7 +657,7 @@ func (c *cacheCtl) handleMsg(msg directory.Msg) {
 		// With a Fetch in flight the FetchAck path completes the tx.
 		if _, busy := c.homeTx[msg.Block]; !busy {
 			e := c.dir.Entry(msg.Block)
-			if e.State == directory.Exclusive && e.Owner == msg.From {
+			if e.State == directory.Exclusive && int(e.Owner) == msg.From {
 				e.State = directory.Uncached
 				e.Owner = -1
 				c.dirTrans(msg.Block, directory.Exclusive, directory.Uncached, msg.From)
@@ -830,14 +830,14 @@ func (c *cacheCtl) homeRequest(req directory.Msg) {
 			e.Sharers.Add(req.From)
 			c.send(req.From, directory.Msg{Kind: directory.Data, Block: req.Block}, lat)
 		case directory.Exclusive:
-			if e.Owner == req.From {
+			if int(e.Owner) == req.From {
 				// Owner lost its copy (silent race); re-grant.
 				c.send(req.From, directory.Msg{Kind: directory.DataEx, Block: req.Block}, lat)
 				return
 			}
 			c.dir.Fetches++
 			c.homeTx[req.Block] = c.newTx(false, req.From, 1)
-			c.send(e.Owner, directory.Msg{Kind: directory.Fetch, Block: req.Block, Requester: req.From, Write: false}, 0)
+			c.send(int(e.Owner), directory.Msg{Kind: directory.Fetch, Block: req.Block, Requester: req.From, Write: false}, 0)
 		}
 		return
 	}
@@ -846,14 +846,14 @@ func (c *cacheCtl) homeRequest(req directory.Msg) {
 	switch e.State {
 	case directory.Uncached:
 		e.State = directory.Exclusive
-		e.Owner = req.From
+		e.Owner = int32(req.From)
 		c.send(req.From, directory.Msg{Kind: directory.DataEx, Block: req.Block}, lat)
 	case directory.Shared:
 		targets := e.Sharers.AppendMembers(c.targetsBuf[:0], req.From)
 		c.targetsBuf = targets[:0]
 		if len(targets) == 0 {
 			e.State = directory.Exclusive
-			e.Owner = req.From
+			e.Owner = int32(req.From)
 			e.Sharers.Clear()
 			c.send(req.From, directory.Msg{Kind: directory.DataEx, Block: req.Block}, lat)
 			return
@@ -864,13 +864,13 @@ func (c *cacheCtl) homeRequest(req directory.Msg) {
 			c.send(t, directory.Msg{Kind: directory.Inv, Block: req.Block, Requester: req.From}, 0)
 		}
 	case directory.Exclusive:
-		if e.Owner == req.From {
+		if int(e.Owner) == req.From {
 			c.send(req.From, directory.Msg{Kind: directory.DataEx, Block: req.Block}, lat)
 			return
 		}
 		c.dir.Fetches++
 		c.homeTx[req.Block] = c.newTx(true, req.From, 1)
-		c.send(e.Owner, directory.Msg{Kind: directory.Fetch, Block: req.Block, Requester: req.From, Write: true}, 0)
+		c.send(int(e.Owner), directory.Msg{Kind: directory.Fetch, Block: req.Block, Requester: req.From, Write: true}, 0)
 	}
 }
 
@@ -892,7 +892,7 @@ func (c *cacheCtl) homeAck(msg directory.Msg) {
 	old := e.State
 	if tx.write {
 		e.State = directory.Exclusive
-		e.Owner = tx.requester
+		e.Owner = int32(tx.requester)
 		e.Sharers.Clear()
 		c.send(tx.requester, directory.Msg{Kind: directory.DataEx, Block: msg.Block}, lat)
 	} else {
@@ -900,7 +900,7 @@ func (c *cacheCtl) homeAck(msg directory.Msg) {
 		e.State = directory.Shared
 		e.Owner = -1
 		if prevOwner >= 0 {
-			e.Sharers.Add(prevOwner) // downgraded, keeps a read copy
+			e.Sharers.Add(int(prevOwner)) // downgraded, keeps a read copy
 		}
 		e.Sharers.Add(tx.requester)
 		c.send(tx.requester, directory.Msg{Kind: directory.Data, Block: msg.Block}, lat)
@@ -938,7 +938,7 @@ func (c *cacheCtl) flush(addr uint32) int {
 		c.send(home, directory.Msg{Kind: directory.FlushWB, Block: block}, 0)
 		return 1
 	}
-	if e := c.dir.Entry(block); e.State == directory.Exclusive && e.Owner == c.node {
+	if e := c.dir.Entry(block); e.State == directory.Exclusive && int(e.Owner) == c.node {
 		e.State = directory.Uncached
 		e.Owner = -1
 	}

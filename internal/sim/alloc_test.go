@@ -103,16 +103,16 @@ func BenchmarkAlewifeSteadyWindow(b *testing.B) {
 	}
 }
 
-// alewife1000 builds the benchmark's sparse machine — 1000 default
-// ALEWIFE nodes (Table 4 caches on a 10-ary 3-cube) in 2 GiB — loaded
-// with queens 8. newLoad reports what sim.New and Load allocated
-// between them (compilation excluded).
-func alewife1000(tb testing.TB) (m *sim.Machine, newLoad uint64) {
+// alewifeSetup builds a machine of nodes default ALEWIFE nodes (Table
+// 4 caches on a k-ary 3-cube) in memBytes of memory, loaded with queens
+// 8. newLoad reports what sim.New and Load allocated between them
+// (compilation excluded).
+func alewifeSetup(tb testing.TB, nodes int, memBytes uint32) (m *sim.Machine, newLoad uint64) {
 	tb.Helper()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	before := ms.TotalAlloc
-	m, err := sim.New(sim.Config{Nodes: 1000, Profile: rts.APRIL, MemoryBytes: 1 << 31, Alewife: &sim.AlewifeConfig{}})
+	m, err := sim.New(sim.Config{Nodes: nodes, Profile: rts.APRIL, MemoryBytes: memBytes, Alewife: &sim.AlewifeConfig{}})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -131,21 +131,44 @@ func alewife1000(tb testing.TB) (m *sim.Machine, newLoad uint64) {
 	return m, newLoad + ms.TotalAlloc - before
 }
 
-// TestNewAlewife1000Alloc guards set-up cost at the scale of the
-// paper's machine: caches are allocated as lines arrive, not up front,
-// so building and loading 1000 nodes allocates ~7 MiB (the Table 4
-// tag arrays alone would be 62.5 MiB).
-func TestNewAlewife1000Alloc(t *testing.T) {
-	m, got := alewife1000(t)
-	t.Logf("sim.New + Load of %d nodes: %.1f MiB", len(m.Nodes), float64(got)/(1<<20))
-	if got >= 16<<20 {
-		t.Errorf("sim.New + Load allocated %.1f MiB, want < 16 MiB", float64(got)/(1<<20))
+// checkSetup holds what sim.New and Load of m allocated to the
+// measured MiB plus 25%, and requires that no node holds a cache chunk
+// or a directory table before the first cycle: both are allocated as
+// lines and entries arrive.
+func checkSetup(t *testing.T, m *sim.Machine, got uint64, measured float64) {
+	t.Helper()
+	mib := float64(got) / (1 << 20)
+	t.Logf("sim.New + Load of %d nodes: %.2f MiB", len(m.Nodes), mib)
+	if bound := 1.25 * measured; mib >= bound {
+		t.Errorf("sim.New + Load allocated %.2f MiB, want < %.2f MiB", mib, bound)
 	}
 	for i := range m.Nodes {
 		if n := sim.NodeCache(m, i).ResidentChunks(); n != 0 {
 			t.Fatalf("node %d: %d cache chunks before the first cycle", i, n)
 		}
+		if n := sim.NodeDirectory(m, i).Slots(); n != 0 {
+			t.Fatalf("node %d: a directory table of %d slots before the first cycle", i, n)
+		}
 	}
+}
+
+// TestNewAlewife1000Alloc guards set-up cost at the scale of the
+// benchmark's sparse machine, 1000 nodes in 2 GiB: building and loading
+// it allocates 3.19 MiB (the Table 4 tag arrays alone would be
+// 62.5 MiB, and 64-slot directory tables another 3.4 MiB); the bound is
+// that plus 25%.
+func TestNewAlewife1000Alloc(t *testing.T) {
+	m, got := alewifeSetup(t, 1000, 1<<31)
+	checkSetup(t, m, got, 3.19)
+}
+
+// TestNewAlewife8000Alloc is its twin at the paper's 8000 nodes in
+// 4095 MiB, where each node's heap chunks are 64 KiB (two of 256 KiB
+// per node would not fit the heap arena): 25.03 MiB, bounded at that
+// plus 25%.
+func TestNewAlewife8000Alloc(t *testing.T) {
+	m, got := alewifeSetup(t, 8000, 4095<<20)
+	checkSetup(t, m, got, 25.03)
 }
 
 // BenchmarkNewAlewife1000 is one set-up of the 1000-node machine (with
@@ -153,7 +176,7 @@ func TestNewAlewife1000Alloc(t *testing.T) {
 // queens 8).
 func BenchmarkNewAlewife1000(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		alewife1000(b)
+		alewifeSetup(b, 1000, 1<<31)
 	}
 }
 

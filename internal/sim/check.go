@@ -52,7 +52,7 @@ func (f *netFabric) checkBlock(block uint32) {
 	owner := -1
 	if known {
 		dirState = entry.State
-		owner = entry.Owner
+		owner = int(entry.Owner)
 	}
 	excl := -1
 	for id, ctl := range f.ctls {

@@ -100,7 +100,7 @@ func checkCoherence(t *testing.T, m *Machine) {
 			if len(hs) != 1 {
 				t.Fatalf("block %#x: exclusive at %d alongside other copies %v", b, exclusive[0], hs)
 			}
-			if e.State != directory.Exclusive || e.Owner != exclusive[0] {
+			if e.State != directory.Exclusive || int(e.Owner) != exclusive[0] {
 				t.Fatalf("block %#x: cache exclusive at %d but home says %v owner %d",
 					b, exclusive[0], e.State, e.Owner)
 			}

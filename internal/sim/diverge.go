@@ -30,8 +30,8 @@ func Diverge(a, b func() (*Machine, error), slice uint64) error {
 	if slice == 0 {
 		return errors.New("sim: Diverge needs slices of at least one cycle")
 	}
-	p, err := buildPair(a, b)
-	if err != nil {
+	p := &runPair{build: [2]func() (*Machine, error){a, b}}
+	if err := p.start(); err != nil {
 		return err
 	}
 	if d := p.diff(); d != "" {
@@ -41,7 +41,7 @@ func Diverge(a, b func() (*Machine, error), slice uint64) error {
 		start := p.m[0].now
 		p.run(slice)
 		if d := p.diff(); d != "" {
-			return firstDiff(a, b, slice, k, start, max(p.m[0].now, p.m[1].now, start+1)-start, d)
+			return p.firstDiff(slice, k, start, max(p.m[0].now, p.m[1].now, start+1)-start, d)
 		}
 		if p.err[0] != nil {
 			return p.err[0]
@@ -62,12 +62,11 @@ func Diverge(a, b func() (*Machine, error), slice uint64) error {
 
 // firstDiff bisects the slice after the k-th: fresh runs of k slices
 // agree at cycle start and differ, as d says, span cycles later.
-func firstDiff(a, b func() (*Machine, error), slice uint64, k int, start, span uint64, d string) error {
+func (p *runPair) firstDiff(slice uint64, k int, start, span uint64, d string) error {
 	lo, hi := uint64(0), span
 	for hi-lo > 1 {
 		mid := lo + (hi-lo)/2
-		p, err := buildPair(a, b)
-		if err != nil {
+		if err := p.start(); err != nil {
 			return err
 		}
 		for range k {
@@ -83,25 +82,28 @@ func firstDiff(a, b func() (*Machine, error), slice uint64, k int, start, span u
 	return fmt.Errorf("sim: runs diverge at cycle %d: %s", start+hi, d)
 }
 
-// runPair is the two sides of a Diverge run, with a writer each for
-// their images.
+// runPair is the two sides of a Diverge run: their builders, the
+// machines built last, and a writer each for their images, kept for
+// the whole call so that an image per boundary allocates nothing once
+// the writers have grown.
 type runPair struct {
-	m    [2]*Machine
-	err  [2]error
-	done [2]bool
-	w    [2]*snapshot.Writer
+	build [2]func() (*Machine, error)
+	m     [2]*Machine
+	err   [2]error
+	done  [2]bool
+	w     [2]*snapshot.Writer
 }
 
-func buildPair(a, b func() (*Machine, error)) (*runPair, error) {
-	p := new(runPair)
-	for i, build := range [2]func() (*Machine, error){a, b} {
+// start builds both sides afresh.
+func (p *runPair) start() error {
+	for i, build := range p.build {
 		m, err := build()
 		if err != nil {
-			return nil, fmt.Errorf("sim: building side %c: %w", 'a'+i, err)
+			return fmt.Errorf("sim: building side %c: %w", 'a'+i, err)
 		}
-		p.m[i] = m
+		p.m[i], p.err[i], p.done[i] = m, nil, false
 	}
-	return p, nil
+	return nil
 }
 
 // run advances both sides by at most n cycles.
@@ -112,8 +114,8 @@ func (p *runPair) run(n uint64) {
 }
 
 // diff says how the two sides differ now, or returns "" when they
-// agree: the first field their images (Snapshot's payloads) differ in,
-// and their errors.
+// agree: the first field their images (encodeImage's payloads) differ
+// in, and their errors.
 func (p *runPair) diff() string {
 	for i, m := range p.m {
 		if !m.loaded {
@@ -122,14 +124,11 @@ func (p *runPair) diff() string {
 		if p.w[i] == nil {
 			p.w[i] = snapshot.NewWriter(0)
 		}
-		p.w[i].Reset()
-		m.encodeIdentity(p.w[i])
-		m.encodeState(p.w[i])
+		m.encodeImage(p.w[i])
 	}
 	var ds []string
 	if d := snapshot.Diff(p.w[0].Bytes(), p.w[1].Bytes(), func(w *snapshot.Writer) {
-		p.m[0].encodeIdentity(w)
-		p.m[0].encodeState(w)
+		p.m[0].encodeImage(w)
 	}); d != "" {
 		ds = append(ds, d)
 	}

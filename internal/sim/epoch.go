@@ -247,7 +247,7 @@ func (m *Machine) laneWatch(addr uint32, store bool) {
 		return
 	}
 	for _, id := range ls.live {
-		if id != e.Owner && !e.Sharers.Has(id) {
+		if id != int(e.Owner) && !e.Sharers.Has(id) {
 			continue
 		}
 		for _, t := range m.epochLog.Touches(id) {

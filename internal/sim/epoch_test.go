@@ -279,7 +279,7 @@ func fix(n int) isa.Word { return isa.MakeFixnum(int32(n)) }
 // profile) and spawns one thread per node with the registers regs
 // returns for it, given a heap chunk all nodes share and one of its
 // own.
-func rawMachine(t *testing.T, src string, cfg sim.Config, regs func(i int, shared, region uint32) map[uint8]isa.Word) *sim.Machine {
+func rawMachine(t *testing.T, src string, cfg sim.Config, regs func(i int, shared, region uint32) map[uint8]isa.Word, opts ...func(*sim.Machine)) *sim.Machine {
 	t.Helper()
 	prog, err := isa.Assemble(src)
 	if err != nil {
@@ -289,6 +289,9 @@ func rawMachine(t *testing.T, src string, cfg sim.Config, regs func(i int, share
 	m, err := sim.New(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, opt := range opts {
+		opt(m)
 	}
 	m.LoadRaw(prog)
 	shared, _, err := m.Sched.HeapChunk(0)
@@ -538,6 +541,15 @@ func TestLanesMatchReference(t *testing.T) {
 		}
 		add(true, et)
 	})
+	// Without lanes or parked nodes nothing else lands the loop at the
+	// livelock scan: the jump after node 0's window must stop there.
+	t.Run("livelock-window-2p", func(t *testing.T) {
+		c := matchCrash(t, windowLivelockMachine)
+		t.Logf("crash at cycle %d", c.Now())
+		if et := c.EpochTelemetry(); et.Lanes != 0 {
+			t.Errorf("%d lanes ran: the cell tests windows, not lanes", et.Lanes)
+		}
+	})
 	fc := fault.Default(2)
 	mulT := []struct {
 		name string
@@ -658,6 +670,31 @@ func livelockMachine(t *testing.T, tier sim.Tier) *sim.Machine {
 				12: fix(300_000), 13: fix(delay),
 			}
 		})
+}
+
+// windowLivelockMachine is livelockSrc on two nodes with lanes off, so
+// that node 0, busy alone, runs in isolated windows: node 1's router is
+// wedged at cycle 2000, and after 1000 iterations node 1 loads a block
+// homed at node 0, whose request never leaves. The livelock shows at
+// the scan ending cycle 1048575, where node 0's window ends on the
+// watermark and node 1 sleeps past it between retries.
+func windowLivelockMachine(t *testing.T, tier sim.Tier) *sim.Machine {
+	const wedged, block = 1, 16
+	aw := &sim.AlewifeConfig{Cache: cache.Config{SizeBytes: 256, BlockBytes: block, Assoc: 2}}
+	faults := &fault.Config{Seed: 1, WedgeAtCycle: 2000, WedgeNode: wedged}
+	homedAt := func(base uint32, home int) uint32 { return base + uint32((home-int(base/block)%2+2)%2)*block }
+	return rawMachine(t, livelockSrc, sim.Config{Nodes: 2, Tier: tier, Alewife: aw, Faults: faults},
+		func(i int, shared, region uint32) map[uint8]isa.Word {
+			iters, delay := 1<<28, 1<<28
+			if i == wedged {
+				delay = 1000
+			}
+			return map[uint8]isa.Word{
+				7: fix(i), 9: fix(1),
+				10: isa.Word(homedAt(shared, 0)), 11: isa.Word(homedAt(region, i)),
+				12: fix(iters), 13: fix(delay),
+			}
+		}, sim.LaneCap(1))
 }
 
 // matchCrash runs the machine mk builds under both tiers to a crash

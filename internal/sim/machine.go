@@ -814,16 +814,15 @@ func (m *Machine) advance(limit uint64) (hitLimit bool) {
 	if m.sampler != nil && m.sampler.NextBoundary() < jumpLimit {
 		jumpLimit = m.sampler.NextBoundary()
 	}
-	// With nodes parked or asleep in lanes, nothing lands the loop
-	// every few cycles any more, so a jump must stop at the cycle whose
-	// end-of-cycle watchdogs() would fire — deadlock deadline, livelock
-	// scan — or every later report and scan shifts away from the
-	// reference loop's cycle. (The checkers' watermark never applies:
-	// Check runs on the reference tier.)
-	if m.park.n > 0 || len(m.lanes.live) > 0 {
-		if wd := m.lastWatchedCycle(); wd < jumpLimit {
-			jumpLimit = max(wd, m.now)
-		}
+	// A jump stops at the cycle whose end-of-cycle watchdogs() would
+	// fire — deadlock deadline, livelock scan — or every later report
+	// and scan shifts away from the reference loop's cycle: a node
+	// asleep across it, in a lane, parked or after an isolated window
+	// that ended on the watermark, lands the loop no sooner. (The
+	// checkers' watermark never applies: Check runs on the reference
+	// tier.)
+	if wd := m.lastWatchedCycle(); wd < jumpLimit {
+		jumpLimit = max(wd, m.now)
 	}
 	m.fastForwardUntil(jumpLimit)
 	m.laneProgress()

@@ -67,10 +67,21 @@ func (m *Machine) Snapshot() ([]byte, error) {
 		return nil, errors.New("sim: cannot snapshot before Load")
 	}
 	w := snapshot.NewWriter(m.imageCapacity())
+	id := m.encodeImage(w)
+	return w.Seal(snapshot.Hash(w.Bytes()[:id]), m.now), nil
+}
+
+// encodeImage writes the machine's payload into w, from its start, and
+// returns the length of the payload's identity section. Snapshot seals
+// it into a fresh buffer; Diverge compares payloads in a writer per
+// side that it reuses at every boundary, so comparing allocates nothing
+// once the writers have grown to an image.
+func (m *Machine) encodeImage(w *snapshot.Writer) (id int) {
+	w.Reset()
 	m.encodeIdentity(w)
-	id := snapshot.Hash(w.Bytes())
+	id = w.Len()
 	m.encodeState(w)
-	return w.Seal(id, m.now), nil
+	return id
 }
 
 // Encoded sizes of the image's repeated records.
@@ -657,7 +668,7 @@ func encodeCtl(w *snapshot.Writer, c *cacheCtl, members []int) []int {
 		w.Enter("block", int(block))
 		w.Field("block", 4).U32(block)
 		w.Field("state", 1).U8(uint8(e.State))
-		w.Field("owner", 8).Int(e.Owner)
+		w.Field("owner", 8).Int(int(e.Owner))
 		members = e.Sharers.AppendMembers(members[:0], -1)
 		w.Field("sharers len", 4).Count(len(members))
 		w.Field("sharers", 8)
@@ -726,13 +737,17 @@ func decodeCtl(r *snapshot.Reader, c *cacheCtl) {
 			r.Corrupt("directory entry %#x has invalid state %d", block, st)
 			return
 		}
+		if block == ^uint32(0) {
+			r.Corrupt("directory entry for block %#x, which no address reaches", block)
+			return
+		}
 		if owner < -1 || owner >= nodes {
 			r.Corrupt("directory entry %#x has owner %d of %d nodes", block, owner, nodes)
 			return
 		}
 		e := c.dir.Entry(block)
 		e.State = st
-		e.Owner = owner
+		e.Owner = int32(owner)
 		for ; nsh > 0; nsh-- {
 			id := r.Int()
 			if r.Err() != nil {

@@ -205,6 +205,7 @@ var imageFields = map[reflect.Type]map[string]imageClass{
 		"freeStacks":  in("rts.SchedImage", "FreeStacks"),
 		"freeTCBs":    in("rts.SchedImage", "FreeTCBs"),
 		"heapAlloc":   in("rts.SchedImage", "HeapNext"), // and HeapLimit
+		"heapChunk":   fromID,
 		"stealRR":     in("rts.SchedImage", "StealRR"),
 		"tcbs":        host("ids of threads holding a TCB, rebuilt by RestoreState"),
 	},
@@ -251,7 +252,8 @@ var imageFields = map[reflect.Type]map[string]imageClass{
 		"Stats":  walk("cache.Stats"),
 	},
 	reflect.TypeFor[directory.Directory](): {
-		"slots": section("directory"),
+		"keys":  section("directory"),
+		"ents":  section("directory"),
 		"shift": host("hash-table layout, rebuilt by Entry"),
 		"used":  host("hash-table load, rebuilt by Entry"),
 		"Stats": walk("directory.Stats"),

@@ -11,6 +11,7 @@ package sim_test
 // here match `go test -run Snapshot`, which CI also runs under -race.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -344,6 +345,30 @@ func TestSnapshotImageValidation(t *testing.T) {
 		payload := b[44 : len(b)-200]
 		return snapshot.Seal(payload, hdr.ConfigHash, hdr.Cycle)
 	}, snapshot.ErrTruncated)
+
+	// Block ^uint32(0) has no key in a directory table (no address
+	// reaches it): an image naming it is corrupt. The entry is found by
+	// its encoding — block, state, owner — and its block rewritten.
+	t.Run("directory-block-unkeyed", func(t *testing.T) {
+		blocks := sim.NodeDirectory(m, 0).Blocks()
+		if len(blocks) == 0 {
+			t.Fatal("node 0's directory is empty")
+		}
+		e, _ := sim.NodeDirectory(m, 0).Probe(blocks[0])
+		rec := binary.LittleEndian.AppendUint32(nil, blocks[0])
+		rec = binary.LittleEndian.AppendUint64(append(rec, byte(e.State)), uint64(int64(e.Owner)))
+		hdr, _ := snapshot.PeekHeader(img)
+		payload := append([]byte(nil), img[44:]...)
+		at := bytes.Index(payload, rec)
+		if at < 0 || bytes.Index(payload[at+1:], rec) >= 0 {
+			t.Fatalf("directory entry of block %#x not found once in the image", blocks[0])
+		}
+		binary.LittleEndian.PutUint32(payload[at:], ^uint32(0))
+		_, err := sim.Restore(snapshot.Seal(payload, hdr.ConfigHash, hdr.Cycle), sim.RestoreOverrides{})
+		if !errors.Is(err, snapshot.ErrCorrupt) || !strings.Contains(err.Error(), "no address reaches") {
+			t.Fatalf("error %v, want %v for the block", err, snapshot.ErrCorrupt)
+		}
+	})
 
 	// A retry-tracker list holds one tracker per task frame, indexed by
 	// the frame pointer: an image whose list is shorter is corrupt.
