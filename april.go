@@ -942,58 +942,6 @@ func DefaultTable3Config() Table3Config { return bench.DefaultTable3Config() }
 // worker count.
 func Table3(cfg Table3Config) ([]Table3Row, error) { return bench.Table3(cfg) }
 
-// PerfReport is the per-tier simulator-throughput comparison that
-// april-bench -perf writes to BENCH_simperf.json.
-type PerfReport = bench.PerfReport
-
-// Table3Perf runs the full Table 3 grid once per tier — the compiled
-// tier, then the reference per-cycle loop, both on cfg.Workers workers
-// — plus a 64-node ALEWIFE run per tier, every run through the grid's
-// own run path, and reports the host-side speedup with a bit-identity
-// cross-check.
-func Table3Perf(cfg Table3Config, sizesName string) (PerfReport, error) {
-	return bench.Table3Perf(cfg, sizesName)
-}
-
-// FormatTable3 renders rows in the paper's layout.
-func FormatTable3(rows []Table3Row, procs []int) string { return bench.FormatTable(rows, procs) }
-
-// ModelCheckConfig drives the measured-vs-model utilization grid
-// (april-bench -model-check): benchmarks on the full ALEWIFE memory
-// system, measured U(p)/m(p)/T(p) against the Section 8 analytical
-// model.
-type ModelCheckConfig = bench.ModelCheckConfig
-
-// ModelCheckReport is the measured-vs-predicted table with per-config
-// absolute and relative errors.
-type ModelCheckReport = bench.ModelCheckReport
-
-// DefaultModelCheckConfig covers fib and queens over the Figure 5
-// processor range.
-func DefaultModelCheckConfig() ModelCheckConfig { return bench.DefaultModelCheckConfig() }
-
-// ModelCheck runs the measured-vs-model grid.
-func ModelCheck(cfg ModelCheckConfig) (ModelCheckReport, error) { return bench.ModelCheck(cfg) }
-
-// FormatModelCheck renders the measured-vs-predicted table.
-func FormatModelCheck(r ModelCheckReport) string { return bench.FormatModelCheck(r) }
-
-// FramesSweepConfig drives the task-frame ablation (experiment E9):
-// utilization versus hardware task frames on the full memory system.
-type FramesSweepConfig = bench.FramesSweepConfig
-
-// FramesPoint is one measured frames-sweep point.
-type FramesPoint = bench.FramesPoint
-
-// DefaultFramesSweep is the standard E9 configuration.
-func DefaultFramesSweep() FramesSweepConfig { return bench.DefaultFramesSweep() }
-
-// FramesSweep measures utilization against the number of task frames.
-func FramesSweep(cfg FramesSweepConfig) ([]FramesPoint, error) { return bench.FramesSweep(cfg) }
-
-// FormatFramesSweep renders a frames sweep.
-func FormatFramesSweep(points []FramesPoint) string { return bench.FormatFramesSweep(points) }
-
 // BenchmarkSource returns the Mul-T source of a paper benchmark
 // ("fib", "factor", "queens", "speech").
 func BenchmarkSource(name string, sizes Table3Sizes) string { return sizes.Source(name) }

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"april"
+	"april/internal/bench"
 	"april/internal/network"
 )
 
@@ -251,11 +252,11 @@ func BenchmarkAlewifeFib(b *testing.B) {
 // --- E9: utilization vs hardware task frames, end to end ---
 
 func BenchmarkFramesSweep(b *testing.B) {
-	cfg := april.FramesSweepConfig{Nodes: 4, Frames: []int{1, 2, 4}, FibN: 12}
-	var pts []april.FramesPoint
+	cfg := bench.FramesSweepConfig{Nodes: 4, Frames: []int{1, 2, 4}, FibN: 12}
+	var pts []bench.FramesPoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		pts, err = april.FramesSweep(cfg)
+		pts, err = bench.FramesSweep(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

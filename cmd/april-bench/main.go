@@ -1,24 +1,28 @@
 // Command april-bench regenerates Table 3 of the paper: normalized
 // execution times of fib, factor, queens and speech on the Encore
 // Multimax baseline and on APRIL with normal and lazy task creation,
-// at 1-16 processors.
+// at 1-16 processors. It runs the grid and writes the grid's
+// artifacts. To trace, time-line or serve one program, run its source
+// with cmd/april instead (examples/progs holds fib and queens).
 //
 // The grid's independent runs are fanned across host cores (-workers).
 // -tier selects the execution path; -perf runs the whole grid once
 // under each tier, plus a 64-node ALEWIFE run under each tier, and
-// writes the throughput report to BENCH_simperf.json.
+// writes the throughput report to BENCH_simperf.json. -stats-json
+// writes every grid run's full statistics.
 //
 // -model-check cross-validates the Section 8 analytical model: it runs
 // fib/queens on the full ALEWIFE memory system across the Figure 5
 // processor range, measures the model's inputs (resident threads, miss
 // rate, remote latency) from each run, and reports measured vs.
-// predicted utilization with per-config errors.
+// predicted utilization with per-config errors. -frames runs the
+// task-frame ablation (E9).
 //
 // -fault-matrix runs the robustness grid instead: fib/queens on
 // perfect and ALEWIFE memory at several machine sizes, each ALEWIFE
-// cell repeated under seeded fault plans with the invariant checkers
-// armed; any answer drift, invariant violation, or wedge fails the
-// run.
+// cell repeated under eight seeded fault plans with the invariant
+// checkers armed; any answer drift, invariant violation, or wedge
+// fails the run.
 //
 // -cpuprofile and -memprofile write pprof profiles of whatever mode
 // ran (see README.md, "Profiling the simulator").
@@ -28,13 +32,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 
 	"april"
+	"april/internal/bench"
+	"april/internal/proc"
 )
 
 // perfOut is where -perf writes its report.
@@ -58,15 +62,7 @@ func run() int {
 
 		modelCheck = flag.Bool("model-check", false, "run the measured-vs-model utilization grid (fib/queens on the full ALEWIFE memory system across the Figure 5 processor range) and compare measured U(p) against the Section 8 analytical model; writes the report to -stats-json (default BENCH_modelcheck.json)")
 
-		faultMatrix = flag.Bool("fault-matrix", false, "run the robustness fault matrix (fib/queens × perfect/alewife × machine sizes × seeded fault plans, invariant checkers armed) instead of Table 3; exit 1 on any failing cell")
-		faultSeeds  = flag.Int("fault-seeds", 8, "seeded fault plans per ALEWIFE cell for -fault-matrix")
-
-		traceOut    = flag.String("trace", "", "trace one representative run (see -trace-bench) instead of the grid; writes Chrome trace-event JSON to this path")
-		timelineOut = flag.String("timeline", "", "like -trace but for the per-node utilization timeline (CSV, or JSON rows with a .json extension)")
-		traceBench  = flag.String("trace-bench", "fib", "benchmark for the traced run: fib | factor | queens | speech")
-		traceProcs  = flag.Int("trace-procs", 8, "processor count for the traced run")
-		sample      = flag.Uint64("sample", 0, "timeline sampling interval in cycles (0 = default 4096)")
-		serve       = flag.String("serve", "", "run one representative benchmark (see -trace-bench/-trace-procs) with the live introspection server on this host:port: /progress, /counters, /metrics, /timeline, /trace")
+		faultMatrix = flag.Bool("fault-matrix", false, "run the robustness fault matrix (fib/queens × perfect/alewife × machine sizes × 8 seeded fault plans, invariant checkers armed) instead of Table 3; exit 1 on any failing cell")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile (taken at exit) to this path")
@@ -105,38 +101,37 @@ func run() int {
 		}()
 	}
 
-	if *frames {
-		cfg := april.DefaultFramesSweep()
-		cfg.Workers = *workers
-		pts, err := april.FramesSweep(cfg)
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Println("E9: utilization vs hardware task frames (fib on the full ALEWIFE memory system)")
-		fmt.Println()
-		fmt.Print(april.FormatFramesSweep(pts))
-		return 0
-	}
-
-	var benchSizes april.Table3Sizes
+	var benchSizes bench.Sizes
 	switch *sizes {
 	case "paper":
-		benchSizes = april.PaperSizes
+		benchSizes = bench.PaperSizes
 	case "test":
-		benchSizes = april.TestSizes
+		benchSizes = bench.TestSizes
 	default:
 		fmt.Fprintf(os.Stderr, "april-bench: unknown -sizes %q\n", *sizes)
 		return 2
 	}
 
+	if *frames {
+		cfg := bench.DefaultFramesSweep()
+		cfg.Workers = *workers
+		pts, err := bench.FramesSweep(cfg)
+		if err != nil {
+			return fail(err)
+		}
+		fmt.Print("E9: utilization vs hardware task frames (fib on the full ALEWIFE memory system)\n\n")
+		fmt.Print(bench.FormatFramesSweep(pts))
+		return 0
+	}
+
 	if *modelCheck {
-		mcfg := april.DefaultModelCheckConfig()
+		mcfg := bench.DefaultModelCheckConfig()
 		mcfg.Sizes = benchSizes
 		mcfg.Workers = *workers
 		if *verbose {
 			mcfg.Verbose = os.Stderr
 		}
-		rep, err := april.ModelCheck(mcfg)
+		rep, err := bench.ModelCheck(mcfg)
 		if err != nil {
 			return fail(err)
 		}
@@ -150,19 +145,17 @@ func run() int {
 		}
 		fmt.Printf("Measured vs. model utilization (-sizes %s; m, T, p measured per run; C = %d cycles):\n\n",
 			*sizes, int(rep.Rows[0].SwitchCost))
-		fmt.Print(april.FormatModelCheck(rep))
+		fmt.Print(bench.FormatModelCheck(rep))
 		fmt.Println("\nwritten to", out)
 		return 0
 	}
 
 	if *faultMatrix {
 		mcfg := april.DefaultFaultMatrixConfig()
-		mcfg.Seeds = *faultSeeds
 		mcfg.Sizes = benchSizes
 		mcfg.Workers = *workers
 		if *verbose {
-			mcfg.Verbose = true
-			mcfg.Out = os.Stderr
+			mcfg.Verbose = os.Stderr
 		}
 		res, err := april.FaultMatrix(mcfg)
 		if err != nil {
@@ -176,28 +169,16 @@ func run() int {
 		return 0
 	}
 
-	cfg := april.DefaultTable3Config()
+	cfg := bench.DefaultTable3Config()
 	cfg.Sizes = benchSizes
-	var log io.Writer
 	if *verbose {
-		log = os.Stderr
+		cfg.Verbose = os.Stderr
 	}
-	cfg.Verbose = log
 	cfg.Workers = *workers
 	cfg.Tier = tier
 
-	if *traceOut != "" || *timelineOut != "" || *serve != "" {
-		// Tracing (or serving) the whole grid would interleave hundreds
-		// of machines; observe one representative run on the full ALEWIFE
-		// memory system instead.
-		if err := runTraced(cfg.Sizes, *traceBench, *traceProcs, *traceOut, *timelineOut, *serve, *sample); err != nil {
-			return fail(err)
-		}
-		return 0
-	}
-
 	if *perf {
-		rep, err := april.Table3Perf(cfg, *sizes)
+		rep, err := bench.Table3Perf(cfg, *sizes)
 		if err != nil {
 			return fail(err)
 		}
@@ -213,13 +194,13 @@ func run() int {
 		return 0
 	}
 
-	var gridPerf april.RunPerf
+	var gridPerf proc.Perf
 	cfg.Perf = &gridPerf
-	var gridStats []april.RunStats
+	var gridStats []bench.RunStats
 	if *statsJSON != "" {
 		cfg.Stats = &gridStats
 	}
-	rows, err := april.Table3(cfg)
+	rows, err := bench.Table3(cfg)
 	if err != nil {
 		return fail(err)
 	}
@@ -235,77 +216,10 @@ func run() int {
 	}
 	fmt.Println("Table 3: Execution time for Mul-T benchmarks, normalized to sequential T")
 	fmt.Println("(paper reference: fib 28.9/14.2/1.5 at 1p for Encore/APRIL/Apr-lazy;")
-	fmt.Println(" Mul-T seq overhead ~1.4-2.0x on Encore, ~1.0 on APRIL)")
-	fmt.Println()
-	fmt.Print(april.FormatTable3(rows, cfg.AprilProcs))
+	fmt.Print(" Mul-T seq overhead ~1.4-2.0x on Encore, ~1.0 on APRIL)\n\n")
+	fmt.Print(bench.FormatTable(rows, cfg.AprilProcs))
 	if *verbose {
 		fmt.Fprintf(os.Stderr, "grid throughput: %s\n", gridPerf)
 	}
 	return 0
-}
-
-// runTraced executes one benchmark with the observability subsystem
-// enabled: file outputs for -trace/-timeline and, when serve is
-// non-empty, the live introspection server for the duration of the
-// run.
-func runTraced(sizes april.Table3Sizes, benchName string, procs int, traceOut, timelineOut, serve string, sample uint64) error {
-	switch benchName {
-	case "fib", "factor", "queens", "speech":
-	default:
-		return fmt.Errorf("unknown -trace-bench %q", benchName)
-	}
-	src := april.BenchmarkSource(benchName, sizes)
-	topts := &april.TraceOptions{SampleInterval: sample}
-	var files []*os.File
-	open := func(path string) (*os.File, error) {
-		f, err := os.Create(path)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-		return f, nil
-	}
-	var err error
-	if traceOut != "" {
-		if topts.ChromeOut, err = open(traceOut); err != nil {
-			return err
-		}
-	}
-	if timelineOut != "" {
-		if topts.TimelineOut, err = open(timelineOut); err != nil {
-			return err
-		}
-		topts.TimelineJSON = strings.HasSuffix(timelineOut, ".json")
-	}
-	opts := april.Options{
-		Processors: procs,
-		Machine:    april.APRIL,
-		Alewife:    &april.AlewifeOptions{},
-		Output:     io.Discard,
-		Trace:      topts,
-	}
-	if serve != "" {
-		opts.Serve = serve
-		opts.ServeNotify = func(url string) {
-			fmt.Fprintf(os.Stderr, "april-bench: observatory listening on %s\n", url)
-		}
-	}
-	res, err := april.Run(src, opts)
-	if err != nil {
-		return err
-	}
-	for _, f := range files {
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	fmt.Printf("traced %s on %d ALEWIFE processors: %s in %d cycles (utilization %.3f)\n",
-		benchName, procs, res.Value, res.Cycles, res.Utilization)
-	if traceOut != "" {
-		fmt.Printf("event trace written to %s (open in Perfetto: https://ui.perfetto.dev)\n", traceOut)
-	}
-	if timelineOut != "" {
-		fmt.Printf("utilization timeline written to %s\n", timelineOut)
-	}
-	return nil
 }

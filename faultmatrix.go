@@ -32,9 +32,8 @@ type FaultMatrixConfig struct {
 	Sizes Table3Sizes
 	// Workers fans independent cells across host cores (0 = all cores).
 	Workers int
-	// Verbose streams one line per completed run to Out.
-	Verbose bool
-	Out     io.Writer
+	// Verbose, when non-nil, receives one line per completed run.
+	Verbose io.Writer
 }
 
 // DefaultFaultMatrixConfig is the standard matrix: fib/queens ×
@@ -81,6 +80,13 @@ func (cfg *FaultMatrixConfig) fill() {
 	}
 }
 
+// memoryFor sizes a cell's simulated memory at 8 MiB a node, within
+// the 256 MiB default and the 4095 MiB a machine addresses: paper-size
+// fib on 64 ALEWIFE nodes runs out of stack in 256 MiB.
+func memoryFor(procs int) uint32 {
+	return uint32(min(max(256<<20, 8<<20*uint64(procs)), 4095<<20))
+}
+
 // FaultMatrix runs the matrix. The returned error covers harness-level
 // problems only; per-cell failures (wrong answer, invariant violation,
 // wedge) land in the cells' Failure fields and the Failures count.
@@ -106,7 +112,7 @@ func FaultMatrix(cfg FaultMatrixConfig) (FaultMatrixResult, error) {
 	cells, err := harness.Map(cfg.Workers, len(specs), func(i int) (FaultMatrixCell, error) {
 		s := specs[i]
 		cell := FaultMatrixCell{Benchmark: s.bench, Mode: s.mode, Procs: s.procs, Seed: s.seed}
-		o := Options{Processors: s.procs, Check: true}
+		o := Options{Processors: s.procs, MemoryBytes: memoryFor(s.procs), Check: true}
 		if s.mode == "alewife" {
 			o.Alewife = &AlewifeOptions{}
 			if s.seed > 0 {
@@ -153,12 +159,12 @@ func FaultMatrix(cfg FaultMatrixConfig) (FaultMatrixResult, error) {
 		if c.Failure != "" {
 			out.Failures++
 		}
-		if cfg.Verbose && cfg.Out != nil {
+		if cfg.Verbose != nil {
 			status := "ok"
 			if c.Failure != "" {
 				status = "FAIL: " + c.Failure
 			}
-			fmt.Fprintf(cfg.Out, "%-6s %-7s %3dp seed %-2d  %12d cycles  %s\n",
+			fmt.Fprintf(cfg.Verbose, "%-6s %-7s %3dp seed %-2d  %12d cycles  %s\n",
 				c.Benchmark, c.Mode, c.Procs, c.Seed, c.Cycles, status)
 		}
 	}

@@ -7,19 +7,18 @@ import (
 	"april"
 )
 
-// TestFaultMatrix runs a reduced matrix (2 seeds, small machines) as a
-// tier-1 gate; the full 8-seed default runs via `april-bench
-// -fault-matrix` and the CI smoke job.
+// TestFaultMatrix runs the default matrix's machines, fib/queens ×
+// perfect/alewife × {1,4,8,64}p, under 2 seeds each as a tier-1 gate;
+// the full 8-seed default runs via `april-bench -fault-matrix`.
 func TestFaultMatrix(t *testing.T) {
 	cfg := april.DefaultFaultMatrixConfig()
-	cfg.Procs = []int{1, 4}
 	cfg.Seeds = 2
 	res, err := april.FaultMatrix(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2 benchmarks × 2 modes × 2 sizes × (1 baseline + 2 seeds).
-	if want := 2 * 2 * 2 * 3; len(res.Cells) != want {
+	// 2 benchmarks × 2 modes × 4 sizes × (1 baseline + 2 seeds).
+	if want := 2 * 2 * 4 * 3; len(res.Cells) != want {
 		t.Errorf("ran %d cells, want %d", len(res.Cells), want)
 	}
 	if res.Failures != 0 {
@@ -28,6 +27,24 @@ func TestFaultMatrix(t *testing.T) {
 	table := april.FormatFaultMatrix(res)
 	if !strings.Contains(table, "0 failures") {
 		t.Errorf("table does not report success:\n%s", table)
+	}
+}
+
+// TestFaultMatrixPaperFib64: paper-size fib on 64 nodes needs more
+// than the default 256 MiB of simulated memory (its ALEWIFE cells ran
+// out of stack there), so a cell's memory grows with its node count.
+func TestFaultMatrixPaperFib64(t *testing.T) {
+	res, err := april.FaultMatrix(april.FaultMatrixConfig{
+		Benchmarks: []string{"fib"},
+		Procs:      []int{64},
+		Seeds:      1,
+		Sizes:      april.PaperSizes,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failures != 0 {
+		t.Fatalf("%d failing cells:\n%s", res.Failures, april.FormatFaultMatrix(res))
 	}
 }
 

@@ -55,6 +55,27 @@ func TestBenchmarkProgramsCorrect(t *testing.T) {
 	}
 }
 
+// TestGridTiersAgree holds every cell of the test-size Table 3 grid
+// on the compiled tier to the same cell on the reference tier through
+// the tier oracle, so a mismatch names its first differing cycle and
+// field rather than a differing ratio.
+func TestGridTiersAgree(t *testing.T) {
+	cfg := DefaultTable3Config()
+	cfg.Sizes = TestSizes
+	specs, _ := grid(&cfg)
+	if len(specs) != 80 {
+		t.Fatalf("grid has %d cells, want 80", len(specs))
+	}
+	for _, s := range specs {
+		side := func(tier sim.Tier) func() (*sim.Machine, error) {
+			return func() (*sim.Machine, error) { return build(s.config(tier), s.src, s.mode) }
+		}
+		if err := sim.Diverge(side(sim.TierCompiled), side(sim.TierReference), 1000); err != nil {
+			t.Errorf("%s: %v", s.label, err)
+		}
+	}
+}
+
 // TestTable3SmallShape runs the full harness at test sizes and checks
 // the paper's qualitative claims hold:
 //   - Encore Mul-T seq overhead is well above APRIL's (which is ~1.0);

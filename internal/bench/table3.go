@@ -215,18 +215,9 @@ type rowPlan struct {
 	parIdx  []int // their spec indices, parallel to procs
 }
 
-// Table3 regenerates the paper's Table 3: for each benchmark and each
-// system it measures "T seq" (sequential code, no future detection),
-// "Mul-T seq" (sequential code with the machine's future detection),
-// and the parallel runs at each processor count, all normalized to
-// T seq.
-//
-// Every measurement is an independent machine, so the whole grid is
-// flattened into one run list and fanned across host cores by the
-// harness; rows are assembled (and cross-checked) in grid order
-// afterwards, making the output independent of worker count.
-func Table3(cfg Table3Config) ([]Row, error) {
-	start := time.Now()
+// grid flattens cfg's Table 3 into its independent machine runs, in
+// grid order, and the plans that assemble them back into rows.
+func grid(cfg *Table3Config) ([]runSpec, []rowPlan) {
 	var (
 		specs []runSpec
 		plans []rowPlan
@@ -259,7 +250,7 @@ func Table3(cfg Table3Config) ([]Row, error) {
 				prof:  su.prof,
 				nodes: 1,
 			})
-			for _, p := range su.procs(&cfg) {
+			for _, p := range su.procs(cfg) {
 				pl.procs = append(pl.procs, p)
 				pl.parIdx = append(pl.parIdx, add(runSpec{
 					label: fmt.Sprintf("%s/%s: %d procs", name, su.sys, p),
@@ -273,10 +264,31 @@ func Table3(cfg Table3Config) ([]Row, error) {
 			plans = append(plans, pl)
 		}
 	}
+	return specs, plans
+}
+
+// config is the machine s runs on under tier.
+func (s runSpec) config(tier sim.Tier) sim.Config {
+	return sim.Config{Nodes: s.nodes, Profile: s.prof, Lazy: s.lazy, Tier: tier}
+}
+
+// Table3 regenerates the paper's Table 3: for each benchmark and each
+// system it measures "T seq" (sequential code, no future detection),
+// "Mul-T seq" (sequential code with the machine's future detection),
+// and the parallel runs at each processor count, all normalized to
+// T seq.
+//
+// Every measurement is an independent machine, so the whole grid is
+// flattened into one run list and fanned across host cores by the
+// harness; rows are assembled (and cross-checked) in grid order
+// afterwards, making the output independent of worker count.
+func Table3(cfg Table3Config) ([]Row, error) {
+	start := time.Now()
+	specs, plans := grid(&cfg)
 
 	outs, occ, err := harness.MapOccupancy(cfg.Workers, len(specs), func(i int) (RunStats, error) {
 		s := specs[i]
-		out, err := RunOnce(sim.Config{Nodes: s.nodes, Profile: s.prof, Lazy: s.lazy, Tier: cfg.Tier}, s.src, s.mode)
+		out, err := RunOnce(s.config(cfg.Tier), s.src, s.mode)
 		if err != nil {
 			return RunStats{}, fmt.Errorf("%s: %w", s.label, err)
 		}
