@@ -44,14 +44,15 @@ benchmark-smoke:
 # Every benchmark once: the experiment benchmarks at the root and the
 # per-layer microbenchmarks beside their packages (cache hit / write hit
 # / refused probe, a sharer-set round inline and in the overflow words,
-# the full/empty-aware memory access, the controller
+# the full/empty-aware memory access, a perfect-memory lane access on a
+# page of its own and on one another lane marked, the controller
 # hit through both of its callers and a delayed reply through its
 # outbox, a torus hop / NextEvent / Advance, a calendar add+drain, the
 # Snapshot and Restore of 16-, 64- and 256-node images, a 4 MiB
 # payload's Seal+Open). One iteration each keeps them from rotting; use
 # -benchtime and -count by hand to measure.
 bench:
-	$(GO) test -bench . -benchtime 1x -run xxx . ./internal/sim/ ./internal/cache/ ./internal/directory/ ./internal/mem/ ./internal/network/ ./internal/calendar/ ./internal/snapshot/
+	$(GO) test -bench . -benchtime 1x -run xxx . ./internal/sim/ ./internal/cache/ ./internal/directory/ ./internal/mem/ ./internal/network/ ./internal/calendar/ ./internal/snapshot/ ./internal/proc/
 
 # Measure simulator throughput under each execution tier on the full
 # Table 3 grid and a 64-node ALEWIFE run, every run through the grid's

@@ -77,6 +77,26 @@ type group [groupPages]*page
 type page struct {
 	words [pageWords]isa.Word
 	fe    [pageWords / 64]uint64 // 1 bit per word; 1 = full
+	marks Marks
+}
+
+// Marks are a resident page's lane marks: one bit per lane slot of the
+// epoch engine's log (proc.EpochLog), set while the lane holding the
+// slot is in flight and has touched (Touched) or stored to (Stored) a
+// word of the page. They are host bookkeeping, never part of an image:
+// a page is installed, and made resident, with no marks.
+type Marks struct {
+	Touched, Stored uint64
+}
+
+// Conflicting returns the slots whose marks an access to the page (a
+// store with store) may conflict with: those that touched it, for a
+// store; those that stored to it, for a load.
+func (mk *Marks) Conflicting(store bool) uint64 {
+	if store {
+		return mk.Touched
+	}
+	return mk.Stored
 }
 
 const (
@@ -305,6 +325,34 @@ func (m *Memory) AccessResident(idx uint32, store bool, value isa.Word) (prev is
 	}
 	prev, full = p.access(idx, store, value)
 	return prev, full, true
+}
+
+// Marks returns the lane marks of the page holding word index idx, or
+// nil when it is not resident.
+func (m *Memory) Marks(idx uint32) *Marks {
+	if p := m.find(idx); p != nil {
+		return &p.marks
+	}
+	return nil
+}
+
+// LaneAccess is AccessResident for the epoch lane holding the slot
+// bit, in one page lookup: it returns the page's marks and makes the
+// access unless another slot's mark could conflict with it, that is
+// another slot stored to the page, or touched it and the access
+// stores. ok=false means nothing was accessed: with nil marks the page
+// is not resident; otherwise the caller decides on the marking slots'
+// words, and makes the access through AccessResident if it may.
+func (m *Memory) LaneAccess(idx uint32, bit uint64, store bool, value isa.Word) (prev isa.Word, full bool, mk *Marks, ok bool) {
+	p := m.find(idx)
+	if p == nil {
+		return 0, false, nil, false
+	}
+	if p.marks.Conflicting(store)&^bit != 0 {
+		return 0, false, &p.marks, false
+	}
+	prev, full = p.access(idx, store, value)
+	return prev, full, &p.marks, true
 }
 
 // Fault is the panic value raised by the Must* accessors: a runtime

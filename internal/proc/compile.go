@@ -210,7 +210,7 @@ func (p *Processor) fusedMem(f *core.Frame, u *isa.Micro) bool {
 	var full bool
 	if l := p.epoch; l != nil {
 		var ok bool
-		if prev, full, ok = l.access(p.ID, ea/mem.WordBytes, u.Store, value); !ok {
+		if prev, full, ok = l.access(ea/mem.WordBytes, u.Store, value); !ok {
 			return false
 		}
 	} else {

@@ -16,10 +16,12 @@ package proc
 // state, every word it touched (with the value before, for a store)
 // and, on ALEWIFE, every cache line it hit, so the machine can cut the
 // lane back (Cut) before an outside action reaches into it. On perfect
-// memory, where no cache keeps lanes apart, the log also indexes the
-// touched words: a lane refuses an op that would touch a word another
-// lane in flight touched where either side stores (access), and the
-// machine asks which lanes an access outside them reaches (Reaches).
+// memory, where no cache keeps lanes apart, a lane also holds one of 64
+// slots and marks each page it touches with the slot's bit (mem.Marks):
+// a lane refuses an op that would touch a word another lane in flight
+// touched where either side stores (access), and the machine asks which
+// lanes an access outside them reaches (Reaches). The marks find the
+// lanes that touched a page; their touch lists decide on the word.
 // DESIGN.md ("Epoch execution") has the exactness argument.
 
 import (
@@ -42,30 +44,17 @@ type EpochLog struct {
 	mem    *mem.Memory
 	cur    *laneSave
 
-	// The word index (perfect memory): an open-addressed table, linear
-	// probing on word indexes, of every word a lane in flight touched.
-	// A lane's entries leave when it retires or is cut back, so the
-	// table holds live entries only and grows to stay a quarter full.
-	// reach is Reaches' scratch.
-	index []uint64 // touchKey values; 0 is an empty slot
-	shift uint     // 32 - log2(len(index))
-	used  int
+	// The lane slots (perfect memory): slots[i] is the lane holding
+	// slot i, whose bit is 1<<i in the pages' marks, and idle has a bit
+	// set for each free slot. reach is Reaches' scratch.
+	slots [64]*laneSave
+	idle  uint64
 	reach []int
 }
 
-// touchKey is a word index entry: the word, the lane's node, and
-// whether the lane stored to the word.
-func touchKey(idx uint32, node int, store bool) uint64 {
-	return uint64(idx)<<32 | uint64(node+1)<<1 | uint64(b2u(store))
-}
-
-// minIndex is the word index's first size, in slots.
-const minIndex = 256
-
 // Touch is one word a lane read or wrote: its index, whether the lane
-// stored to it, and (for a store) the word as it was. On perfect memory
-// a lane records only its first store to each word, which is all a cut
-// needs: the word index holds the rest.
+// stored to it, and (for a store) the word as it was. A lane records
+// every access, on ALEWIFE and on perfect memory alike.
 type Touch struct {
 	Idx    uint32
 	Stored bool
@@ -74,8 +63,9 @@ type Touch struct {
 
 // laneSave is everything a lane can change on a processor, as it was
 // when the lane began, plus what the lane touched outside it: its
-// words, the cache lines it hit, and (keys) the words it entered in the
-// word index.
+// words, the cache lines it hit and, on perfect memory, the marks of
+// the pages it touched. node is the lane's node and bit its slot's
+// (0 when it holds none).
 type laneSave struct {
 	frame                               core.Frame
 	globals                             [isa.NumGlobalRegs]isa.Word
@@ -85,7 +75,9 @@ type laneSave struct {
 
 	words []Touch
 	lines []cache.LineUndo
-	keys  []uint32
+	node  int
+	bit   uint64
+	pages []*mem.Marks
 }
 
 // NewLaneLog returns a log for the lanes of a machine of the given
@@ -93,15 +85,12 @@ type laneSave struct {
 // retired, so the log grows with the lanes in flight at once, not with
 // the machine.
 func NewLaneLog(nodes int, mm *mem.Memory) *EpochLog {
-	return &EpochLog{
-		byNode: make([]*laneSave, nodes), mem: mm,
-		index: make([]uint64, minIndex), shift: uint(32 - bits.Len(minIndex-1)),
-	}
+	return &EpochLog{byNode: make([]*laneSave, nodes), mem: mm, idle: ^uint64(0)}
 }
 
 // Touches lists the words node's lane in flight touched, in order (nil
-// when it has none): on ALEWIFE every hit, on perfect memory the first
-// store to each word.
+// when it has none): on ALEWIFE every hit, on perfect memory every
+// access.
 func (l *EpochLog) Touches(node int) []Touch {
 	if s := l.byNode[node]; s != nil {
 		return s.words
@@ -110,11 +99,11 @@ func (l *EpochLog) Touches(node int) []Touch {
 }
 
 // Cut returns p's lane to its first n ops: the lane is rolled back to
-// its start (its stores and cache hits undone newest first, its words
-// taken out of the index, then the processor restored) and its first n
-// ops run again. The replay is exact when nothing outside the lane has
-// changed what the lane touched since it ran, which the machine
-// guarantees by cutting before any such change.
+// its start (its stores and cache hits undone newest first, its page
+// marks cleared, then the processor restored) and its first n ops run
+// again. The replay is exact when nothing outside the lane has changed
+// what the lane touched since it ran, which the machine guarantees by
+// cutting before any such change.
 func (l *EpochLog) Cut(p *Processor, n int) {
 	s := l.byNode[p.ID]
 	for i := len(s.words) - 1; i >= 0; i-- {
@@ -125,20 +114,35 @@ func (l *EpochLog) Cut(p *Processor, n int) {
 	for i := len(s.lines) - 1; i >= 0; i-- {
 		s.lines[i].Restore()
 	}
-	l.unindex(p.ID, s)
+	s.unmark()
 	s.restore(p)
 	if ran, _, _, _, _ := p.RunAhead(uint64(n), nil, l); ran != n {
 		panic("proc: a cut lane's replay diverged from its first run")
 	}
 }
 
-// Retire drops node's lane record: the lane is committed.
+// Retire drops node's lane record, clearing its page marks and freeing
+// its slot: the lane is committed.
 func (l *EpochLog) Retire(node int) {
 	if s := l.byNode[node]; s != nil {
-		l.unindex(node, s)
+		s.unmark()
+		if s.bit != 0 {
+			l.idle |= s.bit
+			l.slots[bits.TrailingZeros64(s.bit)] = nil
+			s.bit = 0
+		}
 		l.byNode[node] = nil
 		l.free = append(l.free, s)
 	}
+}
+
+// unmark clears s's bit on the pages it marked.
+func (s *laneSave) unmark() {
+	for _, mk := range s.pages {
+		mk.Touched &^= s.bit
+		mk.Stored &^= s.bit
+	}
+	s.pages = s.pages[:0]
 }
 
 // restore puts back the processor state the lane began with.
@@ -151,7 +155,9 @@ func (s *laneSave) restore(p *Processor) {
 	p.Kinds = s.kinds
 }
 
-// save begins p's lane of up to n ops, whose active frame is f.
+// save begins p's lane of up to n ops, whose active frame is f. A new
+// record on perfect memory takes a free slot; with all 64 taken it
+// holds none, and the lane refuses every memory op.
 func (l *EpochLog) save(p *Processor, f *core.Frame, n int) {
 	s := l.byNode[p.ID]
 	if s == nil {
@@ -161,9 +167,16 @@ func (l *EpochLog) save(p *Processor, f *core.Frame, n int) {
 			s = new(laneSave)
 		}
 		l.byNode[p.ID] = s
+		s.node = p.ID
+		if p.perfMem != nil && l.idle != 0 {
+			i := bits.TrailingZeros64(l.idle)
+			s.bit = 1 << i
+			l.idle &^= s.bit
+			l.slots[i] = s
+		}
 	}
 	if cap(s.words) < n { // at most one access per op: sized once
-		s.words, s.lines, s.keys = make([]Touch, 0, n), make([]cache.LineUndo, 0, n), make([]uint32, 0, n)
+		s.words, s.lines = make([]Touch, 0, n), make([]cache.LineUndo, 0, n)
 	}
 	s.words, s.lines = s.words[:0], s.lines[:0]
 	l.cur = s
@@ -184,98 +197,49 @@ func (l *EpochLog) NoteHit(ln cache.Line, idx uint32, store bool, prev isa.Word)
 	s.words = append(s.words, Touch{Idx: idx, Stored: store, old: prev})
 }
 
-// access is fusedMem's plain access for node's lane in progress on
+// access is fusedMem's plain access for the lane in progress on
 // perfect memory. ok=false means the lane refuses the op and nothing
-// was touched: another lane in flight touched the word and one of the
-// two stores, or it is a store to a page that is not resident.
-// Otherwise the access is made and entered in the index.
+// was touched: the lane holds no slot, the page is not resident, or
+// another lane in flight touched the word and one of the two stores.
+// Otherwise the access is made, the page marked and the access
+// recorded.
 //
-// Two lanes' entries of one word are both loads: the second would have
-// been refused otherwise. So a load that finds its own entry, and any
-// access that finds its own stored one, is decided there.
-func (l *EpochLog) access(node int, idx uint32, store bool, value isa.Word) (prev isa.Word, full, ok bool) {
-	mask := uint32(len(l.index) - 1)
-	h := idx * 0x9E3779B1 >> l.shift
-	key := touchKey(idx, node, false)
-	own := -1
-	for ; l.index[h] != 0; h = (h + 1) & mask {
-		e := l.index[h]
-		switch {
-		case e>>32 != uint64(idx):
-		case e&^1 == key:
-			if !store || e&1 != 0 {
-				return l.mem.AccessResident(idx, store, value)
-			}
-			own = int(h) // a load of its own, about to store
-		case store || e&1 != 0:
-			return 0, false, false
-		}
-	}
-	if prev, full, ok = l.mem.AccessResident(idx, store, value); !ok {
+// The page's marks decide most accesses alone: no other lane marked
+// the page, or the access loads and no other lane stored there. Only
+// otherwise are the marking lanes' touch lists read for the word.
+func (l *EpochLog) access(idx uint32, store bool, value isa.Word) (prev isa.Word, full, ok bool) {
+	s := l.cur
+	if s.bit == 0 {
 		return 0, false, false
 	}
-	s := l.cur
-	if own >= 0 {
-		l.index[own] |= 1
-	} else {
-		l.insert(touchKey(idx, node, store), h)
-		s.keys = append(s.keys, idx)
+	prev, full, mk, ok := l.mem.LaneAccess(idx, s.bit, store, value)
+	if !ok {
+		if mk == nil || l.reaches(mk, idx, store, s.bit) {
+			return 0, false, false
+		}
+		prev, full, _ = l.mem.AccessResident(idx, store, value)
+	}
+	if mk.Touched&s.bit == 0 {
+		mk.Touched |= s.bit
+		s.pages = append(s.pages, mk)
 	}
 	if store {
-		s.words = append(s.words, Touch{Idx: idx, Stored: true, old: prev})
+		mk.Stored |= s.bit
 	}
+	s.words = append(s.words, Touch{Idx: idx, Stored: store, old: prev})
 	return prev, full, true
 }
 
-// insert enters key at the empty slot h ending its chain, growing the
-// table first when that would fill more than a quarter of it.
-func (l *EpochLog) insert(key uint64, h uint32) {
-	if 4*(l.used+1) > len(l.index) {
-		old := l.index
-		l.index = make([]uint64, 2*len(old))
-		l.shift--
-		for _, e := range old {
-			if e != 0 {
-				l.index[l.chainEnd(uint32(e>>32))] = e
-			}
+// reaches reports whether an access to word idx (a store with store)
+// on the page marked mk conflicts with a lane other than the one
+// holding own: the lane touched the word, and it or the access stores.
+func (l *EpochLog) reaches(mk *mem.Marks, idx uint32, store bool, own uint64) bool {
+	for m := mk.Conflicting(store) &^ own; m != 0; m &= m - 1 {
+		if l.slots[bits.TrailingZeros64(m)].touched(idx, !store) {
+			return true
 		}
-		h = l.chainEnd(uint32(key >> 32))
 	}
-	l.index[h] = key
-	l.used++
-}
-
-// chainEnd returns the empty slot ending word idx's chain.
-func (l *EpochLog) chainEnd(idx uint32) uint32 {
-	mask := uint32(len(l.index) - 1)
-	h := idx * 0x9E3779B1 >> l.shift
-	for l.index[h] != 0 {
-		h = (h + 1) & mask
-	}
-	return h
-}
-
-// unindex takes node's lane s's words out of the index, closing each
-// gap by moving later entries of the cluster back to their chain.
-func (l *EpochLog) unindex(node int, s *laneSave) {
-	mask := uint32(len(l.index) - 1)
-	for _, idx := range s.keys {
-		own := touchKey(idx, node, false)
-		h := idx * 0x9E3779B1 >> l.shift
-		for l.index[h]&^1 != own {
-			h = (h + 1) & mask
-		}
-		for j := (h + 1) & mask; l.index[j] != 0; j = (j + 1) & mask {
-			// The entry at j may fill the gap at h unless its home slot
-			// lies cyclically in (h, j].
-			if home := uint32(l.index[j]>>32) * 0x9E3779B1 >> l.shift; (j-home)&mask >= (j-h)&mask {
-				l.index[h], h = l.index[j], j
-			}
-		}
-		l.index[h] = 0
-		l.used--
-	}
-	s.keys = s.keys[:0]
+	return false
 }
 
 // Reaches lists the nodes whose lanes in flight an access outside any
@@ -284,20 +248,27 @@ func (l *EpochLog) unindex(node int, s *laneSave) {
 // the next call.
 func (l *EpochLog) Reaches(idx uint32, store bool) []int {
 	l.reach = l.reach[:0]
-	mask := uint32(len(l.index) - 1)
-	for h := idx * 0x9E3779B1 >> l.shift; l.index[h] != 0; h = (h + 1) & mask {
-		if e := l.index[h]; e>>32 == uint64(idx) && (store || e&1 != 0) {
-			l.reach = append(l.reach, int(uint32(e)>>1)-1)
+	mk := l.mem.Marks(idx)
+	if mk == nil {
+		return l.reach
+	}
+	for m := mk.Conflicting(store); m != 0; m &= m - 1 {
+		if s := l.slots[bits.TrailingZeros64(m)]; s.touched(idx, !store) {
+			l.reach = append(l.reach, s.node)
 		}
 	}
 	return l.reach
 }
 
-func b2u(b bool) uint32 {
-	if b {
-		return 1
+// touched reports whether lane s touched word idx, storing to it when
+// stored.
+func (s *laneSave) touched(idx uint32, stored bool) bool {
+	for i := range s.words {
+		if t := &s.words[i]; t.Idx == idx && (t.Stored || !stored) {
+			return true
+		}
 	}
-	return 0
+	return false
 }
 
 // LanePort is implemented by memory ports whose clock-free cache hits

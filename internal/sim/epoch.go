@@ -17,8 +17,9 @@
 //     its controller, as a fill or recall in a set it hit (laneFabric);
 //   - (b) on perfect memory, another lane: a lane refuses an op that
 //     would touch a word another lane in flight touched where either
-//     side stores (the log's word index), and that op runs per-op,
-//     where (a) applies; on ALEWIFE coherence keeps lanes apart;
+//     side stores (the log's page marks and touch lists), and that
+//     op runs per-op, where (a) applies; on ALEWIFE coherence keeps
+//     lanes apart;
 //   - (c) an IPI to the lane's node (noteIPI);
 //   - (d) the run's end, an error or a crash (cutLanes).
 //
@@ -164,6 +165,7 @@ func (m *Machine) cutLane(id int, c uint64, before int, cause *uint64, join bool
 	t.Cycles -= sp.end - e
 	t.LaneReplayedOps += e - sp.start
 	m.wake.Remove(sp.end, id)
+	old := sp.end
 	sp.end = e
 	m.Nodes[id].lastRetired = e - 1
 	switch {
@@ -180,9 +182,14 @@ func (m *Machine) cutLane(id int, c uint64, before int, cause *uint64, join bool
 		copy(ls.late[i+1:], ls.late[i:])
 		ls.late[i] = id
 	}
-	ls.hi = 0
-	for _, l := range ls.live {
-		ls.hi = max(ls.hi, ls.span[l].end)
+	// Only the lane that ended last can lower hi. Otherwise hi stays,
+	// even where it is a retired lane's end: that end is no later than
+	// now, and laneProgress already advanced past it.
+	if old == ls.hi {
+		ls.hi = 0
+		for _, l := range ls.live {
+			ls.hi = max(ls.hi, ls.span[l].end)
+		}
 	}
 }
 
@@ -223,11 +230,12 @@ func (m *Machine) laneFabric(node int, block uint32) {
 // the Step at (now, pos), something outside the lanes is about to read
 // (store false) or write the word at addr. A lane that stored the
 // word, or read a word about to be written, is cut back to the
-// position first. On perfect memory the log's word index names those
-// lanes. On ALEWIFE only the run-time system and block transfers reach
-// memory past the caches, and only nodes holding the word's block can
-// have touched it: the home directory lists them. Cuts made by a read
-// and by a store are counted apart.
+// position first. On perfect memory the log names those lanes (the
+// page's marks, then the marking lanes' touch lists). On ALEWIFE only
+// the run-time system and block transfers reach memory past the
+// caches, and only nodes holding the word's block can have touched it:
+// the home directory lists them. Cuts made by a read and by a store
+// are counted apart.
 func (m *Machine) laneWatch(addr uint32, store bool) {
 	ls := &m.lanes
 	cause := &m.epochTel.LaneCutsWord

@@ -23,6 +23,7 @@ import (
 	"april/internal/cache"
 	"april/internal/fault"
 	"april/internal/isa"
+	"april/internal/mem"
 	"april/internal/rts"
 	"april/internal/sim"
 )
@@ -161,8 +162,8 @@ func TestEpochKindsTierInvariant(t *testing.T) {
 }
 
 // TestEpochSteadyStateAllocRate is the epoch-specific allocation
-// guard: lanes reuse pooled records, scratch sized when the engine is
-// armed and a word index that only grows, and the telemetry is plain
+// guard: lanes reuse pooled records whose touch and page lists only
+// grow, scratch sized when the engine is armed, and the telemetry is plain
 // counters, so in steady state a 16-node run with lanes allocates no
 // more per window than the same run with them capped off, on perfect
 // memory and on ALEWIFE. (The run itself still allocates a little as
@@ -384,7 +385,7 @@ func laneMachine(t *testing.T, nodes int, tier sim.Tier, alewife bool) *sim.Mach
 	}
 	// Cycles grow with the machine (every node ping-pongs the shared
 	// counter), and each one is two snapshots at 1-cycle slices.
-	iters := map[int]int{2: 60, 4: 60, 16: 24, 64: 5}[nodes]
+	iters := map[int]int{2: 60, 4: 60, 16: 24, 64: 5, 72: 5}[nodes]
 	return rawMachine(t, laneSrc, sim.Config{Nodes: nodes, Tier: tier, Alewife: aw},
 		func(i int, shared, region uint32) map[uint8]isa.Word {
 			return map[uint8]isa.Word{
@@ -488,8 +489,9 @@ func setMachine(t *testing.T, tier sim.Tier, hSet, rSet int, stores bool) *sim.M
 // set a lane hit; Mul-T queens runs eager, with lazy task creation (the
 // run-time system copies stacks lanes write) and with the fault plan
 // armed; a livelock report lands with lanes ahead. Perfect memory:
-// laneSrc at 2, 4 and 16 nodes forces per-op and bypassing accesses to
-// words lanes touched, IPIs and the run's end; Mul-T fib and queens
+// laneSrc at 2, 4, 16 and 72 nodes (more lanes than slots) forces
+// per-op and bypassing accesses to words lanes touched, IPIs and the
+// run's end; Mul-T fib and queens
 // run eager and lazy. TestEpochConflictsMatchReference holds the
 // perfect-memory cells that force refused words and pages. Every cell must match the reference tier
 // (matchReference), and across the cells of each memory system every
@@ -510,7 +512,9 @@ func TestLanesMatchReference(t *testing.T) {
 	for _, nodes := range []int{2, 4, 16, 64} {
 		raw(fmt.Sprintf("raw-%dp", nodes), true, func(tier sim.Tier) *sim.Machine { return laneMachine(t, nodes, tier, true) })
 	}
-	for _, nodes := range []int{2, 4, 16} {
+	// At 72 nodes more lanes are in flight than there are slots: the
+	// lanes without one refuse every memory op.
+	for _, nodes := range []int{2, 4, 16, 72} {
 		raw(fmt.Sprintf("perfect-raw-%dp", nodes), false, func(tier sim.Tier) *sim.Machine { return laneMachine(t, nodes, tier, false) })
 	}
 	for _, c := range []struct {
@@ -596,6 +600,31 @@ func TestEpochConflictsMatchReference(t *testing.T) {
 				t.Errorf("word cuts %d, undone ops %d: the cut-back path did not run", et.LaneCutsWord, et.LaneUndoneOps)
 			}
 		})
+	}
+}
+
+// TestEpochMarksClearedOnReturn runs conflictSrc on 16 perfect-memory
+// nodes in windows of 97 cycles: when a run loop returns, its lanes
+// are retired, and no resident page may keep a lane's mark.
+func TestEpochMarksClearedOnReturn(t *testing.T) {
+	m := conflictMachine(t, 16, sim.TierCompiled)
+	for windows := 0; ; windows++ {
+		done, err := m.RunWindow(97)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Mem.DumpResident(func(id uint32, _ *[mem.PageWords]isa.Word, _ *[mem.PageFEWords]uint64) {
+			if mk := m.Mem.Marks(id * mem.PageWords); *mk != (mem.Marks{}) {
+				t.Fatalf("after window %d: page %d keeps the marks %+v", windows, id, *mk)
+			}
+		})
+		if done {
+			t.Logf("%d windows to cycle %d, %d lanes", windows+1, m.Now(), m.EpochTelemetry().Lanes)
+			break
+		}
+	}
+	if m.EpochTelemetry().Lanes == 0 {
+		t.Error("no lane ran")
 	}
 }
 
